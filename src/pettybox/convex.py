@@ -19,9 +19,8 @@ import numpy as np
 
 from .errors import InputError, NumericalError
 from .geometry import (SphericalGrid, circle_grid, cross_2d, default_grid,
-                       distance_to_polygon, frame_to_last_axis,
-                       integrate_sphere, prune_collinear, shoelace_area,
-                       sphere_grid)
+                       distance_to_polygon, integrate_sphere, prune_collinear,
+                       shoelace_area, sphere_grid, steiner_ring)
 
 SUPPORT_CONSISTENCY_TOL = 1e-10
 RESIDUAL_TOL = 1e-10
@@ -425,17 +424,13 @@ def polar_volume(K: ConvexBody, grid: SphericalGrid | None = None,
             if half is not None:
                 n = K.dim
                 return PolarVolume(2.0 ** n / (math.factorial(n) * float(np.prod(half))), 0.0)
-    if not hasattr(K, "support") or isinstance(K, PolarWrapper):
+    if not hasattr(K, "support_batch"):
         raise InputError(f"no quadrature route for {type(K).__name__}")
     n = K.dim
     g = grid if grid is not None else default_grid(n)
-    batch = getattr(K, "support_batch", None)
 
     def reciprocal(nodes: np.ndarray) -> np.ndarray:
-        if batch is not None:
-            vals = np.asarray(batch(nodes), dtype=float)
-        else:
-            vals = np.array([K.support(u) for u in nodes])
+        vals = K.support_batch(nodes)
         if np.min(vals) <= 0.0:
             raise InputError("support is nonpositive on the grid; origin not interior")
         return vals ** (-float(n))
@@ -459,54 +454,13 @@ def polar_volume(K: ConvexBody, grid: SphericalGrid | None = None,
 def steiner_symmetrize_convex(K: ConvexBody, u):
     """Exact Steiner symmetral of a planar convex body about the line
     through the origin orthogonal to u: every chord parallel to u is
-    recentered.  Preserves area and convexity.  Centered balls are fixed
-    points and come back unchanged."""
+    recentered.  The vertex ring comes from the same section-length
+    kernel as polygon symmetrals (geometry.steiner_ring), so area is kept
+    to rounding and convexity is kept.  Centered balls are fixed points
+    and come back unchanged."""
     if isinstance(K, Ball):
         return K
-    verts = _planar_vertices(K)
-    frame = frame_to_last_axis(u)
-    w = verts @ frame.matrix.T
-    m = len(w)
-    keys = [(w[i, 0], w[i, 1]) for i in range(m)]
-    i_lo = min(range(m), key=lambda i: keys[i])
-    i_hi = max(range(m), key=lambda i: keys[i])
-    lower = []
-    i = i_lo
-    while True:
-        lower.append(w[i])
-        if i == i_hi:
-            break
-        i = (i + 1) % m
-    upper = []
-    i = i_hi
-    while True:
-        upper.append(w[i])
-        if i == i_lo:
-            break
-        i = (i + 1) % m
-    upper.reverse()
-
-    def collapse(chain, keep_min: bool):
-        xs, ys = [], []
-        for px, py in chain:
-            if xs and px == xs[-1]:
-                ys[-1] = min(ys[-1], py) if keep_min else max(ys[-1], py)
-            else:
-                xs.append(px)
-                ys.append(py)
-        return np.asarray(xs), np.asarray(ys)
-
-    bx, by = collapse(lower, keep_min=True)
-    tx, ty = collapse(upper, keep_min=False)
-    breaks = np.unique(np.concatenate([bx, tx]))
-    bot = np.interp(breaks, bx, by)
-    top = np.interp(breaks, tx, ty)
-    half = 0.5 * (top - bot)
-    half = np.maximum(half, 0.0)
-    ring = np.vstack([np.column_stack([breaks, -half]),
-                      np.column_stack([breaks, half])[::-1]])
-    ring = prune_collinear(ring, 1e-12)
-    return FacetPolytope(ring @ frame.matrix)
+    return FacetPolytope(steiner_ring(_planar_vertices(K), u))
 
 
 @dataclass(frozen=True)

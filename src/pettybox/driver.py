@@ -17,7 +17,7 @@ import numpy as np
 
 from .convex import Ball
 from .errors import InputError, PathologicalInputError
-from .geometry import hausdorff_distance, rotation_2d
+from .geometry import hausdorff_distance, rotation_2d, steiner_ring
 from .projection import petty_product
 from .sets import PolygonSet, is_regular_direction, steiner_symmetrize
 
@@ -101,11 +101,15 @@ class SymmetrizationTrace:
 
 def cap_cover_greedy_step(E: PolygonSet, candidates) -> np.ndarray:
     """The candidate whose symmetral has the smallest circumradius; ties
-    break toward the lowest index.  Candidates must all be regular."""
+    break toward the lowest index.  Candidates must all be regular.
+
+    Each candidate is scored on the symmetral's vertex ring from
+    geometry.steiner_ring, rotated back to the input frame, as max |v|
+    (the formula of PolygonSet.max_norm); no symmetral set is built."""
     best_u = None
     best_r = math.inf
     for u in candidates:
-        r = steiner_symmetrize(E, u).max_norm()
+        r = float(np.max(np.linalg.norm(steiner_ring(E.vertices, u), axis=1)))
         if r < best_r:
             best_r = r
             best_u = np.asarray(u, dtype=float)

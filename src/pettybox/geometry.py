@@ -1,5 +1,6 @@
 """Low-level Euclidean plumbing: directions, frames, quadrature grids,
-convex hulls, circumradius and Hausdorff distance.
+convex hulls, the section-length kernel behind planar Steiner
+symmetrals, circumradius and Hausdorff distance.
 
 Set and body handles from the higher modules plug into the metric
 operations here through a small informal protocol:
@@ -27,6 +28,9 @@ from .errors import InputError, NumericalError
 EPSILON = 1e-12
 DIRECTION_TOL = 1e-12
 GRID_MEASURE_TOL = 1e-9
+# relative size of a section-length jump that a planar symmetral keeps as
+# a vertical edge; smaller jumps are read as rounding
+PRUNE_TOL = 1e-12
 # Boundary sampling density for Hausdorff on general sets: arc-length step
 # is (scene diameter) / BOUNDARY_DIVISIONS, and the returned value carries
 # an additive uncertainty of one step.
@@ -225,6 +229,94 @@ def shoelace_area(vertices: np.ndarray) -> float:
     v = np.asarray(vertices, dtype=float)
     x, y = v[:, 0], v[:, 1]
     return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
+
+
+def section_incidence(w: np.ndarray):
+    """Edge-cell incidence of a CCW polygon whose sections run parallel to
+    the second axis.
+
+    The cells are the intervals between consecutive unique vertex
+    abscissae ``breaks``.  Every non-vertical edge yields one row per cell
+    it spans, and the rows come back as parallel arrays: the edge index,
+    the cell index, the edge's heights at the cell's left and right ends,
+    its slope, and its sign s_e (+1 for edges running in -x, -1 for edges
+    running in +x), so that the section length is sum(s_e * height).
+    Heights are interpolated from the edge's own endpoints and are exact
+    there, so a near-vertical edge carries no error of size slope * x.
+    Raises NumericalError when a cell meets an odd number of edges.
+    """
+    x, y = w[:, 0], w[:, 1]
+    x2, y2 = np.roll(x, -1), np.roll(y, -1)
+    breaks = np.unique(x)
+    edges = np.flatnonzero(x != x2)
+    ia = np.searchsorted(breaks, x[edges])
+    ib = np.searchsorted(breaks, x2[edges])
+    span = np.abs(ib - ia)
+    rows = np.repeat(np.arange(len(edges)), span)
+    cells = np.arange(len(rows)) - np.repeat(np.cumsum(span) - span, span) \
+        + np.minimum(ia, ib)[rows]
+    counts = np.bincount(cells, minlength=len(breaks) - 1)
+    odd = np.flatnonzero(counts % 2)
+    if len(odd):
+        j = int(odd[0])
+        raise NumericalError(f"odd section parity in cell ({breaks[j]}, {breaks[j + 1]})")
+    e = edges[rows]
+    xa, xb, ya, yb = x[e], x2[e], y[e], y2[e]
+    dy = yb - ya
+
+    def height(t):
+        s = (t - xa) / (xb - xa)
+        return np.where(s <= 0.5, ya + s * dy, yb - (1.0 - s) * dy)
+
+    return (breaks, e, cells, height(breaks[cells]), height(breaks[cells + 1]),
+            dy / (xb - xa), np.where(xb < xa, 1.0, -1.0))
+
+
+def steiner_ring(vertices: np.ndarray, u) -> np.ndarray:
+    """CCW vertex ring, in the input frame, of the Steiner symmetral of a
+    simple CCW polygon along the unit direction u.
+
+    In the frame that takes u to the vertical, the section length L(x) is
+    piecewise affine with breaks at the vertex abscissae.  The ring runs
+    through (x_j, -L/2) left to right and back through (x_j, +L/2).  A
+    breakpoint whose one-sided limits differ by more than PRUNE_TOL * scale
+    gives two points; an end where L vanishes gives one point shared by
+    both chains; a breakpoint where L is continuous with the same slope on
+    both sides gives none.
+    """
+    u = as_direction(u)
+    if u.shape[0] != 2:
+        raise InputError("planar Steiner symmetrals need a planar direction")
+    frame = frame_to_last_axis(u)
+    w = np.asarray(vertices, dtype=float) @ frame.matrix.T
+    breaks, _, cells, y0, y1, slope, sign = section_incidence(w)
+    n = len(breaks) - 1
+    # section length at the left and right end of every cell, and its slope
+    left = np.bincount(cells, sign * y0, n)
+    right = np.bincount(cells, sign * y1, n)
+    tilt = np.bincount(cells, sign * slope, n)
+    # one-sided limits at every breakpoint; L vanishes outside the projection
+    before = np.concatenate([[0.0], right])
+    after = np.concatenate([left, [0.0]])
+    jump = np.abs(before - after) > PRUNE_TOL * (1.0 + float(np.max(np.abs(w))))
+    shared = np.zeros(n + 1, dtype=bool)
+    shared[[0, -1]] = ~jump[[0, -1]]
+    # two slots per breakpoint: the limit from the left (or the continuous
+    # value), then the limit from the right at a jump; the zero outside
+    # the projection is never emitted
+    first = np.where(jump, before, 0.5 * (before + after))
+    first[shared] = 0.0
+    keep_first = np.concatenate([[False], jump[1:-1] | (tilt[:-1] != tilt[1:]), [True]]) | shared
+    keep_second = jump.copy()
+    keep_second[-1] = False
+    keep = np.column_stack([keep_first, keep_second]).ravel()
+    xs = np.repeat(breaks, 2)[keep]
+    half = 0.5 * np.column_stack([first, after]).ravel()[keep]
+    top = np.column_stack([xs, half])[int(shared[0]):len(xs) - int(shared[-1])]
+    ring = np.vstack([np.column_stack([xs, -half]), top[::-1]])
+    if len(ring) < 3:
+        raise NumericalError("symmetral degenerated to fewer than 3 vertices")
+    return ring @ frame.matrix
 
 
 def prune_collinear(vertices: np.ndarray, tol: float = 1e-12) -> np.ndarray:

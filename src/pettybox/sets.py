@@ -20,21 +20,17 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .convex import Ball
-from .errors import (InputError, NonGenericPointError, NumericalError,
-                     UnsupportedDirectionError)
+from .convex import _BALL_VOLUME, Ball
+from .errors import InputError, NonGenericPointError, UnsupportedDirectionError
 from .geometry import (RigidFrame, as_direction, cross_2d, distance_to_polygon,
-                       frame_to_last_axis, points_in_polygon, prune_collinear,
-                       shoelace_area, unit_vector)
+                       points_in_polygon, section_incidence, shoelace_area,
+                       steiner_ring)
 
 CLOSEDNESS_TOL = 1e-9
 GENERIC_POINT_TOL = 1e-12
 AXIS_ALIGNMENT_TOL = 1e-12
-PRUNE_TOL = 1e-12
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
-
-UNIT_BALL_VOLUME = {1: 2.0, 2: math.pi, 3: 4.0 * math.pi / 3.0}
 
 
 # ---------------------------------------------------------------------------
@@ -173,61 +169,23 @@ class ColumnStructure:
 
 
 def _polygon_columns(vertices: np.ndarray):
-    """Sweep the vertex abscissae of a polygon and record, per base cell,
-    the sorted section endpoints as affine functions of the abscissa
-    together with the generating edge indices."""
-    x = vertices[:, 0]
-    y = vertices[:, 1]
-    x2 = np.roll(x, -1)
-    y2 = np.roll(y, -1)
-    edge_ids = np.arange(len(vertices))
-    nonvert = x != x2
-    ids = edge_ids[nonvert]
-    xa, xb = x[nonvert], x2[nonvert]
-    ya, yb = y[nonvert], y2[nonvert]
-    slope = (yb - ya) / (xb - xa)
-    lo = np.minimum(xa, xb)
-    hi = np.maximum(xa, xb)
-    y_lo = np.where(xa <= xb, ya, yb)
-    intercept = y_lo - lo * slope
-
-    breaks = np.unique(x)
-    order = np.argsort(lo, kind="stable")
-    cells = []
-    active: list[int] = []
-    nxt = 0
-    for j in range(len(breaks) - 1):
-        c0, c1 = float(breaks[j]), float(breaks[j + 1])
-        while nxt < len(order) and lo[order[nxt]] <= c0:
-            active.append(int(order[nxt]))
-            nxt += 1
-        active = [e for e in active if hi[e] > c0]
-        if not active:
-            continue
-        if len(active) % 2:
-            raise NumericalError(f"odd section parity in cell ({c0}, {c1})")
-        xm = 0.5 * (c0 + c1)
-        ys = intercept[active] + slope[active] * xm
-        sorted_pos = np.argsort(ys, kind="stable")
-        act = np.asarray(active)[sorted_pos]
-        m = len(act) // 2
-        affine = np.empty((m, 2, 2))
-        eids = np.empty((m, 2), dtype=int)
-        affine[:, 0, 0] = intercept[act[0::2]]
-        affine[:, 0, 1] = slope[act[0::2]]
-        affine[:, 1, 0] = intercept[act[1::2]]
-        affine[:, 1, 1] = slope[act[1::2]]
-        eids[:, 0] = ids[act[0::2]]
-        eids[:, 1] = ids[act[1::2]]
-        cells.append(ColumnCell(lo=np.array([c0]), hi=np.array([c1]),
-                                affine=affine, edge_ids=eids))
+    """Record, per base cell between consecutive vertex abscissae, the
+    sorted section endpoints of a polygon as affine functions of the
+    abscissa together with the generating edge indices."""
+    breaks, edge, cell, y0, y1, slope, _ = section_incidence(vertices)
+    intercept = y0 - slope * breaks[cell]
+    order = np.lexsort((y0 + y1, cell))
+    affine = np.column_stack([intercept, slope])[order].reshape(-1, 2, 2)
+    eids = edge[order].reshape(-1, 2)
+    counts = np.bincount(cell, minlength=len(breaks) - 1) // 2
+    filled = np.flatnonzero(counts)
+    cuts = np.cumsum(counts)[filled[:-1]]
+    cells = tuple(ColumnCell(lo=breaks[j:j + 1].copy(), hi=breaks[j + 1:j + 2].copy(),
+                             affine=a, edge_ids=e)
+                  for j, a, e in zip(filled, np.split(affine, cuts), np.split(eids, cuts)))
     index = np.full(len(breaks) - 1, -1, dtype=int)
-    pos = 0
-    for j in range(len(breaks) - 1):
-        if pos < len(cells) and float(cells[pos].lo[0]) == float(breaks[j]):
-            index[j] = pos
-            pos += 1
-    return (breaks,), tuple(cells), index
+    index[filled] = np.arange(len(filled))
+    return (breaks,), cells, index
 
 
 def _merge_touching(intervals: np.ndarray) -> np.ndarray:
@@ -357,14 +315,14 @@ class PolygonSet:
         return float(np.max(np.linalg.norm(self.vertices, axis=1)))
 
     def min_boundary_norm(self) -> float:
-        origin = np.zeros((1, 2))
-        v = self.vertices
-        m = len(v)
-        best = math.inf
-        for i in range(m):
-            from .geometry import point_segment_distance
-            best = min(best, float(point_segment_distance(origin, v[i], v[(i + 1) % m])[0]))
-        return best
+        # the arithmetic of point_segment_distance from the origin, over all
+        # edges at once; stacked matmul takes the row dot products through
+        # the same BLAS routine, so the result matches it bit for bit
+        a = self.vertices
+        d = self._edge_data[0]
+        t = np.clip(((-a)[:, None, :] @ d[:, :, None]) / (d[:, None, :] @ d[:, :, None]),
+                    0.0, 1.0)[:, 0, 0]
+        return float(np.min(np.linalg.norm(a + t[:, None] * d, axis=1)))
 
     def is_star_shaped(self) -> bool:
         """True when the vertex angles wind strictly monotonically about
@@ -423,19 +381,13 @@ def _check_simple(v: np.ndarray) -> None:
         # touching or collinear contact between non-adjacent edges
         touch = ((d1 == 0) & _on_segment(q1, q2, p1)) | \
                 ((d2 == 0) & _on_segment(q1, q2, p2)) | \
-                ((d3 == 0) & _on_segment_single(p1, p2, q1)) | \
-                ((d4 == 0) & _on_segment_single(p1, p2, q2))
+                ((d3 == 0) & _on_segment(p1, p2, q1)) | \
+                ((d4 == 0) & _on_segment(p1, p2, q2))
         if np.any(touch):
             raise InputError("polygon edges touch; the chain is not simple")
 
 
 def _on_segment(a: np.ndarray, b: np.ndarray, p: np.ndarray) -> np.ndarray:
-    lo = np.minimum(a, b)
-    hi = np.maximum(a, b)
-    return np.all((p >= lo) & (p <= hi), axis=1)
-
-
-def _on_segment_single(a: np.ndarray, b: np.ndarray, p: np.ndarray) -> np.ndarray:
     lo = np.minimum(a, b)
     hi = np.maximum(a, b)
     return np.all((p >= lo) & (p <= hi), axis=1)
@@ -667,13 +619,13 @@ def column_structure(E: SetHandle, axis: int | None = None) -> ColumnStructure:
 def spherical_symmetral(E: SetHandle) -> Ball:
     """The origin-centered ball with the same volume as E."""
     v = E.volume()
-    return Ball((v / UNIT_BALL_VOLUME[E.dim]) ** (1.0 / E.dim), dim=E.dim)
+    return Ball((v / _BALL_VOLUME[E.dim]) ** (1.0 / E.dim), dim=E.dim)
 
 
-def is_regular_direction(E: SetHandle, u, tol: float = AXIS_ALIGNMENT_TOL):
+def is_regular_direction(E: SetHandle, u):
     """Whether the boundary mass orthogonal to u vanishes.  Returns
     (flag, offending mass)."""
-    mass = E.surface_measure().mass_orthogonal_to(u, tol)
+    mass = vertical_boundary_measure(E, u)
     return mass == 0.0, mass
 
 
@@ -691,21 +643,14 @@ def vertical_boundary_measure(E: SetHandle, frame: RigidFrame | Sequence[float])
 def section_length_gradient(E: SetHandle, xprime) -> np.ndarray:
     """Gradient of the section-length function x' -> total length of the
     section of E above x', for sections parallel to the last coordinate
-    axis.  Evaluated at generic base points from the edge normals of the
-    section endpoints; equals the analytic derivative there."""
-    cols = column_structure(E)
-    cell = cols.locate(xprime)
-    if isinstance(E, BoxUnion):
-        # transversal facets of a box union are orthogonal to the section
-        # axis, so their lateral normal components vanish identically
+    axis.  Evaluated at generic base points as the summed slope of the
+    top endpoints minus that of the bottom endpoints in the located cell;
+    equals the analytic derivative there."""
+    cell = column_structure(E).locate(xprime)
+    if cell.affine is None:
+        # box-union sections are constant over each base cell
         return np.zeros(E.dim - 1)
-    normals = E.edge_normals()
-    grad = 0.0
-    for pair in cell.edge_ids:
-        for edge in pair:
-            nx, ny = normals[int(edge)]
-            grad += -nx / abs(ny)
-    return np.array([grad])
+    return np.array([float(np.sum(cell.affine[:, 1, 1] - cell.affine[:, 0, 1]))])
 
 
 def steiner_symmetrize(E: SetHandle, u) -> SetHandle:
@@ -725,47 +670,7 @@ def steiner_symmetrize(E: SetHandle, u) -> SetHandle:
 
 
 def _steiner_polygon(E: PolygonSet, u: np.ndarray) -> PolygonSet:
-    frame = frame_to_last_axis(u)
-    verts = E.vertices @ frame.matrix.T
-    breaks, cells, index = _polygon_columns(verts)
-    xs = breaks[0]
-    # one-sided section lengths at every breakpoint
-    left_val = np.full(len(xs), np.nan)   # limit from the cell left of xs[j]
-    right_val = np.full(len(xs), np.nan)  # limit from the cell right of xs[j]
-    for cell in cells:
-        j = int(np.searchsorted(xs, cell.lo[0]))
-        right_val[j] = cell.length_at(cell.lo)
-        k = int(np.searchsorted(xs, cell.hi[0]))
-        left_val[k] = cell.length_at(cell.hi)
-
-    top: list[tuple[float, float]] = []
-
-    def push(xc: float, val: float) -> None:
-        top.append((xc, 0.5 * val))
-
-    scale = 1.0 + float(np.max(np.abs(verts)))
-    jump_tol = PRUNE_TOL * scale
-    for j, xc in enumerate(xs):
-        lv, rv = left_val[j], right_val[j]
-        if np.isnan(lv) and np.isnan(rv):
-            continue
-        if np.isnan(lv):
-            push(xc, rv)
-        elif np.isnan(rv):
-            push(xc, lv)
-        elif abs(lv - rv) > jump_tol:
-            push(xc, lv)
-            push(xc, rv)
-        else:
-            push(xc, 0.5 * (lv + rv))
-    chain = np.asarray(top)
-    bottom = chain.copy()
-    bottom[:, 1] = -bottom[:, 1]
-    loop = np.vstack([bottom, chain[::-1]])
-    loop = prune_collinear(loop, PRUNE_TOL)
-    if len(loop) < 3:
-        raise NumericalError("symmetral degenerated to fewer than 3 vertices")
-    return PolygonSet(loop @ frame.matrix, validate_simple=False)
+    return PolygonSet(steiner_ring(E.vertices, u), validate_simple=False)
 
 
 def _steiner_boxes(E: BoxUnion, u: np.ndarray) -> BoxUnion:

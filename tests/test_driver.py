@@ -152,6 +152,25 @@ def test_recentering_makes_runs_translation_invariant():
     assert a == b
 
 
+def test_greedy_iterates_keep_area_near_edge_directions():
+    # this run's third symmetral has two tip vertices 1.3e-12 off the
+    # axis; collinear pruning once dropped both and lost 1.7e-9 of area
+    E = PolygonSet([
+        [-0.5546824154296315, 0.702171987092689], [-0.8866130567393434, 0.41659811105426925],
+        [-0.7432400543193423, -0.05931668120160046], [-1.0640668241502553, -0.3255949457032556],
+        [-0.6104613184282447, -0.6124149600451626], [-0.35599337728814373, -0.7382262299857564],
+        [-0.02027360469124798, -0.8511185767640486], [0.5984071589897832, -1.110108775579755],
+        [0.7305464457425784, -0.45163647967097725], [1.0740969548948553, -0.13956339991060793],
+        [0.8132205556471928, 0.14356191069349739], [0.9203447897023722, 0.5464712190019754],
+        [0.4671722855370798, 0.9534316179030021], [0.045750248989485626, 1.1504833217718202],
+        [-0.35525553528719694, 1.241404923198343]])
+    policy = DirectionPolicy(kind="cap-cover-greedy", seed=289478823, candidates=32)
+    trace = run_symmetrization(E, policy, stop_tol=0.05)
+    assert len(trace.steps) > 3
+    for s in trace.steps:
+        assert abs(s.volume - E.volume()) <= 1e-12 * E.volume()
+
+
 def test_nonconvex_star_converges():
     trace = run_symmetrization(
         random_polygon(19), DirectionPolicy(kind="cap-cover-greedy", seed=2))

@@ -349,6 +349,45 @@ def test_steiner_polygon_properties(seed, angle):
     assert np.allclose(a, b, atol=1e-8)
 
 
+def _section_length_reference(w, x):
+    """Loop reference: the signed heights at abscissa x of the edges of a
+    CCW vertex array, +1 for edges running in -x and -1 for edges running
+    in +x."""
+    total = 0.0
+    for (xa, ya), (xb, yb) in zip(w, np.roll(w, -1, axis=0)):
+        if min(xa, xb) < x < max(xa, xb):
+            y = ya + (x - xa) * (yb - ya) / (xb - xa)
+            total += y if xb < xa else -y
+    return total
+
+
+def test_steiner_near_edge_directions_keep_area_and_sections():
+    # a direction within 1e-13..1e-5 rad of an edge makes that edge
+    # near-vertical in the section frame, where its rounding leaves
+    # near-coincident symmetral vertices that a prune pass would cut
+    rng = np.random.default_rng(7)
+    for seed in range(200):
+        E = random_polygon(seed)
+        v = E.vertices
+        k = rng.integers(len(v))
+        edge = v[(k + 1) % len(v)] - v[k]
+        delta = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-13, -5)
+        u = rotation_2d(delta) @ (edge / np.linalg.norm(edge))
+        S = steiner_symmetrize(E, u)
+        assert abs(volume(S) - volume(E)) <= 1e-12 * volume(E)
+        M = frame_to_last_axis(u).matrix
+        w, ws = v @ M.T, S.vertices @ M.T
+        scale = float(np.max(np.abs(w)))
+        # generic abscissae: midpoints of cells too wide to hold a steep
+        # edge, where rotating the symmetral back and forth moves its
+        # section length by rounding only
+        xs = np.unique(w[:, 0])
+        wide = np.diff(xs) > 1e-3 * scale
+        for x in 0.5 * (xs[:-1] + xs[1:])[wide]:
+            assert abs(_section_length_reference(ws, x)
+                       - _section_length_reference(w, x)) <= 1e-12 * (1.0 + scale)
+
+
 def test_steiner_idempotent_along_axis():
     for seed in (1, 6, 14):
         E = random_polygon(seed)
