@@ -358,7 +358,12 @@ def polar_polygon(K: ConvexBody) -> FacetPolytope:
     vertex nu/h, in matching CCW order."""
     if isinstance(K, Ball):
         raise InputError("the polar of a ball is a ball; use polar_body")
-    poly = K if isinstance(K, FacetPolytope) else FacetPolytope.from_vertices(_planar_vertices(K))
+    if isinstance(K, FacetPolytope):
+        poly = K
+    elif isinstance(K, Zonotope) and K.dim == 2:
+        poly = K._polygon  # already pruned
+    else:
+        poly = FacetPolytope.from_vertices(_planar_vertices(K))
     normals, offsets = poly._facets
     if np.min(offsets) <= 0.0:
         raise InputError("polar polygon needs the origin interior to the body")

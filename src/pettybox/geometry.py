@@ -512,13 +512,19 @@ def hausdorff_distance(a, b, grid: SphericalGrid | None = None,
     against planar convex bodies or star-shaped sets, and for ball pairs.
     Other pairs are measured from intrinsic boundary samplings with
     arc-length step = scene diameter / divisions; the returned value then
-    carries an additive uncertainty of one step.  Convex handles without a
-    planar vertex form fall back to the support-difference sup over an
-    evaluation grid.
+    carries an additive uncertainty of one step.  Pairs of 3D convex
+    bodies take the support-difference sup over an evaluation grid.
+    Handles of different dimensions are rejected.
     """
+    if getattr(a, "dim", None) != getattr(b, "dim", None):
+        raise InputError("cannot compare handles of different dimensions")
     ra, rb = _ball_radius(a), _ball_radius(b)
     if ra is not None and rb is not None:
         return abs(ra - rb)
+
+    if hasattr(a, "support_batch") and hasattr(b, "support_batch") and a.dim == 3:
+        nodes = (grid if grid is not None else default_grid(3)).nodes
+        return float(np.max(np.abs(a.support_batch(nodes) - b.support_batch(nodes))))
 
     va, vb = _convex_vertices(a), _convex_vertices(b)
     if va is not None and vb is not None:
@@ -542,16 +548,6 @@ def hausdorff_distance(a, b, grid: SphericalGrid | None = None,
         step = diam / divisions
         return max(_directed_sample_distance(a, b, step),
                    _directed_sample_distance(b, a, step))
-
-    sa, sb = getattr(a, "support", None), getattr(b, "support", None)
-    if sa is not None and sb is not None:
-        if getattr(a, "dim") != getattr(b, "dim"):
-            raise InputError("cannot compare handles of different dimensions")
-        g = grid if grid is not None else default_grid(a.dim)
-        worst = 0.0
-        for u in g.nodes:
-            worst = max(worst, abs(float(sa(u)) - float(sb(u))))
-        return worst
 
     raise InputError(
         f"no Hausdorff route for {type(a).__name__} vs {type(b).__name__}")

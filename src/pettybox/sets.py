@@ -188,46 +188,49 @@ def _polygon_columns(vertices: np.ndarray):
     return (breaks,), cells, index
 
 
-def _merge_touching(intervals: np.ndarray) -> np.ndarray:
-    """Merge sorted intervals that share an endpoint exactly."""
-    if len(intervals) == 0:
-        return intervals
-    out = [list(intervals[0])]
-    for a, b in intervals[1:]:
-        if a == out[-1][1]:
-            out[-1][1] = b
-        else:
-            out.append([a, b])
-    return np.asarray(out)
+def _join_runs(keys: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    """Sort the rows by (keys, lo) and join each run of rows with equal
+    keys whose lo equals the previous row's hi exactly.  The intervals of
+    rows with equal keys must not overlap.  Returns the index of each
+    run's first row, in sorted order, and each run's end."""
+    order = np.lexsort((lo, *keys.T[::-1]))
+    k, a, b = keys[order], lo[order], hi[order]
+    starts = np.flatnonzero(np.concatenate(
+        [[True], np.any(k[1:] != k[:-1], axis=1) | (a[1:] != b[:-1])]))
+    return order[starts], np.maximum.reduceat(b, starts)
 
 
 def _box_columns(los: np.ndarray, his: np.ndarray, axis: int):
-    dim = los.shape[1]
-    others = [k for k in range(dim) if k != axis]
+    """Expand each box into one row per base-lattice cell it covers and
+    join the rows of each cell into its sorted, maximal section
+    intervals."""
+    others = [k for k in range(los.shape[1]) if k != axis]
     break_lists = [np.unique(np.concatenate([los[:, k], his[:, k]])) for k in others]
-    shape = [len(b) - 1 for b in break_lists]
-    cells = []
+    shape = tuple(len(b) - 1 for b in break_lists)
+    first = np.column_stack([np.searchsorted(b, los[:, k]) for b, k in zip(break_lists, others)])
+    span = np.column_stack([np.searchsorted(b, his[:, k]) for b, k in zip(break_lists, others)]) \
+        - first
+    counts = np.prod(span, axis=1)
+    # each row's rank within its box's block of cells, unravelled row-major
+    # over the box's span into lattice coordinates
+    box = np.repeat(np.arange(len(los)), counts)
+    rest = np.arange(len(box)) - np.repeat(np.cumsum(counts) - counts, counts)
+    sub = np.empty((len(box), len(others)), dtype=int)
+    for k in reversed(range(len(others))):
+        rest, step = np.divmod(rest, span[box, k])
+        sub[:, k] = first[box, k] + step
+    flat = np.ravel_multi_index(tuple(sub.T), shape)
+    row, end = _join_runs(flat[:, None], los[box, axis], his[box, axis])
+    intervals = np.column_stack([los[box[row], axis], end])
+    filled, cuts = np.unique(flat[row], return_index=True)
+    lattice = np.unravel_index(filled, shape)
+    lows = np.column_stack([b[j] for b, j in zip(break_lists, lattice)])
+    highs = np.column_stack([b[j + 1] for b, j in zip(break_lists, lattice)])
+    cells = tuple(ColumnCell(lo=lo, hi=hi, intervals=ivals)
+                  for lo, hi, ivals in zip(lows, highs, np.split(intervals, cuts[1:])))
     index = np.full(int(np.prod(shape)), -1, dtype=int)
-    for flat in range(index.size):
-        if len(others) == 1:
-            sub = (flat,)
-        else:
-            sub = (flat // shape[1], flat % shape[1])
-        mids = np.array([0.5 * (break_lists[k][sub[k]] + break_lists[k][sub[k] + 1])
-                         for k in range(len(others))])
-        cover = np.ones(len(los), dtype=bool)
-        for k, ax in enumerate(others):
-            cover &= (los[:, ax] < mids[k]) & (mids[k] < his[:, ax])
-        if not np.any(cover):
-            continue
-        ivals = np.column_stack([los[cover, axis], his[cover, axis]])
-        ivals = ivals[np.argsort(ivals[:, 0])]
-        ivals = _merge_touching(ivals)
-        lo = np.array([break_lists[k][sub[k]] for k in range(len(others))])
-        hi = np.array([break_lists[k][sub[k] + 1] for k in range(len(others))])
-        index[flat] = len(cells)
-        cells.append(ColumnCell(lo=lo, hi=hi, intervals=ivals))
-    return tuple(break_lists), tuple(cells), index
+    index[filled] = np.arange(len(filled))
+    return tuple(break_lists), cells, index
 
 
 # ---------------------------------------------------------------------------
@@ -399,8 +402,9 @@ def _on_segment(a: np.ndarray, b: np.ndarray, p: np.ndarray) -> np.ndarray:
 
 class BoxUnion:
     """A finite union of axis-aligned boxes with pairwise disjoint
-    interiors, kept in canonical form: no two boxes share a facet along
-    which they could be merged into one."""
+    interiors, kept in canonical form: no two boxes share a whole facet
+    (along which they could be merged into one), and the decomposition
+    depends only on the set of input boxes, not on their order."""
 
     def __init__(self, los, his):
         los = np.atleast_2d(np.asarray(los, dtype=float))
@@ -434,30 +438,18 @@ class BoxUnion:
 
     @cached_property
     def _class_masses(self) -> dict:
-        """Exposed surface area per outer-normal class (axis, sign)."""
+        """Exposed surface area per outer-normal class (axis, sign): the
+        facet areas less the contact areas.  Each contact hides one upper
+        and one lower facet, so both signs of an axis carry equal mass."""
         out = {}
         for axis in range(self.dim):
             others = [k for k in range(self.dim) if k != axis]
-            for sign in (+1, -1):
-                total = 0.0
-                for b in range(self.box_count):
-                    plane = self.his[b, axis] if sign > 0 else self.los[b, axis]
-                    area = float(np.prod(self.his[b, others] - self.los[b, others]))
-                    for j in range(self.box_count):
-                        if j == b:
-                            continue
-                        facing = self.los[j, axis] if sign > 0 else self.his[j, axis]
-                        if facing != plane:
-                            continue
-                        overlap = 1.0
-                        for k in others:
-                            w = min(self.his[b, k], self.his[j, k]) - \
-                                max(self.los[b, k], self.los[j, k])
-                            overlap *= max(w, 0.0)
-                        area -= overlap
-                    total += max(area, 0.0)
-                if total > 0.0:
-                    out[(axis, sign)] = total
+            facets = float(np.sum(np.prod(self.his[:, others] - self.los[:, others], axis=1)))
+            contacts = float(np.sum(_contacts(self.los, self.his, self.los, self.his, axis)[2]))
+            total = facets - contacts
+            if total > 0.0:
+                out[(axis, +1)] = total
+                out[(axis, -1)] = total
         return out
 
     def perimeter(self) -> float:
@@ -525,16 +517,10 @@ class BoxUnion:
                     face[:, axis] = plane
                     for k, g in zip(others, grids):
                         face[:, k] = g.ravel()
-                    keep = np.ones(len(face), dtype=bool)
-                    for j in range(self.box_count):
-                        facing = self.los[j, axis] if sign > 0 else self.his[j, axis]
-                        if facing != plane:
-                            continue
-                        covered = np.ones(len(face), dtype=bool)
-                        for k in others:
-                            covered &= (face[:, k] >= self.los[j, k]) & \
-                                       (face[:, k] <= self.his[j, k])
-                        keep &= ~covered
+                    facing = (self.los if sign > 0 else self.his)[:, axis] == plane
+                    at = face[:, None, others]
+                    keep = ~np.any(np.all((at >= self.los[facing][:, others])
+                                          & (at <= self.his[facing][:, others]), axis=2), axis=1)
                     if np.any(keep):
                         pts.append(face[keep])
         return np.vstack(pts)
@@ -556,38 +542,46 @@ class BoxUnion:
         return inside
 
 
+def _contacts(alo: np.ndarray, ahi: np.ndarray, blo: np.ndarray, bhi: np.ndarray,
+              axis: int | None = None):
+    """Pairs (i, j), in row-major order, of a box i of the first list and
+    a box j of the second whose interiors overlap on every axis; with an
+    axis given, box i's upper facet on that axis lies in the plane of box
+    j's lower facet instead of overlapping it there.  Returns the index
+    arrays and the product of the overlap widths of each pair."""
+    match = np.ones((len(alo), len(blo)), dtype=bool)
+    for k in range(alo.shape[1]):
+        if k == axis:
+            match &= ahi[:, None, k] == blo[None, :, k]
+        else:
+            match &= (alo[:, None, k] < bhi[None, :, k]) & (blo[None, :, k] < ahi[:, None, k])
+    i, j = np.nonzero(match)
+    others = [k for k in range(alo.shape[1]) if k != axis]
+    widths = np.minimum(ahi[i][:, others], bhi[j][:, others]) \
+        - np.maximum(alo[i][:, others], blo[j][:, others])
+    return i, j, np.prod(widths, axis=1)
+
+
 def _check_disjoint(los: np.ndarray, his: np.ndarray) -> None:
-    m = len(los)
-    for i in range(m):
-        for j in range(i + 1, m):
-            overlap = np.minimum(his[i], his[j]) - np.maximum(los[i], los[j])
-            if np.all(overlap > 0.0):
-                raise InputError(f"boxes {i} and {j} have overlapping interiors")
+    i, j, _ = _contacts(los, his, los, his)
+    clash = np.flatnonzero(i < j)
+    if len(clash):
+        raise InputError(f"boxes {i[clash[0]]} and {j[clash[0]]} have overlapping interiors")
 
 
 def _canonical_merge(los: np.ndarray, his: np.ndarray):
-    los = los.copy()
-    his = his.copy()
-    merged = True
-    while merged and len(los) > 1:
-        merged = False
-        m = len(los)
-        for i in range(m):
-            for j in range(m):
-                if i == j:
-                    continue
-                same = (los[i] == los[j]) & (his[i] == his[j])
-                if np.sum(~same) != 1:
-                    continue
-                k = int(np.flatnonzero(~same)[0])
-                if his[i, k] == los[j, k]:
-                    his[i, k] = his[j, k]
-                    los = np.delete(los, j, axis=0)
-                    his = np.delete(his, j, axis=0)
-                    merged = True
-                    break
-            if merged:
-                break
+    """Join boxes that share a whole facet, along each axis in turn, until
+    the count stops falling.  Every join pass sorts its rows, so the result
+    depends only on the set of input boxes."""
+    count = 0
+    while count != len(los):
+        count = len(los)
+        for axis in range(los.shape[1]):
+            others = [k for k in range(los.shape[1]) if k != axis]
+            first, end = _join_runs(np.column_stack([los[:, others], his[:, others]]),
+                                    los[:, axis], his[:, axis])
+            los, his = los[first], his[first]
+            his[:, axis] = end
     return los, his
 
 
@@ -684,21 +678,16 @@ def _steiner_boxes(E: BoxUnion, u: np.ndarray) -> BoxUnion:
     if axis is None:
         raise UnsupportedDirectionError(
             "box unions symmetrize along signed coordinate axes only")
-    cols = E.column_structure(axis)
-    los, his = [], []
-    for cell in cols.cells:
-        length = float(np.sum(cell.intervals[:, 1] - cell.intervals[:, 0]))
-        lo = np.empty(E.dim)
-        hi = np.empty(E.dim)
-        others = [k for k in range(E.dim) if k != axis]
-        for k, ax in enumerate(others):
-            lo[ax] = cell.lo[k]
-            hi[ax] = cell.hi[k]
-        lo[axis] = -0.5 * length
-        hi[axis] = 0.5 * length
-        los.append(lo)
-        his.append(hi)
-    return BoxUnion(np.asarray(los), np.asarray(his))
+    cells = E.column_structure(axis).cells
+    others = [k for k in range(E.dim) if k != axis]
+    half = 0.5 * np.array([np.sum(c.intervals[:, 1] - c.intervals[:, 0]) for c in cells])
+    los = np.empty((len(cells), E.dim))
+    his = np.empty((len(cells), E.dim))
+    los[:, others] = [c.lo for c in cells]
+    his[:, others] = [c.hi for c in cells]
+    los[:, axis] = -half
+    his[:, axis] = half
+    return BoxUnion(los, his)
 
 
 def symmetric_difference_distance(E: SetHandle, F: SetHandle,
@@ -710,12 +699,7 @@ def symmetric_difference_distance(E: SetHandle, F: SetHandle,
     if isinstance(E, BoxUnion) and isinstance(F, BoxUnion):
         if E.dim != F.dim:
             raise InputError("sets must share a dimension")
-        inter = 0.0
-        for i in range(E.box_count):
-            for j in range(F.box_count):
-                w = np.minimum(E.his[i], F.his[j]) - np.maximum(E.los[i], F.los[j])
-                if np.all(w > 0.0):
-                    inter += float(np.prod(w))
+        inter = float(np.sum(_contacts(E.los, E.his, F.los, F.his)[2]))
         return E.volume() + F.volume() - 2.0 * inter
     if isinstance(E, PolygonSet) and isinstance(F, PolygonSet):
         lo = np.minimum(E.bounding_box()[0], F.bounding_box()[0])

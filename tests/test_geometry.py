@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from pettybox import (Ball, BoxUnion, FacetPolytope, NumericalError,
-                      PolygonSet, circumradius, hausdorff_distance)
+                      PolygonSet, Zonotope, circumradius, hausdorff_distance)
 from pettybox.errors import InputError
 from pettybox.geometry import (RigidFrame, as_direction, circle_grid,
                                convex_hull_2d, frame_to_last_axis,
@@ -159,6 +159,22 @@ def test_hausdorff_concentric_balls_exact():
     assert hausdorff_distance(Ball(1.0), Ball(2.0)) == 1.0
     assert hausdorff_distance(Ball(2.0), Ball(1.0)) == 1.0
     assert hausdorff_distance(Ball(1.5, dim=3), Ball(1.5, dim=3)) == 0.0
+
+
+def test_hausdorff_3d_convex_bodies_use_support_difference():
+    cube = Zonotope(np.eye(3))  # [-1, 1]^3
+    assert abs(hausdorff_distance(Ball(1.0, dim=3), cube) - (math.sqrt(3) - 1)) <= 1e-3
+    assert abs(hausdorff_distance(cube, Zonotope(2.0 * np.eye(3))) - math.sqrt(3)) <= 1e-3
+
+
+def test_hausdorff_rejects_mixed_dimensions():
+    square = PolygonSet([[0, 0], [2, 0], [2, 2], [0, 2]])
+    with pytest.raises(InputError, match="dimensions"):
+        hausdorff_distance(Ball(1.0, dim=3), square)
+    cube = BoxUnion([[0, 0, 0]], [[1, 1, 1]])
+    for other in (square, Ball(1.0), BoxUnion([[0, 0]], [[1, 1]])):
+        with pytest.raises(InputError, match="dimensions"):
+            hausdorff_distance(cube, other)
 
 
 def test_hausdorff_identity_is_zero():

@@ -100,6 +100,92 @@ def test_box_union_validation_and_canonical_merge():
     assert np.allclose(merged.his[0], [2, 1])
     # the staircase shares only part of a facet and must stay two boxes
     assert staircase().box_count == 2
+    # the overlap error names the first clashing pair in row-major order
+    with pytest.raises(InputError, match="boxes 0 and 4"):
+        BoxUnion([[0, 0], [4, 4], [9, 9], [4.5, 4], [0.5, 0]],
+                 [[1, 1], [5, 5], [10, 10], [5.5, 5], [1.5, 1]])
+
+
+def voxel_walk(seed, dim, count):
+    """Distinct unit voxels visited by a seeded lattice random walk."""
+    rng = np.random.default_rng(seed)
+    cur = (0,) * dim
+    seen = [cur]
+    while len(seen) < count:
+        k = int(rng.integers(dim))
+        cur = tuple(c + (int(rng.choice((-1, 1))) if j == k else 0) for j, c in enumerate(cur))
+        if cur not in seen:
+            seen.append(cur)
+    return np.asarray(seen, dtype=float)
+
+
+def lattice_cells(los, his, scale):
+    """Integer cells covered by boxes whose corners, multiplied by the
+    per-axis scale, land on integers."""
+    cells = set()
+    for lo, hi in zip(los * scale, his * scale):
+        ranges = [range(int(a), int(b)) for a, b in zip(lo, hi)]
+        grid = np.meshgrid(*ranges, indexing="ij")
+        cells |= set(zip(*(g.ravel().tolist() for g in grid)))
+    return cells
+
+
+@pytest.mark.parametrize("tiles", [
+    [[0, 0], [0, 1], [1, 0]],   # the L-tromino
+    voxel_walk(11, 2, 40).tolist(),
+    voxel_walk(12, 3, 30).tolist(),
+])
+def test_box_union_form_depends_only_on_the_set(tiles):
+    lo = np.asarray(tiles, dtype=float)
+    ref = BoxUnion(lo, lo + 1.0)
+    rng = np.random.default_rng(7)
+    for _ in range(6):
+        p = rng.permutation(len(lo))
+        B = BoxUnion(lo[p], lo[p] + 1.0)
+        assert np.array_equal(B.los, ref.los) and np.array_equal(B.his, ref.his)
+
+
+@pytest.mark.parametrize("dim,count,seed", [(2, 150, 1), (2, 150, 2), (3, 105, 3), (3, 105, 4)])
+def test_box_union_kernels_against_voxel_oracle(dim, count, seed):
+    lo = voxel_walk(seed, dim, count)
+    voxels = set(map(tuple, lo.astype(int).tolist()))
+    B = BoxUnion(lo, lo + 1.0)
+    unit = np.ones(dim)
+    assert lattice_cells(B.los, B.his, unit) == voxels
+    assert B.volume() == count
+    # canonical form: no two boxes share a whole facet
+    for axis in range(dim):
+        others = [k for k in range(dim) if k != axis]
+        for i in range(B.box_count):
+            for j in range(B.box_count):
+                assert not (B.his[i, axis] == B.los[j, axis]
+                            and np.array_equal(B.los[i, others], B.los[j, others])
+                            and np.array_equal(B.his[i, others], B.his[j, others]))
+    masses = B.axis_class_masses()
+    for axis in range(dim):
+        step = np.eye(dim, dtype=int)[axis]
+        up = sum(tuple(np.add(v, step)) not in voxels for v in voxels)
+        down = sum(tuple(np.subtract(v, step)) not in voxels for v in voxels)
+        assert up == down and masses[axis] == 2 * up
+    assert perimeter(B) == float(np.sum(masses))
+    for axis in range(dim):
+        others = [k for k in range(dim) if k != axis]
+        counts = {}
+        for v in voxels:
+            key = tuple(v[k] for k in others)
+            counts[key] = counts.get(key, 0) + 1
+        cols = B.column_structure(axis)
+        for key, c in counts.items():
+            assert cols.section_length(np.add(key, 0.5)) == c
+        assert sum(cell.integrated_length() for cell in cols.cells) == count
+        # the symmetral restacks each column about 0; in half units along
+        # the axis, a column of c voxels covers cells -c .. c-1
+        u = np.zeros(dim)
+        u[axis] = 1.0
+        S = steiner_symmetrize(B, u)
+        want = {key[:axis] + (t,) + key[axis:]
+                for key, c in counts.items() for t in range(-c, c)}
+        assert lattice_cells(S.los, S.his, np.where(np.arange(dim) == axis, 2.0, 1.0)) == want
 
 
 # ------------------------------------------------------------ surface measure
