@@ -23,6 +23,11 @@ from .geometry import (SphericalGrid, circle_grid, cross_2d, default_grid,
                        shoelace_area, sphere_grid, steiner_ring)
 
 SUPPORT_CONSISTENCY_TOL = 1e-10
+# angle step (radians) up to which zonotope generators count as parallel
+PARALLEL_TOL = 1e-12
+# turn of a zonotope ring, relative to its size, below which rounding in
+# the ring's coordinates cannot resolve it (64 units of roundoff)
+RING_RESOLUTION = 64.0 * np.finfo(float).eps
 RESIDUAL_TOL = 1e-10
 MAX_BISECTIONS = 200
 
@@ -218,6 +223,9 @@ class Zonotope:
 
     @cached_property
     def _polygon(self) -> FacetPolytope:
+        """The planar zonotope as a strictly convex ring, built from its
+        generators with parallel ones merged, so no vertex is collinear
+        with its neighbours and nothing is pruned."""
         if self.dim != 2:
             raise InputError("only planar zonotopes materialize to polygons")
         g = self.generators.copy()
@@ -227,13 +235,31 @@ class Zonotope:
         order = np.argsort(angles, kind="stable")
         g = g[order]
         angles = angles[order]
-        merged = [g[0].copy()]
-        for i in range(1, len(g)):
-            if angles[i] - angles[i - 1] <= 1e-12:
-                merged[-1] += g[i]
-            else:
-                merged.append(g[i].copy())
-        w = np.asarray(merged)
+        # a generator joins the group of the one before it when the angle
+        # steps by at most PARALLEL_TOL, or when the ring vertex between
+        # them would sit within RING_RESOLUTION * (total length) of the
+        # chord through its neighbours, a turn that rounding in the ring
+        # cannot resolve.  A generator shorter than that resolution never
+        # starts a group and is left out of these tests, so it cannot
+        # bridge two groups.  The angles live on a circle of length pi, so
+        # the first generator may also join the last one's group: then the
+        # last group, reversed, joins the first.
+        length = np.hypot(g[:, 0], g[:, 1])
+        resolution = RING_RESOLUTION * float(np.sum(length))
+        big = np.flatnonzero(length > resolution)
+        b, a = g[big], angles[big]
+        ahead = np.roll(b, -1, axis=0)
+        ahead[-1] *= -1.0
+        step = np.diff(a, append=a[0])
+        step[-1] = a[0] - math.atan2(-b[-1, 1], -b[-1, 0])
+        chord = np.hypot(b[:, 0] + ahead[:, 0], b[:, 1] + ahead[:, 1])
+        joined = (step <= PARALLEL_TOL) | (cross_2d(b, ahead) <= resolution * chord)
+        starts = big[np.concatenate([[True], ~joined[:-1]])]
+        starts[0] = 0
+        w = np.add.reduceat(g, starts, axis=0)
+        if len(w) > 1 and joined[-1]:
+            w[0] -= w[-1]
+            w = w[:-1]
         if len(w) < 2:
             raise InputError("zonotope is degenerate (all generators parallel)")
         chain = np.empty((len(w) + 1, 2))
@@ -241,7 +267,12 @@ class Zonotope:
         np.cumsum(2.0 * w, axis=0, out=chain[1:])
         chain[1:] += chain[0]
         ring = np.vstack([chain[:-1], -chain[:-1]])
-        return FacetPolytope.from_vertices(ring)
+        edges = np.roll(ring, -1, axis=0) - ring
+        if np.any(np.hypot(edges[:, 0], edges[:, 1]) <= 0.0) \
+                or np.any(cross_2d(edges, np.roll(edges, -1, axis=0)) <= 0.0):
+            raise NumericalError("zonotope ring has a zero-length edge or edge angles "
+                                 "that do not strictly increase")
+        return FacetPolytope(ring)
 
     def polygon_vertices(self) -> np.ndarray:
         return self._polygon.vertices
@@ -358,15 +389,20 @@ def polar_polygon(K: ConvexBody) -> FacetPolytope:
     vertex nu/h, in matching CCW order."""
     if isinstance(K, Ball):
         raise InputError("the polar of a ball is a ball; use polar_body")
-    if isinstance(K, FacetPolytope):
+    zonotope = isinstance(K, Zonotope) and K.dim == 2
+    if zonotope:
+        poly = K._polygon
+    elif isinstance(K, FacetPolytope):
         poly = K
-    elif isinstance(K, Zonotope) and K.dim == 2:
-        poly = K._polygon  # already pruned
     else:
         poly = FacetPolytope.from_vertices(_planar_vertices(K))
     normals, offsets = poly._facets
     if np.min(offsets) <= 0.0:
         raise InputError("polar polygon needs the origin interior to the body")
+    if zonotope:
+        # Zonotope._polygon checked that the ring has no zero-length edge,
+        # so no three consecutive polar vertices are collinear
+        return FacetPolytope(normals / offsets[:, None])
     return FacetPolytope.from_vertices(normals / offsets[:, None])
 
 

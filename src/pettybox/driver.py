@@ -17,7 +17,7 @@ import numpy as np
 
 from .convex import Ball
 from .errors import InputError, PathologicalInputError
-from .geometry import hausdorff_distance, rotation_2d, steiner_ring
+from .geometry import hausdorff_distance, rotation_2d, symmetral_radii
 from .projection import petty_product
 from .sets import PolygonSet, is_regular_direction, steiner_symmetrize
 
@@ -103,19 +103,15 @@ def cap_cover_greedy_step(E: PolygonSet, candidates) -> np.ndarray:
     """The candidate whose symmetral has the smallest circumradius; ties
     break toward the lowest index.  Candidates must all be regular.
 
-    Each candidate is scored on the symmetral's vertex ring from
-    geometry.steiner_ring, rotated back to the input frame, as max |v|
-    (the formula of PolygonSet.max_norm); no symmetral set is built."""
-    best_u = None
-    best_r = math.inf
-    for u in candidates:
-        r = float(np.max(np.linalg.norm(steiner_ring(E.vertices, u), axis=1)))
-        if r < best_r:
-            best_r = r
-            best_u = np.asarray(u, dtype=float)
-    if best_u is None:
+    The (K, 2) candidate array is scored by the batched section-length
+    kernel (geometry.symmetral_radii), one call per block of candidates:
+    each score is max |v| (the formula of PolygonSet.max_norm) over the
+    symmetral's vertex ring, rotated back to the input frame as
+    steiner_ring rotates it; no symmetral set is built."""
+    U = np.asarray(candidates, dtype=float)
+    if U.size == 0:
         raise InputError("greedy step needs at least one candidate direction")
-    return best_u
+    return U[int(np.argmin(symmetral_radii(E.vertices, U)))].copy()
 
 
 class _Budget:
@@ -157,17 +153,18 @@ def _draw_direction(E: PolygonSet, policy: DirectionPolicy,
             if is_regular_direction(E, u)[0]:
                 return u, rejected
     # cap-cover-greedy: a randomly rotated fan of evenly spread
-    # directions, filtered to regular ones
+    # directions, filtered to regular ones in one test over all atoms
+    mu = E.surface_measure()
     while True:
         offset = rng.uniform(0.0, 1.0)
         angles = (np.arange(policy.candidates) + offset) * math.pi / policy.candidates
         fan = np.column_stack([np.cos(angles), np.sin(angles)])
-        regular = [u for u in fan if is_regular_direction(E, u)[0]]
+        regular = fan[~np.any(mu.orthogonal_atoms(fan), axis=0)]
         dropped = policy.candidates - len(regular)
         rejected += dropped
         if dropped:
             budget.charge(dropped)
-        if regular:
+        if len(regular):
             return cap_cover_greedy_step(E, regular), rejected
 
 

@@ -1,6 +1,6 @@
 """Low-level Euclidean plumbing: directions, frames, quadrature grids,
-convex hulls, the section-length kernel behind planar Steiner
-symmetrals, circumradius and Hausdorff distance.
+the section-length kernel behind planar Steiner symmetrals,
+circumradius and Hausdorff distance.
 
 Set and body handles from the higher modules plug into the metric
 operations here through a small informal protocol:
@@ -17,6 +17,7 @@ operations here through a small informal protocol:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -31,6 +32,12 @@ GRID_MEASURE_TOL = 1e-9
 # relative size of a section-length jump that a planar symmetral keeps as
 # a vertical edge; smaller jumps are read as rounding
 PRUNE_TOL = 1e-12
+# incidence entries per block of a batched section-length call; a stack
+# of directions is cut into blocks of consecutive directions under this
+# size.  A block's temporaries take about 200 bytes per entry, so this
+# keeps them under 1 MiB, and a greedy run's peak RSS no higher than
+# with one direction at a time
+BLOCK_ROWS = 1 << 12
 # Boundary sampling density for Hausdorff on general sets: arc-length step
 # is (scene diameter) / BOUNDARY_DIVISIONS, and the returned value carries
 # an additive uncertainty of one step.
@@ -62,6 +69,21 @@ def as_direction(v, tol: float = DIRECTION_TOL) -> np.ndarray:
     if abs(n - 1.0) > tol:
         raise InputError(f"direction norm {n!r} is not 1 within {tol}")
     return v
+
+
+def as_directions(directions, tol: float = DIRECTION_TOL) -> np.ndarray:
+    """Validate a nonempty (K, d) stack of unit vectors, d in (2, 3): the
+    checks of as_direction, row by row."""
+    U = np.asarray(directions, dtype=float)
+    if U.ndim != 2 or U.shape[0] == 0 or U.shape[1] not in (2, 3):
+        raise InputError(f"directions must be a nonempty (K,2) or (K,3) stack, got shape {U.shape}")
+    if not np.all(np.isfinite(U)):
+        raise InputError("directions have non-finite components")
+    n = np.linalg.norm(U, axis=1)
+    bad = np.flatnonzero(np.abs(n - 1.0) > tol)
+    if len(bad):
+        raise InputError(f"direction norm {float(n[bad[0]])!r} is not 1 within {tol}")
+    return U
 
 
 def random_direction(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -202,9 +224,19 @@ def sphere_grid(theta_count: int = 128, phi_count: int = 256) -> SphericalGrid:
     return SphericalGrid(nodes, weights)
 
 
+@functools.cache
+def _default_circle_grid() -> SphericalGrid:
+    grid = circle_grid()
+    grid.nodes.setflags(write=False)
+    grid.weights.setflags(write=False)
+    return grid
+
+
 def default_grid(dim: int) -> SphericalGrid:
+    """The default quadrature grid: the 4096-node circle grid, built once
+    and shared with read-only arrays, or a fresh 128 x 256 sphere grid."""
     if dim == 2:
-        return circle_grid()
+        return _default_circle_grid()
     if dim == 3:
         return sphere_grid()
     raise InputError(f"unsupported dimension {dim}")
@@ -232,91 +264,174 @@ def shoelace_area(vertices: np.ndarray) -> float:
 
 
 def section_incidence(w: np.ndarray):
-    """Edge-cell incidence of a CCW polygon whose sections run parallel to
-    the second axis.
+    """Edge-cell incidence of CCW polygons whose sections run parallel to
+    the second axis, for one (m, 2) vertex array or a (K, m, 2) stack of
+    them (one polygon seen in K frames).
 
-    The cells are the intervals between consecutive unique vertex
-    abscissae ``breaks``.  Every non-vertical edge yields one row per cell
-    it spans, and the rows come back as parallel arrays: the edge index,
-    the cell index, the edge's heights at the cell's left and right ends,
-    its slope, and its sign s_e (+1 for edges running in -x, -1 for edges
-    running in +x), so that the section length is sum(s_e * height).
-    Heights are interpolated from the edge's own endpoints and are exact
-    there, so a near-vertical edge carries no error of size slope * x.
+    Each row of the stack is sorted once by abscissa, and dense ranks of
+    the sorted abscissae number the row's distinct values ``breaks``;
+    the cells are the intervals between consecutive breaks, and every
+    non-vertical edge spans the cells between the ranks of its own
+    endpoints.  The rows are cut into blocks of consecutive rows whose
+    incidence stays under BLOCK_ROWS entries (a row over it is a block by
+    itself), and one tuple is yielded per block: the slice of stack rows,
+    the block's breaks row after row, ``starts`` (the index of each row's
+    first break, closed by len(breaks)), then one entry per edge and cell
+    it spans: the edge's index in the flattened stack, the cell (the
+    index of its left break), the edge's heights at the cell's left and
+    right ends, its slope, and its sign s_e (+1 for edges running in -x,
+    -1 for edges running in +x), so that the section length is
+    sum(s_e * height).  Heights are interpolated from the edge's own
+    endpoints and are exact there, so a near-vertical edge carries no
+    error of size slope * x.
     Raises NumericalError when a cell meets an odd number of edges.
     """
-    x, y = w[:, 0], w[:, 1]
-    x2, y2 = np.roll(x, -1), np.roll(y, -1)
-    breaks = np.unique(x)
-    edges = np.flatnonzero(x != x2)
-    ia = np.searchsorted(breaks, x[edges])
-    ib = np.searchsorted(breaks, x2[edges])
-    span = np.abs(ib - ia)
-    rows = np.repeat(np.arange(len(edges)), span)
-    cells = np.arange(len(rows)) - np.repeat(np.cumsum(span) - span, span) \
-        + np.minimum(ia, ib)[rows]
-    counts = np.bincount(cells, minlength=len(breaks) - 1)
-    odd = np.flatnonzero(counts % 2)
-    if len(odd):
-        j = int(odd[0])
-        raise NumericalError(f"odd section parity in cell ({breaks[j]}, {breaks[j + 1]})")
-    e = edges[rows]
-    xa, xb, ya, yb = x[e], x2[e], y[e], y2[e]
-    dy = yb - ya
+    w = np.asarray(w, dtype=float)
+    if w.ndim == 2:
+        w = w[None]
+    # rows are ranked a few at a time: every cell meets at least two
+    # edges, so a row with m distinct abscissae has about 2m entries or
+    # more, and these rows fill about one block
+    step = max(1, BLOCK_ROWS // (2 * w.shape[1]))
+    for first in range(0, len(w), step):
+        yield from _incidence_blocks(w[first:first + step], first)
 
-    def height(t):
-        s = (t - xa) / (xb - xa)
-        return np.where(s <= 0.5, ya + s * dy, yb - (1.0 - s) * dy)
 
-    return (breaks, e, cells, height(breaks[cells]), height(breaks[cells + 1]),
-            dy / (xb - xa), np.where(xb < xa, 1.0, -1.0))
+def _incidence_blocks(w: np.ndarray, first: int):
+    """section_incidence on the stack rows first, first + 1, ... held in w."""
+    K, m = w.shape[:2]
+    x, y = w[..., 0], w[..., 1]
+    order = np.argsort(x, axis=1)
+    sx = np.take_along_axis(x, order, axis=1)
+    distinct = np.ones((K, m), dtype=bool)
+    distinct[:, 1:] = sx[:, 1:] != sx[:, :-1]
+    rank = np.empty((K, m), dtype=np.intp)
+    np.put_along_axis(rank, order, np.cumsum(distinct, axis=1) - 1, axis=1)
+    ahead = np.roll(rank, -1, axis=1)
+    span = np.abs(ahead - rank)
+    cuts, total = [0], 0
+    for k, size in enumerate(span.sum(axis=1).tolist()):
+        if total and total + size > BLOCK_ROWS:
+            cuts.append(k)
+            total = 0
+        total += size
+    cuts.append(K)
+    for k0, k1 in zip(cuts[:-1], cuts[1:]):
+        breaks = sx[k0:k1][distinct[k0:k1]]
+        starts = np.concatenate([[0], np.cumsum(distinct[k0:k1].sum(axis=1))])
+        lo = (np.minimum(rank[k0:k1], ahead[k0:k1]) + starts[:-1, None]).ravel()
+        sp = span[k0:k1].ravel()
+        cells = np.arange(int(sp.sum())) + np.repeat(lo - np.cumsum(sp) + sp, sp)
+        odd = np.flatnonzero(np.bincount(cells, minlength=len(breaks)) % 2)
+        if len(odd):
+            j = int(odd[0])
+            raise NumericalError(f"odd section parity in cell ({breaks[j]}, {breaks[j + 1]})")
+        e = np.repeat(np.arange(k0 * m, k1 * m), sp)
+        ends = np.stack([w[k0:k1], np.roll(w[k0:k1], -1, axis=1)], axis=2).reshape(-1, 2, 2)[e - k0 * m]
+        xa, xb, ya, yb = ends[:, 0, 0], ends[:, 1, 0], ends[:, 0, 1], ends[:, 1, 1]
+        dy = yb - ya
+
+        def height(t):
+            s = (t - xa) / (xb - xa)
+            return np.where(s <= 0.5, ya + s * dy, yb - (1.0 - s) * dy)
+
+        yield (slice(first + k0, first + k1), breaks, starts, e + first * m, cells,
+               height(breaks[cells]), height(breaks[cells + 1]), dy / (xb - xa),
+               np.where(xb < xa, 1.0, -1.0))
+
+
+def _symmetral_chains(vertices: np.ndarray, directions):
+    """Lower chains of the Steiner symmetrals of a simple CCW polygon
+    along a stack of K planar unit directions, each in the frame that
+    takes its direction to the vertical.
+
+    In that frame the section length L(x) is piecewise affine with breaks
+    at the vertex abscissae, and the lower chain runs through
+    (x_j, -L/2) left to right; the symmetral's ring is that chain followed
+    by its mirror image (x_j, +L/2) right to left.  A breakpoint whose
+    one-sided limits differ by more than PRUNE_TOL * scale gives two
+    points; an end where L vanishes gives one point, which has no mirror;
+    a breakpoint where L is continuous with the same slope on both sides
+    gives none.  Yields, per block of section_incidence, the slice of
+    directions, their frames, and for every chain point the index of its
+    direction in the block, its abscissa, L/2 there, and whether the point
+    has a mirror.
+    """
+    U = as_directions(directions)
+    if U.shape[1] != 2:
+        raise InputError("planar Steiner symmetrals need a planar direction")
+    # the rotations frame_to_last_axis(u), rows (perp, u)
+    frames = np.stack([np.column_stack([U[:, 1], -U[:, 0]]), U], axis=1)
+    w = np.matmul(np.asarray(vertices, dtype=float)[None], frames.transpose(0, 2, 1))
+    scale = 1.0 + np.max(np.abs(w), axis=(1, 2))
+    for rows, breaks, starts, _, cells, y0, y1, slope, sign in section_incidence(w):
+        n = len(breaks)
+        first_break, last_break = starts[:-1], starts[1:] - 1
+        owner = np.repeat(np.arange(len(first_break)), np.diff(starts))
+        # section length at the left and right end of every cell, and its
+        # slope; the last break of a row starts no cell
+        left = np.bincount(cells, sign * y0, n)
+        right = np.bincount(cells, sign * y1, n)
+        tilt = np.bincount(cells, sign * slope, n)
+        # one-sided limits at every breakpoint; L vanishes outside the
+        # projection, and right[] is zero at the break before a row's first
+        before = np.concatenate([[0.0], right[:-1]])
+        after = left
+        jump = np.abs(before - after) > PRUNE_TOL * scale[rows][owner]
+        shared = np.zeros(n, dtype=bool)
+        shared[first_break] = ~jump[first_break]
+        shared[last_break] = ~jump[last_break]
+        # two slots per breakpoint: the limit from the left (or the
+        # continuous value), then the limit from the right at a jump; the
+        # zero outside the projection is never emitted
+        level = np.where(jump, before, 0.5 * (before + after))
+        level[shared] = 0.0
+        keep_first = jump.copy()
+        keep_first[1:] |= tilt[:-1] != tilt[1:]
+        keep_first[first_break] = False
+        keep_first[last_break] = True
+        keep_first |= shared
+        keep_second = jump.copy()
+        keep_second[last_break] = False
+        keep = np.column_stack([keep_first, keep_second]).ravel()
+        who = np.repeat(owner, 2)[keep]
+        mirrored = ~np.repeat(shared, 2)[keep]
+        if np.any(np.bincount(who, minlength=len(first_break))
+                  + np.bincount(who, mirrored, len(first_break)) < 3):
+            raise NumericalError("symmetral degenerated to fewer than 3 vertices")
+        yield (rows, frames[rows], who, np.repeat(breaks, 2)[keep],
+               0.5 * np.column_stack([level, after]).ravel()[keep], mirrored)
 
 
 def steiner_ring(vertices: np.ndarray, u) -> np.ndarray:
     """CCW vertex ring, in the input frame, of the Steiner symmetral of a
-    simple CCW polygon along the unit direction u.
-
-    In the frame that takes u to the vertical, the section length L(x) is
-    piecewise affine with breaks at the vertex abscissae.  The ring runs
-    through (x_j, -L/2) left to right and back through (x_j, +L/2).  A
-    breakpoint whose one-sided limits differ by more than PRUNE_TOL * scale
-    gives two points; an end where L vanishes gives one point shared by
-    both chains; a breakpoint where L is continuous with the same slope on
-    both sides gives none.
-    """
+    simple CCW polygon along the unit direction u: the one-direction case
+    of the batched section-length kernel (see _symmetral_chains)."""
     u = as_direction(u)
-    if u.shape[0] != 2:
-        raise InputError("planar Steiner symmetrals need a planar direction")
-    frame = frame_to_last_axis(u)
-    w = np.asarray(vertices, dtype=float) @ frame.matrix.T
-    breaks, _, cells, y0, y1, slope, sign = section_incidence(w)
-    n = len(breaks) - 1
-    # section length at the left and right end of every cell, and its slope
-    left = np.bincount(cells, sign * y0, n)
-    right = np.bincount(cells, sign * y1, n)
-    tilt = np.bincount(cells, sign * slope, n)
-    # one-sided limits at every breakpoint; L vanishes outside the projection
-    before = np.concatenate([[0.0], right])
-    after = np.concatenate([left, [0.0]])
-    jump = np.abs(before - after) > PRUNE_TOL * (1.0 + float(np.max(np.abs(w))))
-    shared = np.zeros(n + 1, dtype=bool)
-    shared[[0, -1]] = ~jump[[0, -1]]
-    # two slots per breakpoint: the limit from the left (or the continuous
-    # value), then the limit from the right at a jump; the zero outside
-    # the projection is never emitted
-    first = np.where(jump, before, 0.5 * (before + after))
-    first[shared] = 0.0
-    keep_first = np.concatenate([[False], jump[1:-1] | (tilt[:-1] != tilt[1:]), [True]]) | shared
-    keep_second = jump.copy()
-    keep_second[-1] = False
-    keep = np.column_stack([keep_first, keep_second]).ravel()
-    xs = np.repeat(breaks, 2)[keep]
-    half = 0.5 * np.column_stack([first, after]).ravel()[keep]
-    top = np.column_stack([xs, half])[int(shared[0]):len(xs) - int(shared[-1])]
-    ring = np.vstack([np.column_stack([xs, -half]), top[::-1]])
-    if len(ring) < 3:
-        raise NumericalError("symmetral degenerated to fewer than 3 vertices")
-    return ring @ frame.matrix
+    (_, frames, _, xs, half, mirrored), = _symmetral_chains(vertices, u[None])
+    ring = np.vstack([np.column_stack([xs, -half]),
+                      np.column_stack([xs, half])[mirrored][::-1]])
+    return ring @ frames[0]
+
+
+def symmetral_radii(vertices: np.ndarray, directions) -> np.ndarray:
+    """Circumradius max |v| of the Steiner symmetral of a simple CCW
+    polygon along each of a (K, 2) stack of unit directions, one kernel
+    call per block of directions and no set built.  The chain points and
+    their mirrors are rotated back to the input frame in one stacked
+    product, as steiner_ring rotates its ring, so each radius is the max
+    norm over that direction's ring."""
+    radii = np.empty(len(directions))
+    for rows, frames, who, xs, half, _ in _symmetral_chains(vertices, directions):
+        count = np.bincount(who)
+        at = np.arange(len(who)) - np.repeat(np.cumsum(count) - count, count)
+        # each direction's chain and its mirror image, padded with zeros
+        pts = np.zeros((len(count), 2, int(count.max()), 2))
+        pts[who, 0, at] = np.column_stack([xs, -half])
+        pts[who, 1, at] = np.column_stack([xs, half])
+        ring = np.matmul(pts.reshape(len(count), -1, 2), frames)
+        radii[rows] = np.max(np.linalg.norm(ring, axis=2), axis=1)
+    return radii
 
 
 def prune_collinear(vertices: np.ndarray, tol: float = 1e-12) -> np.ndarray:
@@ -352,31 +467,6 @@ def prune_collinear(vertices: np.ndarray, tol: float = 1e-12) -> np.ndarray:
                 changed = True
         v = np.array(out) if out else v[:0]
     return v
-
-
-def convex_hull_2d(points: np.ndarray) -> np.ndarray:
-    """CCW convex hull of a planar point cloud (monotone chain), with
-    collinear boundary points dropped."""
-    pts = np.unique(np.asarray(points, dtype=float), axis=0)
-    if len(pts) < 3:
-        raise InputError("convex hull needs at least 3 distinct points")
-    order = np.lexsort((pts[:, 1], pts[:, 0]))
-    pts = pts[order]
-
-    def half(chain_pts):
-        chain: list[np.ndarray] = []
-        for p in chain_pts:
-            while len(chain) >= 2 and cross_2d(chain[-1] - chain[-2], p - chain[-2]) <= 0:
-                chain.pop()
-            chain.append(p)
-        return chain
-
-    lower = half(pts)
-    upper = half(pts[::-1])
-    hull = np.array(lower[:-1] + upper[:-1])
-    if len(hull) < 3:
-        raise InputError("points are collinear; hull is degenerate")
-    return hull
 
 
 def point_segment_distance(points: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -22,9 +22,9 @@ import numpy as np
 
 from .convex import _BALL_VOLUME, Ball
 from .errors import InputError, NonGenericPointError, UnsupportedDirectionError
-from .geometry import (RigidFrame, as_direction, cross_2d, distance_to_polygon,
-                       points_in_polygon, section_incidence, shoelace_area,
-                       steiner_ring)
+from .geometry import (RigidFrame, as_direction, as_directions, cross_2d,
+                       distance_to_polygon, points_in_polygon,
+                       section_incidence, shoelace_area, steiner_ring)
 
 CLOSEDNESS_TOL = 1e-9
 GENERIC_POINT_TOL = 1e-12
@@ -72,10 +72,14 @@ class SurfaceMeasure:
     def total_mass(self) -> float:
         return float(np.sum(self.masses))
 
+    def orthogonal_atoms(self, directions, tol: float = AXIS_ALIGNMENT_TOL) -> np.ndarray:
+        """(atoms, K) mask: whether each atom's normal is orthogonal within
+        tol to each of a (K, dim) stack of unit directions."""
+        return np.abs(self.normals @ as_directions(directions).T) <= tol
+
     def mass_orthogonal_to(self, u, tol: float = AXIS_ALIGNMENT_TOL) -> float:
         """Total mass of atoms whose normal is orthogonal to u within tol."""
-        u = as_direction(u)
-        sel = np.abs(self.normals @ u) <= tol
+        sel = self.orthogonal_atoms(as_direction(u)[None], tol)[:, 0]
         return float(np.sum(self.masses[sel]))
 
 
@@ -172,7 +176,7 @@ def _polygon_columns(vertices: np.ndarray):
     """Record, per base cell between consecutive vertex abscissae, the
     sorted section endpoints of a polygon as affine functions of the
     abscissa together with the generating edge indices."""
-    breaks, edge, cell, y0, y1, slope, _ = section_incidence(vertices)
+    (_, breaks, _, edge, cell, y0, y1, slope, _), = section_incidence(vertices)
     intercept = y0 - slope * breaks[cell]
     order = np.lexsort((y0 + y1, cell))
     affine = np.column_stack([intercept, slope])[order].reshape(-1, 2, 2)

@@ -11,12 +11,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pettybox.convex
+import pettybox.geometry
 from pettybox import (Ball, FacetPolytope, InputError, PolarWrapper,
-                      Zonotope, body_volume, polar_body, polar_polygon,
-                      polar_volume, radial, steiner_symmetrize_convex,
+                      Zonotope, body_volume, petty_product, polar_body,
+                      polar_polygon, polar_steiner_inclusion_check,
+                      polar_volume, projection_body, radial,
+                      steiner_symmetrize, steiner_symmetrize_convex,
                       support, symmetral_inclusion_criterion)
-from pettybox.corpus import regular_polygon
-from pettybox.geometry import circle_grid, rotation_2d, sphere_grid
+from pettybox.corpus import random_polygon, regular_polygon
+from pettybox.geometry import circle_grid, cross_2d, rotation_2d, sphere_grid
+
+from hull import convex_hull_2d
 
 E1 = np.array([1.0, 0.0])
 E2 = np.array([0.0, 1.0])
@@ -27,7 +33,6 @@ def centered_square():
 
 
 def random_centered_body(seed, points=12):
-    from pettybox.geometry import convex_hull_2d
     rng = np.random.default_rng(seed)
     pts = rng.normal(size=(points, 2))
     hull = convex_hull_2d(pts)
@@ -137,6 +142,65 @@ def test_zonogon_materialization_matches_support(seed):
         z = rng.normal(size=2)
         assert abs(Z.support(z) - P.support(z)) <= 1e-9 * scale
     assert abs(Z.volume() - P.volume()) <= 1e-9 * scale ** 2
+
+
+@pytest.mark.parametrize("delta, count", [(1e-16, 4), (1e-13, 4), (1e-12, 4),
+                                          (2e-12, 6), (1e-11, 6)])
+def test_zonotope_seam_merge_threshold(delta, count):
+    # the last generator lies delta rad short of angle pi, so it is the
+    # first generator reversed up to delta; within 1e-12 the two merge
+    # across the seam, and beyond it the ring keeps both edges
+    Z = Zonotope([[1, 0], [0.3, 1], [-1, delta]])
+    assert len(Z.polygon_vertices()) == count
+    P = polar_polygon(Z)
+    assert len(P.vertices) == count
+    q = polar_volume(Z, method="quadrature")
+    assert abs(P.volume() - q.value) <= q.error
+
+
+def _strictly_convex(v):
+    e = np.roll(v, -1, axis=0) - v
+    return bool(np.all(cross_2d(e, np.roll(e, -1, axis=0)) > 0.0))
+
+
+def test_zonotope_ring_merges_turns_below_rounding():
+    # symmetrals of regular polygons along these directions carry edges
+    # of rounding length, and generators 1e-12 rad apart at 4e-5 length,
+    # whose turns the ring's coordinates cannot resolve; both merge and
+    # the ring stays strictly convex
+    for m, phase, u in [(64, 0.0, E2), (110, 0.1, np.array([math.sqrt(0.5)] * 2))]:
+        Z = projection_body(steiner_symmetrize(regular_polygon(m, phase=phase), u))
+        assert _strictly_convex(Z.polygon_vertices())
+        assert _strictly_convex(polar_polygon(Z).vertices)
+        q = polar_volume(Z, grid=circle_grid(1 << 16), method="quadrature")
+        assert abs(polar_volume(Z).value - q.value) <= q.error
+
+
+def test_polar_of_nearly_parallel_facets_keeps_its_area():
+    # along a direction 7.8e-12 rad from an edge, the symmetral's
+    # projection body has facets a hair apart; pruning the polar's
+    # collinear-looking vertices once dropped four of them and lost
+    # 1.6e-5 of the polar area
+    E = random_polygon(3)
+    v = E.vertices
+    edge = v[28] - v[27]
+    u = rotation_2d(7.843033188476106e-12) @ (edge / np.linalg.norm(edge))
+    Z = projection_body(steiner_symmetrize(E, u))
+    q = polar_volume(Z, grid=circle_grid(1 << 16), method="quadrature")
+    assert abs(polar_volume(Z).value - q.value) <= q.error
+
+
+def test_planar_polar_projection_body_never_prunes(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("prune_collinear called on the projection-body path")
+
+    monkeypatch.setattr(pettybox.geometry, "prune_collinear", refuse)
+    monkeypatch.setattr(pettybox.convex, "prune_collinear", refuse)
+    E = random_polygon(4, min_vertices=40, max_vertices=40)
+    report = petty_product(E)
+    assert 0.0 < report.product <= report.bound
+    holds, margin = polar_steiner_inclusion_check(E, np.array([0.6, 0.8]))
+    assert holds and margin <= 1.0 + 1e-9
 
 
 # ------------------------------------------------------------------- polars

@@ -12,7 +12,9 @@ from pettybox import (BoxUnion, DirectionPolicy, InputError,
                       PathologicalInputError, PolygonSet,
                       cap_cover_greedy_step, run_symmetrization)
 from pettybox.corpus import random_polygon, regular_polygon
-from pettybox.geometry import rotation_2d
+from pettybox.geometry import (frame_to_last_axis, rotation_2d,
+                               section_incidence, steiner_ring,
+                               symmetral_radii)
 
 
 def unit_square():
@@ -71,6 +73,44 @@ def test_greedy_step_perturbed_axis_beats_diagonal():
     tilted = rotation_2d(5e-4) @ np.array([0.0, 1.0])
     got = cap_cover_greedy_step(E, [diag, tilted])
     assert np.allclose(got, tilted)
+
+
+def _fan(count, offset):
+    angles = (np.arange(count) + offset) * math.pi / count
+    return np.column_stack([np.cos(angles), np.sin(angles)])
+
+
+def test_batched_scores_match_each_ring():
+    # random star polygons from 5 to ~900 vertices (seeds whose draws are
+    # quick to sample); the larger ones cut the fan into several blocks of
+    # the batched kernel
+    rng = np.random.default_rng(17)
+    polygons = [random_polygon(0, max_vertices=5)] + [random_polygon(seed) for seed in range(4)]
+    polygons += [random_polygon(seed, max_vertices=900) for seed in (1, 4, 8, 10)]
+    blocked = 0
+    for E in polygons:
+        fan = _fan(32, rng.uniform())
+        stack = np.stack([E.vertices @ frame_to_last_axis(u).matrix.T for u in fan])
+        blocked += len(list(section_incidence(stack))) > 1
+        want = np.array([np.max(np.linalg.norm(steiner_ring(E.vertices, u), axis=1))
+                         for u in fan])
+        got = symmetral_radii(E.vertices, fan)
+        assert np.all(np.abs(got - want) <= 1e-15 * want)
+        assert int(np.argmin(got)) == int(np.argmin(want))
+        assert np.array_equal(cap_cover_greedy_step(E, fan), fan[np.argmin(want)])
+    assert blocked >= 1
+
+
+def test_greedy_step_ties_go_to_the_lowest_index():
+    # the centered square is symmetric under quarter turns, so a fan of
+    # 2k directions pairs every candidate with one of equal score
+    E = centered_square()
+    fan = _fan(8, 0.5)
+    fan = np.vstack([fan, fan[:4]])
+    got = cap_cover_greedy_step(E, fan)
+    scores = symmetral_radii(E.vertices, fan)
+    first = int(np.flatnonzero(scores == scores.min())[0])
+    assert np.array_equal(got, fan[first])
 
 
 # -------------------------------------------------------------------- traces

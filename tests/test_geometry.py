@@ -1,5 +1,5 @@
 """Direction handling, spherical quadrature grids, Hausdorff distance,
-circumradius, and the planar convex hull."""
+circumradius, and the planar convex hull test helper."""
 
 from __future__ import annotations
 
@@ -11,9 +11,11 @@ import pytest
 from pettybox import (Ball, BoxUnion, FacetPolytope, NumericalError,
                       PolygonSet, Zonotope, circumradius, hausdorff_distance)
 from pettybox.errors import InputError
-from pettybox.geometry import (RigidFrame, as_direction, circle_grid,
-                               convex_hull_2d, frame_to_last_axis,
+from pettybox.geometry import (RigidFrame, as_direction, as_directions,
+                               circle_grid, default_grid, frame_to_last_axis,
                                integrate_sphere, rotation_2d, sphere_grid)
+
+from hull import convex_hull_2d
 
 
 def unit_square():
@@ -26,6 +28,15 @@ def test_as_direction_accepts_unit_vectors():
     u = as_direction([0.6, 0.8])
     assert u.shape == (2,)
     assert math.isclose(float(np.linalg.norm(u)), 1.0, abs_tol=1e-12)
+
+
+def test_as_directions_checks_every_row():
+    U = as_directions([[0.6, 0.8], [1.0, 0.0]])
+    assert U.shape == (2, 2)
+    for bad in ([], [0.6, 0.8], [[0.6, 0.8], [1.0, 1.0]], [[1.0, 0.0, 0.0, 0.0]],
+                [[float("nan"), 1.0]]):
+        with pytest.raises(InputError):
+            as_directions(bad)
 
 
 def test_as_direction_rejects_non_unit_and_bad_shape():
@@ -83,6 +94,19 @@ def test_grid_weights_positive_and_measure_exact(make, total):
     assert math.isclose(float(grid.weights.sum()), total, rel_tol=1e-9)
     norms = np.linalg.norm(grid.nodes, axis=1)
     assert np.allclose(norms, 1.0, atol=1e-12)
+
+
+def test_default_circle_grid_is_built_once_and_read_only():
+    grid = default_grid(2)
+    assert default_grid(2) is grid
+    assert grid.size == 4096
+    assert np.array_equal(grid.nodes, circle_grid(4096).nodes)
+    with pytest.raises(ValueError):
+        grid.nodes[0, 0] = 0.0
+    with pytest.raises(ValueError):
+        grid.weights[0] = 0.0
+    # the 3D grid stays a fresh build, so its memory is freed after use
+    assert default_grid(3) is not default_grid(3)
 
 
 def test_circle_grid_second_moment_random_directions():

@@ -351,6 +351,23 @@ def test_is_regular_direction():
     assert not ok and mass == 6.0
 
 
+def test_fan_regularity_is_one_test_over_all_atoms():
+    # the driver filters a whole fan with one (atoms x K) mask; it must
+    # agree with the one-direction test, exact axis hits included
+    s = math.sqrt(0.5)
+    axes = np.array([E1, E2, -E1, -E2, [s, s], [-s, s]])
+    angles = (np.arange(32) + 0.37) * math.pi / 32
+    fan = np.vstack([axes, np.column_stack([np.cos(angles), np.sin(angles)])])
+    sets = [unit_square(), staircase(), c_shape(), random_polygon(5),
+            PolygonSet(unit_square().vertices @ rotation_2d(0.37 * math.pi / 32).T)]
+    for E in sets:
+        mask = ~np.any(E.surface_measure().orthogonal_atoms(fan), axis=0)
+        assert mask.tolist() == [is_regular_direction(E, u)[0] for u in fan]
+    assert not np.any(~np.any(unit_square().surface_measure().orthogonal_atoms(axes[:4]), axis=0))
+    with pytest.raises(InputError):
+        unit_square().surface_measure().orthogonal_atoms([[1.0, 1.0]])
+
+
 def test_vertical_boundary_measure():
     assert vertical_boundary_measure(unit_square(), E2) == 2.0
     assert vertical_boundary_measure(unit_square(),
