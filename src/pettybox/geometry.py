@@ -300,7 +300,7 @@ def section_incidence(w: np.ndarray):
 def _incidence_blocks(w: np.ndarray, first: int):
     """section_incidence on the stack rows first, first + 1, ... held in w."""
     K, m = w.shape[:2]
-    x, y = w[..., 0], w[..., 1]
+    x = w[..., 0]
     order = np.argsort(x, axis=1)
     sx = np.take_along_axis(x, order, axis=1)
     distinct = np.ones((K, m), dtype=bool)
@@ -326,8 +326,9 @@ def _incidence_blocks(w: np.ndarray, first: int):
         if len(odd):
             j = int(odd[0])
             raise NumericalError(f"odd section parity in cell ({breaks[j]}, {breaks[j + 1]})")
-        e = np.repeat(np.arange(k0 * m, k1 * m), sp)
-        ends = np.stack([w[k0:k1], np.roll(w[k0:k1], -1, axis=1)], axis=2).reshape(-1, 2, 2)[e - k0 * m]
+        edge = np.repeat(np.arange(len(sp)), sp)
+        # both endpoints of every entry's edge, (entry, endpoint, axis)
+        ends = np.stack([w[k0:k1], np.roll(w[k0:k1], -1, axis=1)], axis=2).reshape(-1, 2, 2)[edge]
         xa, xb, ya, yb = ends[:, 0, 0], ends[:, 1, 0], ends[:, 0, 1], ends[:, 1, 1]
         dy = yb - ya
 
@@ -335,7 +336,7 @@ def _incidence_blocks(w: np.ndarray, first: int):
             s = (t - xa) / (xb - xa)
             return np.where(s <= 0.5, ya + s * dy, yb - (1.0 - s) * dy)
 
-        yield (slice(first + k0, first + k1), breaks, starts, e + first * m, cells,
+        yield (slice(first + k0, first + k1), breaks, starts, edge + (first + k0) * m, cells,
                height(breaks[cells]), height(breaks[cells + 1]), dy / (xb - xa),
                np.where(xb < xa, 1.0, -1.0))
 
@@ -369,12 +370,13 @@ def _symmetral_chains(vertices: np.ndarray, directions):
         first_break, last_break = starts[:-1], starts[1:] - 1
         owner = np.repeat(np.arange(len(first_break)), np.diff(starts))
         # section length at the left and right end of every cell, and its
-        # slope; the last break of a row starts no cell
+        # slope; a row's last break starts no cell, so all three are zero
+        # there
         left = np.bincount(cells, sign * y0, n)
         right = np.bincount(cells, sign * y1, n)
         tilt = np.bincount(cells, sign * slope, n)
         # one-sided limits at every breakpoint; L vanishes outside the
-        # projection, and right[] is zero at the break before a row's first
+        # projection, so before[] starts every row at zero
         before = np.concatenate([[0.0], right[:-1]])
         after = left
         jump = np.abs(before - after) > PRUNE_TOL * scale[rows][owner]
