@@ -240,10 +240,11 @@ class Zonotope:
         # them would sit within RING_RESOLUTION * (total length) of the
         # chord through its neighbours, a turn that rounding in the ring
         # cannot resolve.  A generator shorter than that resolution never
-        # starts a group and is left out of these tests, so it cannot
-        # bridge two groups.  The angles live on a circle of length pi, so
-        # the first generator may also join the last one's group: then the
-        # last group, reversed, joins the first.
+        # starts a group and is left out of these tests.  The angles live
+        # on a circle of length pi, so the first generator may also join
+        # the last one's group: then the last group, reversed, joins the
+        # first.  start[j] marks generator j as the first of a group, and
+        # start[0] stands for the link across that seam.
         length = np.hypot(g[:, 0], g[:, 1])
         resolution = RING_RESOLUTION * float(np.sum(length))
         big = np.flatnonzero(length > resolution)
@@ -253,11 +254,19 @@ class Zonotope:
         step = np.diff(a, append=a[0])
         step[-1] = a[0] - math.atan2(-b[-1, 1], -b[-1, 0])
         chord = np.hypot(b[:, 0] + ahead[:, 0], b[:, 1] + ahead[:, 1])
-        joined = (step <= PARALLEL_TOL) | (cross_2d(b, ahead) <= resolution * chord)
-        starts = big[np.concatenate([[True], ~joined[:-1]])]
-        starts[0] = 0
-        w = np.add.reduceat(g, starts, axis=0)
-        if len(w) > 1 and joined[-1]:
+        parallel = step <= PARALLEL_TOL
+        unresolved = ~parallel & (cross_2d(b, ahead) <= resolution * chord)
+        after = np.append(big[1:], 0)
+        start = np.zeros(len(g), dtype=bool)
+        start[after] = ~(parallel | unresolved)
+        if np.any(unresolved):
+            turn = np.zeros(len(g))
+            turn[after] = np.where(unresolved, step, 0.0)
+            _cut_wide_groups(g, start, turn, resolution)
+        wrap = not start[0]
+        start[0] = True
+        w = np.add.reduceat(g, np.flatnonzero(start), axis=0)
+        if len(w) > 1 and wrap:
             w[0] -= w[-1]
             w = w[:-1]
         if len(w) < 2:
@@ -314,6 +323,54 @@ class Zonotope:
         if self.dim != 2:
             raise InputError("solid distance is only materialized for planar zonotopes")
         return self._polygon.solid_distance(points)
+
+
+def _cut_wide_groups(g: np.ndarray, start: np.ndarray, turn: np.ndarray,
+                     resolution: float) -> None:
+    """Cut zonotope generator groups, in place in start, until every ring
+    vertex dropped by a rounding-level link lies within resolution of the
+    chord of its group.
+
+    g holds the generators in angle order over a half turn and start
+    marks the first generator of each group.  turn[j] > 0 is the angle
+    step to generator j from the one before it (index 0: across the seam)
+    where the two joined only because the ring vertex between them is
+    within resolution of their chord.  These links are tested pair by
+    pair, so they chain: a generator just longer than resolution can
+    bridge two that are far from parallel.  Each round cuts every group
+    once, among its linked vertices farther than resolution from the
+    chord at the one of largest turn (the first of equal ones).  On a
+    convex chain a vertex within resolution of a chord stays within it of
+    every sub-chord, so no cut undoes a vertex that passed.  Links of
+    parallel generators are never cut.
+    """
+    n = len(g)
+    if not np.any(start):
+        return
+    while True:
+        # read the groups from the first start on, the generators before
+        # it reversed after the others, so that no group crosses the seam
+        first = int(np.argmax(start))
+        order = np.roll(np.arange(n), -first)
+        seq = g[order]
+        seq[n - first:] *= -1.0
+        heads = np.flatnonzero(start[order])
+        group = np.cumsum(start[order]) - 1
+        end = np.cumsum(seq, axis=0)
+        base = np.zeros((len(heads), 2))
+        base[1:] = end[heads[1:] - 1]
+        chord = np.add.reduceat(seq, heads, axis=0)[group]
+        # the ring vertex before each generator, from its group's first one
+        vertex = np.zeros((n, 2))
+        vertex[1:] = end[:-1] - base[group[1:]]
+        offset = np.abs(cross_2d(vertex, chord)) / np.hypot(chord[:, 0], chord[:, 1])
+        score = np.where(offset > resolution, turn[order], 0.0)
+        cut = np.flatnonzero((score > 0.0)
+                             & (score == np.maximum.reduceat(score, heads)[group]))
+        if len(cut) == 0:
+            return
+        cut = cut[np.diff(group[cut], prepend=-1) != 0]
+        start[order[cut]] = True
 
 
 class PolarWrapper:

@@ -32,11 +32,11 @@ GRID_MEASURE_TOL = 1e-9
 # relative size of a section-length jump that a planar symmetral keeps as
 # a vertical edge; smaller jumps are read as rounding
 PRUNE_TOL = 1e-12
-# incidence entries per block of a batched section-length call; a stack
-# of directions is cut into blocks of consecutive directions under this
-# size.  A block's temporaries take about 200 bytes per entry, so this
-# keeps them under 1 MiB, and a greedy run's peak RSS no higher than
-# with one direction at a time
+# incidence entries per block of a batched section-length call on convex
+# polygons; a stack of directions is cut into blocks of consecutive
+# directions of about this size.  A block's temporaries take about 200
+# bytes per entry, so this keeps them under 1 MiB, and a greedy run's peak
+# RSS no higher than with one direction at a time
 BLOCK_ROWS = 1 << 12
 # Boundary sampling density for Hausdorff on general sets: arc-length step
 # is (scene diameter) / BOUNDARY_DIVISIONS, and the returned value carries
@@ -58,31 +58,25 @@ def unit_vector(v) -> np.ndarray:
         raise InputError("cannot normalize a zero or non-finite vector")
     return v / n
 
-def as_direction(v, tol: float = DIRECTION_TOL) -> np.ndarray:
+def as_direction(v) -> np.ndarray:
     """Validate that v is a unit vector in dimension 2 or 3."""
     v = np.asarray(v, dtype=float)
     if v.ndim != 1 or v.shape[0] not in (2, 3):
         raise InputError(f"direction must be a flat 2- or 3-vector, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
-        raise InputError("direction has non-finite components")
-    n = float(np.linalg.norm(v))
-    if abs(n - 1.0) > tol:
-        raise InputError(f"direction norm {n!r} is not 1 within {tol}")
-    return v
+    return as_directions(v[None])[0]
 
 
-def as_directions(directions, tol: float = DIRECTION_TOL) -> np.ndarray:
-    """Validate a nonempty (K, d) stack of unit vectors, d in (2, 3): the
-    checks of as_direction, row by row."""
+def as_directions(directions) -> np.ndarray:
+    """Validate a nonempty (K, d) stack of unit vectors, d in (2, 3)."""
     U = np.asarray(directions, dtype=float)
     if U.ndim != 2 or U.shape[0] == 0 or U.shape[1] not in (2, 3):
         raise InputError(f"directions must be a nonempty (K,2) or (K,3) stack, got shape {U.shape}")
     if not np.all(np.isfinite(U)):
-        raise InputError("directions have non-finite components")
+        raise InputError("direction has non-finite components")
     n = np.linalg.norm(U, axis=1)
-    bad = np.flatnonzero(np.abs(n - 1.0) > tol)
+    bad = np.flatnonzero(np.abs(n - 1.0) > DIRECTION_TOL)
     if len(bad):
-        raise InputError(f"direction norm {float(n[bad[0]])!r} is not 1 within {tol}")
+        raise InputError(f"direction norm {float(n[bad[0]])!r} is not 1 within {DIRECTION_TOL}")
     return U
 
 
@@ -268,37 +262,34 @@ def section_incidence(w: np.ndarray):
     the second axis, for one (m, 2) vertex array or a (K, m, 2) stack of
     them (one polygon seen in K frames).
 
-    Each row of the stack is sorted once by abscissa, and dense ranks of
-    the sorted abscissae number the row's distinct values ``breaks``;
-    the cells are the intervals between consecutive breaks, and every
-    non-vertical edge spans the cells between the ranks of its own
-    endpoints.  The rows are cut into blocks of consecutive rows whose
-    incidence stays under BLOCK_ROWS entries (a row over it is a block by
-    itself), and one tuple is yielded per block: the slice of stack rows,
-    the block's breaks row after row, ``starts`` (the index of each row's
-    first break, closed by len(breaks)), then one entry per edge and cell
-    it spans: the edge's index in the flattened stack, the cell (the
-    index of its left break), the edge's heights at the cell's left and
-    right ends, its slope, and its sign s_e (+1 for edges running in -x,
-    -1 for edges running in +x), so that the section length is
-    sum(s_e * height).  Heights are interpolated from the edge's own
-    endpoints and are exact there, so a near-vertical edge carries no
-    error of size slope * x.
+    The stack is cut into blocks of BLOCK_ROWS // (2m) consecutive rows
+    (at least one), and one tuple is yielded per block.  Each row of a
+    block is sorted once by abscissa, and dense ranks of the sorted
+    abscissae number the row's distinct values ``breaks``; the cells are
+    the intervals between consecutive breaks, and every non-vertical
+    edge spans the cells between the ranks of its own endpoints.  A block's tuple holds the slice of stack rows, the block's
+    breaks row after row, ``starts`` (the index of each row's first break,
+    closed by len(breaks)), then one entry per edge and cell it spans: the
+    edge's index in the flattened stack, the cell (the index of its left
+    break), the edge's heights at the cell's left and right ends, its
+    slope, and its sign s_e (+1 for edges running in -x, -1 for edges
+    running in +x), so that the section length is sum(s_e * height).
+    Heights are interpolated from the edge's own endpoints and are exact
+    there, so a near-vertical edge carries no error of size slope * x.
     Raises NumericalError when a cell meets an odd number of edges.
     """
     w = np.asarray(w, dtype=float)
     if w.ndim == 2:
         w = w[None]
-    # rows are ranked a few at a time: every cell meets at least two
-    # edges, so a row with m distinct abscissae has about 2m entries or
-    # more, and these rows fill about one block
-    step = max(1, BLOCK_ROWS // (2 * w.shape[1]))
-    for first in range(0, len(w), step):
-        yield from _incidence_blocks(w[first:first + step], first)
+    # a convex m-gon's edges span 2(m - 1) cells, so a block of convex
+    # polygons holds at most BLOCK_ROWS entries; a non-convex one holds more
+    rows = max(1, BLOCK_ROWS // (2 * w.shape[1]))
+    for first in range(0, len(w), rows):
+        yield _incidence_block(w[first:first + rows], first)
 
 
-def _incidence_blocks(w: np.ndarray, first: int):
-    """section_incidence on the stack rows first, first + 1, ... held in w."""
+def _incidence_block(w: np.ndarray, first: int):
+    """section_incidence of the stack rows first, first + 1, ... held in w."""
     K, m = w.shape[:2]
     x = w[..., 0]
     order = np.argsort(x, axis=1)
@@ -308,37 +299,28 @@ def _incidence_blocks(w: np.ndarray, first: int):
     rank = np.empty((K, m), dtype=np.intp)
     np.put_along_axis(rank, order, np.cumsum(distinct, axis=1) - 1, axis=1)
     ahead = np.roll(rank, -1, axis=1)
-    span = np.abs(ahead - rank)
-    cuts, total = [0], 0
-    for k, size in enumerate(span.sum(axis=1).tolist()):
-        if total and total + size > BLOCK_ROWS:
-            cuts.append(k)
-            total = 0
-        total += size
-    cuts.append(K)
-    for k0, k1 in zip(cuts[:-1], cuts[1:]):
-        breaks = sx[k0:k1][distinct[k0:k1]]
-        starts = np.concatenate([[0], np.cumsum(distinct[k0:k1].sum(axis=1))])
-        lo = (np.minimum(rank[k0:k1], ahead[k0:k1]) + starts[:-1, None]).ravel()
-        sp = span[k0:k1].ravel()
-        cells = np.arange(int(sp.sum())) + np.repeat(lo - np.cumsum(sp) + sp, sp)
-        odd = np.flatnonzero(np.bincount(cells, minlength=len(breaks)) % 2)
-        if len(odd):
-            j = int(odd[0])
-            raise NumericalError(f"odd section parity in cell ({breaks[j]}, {breaks[j + 1]})")
-        edge = np.repeat(np.arange(len(sp)), sp)
-        # both endpoints of every entry's edge, (entry, endpoint, axis)
-        ends = np.stack([w[k0:k1], np.roll(w[k0:k1], -1, axis=1)], axis=2).reshape(-1, 2, 2)[edge]
-        xa, xb, ya, yb = ends[:, 0, 0], ends[:, 1, 0], ends[:, 0, 1], ends[:, 1, 1]
-        dy = yb - ya
+    breaks = sx[distinct]
+    starts = np.concatenate([[0], np.cumsum(distinct.sum(axis=1))])
+    lo = (np.minimum(rank, ahead) + starts[:-1, None]).ravel()
+    span = np.abs(ahead - rank).ravel()
+    cells = np.arange(int(span.sum())) + np.repeat(lo - np.cumsum(span) + span, span)
+    odd = np.flatnonzero(np.bincount(cells, minlength=len(breaks)) % 2)
+    if len(odd):
+        j = int(odd[0])
+        raise NumericalError(f"odd section parity in cell ({breaks[j]}, {breaks[j + 1]})")
+    edge = np.repeat(np.arange(len(span)), span)
+    # both endpoints of every entry's edge, (entry, endpoint, axis)
+    ends = np.stack([w, np.roll(w, -1, axis=1)], axis=2).reshape(-1, 2, 2)[edge]
+    xa, xb, ya, yb = ends[:, 0, 0], ends[:, 1, 0], ends[:, 0, 1], ends[:, 1, 1]
+    dy = yb - ya
 
-        def height(t):
-            s = (t - xa) / (xb - xa)
-            return np.where(s <= 0.5, ya + s * dy, yb - (1.0 - s) * dy)
+    def height(t):
+        s = (t - xa) / (xb - xa)
+        return np.where(s <= 0.5, ya + s * dy, yb - (1.0 - s) * dy)
 
-        yield (slice(first + k0, first + k1), breaks, starts, edge + (first + k0) * m, cells,
-               height(breaks[cells]), height(breaks[cells + 1]), dy / (xb - xa),
-               np.where(xb < xa, 1.0, -1.0))
+    return (slice(first, first + K), breaks, starts, edge + first * m, cells,
+            height(breaks[cells]), height(breaks[cells + 1]), dy / (xb - xa),
+            np.where(xb < xa, 1.0, -1.0))
 
 
 def _symmetral_chains(vertices: np.ndarray, directions):
