@@ -176,41 +176,39 @@ def test_zonotope_ring_merges_turns_below_rounding():
         assert abs(polar_volume(Z).value - q.value) <= q.error
 
 
-@pytest.mark.parametrize("angles, lengths", [
-    ((0.0, 0.25, 0.5, math.pi / 2), (1.0, 5e-14, 1.0, 1.0)),
-    ((0.0, 0.5, math.pi - 0.3, math.pi - 0.05), (1.0, 1.0, 1.0, 5e-14)),
-])
-def test_short_generator_does_not_bridge_a_real_turn(angles, lengths):
-    # the short generator's turns on both sides are below the ring's
-    # resolution, so each pair joins; the chain of links must still keep
-    # the real turn between its long neighbours (in the second case the
-    # links cross the seam)
-    Z = Zonotope(np.asarray(lengths)[:, None] * np.column_stack([np.cos(angles), np.sin(angles)]))
+def _generators(angles, lengths):
+    return np.asarray(lengths)[:, None] * np.column_stack([np.cos(angles), np.sin(angles)])
+
+
+# In the first two, a 5e-14-long generator turns by a quarter or more
+# from each neighbour, below the ring's resolution, so each pair joins;
+# the chain of links must still keep the real turn between the long
+# neighbours (in the second, across the seam).  In the third, sorted by
+# angle: a long generator at 8.1 deg with a short parallel one, short
+# ones at 26.1 and 44.2 deg, a long one 2e-12 rad past the last, a long
+# one at 53.3 deg with a short parallel one.  Links join everything from
+# 26.1 deg to the long generator at 44.2 deg; a cut at the vertex
+# farthest from the chord split off the 2e-12 rad turn, which rounding
+# cannot resolve, and the ring check raised.  The cut at the largest
+# turn keeps the 18 deg one.
+@pytest.mark.parametrize("generators", [
+    _generators((0.0, 0.25, 0.5, math.pi / 2), (1.0, 5e-14, 1.0, 1.0)),
+    _generators((0.0, 0.5, math.pi - 0.3, math.pi - 0.05), (1.0, 1.0, 1.0, 5e-14)),
+    [[-8.5428217487045777e-01, -1.2199049067523247e-01],
+     [6.0238341444425123e-13, 8.6019643701689948e-14],
+     [1.1071009499065289e-12, 5.4220239125837652e-13],
+     [-1.0296810617038781e-13, -5.0428602191813850e-14],
+     [-8.1456286401424221e-13, -7.9151179380231367e-13],
+     [-5.7784723814213601e-01, -5.6149491244114991e-01],
+     [-1.1860138101676956e+00, -1.5902532571637038e+00],
+     [-2.1917957755952773e-13, -2.9388446755942957e-13]],
+], ids=["bridge", "bridge-across-seam", "cut-at-largest-turn"])
+def test_rounding_links_keep_real_turns(generators):
+    Z = Zonotope(generators)
     assert _strictly_convex(Z.polygon_vertices())
     assert abs(Z._polygon.volume() - Z.volume()) <= 1e-13 * Z.volume()
     q = polar_volume(Z, grid=circle_grid(1 << 16), method="quadrature")
     assert abs(polar_volume(Z).value - q.value) <= q.error
-
-
-def test_chained_group_is_cut_at_its_real_turn():
-    # sorted by angle: a long generator at 8.1 deg with a short parallel
-    # one, short ones at 26.1 deg and 44.2 deg, a long one 2e-12 rad past
-    # the last, another long one at 53.3 deg and a short one parallel to
-    # it.  Pairwise links join everything from 26.1 deg to the long
-    # generator at 44.2 deg; cut at the vertex farthest from the chord,
-    # that group split off the 2e-12 rad turn, which rounding cannot
-    # resolve, and the ring check raised.  The cut at the largest turn
-    # keeps the 18 deg one.
-    Z = Zonotope([[-8.5428217487045777e-01, -1.2199049067523247e-01],
-                  [6.0238341444425123e-13, 8.6019643701689948e-14],
-                  [1.1071009499065289e-12, 5.4220239125837652e-13],
-                  [-1.0296810617038781e-13, -5.0428602191813850e-14],
-                  [-8.1456286401424221e-13, -7.9151179380231367e-13],
-                  [-5.7784723814213601e-01, -5.6149491244114991e-01],
-                  [-1.1860138101676956e+00, -1.5902532571637038e+00],
-                  [-2.1917957755952773e-13, -2.9388446755942957e-13]])
-    assert _strictly_convex(Z.polygon_vertices())
-    assert abs(Z._polygon.volume() - Z.volume()) <= 1e-13 * Z.volume()
 
 
 def test_polar_of_nearly_parallel_facets_keeps_its_area():
