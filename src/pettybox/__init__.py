@@ -5,8 +5,9 @@ product bound they satisfy."""
 __version__ = "0.1.0"
 
 from .convex import (Ball, FacetPolytope, InclusionCheck, PolarVolume,
-                     PolarWrapper, Zonotope, body_volume, polar_body, polar_polygon,
-                     polar_volume, radial, steiner_symmetrize_convex, support,
+                     PolarWrapper, Zonotope, body_volume, planar_polygon,
+                     polar_body, polar_polygon, polar_volume, radial,
+                     steiner_symmetrize_convex, support,
                      symmetral_inclusion_criterion)
 from .corpus import (random_box_union, random_polygon, random_sl2,
                      regular_polygon)
@@ -33,7 +34,8 @@ from .sets import (BoxUnion, ColumnStructure, PolygonSet, SurfaceMeasure,
 __all__ = [
     "__version__",
     "Ball", "FacetPolytope", "InclusionCheck", "PolarVolume", "PolarWrapper",
-    "Zonotope", "body_volume", "polar_body", "polar_polygon", "polar_volume", "radial",
+    "Zonotope", "body_volume", "planar_polygon", "polar_body", "polar_polygon",
+    "polar_volume", "radial",
     "steiner_symmetrize_convex", "support", "symmetral_inclusion_criterion",
     "BudgetError", "ConditionViolationError", "InputError",
     "NonGenericPointError", "NumericalError", "PathologicalInputError",

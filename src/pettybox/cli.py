@@ -20,7 +20,8 @@ import numpy as np
 
 from . import __version__
 from .corpus import random_polygon, random_sl2
-from .driver import DirectionPolicy, run_symmetrization
+from .driver import (DirectionPolicy, ResampleBudget, draw_direction,
+                     run_symmetrization)
 from .errors import (BudgetError, ConditionViolationError, InputError,
                      NumericalError)
 from .geometry import SphericalGrid, circle_grid, sphere_grid
@@ -152,20 +153,11 @@ def _cmd_monotonicity(args) -> int:
     else:
         if args.seed is None:
             raise InputError("--seed is required for a random campaign")
+        uniform = DirectionPolicy(kind="uniform-random")
         for i in range(args.count):
             E = random_polygon(args.seed, i)
             rng = np.random.default_rng((args.seed, i, 1))
-            resamples = 0
-            while True:
-                a = rng.uniform(0.0, 2.0 * np.pi)
-                u = np.array([np.cos(a), np.sin(a)])
-                if vertical_boundary_measure(E, u) == 0.0:
-                    break
-                resamples += 1
-                if resamples > 10_000:
-                    raise NumericalError(
-                        f"set {i}: could not sample a direction meeting the "
-                        "monotonicity hypothesis")
+            u, resamples = draw_direction(E, uniform, rng, 1, ResampleBudget(10_000))
             margin = _monotonicity_row(E, u, i, resamples, False, rows)
             worst = min(worst, margin)
     config = RunConfig(command="monotonicity", input=args.input, out=args.out,

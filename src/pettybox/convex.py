@@ -20,7 +20,8 @@ import numpy as np
 from .errors import InputError, NumericalError
 from .geometry import (SphericalGrid, circle_grid, cross_2d, default_grid,
                        distance_to_polygon, integrate_sphere, prune_collinear,
-                       shoelace_area, sphere_grid, steiner_ring)
+                       ring_boundary_points, shoelace_area, sphere_grid,
+                       steiner_ring)
 
 SUPPORT_CONSISTENCY_TOL = 1e-10
 # angle step (radians) up to which zonotope generators count as parallel
@@ -46,10 +47,6 @@ class Ball:
             raise InputError(f"ball radius must be positive, got {self.radius!r}")
         if self.dim not in (2, 3):
             raise InputError("balls live in dimension 2 or 3")
-
-    @property
-    def ball_radius(self) -> float:
-        return self.radius
 
     def support(self, z) -> float:
         return self.radius * float(np.linalg.norm(z))
@@ -159,9 +156,6 @@ class FacetPolytope:
     def volume(self) -> float:
         return shoelace_area(self.vertices)
 
-    def polygon_vertices(self) -> np.ndarray:
-        return self.vertices
-
     def max_norm(self) -> float:
         return float(np.max(np.linalg.norm(self.vertices, axis=1)))
 
@@ -169,17 +163,7 @@ class FacetPolytope:
         return self.vertices.min(axis=0), self.vertices.max(axis=0)
 
     def boundary_points(self, step: float) -> np.ndarray:
-        if step <= 0.0:
-            raise InputError("boundary sampling step must be positive")
-        v = self.vertices
-        edges = np.roll(v, -1, axis=0) - v
-        lengths = np.linalg.norm(edges, axis=1)
-        chunks = []
-        for i in range(len(v)):
-            k = max(1, int(math.ceil(lengths[i] / step)))
-            t = np.arange(k) / k
-            chunks.append(v[i] + t[:, None] * edges[i])
-        return np.vstack(chunks)
+        return ring_boundary_points(self.vertices, step)
 
     def solid_distance(self, points) -> np.ndarray:
         return distance_to_polygon(points, self.vertices)
@@ -283,9 +267,6 @@ class Zonotope:
                                  "that do not strictly increase")
         return FacetPolytope(ring)
 
-    def polygon_vertices(self) -> np.ndarray:
-        return self._polygon.vertices
-
     def radial(self, u) -> float:
         if self.dim == 2:
             return self._polygon.radial(u)
@@ -313,16 +294,6 @@ class Zonotope:
     def bounding_box(self):
         half = np.abs(self.generators).sum(axis=0)
         return -half, half
-
-    def boundary_points(self, step: float) -> np.ndarray:
-        if self.dim != 2:
-            raise InputError("boundary sampling is only materialized for planar zonotopes")
-        return self._polygon.boundary_points(step)
-
-    def solid_distance(self, points) -> np.ndarray:
-        if self.dim != 2:
-            raise InputError("solid distance is only materialized for planar zonotopes")
-        return self._polygon.solid_distance(points)
 
 
 def _cut_wide_groups(g: np.ndarray, start: np.ndarray, turn: np.ndarray,
@@ -405,9 +376,6 @@ class PolarWrapper:
     def _materialized(self) -> FacetPolytope:
         return polar_polygon(self.body)
 
-    def polygon_vertices(self) -> np.ndarray:
-        return self._materialized.vertices
-
     def max_norm(self) -> float:
         if self.dim == 2:
             return self._materialized.max_norm()
@@ -433,11 +401,16 @@ def radial(K: ConvexBody, u) -> float:
     return K.radial(u)
 
 
-def _planar_vertices(K: ConvexBody) -> np.ndarray:
-    fn = getattr(K, "polygon_vertices", None)
-    if fn is None or K.dim != 2:
-        raise InputError(f"{type(K).__name__} has no planar vertex form")
-    return np.asarray(fn(), dtype=float)
+def planar_polygon(K: ConvexBody) -> FacetPolytope:
+    """The vertex form of a planar convex body: a FacetPolytope itself, a
+    zonotope's merged ring, or a polar wrapper's materialized polar."""
+    if isinstance(K, FacetPolytope):
+        return K
+    if isinstance(K, Zonotope) and K.dim == 2:
+        return K._polygon
+    if isinstance(K, PolarWrapper) and K.dim == 2:
+        return K._materialized
+    raise InputError(f"{type(K).__name__} has no planar vertex form")
 
 
 def polar_polygon(K: ConvexBody) -> FacetPolytope:
@@ -446,17 +419,10 @@ def polar_polygon(K: ConvexBody) -> FacetPolytope:
     vertex nu/h, in matching CCW order."""
     if isinstance(K, Ball):
         raise InputError("the polar of a ball is a ball; use polar_body")
-    zonotope = isinstance(K, Zonotope) and K.dim == 2
-    if zonotope:
-        poly = K._polygon
-    elif isinstance(K, FacetPolytope):
-        poly = K
-    else:
-        poly = FacetPolytope.from_vertices(_planar_vertices(K))
-    normals, offsets = poly._facets
+    normals, offsets = planar_polygon(K)._facets
     if np.min(offsets) <= 0.0:
         raise InputError("polar polygon needs the origin interior to the body")
-    if zonotope:
+    if isinstance(K, Zonotope):
         # Zonotope._polygon checked that the ring has no zero-length edge,
         # so no three consecutive polar vertices are collinear
         return FacetPolytope(normals / offsets[:, None])
@@ -522,7 +488,7 @@ def polar_volume(K: ConvexBody, grid: SphericalGrid | None = None,
             if half is not None:
                 n = K.dim
                 return PolarVolume(2.0 ** n / (math.factorial(n) * float(np.prod(half))), 0.0)
-    if not hasattr(K, "support_batch"):
+    if not isinstance(K, (Ball, FacetPolytope, Zonotope)):
         raise InputError(f"no quadrature route for {type(K).__name__}")
     n = K.dim
     g = grid if grid is not None else default_grid(n)
@@ -558,7 +524,7 @@ def steiner_symmetrize_convex(K: ConvexBody, u):
     and come back unchanged."""
     if isinstance(K, Ball):
         return K
-    return FacetPolytope(steiner_ring(_planar_vertices(K), u))
+    return FacetPolytope(steiner_ring(planar_polygon(K).vertices, u))
 
 
 @dataclass(frozen=True)

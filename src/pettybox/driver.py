@@ -114,7 +114,10 @@ def cap_cover_greedy_step(E: PolygonSet, candidates) -> np.ndarray:
     return U[int(np.argmin(symmetral_radii(E.vertices, U)))].copy()
 
 
-class _Budget:
+class ResampleBudget:
+    """A count of rejected direction draws shared by the draws it is
+    passed to; spending past the limit raises PathologicalInputError."""
+
     def __init__(self, limit: int):
         self.limit = limit
         self.spent = 0
@@ -127,10 +130,11 @@ class _Budget:
                 "the input's boundary mass blocks almost every draw")
 
 
-def _draw_direction(E: PolygonSet, policy: DirectionPolicy,
-                    rng: np.random.Generator, step: int,
-                    budget: _Budget) -> tuple[np.ndarray, int]:
-    """One regular direction plus the number of rejected draws."""
+def draw_direction(E: PolygonSet, policy: DirectionPolicy,
+                   rng: np.random.Generator, step: int,
+                   budget: ResampleBudget) -> tuple[np.ndarray, int]:
+    """One regular direction for the given (1-based) step plus the number
+    of rejected draws, each charged to the budget."""
     rejected = 0
     if policy.kind == "uniform-random":
         while True:
@@ -192,7 +196,7 @@ def run_symmetrization(E0: PolygonSet, policy: DirectionPolicy,
     r_star = math.sqrt(E.volume() / math.pi)
     ball = Ball(r_star)
     rng = np.random.default_rng(policy.seed)
-    budget = _Budget(resample_budget)
+    budget = ResampleBudget(resample_budget)
     trace = SymmetrizationTrace(ball_radius=r_star)
     step = 0
     direction = None
@@ -215,7 +219,7 @@ def run_symmetrization(E0: PolygonSet, policy: DirectionPolicy,
         if step >= max_steps:
             trace.converged = False
             break
-        direction, resamples = _draw_direction(E, policy, rng, step + 1, budget)
+        direction, resamples = draw_direction(E, policy, rng, step + 1, budget)
         E = steiner_symmetrize(E, direction)
         step += 1
     trace.final_set = E

@@ -2,17 +2,9 @@
 the section-length kernel behind planar Steiner symmetrals,
 circumradius and Hausdorff distance.
 
-Set and body handles from the higher modules plug into the metric
-operations here through a small informal protocol:
-
-* ``dim``                  -- ambient dimension (2 or 3)
-* ``max_norm()``           -- largest |x| over the set (circumradius about 0)
-* ``bounding_box()``       -- (lo, hi) arrays
-* ``support(z)``           -- support function, convex handles only
-* ``polygon_vertices()``   -- CCW vertex array, planar convex handles only
-* ``boundary_points(step)``-- boundary sample with intrinsic arc-length step
-* ``solid_distance(pts)``  -- Euclidean distance from points to the solid set
-* ``ball_radius``          -- radius attribute, origin-centered balls only
+The metric operations dispatch on the handle kinds of the higher
+modules: the convex bodies (``convex.ConvexBody``) and the sets
+(``sets.SetHandle``).
 """
 
 from __future__ import annotations
@@ -453,6 +445,22 @@ def prune_collinear(vertices: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     return v
 
 
+def ring_boundary_points(vertices: np.ndarray, step: float) -> np.ndarray:
+    """Sample of a closed polygonal ring: each edge, from its first
+    vertex on, cut into ceil(length / step) equal pieces (at least one)."""
+    if step <= 0.0:
+        raise InputError("boundary sampling step must be positive")
+    v = vertices
+    edges = np.roll(v, -1, axis=0) - v
+    lengths = np.linalg.norm(edges, axis=1)
+    chunks = []
+    for i in range(len(v)):
+        k = max(1, int(math.ceil(lengths[i] / step)))
+        t = np.arange(k) / k
+        chunks.append(v[i] + t[:, None] * edges[i])
+    return np.vstack(chunks)
+
+
 def point_segment_distance(points: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Distances from row-stacked points to the segment [a, b]."""
     p = np.atleast_2d(np.asarray(points, dtype=float))
@@ -506,26 +514,11 @@ def distance_to_polygon(points: np.ndarray, vertices: np.ndarray) -> np.ndarray:
 def circumradius(handle) -> float:
     """Largest |x| over the set: the radius of the smallest origin-centered
     ball containing it."""
-    fn = getattr(handle, "max_norm", None)
-    if fn is None:
-        raise InputError(f"object of type {type(handle).__name__} has no max_norm()")
-    return float(fn())
-
-
-def _ball_radius(x):
-    r = getattr(x, "ball_radius", None)
-    return None if r is None else float(r)
-
-
-def _convex_vertices(x):
-    fn = getattr(x, "polygon_vertices", None)
-    if fn is None:
-        return None
-    return np.asarray(fn(), dtype=float)
-
-
-def _samplable(x) -> bool:
-    return hasattr(x, "boundary_points") and hasattr(x, "solid_distance")
+    from .convex import ConvexBody
+    from .sets import SetHandle
+    if not isinstance(handle, ConvexBody | SetHandle):
+        raise InputError(f"no circumradius for {type(handle).__name__}")
+    return float(handle.max_norm())
 
 
 def _scene_diameter(a, b) -> float:
@@ -546,9 +539,10 @@ def _directed_sample_distance(src, dst, step: float) -> float:
 
 
 def _ball_vs_star_shaped(r: float, other) -> float:
-    # Exact radial deviation; an upper bound for the Hausdorff distance
-    # that is tight when the deepest radial notch realizes the covering
-    # defect.  Requires the other set to be star-shaped about the origin.
+    # The radial deviation max(max |x| - r, r - min |x| over the boundary),
+    # not the Hausdorff distance: an upper bound for it, tight when the
+    # deepest radial notch realizes the covering defect.  Requires the
+    # other set to be star-shaped about the origin.
     high = other.max_norm() - r
     low = r - other.min_boundary_norm()
     return max(high, low, 0.0)
@@ -561,67 +555,55 @@ def _convex_exact(va: np.ndarray, vb: np.ndarray) -> float:
     return d
 
 
-def _convex_vs_centered_ball(vertices: np.ndarray, r: float) -> float | None:
-    m = len(vertices)
-    normals = np.empty((m, 2))
-    for i in range(m):
-        e = vertices[(i + 1) % m] - vertices[i]
-        n = np.linalg.norm(e)
-        if n <= 0.0:
-            return None
-        normals[i] = (e[1] / n, -e[0] / n)
-    offsets = np.sum(vertices * normals, axis=1)
-    if np.min(offsets) <= 0.0:
-        return None  # origin not interior; use a sampled route instead
-    outward = float(np.max(np.linalg.norm(vertices, axis=1))) - r
-    inward = r - float(np.min(offsets))
-    return max(outward, inward)
-
-
 def hausdorff_distance(a, b, grid: SphericalGrid | None = None,
                        divisions: int = BOUNDARY_DIVISIONS) -> float:
     """Hausdorff distance between two compact set handles.
 
-    Exact for pairs of planar convex bodies, for origin-centered balls
-    against planar convex bodies or star-shaped sets, and for ball pairs.
-    Other pairs are measured from intrinsic boundary samplings with
-    arc-length step = scene diameter / divisions; the returned value then
-    carries an additive uncertainty of one step.  Pairs of 3D convex
-    bodies take the support-difference sup over an evaluation grid.
-    Handles of different dimensions are rejected.
+    Exact for ball pairs, for pairs of planar convex bodies, and for
+    origin-centered balls against planar convex bodies with the origin
+    interior.  An origin-centered ball against a polygon that is
+    star-shaped about the origin gives the radial deviation, an upper
+    bound that can exceed the distance.  Pairs of 3D balls and zonotopes
+    take the support-difference sup over an evaluation grid.  Other pairs
+    are measured from intrinsic boundary samplings with arc-length step =
+    scene diameter / divisions; the returned value then carries an
+    additive uncertainty of one step.  Handles of different dimensions,
+    3D polar wrappers, and 3D zonotopes against box unions are rejected.
     """
-    if getattr(a, "dim", None) != getattr(b, "dim", None):
+    from .convex import (Ball, ConvexBody, FacetPolytope, PolarWrapper,
+                         Zonotope, planar_polygon)
+    from .sets import PolygonSet, SetHandle
+    no_route = f"no Hausdorff route for {type(a).__name__} vs {type(b).__name__}"
+    if not (isinstance(a, ConvexBody | SetHandle) and isinstance(b, ConvexBody | SetHandle)):
+        raise InputError(no_route)
+    if a.dim != b.dim:
         raise InputError("cannot compare handles of different dimensions")
-    ra, rb = _ball_radius(a), _ball_radius(b)
-    if ra is not None and rb is not None:
-        return abs(ra - rb)
-
-    if hasattr(a, "support_batch") and hasattr(b, "support_batch") and a.dim == 3:
+    # every route is symmetric in its arguments, so a ball goes first
+    if isinstance(b, Ball):
+        a, b = b, a
+    if isinstance(b, Ball):
+        return abs(a.radius - b.radius)
+    if a.dim == 3 and isinstance(a, Ball | Zonotope) and isinstance(b, Zonotope):
         nodes = (grid if grid is not None else default_grid(3)).nodes
         return float(np.max(np.abs(a.support_batch(nodes) - b.support_batch(nodes))))
-
-    va, vb = _convex_vertices(a), _convex_vertices(b)
-    if va is not None and vb is not None:
-        return _convex_exact(va, vb)
-
-    if ra is not None or rb is not None:
-        r = ra if ra is not None else rb
-        other, overts = (b, vb) if ra is not None else (a, va)
-        if overts is not None:
-            exact = _convex_vs_centered_ball(overts, r)
-            if exact is not None:
-                return exact
-        star = getattr(other, "is_star_shaped", None)
-        if star is not None and hasattr(other, "min_boundary_norm") and star():
-            return _ball_vs_star_shaped(r, other)
-
-    if _samplable(a) and _samplable(b):
-        diam = _scene_diameter(a, b)
-        if diam <= 0.0:
-            return 0.0
-        step = diam / divisions
-        return max(_directed_sample_distance(a, b, step),
-                   _directed_sample_distance(b, a, step))
-
-    raise InputError(
-        f"no Hausdorff route for {type(a).__name__} vs {type(b).__name__}")
+    convex = FacetPolytope | Zonotope | PolarWrapper
+    if a.dim == 3 and (isinstance(a, convex) or isinstance(b, convex)):
+        # 3D zonotopes have no boundary sampling, and 3D wrappers have
+        # neither that nor a support function
+        raise InputError(no_route)
+    # planar convex bodies by their vertex form
+    pa = planar_polygon(a) if isinstance(a, convex) else a
+    pb = planar_polygon(b) if isinstance(b, convex) else b
+    if isinstance(pa, FacetPolytope) and isinstance(pb, FacetPolytope):
+        return _convex_exact(pa.vertices, pb.vertices)
+    if isinstance(a, Ball) and isinstance(pb, FacetPolytope) and np.min(pb.offsets) > 0.0:
+        return max(pb.max_norm() - a.radius, a.radius - float(np.min(pb.offsets)))
+    if isinstance(a, Ball) and isinstance(b, PolygonSet) and b.is_star_shaped():
+        return _ball_vs_star_shaped(a.radius, b)
+    # the rest, and a ball against facets without the origin interior
+    diam = _scene_diameter(a, b)
+    if diam <= 0.0:
+        return 0.0
+    step = diam / divisions
+    return max(_directed_sample_distance(pa, pb, step),
+               _directed_sample_distance(pb, pa, step))

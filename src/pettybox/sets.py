@@ -24,7 +24,8 @@ from .convex import _BALL_VOLUME, Ball
 from .errors import InputError, NonGenericPointError, UnsupportedDirectionError
 from .geometry import (RigidFrame, as_direction, as_directions, cross_2d,
                        distance_to_polygon, points_in_polygon,
-                       section_incidence, shoelace_area, steiner_ring)
+                       ring_boundary_points, section_incidence,
+                       shoelace_area, steiner_ring)
 
 CLOSEDNESS_TOL = 1e-9
 GENERIC_POINT_TOL = 1e-12
@@ -316,7 +317,7 @@ class PolygonSet:
         return ColumnStructure(axis=axis, dim=2, base_breaks=breaks,
                                cells=cells, cell_index=index)
 
-    # -- metric protocol -------------------------------------------------
+    # -- metric methods --------------------------------------------------
 
     def max_norm(self) -> float:
         return float(np.max(np.linalg.norm(self.vertices, axis=1)))
@@ -343,16 +344,7 @@ class PolygonSet:
         return self.vertices.min(axis=0), self.vertices.max(axis=0)
 
     def boundary_points(self, step: float) -> np.ndarray:
-        if step <= 0.0:
-            raise InputError("boundary sampling step must be positive")
-        v = self.vertices
-        edges, lengths, _ = self._edge_data
-        chunks = []
-        for i in range(len(v)):
-            k = max(1, int(math.ceil(lengths[i] / step)))
-            t = np.arange(k) / k
-            chunks.append(v[i] + t[:, None] * edges[i])
-        return np.vstack(chunks)
+        return ring_boundary_points(self.vertices, step)
 
     def solid_distance(self, points) -> np.ndarray:
         return distance_to_polygon(points, self.vertices)
@@ -487,7 +479,7 @@ class BoxUnion:
         off = np.asarray(offset, dtype=float)
         return BoxUnion(self.los + off, self.his + off)
 
-    # -- metric protocol -------------------------------------------------
+    # -- metric methods --------------------------------------------------
 
     def corners(self) -> np.ndarray:
         pts = []

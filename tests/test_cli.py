@@ -8,6 +8,7 @@ import math
 
 import pytest
 
+import pettybox.driver
 from pettybox import BoxUnion, PolygonSet, __version__
 from pettybox.cli import main
 from pettybox.corpus import regular_polygon
@@ -139,6 +140,21 @@ def test_monotonicity_campaign(capsys):
     assert len(rows) == 5
     for row in rows[1:]:
         assert float(row.split(",")[5]) >= -1e-9
+
+
+def test_monotonicity_campaign_resampling_exhaustion(monkeypatch, capsys):
+    # with every draw rejected, a set gets 10,000 redraws and then exit 3
+    draws = []
+
+    def never_regular(E, u):
+        draws.append(u)
+        return False, 1.0
+
+    monkeypatch.setattr(pettybox.driver, "is_regular_direction", never_regular)
+    code, _, err = run(capsys, "monotonicity", "--count", "2", "--seed", "5")
+    assert code == 3
+    assert len(draws) == 10_001
+    assert "budget of 10000" in err
 
 
 def test_monotonicity_campaign_needs_seed(capsys):

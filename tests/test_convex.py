@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 import pettybox.convex
 import pettybox.geometry
 from pettybox import (Ball, FacetPolytope, InputError, PolarWrapper,
-                      Zonotope, body_volume, petty_product, polar_body,
-                      polar_polygon, polar_steiner_inclusion_check,
+                      Zonotope, body_volume, petty_product, planar_polygon,
+                      polar_body, polar_polygon, polar_steiner_inclusion_check,
                       polar_volume, projection_body, radial,
                       steiner_symmetrize, steiner_symmetrize_convex,
                       support, symmetral_inclusion_criterion)
@@ -100,7 +100,7 @@ def test_zonotope_support_and_box_detection():
     Z = Zonotope([[1, 0], [0, 1]])
     assert Z.support([1.0, 1.0]) == 2.0
     assert np.allclose(Z.axis_box_halfwidths(), [1.0, 1.0])
-    got = sorted(map(tuple, np.round(Z.polygon_vertices(), 12)))
+    got = sorted(map(tuple, np.round(planar_polygon(Z).vertices, 12)))
     assert got == [(-1.0, -1.0), (-1.0, 1.0), (1.0, -1.0), (1.0, 1.0)]
     tilted = Zonotope([[1, 1], [0, 1]])
     assert tilted.axis_box_halfwidths() is None
@@ -136,7 +136,7 @@ def test_zonogon_materialization_matches_support(seed):
     rng = np.random.default_rng(seed)
     gens = rng.normal(size=(int(rng.integers(2, 8)), 2))
     Z = Zonotope(gens)
-    P = FacetPolytope(Z.polygon_vertices())
+    P = FacetPolytope(planar_polygon(Z).vertices)
     scale = 1.0 + float(np.abs(gens).sum())
     for _ in range(20):
         z = rng.normal(size=2)
@@ -151,7 +151,7 @@ def test_zonotope_seam_merge_threshold(delta, count):
     # first generator reversed up to delta; within 1e-12 the two merge
     # across the seam, and beyond it the ring keeps both edges
     Z = Zonotope([[1, 0], [0.3, 1], [-1, delta]])
-    assert len(Z.polygon_vertices()) == count
+    assert len(planar_polygon(Z).vertices) == count
     P = polar_polygon(Z)
     assert len(P.vertices) == count
     q = polar_volume(Z, method="quadrature")
@@ -170,7 +170,7 @@ def test_zonotope_ring_merges_turns_below_rounding():
     # the ring stays strictly convex
     for m, phase, u in [(64, 0.0, E2), (110, 0.1, np.array([math.sqrt(0.5)] * 2))]:
         Z = projection_body(steiner_symmetrize(regular_polygon(m, phase=phase), u))
-        assert _strictly_convex(Z.polygon_vertices())
+        assert _strictly_convex(planar_polygon(Z).vertices)
         assert _strictly_convex(polar_polygon(Z).vertices)
         q = polar_volume(Z, grid=circle_grid(1 << 16), method="quadrature")
         assert abs(polar_volume(Z).value - q.value) <= q.error
@@ -205,7 +205,7 @@ def _generators(angles, lengths):
 ], ids=["bridge", "bridge-across-seam", "cut-at-largest-turn"])
 def test_rounding_links_keep_real_turns(generators):
     Z = Zonotope(generators)
-    assert _strictly_convex(Z.polygon_vertices())
+    assert _strictly_convex(planar_polygon(Z).vertices)
     assert abs(Z._polygon.volume() - Z.volume()) <= 1e-13 * Z.volume()
     q = polar_volume(Z, grid=circle_grid(1 << 16), method="quadrature")
     assert abs(polar_volume(Z).value - q.value) <= q.error
@@ -284,6 +284,20 @@ def test_polar_polygon_errors():
     K = FacetPolytope([[0, 0], [1, 0], [0, 1]])
     with pytest.raises(InputError):
         polar_polygon(K)
+    with pytest.raises(InputError, match="no planar vertex form"):
+        polar_polygon(Zonotope(np.eye(3)))
+
+
+def test_planar_polygon_forms():
+    K = centered_square()
+    Z = Zonotope([[1, 0], [0, 1]])
+    W = PolarWrapper(Z)
+    assert planar_polygon(K) is K
+    assert planar_polygon(Z) is Z._polygon
+    assert planar_polygon(W) is W._materialized
+    for body in (Ball(1.0), Zonotope(np.eye(3)), PolarWrapper(Zonotope(np.eye(3))), object()):
+        with pytest.raises(InputError, match="no planar vertex form"):
+            planar_polygon(body)
 
 
 def test_polar_body_forms():
@@ -367,6 +381,9 @@ def test_polar_volume_rejects_bad_method_and_exterior_origin():
     shifted = FacetPolytope([[1, 1], [2, 1], [2, 2], [1, 2]])
     with pytest.raises(InputError):
         polar_volume(shifted)
+    # a wrapper has no support function to integrate
+    with pytest.raises(InputError, match="no quadrature route"):
+        polar_volume(PolarWrapper(Zonotope(np.eye(3))), method="quadrature")
 
 
 def test_body_volume_dispatch():

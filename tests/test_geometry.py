@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from pettybox import (Ball, BoxUnion, FacetPolytope, NumericalError,
-                      PolygonSet, Zonotope, circumradius, hausdorff_distance)
+                      PolarWrapper, PolygonSet, Zonotope, circumradius,
+                      hausdorff_distance)
 from pettybox.errors import InputError
 from pettybox.geometry import (RigidFrame, as_direction, as_directions,
                                circle_grid, default_grid, frame_to_last_axis,
@@ -18,8 +19,21 @@ from pettybox.geometry import (RigidFrame, as_direction, as_directions,
 from hull import convex_hull_2d
 
 
+CENTERED_SQUARE = [[-1, -1], [1, -1], [1, 1], [-1, 1]]
+
+
 def unit_square():
     return PolygonSet([[0, 0], [1, 0], [1, 1], [0, 1]])
+
+
+def rectangle():
+    """The zonotope [-2, 2] x [-1, 1]."""
+    return Zonotope([[2, 0], [0, 1]])
+
+
+def diamond(scale=1.0):
+    """The polar of [-scale, scale]^2: |x| + |y| <= 1 / scale."""
+    return PolarWrapper(Zonotope(scale * np.eye(2)))
 
 
 # ---------------------------------------------------------------- directions
@@ -188,6 +202,7 @@ def test_hausdorff_concentric_balls_exact():
 def test_hausdorff_3d_convex_bodies_use_support_difference():
     cube = Zonotope(np.eye(3))  # [-1, 1]^3
     assert abs(hausdorff_distance(Ball(1.0, dim=3), cube) - (math.sqrt(3) - 1)) <= 1e-3
+    assert hausdorff_distance(cube, Ball(1.0, dim=3)) == hausdorff_distance(Ball(1.0, dim=3), cube)
     assert abs(hausdorff_distance(cube, Zonotope(2.0 * np.eye(3))) - math.sqrt(3)) <= 1e-3
 
 
@@ -199,6 +214,10 @@ def test_hausdorff_rejects_mixed_dimensions():
     for other in (square, Ball(1.0), BoxUnion([[0, 0]], [[1, 1]])):
         with pytest.raises(InputError, match="dimensions"):
             hausdorff_distance(cube, other)
+    for a, b in ((Zonotope(np.eye(3)), FacetPolytope(CENTERED_SQUARE)),
+                 (diamond(), Ball(1.0, dim=3))):
+        with pytest.raises(InputError, match="dimensions"):
+            hausdorff_distance(a, b)
 
 
 def test_hausdorff_identity_is_zero():
@@ -246,8 +265,8 @@ def test_hausdorff_rotation_invariance_convex_pairs():
     base = hausdorff_distance(K, L)
     for _ in range(10):
         R = rotation_2d(rng.uniform(0, 2 * math.pi))
-        Kr = FacetPolytope(K.polygon_vertices() @ R.T)
-        Lr = FacetPolytope(L.polygon_vertices() @ R.T)
+        Kr = FacetPolytope(K.vertices @ R.T)
+        Lr = FacetPolytope(L.vertices @ R.T)
         assert abs(hausdorff_distance(Kr, Lr) - base) <= 1e-9
 
 
@@ -270,6 +289,59 @@ def test_hausdorff_convex_vs_ball():
     K = FacetPolytope([[1, 1], [-1, 1], [-1, -1], [1, -1]])
     # farthest point of the square from the unit ball is a corner
     assert abs(hausdorff_distance(K, Ball(1.0)) - (math.sqrt(2) - 1)) <= 1e-12
+    assert abs(hausdorff_distance(rectangle(), Ball(1.0)) - (math.sqrt(5) - 1)) <= 1e-12
+    # the ball's point farthest from the diamond faces the middle of an edge
+    assert abs(hausdorff_distance(diamond(), Ball(1.0)) - (1 - math.sqrt(0.5))) <= 1e-12
+
+
+# Pairs of handle kinds and their distance, beyond those tested above;
+# sampled routes are good to one boundary step of the widest scene here
+# (the rectangle's), exact ones to rounding
+STEP = math.sqrt(20.0) / 2048
+EXACT = 1e-12
+ROUTES = [
+    pytest.param(Ball(1.0), PolygonSet(CENTERED_SQUARE), math.sqrt(2) - 1, EXACT,
+                 id="ball-starshaped"),
+    pytest.param(Ball(1.0), BoxUnion([[-1, -1]], [[1, 1]]), math.sqrt(2) - 1, STEP,
+                 id="ball-boxes"),
+    pytest.param(FacetPolytope(CENTERED_SQUARE), FacetPolytope(2 * np.array(CENTERED_SQUARE)),
+                 math.sqrt(2), EXACT, id="facets-facets"),
+    pytest.param(FacetPolytope(CENTERED_SQUARE), rectangle(), 1.0, EXACT, id="facets-zonotope"),
+    pytest.param(FacetPolytope(CENTERED_SQUARE), diamond(), math.sqrt(0.5), EXACT,
+                 id="facets-wrapper"),
+    pytest.param(rectangle(), Zonotope(np.eye(2)), 1.0, EXACT, id="zonotope-zonotope"),
+    pytest.param(rectangle(), diamond(), math.sqrt(2), EXACT, id="zonotope-wrapper"),
+    pytest.param(diamond(), diamond(2.0), 0.5, EXACT, id="wrapper-wrapper"),
+    pytest.param(FacetPolytope(CENTERED_SQUARE), unit_square(), math.sqrt(2), STEP,
+                 id="facets-polygon"),
+    pytest.param(rectangle(), PolygonSet(CENTERED_SQUARE), 1.0, STEP, id="zonotope-polygon"),
+    pytest.param(diamond(), PolygonSet(CENTERED_SQUARE), math.sqrt(0.5), STEP,
+                 id="wrapper-polygon"),
+]
+
+
+@pytest.mark.parametrize("a,b,expected,tol", ROUTES)
+def test_hausdorff_routes(a, b, expected, tol):
+    got = hausdorff_distance(a, b)
+    assert abs(got - expected) <= tol
+    assert hausdorff_distance(b, a) == got
+
+
+@pytest.mark.parametrize("a,b,message", [
+    pytest.param(object(), Ball(1.0), "^no Hausdorff route for object vs Ball$", id="object"),
+    pytest.param(Ball(1.0), object(), "^no Hausdorff route for Ball vs object$",
+                 id="ball-object"),
+    # a 3D wrapper has no support function and no boundary sampling
+    pytest.param(PolarWrapper(Zonotope(np.eye(3))), Ball(1.0, dim=3),
+                 "^no Hausdorff route for PolarWrapper vs Ball$", id="wrapper3d-ball"),
+    pytest.param(Zonotope(np.eye(3)), PolarWrapper(Zonotope(np.eye(3))),
+                 "^no Hausdorff route for Zonotope vs PolarWrapper$", id="zonotope3d-wrapper"),
+    pytest.param(Zonotope(np.eye(3)), BoxUnion([[0, 0, 0]], [[1, 1, 1]]),
+                 "^no Hausdorff route for Zonotope vs BoxUnion$", id="zonotope3d-boxes"),
+])
+def test_hausdorff_rejects_unrouted_pairs(a, b, message):
+    with pytest.raises(InputError, match=message):
+        hausdorff_distance(a, b)
 
 
 # -------------------------------------------------------------- circumradius
@@ -279,6 +351,9 @@ def test_circumradius_examples():
     assert abs(circumradius(unit_square()) - math.sqrt(2)) <= 1e-12
     bu = BoxUnion([[0, 0]], [[2, 1]])
     assert abs(circumradius(bu) - math.sqrt(5)) <= 1e-12
+    assert abs(circumradius(FacetPolytope(CENTERED_SQUARE)) - math.sqrt(2)) <= 1e-12
+    assert abs(circumradius(rectangle()) - math.sqrt(5)) <= 1e-12
+    assert abs(circumradius(diamond()) - 1.0) <= 1e-12
 
 
 def test_circumradius_monotone_under_inclusion():
