@@ -18,10 +18,10 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InputError, NumericalError
-from .geometry import (SphericalGrid, circle_grid, cross_2d, default_grid,
-                       distance_to_polygon, integrate_sphere, prune_collinear,
-                       ring_boundary_points, shoelace_area, sphere_grid,
-                       steiner_ring)
+from .geometry import (SphericalGrid, angle_sectors, circle_grid, cross_2d,
+                       default_grid, distance_to_polygon, integrate_sphere,
+                       prune_collinear, ring_boundary_points, shoelace_area,
+                       sphere_grid, steiner_ring)
 
 SUPPORT_CONSISTENCY_TOL = 1e-10
 # angle step (radians) up to which zonotope generators count as parallel
@@ -142,16 +142,37 @@ class FacetPolytope:
     def support_batch(self, nodes: np.ndarray) -> np.ndarray:
         return np.max(np.asarray(nodes, dtype=float) @ self.vertices.T, axis=1)
 
-    def radial(self, u) -> float:
+    @cached_property
+    def _vertex_sectors(self):
+        """The vertex angles in ascending order, and for each the facet
+        that starts at that vertex."""
+        angles = np.arctan2(self.vertices[:, 1], self.vertices[:, 0])
+        order = np.argsort(angles, kind="stable")
+        return angles[order], order
+
+    def radial_batch(self, nodes) -> np.ndarray:
+        """Radial function at each row of an (n, 2) stack of directions,
+        by a sector walk: a node is evaluated on the facet whose
+        vertex-angle sector holds it and on that facet's two neighbours,
+        as offset / (u . normal) over those with u . normal > 0, and the
+        least is kept.  With the origin interior that is the least over
+        all facets; the neighbours cover a node at or next to a vertex
+        direction, which rounding can put in either sector."""
         normals, offsets = self._facets
         if np.min(offsets) <= 0.0:
             raise InputError("radial function needs the origin interior to the body")
-        u = np.asarray(u, dtype=float)
-        dots = normals @ u
-        pos = dots > 0.0
-        if not np.any(pos):
-            raise InputError("direction sees no facet; body is unbounded or degenerate")
-        return float(np.min(offsets[pos] / dots[pos]))
+        nodes = np.asarray(nodes, dtype=float)
+        breaks, facet = self._vertex_sectors
+        near = (facet[angle_sectors(nodes, breaks)] + np.array([[-1], [0], [1]])) % len(offsets)
+        dots = nodes[:, 0] * normals[near, 0] + nodes[:, 1] * normals[near, 1]
+        with np.errstate(divide="ignore"):
+            rho = np.where(dots > 0.0, offsets[near] / dots, np.inf).min(axis=0)
+        if not np.all(np.isfinite(rho)):
+            raise InputError("radial evaluation hit an unbounded direction")
+        return rho
+
+    def radial(self, u) -> float:
+        return float(self.radial_batch(np.asarray(u, dtype=float)[None])[0])
 
     def volume(self) -> float:
         return shoelace_area(self.vertices)
@@ -195,7 +216,43 @@ class Zonotope:
         return float(np.sum(np.abs(self.generators @ np.asarray(z, dtype=float))))
 
     def support_batch(self, nodes: np.ndarray) -> np.ndarray:
-        return np.sum(np.abs(np.asarray(nodes, dtype=float) @ self.generators.T), axis=1)
+        """Support at each row of a stack of directions.  In the plane it
+        is |u . S| with S = sum sign(u . g) g constant between the angles
+        where some generator turns orthogonal to u, read by a sector walk
+        from the sums on each sector; in 3D, sum |u . g| over all
+        generators."""
+        nodes = np.asarray(nodes, dtype=float)
+        if self.dim == 3:
+            return np.sum(np.abs(nodes @ self.generators.T), axis=1)
+        breaks, sums = self._support_sectors
+        S = sums[angle_sectors(nodes, breaks)]
+        return np.abs(nodes[:, 0] * S[:, 0] + nodes[:, 1] * S[:, 1])
+
+    @cached_property
+    def _half_turn(self):
+        """The planar generators turned into the upper half-plane (g and -g
+        span the same segment) and sorted by angle, with their angles in
+        [0, pi]."""
+        g = self.generators.copy()
+        flip = (g[:, 1] < 0.0) | ((g[:, 1] == 0.0) & (g[:, 0] < 0.0))
+        g[flip] *= -1.0
+        angles = np.arctan2(g[:, 1], g[:, 0])
+        order = np.argsort(angles, kind="stable")
+        return g[order], angles[order]
+
+    @cached_property
+    def _support_sectors(self):
+        """Breaks and sums of the planar support walk.  A generator at angle
+        phi has u . g > 0 for u at angles in (phi - pi/2, phi + pi/2).  So
+        from the break phi_j - pi/2 on, the generators up to j are positive
+        and the rest negative, S = 2 (g_0 + ... + g_j) - sum g, and from
+        phi_j + pi/2 on the signs are reversed, -S.  The breaks ascend:
+        the first half lies within [-pi/2, pi/2], the second within
+        [pi/2, 3pi/2]."""
+        g, angles = self._half_turn
+        breaks = np.concatenate([angles - 0.5 * math.pi, angles + 0.5 * math.pi])
+        half = 2.0 * np.cumsum(g, axis=0) - np.sum(g, axis=0)
+        return breaks, np.concatenate([half, -half])
 
     def axis_box_halfwidths(self) -> np.ndarray | None:
         """Half-widths when every generator is axis-aligned, else None."""
@@ -212,13 +269,7 @@ class Zonotope:
         with its neighbours and nothing is pruned."""
         if self.dim != 2:
             raise InputError("only planar zonotopes materialize to polygons")
-        g = self.generators.copy()
-        flip = (g[:, 1] < 0.0) | ((g[:, 1] == 0.0) & (g[:, 0] < 0.0))
-        g[flip] *= -1.0
-        angles = np.arctan2(g[:, 1], g[:, 0])
-        order = np.argsort(angles, kind="stable")
-        g = g[order]
-        angles = angles[order]
+        g, angles = self._half_turn
         # a generator joins the group of the one before it when the angle
         # steps by at most PARALLEL_TOL, or when the ring vertex between
         # them would sit within RING_RESOLUTION * (total length) of the

@@ -30,6 +30,10 @@ PRUNE_TOL = 1e-12
 # bytes per entry, so this keeps them under 1 MiB, and a greedy run's peak
 # RSS no higher than with one direction at a time
 BLOCK_ROWS = 1 << 12
+# point-edge pairs per block of the vectorised polygon membership and
+# distance tests: a block's temporaries take about 100 bytes per pair, so
+# this keeps them near 1.6 MiB
+BLOCK_PAIRS = 1 << 14
 # Boundary sampling density for Hausdorff on general sets: arc-length step
 # is (scene diameter) / BOUNDARY_DIVISIONS, and the returned value carries
 # an additive uncertainty of one step.
@@ -242,6 +246,22 @@ def integrate_sphere(grid: SphericalGrid, f: Callable[[np.ndarray], np.ndarray])
 # planar polygon helpers shared across modules
 
 
+def angle_sectors(nodes, breaks: np.ndarray) -> np.ndarray:
+    """Sector of each row of an (n, 2) stack of planar directions among
+    the ascending polar angles breaks, which lie within one turn of
+    breaks[0]: the index of the last break at or before the node's
+    angle, read on the turn that starts at breaks[0], so that a node
+    below breaks[0] falls in the last sector.  One arctan2 per node and
+    one binary search; the sector walks of FacetPolytope.radial_batch and
+    of the planar Zonotope.support_batch run on it."""
+    nodes = np.asarray(nodes, dtype=float)
+    if nodes.ndim != 2 or nodes.shape[1] != 2:
+        raise InputError(f"planar directions must be an (n,2) stack, got shape {nodes.shape}")
+    theta = np.arctan2(nodes[:, 1], nodes[:, 0])
+    theta[theta < breaks[0]] += 2.0 * math.pi
+    return np.searchsorted(breaks, theta, side="right") - 1
+
+
 def shoelace_area(vertices: np.ndarray) -> float:
     """Signed area of a closed planar polygon (positive when CCW)."""
     v = np.asarray(vertices, dtype=float)
@@ -452,58 +472,62 @@ def ring_boundary_points(vertices: np.ndarray, step: float) -> np.ndarray:
         raise InputError("boundary sampling step must be positive")
     v = vertices
     edges = np.roll(v, -1, axis=0) - v
-    lengths = np.linalg.norm(edges, axis=1)
-    chunks = []
-    for i in range(len(v)):
-        k = max(1, int(math.ceil(lengths[i] / step)))
-        t = np.arange(k) / k
-        chunks.append(v[i] + t[:, None] * edges[i])
-    return np.vstack(chunks)
+    k = np.maximum(1, np.ceil(np.linalg.norm(edges, axis=1) / step)).astype(np.intp)
+    edge = np.repeat(np.arange(len(v)), k)
+    t = (np.arange(len(edge)) - np.repeat(np.cumsum(k) - k, k)) / k[edge]
+    return v[edge] + t[:, None] * edges[edge]
 
 
-def point_segment_distance(points: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Distances from row-stacked points to the segment [a, b]."""
+def _edge_blocks(points: np.ndarray, vertices: np.ndarray):
+    """The points as an (n, 2) array, then per block of about
+    BLOCK_PAIRS // n consecutive edges (at least one) the edges' first
+    and second vertices."""
     p = np.atleast_2d(np.asarray(points, dtype=float))
-    a = np.asarray(a, dtype=float)
-    d = np.asarray(b, dtype=float) - a
-    dd = float(np.dot(d, d))
-    if dd == 0.0:
-        return np.linalg.norm(p - a, axis=1)
-    t = np.clip(((p - a) @ d) / dd, 0.0, 1.0)
-    proj = a + t[:, None] * d
-    return np.linalg.norm(p - proj, axis=1)
+    v = np.asarray(vertices, dtype=float)
+    ahead = np.roll(v, -1, axis=0)
+    size = max(1, BLOCK_PAIRS // max(1, len(p)))
+    return p, ((v[i:i + size], ahead[i:i + size]) for i in range(0, len(v), size))
 
 
 def points_in_polygon(points: np.ndarray, vertices: np.ndarray) -> np.ndarray:
     """Even-odd membership of points in a simple polygon (boundary points
     may land on either side; callers pair this with an edge-distance test)."""
-    p = np.atleast_2d(np.asarray(points, dtype=float))
-    v = np.asarray(vertices, dtype=float)
+    p, blocks = _edge_blocks(points, vertices)
     x, y = p[:, 0], p[:, 1]
     inside = np.zeros(len(p), dtype=bool)
-    m = len(v)
-    for i in range(m):
-        x1, y1 = v[i]
-        x2, y2 = v[(i + 1) % m]
+    for a, b in blocks:
+        x1, y1, x2, y2 = a[:, 0, None], a[:, 1, None], b[:, 0, None], b[:, 1, None]
         crosses = (y1 > y) != (y2 > y)
-        if not np.any(crosses):
-            continue
         with np.errstate(divide="ignore", invalid="ignore"):
             xs = x1 + (y - y1) * (x2 - x1) / (y2 - y1)
-        inside ^= crosses & (x < xs)
+        inside ^= np.logical_xor.reduce(crosses & (x < xs), axis=0)
     return inside
 
 
 def distance_to_polygon(points: np.ndarray, vertices: np.ndarray) -> np.ndarray:
     """Distances from points to the solid region bounded by a simple
-    polygon: zero inside, nearest-edge distance outside."""
-    p = np.atleast_2d(np.asarray(points, dtype=float))
-    v = np.asarray(vertices, dtype=float)
-    m = len(v)
+    polygon: zero inside, nearest-edge distance outside.  The distance to
+    an edge [a, a + d] is |p - (a + t d)| with t = (p - a).d / d.d clipped
+    to [0, 1]; the dot products go through matmul and the rest runs one
+    coordinate at a time."""
+    p, blocks = _edge_blocks(points, vertices)
+    x, y = p[:, 0], p[:, 1]
     best = np.full(len(p), np.inf)
-    for i in range(m):
-        best = np.minimum(best, point_segment_distance(p, v[i], v[(i + 1) % m]))
-    best[points_in_polygon(p, v)] = 0.0
+    for a, b in blocks:
+        d = b - a
+        ax, ay, dx, dy = a[:, 0, None], a[:, 1, None], d[:, 0, None], d[:, 1, None]
+        rel = np.empty((len(a), len(p), 2))
+        np.subtract(x, ax, out=rel[..., 0])
+        np.subtract(y, ay, out=rel[..., 1])
+        dd = (d[:, None, :] @ d[:, :, None])[:, :, 0]
+        # a zero-length edge keeps t = 0, so its distance is |p - a|
+        t = np.divide((rel @ d[:, :, None])[..., 0], dd,
+                      out=np.zeros(rel.shape[:2]), where=dd != 0.0)
+        np.clip(t, 0.0, 1.0, out=t)
+        ex = x - (ax + t * dx)
+        ey = y - (ay + t * dy)
+        best = np.minimum(best, np.min(np.sqrt(ex * ex + ey * ey), axis=0))
+    best[points_in_polygon(p, vertices)] = 0.0
     return best
 
 

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convex import (FacetPolytope, PolarVolume, Zonotope, polar_polygon,
-                     polar_volume, steiner_symmetrize_convex)
+from .convex import (PolarVolume, Zonotope, polar_polygon, polar_volume,
+                     steiner_symmetrize_convex)
 from .errors import ConditionViolationError, InputError
 from .geometry import SphericalGrid, as_direction, default_grid
 from .sets import (SurfaceMeasure, steiner_symmetrize, surface_measure,
@@ -118,24 +118,11 @@ def affine_image_check(P, matrix, grid: SphericalGrid | None = None) -> float:
     if abs(det - 1.0) > DETERMINANT_TOL:
         raise InputError(f"matrix is not volume preserving: det = {det!r}")
     left = projection_body(surface_measure(P.transform(A)))
-    right_gens = projection_body(surface_measure(P)).generators @ np.linalg.inv(A)
+    right = Zonotope(projection_body(surface_measure(P)).generators @ np.linalg.inv(A))
     nodes = (grid if grid is not None else default_grid(2)).nodes
-    h_left = np.abs(nodes @ left.generators.T).sum(axis=1)
-    h_right = np.abs(nodes @ right_gens.T).sum(axis=1)
+    h_left = left.support_batch(nodes)
+    h_right = right.support_batch(nodes)
     return float(np.max(np.abs(h_left - h_right) / (1.0 + np.abs(h_left))))
-
-
-def _radial_on_grid(poly: FacetPolytope, nodes: np.ndarray) -> np.ndarray:
-    normals, offsets = poly._facets
-    if np.min(offsets) <= 0.0:
-        raise InputError("radial evaluation needs the origin interior to the body")
-    dots = nodes @ normals.T
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = np.where(dots > 0.0, offsets[None, :] / dots, np.inf)
-    rho = ratios.min(axis=1)
-    if not np.all(np.isfinite(rho)):
-        raise InputError("radial evaluation hit an unbounded direction")
-    return rho
 
 
 def polar_steiner_inclusion_check(E, direction=(0.0, 1.0),
@@ -165,7 +152,7 @@ def polar_steiner_inclusion_check(E, direction=(0.0, 1.0),
     polar_of_sym = polar_polygon(
         projection_body(surface_measure(steiner_symmetrize(E, u))))
     nodes = (grid if grid is not None else default_grid(2)).nodes
-    lhs = _radial_on_grid(sym_of_polar, nodes)
-    rhs = _radial_on_grid(polar_of_sym, nodes)
+    lhs = sym_of_polar.radial_batch(nodes)
+    rhs = polar_of_sym.radial_batch(nodes)
     margin = float(np.max(lhs / rhs))
     return margin <= 1.0 + factor_tol, margin

@@ -323,9 +323,9 @@ class PolygonSet:
         return float(np.max(np.linalg.norm(self.vertices, axis=1)))
 
     def min_boundary_norm(self) -> float:
-        # the arithmetic of point_segment_distance from the origin, over all
-        # edges at once; stacked matmul takes the row dot products through
-        # the same BLAS routine, so the result matches it bit for bit
+        # the edge distance of distance_to_polygon from the origin, over all
+        # edges at once, with the dot products through stacked matmul as
+        # there
         a = self.vertices
         d = self._edge_data[0]
         t = np.clip(((-a)[:, None, :] @ d[:, :, None]) / (d[:, None, :] @ d[:, :, None]),

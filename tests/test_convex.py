@@ -20,9 +20,11 @@ from pettybox import (Ball, FacetPolytope, InputError, PolarWrapper,
                       steiner_symmetrize, steiner_symmetrize_convex,
                       support, symmetral_inclusion_criterion)
 from pettybox.corpus import random_polygon, regular_polygon
-from pettybox.geometry import circle_grid, cross_2d, rotation_2d, sphere_grid
+from pettybox.geometry import (circle_grid, cross_2d, default_grid, rotation_2d,
+                               sphere_grid)
 
 from hull import convex_hull_2d
+from reference_forms import dense_radial, dense_support
 
 E1 = np.array([1.0, 0.0])
 E2 = np.array([0.0, 1.0])
@@ -92,6 +94,94 @@ def test_radial_requires_origin_interior():
     K = FacetPolytope([[0, 0], [1, 0], [0, 1]])
     with pytest.raises(InputError):
         K.radial(E1)
+
+
+# --------------------------------------------------------------- sector walks
+#
+# FacetPolytope.radial_batch and the planar Zonotope.support_batch read
+# each node's facet or sign pattern from its angular sector; they must
+# agree with the dense formulas over every facet or generator to 1e-13 of
+# the body's size, on nodes placed where a sector walk can go wrong.
+
+SEAM = np.array([[-1.0, 0.0], [-1.0, -0.0], [-1.0, 1e-300], [-1.0, -1e-300],
+                 [-1.0, 1e-17], [-1.0, -1e-17], [1.0, 0.0], [0.0, -1.0]])
+
+
+def _directions(points):
+    p = np.asarray(points, dtype=float)
+    return p / np.hypot(p[:, 0], p[:, 1])[:, None]
+
+
+def _walk_nodes(rng, special):
+    """A small circle grid, the special directions and their negatives,
+    the seam nodes and a custom grid of random directions in random
+    order."""
+    custom = _directions(rng.normal(size=(64, 2)))
+    nodes = np.vstack([circle_grid(257).nodes, special, -special, SEAM, custom])
+    return nodes[rng.permutation(len(nodes))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6), st.integers(3, 40), st.floats(1e-3, 1e3))
+def test_radial_batch_matches_dense_formula(seed, points, scale):
+    K = FacetPolytope(scale * random_centered_body(seed, points).vertices)
+    rng = np.random.default_rng(seed)
+    # nodes at the vertex angles and across the +-pi seam
+    nodes = _walk_nodes(rng, _directions(K.vertices))
+    got = K.radial_batch(nodes)
+    want = dense_radial(K.normals, K.offsets, nodes)
+    assert np.all(np.abs(got - want) <= 1e-13 * want)
+    assert K.radial(nodes[0]) == got[0]
+
+
+_AXES = (0.0, 0.5 * math.pi, math.pi, -0.5 * math.pi)
+# fixed angles make parallel, antiparallel (0.3 - pi) and axis-aligned
+# generators likely
+_generator = st.tuples(
+    st.one_of(st.sampled_from(_AXES + (0.3, 0.3 - math.pi)),
+              st.floats(-math.pi, math.pi)),
+    st.floats(1e-3, 1e3))
+
+
+def _check_support_walk(Z, rng):
+    g = Z.generators
+    # nodes at the breakpoints, where a generator turns orthogonal
+    nodes = _walk_nodes(rng, _directions(np.column_stack([-g[:, 1], g[:, 0]])))
+    got = Z.support_batch(nodes)
+    want = dense_support(g, nodes)
+    size = float(np.sum(np.hypot(g[:, 0], g[:, 1])))
+    assert np.all(np.abs(got - want) <= 1e-13 * size)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(_generator, min_size=1, max_size=40), st.integers(0, 10**6))
+def test_zonotope_support_batch_matches_dense_formula(generators, seed):
+    angles, lengths = np.array(generators).T
+    _check_support_walk(Zonotope(_generators(angles, lengths)), np.random.default_rng(seed))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(_AXES + (0.3, 2.0)),
+       st.lists(st.floats(1e-3, 1e3) | st.floats(-1e3, -1e-3), min_size=1, max_size=8),
+       st.integers(0, 10**6))
+def test_zonotope_support_batch_single_direction(angle, lengths, seed):
+    # every generator on one line, in either sense: a segment
+    Z = Zonotope(_generators(np.full(len(lengths), angle), lengths))
+    _check_support_walk(Z, np.random.default_rng(seed))
+
+
+def test_sector_walks_reject_non_planar_nodes_and_exterior_origin():
+    K = random_centered_body(1)
+    Z = Zonotope([[1.0, 0.0], [0.3, 1.0]])
+    nodes3 = default_grid(3).nodes[:8]
+    with pytest.raises(InputError):
+        K.radial_batch(nodes3)
+    with pytest.raises(InputError):
+        Z.support_batch(nodes3)
+    with pytest.raises(InputError):
+        FacetPolytope(K.vertices + [10.0, 0.0]).radial_batch(circle_grid(16).nodes)
+    with pytest.raises(InputError):
+        K.radial_batch(np.zeros((1, 2)))
 
 
 # ----------------------------------------------------------------- zonotopes

@@ -7,7 +7,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import pettybox.convex
+import pettybox.geometry
+import pettybox.sets
 from pettybox import (Ball, BoxUnion, FacetPolytope, NumericalError,
                       PolarWrapper, PolygonSet, Zonotope, circumradius,
                       hausdorff_distance)
@@ -17,6 +22,9 @@ from pettybox.geometry import (RigidFrame, as_direction, as_directions,
                                integrate_sphere, rotation_2d, sphere_grid)
 
 from hull import convex_hull_2d
+from pettybox.corpus import random_polygon
+from reference_forms import (distance_to_polygon_loop, points_in_polygon_loop,
+                             ring_boundary_points_loop)
 
 
 CENTERED_SQUARE = [[-1, -1], [1, -1], [1, 1], [-1, 1]]
@@ -173,19 +181,77 @@ def test_integrate_sphere_rejects_nonfinite_values():
         integrate_sphere(grid, bad)
 
 
+# ------------------------------------------- polygon membership and distance
+#
+# points_in_polygon, distance_to_polygon and ring_boundary_points run over
+# blocks of edges; the per-pair arithmetic is that of the per-edge loops
+# kept in tests/reference_forms.py, so the results must be bit-identical.
+
+def _probe_points(v, rng, count):
+    """Random points around the polygon, its vertices, its edge midpoints,
+    and points level with each vertex (crossing-test ties)."""
+    ahead = np.roll(v, -1, axis=0)
+    level = np.column_stack([rng.uniform(-2.0, 2.0, len(v)), v[:, 1]])
+    return np.vstack([rng.uniform(-2.0, 2.0, (count, 2)), v, 0.5 * (v + ahead), level])
+
+
+def _assert_edge_kernels_match_loops(v, rng, count):
+    pts = _probe_points(v, rng, count)
+    geo = pettybox.geometry
+    assert np.array_equal(geo.points_in_polygon(pts, v), points_in_polygon_loop(pts, v))
+    assert np.array_equal(geo.distance_to_polygon(pts, v), distance_to_polygon_loop(pts, v))
+    step = float(rng.uniform(1e-3, 0.5))
+    assert np.array_equal(geo.ring_boundary_points(v, step), ring_boundary_points_loop(v, step))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6), st.integers(0, 3000))
+def test_edge_kernels_match_per_edge_loops(seed, count):
+    v = random_polygon(seed, max_vertices=60).vertices
+    _assert_edge_kernels_match_loops(v, np.random.default_rng(seed), count)
+
+
+def test_edge_kernels_match_per_edge_loops_in_ragged_blocks(monkeypatch):
+    # blocks of 1 to a few edges, the last one short
+    for pairs in (1, 50, 333):
+        monkeypatch.setattr(pettybox.geometry, "BLOCK_PAIRS", pairs)
+        for seed in range(3):
+            v = random_polygon(seed, max_vertices=30).vertices
+            _assert_edge_kernels_match_loops(v, np.random.default_rng(seed), 40)
+
+
+def test_sampled_hausdorff_unchanged_from_per_edge_loops(monkeypatch):
+    star = PolygonSet([[2, 0], [0.5, 0.5], [0, 2], [-0.5, 0.5], [-2, 0],
+                       [-0.5, -0.5], [0, -2], [0.5, -0.5]])
+    notched = PolygonSet([[0, 0], [3, 0], [3, 2], [1.5, 0.4], [0, 2]])
+    pairs = [(star, unit_square()), (notched, star), (notched, Ball(1.0)),
+             (FacetPolytope(CENTERED_SQUARE), notched)]
+    got = [hausdorff_distance(a, b, divisions=512) for a, b in pairs]
+    loops = {"points_in_polygon": points_in_polygon_loop,
+             "distance_to_polygon": distance_to_polygon_loop,
+             "ring_boundary_points": ring_boundary_points_loop}
+    for module, names in ((pettybox.geometry, loops), (pettybox.sets, loops),
+                          (pettybox.convex, ("distance_to_polygon", "ring_boundary_points"))):
+        for name in names:
+            monkeypatch.setattr(module, name, loops[name])
+    assert got == [hausdorff_distance(a, b, divisions=512) for a, b in pairs]
+
+
 # ----------------------------------------------------------------- hausdorff
 
 def brute_force_hausdorff(a_pts, b_pts, a_inside, b_inside):
     """Oracle: directed sup-inf over dense boundary samples, where each
-    side's distance honours solid membership of the other set."""
+    side's distance honours solid membership of the other set (the
+    membership tests take a point array and return a mask)."""
 
     def directed(pts, inside_other, other_pts):
         worst = 0.0
-        for p in pts:
-            if inside_other(p):
-                continue
-            d = float(np.min(np.linalg.norm(other_pts - p, axis=1)))
-            worst = max(worst, d)
+        outside = pts[~inside_other(pts)]
+        for start in range(0, len(outside), 256):
+            p = outside[start:start + 256, None, :]
+            dx = other_pts[None, :, 0] - p[..., 0]
+            dy = other_pts[None, :, 1] - p[..., 1]
+            worst = max(worst, float(np.max(np.min(np.sqrt(dx * dx + dy * dy), axis=1))))
         return worst
 
     return max(
@@ -245,7 +311,8 @@ def test_hausdorff_translated_squares_matches_oracle():
         )
 
     def inside(lo):
-        return lambda p: lo <= p[0] <= lo + 1.0 and 0.0 <= p[1] <= 1.0
+        return lambda p: ((lo <= p[:, 0]) & (p[:, 0] <= lo + 1.0)
+                          & (0.0 <= p[:, 1]) & (p[:, 1] <= 1.0))
 
     oracle = brute_force_hausdorff(
         ring(0.0), ring(1.0), inside(0.0), inside(1.0)

@@ -15,7 +15,7 @@ from pettybox import (BoxUnion, ConditionViolationError, InputError,
                       steiner_symmetrize, surface_measure)
 from pettybox.corpus import (random_box_union, random_polygon, random_sl2,
                              regular_polygon)
-from pettybox.geometry import circle_grid, rotation_2d
+from pettybox.geometry import circle_grid, default_grid, rotation_2d
 from pettybox.projection import PRODUCT_BOUND
 
 E2 = np.array([0.0, 1.0])
@@ -173,6 +173,12 @@ def test_affine_image_check_rejects_non_unimodular():
         affine_image_check(unit_square(), np.eye(3))
 
 
+def test_affine_image_check_rejects_a_sphere_grid():
+    with pytest.raises(InputError):
+        affine_image_check(unit_square(), np.array([[1.0, 1.0], [0.0, 1.0]]),
+                           default_grid(3))
+
+
 def test_petty_product_is_affine_invariant():
     tri = PolygonSet([[0, 0], [2, 0], [0, 2]])
     base = petty_product(tri).product
@@ -211,6 +217,12 @@ def test_polar_steiner_inclusion_near_equality_on_inscribed_polygon():
     holds, margin = polar_steiner_inclusion_check(P, E2)
     assert holds
     assert abs(margin - 1.0) <= 1e-6
+
+
+def test_polar_steiner_inclusion_rejects_a_sphere_grid():
+    diamond = PolygonSet(unit_square().vertices @ rotation_2d(math.pi / 4).T)
+    with pytest.raises(InputError):
+        polar_steiner_inclusion_check(diamond, E2, default_grid(3))
 
 
 def test_polar_steiner_inclusion_rejects_3d():
