@@ -225,7 +225,7 @@ class Zonotope:
         if self.dim == 3:
             return np.sum(np.abs(nodes @ self.generators.T), axis=1)
         breaks, sums = self._support_sectors
-        S = sums[angle_sectors(nodes, breaks)]
+        S = sums[angle_sectors(nodes, breaks) % len(sums)]
         return np.abs(nodes[:, 0] * S[:, 0] + nodes[:, 1] * S[:, 1])
 
     @cached_property
@@ -246,13 +246,13 @@ class Zonotope:
         phi has u . g > 0 for u at angles in (phi - pi/2, phi + pi/2).  So
         from the break phi_j - pi/2 on, the generators up to j are positive
         and the rest negative, S = 2 (g_0 + ... + g_j) - sum g, and from
-        phi_j + pi/2 on the signs are reversed, -S.  The breaks ascend:
-        the first half lies within [-pi/2, pi/2], the second within
-        [pi/2, 3pi/2]."""
+        phi_j + pi/2 on the signs are reversed, -S, which gives the same
+        |u . S|: sector j and sector j + len(g) share sums[j].  The breaks
+        ascend: the first half lies within [-pi/2, pi/2], the second
+        within [pi/2, 3pi/2]."""
         g, angles = self._half_turn
         breaks = np.concatenate([angles - 0.5 * math.pi, angles + 0.5 * math.pi])
-        half = 2.0 * np.cumsum(g, axis=0) - np.sum(g, axis=0)
-        return breaks, np.concatenate([half, -half])
+        return breaks, 2.0 * np.cumsum(g, axis=0) - np.sum(g, axis=0)
 
     def axis_box_halfwidths(self) -> np.ndarray | None:
         """Half-widths when every generator is axis-aligned, else None."""

@@ -9,11 +9,17 @@ import math
 import numpy as np
 
 
-def dense_radial(normals: np.ndarray, offsets: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+def dense_radial(normals: np.ndarray, offsets: np.ndarray, nodes: np.ndarray,
+                 matmul: bool = True) -> np.ndarray:
     """Radial function of a convex polygon with the origin interior at
     every node: min over all facets with u . normal > 0 of
-    offset / (u . normal)."""
-    dots = nodes @ normals.T
+    offset / (u . normal).  The dot products come from one matrix
+    product, which may fuse multiply-adds, or with matmul=False from
+    u_x n_x + u_y n_y with each term rounded."""
+    if matmul:
+        dots = nodes @ normals.T
+    else:
+        dots = nodes[:, 0, None] * normals[:, 0] + nodes[:, 1, None] * normals[:, 1]
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = np.where(dots > 0.0, offsets[None, :] / dots, np.inf)
     return ratios.min(axis=1)

@@ -101,7 +101,9 @@ def test_radial_requires_origin_interior():
 # FacetPolytope.radial_batch and the planar Zonotope.support_batch read
 # each node's facet or sign pattern from its angular sector; they must
 # agree with the dense formulas over every facet or generator to 1e-13 of
-# the body's size, on nodes placed where a sector walk can go wrong.
+# the body's size, on nodes placed where a sector walk can go wrong.  The
+# radial walk rounds as the dense minimum does when that takes its dot
+# products term by term, so there the two must be equal.
 
 SEAM = np.array([[-1.0, 0.0], [-1.0, -0.0], [-1.0, 1e-300], [-1.0, -1e-300],
                  [-1.0, 1e-17], [-1.0, -1e-17], [1.0, 0.0], [0.0, -1.0]])
@@ -131,6 +133,7 @@ def test_radial_batch_matches_dense_formula(seed, points, scale):
     got = K.radial_batch(nodes)
     want = dense_radial(K.normals, K.offsets, nodes)
     assert np.all(np.abs(got - want) <= 1e-13 * want)
+    assert np.array_equal(got, dense_radial(K.normals, K.offsets, nodes, matmul=False))
     assert K.radial(nodes[0]) == got[0]
 
 
