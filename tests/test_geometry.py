@@ -16,13 +16,13 @@ import pettybox.sets
 from pettybox import (Ball, BoxUnion, FacetPolytope, NumericalError,
                       PolarWrapper, PolygonSet, Zonotope, circumradius,
                       hausdorff_distance)
+from pettybox.corpus import random_polygon
 from pettybox.errors import InputError
 from pettybox.geometry import (RigidFrame, as_direction, as_directions,
                                circle_grid, default_grid, frame_to_last_axis,
                                integrate_sphere, rotation_2d, sphere_grid)
 
 from hull import convex_hull_2d
-from pettybox.corpus import random_polygon
 from reference_forms import (distance_to_polygon_loop, points_in_polygon_loop,
                              ring_boundary_points_loop)
 
