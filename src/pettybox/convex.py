@@ -19,9 +19,9 @@ import numpy as np
 
 from .errors import InputError, NumericalError
 from .geometry import (SphericalGrid, angle_sectors, circle_grid, cross_2d,
-                       default_grid, distance_to_polygon, integrate_sphere,
-                       prune_collinear, ring_boundary_points, shoelace_area,
-                       sphere_grid, steiner_ring)
+                       cyclic_next, default_grid, distance_to_polygon,
+                       integrate_sphere, prune_collinear, ring_boundary_points,
+                       shoelace_area, sphere_grid, steiner_ring)
 
 SUPPORT_CONSISTENCY_TOL = 1e-10
 # angle step (radians) up to which zonotope generators count as parallel
@@ -98,11 +98,11 @@ class FacetPolytope:
             raise InputError(f"facet polytope needs (m,2) vertices with m>=3, got {v.shape}")
         if not np.all(np.isfinite(v)):
             raise InputError("polytope vertices must be finite")
-        edges = np.roll(v, -1, axis=0) - v
+        edges = cyclic_next(v) - v
         lengths = np.linalg.norm(edges, axis=1)
         if np.min(lengths) <= 0.0:
             raise InputError("polytope has a zero-length edge")
-        turns = cross_2d(edges, np.roll(edges, -1, axis=0))
+        turns = cross_2d(edges, cyclic_next(edges))
         scale = float(np.max(np.abs(turns))) if np.max(np.abs(turns)) > 0 else 1.0
         if np.min(turns) < -1e-9 * scale:
             raise InputError("vertices are not in convex CCW position")
@@ -119,11 +119,11 @@ class FacetPolytope:
     @cached_property
     def _facets(self):
         v = self.vertices
-        edges = np.roll(v, -1, axis=0) - v
+        edges = cyclic_next(v) - v
         lengths = np.linalg.norm(edges, axis=1)
         normals = np.column_stack([edges[:, 1], -edges[:, 0]]) / lengths[:, None]
         offsets = np.sum(v * normals, axis=1)
-        check = np.sum(np.roll(v, -1, axis=0) * normals, axis=1)
+        check = np.sum(cyclic_next(v) * normals, axis=1)
         if np.max(np.abs(check - offsets)) > SUPPORT_CONSISTENCY_TOL * (1.0 + np.max(np.abs(offsets))):
             raise NumericalError("facet offsets inconsistent with vertices")
         return normals, offsets
@@ -284,7 +284,7 @@ class Zonotope:
         resolution = RING_RESOLUTION * float(np.sum(length))
         big = np.flatnonzero(length > resolution)
         b, a = g[big], angles[big]
-        ahead = np.roll(b, -1, axis=0)
+        ahead = cyclic_next(b)
         ahead[-1] *= -1.0
         step = np.diff(a, append=a[0])
         step[-1] = a[0] - math.atan2(-b[-1, 1], -b[-1, 0])
@@ -311,9 +311,9 @@ class Zonotope:
         np.cumsum(2.0 * w, axis=0, out=chain[1:])
         chain[1:] += chain[0]
         ring = np.vstack([chain[:-1], -chain[:-1]])
-        edges = np.roll(ring, -1, axis=0) - ring
+        edges = cyclic_next(ring) - ring
         if np.any(np.hypot(edges[:, 0], edges[:, 1]) <= 0.0) \
-                or np.any(cross_2d(edges, np.roll(edges, -1, axis=0)) <= 0.0):
+                or np.any(cross_2d(edges, cyclic_next(edges)) <= 0.0):
             raise NumericalError("zonotope ring has a zero-length edge or edge angles "
                                  "that do not strictly increase")
         return FacetPolytope(ring)

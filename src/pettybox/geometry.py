@@ -90,6 +90,13 @@ def rotation_2d(angle: float) -> np.ndarray:
     return np.array([[c, -s], [s, c]])
 
 
+def cyclic_next(a: np.ndarray) -> np.ndarray:
+    """The rows of a shifted up by one, the first row last: each vertex's
+    successor on a closed ring.  The same array as numpy's roll by -1
+    along axis 0, at a fraction of its fixed cost."""
+    return np.concatenate([a[1:], a[:1]])
+
+
 def cross_2d(a, b) -> np.ndarray:
     """z-component of the cross product of planar vectors (broadcasts)."""
     a = np.asarray(a, dtype=float)
@@ -266,7 +273,7 @@ def shoelace_area(vertices: np.ndarray) -> float:
     """Signed area of a closed planar polygon (positive when CCW)."""
     v = np.asarray(vertices, dtype=float)
     x, y = v[:, 0], v[:, 1]
-    return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
+    return 0.5 * float(np.sum(x * cyclic_next(y) - cyclic_next(x) * y))
 
 
 def section_incidence(w: np.ndarray):
@@ -471,7 +478,7 @@ def ring_boundary_points(vertices: np.ndarray, step: float) -> np.ndarray:
     if step <= 0.0:
         raise InputError("boundary sampling step must be positive")
     v = vertices
-    edges = np.roll(v, -1, axis=0) - v
+    edges = cyclic_next(v) - v
     k = np.maximum(1, np.ceil(np.linalg.norm(edges, axis=1) / step)).astype(np.intp)
     edge = np.repeat(np.arange(len(v)), k)
     t = (np.arange(len(edge)) - np.repeat(np.cumsum(k) - k, k)) / k[edge]
@@ -484,7 +491,7 @@ def _edge_blocks(points: np.ndarray, vertices: np.ndarray):
     and second vertices."""
     p = np.atleast_2d(np.asarray(points, dtype=float))
     v = np.asarray(vertices, dtype=float)
-    ahead = np.roll(v, -1, axis=0)
+    ahead = cyclic_next(v)
     size = max(1, BLOCK_PAIRS // max(1, len(p)))
     return p, ((v[i:i + size], ahead[i:i + size]) for i in range(0, len(v), size))
 

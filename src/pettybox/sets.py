@@ -22,10 +22,10 @@ import numpy as np
 
 from .convex import _BALL_VOLUME, Ball
 from .errors import InputError, NonGenericPointError, UnsupportedDirectionError
-from .geometry import (RigidFrame, as_direction, as_directions, cross_2d,
-                       distance_to_polygon, points_in_polygon,
-                       ring_boundary_points, section_incidence,
-                       shoelace_area, steiner_ring)
+from .geometry import (BLOCK_PAIRS, RigidFrame, as_direction, as_directions,
+                       cross_2d, cyclic_next, distance_to_polygon,
+                       points_in_polygon, ring_boundary_points,
+                       section_incidence, shoelace_area, steiner_ring)
 
 CLOSEDNESS_TOL = 1e-9
 GENERIC_POINT_TOL = 1e-12
@@ -251,7 +251,7 @@ class PolygonSet:
             raise InputError(f"polygon needs an (m,2) vertex array with m>=3, got {v.shape}")
         if not np.all(np.isfinite(v)):
             raise InputError("polygon vertices must be finite")
-        edges = np.roll(v, -1, axis=0) - v
+        edges = cyclic_next(v) - v
         lengths = np.linalg.norm(edges, axis=1)
         if np.min(lengths) <= 0.0:
             raise InputError("polygon has a zero-length edge")
@@ -271,7 +271,7 @@ class PolygonSet:
     @cached_property
     def _edge_data(self):
         v = self.vertices
-        edges = np.roll(v, -1, axis=0) - v
+        edges = cyclic_next(v) - v
         lengths = np.linalg.norm(edges, axis=1)
         normals = np.column_stack([edges[:, 1], -edges[:, 0]]) / lengths[:, None]
         return edges, lengths, normals
@@ -294,8 +294,9 @@ class PolygonSet:
 
     def centroid(self) -> np.ndarray:
         v = self.vertices
-        w = cross_2d(v, np.roll(v, -1, axis=0))
-        c = (v + np.roll(v, -1, axis=0)) * w[:, None]
+        ahead = cyclic_next(v)
+        w = cross_2d(v, ahead)
+        c = (v + ahead) * w[:, None]
         return np.sum(c, axis=0) / (6.0 * self.volume())
 
     def translate(self, offset) -> "PolygonSet":
@@ -337,7 +338,7 @@ class PolygonSet:
         the origin, a sufficient condition for star-shapedness with the
         origin interior."""
         v = self.vertices
-        cr = cross_2d(v, np.roll(v, -1, axis=0))
+        cr = cross_2d(v, cyclic_next(v))
         return bool(np.all(cr > 0.0))
 
     def bounding_box(self):
@@ -354,20 +355,49 @@ class PolygonSet:
 
 
 def _check_simple(v: np.ndarray) -> None:
-    """Reject self-intersecting or self-touching vertex chains."""
+    """Reject self-intersecting or self-touching vertex chains.
+
+    Two edges whose closed ranges along an axis are disjoint share no
+    point, so only pairs of non-adjacent edges whose ranges overlap are
+    tested.  The edges are sorted by their lower end along the axis, and
+    one searchsorted of their upper ends gives each edge's later partners
+    in that order.  The axis, x or y, is the one with fewer such pairs.
+    The pairs are tested in blocks of BLOCK_PAIRS, each pair with the
+    lower edge index first; the failure reported is that of the smallest
+    failing first edge, a crossing before a touch.
+    """
     m = len(v)
-    if len(np.unique(v, axis=0)) != m:
+    # a lexsort puts equal vertices next to each other
+    s = v[np.lexsort(v.T)]
+    if np.any((s[1:, 0] == s[:-1, 0]) & (s[1:, 1] == s[:-1, 1])):
         raise InputError("polygon repeats a vertex")
     starts = v
-    ends = np.roll(v, -1, axis=0)
-    for i in range(m - 2):
-        j0 = i + 2
-        j1 = m if i > 0 else m - 1
-        if j0 >= j1:
-            continue
+    ends = cyclic_next(v)
+    lo = np.minimum(starts, ends)
+    hi = np.maximum(starts, ends)
+    sweeps = []
+    for axis in (0, 1):
+        order = np.argsort(lo[:, axis], kind="stable")
+        reach = np.searchsorted(lo[order, axis], hi[order, axis], side="right")
+        sweeps.append((order, reach - np.arange(1, m + 1)))
+    order, count = min(sweeps, key=lambda sweep: int(sweep[1].sum()))
+    # pairs are numbered edge by edge in sorted order: pair t joins sorted
+    # edges k and k + 1 + t - before[k], where end[k - 1] <= t < end[k]
+    end = np.cumsum(count)
+    before = end - count
+    total = int(end[-1])
+    # the smallest failing first edge (m while none fails), and whether
+    # one of its failing pairs crosses
+    fail, crossed = m, False
+    for t0 in range(0, total, BLOCK_PAIRS):
+        t = np.arange(t0, min(t0 + BLOCK_PAIRS, total))
+        k = np.searchsorted(end, t, side="right")
+        a, b = order[k], order[k + 1 + t - before[k]]
+        i, j = np.minimum(a, b), np.maximum(a, b)
+        keep = (j >= i + 2) & ((i > 0) | (j < m - 1))
+        i, j = i[keep], j[keep]
         p1, p2 = starts[i], ends[i]
-        q1 = starts[j0:j1]
-        q2 = ends[j0:j1]
+        q1, q2 = starts[j], ends[j]
         d = p2 - p1
         dq = q2 - q1
         d1 = cross_2d(dq, p1 - q1)
@@ -375,15 +405,24 @@ def _check_simple(v: np.ndarray) -> None:
         d3 = cross_2d(d, q1 - p1)
         d4 = cross_2d(d, q2 - p1)
         crossing = (np.sign(d1) * np.sign(d2) < 0) & (np.sign(d3) * np.sign(d4) < 0)
-        if np.any(crossing):
-            raise InputError("polygon edges cross; the chain is not simple")
         # touching or collinear contact between non-adjacent edges
         touch = ((d1 == 0) & _on_segment(q1, q2, p1)) | \
                 ((d2 == 0) & _on_segment(q1, q2, p2)) | \
                 ((d3 == 0) & _on_segment(p1, p2, q1)) | \
                 ((d4 == 0) & _on_segment(p1, p2, q2))
-        if np.any(touch):
-            raise InputError("polygon edges touch; the chain is not simple")
+        failing = i[crossing | touch]
+        if len(failing) == 0:
+            continue
+        low = int(failing.min())
+        low_crosses = bool(np.any(crossing & (i == low)))
+        if low < fail:
+            fail, crossed = low, low_crosses
+        elif low == fail:
+            crossed |= low_crosses
+    if fail < m:
+        if crossed:
+            raise InputError("polygon edges cross; the chain is not simple")
+        raise InputError("polygon edges touch; the chain is not simple")
 
 
 def _on_segment(a: np.ndarray, b: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -751,7 +790,7 @@ def coarea_check(E: PolygonSet, g: Callable[[np.ndarray], np.ndarray],
     if not isinstance(E, PolygonSet):
         raise InputError("the boundary-slicing check runs on polygons")
     v = E.vertices
-    w = np.roll(v, -1, axis=0)
+    w = cyclic_next(v)
     lhs = 0.0
     for i in range(len(v)):
         x1, y1 = v[i]

@@ -8,6 +8,10 @@ import math
 
 import numpy as np
 
+from pettybox.errors import InputError
+from pettybox.geometry import cross_2d
+from pettybox.sets import _on_segment
+
 
 def dense_radial(normals: np.ndarray, offsets: np.ndarray, nodes: np.ndarray,
                  matmul: bool = True) -> np.ndarray:
@@ -81,3 +85,36 @@ def distance_to_polygon_loop(points: np.ndarray, vertices: np.ndarray) -> np.nda
         best = np.minimum(best, point_segment_distance(p, v[i], v[(i + 1) % m]))
     best[points_in_polygon_loop(p, v)] = 0.0
     return best
+
+
+def check_simple_loop(v: np.ndarray) -> None:
+    """Reject self-intersecting or self-touching vertex chains."""
+    m = len(v)
+    if len(np.unique(v, axis=0)) != m:
+        raise InputError("polygon repeats a vertex")
+    starts = v
+    ends = np.roll(v, -1, axis=0)
+    for i in range(m - 2):
+        j0 = i + 2
+        j1 = m if i > 0 else m - 1
+        if j0 >= j1:
+            continue
+        p1, p2 = starts[i], ends[i]
+        q1 = starts[j0:j1]
+        q2 = ends[j0:j1]
+        d = p2 - p1
+        dq = q2 - q1
+        d1 = cross_2d(dq, p1 - q1)
+        d2 = cross_2d(dq, p2 - q1)
+        d3 = cross_2d(d, q1 - p1)
+        d4 = cross_2d(d, q2 - p1)
+        crossing = (np.sign(d1) * np.sign(d2) < 0) & (np.sign(d3) * np.sign(d4) < 0)
+        if np.any(crossing):
+            raise InputError("polygon edges cross; the chain is not simple")
+        # touching or collinear contact between non-adjacent edges
+        touch = ((d1 == 0) & _on_segment(q1, q2, p1)) | \
+                ((d2 == 0) & _on_segment(q1, q2, p2)) | \
+                ((d3 == 0) & _on_segment(p1, p2, q1)) | \
+                ((d4 == 0) & _on_segment(p1, p2, q2))
+        if np.any(touch):
+            raise InputError("polygon edges touch; the chain is not simple")

@@ -4,6 +4,8 @@ circumradius, and the planar convex hull test helper."""
 from __future__ import annotations
 
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -218,6 +220,19 @@ def test_edge_kernels_match_per_edge_loops_in_ragged_blocks(monkeypatch):
         for seed in range(3):
             v = random_polygon(seed, max_vertices=30).vertices
             _assert_edge_kernels_match_loops(v, np.random.default_rng(seed), 40)
+
+
+def test_cyclic_next_is_roll_by_minus_one():
+    rng = np.random.default_rng(4)
+    for a in (rng.standard_normal(7), rng.standard_normal((9, 2)),
+              rng.standard_normal((1, 2)), np.arange(1.0), rng.standard_normal((5, 2))[::-1]):
+        got = pettybox.geometry.cyclic_next(a)
+        assert got.dtype == a.dtype and got.shape == a.shape
+        assert got.tobytes() == np.roll(a, -1, axis=0).tobytes()
+    # the rings of the package take successors through the helper alone
+    roll = re.compile(r"np\.roll\([^()]*,\s*-1\s*(,\s*axis\s*=\s*0\s*)?\)")
+    for path in Path(pettybox.geometry.__file__).parent.glob("*.py"):
+        assert not roll.search(path.read_text()), path.name
 
 
 def test_sampled_hausdorff_unchanged_from_per_edge_loops(monkeypatch):

@@ -5,6 +5,7 @@ the JSON set format."""
 from __future__ import annotations
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,7 +21,9 @@ from pettybox import (Ball, BoxUnion, InputError, NonGenericPointError,
                       vertical_boundary_measure, volume)
 from pettybox.corpus import random_box_union, random_polygon
 from pettybox.geometry import frame_to_last_axis, rotation_2d
-from pettybox.sets import load_set_file
+from pettybox.sets import _check_simple, load_set_file
+
+from reference_forms import check_simple_loop
 
 
 def unit_square():
@@ -86,6 +89,106 @@ def test_polygon_validation():
         PolygonSet([[0, 0], [2, 0], [2, 2], [1, 0], [0, 2]])
     with pytest.raises(InputError):
         PolygonSet([[0, 0], [1, 0], [1, float("nan")]])
+
+
+# ------------------------------------------------------- simplicity check
+
+CROSS = "polygon edges cross; the chain is not simple"
+TOUCH = "polygon edges touch; the chain is not simple"
+
+
+def _verdict(check, chain):
+    """The InputError message of a simplicity check on a chain, or None."""
+    try:
+        check(np.asarray(chain, dtype=float))
+    except InputError as err:
+        return str(err)
+    return None
+
+
+def _assert_matches_loop(chain):
+    """The sweep decides and words its error as the loop does, also with
+    blocks of one and of three pairs, which split one edge's partners
+    across blocks."""
+    expected = _verdict(check_simple_loop, chain)
+    assert _verdict(_check_simple, chain) == expected
+    for pairs in (1, 3):
+        with mock.patch("pettybox.sets.BLOCK_PAIRS", pairs):
+            assert _verdict(_check_simple, chain) == expected
+    return expected
+
+
+@pytest.mark.parametrize("chain,expected", [
+    # vertical and horizontal edges sharing abscissae, no contact
+    ([[0, 0], [2, 0], [2, 2], [1, 2], [1, 1], [0, 1]], None),
+    # the vertical edge at x = 1 ends on the bottom edge
+    ([[0, 0], [2, 0], [2, 2], [1, 2], [1, 0], [0, 1]], TOUCH),
+    # the bottom edge's x-range [0, 1] meets that of the middle step,
+    # [1, 2], in one point; the edges are apart
+    ([[0, 0], [1, 0], [1, 1], [2, 1], [2, 2], [0, 2]], None),
+    # an edge over x in [0, 1] ends on the vertical edge at x = 1
+    ([[1, 1], [1, -1], [3, -1], [3, 3], [-1, 3], [-1, 0.5], [0, 0.5], [1, 0]], TOUCH),
+    # the second edge folds back onto the first
+    ([[0, 0], [2, 0], [1, 0], [1, 1]], TOUCH),
+    # edges 0 and m - 1 overlap, but are adjacent and never compared
+    ([[0, 0], [2, 0], [1, 0]], None),
+    ([[0, 0], [1, 1], [1, 0], [0, 1]], CROSS),
+    # edge 0 is touched by edge 2 and crossed by edge 3
+    ([[2, 0], [2, 2], [0, 0], [3, 0], [0, 3]], CROSS),
+    # edge 0 touches (fold-back) before edge 3 crosses edge 5
+    ([[0, 0], [4, 0], [2, 0], [2, 1], [4, 3], [4, 2], [0, 3]], TOUCH),
+    ([[0, 0], [1, 0], [1, 0], [0, 1]], "polygon repeats a vertex"),
+], ids=["shared-abscissa", "shared-abscissa-touch", "x-ranges-meet",
+        "x-ranges-meet-touch", "fold-back", "first-last-excluded", "bowtie",
+        "cross-and-touch",
+        "first-failing-edge", "repeat"])
+def test_check_simple_hand_cases(chain, expected):
+    assert _assert_matches_loop(chain) == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.floats(-10, 10), st.floats(-10, 10)), min_size=3, max_size=14))
+def test_check_simple_matches_loop_on_float_chains(chain):
+    _assert_matches_loop(chain)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=3, max_size=14))
+def test_check_simple_matches_loop_on_lattice_chains(chain):
+    # a coarse lattice: repeats, touches and collinear overlaps are common
+    _assert_matches_loop(chain)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.floats(0.0, 2.0 * math.pi), st.floats(0.1, 1.0)),
+                min_size=3, max_size=30))
+def test_check_simple_matches_loop_on_star_polygons(points):
+    angle, radius = np.array(sorted(points)).T
+    _assert_matches_loop(np.column_stack([radius * np.cos(angle), radius * np.sin(angle)]))
+
+
+def _comb(teeth: int, bent: int | None = None) -> np.ndarray:
+    """CCW comb of unit-wide vertical teeth of height 10 on a unit-high
+    bar, teeth at x in [2k, 2k + 1].  A bent tooth has its top-left
+    corner pulled onto the right edge of the tooth on its left."""
+    pts = [(0.0, 0.0), (2.0 * teeth - 1, 0.0)]
+    for k in range(teeth - 1, -1, -1):
+        pts += [(2.0 * k + 1, 10.0), (2.0 * k - 1, 5.0) if k == bent else (2.0 * k, 10.0)]
+        if k:
+            pts += [(2.0 * k, 1.0), (2.0 * k - 1, 1.0)]
+    return np.array(pts)
+
+
+def test_check_simple_at_scale():
+    t = 2.0 * math.pi * np.arange(10_000) / 10_000
+    PolygonSet(np.column_stack([np.cos(t), np.sin(t)]))
+    comb, bent = _comb(2500), _comb(2500, bent=1200)
+    # the horizontal combs: coordinates swapped, order reversed to stay CCW
+    for chain in (comb, comb[::-1, ::-1]):
+        assert len(PolygonSet(chain).vertices) == 10_000
+    for chain in (bent, bent[::-1, ::-1]):
+        with pytest.raises(InputError, match="touch"):
+            PolygonSet(chain)
 
 
 def test_box_union_validation_and_canonical_merge():
