@@ -97,6 +97,13 @@ def cyclic_next(a: np.ndarray) -> np.ndarray:
     return np.concatenate([a[1:], a[:1]])
 
 
+def lerp(s, ya, yb):
+    """ya + s * (yb - ya), taken from the nearer end, so that s = 0 gives
+    ya and s = 1 gives yb exactly."""
+    dy = yb - ya
+    return np.where(s <= 0.5, ya + s * dy, yb - (1.0 - s) * dy)
+
+
 def cross_2d(a, b) -> np.ndarray:
     """z-component of the cross product of planar vectors (broadcasts)."""
     a = np.asarray(a, dtype=float)
@@ -331,14 +338,9 @@ def _incidence_block(w: np.ndarray, first: int):
     # both endpoints of every entry's edge, (entry, endpoint, axis)
     ends = np.stack([w, np.roll(w, -1, axis=1)], axis=2).reshape(-1, 2, 2)[edge]
     xa, xb, ya, yb = ends[:, 0, 0], ends[:, 1, 0], ends[:, 0, 1], ends[:, 1, 1]
-    dy = yb - ya
-
-    def height(t):
-        s = (t - xa) / (xb - xa)
-        return np.where(s <= 0.5, ya + s * dy, yb - (1.0 - s) * dy)
-
     return (slice(first, first + K), breaks, starts, edge + first * m, cells,
-            height(breaks[cells]), height(breaks[cells + 1]), dy / (xb - xa),
+            lerp((breaks[cells] - xa) / (xb - xa), ya, yb),
+            lerp((breaks[cells + 1] - xa) / (xb - xa), ya, yb), (yb - ya) / (xb - xa),
             np.where(xb < xa, 1.0, -1.0))
 
 

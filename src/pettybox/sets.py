@@ -23,7 +23,7 @@ import numpy as np
 from .convex import _BALL_VOLUME, Ball
 from .errors import InputError, NonGenericPointError, UnsupportedDirectionError
 from .geometry import (BLOCK_PAIRS, RigidFrame, as_direction, as_directions,
-                       cross_2d, cyclic_next, distance_to_polygon,
+                       cross_2d, cyclic_next, distance_to_polygon, lerp,
                        points_in_polygon, ring_boundary_points,
                        section_incidence, shoelace_area, steiner_ring)
 
@@ -89,57 +89,45 @@ class SurfaceMeasure:
 
 
 @dataclass(frozen=True)
-class ColumnCell:
-    """One base cell of a column structure.
-
-    ``affine`` holds per-interval endpoint coefficients (m, 2, 2) with
-    endpoint(x) = [..., 0] + [..., 1] * x over a one-dimensional base;
-    ``intervals`` holds constant endpoints (m, 2).  Exactly one is set.
-    ``edge_ids`` maps each endpoint back to the generating polygon edge.
-    """
-
-    lo: np.ndarray
-    hi: np.ndarray
-    intervals: np.ndarray | None = None
-    affine: np.ndarray | None = None
-    edge_ids: np.ndarray | None = None
-
-    @property
-    def multiplicity(self) -> int:
-        arr = self.intervals if self.intervals is not None else self.affine
-        return arr.shape[0]
-
-    def bounds_at(self, xprime: np.ndarray) -> np.ndarray:
-        if self.intervals is not None:
-            return self.intervals.copy()
-        x = float(np.asarray(xprime).ravel()[0])
-        return self.affine[:, :, 0] + self.affine[:, :, 1] * x
-
-    def length_at(self, xprime: np.ndarray) -> float:
-        b = self.bounds_at(xprime)
-        return float(np.sum(b[:, 1] - b[:, 0]))
-
-    def integrated_length(self) -> float:
-        if self.intervals is not None:
-            base = float(np.prod(self.hi - self.lo))
-            return base * float(np.sum(self.intervals[:, 1] - self.intervals[:, 0]))
-        # affine endpoints: the exact integral is the trapezoid value
-        return 0.5 * (self.length_at(self.lo) + self.length_at(self.hi)) \
-            * float(self.hi[0] - self.lo[0])
-
-
-@dataclass(frozen=True)
 class ColumnStructure:
-    """Sections of a set along one coordinate axis, organized over base
-    cells with affine or constant interval endpoints."""
+    """Sections of a set along one coordinate axis, organized over the
+    cells of the base lattice cut at ``base_breaks``.
+
+    ``cell_index`` maps each flat (row-major) lattice index to its filled
+    cell's number, or -1 where the column is empty; filled cells are
+    numbered in lattice order.  The section intervals of filled cell c
+    are the rows starts[c] .. starts[c + 1] - 1, bottom to top, and
+    ``y0`` / ``y1`` hold each row's (bottom, top) at the left and right
+    end of its cell along the first base axis.  Over a cell the
+    endpoints are affine (polygons) or constant (box unions, y0 == y1),
+    and are interpolated from the nearer end, so a near-vertical polygon
+    edge carries no error of size slope * x.
+    """
 
     axis: int
     dim: int
     base_breaks: tuple
-    cells: tuple
-    cell_index: np.ndarray  # flat map from base-cell lattice to cells, -1 empty
+    cell_index: np.ndarray
+    starts: np.ndarray
+    y0: np.ndarray
+    y1: np.ndarray
 
-    def locate(self, xprime) -> ColumnCell:
+    @cached_property
+    def cell_bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        """Lower and upper base corners of the filled cells, (cells, dim - 1)
+        each."""
+        shape = tuple(len(b) - 1 for b in self.base_breaks)
+        lattice = np.unravel_index(np.flatnonzero(self.cell_index >= 0), shape)
+        return (np.column_stack([b[j] for b, j in zip(self.base_breaks, lattice)]),
+                np.column_stack([b[j + 1] for b, j in zip(self.base_breaks, lattice)]))
+
+    @cached_property
+    def row_cells(self) -> np.ndarray:
+        """The filled cell of every interval row."""
+        return np.repeat(np.arange(len(self.starts) - 1), np.diff(self.starts))
+
+    def locate(self, xprime) -> int:
+        """The number of the filled cell above a generic base point."""
         x = np.atleast_1d(np.asarray(xprime, dtype=float))
         if x.shape != (self.dim - 1,):
             raise InputError(f"base point must have {self.dim - 1} coordinates")
@@ -157,40 +145,42 @@ class ColumnStructure:
         c = int(self.cell_index[flat])
         if c < 0:
             raise InputError(f"base point {x!r} is outside the essential projection")
-        return self.cells[c]
+        return c
 
     def section_intervals(self, xprime) -> np.ndarray:
-        cell = self.locate(xprime)
-        return cell.bounds_at(np.atleast_1d(np.asarray(xprime, dtype=float)))
+        c = self.locate(xprime)
+        rows = slice(self.starts[c], self.starts[c + 1])
+        lo, hi = self.cell_bounds[0][c, 0], self.cell_bounds[1][c, 0]
+        s = (float(np.atleast_1d(np.asarray(xprime, dtype=float))[0]) - lo) / (hi - lo)
+        return lerp(s, self.y0[rows], self.y1[rows])
 
     def multiplicity(self, xprime) -> int:
-        return self.locate(xprime).multiplicity
+        c = self.locate(xprime)
+        return int(self.starts[c + 1] - self.starts[c])
 
     def section_length(self, xprime) -> float:
-        return self.locate(xprime).length_at(np.atleast_1d(np.asarray(xprime, dtype=float)))
+        b = self.section_intervals(xprime)
+        return float(np.sum(b[:, 1] - b[:, 0]))
 
     def total_volume(self) -> float:
-        return float(sum(c.integrated_length() for c in self.cells))
+        # the exact integral of an affine length is the trapezoid value
+        lo, hi = self.cell_bounds
+        mean = 0.5 * ((self.y0[:, 1] - self.y0[:, 0]) + (self.y1[:, 1] - self.y1[:, 0]))
+        return float(np.sum(mean * np.prod(hi - lo, axis=1)[self.row_cells]))
 
 
 def _polygon_columns(vertices: np.ndarray):
-    """Record, per base cell between consecutive vertex abscissae, the
-    sorted section endpoints of a polygon as affine functions of the
-    abscissa together with the generating edge indices."""
-    (_, breaks, _, edge, cell, y0, y1, slope, _), = section_incidence(vertices)
-    intercept = y0 - slope * breaks[cell]
+    """Pair the incidence kernel's edge heights at both ends of every base
+    cell between consecutive vertex abscissae into the polygon's sorted
+    section intervals."""
+    (_, breaks, _, _, cell, y0, y1, _, _), = section_incidence(vertices)
     order = np.lexsort((y0 + y1, cell))
-    affine = np.column_stack([intercept, slope])[order].reshape(-1, 2, 2)
-    eids = edge[order].reshape(-1, 2)
     counts = np.bincount(cell, minlength=len(breaks) - 1) // 2
     filled = np.flatnonzero(counts)
-    cuts = np.cumsum(counts)[filled[:-1]]
-    cells = tuple(ColumnCell(lo=breaks[j:j + 1].copy(), hi=breaks[j + 1:j + 2].copy(),
-                             affine=a, edge_ids=e)
-                  for j, a, e in zip(filled, np.split(affine, cuts), np.split(eids, cuts)))
     index = np.full(len(breaks) - 1, -1, dtype=int)
     index[filled] = np.arange(len(filled))
-    return (breaks,), cells, index
+    starts = np.concatenate([[0], np.cumsum(counts[filled])])
+    return (breaks,), index, starts, y0[order].reshape(-1, 2), y1[order].reshape(-1, 2)
 
 
 def _join_runs(keys: np.ndarray, lo: np.ndarray, hi: np.ndarray):
@@ -228,14 +218,10 @@ def _box_columns(los: np.ndarray, his: np.ndarray, axis: int):
     row, end = _join_runs(flat[:, None], los[box, axis], his[box, axis])
     intervals = np.column_stack([los[box[row], axis], end])
     filled, cuts = np.unique(flat[row], return_index=True)
-    lattice = np.unravel_index(filled, shape)
-    lows = np.column_stack([b[j] for b, j in zip(break_lists, lattice)])
-    highs = np.column_stack([b[j + 1] for b, j in zip(break_lists, lattice)])
-    cells = tuple(ColumnCell(lo=lo, hi=hi, intervals=ivals)
-                  for lo, hi, ivals in zip(lows, highs, np.split(intervals, cuts[1:])))
     index = np.full(int(np.prod(shape)), -1, dtype=int)
     index[filled] = np.arange(len(filled))
-    return tuple(break_lists), cells, index
+    starts = np.append(cuts, len(row))
+    return tuple(break_lists), index, starts, intervals, intervals
 
 
 # ---------------------------------------------------------------------------
@@ -314,9 +300,7 @@ class PolygonSet:
         if axis not in (0, 1):
             raise InputError(f"polygon column axis must be 0 or 1, got {axis}")
         verts = self.vertices if axis == 1 else self.vertices[::-1, ::-1]
-        breaks, cells, index = _polygon_columns(verts)
-        return ColumnStructure(axis=axis, dim=2, base_breaks=breaks,
-                               cells=cells, cell_index=index)
+        return ColumnStructure(axis, 2, *_polygon_columns(verts))
 
     # -- metric methods --------------------------------------------------
 
@@ -510,9 +494,7 @@ class BoxUnion:
     def column_structure(self, axis: int) -> ColumnStructure:
         if not 0 <= axis < self.dim:
             raise InputError(f"column axis must be in 0..{self.dim - 1}, got {axis}")
-        breaks, cells, index = _box_columns(self.los, self.his, axis)
-        return ColumnStructure(axis=axis, dim=self.dim, base_breaks=breaks,
-                               cells=cells, cell_index=index)
+        return ColumnStructure(axis, self.dim, *_box_columns(self.los, self.his, axis))
 
     def translate(self, offset) -> "BoxUnion":
         off = np.asarray(offset, dtype=float)
@@ -521,12 +503,10 @@ class BoxUnion:
     # -- metric methods --------------------------------------------------
 
     def corners(self) -> np.ndarray:
-        pts = []
-        for b in range(self.box_count):
-            bounds = np.stack([self.los[b], self.his[b]])
-            grids = np.meshgrid(*[bounds[:, k] for k in range(self.dim)], indexing="ij")
-            pts.append(np.column_stack([g.ravel() for g in grids]))
-        return np.vstack(pts)
+        """The 2^dim corners of every box, box after box, each box's in
+        row-major order over (lo, hi) per axis, the first axis slowest."""
+        high = (np.arange(2 ** self.dim)[:, None] >> np.arange(self.dim)[::-1]) & 1
+        return np.where(high, self.his[:, None], self.los[:, None]).reshape(-1, self.dim)
 
     def max_norm(self) -> float:
         return float(np.max(np.linalg.norm(self.corners(), axis=1)))
@@ -673,13 +653,17 @@ def section_length_gradient(E: SetHandle, xprime) -> np.ndarray:
     """Gradient of the section-length function x' -> total length of the
     section of E above x', for sections parallel to the last coordinate
     axis.  Evaluated at generic base points as the summed slope of the
-    top endpoints minus that of the bottom endpoints in the located cell;
-    equals the analytic derivative there."""
-    cell = column_structure(E).locate(xprime)
-    if cell.affine is None:
-        # box-union sections are constant over each base cell
-        return np.zeros(E.dim - 1)
-    return np.array([float(np.sum(cell.affine[:, 1, 1] - cell.affine[:, 0, 1]))])
+    top endpoints minus that of the bottom endpoints in the located cell,
+    from their heights at the cell's two ends; equals the analytic
+    derivative there, and vanishes on box unions, whose sections are
+    constant over each cell."""
+    cs = column_structure(E)
+    c = cs.locate(xprime)
+    rows = slice(cs.starts[c], cs.starts[c + 1])
+    rise = np.sum(cs.y1[rows] - cs.y0[rows], axis=0)
+    grad = np.zeros(E.dim - 1)
+    grad[0] = (rise[1] - rise[0]) / (cs.cell_bounds[1][c, 0] - cs.cell_bounds[0][c, 0])
+    return grad
 
 
 def steiner_symmetrize(E: SetHandle, u) -> SetHandle:
@@ -703,26 +687,14 @@ def _steiner_polygon(E: PolygonSet, u: np.ndarray) -> PolygonSet:
 
 
 def _steiner_boxes(E: BoxUnion, u: np.ndarray) -> BoxUnion:
-    axis = None
-    for k in range(E.dim):
-        rest = np.delete(u, k)
-        if abs(abs(u[k]) - 1.0) <= AXIS_ALIGNMENT_TOL and \
-                np.max(np.abs(rest)) <= AXIS_ALIGNMENT_TOL:
-            axis = k
-            break
-    if axis is None:
+    axis = np.flatnonzero(np.abs(u) > AXIS_ALIGNMENT_TOL)
+    if len(axis) != 1 or abs(abs(u[axis[0]]) - 1.0) > AXIS_ALIGNMENT_TOL:
         raise UnsupportedDirectionError(
             "box unions symmetrize along signed coordinate axes only")
-    cells = E.column_structure(axis).cells
-    others = [k for k in range(E.dim) if k != axis]
-    half = 0.5 * np.array([np.sum(c.intervals[:, 1] - c.intervals[:, 0]) for c in cells])
-    los = np.empty((len(cells), E.dim))
-    his = np.empty((len(cells), E.dim))
-    los[:, others] = [c.lo for c in cells]
-    his[:, others] = [c.hi for c in cells]
-    los[:, axis] = -half
-    his[:, axis] = half
-    return BoxUnion(los, his)
+    cs = E.column_structure(int(axis[0]))
+    lo, hi = cs.cell_bounds
+    half = 0.5 * np.bincount(cs.row_cells, cs.y0[:, 1] - cs.y0[:, 0], len(lo))
+    return BoxUnion(np.insert(lo, axis[0], -half, axis=1), np.insert(hi, axis[0], half, axis=1))
 
 
 def symmetric_difference_distance(E: SetHandle, F: SetHandle,
@@ -755,21 +727,23 @@ def symmetric_difference_distance(E: SetHandle, F: SetHandle,
     raise InputError("symmetric difference requires two sets of the same kind")
 
 
-def _piecewise_gauss(func: Callable[[np.ndarray], np.ndarray],
-                     a: float, b: float, cuts: Sequence[float]) -> float:
-    """Integrate func over [a, b] by 16-node Gauss-Legendre on each piece
-    between interior cut points.  Exact for polynomials through degree 31
-    and for piecewise-constant integrands cut at their jumps."""
-    if b < a:
-        a, b = b, a
-    points = [a] + sorted(c for c in cuts if a < c < b) + [b]
-    total = 0.0
-    for lo, hi in zip(points[:-1], points[1:]):
-        mid = 0.5 * (lo + hi)
-        half = 0.5 * (hi - lo)
-        xs = mid + half * _GL_NODES
-        total += half * float(np.dot(_GL_WEIGHTS, np.asarray(func(xs), dtype=float)))
-    return total
+def _segment_gauss(g: Callable[[np.ndarray], np.ndarray], xa: np.ndarray, ya: np.ndarray,
+                   xb: np.ndarray, yb: np.ndarray, cuts: Sequence[float]) -> float:
+    """Sum over rows of the integral, in x, of g along the segment
+    (xa, ya)-(xb, yb), by 16-node Gauss-Legendre on each piece of the
+    row's x-range between the cut points inside it.  Exact for
+    polynomials through degree 31 and for piecewise-constant integrands
+    cut at their jumps."""
+    lo, hi = np.minimum(xa, xb), np.maximum(xa, xb)
+    # cuts outside a row's range clip to its ends and give empty pieces
+    inner = np.clip(np.sort(np.asarray(cuts, dtype=float))[None, :], lo[:, None], hi[:, None])
+    knots = np.column_stack([lo, inner, hi])
+    half = 0.5 * (knots[:, 1:] - knots[:, :-1])
+    x = (0.5 * (knots[:, 1:] + knots[:, :-1]))[..., None] + half[..., None] * _GL_NODES
+    y = lerp((x - xa[:, None, None]) / (xb - xa)[:, None, None],
+             ya[:, None, None], yb[:, None, None])
+    values = np.asarray(g(np.column_stack([x.ravel(), y.ravel()])), dtype=float)
+    return float(np.sum(half * (values.reshape(x.shape) @ _GL_WEIGHTS)))
 
 
 def coarea_check(E: PolygonSet, g: Callable[[np.ndarray], np.ndarray],
@@ -781,40 +755,23 @@ def coarea_check(E: PolygonSet, g: Callable[[np.ndarray], np.ndarray],
 
     g takes an (m, 2) point array and returns (m,) values, vectorized.
     Projecting a non-vertical edge onto the base axis turns |nu_y| ds
-    into dx exactly, so both sides reduce to one-dimensional integrals of
-    g along affine graphs; 16-node quadrature per piece is exact for the
-    polynomial fields used in tests.  Pass the jump abscissae of a
-    discontinuous g in `breakpoints` so pieces are split there and the
-    quadrature stays exact.
+    into dx exactly, so both sides are integrals of g in x along
+    segments: the non-vertical edges on the left, and on the right every
+    edge's piece over each base cell it spans, between its heights at the
+    cell's two ends (section_incidence).  16-node quadrature per piece is
+    exact for the polynomial fields used in tests.  Pass the jump
+    abscissae of a discontinuous g in `breakpoints` so pieces are split
+    there and the quadrature stays exact.
     """
     if not isinstance(E, PolygonSet):
         raise InputError("the boundary-slicing check runs on polygons")
     v = E.vertices
     w = cyclic_next(v)
-    lhs = 0.0
-    for i in range(len(v)):
-        x1, y1 = v[i]
-        x2, y2 = w[i]
-        if x1 == x2:
-            continue  # lateral edge: vertical weight vanishes
-        slope = (y2 - y1) / (x2 - x1)
-
-        def along_edge(x, x0=x1, y0=y1, s=slope):
-            return g(np.column_stack([x, y0 + (x - x0) * s]))
-
-        lhs += _piecewise_gauss(along_edge, float(min(x1, x2)),
-                                float(max(x1, x2)), breakpoints)
-    rhs = 0.0
-    for cell in E.column_structure(axis=1).cells:
-        coeffs = cell.affine.reshape(-1, 2)
-
-        def over_endpoints(x, c=coeffs):
-            pts = np.column_stack([np.repeat(x, len(c)),
-                                   (c[:, 0] + np.outer(x, c[:, 1])).ravel()])
-            return g(pts).reshape(len(x), len(c)).sum(axis=1)
-
-        rhs += _piecewise_gauss(over_endpoints, float(cell.lo[0]),
-                                float(cell.hi[0]), breakpoints)
+    slanted = v[:, 0] != w[:, 0]  # a vertical edge's weight vanishes
+    lhs = _segment_gauss(g, v[slanted, 0], v[slanted, 1], w[slanted, 0], w[slanted, 1],
+                         breakpoints)
+    (_, breaks, _, _, cell, y0, y1, _, _), = section_incidence(v)
+    rhs = _segment_gauss(g, breaks[cell], y0, breaks[cell + 1], y1, breakpoints)
     return lhs, rhs
 
 

@@ -118,3 +118,13 @@ def check_simple_loop(v: np.ndarray) -> None:
                 ((d4 == 0) & _on_segment(p1, p2, q2))
         if np.any(touch):
             raise InputError("polygon edges touch; the chain is not simple")
+
+
+def box_corners_loop(los: np.ndarray, his: np.ndarray) -> np.ndarray:
+    """Every corner of every box, box by box, from a meshgrid per box."""
+    pts = []
+    for lo, hi in zip(los, his):
+        bounds = np.stack([lo, hi])
+        grids = np.meshgrid(*[bounds[:, k] for k in range(len(lo))], indexing="ij")
+        pts.append(np.column_stack([g.ravel() for g in grids]))
+    return np.vstack(pts)

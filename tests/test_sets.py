@@ -5,6 +5,7 @@ the JSON set format."""
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -23,7 +24,7 @@ from pettybox.corpus import random_box_union, random_polygon
 from pettybox.geometry import frame_to_last_axis, rotation_2d
 from pettybox.sets import _check_simple, load_set_file
 
-from reference_forms import check_simple_loop
+from reference_forms import box_corners_loop, check_simple_loop
 
 
 def unit_square():
@@ -280,7 +281,7 @@ def test_box_union_kernels_against_voxel_oracle(dim, count, seed):
         cols = B.column_structure(axis)
         for key, c in counts.items():
             assert cols.section_length(np.add(key, 0.5)) == c
-        assert sum(cell.integrated_length() for cell in cols.cells) == count
+        assert cols.total_volume() == count
         # the symmetral restacks each column about 0; in half units along
         # the axis, a column of c voxels covers cells -c .. c-1
         u = np.zeros(dim)
@@ -340,7 +341,7 @@ def test_surface_measure_validation():
 def test_square_columns_both_axes():
     # sections along the horizontal axis live over a vertical base
     cs = column_structure(unit_square(), axis=0)
-    assert len(cs.cells) == 1
+    assert np.array_equal(cs.cell_index, [0])
     assert cs.multiplicity([0.5]) == 1
     assert np.allclose(cs.section_intervals([0.5]), [[0.0, 1.0]])
     # default axis: sections along the last coordinate
@@ -351,7 +352,7 @@ def test_square_columns_both_axes():
 
 def test_l_tromino_columns():
     cs = column_structure(l_tromino(), axis=1)
-    assert [float(c.lo[0]) for c in cs.cells] == [0.0, 1.0]
+    assert cs.cell_bounds[0][:, 0].tolist() == [0.0, 1.0]
     # left column: the two stacked boxes fuse into one interval of length 2
     assert cs.multiplicity([0.5]) == 1
     assert np.allclose(cs.section_intervals([0.5]), [[0.0, 2.0]])
@@ -402,6 +403,46 @@ def test_3d_box_columns():
     assert abs(cs.section_length([1.5, 0.5]) - 1.0) <= 1e-15
 
 
+def test_section_length_exact_near_vertical_edges():
+    # an edge 3e-9 rad from vertical has slope ~3e8; an endpoint stored as
+    # intercept + slope * x rounds its intercept at ~1e-8, while heights at
+    # the two cell ends interpolate to rounding
+    for seed in range(40):
+        v = random_polygon(seed).vertices
+        edge = v[1] - v[0]
+        turn = math.pi / 2 + 3e-9 - math.atan2(edge[1], edge[0])
+        P = PolygonSet(v @ rotation_2d(turn).T)
+        cs = column_structure(P)
+        exact = np.vectorize(Fraction, otypes=[object])(P.vertices)
+        b = cs.base_breaks[0]
+        filled = np.flatnonzero(cs.cell_index >= 0)
+        for x in 0.5 * (b[filled] + b[filled + 1]):
+            gap = Fraction(cs.section_length([x])) - _section_length_reference(exact, Fraction(x))
+            assert abs(gap) <= 1e-14
+
+
+def test_box_columns_keep_one_height_per_row():
+    # box-union sections are constant over each cell: both ends share one
+    # array, and interpolation returns it bit for bit anywhere in the cell
+    B = random_box_union(11, dim=3)
+    cs = column_structure(B, axis=2)
+    assert cs.y0 is cs.y1
+    lo, hi = cs.cell_bounds
+    for c, (a, b) in enumerate(zip(lo, hi)):
+        rows = cs.y0[cs.starts[c]:cs.starts[c + 1]]
+        for t in (0.1, 0.5, 0.9):
+            x = a + t * (b - a)
+            assert cs.locate(x) == c
+            assert np.array_equal(cs.section_intervals(x), rows)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_box_corners_match_loop(dim):
+    for seed in range(20):
+        B = random_box_union(seed, dim=dim)
+        assert np.array_equal(B.corners(), box_corners_loop(B.los, B.his))
+
+
 # ------------------------------------------------------------------- gradient
 
 def test_section_length_gradient_examples():
@@ -422,8 +463,7 @@ def test_section_length_gradient_matches_finite_differences():
     h = 1e-6
     rng = np.random.default_rng(2)
     checked = 0
-    for cell in cs.cells:
-        lo, hi = float(cell.lo[0]), float(cell.hi[0])
+    for lo, hi in zip(cs.cell_bounds[0][:, 0], cs.cell_bounds[1][:, 0]):
         if hi - lo < 10 * h:
             continue
         for _ in range(10):
@@ -558,8 +598,8 @@ def test_steiner_polygon_properties(seed, angle):
 def _section_length_reference(w, x):
     """Loop reference: the signed heights at abscissa x of the edges of a
     CCW vertex array, +1 for edges running in -x and -1 for edges running
-    in +x."""
-    total = 0.0
+    in +x; exact when the array and x hold Fractions."""
+    total = 0
     for (xa, ya), (xb, yb) in zip(w, np.roll(w, -1, axis=0)):
         if min(xa, xb) < x < max(xa, xb):
             y = ya + (x - xa) * (yb - ya) / (xb - xa)
@@ -602,8 +642,8 @@ def test_steiner_idempotent_along_axis():
         assert abs(volume(T) - volume(S)) <= 1e-12 * (1.0 + volume(S))
         cs_s = column_structure(S)
         cs_t = column_structure(T)
-        for cell in cs_s.cells:
-            x = 0.5 * (float(cell.lo[0]) + float(cell.hi[0]))
+        for lo, hi in zip(cs_s.cell_bounds[0][:, 0], cs_s.cell_bounds[1][:, 0]):
+            x = 0.5 * (lo + hi)
             assert abs(cs_s.section_length([x]) - cs_t.section_length([x])) \
                 <= 1e-9 * (1.0 + cs_s.section_length([x]))
 
