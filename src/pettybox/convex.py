@@ -18,10 +18,10 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InputError, NumericalError
-from .geometry import (SphericalGrid, angle_sectors, circle_grid, cross_2d,
-                       cyclic_next, default_grid, distance_to_polygon,
-                       integrate_sphere, prune_collinear, ring_boundary_points,
-                       shoelace_area, sphere_grid, steiner_ring)
+from .geometry import (SphericalGrid, angle_sectors, cross_2d, cyclic_next,
+                       default_grid, distance_to_polygon, integrate_sphere,
+                       prune_collinear, ring_boundary_points, shoelace_area,
+                       steiner_ring)
 
 SUPPORT_CONSISTENCY_TOL = 1e-10
 # angle step (radians) up to which zonotope generators count as parallel
@@ -519,10 +519,10 @@ def polar_volume(K: ConvexBody, grid: SphericalGrid | None = None,
 
     Planar bodies and axis-aligned box zonotopes are exact; other 3D
     bodies integrate the reciprocal support cubed over a spherical grid,
-    with the difference against a half-resolution grid reported as the
-    error estimate.  method='quadrature' forces the quadrature route on
-    bodies that would otherwise take a closed form (used to validate the
-    grids).
+    with the differences against the grid's half- and quarter-resolution
+    error levels reported as the error estimate.  method='quadrature'
+    forces the quadrature route on bodies that would otherwise take a
+    closed form (used to validate the grids).
     """
     if method not in ("auto", "quadrature"):
         raise InputError(f"unknown polar volume method {method!r}")
@@ -554,15 +554,9 @@ def polar_volume(K: ConvexBody, grid: SphericalGrid | None = None,
     # two-level telescoped estimate: convergence under grid refinement is
     # not sign-monotone for kinked supports, so a single half-grid
     # difference can undershoot the true error
-    if n == 3:
-        rows = max(2, int(round(math.sqrt(g.size / 2))))
-        levels = [sphere_grid(max(2, rows // 2), 2 * max(2, rows // 2)),
-                  sphere_grid(max(2, rows // 4), 2 * max(2, rows // 4))]
-    else:
-        levels = [circle_grid(max(8, g.size // 2)),
-                  circle_grid(max(8, g.size // 4))]
-    v1 = integrate_sphere(levels[0], reciprocal) / n
-    v2 = integrate_sphere(levels[1], reciprocal) / n
+    half_grid, quarter_grid = g.error_levels
+    v1 = integrate_sphere(half_grid, reciprocal) / n
+    v2 = integrate_sphere(quarter_grid, reciprocal) / n
     return PolarVolume(value, abs(value - v1) + abs(v1 - v2))
 
 

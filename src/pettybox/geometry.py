@@ -198,6 +198,25 @@ class SphericalGrid:
     def size(self) -> int:
         return self.nodes.shape[0]
 
+    @functools.cached_property
+    def error_levels(self) -> tuple[SphericalGrid, SphericalGrid]:
+        """The half- and quarter-resolution grids of the telescoped
+        quadrature error estimate, built once per grid, read-only."""
+        if self.dim == 3:
+            rows = max(2, int(round(math.sqrt(self.size / 2))))
+            levels = (sphere_grid(max(2, rows // 2), 2 * max(2, rows // 2)),
+                      sphere_grid(max(2, rows // 4), 2 * max(2, rows // 4)))
+        else:
+            levels = (circle_grid(max(8, self.size // 2)),
+                      circle_grid(max(8, self.size // 4)))
+        return tuple(_read_only(level) for level in levels)
+
+
+def _read_only(grid: SphericalGrid) -> SphericalGrid:
+    grid.nodes.setflags(write=False)
+    grid.weights.setflags(write=False)
+    return grid
+
 
 def circle_grid(count: int = 4096) -> SphericalGrid:
     """Equally weighted midpoint grid on the unit circle."""
@@ -209,12 +228,22 @@ def circle_grid(count: int = 4096) -> SphericalGrid:
     return SphericalGrid(nodes, weights)
 
 
+@functools.cache
+def _gauss_legendre(count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], solved once per count
+    and shared read-only."""
+    nodes, weights = np.polynomial.legendre.leggauss(count)
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
+
+
 def sphere_grid(theta_count: int = 128, phi_count: int = 256) -> SphericalGrid:
     """Product grid on the unit sphere: Gauss-Legendre in the polar cosine
     crossed with equally weighted midpoints in azimuth."""
     if theta_count < 2 or phi_count < 4:
         raise InputError("sphere grid needs at least 2 polar and 4 azimuthal nodes")
-    t, wt = np.polynomial.legendre.leggauss(theta_count)
+    t, wt = _gauss_legendre(theta_count)
     sin_theta = np.sqrt(np.maximum(0.0, 1.0 - t * t))
     phi = (np.arange(phi_count) + 0.5) * (2.0 * math.pi / phi_count)
     cp, sp = np.cos(phi), np.sin(phi)
@@ -230,19 +259,22 @@ def sphere_grid(theta_count: int = 128, phi_count: int = 256) -> SphericalGrid:
 
 @functools.cache
 def _default_circle_grid() -> SphericalGrid:
-    grid = circle_grid()
-    grid.nodes.setflags(write=False)
-    grid.weights.setflags(write=False)
-    return grid
+    return _read_only(circle_grid())
+
+
+@functools.cache
+def _default_sphere_grid() -> SphericalGrid:
+    return _read_only(sphere_grid())
 
 
 def default_grid(dim: int) -> SphericalGrid:
-    """The default quadrature grid: the 4096-node circle grid, built once
-    and shared with read-only arrays, or a fresh 128 x 256 sphere grid."""
+    """The default quadrature grid: the 4096-node circle grid or the
+    128 x 256 sphere grid, each built on first use and shared with
+    read-only arrays."""
     if dim == 2:
         return _default_circle_grid()
     if dim == 3:
-        return sphere_grid()
+        return _default_sphere_grid()
     raise InputError(f"unsupported dimension {dim}")
 
 

@@ -22,16 +22,14 @@ import numpy as np
 
 from .convex import _BALL_VOLUME, Ball
 from .errors import InputError, NonGenericPointError, UnsupportedDirectionError
-from .geometry import (BLOCK_PAIRS, RigidFrame, as_direction, as_directions,
-                       cross_2d, cyclic_next, distance_to_polygon, lerp,
-                       points_in_polygon, ring_boundary_points,
+from .geometry import (BLOCK_PAIRS, RigidFrame, _gauss_legendre, as_direction,
+                       as_directions, cross_2d, cyclic_next, distance_to_polygon,
+                       lerp, points_in_polygon, ring_boundary_points,
                        section_incidence, shoelace_area, steiner_ring)
 
 CLOSEDNESS_TOL = 1e-9
 GENERIC_POINT_TOL = 1e-12
 AXIS_ALIGNMENT_TOL = 1e-12
-
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
 
 # ---------------------------------------------------------------------------
@@ -549,13 +547,6 @@ class BoxUnion:
             best = np.minimum(best, np.linalg.norm(delta, axis=1))
         return best
 
-    def contains(self, points) -> np.ndarray:
-        p = np.atleast_2d(np.asarray(points, dtype=float))
-        inside = np.zeros(len(p), dtype=bool)
-        for b in range(self.box_count):
-            inside |= np.all((p >= self.los[b]) & (p <= self.his[b]), axis=1)
-        return inside
-
 
 def _contacts(alo: np.ndarray, ahi: np.ndarray, blo: np.ndarray, bhi: np.ndarray,
               axis: int | None = None):
@@ -734,16 +725,17 @@ def _segment_gauss(g: Callable[[np.ndarray], np.ndarray], xa: np.ndarray, ya: np
     row's x-range between the cut points inside it.  Exact for
     polynomials through degree 31 and for piecewise-constant integrands
     cut at their jumps."""
+    nodes, weights = _gauss_legendre(16)
     lo, hi = np.minimum(xa, xb), np.maximum(xa, xb)
     # cuts outside a row's range clip to its ends and give empty pieces
     inner = np.clip(np.sort(np.asarray(cuts, dtype=float))[None, :], lo[:, None], hi[:, None])
     knots = np.column_stack([lo, inner, hi])
     half = 0.5 * (knots[:, 1:] - knots[:, :-1])
-    x = (0.5 * (knots[:, 1:] + knots[:, :-1]))[..., None] + half[..., None] * _GL_NODES
+    x = (0.5 * (knots[:, 1:] + knots[:, :-1]))[..., None] + half[..., None] * nodes
     y = lerp((x - xa[:, None, None]) / (xb - xa)[:, None, None],
              ya[:, None, None], yb[:, None, None])
     values = np.asarray(g(np.column_stack([x.ravel(), y.ravel()])), dtype=float)
-    return float(np.sum(half * (values.reshape(x.shape) @ _GL_WEIGHTS)))
+    return float(np.sum(half * (values.reshape(x.shape) @ weights)))
 
 
 def coarea_check(E: PolygonSet, g: Callable[[np.ndarray], np.ndarray],

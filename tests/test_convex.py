@@ -13,8 +13,9 @@ from hypothesis import strategies as st
 
 import pettybox.convex
 import pettybox.geometry
-from pettybox import (Ball, FacetPolytope, InputError, PolarWrapper,
-                      Zonotope, body_volume, petty_product, planar_polygon,
+from pettybox import (Ball, BoxUnion, FacetPolytope, InputError, PolarWrapper,
+                      Zonotope, body_volume, hausdorff_distance,
+                      petty_product, planar_polygon,
                       polar_body, polar_polygon, polar_steiner_inclusion_check,
                       polar_volume, projection_body, radial,
                       steiner_symmetrize, steiner_symmetrize_convex,
@@ -479,6 +480,45 @@ def test_polar_volume_rejects_bad_method_and_exterior_origin():
         polar_volume(PolarWrapper(Zonotope(np.eye(3))), method="quadrature")
 
 
+def _random_zonotope_3d(seed, count=6):
+    return Zonotope(np.random.default_rng(seed).normal(size=(count, 3)))
+
+
+def _box_union_projection_body():
+    stairs = BoxUnion([[0, 0, 0], [1, 0, 0], [1, 1, 0]],
+                      [[1, 2, 1], [2, 1, 3], [3, 2, 2]])
+    return projection_body(stairs)
+
+
+@pytest.mark.parametrize("make", [lambda: _random_zonotope_3d(21),
+                                  _box_union_projection_body],
+                         ids=["zonotope", "box_union"])
+def test_polar_volume_shared_grid_matches_a_fresh_build(make):
+    # the shared default grid and its cached error levels give exactly
+    # the value and error of a freshly built 128 x 256 grid
+    K = make()
+    shared = polar_volume(K, method="quadrature")
+    fresh = polar_volume(K, grid=sphere_grid(128, 256), method="quadrature")
+    assert (shared.value, shared.error) == (fresh.value, fresh.error)
+    assert polar_volume(K, method="quadrature") == shared
+
+
+def test_hausdorff_3d_shared_grid_matches_a_fresh_build():
+    a, b = _random_zonotope_3d(22), _random_zonotope_3d(23, count=4)
+    assert hausdorff_distance(a, b) == hausdorff_distance(a, b, grid=sphere_grid(128, 256))
+
+
+def test_quadrature_does_not_rebuild_the_default_grid(monkeypatch):
+    polar_volume(_random_zonotope_3d(24), method="quadrature")
+
+    def refuse(count):
+        raise AssertionError(f"Gauss-Legendre rule of {count} nodes solved again")
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", refuse)
+    pv = polar_volume(_random_zonotope_3d(25), method="quadrature")
+    assert pv.value > 0.0 and pv.error >= 0.0
+
+
 def test_body_volume_dispatch():
     assert body_volume(Ball(1.0)) == math.pi
     assert body_volume(centered_square()) == 4.0
@@ -551,6 +591,14 @@ def test_inclusion_criterion_counts_skipped_lines():
     assert res.holds
     assert res.skipped > 0
     assert res.checked + res.skipped == 128
+
+
+def test_inclusion_criterion_shared_grid_matches_a_fresh_build(monkeypatch):
+    K, L = _random_zonotope_3d(26), _random_zonotope_3d(27)
+    shared = symmetral_inclusion_criterion(K, L, samples=8, seed=5)
+    monkeypatch.setattr(pettybox.convex, "default_grid",
+                        lambda dim: sphere_grid(128, 256))
+    assert symmetral_inclusion_criterion(K, L, samples=8, seed=5) == shared
 
 
 def test_inclusion_criterion_errors():

@@ -129,8 +129,17 @@ def test_default_circle_grid_is_built_once_and_read_only():
         grid.nodes[0, 0] = 0.0
     with pytest.raises(ValueError):
         grid.weights[0] = 0.0
-    # the 3D grid stays a fresh build, so its memory is freed after use
-    assert default_grid(3) is not default_grid(3)
+    # the 3D grid is likewise built once, shared read-only and equal to a
+    # fresh build
+    sphere = default_grid(3)
+    assert default_grid(3) is sphere
+    with pytest.raises(ValueError):
+        sphere.nodes[0, 0] = 0.0
+    with pytest.raises(ValueError):
+        sphere.weights[0] = 0.0
+    fresh = sphere_grid(128, 256)
+    assert np.array_equal(sphere.nodes, fresh.nodes)
+    assert np.array_equal(sphere.weights, fresh.weights)
 
 
 def test_circle_grid_second_moment_random_directions():
