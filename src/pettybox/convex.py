@@ -29,8 +29,6 @@ PARALLEL_TOL = 1e-12
 # turn of a zonotope ring, relative to its size, below which rounding in
 # the ring's coordinates cannot resolve it (64 units of roundoff)
 RING_RESOLUTION = 64.0 * np.finfo(float).eps
-RESIDUAL_TOL = 1e-10
-MAX_BISECTIONS = 200
 
 _BALL_VOLUME = {1: 2.0, 2: math.pi, 3: 4.0 * math.pi / 3.0}
 
@@ -110,8 +108,8 @@ class FacetPolytope:
         self.vertices.setflags(write=False)
 
     @classmethod
-    def from_vertices(cls, vertices, prune_tol: float = 1e-12) -> "FacetPolytope":
-        return cls(prune_collinear(np.asarray(vertices, dtype=float), prune_tol))
+    def from_vertices(cls, vertices) -> "FacetPolytope":
+        return cls(prune_collinear(np.asarray(vertices, dtype=float)))
 
     def __repr__(self):
         return f"FacetPolytope({len(self.vertices)} facets)"
@@ -582,32 +580,48 @@ class InclusionCheck:
     skipped: int
 
 
-def _convex_min(f, lo: float, hi: float, iters: int = 120):
-    for _ in range(iters):
-        d = (hi - lo) / 3.0
-        m1, m2 = lo + d, hi - d
-        if f(m1) <= f(m2):
-            hi = m2
-        else:
-            lo = m1
-    mid = 0.5 * (lo + hi)
-    return mid, f(mid)
+def _polar_sections(K: ConvexBody, xp: np.ndarray):
+    """Exact ends (lo, hi) of the section {t : h_K(x', t) <= 1} of the
+    polar of K by the vertical line through each row x' of xp.
 
-
-def _bisect_level(f, inside: float, outside: float):
-    """Root of f = 1 between a point with f <= 1 and one with f > 1."""
-    lo, hi = inside, outside
-    x = 0.5 * (lo + hi)
-    for _ in range(MAX_BISECTIONS):
-        x = 0.5 * (lo + hi)
-        v = f(x)
-        if abs(v - 1.0) <= RESIDUAL_TOL:
-            return x
-        if v <= 1.0:
-            lo = x
-        else:
-            hi = x
-    return x
+    A ball has the closed form +-sqrt(r^-2 - |x'|^2).  Along a line every
+    other kind's support is the maximum of affine pieces c + d t, so the
+    section is the intersection of the half-lines c + d t <= 1.  A planar
+    polygon gives one piece per vertex v: c = v'.x', d = v_n.  A zonotope
+    support sum |a_i + b_i t|, with a_i = g_i'.x' and b_i = g_i,n, has one
+    piece between consecutive breakpoints -a_i / b_i, read off by prefix
+    sums over the breakpoints in ascending order.  A line that misses the
+    polar, or touches it in one point, gets lo >= hi; an end on an
+    unbounded side is infinite.
+    """
+    if isinstance(K, Ball):
+        q = K.radius ** -2.0 - np.sum(xp * xp, axis=1)
+        half = np.sqrt(np.maximum(q, 0.0))
+        return -half, half
+    if isinstance(K, Zonotope):
+        g = K.generators
+        tilted = g[:, -1] != 0.0
+        a = xp @ g[:, :-1].T
+        flat = np.sum(np.abs(a[:, ~tilted]), axis=1, keepdims=True)
+        a, b = a[:, tilted], g[tilted, -1]
+        # past its breakpoint a_i + b_i t has the sign of b_i, before it
+        # the opposite sign
+        order = np.argsort(-a / b, axis=1)
+        sa = np.take_along_axis(np.sign(b) * a, order, axis=1)
+        passed_a = np.pad(np.cumsum(sa, axis=1), ((0, 0), (1, 0)))
+        passed_b = np.pad(np.cumsum(np.abs(b)[order], axis=1), ((0, 0), (1, 0)))
+        c = 2.0 * passed_a - passed_a[:, -1:] + flat
+        d = 2.0 * passed_b - passed_b[:, -1:]
+    else:
+        v = planar_polygon(K).vertices
+        c = xp @ v[:, :-1].T
+        d = np.broadcast_to(v[:, -1], c.shape)
+    r = np.divide(1.0 - c, d, out=np.zeros_like(c), where=d != 0.0)
+    # a flat piece above 1 empties the section
+    blocked = (d == 0.0) & (c > 1.0)
+    lo = np.where(d < 0.0, r, np.where(blocked, np.inf, -np.inf)).max(axis=1)
+    hi = np.where(d > 0.0, r, np.where(blocked, -np.inf, np.inf)).min(axis=1)
+    return lo, hi
 
 
 def symmetral_inclusion_criterion(K: ConvexBody, L: ConvexBody,
@@ -618,11 +632,13 @@ def symmetral_inclusion_criterion(K: ConvexBody, L: ConvexBody,
 
     For a random base point x', the vertical line through x' meets the
     polar of K where the support of K along it is at most 1, say between
-    heights -s and t.  The symmetral's section there reaches heights
-    +-(t+s)/2, so the inclusion requires the support of L at both of
-    those endpoints to stay at most 1.  Lines missing the polar of K, or
-    touching it in a single point, carry no constraint and are skipped
-    (and counted).  Returns the first witness on failure.
+    heights -s and t, computed exactly by _polar_sections.  The
+    symmetral's section there reaches heights +-(t+s)/2, so the inclusion
+    requires the support of L at both of those endpoints to stay at most
+    1.  Lines missing the polar of K, meeting it in an unbounded section,
+    or touching it in a single point, carry no constraint and are skipped
+    (and counted).  Returns the first witness on failure; checked and
+    skipped then count the samples up to it.
     """
     if K.dim != L.dim:
         raise InputError("bodies must share a dimension")
@@ -633,44 +649,17 @@ def symmetral_inclusion_criterion(K: ConvexBody, L: ConvexBody,
     if min_h <= 0.0:
         raise InputError("origin is not interior to the first body")
     reach = 1.0 / min_h
-    checked = 0
-    skipped = 0
-    for _ in range(samples):
-        xp = rng.uniform(-reach, reach, size=n - 1)
-
-        def height_support(t: float) -> float:
-            return K.support(np.append(xp, t))
-
-        t_min, g_min = _convex_min(height_support, -2.0 * reach, 2.0 * reach)
-        if g_min > 1.0 - 1e-12:
-            skipped += 1
-            continue
-        hi = max(abs(t_min), 1.0)
-        for _ in range(60):
-            if height_support(t_min + hi) > 1.0:
-                break
-            hi *= 2.0
-        else:
-            skipped += 1
-            continue
-        t = _bisect_level(height_support, t_min, t_min + hi)
-        lo = max(abs(t_min), 1.0)
-        for _ in range(60):
-            if height_support(t_min - lo) > 1.0:
-                break
-            lo *= 2.0
-        else:
-            skipped += 1
-            continue
-        neg = _bisect_level(height_support, t_min, t_min - lo)
-        s = -neg
-        if t + s <= 1e-12:
-            skipped += 1
-            continue
-        mid = 0.5 * (t + s)
-        value = max(L.support(np.append(xp, mid)),
-                    L.support(np.append(xp, -mid)))
-        checked += 1
+    xp = rng.uniform(-reach, reach, size=(samples, n - 1))
+    lo, hi = _polar_sections(K, xp)
+    length = hi - lo
+    live = np.isfinite(length) & (length > 1e-12)
+    for i in np.flatnonzero(live):
+        mid = 0.5 * length[i]
+        value = max(L.support(np.append(xp[i], mid)),
+                    L.support(np.append(xp[i], -mid)))
         if value > 1.0 + tol:
-            return InclusionCheck(False, (tuple(xp), t, s, value), checked, skipped)
-    return InclusionCheck(True, None, checked, skipped)
+            checked = int(np.count_nonzero(live[:i + 1]))
+            return InclusionCheck(False, (tuple(xp[i]), float(hi[i]), float(-lo[i]), value),
+                                  checked, int(i) + 1 - checked)
+    checked = int(np.count_nonzero(live))
+    return InclusionCheck(True, None, checked, samples - checked)

@@ -111,7 +111,7 @@ def cross_2d(a, b) -> np.ndarray:
     return a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RigidFrame:
     """A proper rotation of the ambient space (orthonormal, det +1)."""
 
@@ -163,7 +163,7 @@ def frame_to_last_axis(u) -> RigidFrame:
 # spherical quadrature
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SphericalGrid:
     """Quadrature nodes and weights on the unit circle or sphere."""
 

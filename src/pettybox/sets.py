@@ -36,7 +36,7 @@ AXIS_ALIGNMENT_TOL = 1e-12
 # surface measure
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SurfaceMeasure:
     """Finite atomic surface measure: unit outer normals with positive
     masses.  Closed boundaries balance: the mass-weighted normal sum
@@ -86,7 +86,7 @@ class SurfaceMeasure:
 # column structure
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ColumnStructure:
     """Sections of a set along one coordinate axis, organized over the
     cells of the base lattice cut at ``base_breaks``.

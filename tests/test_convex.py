@@ -582,7 +582,7 @@ def test_inclusion_criterion_ball_cases():
     assert not fails.holds
     assert fails.witness is not None
     # witness records the offending support value, here exactly 2
-    assert abs(fails.witness[-1] - 2.0) <= 1e-6
+    assert abs(fails.witness[-1] - 2.0) <= 1e-12
 
 
 def test_inclusion_criterion_counts_skipped_lines():
@@ -591,6 +591,84 @@ def test_inclusion_criterion_counts_skipped_lines():
     assert res.holds
     assert res.skipped > 0
     assert res.checked + res.skipped == 128
+
+
+def test_inclusion_criterion_skips_unbounded_sections():
+    # all generators horizontal: the support is constant along every
+    # vertical line, so each section of the polar is empty or unbounded
+    flat = Zonotope([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 0.0]])
+    res = symmetral_inclusion_criterion(flat, flat, samples=16, seed=0)
+    assert (res.holds, res.checked, res.skipped) == (True, 0, 16)
+
+
+def test_inclusion_criterion_takes_planar_polar_wrappers():
+    Z = Zonotope([[1.0, 0.5], [1.0, -0.5], [0.0, 0.3]])
+    P = PolarWrapper(Z)
+    # the polar of P is Z, symmetric about the first axis, so it is its
+    # own symmetral
+    same = symmetral_inclusion_criterion(P, P, samples=32, seed=1)
+    assert same.holds and same.checked > 0
+    # as K and as L, a wrapper acts as its materialized polygon
+    F = polar_polygon(Z)
+    for seed in range(3):
+        assert symmetral_inclusion_criterion(P, Ball(0.9), seed=seed) \
+            == symmetral_inclusion_criterion(F, Ball(0.9), seed=seed)
+        assert symmetral_inclusion_criterion(Ball(0.9), P, seed=seed) \
+            == symmetral_inclusion_criterion(Ball(0.9), F, seed=seed)
+
+
+_SECTION_BODIES = {
+    "ball": lambda seed: Ball(0.5 + np.random.default_rng(seed).uniform()),
+    "ball3": lambda seed: Ball(0.5 + np.random.default_rng(seed).uniform(), dim=3),
+    "zonotope2": lambda seed: Zonotope(np.random.default_rng(seed).normal(size=(5, 2))),
+    "zonotope3": _random_zonotope_3d,
+    "facet_polytope": random_centered_body,
+    "polar_wrapper": lambda seed: PolarWrapper(random_centered_body(seed)),
+    # supports with flat pieces along vertical lines, some above 1
+    "flat_zonotope2": lambda seed: Zonotope(seed * np.array([[1.0, 1.0], [1.0, -1.0],
+                                                             [0.5, 0.0]])),
+    "flat_zonotope3": lambda seed: Zonotope(seed * np.array([[1.0, 0.0, 1.0],
+                                                             [1.0, 0.0, -1.0],
+                                                             [0.0, 1.0, 0.0]])),
+    "flat_polytope": lambda seed: FacetPolytope(seed * np.array([[2.5, 0.0], [0.0, 2.0],
+                                                                 [-2.5, 0.0], [0.0, -2.0]])),
+}
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("kind", list(_SECTION_BODIES))
+def test_polar_sections_are_exact(kind, seed):
+    K = _SECTION_BODIES[kind](seed)
+    grid = default_grid(K.dim)
+    reach = 1.0 / np.min([K.support(u) for u in grid.nodes[::64]])
+    xp = np.random.default_rng(seed).uniform(-1.5 * reach, 1.5 * reach, size=(200, K.dim - 1))
+    lo, hi = pettybox.convex._polar_sections(K, xp)
+    hit = lo < hi
+    assert 0 < np.count_nonzero(hit) < len(xp)
+    assert np.all(np.isfinite(lo[hit]) & np.isfinite(hi[hit]))
+    for x, a, b in zip(xp[hit], lo[hit], hi[hit]):
+        for end in (a, b):
+            assert abs(K.support(np.append(x, end)) - 1.0) <= 1e-12 * (1.0 + abs(end))
+        assert K.support(np.append(x, 0.5 * (a + b))) < 1.0
+    # a reported miss: the support exceeds 1 all along the line
+    t = np.linspace(-3.0 * reach, 3.0 * reach, 2001)
+    miss = xp[~hit]
+    z = np.column_stack([np.repeat(miss, len(t), axis=0), np.tile(t, len(miss))])
+    dense = planar_polygon(K) if isinstance(K, PolarWrapper) else K
+    assert np.all(dense.support_batch(z) > 1.0)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+def test_polar_sections_of_planar_zonotope_match_its_vertex_form(seed):
+    Z = Zonotope(np.random.default_rng(seed).normal(size=(6, 2)))
+    xp = np.random.default_rng(seed).uniform(-2.0, 2.0, size=(200, 1))
+    lo, hi = pettybox.convex._polar_sections(Z, xp)
+    vlo, vhi = pettybox.convex._polar_sections(Z._polygon, xp)
+    hit = lo < hi
+    assert np.any(hit)
+    assert np.array_equal(hit, vlo < vhi)
+    assert np.max(np.abs(lo[hit] - vlo[hit])) <= 1e-12
+    assert np.max(np.abs(hi[hit] - vhi[hit])) <= 1e-12
 
 
 def test_inclusion_criterion_shared_grid_matches_a_fresh_build(monkeypatch):

@@ -3,6 +3,7 @@ circumradius, and the planar convex hull test helper."""
 
 from __future__ import annotations
 
+import copy
 import math
 import re
 from pathlib import Path
@@ -140,6 +141,23 @@ def test_default_circle_grid_is_built_once_and_read_only():
     fresh = sphere_grid(128, 256)
     assert np.array_equal(sphere.nodes, fresh.nodes)
     assert np.array_equal(sphere.weights, fresh.weights)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: sphere_grid(4, 8),
+     lambda: unit_square().surface_measure(),
+     lambda: unit_square().column_structure(1),
+     lambda: frame_to_last_axis([0.6, 0.8])],
+    ids=["SphericalGrid", "SurfaceMeasure", "ColumnStructure", "RigidFrame"],
+)
+def test_array_records_compare_and_hash_by_identity(make):
+    # records holding numpy arrays compare by identity, so they can be
+    # compared at all and can serve as dict keys
+    a = make()
+    assert a == a
+    assert a != copy.copy(a)
+    assert {a: 1}[a] == 1
 
 
 def test_circle_grid_second_moment_random_directions():
