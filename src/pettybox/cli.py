@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -33,28 +32,11 @@ from .sets import (BoxUnion, coarea_check, load_set_file, steiner_symmetrize,
 DEFAULT_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved parameters of one invocation, embedded in every output."""
-
-    command: str
-    input: str | None = None
-    out: str | None = None
-    seed: int | None = None
-    grid_n: int | None = None
-    tol: float = DEFAULT_TOL
-    count: int | None = None
-    trials: int | None = None
-    direction: str | None = None
-    policy: str | None = None
-    candidates: int | None = None
-    max_steps: int | None = None
-    stop_tol: float | None = None
-    exploratory: bool = False
-
-    def to_json(self) -> dict:
-        return {k: v for k, v in asdict(self).items()
-                if v is not None and (k != "exploratory" or v)}
+def _config(args) -> dict:
+    """The run configuration embedded in every output: each parsed option
+    of the subcommand, less the unset (None) and off (False) ones."""
+    return {k: v for k, v in vars(args).items()
+            if k not in ("func", "needs_input") and v is not None and v is not False}
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -64,19 +46,19 @@ def _emit(text: str, out: str | None) -> None:
             fh.write(text)
 
 
-def _json_report(payload: dict, config: RunConfig) -> str:
-    doc = {"version": __version__, "config": config.to_json()}
+def _json_report(payload: dict, args) -> str:
+    doc = {"version": __version__, "config": _config(args)}
     doc.update(payload)
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
-def _csv_comments(config: RunConfig) -> list[str]:
+def _csv_comments(args) -> list[str]:
     return [f"version: {__version__}",
-            "config: " + json.dumps(config.to_json(), sort_keys=True)]
+            "config: " + json.dumps(_config(args), sort_keys=True)]
 
 
-def _csv(header: list[str], rows: list[list[str]], config: RunConfig) -> str:
-    lines = [f"# {c}" for c in _csv_comments(config)]
+def _csv(header: list[str], rows: list[list[str]], args) -> str:
+    lines = [f"# {c}" for c in _csv_comments(args)]
     lines.append(",".join(header))
     lines.extend(",".join(r) for r in rows)
     return "\n".join(lines) + "\n"
@@ -109,10 +91,8 @@ def _grid_for(dim: int, grid_n: int | None) -> SphericalGrid | None:
 
 def _cmd_petty(args) -> int:
     E = load_set_file(args.input)
-    config = RunConfig(command="petty", input=args.input, out=args.out,
-                       grid_n=args.grid_n, tol=args.tol)
     report = petty_product(E, _grid_for(E.dim, args.grid_n))
-    _emit(_json_report(report.to_json(), config), args.out)
+    _emit(_json_report(report.to_json(), args), args.out)
     return 0 if report.slack >= -args.tol else 1
 
 
@@ -160,12 +140,9 @@ def _cmd_monotonicity(args) -> int:
             u, resamples = draw_direction(E, uniform, rng, 1, ResampleBudget(10_000))
             margin = _monotonicity_row(E, u, i, resamples, False, rows)
             worst = min(worst, margin)
-    config = RunConfig(command="monotonicity", input=args.input, out=args.out,
-                       seed=args.seed, tol=args.tol, count=args.count,
-                       direction=args.direction, exploratory=args.exploratory)
     header = ["set_id"] + [f"u_{k + 1}" for k in range(dim)] + [
         "product_before", "product_after", "margin", "resamples", "exploratory"]
-    _emit(_csv(header, rows, config), args.out)
+    _emit(_csv(header, rows, args), args.out)
     return 0 if (worst is np.inf or worst >= -args.tol) else 1
 
 
@@ -173,13 +150,9 @@ def _cmd_converge(args) -> int:
     E = load_set_file(args.input)
     policy = DirectionPolicy(kind=args.policy, seed=args.seed,
                              candidates=args.candidates)
-    config = RunConfig(command="converge", input=args.input, out=args.out,
-                       seed=args.seed, policy=args.policy,
-                       candidates=args.candidates, max_steps=args.max_steps,
-                       stop_tol=args.stop_tol)
     trace = run_symmetrization(E, policy, max_steps=args.max_steps,
                                stop_tol=args.stop_tol)
-    _emit(trace.to_csv(comments=_csv_comments(config)), args.out)
+    _emit(trace.to_csv(comments=_csv_comments(args)), args.out)
     return 0 if trace.converged else 1
 
 
@@ -201,12 +174,9 @@ def _cmd_affine(args) -> int:
         rows.append([str(t), _fmt(A[0, 0]), _fmt(A[0, 1]), _fmt(A[1, 0]),
                      _fmt(A[1, 1]), _fmt(disc), _fmt(rel)])
         worst = max(worst, disc)
-    config = RunConfig(command="affine", input=args.input, out=args.out,
-                       seed=args.seed, grid_n=args.grid_n, tol=args.tol,
-                       trials=args.trials)
     header = ["trial", "a11", "a12", "a21", "a22", "discrepancy",
               "product_rel_diff"]
-    _emit(_csv(header, rows, config), args.out)
+    _emit(_csv(header, rows, args), args.out)
     return 0 if worst <= args.tol else 1
 
 
@@ -225,9 +195,7 @@ def _cmd_coarea(args) -> int:
         diff = abs(lhs - rhs)
         ok = ok and diff <= args.tol * (1.0 + abs(lhs))
         rows.append([name, _fmt(lhs), _fmt(rhs), _fmt(diff)])
-    config = RunConfig(command="coarea-check", input=args.input, out=args.out,
-                       tol=args.tol)
-    _emit(_csv(["field", "lhs", "rhs", "abs_diff"], rows, config), args.out)
+    _emit(_csv(["field", "lhs", "rhs", "abs_diff"], rows, args), args.out)
     return 0 if ok else 1
 
 
@@ -237,11 +205,8 @@ def _cmd_polar_symmetral(args) -> int:
     grid = _grid_for(E.dim, args.grid_n)
     holds, margin = polar_steiner_inclusion_check(E, u, grid,
                                                   factor_tol=args.tol)
-    config = RunConfig(command="polar-symmetral-check", input=args.input,
-                       out=args.out, grid_n=args.grid_n, tol=args.tol,
-                       direction=args.direction)
     _emit(_json_report({"holds": holds, "margin": margin,
-                        "direction": [float(c) for c in u]}, config), args.out)
+                        "direction": [float(c) for c in u]}, args), args.out)
     return 0 if holds else 1
 
 

@@ -2,10 +2,11 @@
 
 Four body kinds cover everything the toolkit builds: planar facet
 polytopes, origin-symmetric zonotopes in dimension 2 or 3, origin-centered
-balls, and a lazy polar wrapper for bodies whose polar has no materialized
-form.  Planar polars are materialized exactly; three-dimensional polar
-volumes fall back to spherical quadrature of the reciprocal support
-function with a reported error estimate.
+balls, and a lazy polar wrapper for three-dimensional bodies, whose polar
+has no materialized form.  Planar polars are materialized exactly by
+polar_polygon; three-dimensional polar volumes fall back to spherical
+quadrature of the reciprocal support function with a reported error
+estimate.
 """
 
 from __future__ import annotations
@@ -18,10 +19,9 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InputError, NumericalError
-from .geometry import (SphericalGrid, angle_sectors, cross_2d, cyclic_next,
-                       default_grid, distance_to_polygon, integrate_sphere,
-                       prune_collinear, ring_boundary_points, shoelace_area,
-                       steiner_ring)
+from .geometry import (SphericalGrid, VertexRing, angle_sectors, cross_2d,
+                       cyclic_next, default_grid, integrate_sphere,
+                       prune_collinear, steiner_ring)
 
 SUPPORT_CONSISTENCY_TOL = 1e-10
 # angle step (radians) up to which zonotope generators count as parallel
@@ -84,11 +84,9 @@ class Ball:
         return np.maximum(np.linalg.norm(p, axis=1) - self.radius, 0.0)
 
 
-class FacetPolytope:
+class FacetPolytope(VertexRing):
     """Planar convex polytope: CCW vertices with derived outer normals
     and support offsets, consistent within 1e-10 by construction."""
-
-    dim = 2
 
     def __init__(self, vertices):
         v = np.asarray(vertices, dtype=float)
@@ -114,25 +112,19 @@ class FacetPolytope:
     def __repr__(self):
         return f"FacetPolytope({len(self.vertices)} facets)"
 
+    @property
+    def normals(self) -> np.ndarray:
+        return self.edge_normals()
+
     @cached_property
-    def _facets(self):
+    def offsets(self) -> np.ndarray:
         v = self.vertices
-        edges = cyclic_next(v) - v
-        lengths = np.linalg.norm(edges, axis=1)
-        normals = np.column_stack([edges[:, 1], -edges[:, 0]]) / lengths[:, None]
+        normals = self.normals
         offsets = np.sum(v * normals, axis=1)
         check = np.sum(cyclic_next(v) * normals, axis=1)
         if np.max(np.abs(check - offsets)) > SUPPORT_CONSISTENCY_TOL * (1.0 + np.max(np.abs(offsets))):
             raise NumericalError("facet offsets inconsistent with vertices")
-        return normals, offsets
-
-    @property
-    def normals(self) -> np.ndarray:
-        return self._facets[0]
-
-    @property
-    def offsets(self) -> np.ndarray:
-        return self._facets[1]
+        return offsets
 
     def support(self, z) -> float:
         return float(np.max(self.vertices @ np.asarray(z, dtype=float)))
@@ -156,7 +148,7 @@ class FacetPolytope:
         least is kept.  With the origin interior that is the least over
         all facets; the neighbours cover a node at or next to a vertex
         direction, which rounding can put in either sector."""
-        normals, offsets = self._facets
+        normals, offsets = self.normals, self.offsets
         if np.min(offsets) <= 0.0:
             raise InputError("radial function needs the origin interior to the body")
         nodes = np.asarray(nodes, dtype=float)
@@ -171,21 +163,6 @@ class FacetPolytope:
 
     def radial(self, u) -> float:
         return float(self.radial_batch(np.asarray(u, dtype=float)[None])[0])
-
-    def volume(self) -> float:
-        return shoelace_area(self.vertices)
-
-    def max_norm(self) -> float:
-        return float(np.max(np.linalg.norm(self.vertices, axis=1)))
-
-    def bounding_box(self):
-        return self.vertices.min(axis=0), self.vertices.max(axis=0)
-
-    def boundary_points(self, step: float) -> np.ndarray:
-        return ring_boundary_points(self.vertices, step)
-
-    def solid_distance(self, points) -> np.ndarray:
-        return distance_to_polygon(points, self.vertices)
 
 
 class Zonotope:
@@ -394,18 +371,19 @@ def _cut_wide_groups(g: np.ndarray, start: np.ndarray, turn: np.ndarray,
 
 
 class PolarWrapper:
-    """Lazy polar of a convex body with the origin interior.  Radial
-    evaluation is exact through support duality; planar wrappers can
-    also materialize vertices."""
+    """Lazy polar of a 3D convex body with the origin interior.  Radial
+    evaluation is exact through support duality.  The polar of a planar
+    body is materialized exactly by polar_polygon instead."""
+
+    dim = 3
 
     def __init__(self, body):
         if isinstance(body, PolarWrapper):
             raise InputError("polar wrappers do not nest; unwrap to the inner body")
+        if body.dim != 3:
+            raise InputError(f"polar wrappers hold 3D bodies; the polar of a planar "
+                             f"{type(body).__name__} is exact as polar_polygon or polar_body")
         self.body = body
-
-    @property
-    def dim(self) -> int:
-        return self.body.dim
 
     def __repr__(self):
         return f"PolarWrapper({self.body!r})"
@@ -417,23 +395,10 @@ class PolarWrapper:
         return float(np.linalg.norm(u)) / h
 
     def support(self, z) -> float:
-        if self.dim == 2:
-            return self._materialized.support(z)
         raise InputError("support of a 3D polar wrapper is not materialized")
 
-    @cached_property
-    def _materialized(self) -> FacetPolytope:
-        return polar_polygon(self.body)
-
     def max_norm(self) -> float:
-        if self.dim == 2:
-            return self._materialized.max_norm()
         raise InputError("max norm of a 3D polar wrapper is not materialized")
-
-    def bounding_box(self):
-        if self.dim == 2:
-            return self._materialized.bounding_box()
-        raise InputError("bounding box of a 3D polar wrapper is not materialized")
 
 
 ConvexBody = Ball | FacetPolytope | Zonotope | PolarWrapper
@@ -451,14 +416,12 @@ def radial(K: ConvexBody, u) -> float:
 
 
 def planar_polygon(K: ConvexBody) -> FacetPolytope:
-    """The vertex form of a planar convex body: a FacetPolytope itself, a
-    zonotope's merged ring, or a polar wrapper's materialized polar."""
+    """The vertex form of a planar convex body: a FacetPolytope itself or
+    a zonotope's merged ring."""
     if isinstance(K, FacetPolytope):
         return K
     if isinstance(K, Zonotope) and K.dim == 2:
         return K._polygon
-    if isinstance(K, PolarWrapper) and K.dim == 2:
-        return K._materialized
     raise InputError(f"{type(K).__name__} has no planar vertex form")
 
 
@@ -468,7 +431,8 @@ def polar_polygon(K: ConvexBody) -> FacetPolytope:
     vertex nu/h, in matching CCW order."""
     if isinstance(K, Ball):
         raise InputError("the polar of a ball is a ball; use polar_body")
-    normals, offsets = planar_polygon(K)._facets
+    P = planar_polygon(K)
+    normals, offsets = P.normals, P.offsets
     if np.min(offsets) <= 0.0:
         raise InputError("polar polygon needs the origin interior to the body")
     if isinstance(K, Zonotope):

@@ -56,7 +56,7 @@ class DirectionPolicy:
             raise InputError("candidate count must be at least 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TraceStep:
     step: int
     direction: np.ndarray | None  # None on the initial row

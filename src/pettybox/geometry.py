@@ -18,7 +18,6 @@ import numpy as np
 
 from .errors import InputError, NumericalError
 
-EPSILON = 1e-12
 DIRECTION_TOL = 1e-12
 GRID_MEASURE_TOL = 1e-9
 # relative size of a section-length jump that a planar symmetral keeps as
@@ -74,15 +73,6 @@ def as_directions(directions) -> np.ndarray:
     if len(bad):
         raise InputError(f"direction norm {float(n[bad[0]])!r} is not 1 within {DIRECTION_TOL}")
     return U
-
-
-def random_direction(rng: np.random.Generator, dim: int) -> np.ndarray:
-    """Uniform random unit vector."""
-    while True:
-        v = rng.standard_normal(dim)
-        n = float(np.linalg.norm(v))
-        if n > 1e-6:
-            return v / n
 
 
 def rotation_2d(angle: float) -> np.ndarray:
@@ -258,23 +248,14 @@ def sphere_grid(theta_count: int = 128, phi_count: int = 256) -> SphericalGrid:
 
 
 @functools.cache
-def _default_circle_grid() -> SphericalGrid:
-    return _read_only(circle_grid())
-
-
-@functools.cache
-def _default_sphere_grid() -> SphericalGrid:
-    return _read_only(sphere_grid())
-
-
 def default_grid(dim: int) -> SphericalGrid:
     """The default quadrature grid: the 4096-node circle grid or the
     128 x 256 sphere grid, each built on first use and shared with
     read-only arrays."""
     if dim == 2:
-        return _default_circle_grid()
+        return _read_only(circle_grid())
     if dim == 3:
-        return _default_sphere_grid()
+        return _read_only(sphere_grid())
     raise InputError(f"unsupported dimension {dim}")
 
 
@@ -471,10 +452,11 @@ def symmetral_radii(vertices: np.ndarray, directions) -> np.ndarray:
     return radii
 
 
-def prune_collinear(vertices: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """Drop duplicate points and vertices within tol of the chord joining
-    their neighbours.  Exact up to the stated tolerance; never merges
+def prune_collinear(vertices: np.ndarray) -> np.ndarray:
+    """Drop duplicate points and vertices within 1e-12 of the chord
+    joining their neighbours.  Exact up to that tolerance; never merges
     non-adjacent structure."""
+    tol = 1e-12
     v = np.asarray(vertices, dtype=float)
     if len(v) < 3:
         return v.copy()
@@ -570,6 +552,47 @@ def distance_to_polygon(points: np.ndarray, vertices: np.ndarray) -> np.ndarray:
         best = np.minimum(best, np.min(np.sqrt(ex * ex + ey * ey), axis=0))
     best[points_in_polygon(p, vertices)] = 0.0
     return best
+
+
+class VertexRing:
+    """What a closed planar ring of CCW vertices alone determines, shared
+    by PolygonSet and FacetPolytope: edges, volume and the metric
+    methods.  Subclasses validate and set the read-only ``vertices``."""
+
+    dim = 2
+    vertices: np.ndarray
+
+    @functools.cached_property
+    def _edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Edge vectors, their lengths and unit outer normals, one per
+        edge in vertex order."""
+        v = self.vertices
+        edges = cyclic_next(v) - v
+        lengths = np.linalg.norm(edges, axis=1)
+        normals = np.column_stack([edges[:, 1], -edges[:, 0]]) / lengths[:, None]
+        return edges, lengths, normals
+
+    def edge_lengths(self) -> np.ndarray:
+        return self._edges[1]
+
+    def edge_normals(self) -> np.ndarray:
+        """Unit outer normals, one per edge, in vertex order."""
+        return self._edges[2]
+
+    def volume(self) -> float:
+        return shoelace_area(self.vertices)
+
+    def max_norm(self) -> float:
+        return float(np.max(np.linalg.norm(self.vertices, axis=1)))
+
+    def bounding_box(self):
+        return self.vertices.min(axis=0), self.vertices.max(axis=0)
+
+    def boundary_points(self, step: float) -> np.ndarray:
+        return ring_boundary_points(self.vertices, step)
+
+    def solid_distance(self, points) -> np.ndarray:
+        return distance_to_polygon(points, self.vertices)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ representation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -21,7 +21,6 @@ from .geometry import SphericalGrid, as_direction, default_grid
 from .sets import (SurfaceMeasure, steiner_symmetrize, surface_measure,
                    vertical_boundary_measure, volume)
 
-EQUIVARIANCE_TOL = 1e-9
 INCLUSION_FACTOR_TOL = 1e-9
 DETERMINANT_TOL = 1e-12
 
@@ -73,14 +72,7 @@ class PettyReport:
     slack: float
 
     def to_json(self) -> dict:
-        return {
-            "volume": self.volume,
-            "polar_projection_volume": self.polar_projection_volume,
-            "error_estimate": self.error_estimate,
-            "product": self.product,
-            "bound": self.bound,
-            "slack": self.slack,
-        }
+        return asdict(self)
 
 
 def petty_product(E, grid: SphericalGrid | None = None) -> PettyReport:

@@ -22,10 +22,10 @@ import numpy as np
 
 from .convex import _BALL_VOLUME, Ball
 from .errors import InputError, NonGenericPointError, UnsupportedDirectionError
-from .geometry import (BLOCK_PAIRS, RigidFrame, _gauss_legendre, as_direction,
-                       as_directions, cross_2d, cyclic_next, distance_to_polygon,
-                       lerp, points_in_polygon, ring_boundary_points,
-                       section_incidence, shoelace_area, steiner_ring)
+from .geometry import (BLOCK_PAIRS, RigidFrame, VertexRing, _gauss_legendre,
+                       as_direction, as_directions, cross_2d, cyclic_next, lerp,
+                       points_in_polygon, section_incidence, shoelace_area,
+                       steiner_ring)
 
 CLOSEDNESS_TOL = 1e-9
 GENERIC_POINT_TOL = 1e-12
@@ -71,15 +71,10 @@ class SurfaceMeasure:
     def total_mass(self) -> float:
         return float(np.sum(self.masses))
 
-    def orthogonal_atoms(self, directions, tol: float = AXIS_ALIGNMENT_TOL) -> np.ndarray:
+    def orthogonal_atoms(self, directions) -> np.ndarray:
         """(atoms, K) mask: whether each atom's normal is orthogonal within
-        tol to each of a (K, dim) stack of unit directions."""
-        return np.abs(self.normals @ as_directions(directions).T) <= tol
-
-    def mass_orthogonal_to(self, u, tol: float = AXIS_ALIGNMENT_TOL) -> float:
-        """Total mass of atoms whose normal is orthogonal to u within tol."""
-        sel = self.orthogonal_atoms(as_direction(u)[None], tol)[:, 0]
-        return float(np.sum(self.masses[sel]))
+        AXIS_ALIGNMENT_TOL to each of a (K, dim) stack of unit directions."""
+        return np.abs(self.normals @ as_directions(directions).T) <= AXIS_ALIGNMENT_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +221,7 @@ def _box_columns(los: np.ndarray, his: np.ndarray, axis: int):
 # polygons
 
 
-class PolygonSet:
+class PolygonSet(VertexRing):
     """A simple planar polygon with positively oriented (CCW) boundary."""
 
     def __init__(self, vertices, validate_simple: bool = True):
@@ -247,28 +242,8 @@ class PolygonSet:
         self.vertices = v
         self.vertices.setflags(write=False)
 
-    dim = 2
-
     def __repr__(self):
         return f"PolygonSet({len(self.vertices)} vertices, area={self.volume():.6g})"
-
-    @cached_property
-    def _edge_data(self):
-        v = self.vertices
-        edges = cyclic_next(v) - v
-        lengths = np.linalg.norm(edges, axis=1)
-        normals = np.column_stack([edges[:, 1], -edges[:, 0]]) / lengths[:, None]
-        return edges, lengths, normals
-
-    def edge_lengths(self) -> np.ndarray:
-        return self._edge_data[1]
-
-    def edge_normals(self) -> np.ndarray:
-        """Unit outer normals, one per edge, in vertex order."""
-        return self._edge_data[2]
-
-    def volume(self) -> float:
-        return shoelace_area(self.vertices)
 
     def perimeter(self) -> float:
         return float(np.sum(self.edge_lengths()))
@@ -302,15 +277,12 @@ class PolygonSet:
 
     # -- metric methods --------------------------------------------------
 
-    def max_norm(self) -> float:
-        return float(np.max(np.linalg.norm(self.vertices, axis=1)))
-
     def min_boundary_norm(self) -> float:
         # the edge distance of distance_to_polygon from the origin, over all
         # edges at once, with the dot products through stacked matmul as
         # there
         a = self.vertices
-        d = self._edge_data[0]
+        d = self._edges[0]
         t = np.clip(((-a)[:, None, :] @ d[:, :, None]) / (d[:, None, :] @ d[:, :, None]),
                     0.0, 1.0)[:, 0, 0]
         return float(np.min(np.linalg.norm(a + t[:, None] * d, axis=1)))
@@ -322,15 +294,6 @@ class PolygonSet:
         v = self.vertices
         cr = cross_2d(v, cyclic_next(v))
         return bool(np.all(cr > 0.0))
-
-    def bounding_box(self):
-        return self.vertices.min(axis=0), self.vertices.max(axis=0)
-
-    def boundary_points(self, step: float) -> np.ndarray:
-        return ring_boundary_points(self.vertices, step)
-
-    def solid_distance(self, points) -> np.ndarray:
-        return distance_to_polygon(points, self.vertices)
 
     def contains(self, points) -> np.ndarray:
         return points_in_polygon(points, self.vertices)
@@ -454,40 +417,33 @@ class BoxUnion:
         return float(np.sum(np.prod(self.his - self.los, axis=1)))
 
     @cached_property
-    def _class_masses(self) -> dict:
-        """Exposed surface area per outer-normal class (axis, sign): the
-        facet areas less the contact areas.  Each contact hides one upper
-        and one lower facet, so both signs of an axis carry equal mass."""
-        out = {}
+    def _class_masses(self) -> np.ndarray:
+        """Exposed surface area of each outer-normal sign class, one entry
+        per axis: the facet areas less the contact areas.  Each contact
+        hides one upper and one lower facet, so both signs of an axis
+        carry this same mass."""
+        masses = np.empty(self.dim)
         for axis in range(self.dim):
             others = [k for k in range(self.dim) if k != axis]
             facets = float(np.sum(np.prod(self.his[:, others] - self.los[:, others], axis=1)))
             contacts = float(np.sum(_contacts(self.los, self.his, self.los, self.his, axis)[2]))
-            total = facets - contacts
-            if total > 0.0:
-                out[(axis, +1)] = total
-                out[(axis, -1)] = total
-        return out
+            masses[axis] = facets - contacts
+        return masses
 
     def perimeter(self) -> float:
-        return float(sum(self._class_masses.values()))
+        # one term per atom, in axis order: the summation order fixes the
+        # rounding
+        return float(sum(np.repeat(self._class_masses, 2)))
 
     def surface_measure(self) -> SurfaceMeasure:
-        normals = []
-        masses = []
-        for (axis, sign), mass in sorted(self._class_masses.items()):
-            n = np.zeros(self.dim)
-            n[axis] = float(sign)
-            normals.append(n)
-            masses.append(mass)
-        return SurfaceMeasure(np.asarray(normals), np.asarray(masses))
+        """Two atoms per axis, -e_k before +e_k, in axis order."""
+        on_axis = np.repeat(np.eye(self.dim, dtype=bool), 2, axis=0)
+        normals = np.where(on_axis, np.tile([-1.0, 1.0], self.dim)[:, None], 0.0)
+        return SurfaceMeasure(normals, np.repeat(self._class_masses, 2))
 
     def axis_class_masses(self) -> np.ndarray:
         """Total exposed area per axis, both signs combined."""
-        out = np.zeros(self.dim)
-        for (axis, _sign), mass in self._class_masses.items():
-            out[axis] += mass
-        return out
+        return 2.0 * self._class_masses
 
     def column_structure(self, axis: int) -> ColumnStructure:
         if not 0 <= axis < self.dim:
@@ -637,7 +593,8 @@ def vertical_boundary_measure(E: SetHandle, frame: RigidFrame | Sequence[float])
         u = frame.last_axis_preimage
     else:
         u = as_direction(frame)
-    return E.surface_measure().mass_orthogonal_to(u)
+    mu = E.surface_measure()
+    return float(np.sum(mu.masses[mu.orthogonal_atoms(u[None])[:, 0]]))
 
 
 def section_length_gradient(E: SetHandle, xprime) -> np.ndarray:

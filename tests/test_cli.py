@@ -234,3 +234,49 @@ def test_disk_product_near_bound(sets_dir, capsys):
     doc = json.loads(out)
     assert doc["slack"] > 0.0
     assert doc["product"] > 0.99 * doc["bound"]
+
+
+# -------------------------------------------------------------------- config
+
+# each subcommand's embedded config is its parsed options: every one that
+# is set, defaults included, and no unset or off flag
+CONFIGS = [
+    pytest.param(["petty", "--input", "{square}", "--grid-n", "64"],
+                 {"command": "petty", "input": "{square}", "tol": 1e-9, "grid_n": 64},
+                 id="petty"),
+    pytest.param(["monotonicity", "--count", "2", "--seed", "5", "--tol", "1e-3"],
+                 {"command": "monotonicity", "count": 2, "seed": 5, "tol": 1e-3},
+                 id="monotonicity"),
+    pytest.param(["converge", "--input", "{square}", "--tol", "1e-6", "--max-steps", "3"],
+                 {"command": "converge", "input": "{square}", "tol": 1e-6,
+                  "policy": "cap-cover-greedy", "seed": 0, "candidates": 32,
+                  "max_steps": 3, "stop_tol": 0.05},
+                 id="converge"),
+    pytest.param(["affine", "--input", "{tri_rot}", "--seed", "7", "--trials", "2",
+                  "--out", "{out}"],
+                 {"command": "affine", "input": "{tri_rot}", "out": "{out}", "tol": 1e-9,
+                  "seed": 7, "trials": 2},
+                 id="affine"),
+    pytest.param(["coarea-check", "--input", "{tri_rot}"],
+                 {"command": "coarea-check", "input": "{tri_rot}", "tol": 1e-9},
+                 id="coarea-check"),
+    pytest.param(["polar-symmetral-check", "--input", "{tri_rot}", "--direction", "0.6,0.8"],
+                 {"command": "polar-symmetral-check", "input": "{tri_rot}", "tol": 1e-9,
+                  "direction": "0.6,0.8"},
+                 id="polar-symmetral-check"),
+]
+
+
+@pytest.mark.parametrize("argv,expected", CONFIGS)
+def test_config_is_the_parsed_options(sets_dir, capsys, argv, expected):
+    paths = {"square": sets_dir / "square.json", "tri_rot": sets_dir / "tri_rot.json",
+             "out": sets_dir / "report.out"}
+    argv = [a.format(**paths) for a in argv]
+    expected = {k: v.format(**paths) if isinstance(v, str) else v
+                for k, v in expected.items()}
+    _, out, _ = run(capsys, *argv)
+    if out.startswith("{"):
+        config = json.loads(out)["config"]
+    else:
+        config = json.loads(out.split("\n")[1].removeprefix("# config: "))
+    assert config == expected

@@ -385,10 +385,10 @@ def test_polar_polygon_errors():
 def test_planar_polygon_forms():
     K = centered_square()
     Z = Zonotope([[1, 0], [0, 1]])
-    W = PolarWrapper(Z)
+    P = polar_polygon(Z)
     assert planar_polygon(K) is K
     assert planar_polygon(Z) is Z._polygon
-    assert planar_polygon(W) is W._materialized
+    assert planar_polygon(P) is P
     for body in (Ball(1.0), Zonotope(np.eye(3)), PolarWrapper(Zonotope(np.eye(3))), object()):
         with pytest.raises(InputError, match="no planar vertex form"):
             planar_polygon(body)
@@ -408,13 +408,21 @@ def test_polar_body_forms():
 
 
 def test_polar_wrapper_radial_duality():
-    K = centered_square()
+    K = Zonotope([[1.0, 0.0, 0.0], [0.5, 1.0, 0.0], [0.0, 0.3, 1.2]])
     W = PolarWrapper(K)
     # definitional identity: rho of the polar is the reciprocal support
-    assert W.radial(E1) == 1.0 / support(K, E1)
-    assert W.radial([0.0, 1.0]) == 1.0 / support(K, [0.0, 1.0])
-    u = np.array([0.6, 0.8])
+    assert W.radial([1.0, 0.0, 0.0]) == 1.0 / support(K, [1.0, 0.0, 0.0])
+    assert W.radial([0.0, 0.0, 1.0]) == 1.0 / support(K, [0.0, 0.0, 1.0])
+    u = np.array([0.48, 0.6, 0.64])
     assert abs(W.radial(u) - 1.0 / support(K, u)) <= 1e-15
+
+
+@pytest.mark.parametrize("body", [centered_square(), Zonotope([[1.0, 0.5], [0.0, 1.0]]),
+                                  Ball(1.0)], ids=["facets", "zonotope", "ball"])
+def test_polar_wrapper_rejects_planar_bodies(body):
+    # a planar polar is exact as a polygon, so there is no planar wrapper
+    with pytest.raises(InputError, match="polar_polygon"):
+        PolarWrapper(body)
 
 
 # ------------------------------------------------------------- polar volumes
@@ -601,29 +609,14 @@ def test_inclusion_criterion_skips_unbounded_sections():
     assert (res.holds, res.checked, res.skipped) == (True, 0, 16)
 
 
-def test_inclusion_criterion_takes_planar_polar_wrappers():
-    Z = Zonotope([[1.0, 0.5], [1.0, -0.5], [0.0, 0.3]])
-    P = PolarWrapper(Z)
-    # the polar of P is Z, symmetric about the first axis, so it is its
-    # own symmetral
-    same = symmetral_inclusion_criterion(P, P, samples=32, seed=1)
-    assert same.holds and same.checked > 0
-    # as K and as L, a wrapper acts as its materialized polygon
-    F = polar_polygon(Z)
-    for seed in range(3):
-        assert symmetral_inclusion_criterion(P, Ball(0.9), seed=seed) \
-            == symmetral_inclusion_criterion(F, Ball(0.9), seed=seed)
-        assert symmetral_inclusion_criterion(Ball(0.9), P, seed=seed) \
-            == symmetral_inclusion_criterion(Ball(0.9), F, seed=seed)
-
-
 _SECTION_BODIES = {
     "ball": lambda seed: Ball(0.5 + np.random.default_rng(seed).uniform()),
     "ball3": lambda seed: Ball(0.5 + np.random.default_rng(seed).uniform(), dim=3),
     "zonotope2": lambda seed: Zonotope(np.random.default_rng(seed).normal(size=(5, 2))),
     "zonotope3": _random_zonotope_3d,
     "facet_polytope": random_centered_body,
-    "polar_wrapper": lambda seed: PolarWrapper(random_centered_body(seed)),
+    # a planar polar by polar_polygon; the key keeps its test ids
+    "polar_wrapper": lambda seed: polar_polygon(random_centered_body(seed)),
     # supports with flat pieces along vertical lines, some above 1
     "flat_zonotope2": lambda seed: Zonotope(seed * np.array([[1.0, 1.0], [1.0, -1.0],
                                                              [0.5, 0.0]])),
@@ -654,8 +647,7 @@ def test_polar_sections_are_exact(kind, seed):
     t = np.linspace(-3.0 * reach, 3.0 * reach, 2001)
     miss = xp[~hit]
     z = np.column_stack([np.repeat(miss, len(t), axis=0), np.tile(t, len(miss))])
-    dense = planar_polygon(K) if isinstance(K, PolarWrapper) else K
-    assert np.all(dense.support_batch(z) > 1.0)
+    assert np.all(K.support_batch(z) > 1.0)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3, 4])

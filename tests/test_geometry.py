@@ -13,12 +13,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import pettybox.convex
 import pettybox.geometry
 import pettybox.sets
-from pettybox import (Ball, BoxUnion, FacetPolytope, NumericalError,
-                      PolarWrapper, PolygonSet, Zonotope, circumradius,
-                      hausdorff_distance)
+from pettybox import (Ball, BoxUnion, DirectionPolicy, FacetPolytope,
+                      NumericalError, PolarWrapper, PolygonSet, Zonotope,
+                      circumradius, hausdorff_distance, polar_polygon,
+                      run_symmetrization)
 from pettybox.corpus import random_polygon
 from pettybox.errors import InputError
 from pettybox.geometry import (RigidFrame, as_direction, as_directions,
@@ -43,8 +43,9 @@ def rectangle():
 
 
 def diamond(scale=1.0):
-    """The polar of [-scale, scale]^2: |x| + |y| <= 1 / scale."""
-    return PolarWrapper(Zonotope(scale * np.eye(2)))
+    """The polar of [-scale, scale]^2: |x| + |y| <= 1 / scale.  The
+    "wrapper" test ids below name this polar form."""
+    return polar_polygon(Zonotope(scale * np.eye(2)))
 
 
 # ---------------------------------------------------------------- directions
@@ -148,8 +149,10 @@ def test_default_circle_grid_is_built_once_and_read_only():
     [lambda: sphere_grid(4, 8),
      lambda: unit_square().surface_measure(),
      lambda: unit_square().column_structure(1),
-     lambda: frame_to_last_axis([0.6, 0.8])],
-    ids=["SphericalGrid", "SurfaceMeasure", "ColumnStructure", "RigidFrame"],
+     lambda: frame_to_last_axis([0.6, 0.8]),
+     lambda: run_symmetrization(unit_square(), DirectionPolicy("uniform-random"),
+                                max_steps=1, stop_tol=1e-9).steps[-1]],
+    ids=["SphericalGrid", "SurfaceMeasure", "ColumnStructure", "RigidFrame", "TraceStep"],
 )
 def test_array_records_compare_and_hash_by_identity(make):
     # records holding numpy arrays compare by identity, so they can be
@@ -272,10 +275,9 @@ def test_sampled_hausdorff_unchanged_from_per_edge_loops(monkeypatch):
     loops = {"points_in_polygon": points_in_polygon_loop,
              "distance_to_polygon": distance_to_polygon_loop,
              "ring_boundary_points": ring_boundary_points_loop}
-    for module, names in ((pettybox.geometry, loops), (pettybox.sets, loops),
-                          (pettybox.convex, ("distance_to_polygon", "ring_boundary_points"))):
-        for name in names:
-            monkeypatch.setattr(module, name, loops[name])
+    for name, loop in loops.items():
+        monkeypatch.setattr(pettybox.geometry, name, loop)
+    monkeypatch.setattr(pettybox.sets, "points_in_polygon", points_in_polygon_loop)
     assert got == [hausdorff_distance(a, b, divisions=512) for a, b in pairs]
 
 
