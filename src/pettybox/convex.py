@@ -19,8 +19,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InputError, NumericalError
-from .geometry import (SphericalGrid, VertexRing, angle_sectors, cross_2d,
-                       cyclic_next, default_grid, integrate_sphere,
+from .geometry import (BLOCK_PAIRS, SphericalGrid, VertexRing, angle_sectors,
+                       cross_2d, cyclic_next, default_grid, integrate_sphere,
                        prune_collinear, steiner_ring)
 
 SUPPORT_CONSISTENCY_TOL = 1e-10
@@ -194,11 +194,25 @@ class Zonotope:
         """Support at each row of a stack of directions.  In the plane it
         is |u . S| with S = sum sign(u . g) g constant between the angles
         where some generator turns orthogonal to u, read by a sector walk
-        from the sums on each sector; in 3D, sum |u . g| over all
-        generators."""
+        from the sums on each sector.
+
+        In 3D it is sum |u . g| over all generators, generator-major in
+        blocks of BLOCK_PAIRS // k nodes (at least one) for k generators:
+        each block's (k, rows) products take about 8 * BLOCK_PAIRS bytes
+        and are summed over the generators into one preallocated output.
+        The sum adds whole rows in generator order, which is the order of
+        numpy's row sum over fewer than 8 terms.  So on a box zonotope with
+        k < 8, whose products u . g are exact, every value equals
+        sum(abs(nodes @ g.T), axis=1) bit for bit; otherwise the two may
+        differ by rounding in the last digits."""
         nodes = np.asarray(nodes, dtype=float)
         if self.dim == 3:
-            return np.sum(np.abs(nodes @ self.generators.T), axis=1)
+            g = self.generators
+            out = np.empty(len(nodes))
+            rows = max(1, BLOCK_PAIRS // len(g))
+            for s in range(0, len(nodes), rows):
+                np.abs(g @ nodes[s:s + rows].T).sum(axis=0, out=out[s:s + rows])
+            return out
         breaks, sums = self._support_sectors
         S = sums[angle_sectors(nodes, breaks) % len(sums)]
         return np.abs(nodes[:, 0] * S[:, 0] + nodes[:, 1] * S[:, 1])
@@ -395,6 +409,9 @@ class PolarWrapper:
         return float(np.linalg.norm(u)) / h
 
     def support(self, z) -> float:
+        raise InputError("support of a 3D polar wrapper is not materialized")
+
+    def support_batch(self, nodes) -> np.ndarray:
         raise InputError("support of a 3D polar wrapper is not materialized")
 
     def max_norm(self) -> float:
@@ -609,7 +626,7 @@ def symmetral_inclusion_criterion(K: ConvexBody, L: ConvexBody,
     n = K.dim
     rng = np.random.default_rng(seed)
     grid = default_grid(n)
-    min_h = min(K.support(u) for u in grid.nodes[:: max(1, grid.size // 512)])
+    min_h = float(np.min(K.support_batch(grid.nodes[:: max(1, grid.size // 512)])))
     if min_h <= 0.0:
         raise InputError("origin is not interior to the first body")
     reach = 1.0 / min_h

@@ -31,7 +31,10 @@ PRUNE_TOL = 1e-12
 BLOCK_ROWS = 1 << 12
 # point-edge pairs per block of the vectorised polygon membership and
 # distance tests: a block's temporaries take about 100 bytes per pair, so
-# this keeps them near 1.6 MiB
+# this keeps them near 1.6 MiB.  It also bounds the point-box pairs of a
+# box-union distance block and the node-generator pairs of a 3D zonotope
+# support block, whose (generators, nodes) products take 8 bytes per
+# pair, 128 KiB
 BLOCK_PAIRS = 1 << 14
 # Boundary sampling density for Hausdorff on general sets: arc-length step
 # is (scene diameter) / BOUNDARY_DIVISIONS, and the returned value carries

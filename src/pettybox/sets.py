@@ -495,12 +495,22 @@ class BoxUnion:
         return np.vstack(pts)
 
     def solid_distance(self, points) -> np.ndarray:
+        """Distance from each point to the union: the least over the boxes
+        of the norm of the per-axis excess, in blocks of BLOCK_PAIRS //
+        box_count points (at least one) against all boxes at once.  The
+        squares add up axis by axis, the order of a row norm, and the root
+        of the least sum is the least root."""
         p = np.atleast_2d(np.asarray(points, dtype=float))
-        best = np.full(len(p), np.inf)
-        for b in range(self.box_count):
-            delta = np.maximum(self.los[b] - p, 0.0)
-            delta = np.maximum(delta, p - self.his[b])
-            best = np.minimum(best, np.linalg.norm(delta, axis=1))
+        best = np.empty(len(p))
+        rows = max(1, BLOCK_PAIRS // self.box_count)
+        for s in range(0, len(p), rows):
+            block = p[s:s + rows]
+            squares = np.zeros((len(block), self.box_count))
+            for k in range(self.dim):
+                q = block[:, k, None]
+                excess = np.maximum(np.maximum(self.los[:, k] - q, 0.0), q - self.his[:, k])
+                squares += excess * excess
+            np.sqrt(squares.min(axis=1), out=best[s:s + rows])
         return best
 
 

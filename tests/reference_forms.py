@@ -1,6 +1,6 @@
-"""Dense and per-edge loop forms of the planar kernels, kept as test
-oracles: the vectorised and sector-walk kernels in the package must agree
-with them."""
+"""Dense and per-edge or per-box loop forms of the package's kernels, kept
+as test oracles: the vectorised, blocked and sector-walk kernels in the
+package must agree with them."""
 
 from __future__ import annotations
 
@@ -128,3 +128,14 @@ def box_corners_loop(los: np.ndarray, his: np.ndarray) -> np.ndarray:
         grids = np.meshgrid(*[bounds[:, k] for k in range(len(lo))], indexing="ij")
         pts.append(np.column_stack([g.ravel() for g in grids]))
     return np.vstack(pts)
+
+
+def box_solid_distance_loop(los: np.ndarray, his: np.ndarray, points) -> np.ndarray:
+    """Distance from each point to a union of boxes, box by box."""
+    p = np.atleast_2d(np.asarray(points, dtype=float))
+    best = np.full(len(p), np.inf)
+    for lo, hi in zip(los, his):
+        delta = np.maximum(lo - p, 0.0)
+        delta = np.maximum(delta, p - hi)
+        best = np.minimum(best, np.linalg.norm(delta, axis=1))
+    return best

@@ -5,6 +5,7 @@ polar-symmetral inclusion criterion."""
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,8 +22,8 @@ from pettybox import (Ball, BoxUnion, FacetPolytope, InputError, PolarWrapper,
                       steiner_symmetrize, steiner_symmetrize_convex,
                       support, symmetral_inclusion_criterion)
 from pettybox.corpus import random_polygon, regular_polygon
-from pettybox.geometry import (circle_grid, cross_2d, default_grid, rotation_2d,
-                               sphere_grid)
+from pettybox.geometry import (BLOCK_PAIRS, circle_grid, cross_2d, default_grid,
+                               rotation_2d, sphere_grid)
 
 from hull import convex_hull_2d
 from reference_forms import dense_radial, dense_support
@@ -527,6 +528,84 @@ def test_quadrature_does_not_rebuild_the_default_grid(monkeypatch):
     assert pv.value > 0.0 and pv.error >= 0.0
 
 
+# The 3D Zonotope.support_batch runs generator-major over blocks of
+# BLOCK_PAIRS // k nodes.  On a box zonotope every product u . g is exact,
+# and with fewer than 8 generators the blocks add them in the order of
+# the dense row sum, so the two agree bit for bit.  Otherwise two sums of k nonnegative terms in other
+# orders differ by at most (k - 1) eps of the sum, and two roundings of a
+# 3-term product u . g by at most 3 eps |g|.
+
+def _box_zonotopes():
+    half = np.random.default_rng(40).uniform(0.1, 3.0, 3)
+    return [Zonotope(np.diag(half)),
+            Zonotope(np.vstack([np.diag(half), -0.5 * np.diag(half)])),
+            _box_union_projection_body()]
+
+
+def _block_nodes(k):
+    """Direction stacks of 0, 1, rows - 1, rows and rows + 1 nodes for a
+    block of rows = BLOCK_PAIRS // k nodes, and the default 3D grid."""
+    rows = max(1, BLOCK_PAIRS // k)
+    rng = np.random.default_rng(k)
+    counts = sorted({0, 1, rows - 1, rows, rows + 1})
+    return [rng.normal(size=(n, 3)) for n in counts] + [default_grid(3).nodes]
+
+
+@pytest.mark.parametrize("Z", _box_zonotopes(), ids=["3", "6", "box_union"])
+def test_blocked_support_is_the_dense_form_on_box_zonotopes(Z):
+    for nodes in _block_nodes(len(Z.generators)):
+        assert np.array_equal(Z.support_batch(nodes), dense_support(Z.generators, nodes))
+
+
+@pytest.mark.parametrize("k", [1, 7, 9, 60, BLOCK_PAIRS + 1])
+def test_blocked_support_matches_the_dense_form(k):
+    g = np.random.default_rng(k).normal(size=(k, 3))
+    size = float(np.sum(np.linalg.norm(g, axis=1)))
+    eps = np.finfo(float).eps
+    stacks = _block_nodes(k)
+    if k > BLOCK_PAIRS:
+        # a block is one node, and the dense form on the grid would take 4 GiB
+        stacks = stacks[:-1]
+    for nodes in stacks:
+        got, want = Zonotope(g).support_batch(nodes), dense_support(g, nodes)
+        assert got.shape == (len(nodes),)
+        assert np.all(np.abs(got - want) <= eps * ((k - 1) * want + 3.0 * size))
+
+
+def test_blocked_support_gives_the_dense_quadrature_and_hausdorff(monkeypatch):
+    boxes = _box_zonotopes()
+    tilted = _random_zonotope_3d(41, count=9)
+    ball = Ball(1.3, dim=3)
+
+    def results():
+        return [(polar_volume(Z, method="quadrature"), hausdorff_distance(ball, Z),
+                 hausdorff_distance(Z, boxes[0])) for Z in boxes + [tilted]]
+
+    blocked = results()
+    monkeypatch.setattr(Zonotope, "support_batch",
+                        lambda self, nodes: dense_support(self.generators, nodes))
+    dense = results()
+    assert blocked[:-1] == dense[:-1]
+    (pv, *distances), (dense_pv, *dense_distances) = blocked[-1], dense[-1]
+    assert abs(pv.value - dense_pv.value) <= 1e-13 * dense_pv.value
+    assert abs(pv.error - dense_pv.error) <= 1e-13 * dense_pv.value
+    size = float(np.sum(np.linalg.norm(tilted.generators, axis=1)))
+    assert np.all(np.abs(np.subtract(distances, dense_distances)) <= 1e-13 * size)
+
+
+def test_blocked_support_on_the_default_grid_stays_under_one_mib():
+    # the dense form's two (32768, 6) temporaries peak at 3 MiB
+    nodes = default_grid(3).nodes
+    Z = _box_zonotopes()[1]
+    tracemalloc.start()
+    try:
+        Z.support_batch(nodes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def test_body_volume_dispatch():
     assert body_volume(Ball(1.0)) == math.pi
     assert body_volume(centered_square()) == 4.0
@@ -677,3 +756,5 @@ def test_inclusion_criterion_errors():
     corner = FacetPolytope([[0, 0], [1, 0], [0, 1]])
     with pytest.raises(InputError):
         symmetral_inclusion_criterion(corner, Ball(1.0))
+    with pytest.raises(InputError):
+        symmetral_inclusion_criterion(PolarWrapper(Zonotope(np.eye(3))), Ball(1.0, dim=3))

@@ -21,10 +21,10 @@ from pettybox import (Ball, BoxUnion, InputError, NonGenericPointError,
                       surface_measure, symmetric_difference_distance,
                       vertical_boundary_measure, volume)
 from pettybox.corpus import random_box_union, random_polygon
-from pettybox.geometry import frame_to_last_axis, rotation_2d
+from pettybox.geometry import BLOCK_PAIRS, frame_to_last_axis, rotation_2d
 from pettybox.sets import _check_simple, load_set_file
 
-from reference_forms import box_corners_loop, check_simple_loop
+from reference_forms import box_corners_loop, box_solid_distance_loop, check_simple_loop
 
 
 def unit_square():
@@ -441,6 +441,32 @@ def test_box_corners_match_loop(dim):
     for seed in range(20):
         B = random_box_union(seed, dim=dim)
         assert np.array_equal(B.corners(), box_corners_loop(B.los, B.his))
+
+
+def _spaced_boxes(seed, dim, count):
+    """count boxes with random real corners, spaced along the first axis
+    so that no two touch and none merge."""
+    rng = np.random.default_rng(seed)
+    los = rng.uniform(-1.0, 1.0, (count, dim))
+    los[:, 0] += 4.0 * np.arange(count)
+    return BoxUnion(los, los + rng.uniform(0.25, 2.0, (count, dim)))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_box_solid_distance_matches_loop(dim):
+    # one box, a lattice union, and 500 boxes, so that a block of
+    # BLOCK_PAIRS // 500 points is short; the point counts straddle it
+    rng = np.random.default_rng(dim)
+    for B in (_spaced_boxes(dim, dim, 1), random_box_union(5, dim=dim),
+              _spaced_boxes(dim, dim, 500)):
+        lo, hi = B.bounding_box()
+        rows = BLOCK_PAIRS // B.box_count
+        for n in (1, rows - 1, rows, rows + 1, 3 * rows + 7):
+            points = rng.uniform(lo - 1.0, hi + 1.0, (n, dim))
+            points[::3] = B.corners()[rng.integers(0, 2 ** dim * B.box_count, len(points[::3]))]
+            got = B.solid_distance(points)
+            assert np.array_equal(got, box_solid_distance_loop(B.los, B.his, points))
+            assert np.any(got == 0.0)
 
 
 # ------------------------------------------------------------------- gradient
