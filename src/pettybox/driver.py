@@ -17,9 +17,10 @@ import numpy as np
 
 from .convex import Ball
 from .errors import InputError, PathologicalInputError
-from .geometry import hausdorff_distance, rotation_2d, symmetral_radii
+from .geometry import hausdorff_distance, rotation_2d
 from .projection import petty_product
-from .sets import PolygonSet, is_regular_direction, steiner_symmetrize
+from .sets import (PolygonSet, is_regular_direction, least_circumradius_direction,
+                   steiner_symmetrize)
 
 POLICY_KINDS = ("uniform-random", "coordinate-cycle", "cap-cover-greedy")
 RESAMPLE_BUDGET = 1_000_000
@@ -110,15 +111,14 @@ def cap_cover_greedy_step(E: PolygonSet, candidates) -> np.ndarray:
     """The candidate whose symmetral has the smallest circumradius; ties
     break toward the lowest index.  Candidates must all be regular.
 
-    The (K, 2) candidate array is scored by the batched section-length
-    kernel (geometry.symmetral_radii), one call per block of candidates:
-    each score is max |v| (the formula of PolygonSet.max_norm) over the
-    symmetral's vertex ring, rotated back to the input frame as
-    steiner_ring rotates it; no symmetral set is built."""
-    U = np.asarray(candidates, dtype=float)
-    if U.size == 0:
-        raise InputError("greedy step needs at least one candidate direction")
-    return U[int(np.argmin(symmetral_radii(E.vertices, U)))].copy()
+    The (K, 2) candidate array is scored by one pass of the batched
+    section-length kernel (sets.least_circumradius_direction): each score
+    is max |v| (the formula of PolygonSet.max_norm) over the symmetral's
+    vertex ring, rotated back to the input frame as steiner_ring rotates
+    it, and no symmetral set is built.  The winner's ring stays in E's
+    slot, so the steiner_symmetrize(E, winner) that follows makes it the
+    next iterate without a second kernel pass."""
+    return least_circumradius_direction(E, candidates)
 
 
 class ResampleBudget:

@@ -424,35 +424,57 @@ def _symmetral_chains(vertices: np.ndarray, directions):
                0.5 * np.column_stack([level, after]).ravel()[keep], mirrored)
 
 
+def _chain_ring(frame: np.ndarray, xs: np.ndarray, half: np.ndarray,
+                mirrored: np.ndarray) -> np.ndarray:
+    """A symmetral's CCW vertex ring in the input frame, from one lower
+    chain of _symmetral_chains: the chain points (x, -L/2) left to right,
+    then the mirror images (x, +L/2) of those that have one, right to
+    left, rotated back by the direction's frame."""
+    ring = np.vstack([np.column_stack([xs, -half]),
+                      np.column_stack([xs, half])[mirrored][::-1]])
+    return ring @ frame
+
+
 def steiner_ring(vertices: np.ndarray, u) -> np.ndarray:
     """CCW vertex ring, in the input frame, of the Steiner symmetral of a
     simple CCW polygon along the unit direction u: the one-direction case
     of the batched section-length kernel (see _symmetral_chains)."""
     u = as_direction(u)
     (_, frames, _, xs, half, mirrored), = _symmetral_chains(vertices, u[None])
-    ring = np.vstack([np.column_stack([xs, -half]),
-                      np.column_stack([xs, half])[mirrored][::-1]])
-    return ring @ frames[0]
+    return _chain_ring(frames[0], xs, half, mirrored)
 
 
-def symmetral_radii(vertices: np.ndarray, directions) -> np.ndarray:
+def symmetral_radii(vertices: np.ndarray, directions) -> tuple[np.ndarray, np.ndarray]:
     """Circumradius max |v| of the Steiner symmetral of a simple CCW
     polygon along each of a (K, 2) stack of unit directions, one kernel
-    call per block of directions and no set built.  The chain points and
-    their mirrors are rotated back to the input frame in one stacked
-    product, as steiner_ring rotates its ring, so each radius is the max
-    norm over that direction's ring."""
+    call per block of directions and no set built, and the vertex ring of
+    the lowest-index direction of least radius.
+
+    The chain points and their mirrors are rotated back to the input
+    frame in one stacked product, as steiner_ring rotates its ring, so
+    each radius is the max norm over that direction's ring.  The winner's
+    ring comes from its own chain through _chain_ring, as steiner_ring
+    builds it, and the chain of a direction does not depend on the other
+    directions of its block, so the ring equals steiner_ring(vertices,
+    winner) bit for bit."""
     radii = np.empty(len(directions))
-    for rows, frames, who, xs, half, _ in _symmetral_chains(vertices, directions):
+    best = None  # the least radius so far, then the frame and chain it came from
+    for rows, frames, who, xs, half, mirrored in _symmetral_chains(vertices, directions):
         count = np.bincount(who)
-        at = np.arange(len(who)) - np.repeat(np.cumsum(count) - count, count)
+        first = np.cumsum(count) - count
+        at = np.arange(len(who)) - np.repeat(first, count)
         # each direction's chain and its mirror image, padded with zeros
         pts = np.zeros((len(count), 2, int(count.max()), 2))
         pts[who, 0, at] = np.column_stack([xs, -half])
         pts[who, 1, at] = np.column_stack([xs, half])
         ring = np.matmul(pts.reshape(len(count), -1, 2), frames)
-        radii[rows] = np.max(np.linalg.norm(ring, axis=2), axis=1)
-    return radii
+        block = np.max(np.linalg.norm(ring, axis=2), axis=1)
+        radii[rows] = block
+        j = int(np.argmin(block))
+        if best is None or block[j] < best[0]:
+            chain = slice(first[j], first[j] + count[j])
+            best = (block[j], frames[j], xs[chain], half[chain], mirrored[chain])
+    return radii, _chain_ring(*best[1:])
 
 
 def prune_collinear(vertices: np.ndarray) -> np.ndarray:

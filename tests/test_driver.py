@@ -8,9 +8,11 @@ import math
 import numpy as np
 import pytest
 
+import pettybox.geometry
 from pettybox import (BoxUnion, DirectionPolicy, InputError,
                       PathologicalInputError, PolygonSet,
-                      cap_cover_greedy_step, run_symmetrization)
+                      cap_cover_greedy_step, run_symmetrization,
+                      steiner_symmetrize)
 from pettybox.corpus import random_polygon, regular_polygon
 from pettybox.geometry import (frame_to_last_axis, rotation_2d,
                                section_incidence, steiner_ring,
@@ -80,25 +82,106 @@ def _fan(count, offset):
     return np.column_stack([np.cos(angles), np.sin(angles)])
 
 
-def test_batched_scores_match_each_ring():
-    # random star polygons from 5 to ~900 vertices (seeds whose draws are
-    # quick to sample); the larger ones cut the fan into several blocks of
-    # the batched kernel
+def _scored_fans():
+    """Random star polygons from 5 to ~900 vertices (seeds whose draws are
+    quick to sample), each with a fan of 32 directions; the larger ones
+    cut the fan into several blocks of the batched kernel."""
     rng = np.random.default_rng(17)
     polygons = [random_polygon(0, max_vertices=5)] + [random_polygon(seed) for seed in range(4)]
     polygons += [random_polygon(seed, max_vertices=900) for seed in (1, 4, 8, 10)]
+    return [(E, _fan(32, rng.uniform())) for E in polygons]
+
+
+def _blocks(E, fan) -> int:
+    stack = np.stack([E.vertices @ frame_to_last_axis(u).matrix.T for u in fan])
+    return len(list(section_incidence(stack)))
+
+
+def test_batched_scores_match_each_ring():
     blocked = 0
-    for E in polygons:
-        fan = _fan(32, rng.uniform())
-        stack = np.stack([E.vertices @ frame_to_last_axis(u).matrix.T for u in fan])
-        blocked += len(list(section_incidence(stack))) > 1
+    for E, fan in _scored_fans():
+        blocked += _blocks(E, fan) > 1
         want = np.array([np.max(np.linalg.norm(steiner_ring(E.vertices, u), axis=1))
                          for u in fan])
-        got = symmetral_radii(E.vertices, fan)
+        got, ring = symmetral_radii(E.vertices, fan)
         assert np.all(np.abs(got - want) <= 1e-15 * want)
         assert int(np.argmin(got)) == int(np.argmin(want))
+        assert ring.tobytes() == steiner_ring(E.vertices, fan[np.argmin(want)]).tobytes()
         assert np.array_equal(cap_cover_greedy_step(E, fan), fan[np.argmin(want)])
     assert blocked >= 1
+
+
+@pytest.fixture
+def kernel_passes(monkeypatch):
+    """The direction count of every call of the section kernel
+    (geometry._symmetral_chains) from here on."""
+    calls = []
+    original = pettybox.geometry._symmetral_chains
+
+    def counted(vertices, directions):
+        calls.append(len(directions))
+        return original(vertices, directions)
+
+    monkeypatch.setattr(pettybox.geometry, "_symmetral_chains", counted)
+    return calls
+
+
+def test_greedy_winner_is_served_from_the_slot(kernel_passes):
+    # single- and multi-block fans, and the tied square fan, whose winner
+    # is the first of two equal minima
+    cases = _scored_fans() + [(centered_square(), _fan(8, 0.5))]
+    assert {_blocks(E, fan) > 1 for E, fan in cases} == {False, True}
+    for E, fan in cases:
+        u = cap_cover_greedy_step(E, fan)
+        assert kernel_passes == [len(fan)]
+        S = steiner_symmetrize(E, u)
+        again = steiner_symmetrize(E, u)
+        assert kernel_passes == [len(fan)]
+        fresh = steiner_ring(E.vertices, u)
+        assert S.vertices.tobytes() == again.vertices.tobytes() == fresh.tobytes()
+        assert not S.vertices.flags.writeable
+        # one ulp off in either component misses the slot, and the miss
+        # refills it
+        for k in (0, 1):
+            v = u.copy()
+            v[k] = np.nextafter(v[k], np.inf)
+            del kernel_passes[:]
+            T = steiner_symmetrize(E, v)
+            assert kernel_passes == [1]
+            assert T.vertices.tobytes() == steiner_ring(E.vertices, v).tobytes()
+            steiner_symmetrize(E, v)
+            assert kernel_passes == [1, 1]
+        del kernel_passes[:]
+        steiner_symmetrize(E, u)
+        assert kernel_passes == [1]
+        del kernel_passes[:]
+
+
+def test_box_symmetrals_are_unaffected_by_the_slot(kernel_passes):
+    B = BoxUnion([[0, 0], [1, 1]], [[1, 2], [2, 3]])
+    u = np.array([0.0, 1.0])
+    first = steiner_symmetrize(B, u)
+    second = steiner_symmetrize(B, u)
+    for S in (first, second):
+        # both columns have length 2, and the two halves merge
+        assert np.array_equal(S.los, [[0.0, -1.0]])
+        assert np.array_equal(S.his, [[2.0, 1.0]])
+    assert not hasattr(B, "_symmetral")
+    assert kernel_passes == []
+    with pytest.raises(InputError):
+        cap_cover_greedy_step(B, [u])
+
+
+def test_greedy_step_runs_the_section_kernel_once(kernel_passes, symmetrization_log):
+    # a long rectangle is far from its ball, so every one of the three
+    # steps runs; the conftest monitor still sees each symmetral
+    E = PolygonSet([[0, 0], [4, 0], [4, 1], [0, 1]])
+    before = symmetrization_log.count
+    trace = run_symmetrization(E, DirectionPolicy(kind="cap-cover-greedy", seed=3),
+                               max_steps=3, stop_tol=1e-9)
+    assert len(trace.steps) == 4
+    assert len(kernel_passes) == 3
+    assert symmetrization_log.count - before == 3
 
 
 def test_greedy_step_ties_go_to_the_lowest_index():
