@@ -132,8 +132,8 @@ def test_greedy_winner_is_served_from_the_slot(kernel_passes):
     cases = _scored_fans() + [(centered_square(), _fan(8, 0.5))]
     assert {_blocks(E, fan) > 1 for E, fan in cases} == {False, True}
     for E, fan in cases:
+        del kernel_passes[:]
         u = cap_cover_greedy_step(E, fan)
-        assert kernel_passes == [len(fan)]
         S = steiner_symmetrize(E, u)
         again = steiner_symmetrize(E, u)
         assert kernel_passes == [len(fan)]
@@ -141,20 +141,18 @@ def test_greedy_winner_is_served_from_the_slot(kernel_passes):
         assert S.vertices.tobytes() == again.vertices.tobytes() == fresh.tobytes()
         assert not S.vertices.flags.writeable
         # one ulp off in either component misses the slot, and the miss
-        # refills it
+        # refills it, so a repeat along the new direction is a hit
         for k in (0, 1):
             v = u.copy()
             v[k] = np.nextafter(v[k], np.inf)
             del kernel_passes[:]
             T = steiner_symmetrize(E, v)
+            steiner_symmetrize(E, v)
             assert kernel_passes == [1]
             assert T.vertices.tobytes() == steiner_ring(E.vertices, v).tobytes()
-            steiner_symmetrize(E, v)
-            assert kernel_passes == [1, 1]
         del kernel_passes[:]
         steiner_symmetrize(E, u)
         assert kernel_passes == [1]
-        del kernel_passes[:]
 
 
 def test_box_symmetrals_are_unaffected_by_the_slot(kernel_passes):
