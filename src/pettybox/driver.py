@@ -107,18 +107,7 @@ class SymmetrizationTrace:
         return buf.getvalue()
 
 
-def cap_cover_greedy_step(E: PolygonSet, candidates) -> np.ndarray:
-    """The candidate whose symmetral has the smallest circumradius; ties
-    break toward the lowest index.  Candidates must all be regular.
-
-    The (K, 2) candidate array is scored by one pass of the batched
-    section-length kernel (sets.least_circumradius_direction): each score
-    is max |v| (the formula of PolygonSet.max_norm) over the symmetral's
-    vertex ring, rotated back to the input frame as steiner_ring rotates
-    it, and no symmetral set is built.  The winner's ring stays in E's
-    slot, so the steiner_symmetrize(E, winner) that follows makes it the
-    next iterate without a second kernel pass."""
-    return least_circumradius_direction(E, candidates)
+cap_cover_greedy_step = least_circumradius_direction
 
 
 class ResampleBudget:

@@ -188,20 +188,6 @@ def _join_runs(keys: np.ndarray, lo: np.ndarray, hi: np.ndarray):
     return order[starts], np.maximum.reduceat(b, starts)
 
 
-def _grid_ranks(shapes: np.ndarray):
-    """Every point of a stack of row-major integer grids, one grid per row
-    of the (grids, axes) array of their shapes, grid after grid: each
-    point's grid, then its index along each axis, one array per axis."""
-    size = np.prod(shapes, axis=1)
-    grid = np.repeat(np.arange(len(shapes)), size)
-    rest = np.arange(len(grid)) - np.repeat(np.cumsum(size) - size, size)
-    ranks = []
-    for k in reversed(range(shapes.shape[1])):
-        rest, rank = np.divmod(rest, shapes[grid, k])
-        ranks.append(rank)
-    return grid, ranks[::-1]
-
-
 def _box_columns(los: np.ndarray, his: np.ndarray, axis: int):
     """Expand each box into one row per base-lattice cell it covers and
     join the rows of each cell into its sorted, maximal section
@@ -212,9 +198,16 @@ def _box_columns(los: np.ndarray, his: np.ndarray, axis: int):
     first = np.column_stack([np.searchsorted(b, los[:, k]) for b, k in zip(break_lists, others)])
     span = np.column_stack([np.searchsorted(b, his[:, k]) for b, k in zip(break_lists, others)]) \
         - first
-    # one row per cell of each box's span, in lattice coordinates
-    box, rank = _grid_ranks(span)
-    flat = np.ravel_multi_index(tuple(first[box].T + rank), shape)
+    counts = np.prod(span, axis=1)
+    # each row's rank within its box's block of cells, unravelled row-major
+    # over the box's span into lattice coordinates
+    box = np.repeat(np.arange(len(los)), counts)
+    rest = np.arange(len(box)) - np.repeat(np.cumsum(counts) - counts, counts)
+    sub = np.empty((len(box), len(others)), dtype=int)
+    for k in reversed(range(len(others))):
+        rest, step = np.divmod(rest, span[box, k])
+        sub[:, k] = first[box, k] + step
+    flat = np.ravel_multi_index(tuple(sub.T), shape)
     row, end = _join_runs(flat[:, None], los[box, axis], his[box, axis])
     intervals = np.column_stack([los[box[row], axis], end])
     filled, cuts = np.unique(flat[row], return_index=True)
@@ -482,53 +475,29 @@ class BoxUnion:
         return self.los.min(axis=0), self.his.max(axis=0)
 
     def boundary_points(self, step: float) -> np.ndarray:
-        """Sample of the boundary.  Every box face carries the grid of the
-        np.linspace(lo, hi, max(2, ceil(width / step) + 1)) points along
-        each other axis; a point is dropped where it lies in the closed
-        facet of a box across the face's plane, a contact.  Faces come
-        axis by axis, all boxes at once: the upper faces, then the lower.
-
-        Each grid line's values never decrease, so the points of a face
-        inside a closed facet form the index rectangle from the count of
-        line values below the facet's lower end to the count up to its
-        upper end, and only those points are visited."""
         if step <= 0.0:
             raise InputError("boundary sampling step must be positive")
-        counts = np.maximum(2, np.ceil((self.his - self.los) / step).astype(np.intp) + 1)
-        # each box's linspace along each axis, box by box and axis by axis
-        lo, hi, count = self.los.ravel(), self.his.ravel(), counts.ravel()
-        line, (index,) = _grid_ranks(count[:, None])
-        values = np.where(index == count[line] - 1, hi[line],
-                          index * ((hi - lo) / (count - 1))[line] + lo[line])
-        offset = (np.cumsum(count) - count).reshape(counts.shape)
         pts = []
-        for a in range(self.dim):
-            others = [k for k in range(self.dim) if k != a]
-            box, rank = _grid_ranks(counts[:, others])
-            grid = np.empty((len(box), self.dim))
-            for slot, k in enumerate(others):
-                grid[:, k] = values[offset[box, k] + rank[slot]]
-            first = np.searchsorted(box, np.arange(self.box_count))
-            # box j's lower facet lies in the plane of box i's upper face
-            i, j = np.nonzero(self.his[:, None, a] == self.los[None, :, a])
-            for plane, faced, across in ((self.his, i, j), (self.los, j, i)):
-                # each pair's index range along every other axis of the
-                # faced box's grid, then the points of those rectangles
-                ends = np.empty((2, len(faced), len(others)), dtype=np.intp)
-                for slot, k in enumerate(others):
-                    pair, (r,) = _grid_ranks(counts[faced, k][:, None])
-                    v = values[offset[faced[pair], k] + r]
-                    ends[0, :, slot] = np.bincount(pair, v < self.los[across[pair], k], len(faced))
-                    ends[1, :, slot] = np.bincount(pair, v <= self.his[across[pair], k], len(faced))
-                pair, inner = _grid_ranks(np.maximum(ends[1] - ends[0], 0))
-                flat = np.zeros(len(pair), dtype=np.intp)
-                for slot, k in enumerate(others):
-                    flat = flat * counts[faced[pair], k] + ends[0, pair, slot] + inner[slot]
-                keep = np.ones(len(grid), dtype=bool)
-                keep[first[faced[pair]] + flat] = False
-                face = grid[keep]
-                face[:, a] = plane[box[keep], a]
-                pts.append(face)
+        for b in range(self.box_count):
+            for axis in range(self.dim):
+                others = [k for k in range(self.dim) if k != axis]
+                for sign in (+1, -1):
+                    plane = self.his[b, axis] if sign > 0 else self.los[b, axis]
+                    axes_pts = []
+                    for k in others:
+                        cnt = max(2, int(math.ceil((self.his[b, k] - self.los[b, k]) / step)) + 1)
+                        axes_pts.append(np.linspace(self.los[b, k], self.his[b, k], cnt))
+                    grids = np.meshgrid(*axes_pts, indexing="ij")
+                    face = np.empty((grids[0].size, self.dim))
+                    face[:, axis] = plane
+                    for k, g in zip(others, grids):
+                        face[:, k] = g.ravel()
+                    facing = (self.los if sign > 0 else self.his)[:, axis] == plane
+                    at = face[:, None, others]
+                    keep = ~np.any(np.all((at >= self.los[facing][:, others])
+                                          & (at <= self.his[facing][:, others]), axis=2), axis=1)
+                    if np.any(keep):
+                        pts.append(face[keep])
         return np.vstack(pts)
 
     def solid_distance(self, points) -> np.ndarray:
@@ -697,17 +666,21 @@ def _keep_symmetral(E: PolygonSet, u: np.ndarray, ring: np.ndarray) -> None:
 
 def least_circumradius_direction(E: PolygonSet, candidates) -> np.ndarray:
     """The candidate direction whose Steiner symmetral of E has the least
-    circumradius, the lowest index on a tie.
+    circumradius, the lowest index on a tie; candidates must all be
+    regular.  The cap-cover-greedy step (driver.cap_cover_greedy_step).
 
     One pass of the batched section-length kernel scores the whole
-    (K, 2) stack (geometry.symmetral_radii), and the winner's ring fills
-    E's slot, so steiner_symmetrize(E, winner) builds the symmetral
+    (K, 2) stack (geometry.symmetral_radii): each score is max |v| (the
+    formula of PolygonSet.max_norm) over the symmetral's vertex ring,
+    rotated back to the input frame as steiner_ring rotates it, and no
+    symmetral set is built.  The winner's ring fills E's slot, so the
+    steiner_symmetrize(E, winner) that follows makes it the next iterate
     without running the kernel again."""
     if not isinstance(E, PolygonSet):
         raise InputError("symmetrals are scored on polygons")
     U = np.asarray(candidates, dtype=float)
     if U.size == 0:
-        raise InputError("scoring needs at least one candidate direction")
+        raise InputError("greedy step needs at least one candidate direction")
     radii, ring = symmetral_radii(E.vertices, U)
     u = U[int(np.argmin(radii))].copy()
     _keep_symmetral(E, u, ring)

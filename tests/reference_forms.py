@@ -139,32 +139,3 @@ def box_solid_distance_loop(los: np.ndarray, his: np.ndarray, points) -> np.ndar
         delta = np.maximum(delta, p - hi)
         best = np.minimum(best, np.linalg.norm(delta, axis=1))
     return best
-
-
-def box_boundary_points_loop(los: np.ndarray, his: np.ndarray, step: float) -> np.ndarray:
-    """Boundary sample of a union of boxes, box by box and face by face:
-    a meshgrid of np.linspace points per face, less the points in the
-    closed facet of a box across the face's plane."""
-    n, dim = los.shape
-    pts = []
-    for b in range(n):
-        for axis in range(dim):
-            others = [k for k in range(dim) if k != axis]
-            for sign in (+1, -1):
-                plane = his[b, axis] if sign > 0 else los[b, axis]
-                axes_pts = []
-                for k in others:
-                    cnt = max(2, int(math.ceil((his[b, k] - los[b, k]) / step)) + 1)
-                    axes_pts.append(np.linspace(los[b, k], his[b, k], cnt))
-                grids = np.meshgrid(*axes_pts, indexing="ij")
-                face = np.empty((grids[0].size, dim))
-                face[:, axis] = plane
-                for k, g in zip(others, grids):
-                    face[:, k] = g.ravel()
-                facing = (los if sign > 0 else his)[:, axis] == plane
-                at = face[:, None, others]
-                keep = ~np.any(np.all((at >= los[facing][:, others])
-                                      & (at <= his[facing][:, others]), axis=2), axis=1)
-                if np.any(keep):
-                    pts.append(face[keep])
-    return np.vstack(pts)

@@ -24,8 +24,7 @@ from pettybox.corpus import random_box_union, random_polygon
 from pettybox.geometry import BLOCK_PAIRS, frame_to_last_axis, rotation_2d
 from pettybox.sets import _check_simple, load_set_file
 
-from reference_forms import (box_boundary_points_loop, box_corners_loop,
-                             box_solid_distance_loop, check_simple_loop)
+from reference_forms import box_corners_loop, box_solid_distance_loop, check_simple_loop
 
 
 def unit_square():
@@ -468,38 +467,6 @@ def test_box_solid_distance_matches_loop(dim):
             got = B.solid_distance(points)
             assert np.array_equal(got, box_solid_distance_loop(B.los, B.his, points))
             assert np.any(got == 0.0)
-
-
-def _lattice_walk(seed, dim, count):
-    """A union of count unit voxels grown cell by cell, so that boxes
-    face each other across shared planes, in whole facets, in parts of
-    them, and along edges only."""
-    rng = np.random.default_rng(seed)
-    cells = {(0,) * dim}
-    while len(cells) < count:
-        cell = list(sorted(cells)[rng.integers(len(cells))])
-        cell[rng.integers(dim)] += int(rng.choice([-1, 1]))
-        cells.add(tuple(cell))
-    los = np.array(sorted(cells), dtype=float)
-    return BoxUnion(los, los + 1.0)
-
-
-@pytest.mark.parametrize("dim", [2, 3])
-def test_box_boundary_points_match_loop(dim):
-    # unions without contacts, with integer contacts, and with shifted
-    # real corners, at steps that do and do not divide the widths
-    unions = [_spaced_boxes(dim, dim, 1), _spaced_boxes(dim, dim, 40),
-              _lattice_walk(dim, dim, 12), _lattice_walk(dim + 2, dim, 40)]
-    unions += [random_box_union(seed, dim=dim) for seed in range(8)]
-    unions += [B.translate(np.full(dim, 0.1)) for B in unions[2:4]]
-    for B in unions:
-        for step in (0.07, 0.25, 1.0 / 3.0, 0.5, 1.0, 5.0):
-            got = B.boundary_points(step)
-            want = box_boundary_points_loop(B.los, B.his, step)
-            assert got.shape == want.shape
-            assert np.array_equal(got[np.lexsort(got.T)], want[np.lexsort(want.T)])
-    with pytest.raises(InputError):
-        unions[0].boundary_points(0.0)
 
 
 # ------------------------------------------------------------------- gradient
