@@ -23,7 +23,7 @@ from .driver import (DirectionPolicy, ResampleBudget, draw_direction,
                      run_symmetrization)
 from .errors import (BudgetError, ConditionViolationError, InputError,
                      NumericalError)
-from .geometry import SphericalGrid, circle_grid, sphere_grid
+from .geometry import circle_grid
 from .projection import (affine_image_check, petty_product,
                          polar_steiner_inclusion_check)
 from .sets import (BoxUnion, coarea_check, load_set_file, steiner_symmetrize,
@@ -81,17 +81,9 @@ def _parse_direction(text: str, dim: int) -> np.ndarray:
     return parts / norm
 
 
-def _grid_for(dim: int, grid_n: int | None) -> SphericalGrid | None:
-    if grid_n is None:
-        return None
-    if dim == 2:
-        return circle_grid(grid_n)
-    return sphere_grid(grid_n, 2 * grid_n)
-
-
 def _cmd_petty(args) -> int:
     E = load_set_file(args.input)
-    report = petty_product(E, _grid_for(E.dim, args.grid_n))
+    report = petty_product(E)
     _emit(_json_report(report.to_json(), args), args.out)
     return 0 if report.slack >= -args.tol else 1
 
@@ -162,7 +154,7 @@ def _cmd_affine(args) -> int:
         raise InputError("the equivariance check is a planar computation")
     if args.seed is None:
         raise InputError("--seed is required for a random campaign")
-    grid = _grid_for(2, args.grid_n)
+    grid = None if args.grid_n is None else circle_grid(args.grid_n)
     base_product = petty_product(E).product
     rows: list[list[str]] = []
     worst = 0.0
@@ -202,9 +194,7 @@ def _cmd_coarea(args) -> int:
 def _cmd_polar_symmetral(args) -> int:
     E = load_set_file(args.input)
     u = _parse_direction(args.direction, E.dim)
-    grid = _grid_for(E.dim, args.grid_n)
-    holds, margin = polar_steiner_inclusion_check(E, u, grid,
-                                                  factor_tol=args.tol)
+    holds, margin = polar_steiner_inclusion_check(E, u, factor_tol=args.tol)
     _emit(_json_report({"holds": holds, "margin": margin,
                         "direction": [float(c) for c in u]}, args), args.out)
     return 0 if holds else 1
@@ -217,18 +207,15 @@ def _build_parser() -> argparse.ArgumentParser:
                     "product bound for polygons and box-unions.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, grid=False):
+    def common(p):
         p.add_argument("--input", required=False,
                        help="set description file (JSON)")
         p.add_argument("--out", help="also write the report to this file")
         p.add_argument("--tol", type=float, default=DEFAULT_TOL,
                        help="pass/fail tolerance (default 1e-9)")
-        if grid:
-            p.add_argument("--grid-n", type=int, default=None,
-                           help="direction-grid size override")
 
     p = sub.add_parser("petty", help="product-bound report for one set")
-    common(p, grid=True)
+    common(p)
     p.set_defaults(func=_cmd_petty, needs_input=True)
 
     p = sub.add_parser("monotonicity",
@@ -255,7 +242,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("affine", help="equivariance under random "
                                       "volume-preserving maps")
-    common(p, grid=True)
+    common(p)
+    p.add_argument("--grid-n", type=int, default=None,
+                   help="size of the circle grid the discrepancy is sampled on")
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int)
     p.set_defaults(func=_cmd_affine, needs_input=True)
@@ -268,7 +257,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("polar-symmetral-check",
                        help="symmetrized polar body stays inside the polar "
                             "body of the symmetral")
-    common(p, grid=True)
+    common(p)
     p.add_argument("--direction", default="0,1",
                    help="symmetrization direction (default '0,1')")
     p.set_defaults(func=_cmd_polar_symmetral, needs_input=True)

@@ -132,37 +132,20 @@ class FacetPolytope(VertexRing):
     def support_batch(self, nodes: np.ndarray) -> np.ndarray:
         return np.max(np.asarray(nodes, dtype=float) @ self.vertices.T, axis=1)
 
-    @cached_property
-    def _vertex_sectors(self):
-        """The vertex angles in ascending order, and for each the facet
-        that starts at that vertex."""
-        angles = np.arctan2(self.vertices[:, 1], self.vertices[:, 0])
-        order = np.argsort(angles, kind="stable")
-        return angles[order], order
-
-    def radial_batch(self, nodes) -> np.ndarray:
-        """Radial function at each row of an (n, 2) stack of directions,
-        by a sector walk: a node is evaluated on the facet whose
-        vertex-angle sector holds it and on that facet's two neighbours,
-        as offset / (u . normal) over those with u . normal > 0, and the
-        least is kept.  With the origin interior that is the least over
-        all facets; the neighbours cover a node at or next to a vertex
-        direction, which rounding can put in either sector."""
+    def radial(self, u) -> float:
+        """The largest t with t*u in the body: the least offset / (u . normal)
+        over the facets with u . normal > 0, with the origin interior."""
         normals, offsets = self.normals, self.offsets
         if np.min(offsets) <= 0.0:
             raise InputError("radial function needs the origin interior to the body")
-        nodes = np.asarray(nodes, dtype=float)
-        breaks, facet = self._vertex_sectors
-        near = (facet[angle_sectors(nodes, breaks)] + np.array([[-1], [0], [1]])) % len(offsets)
-        dots = nodes[:, 0] * normals[near, 0] + nodes[:, 1] * normals[near, 1]
-        with np.errstate(divide="ignore"):
-            rho = np.where(dots > 0.0, offsets[near] / dots, np.inf).min(axis=0)
-        if not np.all(np.isfinite(rho)):
+        u = np.asarray(u, dtype=float)
+        if u.shape != (2,):
+            raise InputError(f"a planar direction has shape (2,), got {u.shape}")
+        dots = normals @ u
+        ahead = dots > 0.0
+        if not np.any(ahead):
             raise InputError("radial evaluation hit an unbounded direction")
-        return rho
-
-    def radial(self, u) -> float:
-        return float(self.radial_batch(np.asarray(u, dtype=float)[None])[0])
+        return float(np.min(offsets[ahead] / dots[ahead]))
 
 
 class Zonotope:

@@ -129,14 +129,6 @@ class RigidFrame:
         """The direction this frame maps onto the last coordinate axis."""
         return self.matrix[-1].copy()
 
-    def apply(self, points: np.ndarray) -> np.ndarray:
-        """Rotate row-stacked points (or a single point)."""
-        pts = np.asarray(points, dtype=float)
-        return pts @ self.matrix.T
-
-    def inverse(self) -> "RigidFrame":
-        return RigidFrame(self.matrix.T.copy())
-
 
 def frame_to_last_axis(u) -> RigidFrame:
     """Rotation taking the unit vector u onto the last coordinate axis."""
@@ -282,8 +274,8 @@ def angle_sectors(nodes, breaks: np.ndarray) -> np.ndarray:
     breaks[0]: the index of the last break at or before the node's
     angle, read on the turn that starts at breaks[0], so that a node
     below breaks[0] falls in the last sector.  One arctan2 per node and
-    one binary search; the sector walks of FacetPolytope.radial_batch and
-    of the planar Zonotope.support_batch run on it."""
+    one binary search; the sector walk of the planar
+    Zonotope.support_batch runs on it."""
     nodes = np.asarray(nodes, dtype=float)
     if nodes.ndim != 2 or nodes.shape[1] != 2:
         raise InputError(f"planar directions must be an (n,2) stack, got shape {nodes.shape}")

@@ -52,10 +52,11 @@ def polar_projection_body(E):
     return polar_body(projection_body(E))
 
 
-def polar_projection_volume(E, grid: SphericalGrid | None = None) -> PolarVolume:
-    """Volume of the polar projection body with its error estimate;
-    exact in 2D and for axis-aligned box classes."""
-    return polar_volume(projection_body(E), grid)
+def polar_projection_volume(E) -> PolarVolume:
+    """Volume of the polar projection body with its error estimate, which
+    is zero: every set handle's projection body is a planar zonotope or an
+    axis-aligned box, and both take exact routes."""
+    return polar_volume(projection_body(E))
 
 
 @dataclass(frozen=True)
@@ -75,11 +76,11 @@ class PettyReport:
         return asdict(self)
 
 
-def petty_product(E, grid: SphericalGrid | None = None) -> PettyReport:
+def petty_product(E) -> PettyReport:
     """Assemble the product report |E|^(n-1) * |polar projection body|
     against the sharp bound for E's dimension."""
     vol = volume(E)
-    pv = polar_projection_volume(E, grid)
+    pv = polar_projection_volume(E)
     n = E.dim
     power = vol ** (n - 1)
     product = power * pv.value
@@ -118,18 +119,23 @@ def affine_image_check(P, matrix, grid: SphericalGrid | None = None) -> float:
 
 
 def polar_steiner_inclusion_check(E, direction=(0.0, 1.0),
-                                  grid: SphericalGrid | None = None,
                                   factor_tol: float = INCLUSION_FACTOR_TOL,
                                   ) -> tuple[bool, float]:
     """Check that symmetrizing the polar projection body is dominated by
-    symmetrizing the set: radially on every grid direction,
+    symmetrizing the set: A = S_u(polar of Pi E) lies inside B = polar of
+    Pi S_u E.  The exact worst multiplicative margin, the max over
+    directions w of rho_A(w) / rho_B(w), must be at most 1 + tol.
 
-        rho_{sym(polar proj E)}  <=  rho_{polar proj (sym E)} * (1 + tol).
+    The gauge of B is the support of Pi S_u E, and rho_A(w) / rho_B(w) is
+    that gauge at the boundary point rho_A(w) w of A.  A gauge is convex,
+    so its maximum over each edge of A is at an end: the margin is the
+    largest support of Pi S_u E over the vertices of A, and B itself is
+    never built.
 
     Requires zero boundary mass orthogonal to the symmetrization
     direction, the same regularity hypothesis product monotonicity
     needs; violations raise with the offending mass attached.
-    Returns (holds, worst multiplicative margin).
+    Returns (holds, margin).
     """
     u = as_direction(direction)
     if E.dim != 2 or u.shape != (2,):
@@ -139,12 +145,8 @@ def polar_steiner_inclusion_check(E, direction=(0.0, 1.0),
         raise ConditionViolationError(
             f"boundary mass {mass:.17g} is orthogonal to the symmetrization "
             "direction; the inclusion hypothesis fails in this frame", mass)
-    polar_proj = polar_polygon(projection_body(surface_measure(E)))
-    sym_of_polar = steiner_symmetrize_convex(polar_proj, u)
-    polar_of_sym = polar_polygon(
-        projection_body(surface_measure(steiner_symmetrize(E, u))))
-    nodes = (grid if grid is not None else default_grid(2)).nodes
-    lhs = sym_of_polar.radial_batch(nodes)
-    rhs = polar_of_sym.radial_batch(nodes)
-    margin = float(np.max(lhs / rhs))
+    sym_of_polar = steiner_symmetrize_convex(
+        polar_polygon(projection_body(surface_measure(E))), u)
+    proj_of_sym = projection_body(surface_measure(steiner_symmetrize(E, u)))
+    margin = float(np.max(proj_of_sym.support_batch(sym_of_polar.vertices)))
     return margin <= 1.0 + factor_tol, margin

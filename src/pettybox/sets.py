@@ -147,19 +147,9 @@ class ColumnStructure:
         s = (float(np.atleast_1d(np.asarray(xprime, dtype=float))[0]) - lo) / (hi - lo)
         return lerp(s, self.y0[rows], self.y1[rows])
 
-    def multiplicity(self, xprime) -> int:
-        c = self.locate(xprime)
-        return int(self.starts[c + 1] - self.starts[c])
-
     def section_length(self, xprime) -> float:
         b = self.section_intervals(xprime)
         return float(np.sum(b[:, 1] - b[:, 0]))
-
-    def total_volume(self) -> float:
-        # the exact integral of an affine length is the trapezoid value
-        lo, hi = self.cell_bounds
-        mean = 0.5 * ((self.y0[:, 1] - self.y0[:, 0]) + (self.y1[:, 1] - self.y1[:, 0]))
-        return float(np.sum(mean * np.prod(hi - lo, axis=1)[self.row_cells]))
 
 
 def _polygon_columns(vertices: np.ndarray):
@@ -255,7 +245,16 @@ class PolygonSet(VertexRing):
         return float(np.sum(self.edge_lengths()))
 
     def surface_measure(self) -> SurfaceMeasure:
-        return SurfaceMeasure(self.edge_normals().copy(), self.edge_lengths().copy())
+        """One atom per edge, built once per polygon with read-only
+        arrays."""
+        return self._surface_measure
+
+    @cached_property
+    def _surface_measure(self) -> SurfaceMeasure:
+        mu = SurfaceMeasure(self.edge_normals().copy(), self.edge_lengths().copy())
+        mu.normals.setflags(write=False)
+        mu.masses.setflags(write=False)
+        return mu
 
     def centroid(self) -> np.ndarray:
         v = self.vertices
@@ -446,10 +445,6 @@ class BoxUnion:
         on_axis = np.repeat(np.eye(self.dim, dtype=bool), 2, axis=0)
         normals = np.where(on_axis, np.tile([-1.0, 1.0], self.dim)[:, None], 0.0)
         return SurfaceMeasure(normals, np.repeat(self._class_masses, 2))
-
-    def axis_class_masses(self) -> np.ndarray:
-        """Total exposed area per axis, both signs combined."""
-        return 2.0 * self._class_masses
 
     def column_structure(self, axis: int) -> ColumnStructure:
         if not 0 <= axis < self.dim:

@@ -1,6 +1,9 @@
 """Dense and per-edge or per-box loop forms of the package's kernels, kept
 as test oracles: the vectorised, blocked and sector-walk kernels in the
-package must agree with them."""
+package must agree with them.  Also the small derived quantities only
+tests read (column multiplicities and volumes, box-union axis masses,
+rigid-frame images), and the grid-sampled inclusion margin the exact
+vertex margin must dominate."""
 
 from __future__ import annotations
 
@@ -8,9 +11,12 @@ import math
 
 import numpy as np
 
+from pettybox.convex import polar_polygon, steiner_symmetrize_convex
 from pettybox.errors import InputError
-from pettybox.geometry import cross_2d
-from pettybox.sets import _on_segment
+from pettybox.geometry import RigidFrame, as_direction, circle_grid, cross_2d
+from pettybox.projection import projection_body
+from pettybox.sets import (BoxUnion, ColumnStructure, _on_segment,
+                           steiner_symmetrize, surface_measure)
 
 
 def dense_radial(normals: np.ndarray, offsets: np.ndarray, nodes: np.ndarray,
@@ -27,6 +33,21 @@ def dense_radial(normals: np.ndarray, offsets: np.ndarray, nodes: np.ndarray,
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = np.where(dots > 0.0, offsets[None, :] / dots, np.inf)
     return ratios.min(axis=1)
+
+
+def grid_inclusion_margin(E, direction, nodes: int = 4096) -> float:
+    """The polar-symmetral inclusion margin sampled on a circle grid: the
+    max over the nodes of rho_A / rho_B, with A the symmetral of the polar
+    projection body of E and B the polar projection body of the
+    symmetral, both radial functions in the dense form with each term of
+    a dot product rounded.  A lower bound of the exact margin, which is
+    the max over the vertices of A."""
+    u = as_direction(direction)
+    w = circle_grid(nodes).nodes
+    A = steiner_symmetrize_convex(polar_polygon(projection_body(surface_measure(E))), u)
+    B = polar_polygon(projection_body(surface_measure(steiner_symmetrize(E, u))))
+    return float(np.max(dense_radial(A.normals, A.offsets, w, matmul=False)
+                        / dense_radial(B.normals, B.offsets, w, matmul=False)))
 
 
 def dense_support(generators: np.ndarray, nodes: np.ndarray) -> np.ndarray:
@@ -139,3 +160,31 @@ def box_solid_distance_loop(los: np.ndarray, his: np.ndarray, points) -> np.ndar
         delta = np.maximum(delta, p - hi)
         best = np.minimum(best, np.linalg.norm(delta, axis=1))
     return best
+
+
+def section_multiplicity(cs: ColumnStructure, xprime) -> int:
+    """Number of section intervals above a generic base point."""
+    c = cs.locate(xprime)
+    return int(cs.starts[c + 1] - cs.starts[c])
+
+
+def column_total_volume(cs: ColumnStructure) -> float:
+    """Integral of the section length over the base: on each cell the
+    length is affine, so its exact integral is the trapezoid value."""
+    lo, hi = cs.cell_bounds
+    mean = 0.5 * ((cs.y0[:, 1] - cs.y0[:, 0]) + (cs.y1[:, 1] - cs.y1[:, 0]))
+    return float(np.sum(mean * np.prod(hi - lo, axis=1)[cs.row_cells]))
+
+
+def axis_class_masses(B: BoxUnion) -> np.ndarray:
+    """Total exposed area per axis, both signs combined."""
+    return 2.0 * B._class_masses
+
+
+def frame_apply(frame: RigidFrame, points) -> np.ndarray:
+    """Rotate row-stacked points (or a single point) by a frame."""
+    return np.asarray(points, dtype=float) @ frame.matrix.T
+
+
+def frame_inverse(frame: RigidFrame) -> RigidFrame:
+    return RigidFrame(frame.matrix.T.copy())

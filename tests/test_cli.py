@@ -186,6 +186,15 @@ def test_affine_campaign(sets_dir, capsys):
         assert float(row.split(",")[6]) <= 1e-9
 
 
+@pytest.mark.parametrize("command", ["petty", "polar-symmetral-check"])
+def test_grid_override_is_affine_only(sets_dir, capsys, command):
+    # both reports are exact, so no grid size could change them
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--input", str(sets_dir / "tri_rot.json"), "--grid-n", "64"])
+    assert exc.value.code == 2
+    assert "--grid-n" in capsys.readouterr().err
+
+
 def test_affine_needs_seed(sets_dir, capsys):
     code, _, err = run(capsys, "affine", "--input",
                        str(sets_dir / "tri_rot.json"), "--trials", "2")
@@ -241,8 +250,8 @@ def test_disk_product_near_bound(sets_dir, capsys):
 # each subcommand's embedded config is its parsed options: every one that
 # is set, defaults included, and no unset or off flag
 CONFIGS = [
-    pytest.param(["petty", "--input", "{square}", "--grid-n", "64"],
-                 {"command": "petty", "input": "{square}", "tol": 1e-9, "grid_n": 64},
+    pytest.param(["petty", "--input", "{square}"],
+                 {"command": "petty", "input": "{square}", "tol": 1e-9},
                  id="petty"),
     pytest.param(["monotonicity", "--count", "2", "--seed", "5", "--tol", "1e-3"],
                  {"command": "monotonicity", "count": 2, "seed": 5, "tol": 1e-3},
@@ -253,9 +262,9 @@ CONFIGS = [
                   "max_steps": 3, "stop_tol": 0.05},
                  id="converge"),
     pytest.param(["affine", "--input", "{tri_rot}", "--seed", "7", "--trials", "2",
-                  "--out", "{out}"],
+                  "--out", "{out}", "--grid-n", "64"],
                  {"command": "affine", "input": "{tri_rot}", "out": "{out}", "tol": 1e-9,
-                  "seed": 7, "trials": 2},
+                  "seed": 7, "trials": 2, "grid_n": 64},
                  id="affine"),
     pytest.param(["coarea-check", "--input", "{tri_rot}"],
                  {"command": "coarea-check", "input": "{tri_rot}", "tol": 1e-9},

@@ -98,14 +98,14 @@ def test_radial_requires_origin_interior():
         K.radial(E1)
 
 
-# --------------------------------------------------------------- sector walks
+# ------------------------------------------------- radial and support walk
 #
-# FacetPolytope.radial_batch and the planar Zonotope.support_batch read
-# each node's facet or sign pattern from its angular sector; they must
-# agree with the dense formulas over every facet or generator to 1e-13 of
-# the body's size, on nodes placed where a sector walk can go wrong.  The
-# radial walk rounds as the dense minimum does when that takes its dot
-# products term by term, so there the two must be equal.
+# FacetPolytope.radial is the least offset / (u . normal) over every
+# facet; it must agree with the dense formula and with polar duality,
+# rho_K(u) h_{K polar}(u) = 1.  The planar Zonotope.support_batch reads
+# each node's sign pattern from its angular sector; it must agree with
+# the dense formula over every generator to 1e-13 of the body's size, on
+# nodes placed where a sector walk can go wrong.
 
 SEAM = np.array([[-1.0, 0.0], [-1.0, -0.0], [-1.0, 1e-300], [-1.0, -1e-300],
                  [-1.0, 1e-17], [-1.0, -1e-17], [1.0, 0.0], [0.0, -1.0]])
@@ -127,16 +127,16 @@ def _walk_nodes(rng, special):
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 10**6), st.integers(3, 40), st.floats(1e-3, 1e3))
-def test_radial_batch_matches_dense_formula(seed, points, scale):
+def test_radial_matches_dense_formula_and_polar_duality(seed, points, scale):
     K = FacetPolytope(scale * random_centered_body(seed, points).vertices)
+    polar = polar_polygon(K)
     rng = np.random.default_rng(seed)
     # nodes at the vertex angles and across the +-pi seam
     nodes = _walk_nodes(rng, _directions(K.vertices))
-    got = K.radial_batch(nodes)
+    got = np.array([K.radial(u) for u in nodes])
     want = dense_radial(K.normals, K.offsets, nodes)
     assert np.all(np.abs(got - want) <= 1e-13 * want)
-    assert np.array_equal(got, dense_radial(K.normals, K.offsets, nodes, matmul=False))
-    assert K.radial(nodes[0]) == got[0]
+    assert np.all(np.abs(got * polar.support_batch(nodes) - 1.0) <= 1e-13)
 
 
 _AXES = (0.0, 0.5 * math.pi, math.pi, -0.5 * math.pi)
@@ -175,18 +175,18 @@ def test_zonotope_support_batch_single_direction(angle, lengths, seed):
     _check_support_walk(Z, np.random.default_rng(seed))
 
 
-def test_sector_walks_reject_non_planar_nodes_and_exterior_origin():
+def test_radial_and_support_walk_reject_bad_inputs():
     K = random_centered_body(1)
     Z = Zonotope([[1.0, 0.0], [0.3, 1.0]])
     nodes3 = default_grid(3).nodes[:8]
     with pytest.raises(InputError):
-        K.radial_batch(nodes3)
+        K.radial(nodes3[0])
     with pytest.raises(InputError):
         Z.support_batch(nodes3)
     with pytest.raises(InputError):
-        FacetPolytope(K.vertices + [10.0, 0.0]).radial_batch(circle_grid(16).nodes)
+        FacetPolytope(K.vertices + [10.0, 0.0]).radial(E1)
     with pytest.raises(InputError):
-        K.radial_batch(np.zeros((1, 2)))
+        K.radial(np.zeros(2))
 
 
 # ----------------------------------------------------------------- zonotopes

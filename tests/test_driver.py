@@ -17,6 +17,7 @@ from pettybox.corpus import random_polygon, regular_polygon
 from pettybox.geometry import (frame_to_last_axis, rotation_2d,
                                section_incidence, steiner_ring,
                                symmetral_radii)
+from pettybox.sets import SurfaceMeasure
 
 
 def unit_square():
@@ -216,6 +217,24 @@ def test_greedy_run_on_square_converges():
     assert last.dh_to_ball / trace.ball_radius <= 0.05
     assert trace.steps[0].direction is None
     assert trace.final_set is not None
+
+
+def test_greedy_run_builds_one_surface_measure_per_iterate(monkeypatch):
+    # the trace row's product and the next step's regularity test share
+    # the iterate's cached measure
+    built = []
+    post_init = SurfaceMeasure.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(SurfaceMeasure, "__post_init__", counted)
+    trace = run_symmetrization(random_polygon(3), DirectionPolicy(kind="cap-cover-greedy", seed=2),
+                               max_steps=5, stop_tol=1e-9)
+    assert len(trace.steps) == 6
+    assert len(built) == 6
+    assert not (built[-1].normals.flags.writeable or built[-1].masses.flags.writeable)
 
 
 def test_uniform_random_run_converges():
