@@ -3,10 +3,11 @@
 Four body kinds cover everything the toolkit builds: planar facet
 polytopes, origin-symmetric zonotopes in dimension 2 or 3, origin-centered
 balls, and a lazy polar wrapper for three-dimensional bodies, whose polar
-has no materialized form.  Planar polars are materialized exactly by
-polar_polygon; three-dimensional polar volumes fall back to spherical
-quadrature of the reciprocal support function with a reported error
-estimate.
+has no materialized form.  A zonotope's support, in either dimension, is
+one blocked sum of |u . g| over its generators (Zonotope.support_batch).
+Planar polars are materialized exactly by polar_polygon;
+three-dimensional polar volumes fall back to spherical quadrature of the
+reciprocal support function with a reported error estimate.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InputError, NumericalError
-from .geometry import (BLOCK_PAIRS, SphericalGrid, VertexRing, angle_sectors,
-                       cross_2d, cyclic_next, default_grid, integrate_sphere,
+from .geometry import (BLOCK_PAIRS, SphericalGrid, VertexRing, cross_2d,
+                       cyclic_next, default_grid, integrate_sphere,
                        prune_collinear, steiner_ring)
 
 SUPPORT_CONSISTENCY_TOL = 1e-10
@@ -171,34 +172,31 @@ class Zonotope:
         return f"Zonotope({len(self.generators)} generators, dim={self.dim})"
 
     def support(self, z) -> float:
-        return float(np.sum(np.abs(self.generators @ np.asarray(z, dtype=float))))
+        """The one-row case of support_batch, so the two agree bit for
+        bit."""
+        return float(self.support_batch(np.asarray(z, dtype=float)[None])[0])
 
     def support_batch(self, nodes: np.ndarray) -> np.ndarray:
-        """Support at each row of a stack of directions.  In the plane it
-        is |u . S| with S = sum sign(u . g) g constant between the angles
-        where some generator turns orthogonal to u, read by a sector walk
-        from the sums on each sector.
-
-        In 3D it is sum |u . g| over all generators, generator-major in
-        blocks of BLOCK_PAIRS // k nodes (at least one) for k generators:
-        each block's (k, rows) products take about 8 * BLOCK_PAIRS bytes
-        and are summed over the generators into one preallocated output.
-        The sum adds whole rows in generator order, which is the order of
-        numpy's row sum over fewer than 8 terms.  So on a box zonotope with
-        k < 8, whose products u . g are exact, every value equals
+        """Support sum |u . g| at each row of an (n, dim) stack of
+        directions, generator-major in blocks of BLOCK_PAIRS // k nodes
+        (at least one) for k generators: each block's (k, rows) products
+        take about 8 * BLOCK_PAIRS bytes and are summed over the
+        generators into one preallocated output.  The sum adds whole rows
+        in generator order, which is the order of numpy's row sum over
+        fewer than 8 terms.  So on a box zonotope with k < 8, whose
+        products u . g are exact, every value equals
         sum(abs(nodes @ g.T), axis=1) bit for bit; otherwise the two may
         differ by rounding in the last digits."""
         nodes = np.asarray(nodes, dtype=float)
-        if self.dim == 3:
-            g = self.generators
-            out = np.empty(len(nodes))
-            rows = max(1, BLOCK_PAIRS // len(g))
-            for s in range(0, len(nodes), rows):
-                np.abs(g @ nodes[s:s + rows].T).sum(axis=0, out=out[s:s + rows])
-            return out
-        breaks, sums = self._support_sectors
-        S = sums[angle_sectors(nodes, breaks) % len(sums)]
-        return np.abs(nodes[:, 0] * S[:, 0] + nodes[:, 1] * S[:, 1])
+        if nodes.ndim != 2 or nodes.shape[1] != self.dim:
+            raise InputError(f"directions must be an (n,{self.dim}) stack, "
+                             f"got shape {nodes.shape}")
+        g = self.generators
+        out = np.empty(len(nodes))
+        rows = max(1, BLOCK_PAIRS // len(g))
+        for s in range(0, len(nodes), rows):
+            np.abs(g @ nodes[s:s + rows].T).sum(axis=0, out=out[s:s + rows])
+        return out
 
     @cached_property
     def _half_turn(self):
@@ -211,20 +209,6 @@ class Zonotope:
         angles = np.arctan2(g[:, 1], g[:, 0])
         order = np.argsort(angles, kind="stable")
         return g[order], angles[order]
-
-    @cached_property
-    def _support_sectors(self):
-        """Breaks and sums of the planar support walk.  A generator at angle
-        phi has u . g > 0 for u at angles in (phi - pi/2, phi + pi/2).  So
-        from the break phi_j - pi/2 on, the generators up to j are positive
-        and the rest negative, S = 2 (g_0 + ... + g_j) - sum g, and from
-        phi_j + pi/2 on the signs are reversed, -S, which gives the same
-        |u . S|: sector j and sector j + len(g) share sums[j].  The breaks
-        ascend: the first half lies within [-pi/2, pi/2], the second
-        within [pi/2, 3pi/2]."""
-        g, angles = self._half_turn
-        breaks = np.concatenate([angles - 0.5 * math.pi, angles + 0.5 * math.pi])
-        return breaks, 2.0 * np.cumsum(g, axis=0) - np.sum(g, axis=0)
 
     def axis_box_halfwidths(self) -> np.ndarray | None:
         """Half-widths when every generator is axis-aligned, else None."""

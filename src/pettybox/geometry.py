@@ -32,9 +32,9 @@ BLOCK_ROWS = 1 << 12
 # point-edge pairs per block of the vectorised polygon membership and
 # distance tests: a block's temporaries take about 100 bytes per pair, so
 # this keeps them near 1.6 MiB.  It also bounds the point-box pairs of a
-# box-union distance block and the node-generator pairs of a 3D zonotope
-# support block, whose (generators, nodes) products take 8 bytes per
-# pair, 128 KiB
+# box-union distance block and the node-generator pairs of a zonotope
+# support block in either dimension, whose (generators, nodes) products
+# take 8 bytes per pair, 128 KiB
 BLOCK_PAIRS = 1 << 14
 # Boundary sampling density for Hausdorff on general sets: arc-length step
 # is (scene diameter) / BOUNDARY_DIVISIONS, and the returned value carries
@@ -266,22 +266,6 @@ def integrate_sphere(grid: SphericalGrid, f: Callable[[np.ndarray], np.ndarray])
 
 # ---------------------------------------------------------------------------
 # planar polygon helpers shared across modules
-
-
-def angle_sectors(nodes, breaks: np.ndarray) -> np.ndarray:
-    """Sector of each row of an (n, 2) stack of planar directions among
-    the ascending polar angles breaks, which lie within one turn of
-    breaks[0]: the index of the last break at or before the node's
-    angle, read on the turn that starts at breaks[0], so that a node
-    below breaks[0] falls in the last sector.  One arctan2 per node and
-    one binary search; the sector walk of the planar
-    Zonotope.support_batch runs on it."""
-    nodes = np.asarray(nodes, dtype=float)
-    if nodes.ndim != 2 or nodes.shape[1] != 2:
-        raise InputError(f"planar directions must be an (n,2) stack, got shape {nodes.shape}")
-    theta = np.arctan2(nodes[:, 1], nodes[:, 0])
-    theta[theta < breaks[0]] += 2.0 * math.pi
-    return np.searchsorted(breaks, theta, side="right") - 1
 
 
 def shoelace_area(vertices: np.ndarray) -> float:

@@ -215,9 +215,12 @@ class PolygonSet(VertexRing):
     """A simple planar polygon with positively oriented (CCW) boundary.
 
     One slot keeps the last Steiner symmetral computed from the polygon:
-    the exact bytes of its direction and its read-only vertex ring (see
-    steiner_symmetrize).  It holds the ring, not a set, so a symmetral
-    does not keep its predecessors alive."""
+    the exact bytes of its direction and the symmetral set, with
+    read-only vertices (see steiner_symmetrize).  A repeat along that
+    direction returns the same set, whose edges and surface measure are
+    then built once.  The slot keeps a polygon's successor alive, not its
+    predecessors, and the driver rebinds its iterate every step, so no
+    chain of iterates stays alive."""
 
     def __init__(self, vertices, validate_simple: bool = True):
         v = np.asarray(vertices, dtype=float)
@@ -236,7 +239,7 @@ class PolygonSet(VertexRing):
             _check_simple(v)
         self.vertices = v
         self.vertices.setflags(write=False)
-        self._symmetral: tuple[bytes, np.ndarray] | None = None
+        self._symmetral: tuple[bytes, PolygonSet] | None = None
 
     def __repr__(self):
         return f"PolygonSet({len(self.vertices)} vertices, area={self.volume():.6g})"
@@ -633,12 +636,13 @@ def steiner_symmetrize(E: SetHandle, u) -> SetHandle:
     vertical axis); box unions accept only signed coordinate axes.
     Volume is preserved exactly and perimeter never increases.
 
-    A polygon's symmetral is built from the ring in the polygon's slot
-    when the slot's direction has exactly the bytes of u: a repeat along
-    the same direction, or the winner that least_circumradius_direction
-    left there.  Otherwise geometry.steiner_ring runs and its ring fills
-    the slot.  Either way the vertices are steiner_ring(E.vertices, u)
-    bit for bit, and every symmetral still comes out of this function.
+    A polygon's symmetral is the set in the polygon's slot when the
+    slot's direction has exactly the bytes of u: a repeat along the same
+    direction, or the winner that least_circumradius_direction left
+    there.  Otherwise geometry.steiner_ring runs and a set on its ring
+    fills the slot.  Either way the vertices are
+    steiner_ring(E.vertices, u) bit for bit, and every symmetral still
+    comes out of this function.
     """
     u = as_direction(u)
     if u.shape[0] != E.dim:
@@ -651,12 +655,11 @@ def steiner_symmetrize(E: SetHandle, u) -> SetHandle:
 def _steiner_polygon(E: PolygonSet, u: np.ndarray) -> PolygonSet:
     if E._symmetral is None or E._symmetral[0] != u.tobytes():
         _keep_symmetral(E, u, steiner_ring(E.vertices, u))
-    return PolygonSet(E._symmetral[1], validate_simple=False)
+    return E._symmetral[1]
 
 
 def _keep_symmetral(E: PolygonSet, u: np.ndarray, ring: np.ndarray) -> None:
-    ring.setflags(write=False)
-    E._symmetral = (u.tobytes(), ring)
+    E._symmetral = (u.tobytes(), PolygonSet(ring, validate_simple=False))
 
 
 def least_circumradius_direction(E: PolygonSet, candidates) -> np.ndarray:
@@ -668,9 +671,10 @@ def least_circumradius_direction(E: PolygonSet, candidates) -> np.ndarray:
     (K, 2) stack (geometry.symmetral_radii): each score is max |v| (the
     formula of PolygonSet.max_norm) over the symmetral's vertex ring,
     rotated back to the input frame as steiner_ring rotates it, and no
-    symmetral set is built.  The winner's ring fills E's slot, so the
-    steiner_symmetrize(E, winner) that follows makes it the next iterate
-    without running the kernel again."""
+    symmetral set is built but the winner's.  That set, on the winner's
+    ring, fills E's slot, so the steiner_symmetrize(E, winner) that
+    follows returns it as the next iterate without running the kernel
+    again."""
     if not isinstance(E, PolygonSet):
         raise InputError("symmetrals are scored on polygons")
     U = np.asarray(candidates, dtype=float)

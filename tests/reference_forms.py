@@ -1,9 +1,9 @@
 """Dense and per-edge or per-box loop forms of the package's kernels, kept
-as test oracles: the vectorised, blocked and sector-walk kernels in the
-package must agree with them.  Also the small derived quantities only
-tests read (column multiplicities and volumes, box-union axis masses,
-rigid-frame images), and the grid-sampled inclusion margin the exact
-vertex margin must dominate."""
+as test oracles: the vectorised and blocked kernels in the package must
+agree with them.  Also the small derived quantities only tests read
+(column multiplicities and volumes, box-union axis masses, rigid-frame
+images), and the grid-sampled inclusion margin the exact vertex margin
+must dominate."""
 
 from __future__ import annotations
 

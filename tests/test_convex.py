@@ -98,14 +98,16 @@ def test_radial_requires_origin_interior():
         K.radial(E1)
 
 
-# ------------------------------------------------- radial and support walk
+# ------------------------------------------------ radial and planar support
 #
 # FacetPolytope.radial is the least offset / (u . normal) over every
 # facet; it must agree with the dense formula and with polar duality,
-# rho_K(u) h_{K polar}(u) = 1.  The planar Zonotope.support_batch reads
-# each node's sign pattern from its angular sector; it must agree with
-# the dense formula over every generator to 1e-13 of the body's size, on
-# nodes placed where a sector walk can go wrong.
+# rho_K(u) h_{K polar}(u) = 1.  The planar Zonotope.support_batch is the
+# blocked sum of |u . g| that 3D bodies use; it must agree with the dense
+# formula over every generator to 1e-13 of the body's size, on nodes
+# where some u . g is zero or changes sign (a generator's breakpoint, the
+# +-pi seam, the axes) and with parallel and antiparallel generators,
+# whose terms cancel or add.
 
 SEAM = np.array([[-1.0, 0.0], [-1.0, -0.0], [-1.0, 1e-300], [-1.0, -1e-300],
                  [-1.0, 1e-17], [-1.0, -1e-17], [1.0, 0.0], [0.0, -1.0]])
@@ -116,7 +118,7 @@ def _directions(points):
     return p / np.hypot(p[:, 0], p[:, 1])[:, None]
 
 
-def _walk_nodes(rng, special):
+def _probe_nodes(rng, special):
     """A small circle grid, the special directions and their negatives,
     the seam nodes and a custom grid of random directions in random
     order."""
@@ -132,7 +134,7 @@ def test_radial_matches_dense_formula_and_polar_duality(seed, points, scale):
     polar = polar_polygon(K)
     rng = np.random.default_rng(seed)
     # nodes at the vertex angles and across the +-pi seam
-    nodes = _walk_nodes(rng, _directions(K.vertices))
+    nodes = _probe_nodes(rng, _directions(K.vertices))
     got = np.array([K.radial(u) for u in nodes])
     want = dense_radial(K.normals, K.offsets, nodes)
     assert np.all(np.abs(got - want) <= 1e-13 * want)
@@ -148,10 +150,10 @@ _generator = st.tuples(
     st.floats(1e-3, 1e3))
 
 
-def _check_support_walk(Z, rng):
+def _check_planar_support(Z, rng):
     g = Z.generators
     # nodes at the breakpoints, where a generator turns orthogonal
-    nodes = _walk_nodes(rng, _directions(np.column_stack([-g[:, 1], g[:, 0]])))
+    nodes = _probe_nodes(rng, _directions(np.column_stack([-g[:, 1], g[:, 0]])))
     got = Z.support_batch(nodes)
     want = dense_support(g, nodes)
     size = float(np.sum(np.hypot(g[:, 0], g[:, 1])))
@@ -162,7 +164,7 @@ def _check_support_walk(Z, rng):
 @given(st.lists(_generator, min_size=1, max_size=40), st.integers(0, 10**6))
 def test_zonotope_support_batch_matches_dense_formula(generators, seed):
     angles, lengths = np.array(generators).T
-    _check_support_walk(Zonotope(_generators(angles, lengths)), np.random.default_rng(seed))
+    _check_planar_support(Zonotope(_generators(angles, lengths)), np.random.default_rng(seed))
 
 
 @settings(max_examples=30, deadline=None)
@@ -172,7 +174,7 @@ def test_zonotope_support_batch_matches_dense_formula(generators, seed):
 def test_zonotope_support_batch_single_direction(angle, lengths, seed):
     # every generator on one line, in either sense: a segment
     Z = Zonotope(_generators(np.full(len(lengths), angle), lengths))
-    _check_support_walk(Z, np.random.default_rng(seed))
+    _check_planar_support(Z, np.random.default_rng(seed))
 
 
 def test_radial_and_support_walk_reject_bad_inputs():
@@ -181,8 +183,12 @@ def test_radial_and_support_walk_reject_bad_inputs():
     nodes3 = default_grid(3).nodes[:8]
     with pytest.raises(InputError):
         K.radial(nodes3[0])
-    with pytest.raises(InputError):
-        Z.support_batch(nodes3)
+    # a node stack whose width is not the body's dimension, either way
+    for body, nodes in [(Z, nodes3), (_random_zonotope_3d(2), default_grid(2).nodes[:8])]:
+        with pytest.raises(InputError):
+            body.support_batch(nodes)
+        with pytest.raises(InputError):
+            body.support(nodes[0])
     with pytest.raises(InputError):
         FacetPolytope(K.vertices + [10.0, 0.0]).radial(E1)
     with pytest.raises(InputError):
@@ -528,12 +534,13 @@ def test_quadrature_does_not_rebuild_the_default_grid(monkeypatch):
     assert pv.value > 0.0 and pv.error >= 0.0
 
 
-# The 3D Zonotope.support_batch runs generator-major over blocks of
-# BLOCK_PAIRS // k nodes.  On a box zonotope every product u . g is exact,
-# and with fewer than 8 generators the blocks add them in the order of
-# the dense row sum, so the two agree bit for bit.  Otherwise two sums of k nonnegative terms in other
-# orders differ by at most (k - 1) eps of the sum, and two roundings of a
-# 3-term product u . g by at most 3 eps |g|.
+# Zonotope.support_batch runs generator-major over blocks of
+# BLOCK_PAIRS // k nodes in either dimension.  On a box zonotope every
+# product u . g is exact, and with fewer than 8 generators the blocks add
+# them in the order of the dense row sum, so the two agree bit for bit.
+# Otherwise two sums of k nonnegative terms in other orders differ by at
+# most (k - 1) eps of the sum, and two roundings of a 3-term product
+# u . g by at most 3 eps |g|.
 
 def _box_zonotopes():
     half = np.random.default_rng(40).uniform(0.1, 3.0, 3)
@@ -593,17 +600,29 @@ def test_blocked_support_gives_the_dense_quadrature_and_hausdorff(monkeypatch):
     assert np.all(np.abs(np.subtract(distances, dense_distances)) <= 1e-13 * size)
 
 
+@pytest.mark.parametrize("k", [1, 7, 9, 60])
+def test_scalar_support_is_the_one_row_batch(k):
+    rng = np.random.default_rng(k)
+    for dim in (2, 3):
+        Z = Zonotope(rng.normal(size=(k, dim)))
+        for z in rng.normal(size=(16, dim)) * rng.uniform(1e-3, 1e3, size=(16, 1)):
+            assert Z.support(z) == Z.support_batch(z[None])[0]
+
+
 def test_blocked_support_on_the_default_grid_stays_under_one_mib():
-    # the dense form's two (32768, 6) temporaries peak at 3 MiB
-    nodes = default_grid(3).nodes
-    Z = _box_zonotopes()[1]
-    tracemalloc.start()
-    try:
-        Z.support_batch(nodes)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1 << 20
+    # the dense form's two (32768, 6) temporaries peak at 3 MiB on the
+    # sphere, and its two (4096, 40) ones at 2.5 MiB for a campaign-sized
+    # planar zonotope on the circle
+    cases = [(_box_zonotopes()[1], default_grid(3).nodes),
+             (Zonotope(np.random.default_rng(42).normal(size=(40, 2))), default_grid(2).nodes)]
+    for Z, nodes in cases:
+        tracemalloc.start()
+        try:
+            Z.support_batch(nodes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 def test_body_volume_dispatch():

@@ -11,7 +11,8 @@ import pytest
 import pettybox.geometry
 from pettybox import (BoxUnion, DirectionPolicy, InputError,
                       PathologicalInputError, PolygonSet,
-                      cap_cover_greedy_step, run_symmetrization,
+                      cap_cover_greedy_step, petty_product,
+                      polar_steiner_inclusion_check, run_symmetrization,
                       steiner_symmetrize)
 from pettybox.corpus import random_polygon, regular_polygon
 from pettybox.geometry import (frame_to_last_axis, rotation_2d,
@@ -219,9 +220,9 @@ def test_greedy_run_on_square_converges():
     assert trace.final_set is not None
 
 
-def test_greedy_run_builds_one_surface_measure_per_iterate(monkeypatch):
-    # the trace row's product and the next step's regularity test share
-    # the iterate's cached measure
+@pytest.fixture
+def measures_built(monkeypatch):
+    """Every SurfaceMeasure built from here on."""
     built = []
     post_init = SurfaceMeasure.__post_init__
 
@@ -230,11 +231,30 @@ def test_greedy_run_builds_one_surface_measure_per_iterate(monkeypatch):
         post_init(self)
 
     monkeypatch.setattr(SurfaceMeasure, "__post_init__", counted)
+    return built
+
+
+def test_greedy_run_builds_one_surface_measure_per_iterate(measures_built):
+    # the trace row's product and the next step's regularity test share
+    # the iterate's cached measure
     trace = run_symmetrization(random_polygon(3), DirectionPolicy(kind="cap-cover-greedy", seed=2),
                                max_steps=5, stop_tol=1e-9)
     assert len(trace.steps) == 6
-    assert len(built) == 6
-    assert not (built[-1].normals.flags.writeable or built[-1].masses.flags.writeable)
+    assert len(measures_built) == 6
+    last = measures_built[-1]
+    assert not (last.normals.flags.writeable or last.masses.flags.writeable)
+
+
+def test_slot_symmetral_is_built_once(measures_built):
+    # the symmetral's product and the inclusion check's second
+    # symmetrization share one set, so two rings give two measures
+    P = random_polygon(3)
+    u = np.array([0.2, 1.0]) / math.hypot(0.2, 1.0)
+    S = steiner_symmetrize(P, u)
+    petty_product(S)
+    assert polar_steiner_inclusion_check(P, u)[0]
+    assert len(measures_built) == 2
+    assert steiner_symmetrize(P, u) is S
 
 
 def test_uniform_random_run_converges():
