@@ -5,9 +5,12 @@ polytopes, origin-symmetric zonotopes in dimension 2 or 3, origin-centered
 balls, and a lazy polar wrapper for three-dimensional bodies, whose polar
 has no materialized form.  A zonotope's support, in either dimension, is
 one blocked sum of |u . g| over its generators (Zonotope.support_batch).
-Planar polars are materialized exactly by polar_polygon;
-three-dimensional polar volumes fall back to spherical quadrature of the
-reciprocal support function with a reported error estimate.
+Planar polars are materialized exactly by polar_polygon.  A planar
+zonotope's polar area is a closed form over its generators sorted by
+angle (Zonotope._polar_area), with no vertex ring; the ring serves the
+callers that need vertices.  Three-dimensional polar volumes of bodies
+other than boxes fall back to spherical quadrature of the reciprocal
+support function with a reported error estimate.
 """
 
 from __future__ import annotations
@@ -239,14 +242,7 @@ class Zonotope:
         length = np.hypot(g[:, 0], g[:, 1])
         resolution = RING_RESOLUTION * float(np.sum(length))
         big = np.flatnonzero(length > resolution)
-        b, a = g[big], angles[big]
-        ahead = cyclic_next(b)
-        ahead[-1] *= -1.0
-        step = np.diff(a, append=a[0])
-        step[-1] = a[0] - math.atan2(-b[-1, 1], -b[-1, 0])
-        chord = np.hypot(b[:, 0] + ahead[:, 0], b[:, 1] + ahead[:, 1])
-        parallel = step <= PARALLEL_TOL
-        unresolved = ~parallel & (cross_2d(b, ahead) <= resolution * chord)
+        step, parallel, unresolved = _links(g[big], angles[big], resolution)
         after = np.append(big[1:], 0)
         start = np.zeros(len(g), dtype=bool)
         start[after] = ~(parallel | unresolved)
@@ -274,18 +270,58 @@ class Zonotope:
                                  "that do not strictly increase")
         return FacetPolytope(ring)
 
+    def _polar_area(self) -> float:
+        """Area of the polar of a planar zonotope from its generators g_j
+        sorted over a half turn, with no ring: the ring's edge 2 g_j has
+        midpoint S_j = 2 (g_1 + ... + g_(j-1)) + g_j - (g_1 + ... + g_k),
+        from prefix sums, so with unit e_j = g_j / |g_j| its support is
+        h_j = |cross(S_j, e_j)|.  The polar's vertices are +-nu_j / h_j,
+        nu_j the outer normal e_j turned a quarter clockwise, in the ring's
+        order, and by symmetry half their shoelace sum is the area: the sum
+        over j of cross(e_j, e_(j+1)) / (h_j h_(j+1)), with -e_1 after e_k.
+        Parallel generators repeat a vertex and add 0, so nothing merges.
+
+        A ring link (_links) between two generators longer than the ring's
+        resolution that is neither parallel nor unresolved is a ring
+        vertex, and two of them over a half turn make a polygon.  With
+        fewer, only the ring's groups tell a polygon from a segment, and
+        the ring is built: it raises InputError on a degenerate zonotope.
+        """
+        g, angles = self._half_turn
+        length = np.hypot(g[:, 0], g[:, 1])
+        resolution = RING_RESOLUTION * float(np.sum(length))
+        _, parallel, unresolved = _links(g, angles, resolution)
+        big = length > resolution
+        if np.count_nonzero(big & cyclic_next(big) & ~(parallel | unresolved)) < 2:
+            # the ring decides, and raises on a degenerate zonotope
+            self._polygon
+        unit = g / length[:, None]
+        ahead = cyclic_next(unit)
+        ahead[-1] *= -1.0
+        passed = np.cumsum(g, axis=0)
+        h = np.abs(cross_2d(2.0 * passed - g - passed[-1], unit))
+        return float(np.sum(cross_2d(unit, ahead) / (h * cyclic_next(h))))
+
     def radial(self, u) -> float:
         if self.dim == 2:
             return self._polygon.radial(u)
         raise InputError("radial evaluation is only materialized for planar zonotopes")
 
     def volume(self) -> float:
+        """Planar: 4 times the sum of cross(g_1 + ... + g_(j-1), g_j) over
+        the generators sorted over a half turn, each cross product the
+        nonnegative area spanned by two of them.  3D: 8 times the sum of
+        |det| over the generator triples."""
+        if self.dim == 2:
+            g = self._half_turn[0]
+            passed = np.zeros_like(g)
+            np.cumsum(g[:-1], axis=0, out=passed[1:])
+            return 4.0 * float(np.sum(cross_2d(passed, g)))
         g = self.generators
-        n = self.dim
         total = 0.0
-        for comb in itertools.combinations(range(len(g)), n):
+        for comb in itertools.combinations(range(len(g)), 3):
             total += abs(float(np.linalg.det(g[list(comb)])))
-        return (2.0 ** n) * total
+        return 8.0 * total
 
     def max_norm(self) -> float:
         if self.dim == 2:
@@ -301,6 +337,23 @@ class Zonotope:
     def bounding_box(self):
         half = np.abs(self.generators).sum(axis=0)
         return -half, half
+
+
+def _links(g: np.ndarray, angles: np.ndarray, resolution: float):
+    """The ring links of planar zonotope generators g sorted by their
+    angles over a half turn: each generator and the next, the last with
+    the first reversed across the seam.  Returns each link's angle step,
+    whether the two are parallel (a step of at most PARALLEL_TOL) and
+    whether the ring vertex between them lies within resolution of the
+    chord through its neighbours, a turn rounding cannot resolve."""
+    ahead = cyclic_next(g)
+    ahead[-1] *= -1.0
+    step = cyclic_next(angles) - angles
+    step[-1] = angles[0] - math.atan2(-g[-1, 1], -g[-1, 0])
+    chord = np.hypot(g[:, 0] + ahead[:, 0], g[:, 1] + ahead[:, 1])
+    parallel = step <= PARALLEL_TOL
+    unresolved = ~parallel & (cross_2d(g, ahead) <= resolution * chord)
+    return step, parallel, unresolved
 
 
 def _cut_wide_groups(g: np.ndarray, start: np.ndarray, turn: np.ndarray,
@@ -444,8 +497,6 @@ def body_volume(K: ConvexBody) -> float:
     if isinstance(K, PolarWrapper):
         return polar_volume(K.body).value
     if isinstance(K, (FacetPolytope, Zonotope)):
-        if K.dim == 2 and isinstance(K, Zonotope):
-            return K._polygon.volume()
         return K.volume()
     raise InputError(f"no volume rule for {type(K).__name__}")
 
@@ -478,6 +529,8 @@ def polar_volume(K: ConvexBody, grid: SphericalGrid | None = None,
         if isinstance(K, PolarWrapper):
             # polar of the polar: the body itself
             return PolarVolume(body_volume(K.body), 0.0)
+        if isinstance(K, Zonotope) and K.dim == 2:
+            return PolarVolume(K._polar_area(), 0.0)
         if K.dim == 2:
             return PolarVolume(polar_polygon(K).volume(), 0.0)
         if isinstance(K, Zonotope):

@@ -456,36 +456,45 @@ def symmetral_radii(vertices: np.ndarray, directions) -> tuple[np.ndarray, np.nd
 def prune_collinear(vertices: np.ndarray) -> np.ndarray:
     """Drop duplicate points and vertices within 1e-12 of the chord
     joining their neighbours.  Exact up to that tolerance; never merges
-    non-adjacent structure."""
+    non-adjacent structure.
+
+    A point is a duplicate when it lies within 1e-12 (max norm) of the
+    last point kept before it, and the last point kept also when it lies
+    that close to the first.  Whether a point is kept depends only on
+    the points before it, so repeating the test with each point's last
+    kept predecessor from the previous round fixes one more point per
+    round and stops at the one answer.  Then each pass drops, in one
+    mask over the pass's input ring, every vertex within 1e-12 of the
+    chord through its neighbours, and every vertex whose chord is at
+    most 1e-12 long; passes repeat while the first kind drops any."""
     tol = 1e-12
     v = np.asarray(vertices, dtype=float)
     if len(v) < 3:
         return v.copy()
-    # collapse consecutive duplicates first
-    keep = [0]
-    for i in range(1, len(v)):
-        if np.max(np.abs(v[i] - v[keep[-1]])) > tol:
-            keep.append(i)
-    if len(keep) > 1 and np.max(np.abs(v[keep[-1]] - v[keep[0]])) <= tol:
-        keep.pop()
+    index = np.arange(len(v))
+    keep = np.ones(len(v), dtype=bool)
+    while True:
+        last = np.maximum.accumulate(np.where(keep, index, 0))
+        again = np.ones(len(v), dtype=bool)
+        again[1:] = np.max(np.abs(v[1:] - v[last[:-1]]), axis=1) > tol
+        if np.array_equal(again, keep):
+            break
+        keep = again
+    kept = np.flatnonzero(keep)
+    if len(kept) > 1 and np.max(np.abs(v[kept[-1]] - v[0])) <= tol:
+        keep[kept[-1]] = False
     v = v[keep]
     changed = True
     while changed and len(v) >= 3:
-        changed = False
-        out = []
-        m = len(v)
-        for i in range(m):
-            a, b, c = v[(i - 1) % m], v[i], v[(i + 1) % m]
-            chord = c - a
-            clen = float(np.hypot(chord[0], chord[1]))
-            if clen <= tol:
-                continue
-            dist = abs(float(cross_2d(chord, b - a))) / clen
-            if dist > tol:
-                out.append(b)
-            else:
-                changed = True
-        v = np.array(out) if out else v[:0]
+        behind = np.concatenate([v[-1:], v[:-1]])
+        chord = cyclic_next(v) - behind
+        length = np.hypot(chord[:, 0], chord[:, 1])
+        long = length > tol
+        dist = np.abs(cross_2d(chord, v - behind))
+        np.divide(dist, length, out=dist, where=long)
+        straight = long & ~(dist > tol)
+        changed = bool(np.any(straight))
+        v = v[long & ~straight]
     return v
 
 

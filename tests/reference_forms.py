@@ -2,8 +2,8 @@
 as test oracles: the vectorised and blocked kernels in the package must
 agree with them.  Also the small derived quantities only tests read
 (column multiplicities and volumes, box-union axis masses, rigid-frame
-images), and the grid-sampled inclusion margin the exact vertex margin
-must dominate."""
+images), the grid-sampled inclusion margin the exact vertex margin
+must dominate, and the ring route of the planar polar area."""
 
 from __future__ import annotations
 
@@ -50,9 +50,50 @@ def grid_inclusion_margin(E, direction, nodes: int = 4096) -> float:
                         / dense_radial(B.normals, B.offsets, w, matmul=False)))
 
 
+def ring_polar_area(Z) -> float:
+    """Area of the polar of a planar zonotope through its merged vertex
+    ring: the shoelace area of polar_polygon(Z)."""
+    return polar_polygon(Z).volume()
+
+
 def dense_support(generators: np.ndarray, nodes: np.ndarray) -> np.ndarray:
     """Zonotope support sum |u . g| at every node."""
     return np.sum(np.abs(nodes @ generators.T), axis=1)
+
+
+def prune_collinear_loop(vertices: np.ndarray) -> np.ndarray:
+    """Drop duplicate points, each compared with the last one kept, then
+    in whole passes over the ring every vertex within 1e-12 of the chord
+    joining its neighbours, vertex by vertex."""
+    tol = 1e-12
+    v = np.asarray(vertices, dtype=float)
+    if len(v) < 3:
+        return v.copy()
+    keep = [0]
+    for i in range(1, len(v)):
+        if np.max(np.abs(v[i] - v[keep[-1]])) > tol:
+            keep.append(i)
+    if len(keep) > 1 and np.max(np.abs(v[keep[-1]] - v[keep[0]])) <= tol:
+        keep.pop()
+    v = v[keep]
+    changed = True
+    while changed and len(v) >= 3:
+        changed = False
+        out = []
+        m = len(v)
+        for i in range(m):
+            a, b, c = v[(i - 1) % m], v[i], v[(i + 1) % m]
+            chord = c - a
+            clen = float(np.hypot(chord[0], chord[1]))
+            if clen <= tol:
+                continue
+            dist = abs(float(cross_2d(chord, b - a))) / clen
+            if dist > tol:
+                out.append(b)
+            else:
+                changed = True
+        v = np.array(out) if out else v[:0]
+    return v
 
 
 def ring_boundary_points_loop(vertices: np.ndarray, step: float) -> np.ndarray:

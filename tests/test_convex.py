@@ -4,6 +4,7 @@ polar-symmetral inclusion criterion."""
 
 from __future__ import annotations
 
+import itertools
 import math
 import tracemalloc
 
@@ -21,12 +22,12 @@ from pettybox import (Ball, BoxUnion, FacetPolytope, InputError, PolarWrapper,
                       polar_volume, projection_body, radial,
                       steiner_symmetrize, steiner_symmetrize_convex,
                       support, symmetral_inclusion_criterion)
-from pettybox.corpus import random_polygon, regular_polygon
+from pettybox.corpus import random_box_union, random_polygon, regular_polygon
 from pettybox.geometry import (BLOCK_PAIRS, circle_grid, cross_2d, default_grid,
                                rotation_2d, sphere_grid)
 
 from hull import convex_hull_2d
-from reference_forms import dense_radial, dense_support
+from reference_forms import dense_radial, dense_support, ring_polar_area
 
 E1 = np.array([1.0, 0.0])
 E2 = np.array([0.0, 1.0])
@@ -292,18 +293,22 @@ def _generators(angles, lengths):
 # farthest from the chord split off the 2e-12 rad turn, which rounding
 # cannot resolve, and the ring check raised.  The cut at the largest
 # turn keeps the 18 deg one.
-@pytest.mark.parametrize("generators", [
-    _generators((0.0, 0.25, 0.5, math.pi / 2), (1.0, 5e-14, 1.0, 1.0)),
-    _generators((0.0, 0.5, math.pi - 0.3, math.pi - 0.05), (1.0, 1.0, 1.0, 5e-14)),
-    [[-8.5428217487045777e-01, -1.2199049067523247e-01],
-     [6.0238341444425123e-13, 8.6019643701689948e-14],
-     [1.1071009499065289e-12, 5.4220239125837652e-13],
-     [-1.0296810617038781e-13, -5.0428602191813850e-14],
-     [-8.1456286401424221e-13, -7.9151179380231367e-13],
-     [-5.7784723814213601e-01, -5.6149491244114991e-01],
-     [-1.1860138101676956e+00, -1.5902532571637038e+00],
-     [-2.1917957755952773e-13, -2.9388446755942957e-13]],
-], ids=["bridge", "bridge-across-seam", "cut-at-largest-turn"])
+ROUNDING_LINKS = {
+    "bridge": _generators((0.0, 0.25, 0.5, math.pi / 2), (1.0, 5e-14, 1.0, 1.0)),
+    "bridge-across-seam": _generators((0.0, 0.5, math.pi - 0.3, math.pi - 0.05),
+                                      (1.0, 1.0, 1.0, 5e-14)),
+    "cut-at-largest-turn": [[-8.5428217487045777e-01, -1.2199049067523247e-01],
+                            [6.0238341444425123e-13, 8.6019643701689948e-14],
+                            [1.1071009499065289e-12, 5.4220239125837652e-13],
+                            [-1.0296810617038781e-13, -5.0428602191813850e-14],
+                            [-8.1456286401424221e-13, -7.9151179380231367e-13],
+                            [-5.7784723814213601e-01, -5.6149491244114991e-01],
+                            [-1.1860138101676956e+00, -1.5902532571637038e+00],
+                            [-2.1917957755952773e-13, -2.9388446755942957e-13]],
+}
+
+
+@pytest.mark.parametrize("generators", list(ROUNDING_LINKS.values()), ids=list(ROUNDING_LINKS))
 def test_rounding_links_keep_real_turns(generators):
     Z = Zonotope(generators)
     assert _strictly_convex(planar_polygon(Z).vertices)
@@ -337,6 +342,92 @@ def test_planar_polar_projection_body_never_prunes(monkeypatch):
     assert 0.0 < report.product <= report.bound
     holds, margin = polar_steiner_inclusion_check(E, np.array([0.6, 0.8]))
     assert holds and margin <= 1.0 + 1e-9
+
+
+# -------------------------------------------------------- planar polar area
+#
+# polar_volume of a planar zonotope is the closed form over its generators
+# sorted over a half turn, with no ring; the ring route
+# (reference_forms.ring_polar_area) must agree with it within 1e-13, and
+# a zonotope the ring finds degenerate must raise on both routes.
+
+def _campaign_bodies():
+    """Projection bodies of campaign-style polygons and of their
+    symmetrals along a drawn direction."""
+    for seed in (5, 6, 7):
+        for i in range(8):
+            E = random_polygon(seed, i)
+            u = np.random.default_rng((seed, i, 17)).normal(size=2)
+            yield projection_body(E)
+            yield projection_body(steiner_symmetrize(E, u / np.linalg.norm(u)))
+
+
+def _closed_form_cases():
+    yield from _campaign_bodies()
+    for delta in (1e-16, 1e-13, 1e-12, 2e-12, 1e-11):
+        yield Zonotope([[1, 0], [0.3, 1], [-1, delta]])
+    for generators in ROUNDING_LINKS.values():
+        yield Zonotope(generators)
+    yield Zonotope(np.random.default_rng(450).normal(size=(450, 2)))
+    # 225 parallel pairs
+    yield projection_body(regular_polygon(450, phase=0.1))
+
+
+def test_planar_polar_area_matches_the_ring_route():
+    for Z in _closed_form_cases():
+        want = ring_polar_area(Z)
+        assert abs(polar_volume(Z).value - want) <= 1e-13 * want
+
+
+def test_planar_axis_box_polar_area_is_exact():
+    for a, b in [(1.0, 1.0), (0.3, 7.0), (1.0 / 3.0, 0.1)]:
+        assert polar_volume(Zonotope([[0.0, b], [a, 0.0]])).value == 2.0 / (a * b)
+    for seed in range(6):
+        B = random_box_union(seed, dim=2)
+        a, b = projection_body(B).axis_box_halfwidths()
+        assert petty_product(B).polar_projection_volume == 2.0 / (a * b)
+
+
+@pytest.mark.parametrize("generators", [
+    [[1.0, 0.0]],
+    [[1.0, 0.0], [2.0, 0.0], [-3.0, 0.0]],
+    [[0.3, 1.0], [-0.6, -2.0]],
+    _generators((0.4, 0.4 + 1e-13), (1.0, 2.0)),
+    _generators((0.0, 1e-13, -1e-13), (1.0, 2.0, 0.5)),
+    _generators((0.0, math.pi - 1e-13), (1.0, 2.0)),
+    _generators((5e-14, -5e-14), (1.0, 1.0)),
+    [[1.0, 0.0], [0.0, 1e-15]],
+], ids=["one", "parallel", "antiparallel", "1e-13-apart", "1e-13-apart-at-0",
+        "1e-13-across-seam", "1e-13-astride-seam", "short"])
+def test_degenerate_zonotope_keeps_its_error(generators):
+    with pytest.raises(InputError, match="degenerate"):
+        planar_polygon(Zonotope(generators))
+    with pytest.raises(InputError, match="degenerate"):
+        polar_volume(Zonotope(generators))
+
+
+def test_planar_products_never_build_a_zonotope_ring(monkeypatch):
+    E = random_polygon(4, min_vertices=40, max_vertices=40)
+    sets = [E, steiner_symmetrize(E, np.array([0.6, 0.8])), random_box_union(3, dim=2)]
+
+    def refuse(self):
+        raise AssertionError("Zonotope._polygon read on the product path")
+
+    monkeypatch.setattr(Zonotope, "_polygon", property(refuse))
+    for X in sets:
+        report = petty_product(X)
+        assert 0.0 < report.product <= report.bound
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_generator, min_size=1, max_size=40))
+def test_planar_zonotope_volume_is_the_pair_sum(generators):
+    angles, lengths = np.array(generators).T
+    g = _generators(angles, lengths)
+    want = 4.0 * sum(abs(float(np.linalg.det(g[[i, j]])))
+                     for i, j in itertools.combinations(range(len(g)), 2))
+    size = float(np.sum(lengths))
+    assert abs(Zonotope(g).volume() - want) <= 1e-13 * (want + size ** 2)
 
 
 # ------------------------------------------------------------------- polars

@@ -27,7 +27,8 @@ from pettybox.geometry import (RigidFrame, as_direction, as_directions,
 
 from hull import convex_hull_2d
 from reference_forms import (distance_to_polygon_loop, frame_apply, frame_inverse,
-                             points_in_polygon_loop, ring_boundary_points_loop)
+                             points_in_polygon_loop, prune_collinear_loop,
+                             ring_boundary_points_loop)
 
 
 CENTERED_SQUARE = [[-1, -1], [1, -1], [1, 1], [-1, 1]]
@@ -280,6 +281,39 @@ def test_sampled_hausdorff_unchanged_from_per_edge_loops(monkeypatch):
         monkeypatch.setattr(pettybox.geometry, name, loop)
     monkeypatch.setattr(pettybox.sets, "points_in_polygon", points_in_polygon_loop)
     assert got == [hausdorff_distance(a, b, divisions=512) for a, b in pairs]
+
+
+# prune_collinear takes each pass as one mask over the pass's input ring;
+# the vertex-by-vertex loop is kept in tests/reference_forms.py, and the
+# two must agree bit for bit.  The rings carry collinear runs, exact
+# duplicates, chains of near duplicates each within 1e-12 of the one
+# before (dropped only while within 1e-12 of the last one kept), and
+# spikes back to the point before, whose chord is zero or within 1e-12.
+
+_RING_STEPS = st.sampled_from(["corner", "run", "duplicate", "near", "spike"])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_RING_STEPS, min_size=1, max_size=16), st.integers(0, 10**6),
+       st.sampled_from([1e-9, 1.0, 1e3]))
+def test_prune_collinear_matches_the_per_vertex_loop(steps, seed, scale):
+    rng = np.random.default_rng(seed)
+    ring = [scale * rng.normal(size=2), scale * rng.normal(size=2)]
+    for step in steps:
+        last, before = ring[-1], ring[-2]
+        if step == "corner":
+            ring.append(scale * rng.normal(size=2))
+        elif step == "run":
+            ring.append(last + rng.uniform(0.1, 1.0) * (last - before))
+        elif step == "duplicate":
+            ring.append(last.copy())
+        elif step == "near":
+            ring.append(last + rng.choice([0.4, 0.6, 0.9, 1.1]) * 1e-12 * rng.choice([-1.0, 1.0], 2))
+        else:
+            ring.append(before + rng.choice([0.0, 0.5e-12], 2))
+    v = np.array(ring)
+    got, want = pettybox.geometry.prune_collinear(v), prune_collinear_loop(v)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 # ----------------------------------------------------------------- hausdorff
