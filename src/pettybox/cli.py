@@ -30,6 +30,8 @@ from .sets import (BoxUnion, coarea_check, load_set_file, steiner_symmetrize,
                    vertical_boundary_measure)
 
 DEFAULT_TOL = 1e-9
+# the exit code of each error kind, subclasses included
+EXIT_CODES = {BudgetError: 1, InputError: 2, NumericalError: 3}
 
 
 def _config(args) -> dict:
@@ -174,16 +176,16 @@ def _cmd_affine(args) -> int:
 
 def _cmd_coarea(args) -> int:
     E = load_set_file(args.input)
+    # the first check rejects a set that is not a polygon before the
+    # centroid is read
+    sides = [("one", coarea_check(E, lambda p: np.ones(len(p))))]
     cut = float(E.centroid()[0])
-    fields = [
-        ("one", lambda p: np.ones(len(p)), ()),
-        ("x_squared", lambda p: p[:, 0] ** 2, ()),
-        ("halfplane", lambda p: (p[:, 0] >= cut).astype(float), (cut,)),
-    ]
+    sides += [("x_squared", coarea_check(E, lambda p: p[:, 0] ** 2)),
+              ("halfplane", coarea_check(E, lambda p: (p[:, 0] >= cut).astype(float),
+                                         breakpoints=(cut,)))]
     rows = []
     ok = True
-    for name, g, breaks in fields:
-        lhs, rhs = coarea_check(E, g, breakpoints=breaks)
+    for name, (lhs, rhs) in sides:
         diff = abs(lhs - rhs)
         ok = ok and diff <= args.tol * (1.0 + abs(lhs))
         rows.append([name, _fmt(lhs), _fmt(rhs), _fmt(diff)])
@@ -271,15 +273,9 @@ def main(argv=None) -> int:
         if args.needs_input and args.input is None:
             raise InputError(f"{args.command} requires --input")
         return args.func(args)
-    except BudgetError as exc:
+    except tuple(EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except NumericalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return next(code for kind, code in EXIT_CODES.items() if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

@@ -93,21 +93,11 @@ class FacetPolytope(VertexRing):
     and support offsets, consistent within 1e-10 by construction."""
 
     def __init__(self, vertices):
-        v = np.asarray(vertices, dtype=float)
-        if v.ndim != 2 or v.shape[1] != 2 or v.shape[0] < 3:
-            raise InputError(f"facet polytope needs (m,2) vertices with m>=3, got {v.shape}")
-        if not np.all(np.isfinite(v)):
-            raise InputError("polytope vertices must be finite")
-        edges = cyclic_next(v) - v
-        lengths = np.linalg.norm(edges, axis=1)
-        if np.min(lengths) <= 0.0:
-            raise InputError("polytope has a zero-length edge")
-        turns = cross_2d(edges, cyclic_next(edges))
-        scale = float(np.max(np.abs(turns))) if np.max(np.abs(turns)) > 0 else 1.0
+        super().__init__(vertices, "facet polytope")
+        turns = cross_2d(self.edges, cyclic_next(self.edges))
+        scale = float(np.max(np.abs(turns))) or 1.0
         if np.min(turns) < -1e-9 * scale:
             raise InputError("vertices are not in convex CCW position")
-        self.vertices = v
-        self.vertices.setflags(write=False)
 
     @classmethod
     def from_vertices(cls, vertices) -> "FacetPolytope":
@@ -115,10 +105,6 @@ class FacetPolytope(VertexRing):
 
     def __repr__(self):
         return f"FacetPolytope({len(self.vertices)} facets)"
-
-    @property
-    def normals(self) -> np.ndarray:
-        return self.edge_normals()
 
     @cached_property
     def offsets(self) -> np.ndarray:
@@ -157,7 +143,7 @@ class Zonotope:
     [-g, g] over the generator list, with support sum |z.g|."""
 
     def __init__(self, generators):
-        g = np.atleast_2d(np.asarray(generators, dtype=float))
+        g = np.atleast_2d(np.array(generators, dtype=float))
         if g.ndim != 2 or g.shape[1] not in (2, 3) or g.shape[0] == 0:
             raise InputError(f"zonotope needs (m,2) or (m,3) generators, got {g.shape}")
         if not np.all(np.isfinite(g)):

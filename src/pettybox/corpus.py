@@ -17,13 +17,13 @@ from .sets import BoxUnion, PolygonSet
 MIN_ANGLE_GAP = 1e-4
 MAX_ANGLE_GAP = math.pi - 1e-2
 GRID_EXTENT = 6
+# most boxes random_box_union aims for
+MAX_BOXES = 6
 
 
 def regular_polygon(m: int, radius: float = 1.0, phase: float = 0.0) -> PolygonSet:
     """Regular m-gon inscribed in the centered circle of the given
-    radius, first vertex at angle `phase`."""
-    if m < 3:
-        raise InputError("a polygon needs at least 3 vertices")
+    radius, first vertex at angle `phase`; PolygonSet rejects m < 3."""
     ang = phase + 2.0 * math.pi * np.arange(m) / m
     return PolygonSet(radius * np.column_stack([np.cos(ang), np.sin(ang)]))
 
@@ -47,14 +47,14 @@ def random_polygon(seed: int, index: int = 0, min_vertices: int = 5,
     return PolygonSet(pts @ rotation_2d(rng.uniform(0.0, 2.0 * math.pi)).T)
 
 
-def random_box_union(seed: int, index: int = 0, dim: int = 2,
-                     max_boxes: int = 6) -> BoxUnion:
-    """Disjoint axis-aligned boxes with integer corners in a small grid;
-    rejection-sampled overlaps, at least one box always survives."""
+def random_box_union(seed: int, index: int = 0, dim: int = 2) -> BoxUnion:
+    """Up to MAX_BOXES disjoint axis-aligned boxes with integer corners in
+    a small grid; rejection-sampled overlaps, at least one box always
+    survives."""
     if dim not in (2, 3):
         raise InputError("box-unions live in dimension 2 or 3")
     rng = np.random.default_rng((seed, index, dim))
-    target = int(rng.integers(1, max_boxes + 1))
+    target = int(rng.integers(1, MAX_BOXES + 1))
     los: list[np.ndarray] = []
     his: list[np.ndarray] = []
     for _ in range(60 * target):

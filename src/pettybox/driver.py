@@ -9,7 +9,6 @@ rejected and redrawn; the rejection count is part of the trace.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass, field
 
@@ -76,35 +75,20 @@ class SymmetrizationTrace:
     converged: bool = False
     final_set: PolygonSet | None = None
 
-    @property
-    def dim(self) -> int:
-        return 2 if self.final_set is None else self.final_set.dim
-
-    def write_csv(self, stream: io.TextIOBase, comments=()) -> None:
-        """One row per step; direction columns are empty on the initial
-        row; %.17g keeps round-trips exact."""
-        for line in comments:
-            stream.write(f"# {line}\n")
-        n = self.dim
-        cols = ["step"] + [f"u_{k + 1}" for k in range(n)] + [
-            "volume", "perimeter", "circumradius", "petty_product",
-            "dh_to_ball", "resamples"]
-        stream.write(",".join(cols) + "\n")
+    def to_csv(self, comments=()) -> str:
+        """One row per step; the direction columns u_1, u_2 are empty on
+        the initial row; %.17g keeps round-trips exact."""
+        lines = [f"# {line}" for line in comments]
+        lines.append("step,u_1,u_2,volume,perimeter,circumradius,petty_product,"
+                     "dh_to_ball,resamples")
         for s in self.steps:
-            if s.direction is None:
-                u_cols = [""] * n
-            else:
-                u_cols = [f"{c:.17g}" for c in s.direction]
+            u_cols = ["", ""] if s.direction is None else [f"{c:.17g}" for c in s.direction]
             row = [str(s.step)] + u_cols + [
                 f"{s.volume:.17g}", f"{s.perimeter:.17g}",
                 f"{s.circumradius:.17g}", f"{s.petty_product:.17g}",
                 f"{s.dh_to_ball:.17g}", str(s.resamples)]
-            stream.write(",".join(row) + "\n")
-
-    def to_csv(self, comments=()) -> str:
-        buf = io.StringIO()
-        self.write_csv(buf, comments)
-        return buf.getvalue()
+            lines.append(",".join(row))
+        return "\n".join(lines) + "\n"
 
 
 cap_cover_greedy_step = least_circumradius_direction

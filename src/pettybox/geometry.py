@@ -268,13 +268,6 @@ def integrate_sphere(grid: SphericalGrid, f: Callable[[np.ndarray], np.ndarray])
 # planar polygon helpers shared across modules
 
 
-def shoelace_area(vertices: np.ndarray) -> float:
-    """Signed area of a closed planar polygon (positive when CCW)."""
-    v = np.asarray(vertices, dtype=float)
-    x, y = v[:, 0], v[:, 1]
-    return 0.5 * float(np.sum(x * cyclic_next(y) - cyclic_next(x) * y))
-
-
 def section_incidence(w: np.ndarray):
     """Edge-cell incidence of CCW polygons whose sections run parallel to
     the second axis, for one (m, 2) vertex array or a (K, m, 2) stack of
@@ -566,31 +559,66 @@ def distance_to_polygon(points: np.ndarray, vertices: np.ndarray) -> np.ndarray:
 
 class VertexRing:
     """What a closed planar ring of CCW vertices alone determines, shared
-    by PolygonSet and FacetPolytope: edges, volume and the metric
-    methods.  Subclasses validate and set the read-only ``vertices``."""
+    by PolygonSet and FacetPolytope.
+
+    The constructor copies the vertices and checks, once, that they form
+    an (m, 2) array with m >= 3 of finite values and no zero-length edge;
+    its messages name the subclass's ``kind``.  It then computes, once,
+    the edge vectors v_(j+1) - v_j, their lengths, the unit outer normals
+    and the shoelace terms cross(v_j, v_(j+1)), and seals all five arrays
+    read-only.  Volume, centroid, perimeter, the star-shape test and the
+    boundary norm all read these arrays.  Subclasses add their own
+    checks."""
 
     dim = 2
-    vertices: np.ndarray
 
-    @functools.cached_property
-    def _edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Edge vectors, their lengths and unit outer normals, one per
-        edge in vertex order."""
-        v = self.vertices
-        edges = cyclic_next(v) - v
+    def __init__(self, vertices, kind: str):
+        v = np.array(vertices, dtype=float)
+        if v.ndim != 2 or v.shape[1] != 2 or v.shape[0] < 3:
+            raise InputError(f"{kind} needs an (m,2) vertex array with m>=3, got {v.shape}")
+        if not np.all(np.isfinite(v)):
+            raise InputError(f"{kind} vertices must be finite")
+        ahead = cyclic_next(v)
+        edges = ahead - v
         lengths = np.linalg.norm(edges, axis=1)
-        normals = np.column_stack([edges[:, 1], -edges[:, 0]]) / lengths[:, None]
-        return edges, lengths, normals
-
-    def edge_lengths(self) -> np.ndarray:
-        return self._edges[1]
-
-    def edge_normals(self) -> np.ndarray:
-        """Unit outer normals, one per edge, in vertex order."""
-        return self._edges[2]
+        if np.min(lengths) <= 0.0:
+            raise InputError(f"{kind} has a zero-length edge")
+        self.vertices = v
+        self.edges = edges
+        self.lengths = lengths
+        self.normals = np.column_stack([edges[:, 1], -edges[:, 0]]) / lengths[:, None]
+        self.terms = cross_2d(v, ahead)
+        for a in (v, edges, lengths, self.normals, self.terms):
+            a.setflags(write=False)
 
     def volume(self) -> float:
-        return shoelace_area(self.vertices)
+        """Half the sum of the shoelace terms: the signed area, positive
+        on a CCW ring."""
+        return 0.5 * float(np.sum(self.terms))
+
+    def centroid(self) -> np.ndarray:
+        v = self.vertices
+        c = (v + cyclic_next(v)) * self.terms[:, None]
+        return np.sum(c, axis=0) / (6.0 * self.volume())
+
+    def perimeter(self) -> float:
+        return float(np.sum(self.lengths))
+
+    def is_star_shaped(self) -> bool:
+        """True when every shoelace term is positive: the vertex angles
+        wind strictly monotonically about the origin, a sufficient
+        condition for star-shapedness with the origin interior."""
+        return bool(np.all(self.terms > 0.0))
+
+    def min_boundary_norm(self) -> float:
+        """Least |x| over the boundary: the edge distance of
+        distance_to_polygon from the origin, over all edges at once, with
+        the dot products through stacked matmul as there."""
+        a = self.vertices
+        d = self.edges
+        t = np.clip(((-a)[:, None, :] @ d[:, :, None]) / (d[:, None, :] @ d[:, :, None]),
+                    0.0, 1.0)[:, 0, 0]
+        return float(np.min(np.linalg.norm(a + t[:, None] * d, axis=1)))
 
     def max_norm(self) -> float:
         return float(np.max(np.linalg.norm(self.vertices, axis=1)))
@@ -636,16 +664,6 @@ def _directed_sample_distance(src, dst, step: float) -> float:
     return worst
 
 
-def _ball_vs_star_shaped(r: float, other) -> float:
-    # The radial deviation max(max |x| - r, r - min |x| over the boundary),
-    # not the Hausdorff distance: an upper bound for it, tight when the
-    # deepest radial notch realizes the covering defect.  Requires the
-    # other set to be star-shaped about the origin.
-    high = other.max_norm() - r
-    low = r - other.min_boundary_norm()
-    return max(high, low, 0.0)
-
-
 def _convex_exact(va: np.ndarray, vb: np.ndarray) -> float:
     d = 0.0
     for pts, verts in ((va, vb), (vb, va)):
@@ -653,24 +671,27 @@ def _convex_exact(va: np.ndarray, vb: np.ndarray) -> float:
     return d
 
 
-def hausdorff_distance(a, b, grid: SphericalGrid | None = None,
-                       divisions: int = BOUNDARY_DIVISIONS) -> float:
+def hausdorff_distance(a, b, divisions: int = BOUNDARY_DIVISIONS) -> float:
     """Hausdorff distance between two compact set handles.
 
-    Exact for ball pairs, for pairs of planar convex bodies, and for
-    origin-centered balls against planar convex bodies with the origin
-    interior.  An origin-centered ball against a polygon that is
-    star-shaped about the origin gives the radial deviation, an upper
-    bound that can exceed the distance.  Pairs of 3D balls and zonotopes
-    take the support-difference sup over an evaluation grid.  Other pairs
-    are measured from intrinsic boundary samplings with arc-length step =
-    scene diameter / divisions; the returned value then carries an
-    additive uncertainty of one step.  Handles of different dimensions,
-    3D polar wrappers, and 3D zonotopes against box unions are rejected.
+    Exact for ball pairs and for pairs of planar convex bodies.  An
+    origin-centered ball of radius r against a planar vertex ring that is
+    star-shaped about the origin (VertexRing.is_star_shaped: a polygon, a
+    facet polytope or a zonotope's ring) gives the radial deviation
+    max(max |v| - r, r - min |x| over the boundary, 0).  It is exact when
+    the ring is convex, since the boundary point of a convex body nearest
+    an interior origin is the foot of the perpendicular on its nearest
+    facet, and otherwise an upper bound that can exceed the distance.
+    Pairs of 3D balls and zonotopes take the support-difference sup over
+    the nodes of default_grid(3).  Other pairs are measured from
+    intrinsic boundary samplings with arc-length step = scene diameter /
+    divisions; the returned value then carries an additive uncertainty of
+    one step.  Handles of different dimensions, 3D polar wrappers, and 3D
+    zonotopes against box unions are rejected.
     """
     from .convex import (Ball, ConvexBody, FacetPolytope, PolarWrapper,
                          Zonotope, planar_polygon)
-    from .sets import PolygonSet, SetHandle
+    from .sets import SetHandle
     no_route = f"no Hausdorff route for {type(a).__name__} vs {type(b).__name__}"
     if not (isinstance(a, ConvexBody | SetHandle) and isinstance(b, ConvexBody | SetHandle)):
         raise InputError(no_route)
@@ -682,7 +703,7 @@ def hausdorff_distance(a, b, grid: SphericalGrid | None = None,
     if isinstance(b, Ball):
         return abs(a.radius - b.radius)
     if a.dim == 3 and isinstance(a, Ball | Zonotope) and isinstance(b, Zonotope):
-        nodes = (grid if grid is not None else default_grid(3)).nodes
+        nodes = default_grid(3).nodes
         return float(np.max(np.abs(a.support_batch(nodes) - b.support_batch(nodes))))
     convex = FacetPolytope | Zonotope | PolarWrapper
     if a.dim == 3 and (isinstance(a, convex) or isinstance(b, convex)):
@@ -694,11 +715,9 @@ def hausdorff_distance(a, b, grid: SphericalGrid | None = None,
     pb = planar_polygon(b) if isinstance(b, convex) else b
     if isinstance(pa, FacetPolytope) and isinstance(pb, FacetPolytope):
         return _convex_exact(pa.vertices, pb.vertices)
-    if isinstance(a, Ball) and isinstance(pb, FacetPolytope) and np.min(pb.offsets) > 0.0:
-        return max(pb.max_norm() - a.radius, a.radius - float(np.min(pb.offsets)))
-    if isinstance(a, Ball) and isinstance(b, PolygonSet) and b.is_star_shaped():
-        return _ball_vs_star_shaped(a.radius, b)
-    # the rest, and a ball against facets without the origin interior
+    if isinstance(a, Ball) and isinstance(pb, VertexRing) and pb.is_star_shaped():
+        return max(pb.max_norm() - a.radius, a.radius - pb.min_boundary_norm(), 0.0)
+    # the rest, and a ball against a ring not star-shaped about the origin
     diam = _scene_diameter(a, b)
     if diam <= 0.0:
         return 0.0

@@ -14,12 +14,12 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .convex import (PolarVolume, Zonotope, polar_polygon, polar_volume,
-                     steiner_symmetrize_convex)
+from .convex import (PolarVolume, Zonotope, polar_body, polar_polygon,
+                     polar_volume, steiner_symmetrize_convex)
 from .errors import ConditionViolationError, InputError
 from .geometry import SphericalGrid, as_direction, default_grid
-from .sets import (SurfaceMeasure, steiner_symmetrize, surface_measure,
-                   vertical_boundary_measure, volume)
+from .sets import (PolygonSet, SurfaceMeasure, steiner_symmetrize,
+                   surface_measure, vertical_boundary_measure, volume)
 
 INCLUSION_FACTOR_TOL = 1e-9
 DETERMINANT_TOL = 1e-12
@@ -48,7 +48,6 @@ def projection_body(mu) -> Zonotope:
 def polar_projection_body(E):
     """Polar of the projection body: materialized planar polytope in 2D,
     lazy radial wrapper in 3D."""
-    from .convex import polar_body
     return polar_body(projection_body(E))
 
 
@@ -104,6 +103,8 @@ def affine_image_check(P, matrix, grid: SphericalGrid | None = None) -> float:
     discrepancy |h_left - h_right| / (1 + |h_left|); the exact zonotope
     algebra keeps it at rounding level.
     """
+    if not isinstance(P, PolygonSet):
+        raise InputError("the equivariance check runs on polygons")
     A = np.asarray(matrix, dtype=float)
     if A.shape != (2, 2):
         raise InputError(f"expected a 2x2 matrix, got shape {A.shape}")

@@ -24,12 +24,15 @@ from .convex import _BALL_VOLUME, Ball
 from .errors import InputError, NonGenericPointError, UnsupportedDirectionError
 from .geometry import (BLOCK_PAIRS, RigidFrame, VertexRing, _gauss_legendre,
                        as_direction, as_directions, cross_2d, cyclic_next, lerp,
-                       points_in_polygon, section_incidence, shoelace_area,
-                       steiner_ring, symmetral_radii)
+                       points_in_polygon, section_incidence, steiner_ring,
+                       symmetral_radii)
 
 CLOSEDNESS_TOL = 1e-9
 GENERIC_POINT_TOL = 1e-12
 AXIS_ALIGNMENT_TOL = 1e-12
+# raster cells along the longer side of the joint bounding box of two
+# polygons in symmetric_difference_distance
+RASTER_RESOLUTION = 512
 
 
 # ---------------------------------------------------------------------------
@@ -223,48 +226,25 @@ class PolygonSet(VertexRing):
     chain of iterates stays alive."""
 
     def __init__(self, vertices, validate_simple: bool = True):
-        v = np.asarray(vertices, dtype=float)
-        if v.ndim != 2 or v.shape[1] != 2 or v.shape[0] < 3:
-            raise InputError(f"polygon needs an (m,2) vertex array with m>=3, got {v.shape}")
-        if not np.all(np.isfinite(v)):
-            raise InputError("polygon vertices must be finite")
-        edges = cyclic_next(v) - v
-        lengths = np.linalg.norm(edges, axis=1)
-        if np.min(lengths) <= 0.0:
-            raise InputError("polygon has a zero-length edge")
-        area = shoelace_area(v)
+        super().__init__(vertices, "polygon")
+        area = self.volume()
         if area <= 0.0:
             raise InputError(f"polygon must be CCW with positive area, got signed area {area:g}")
         if validate_simple:
-            _check_simple(v)
-        self.vertices = v
-        self.vertices.setflags(write=False)
+            _check_simple(self.vertices)
         self._symmetral: tuple[bytes, PolygonSet] | None = None
 
     def __repr__(self):
         return f"PolygonSet({len(self.vertices)} vertices, area={self.volume():.6g})"
 
-    def perimeter(self) -> float:
-        return float(np.sum(self.edge_lengths()))
-
     def surface_measure(self) -> SurfaceMeasure:
-        """One atom per edge, built once per polygon with read-only
-        arrays."""
+        """One atom per edge, built once per polygon on the ring's
+        read-only normals and lengths."""
         return self._surface_measure
 
     @cached_property
     def _surface_measure(self) -> SurfaceMeasure:
-        mu = SurfaceMeasure(self.edge_normals().copy(), self.edge_lengths().copy())
-        mu.normals.setflags(write=False)
-        mu.masses.setflags(write=False)
-        return mu
-
-    def centroid(self) -> np.ndarray:
-        v = self.vertices
-        ahead = cyclic_next(v)
-        w = cross_2d(v, ahead)
-        c = (v + ahead) * w[:, None]
-        return np.sum(c, axis=0) / (6.0 * self.volume())
+        return SurfaceMeasure(self.normals, self.lengths)
 
     def translate(self, offset) -> "PolygonSet":
         return PolygonSet(self.vertices + np.asarray(offset, dtype=float),
@@ -284,24 +264,6 @@ class PolygonSet(VertexRing):
         return ColumnStructure(axis, 2, *_polygon_columns(verts))
 
     # -- metric methods --------------------------------------------------
-
-    def min_boundary_norm(self) -> float:
-        # the edge distance of distance_to_polygon from the origin, over all
-        # edges at once, with the dot products through stacked matmul as
-        # there
-        a = self.vertices
-        d = self._edges[0]
-        t = np.clip(((-a)[:, None, :] @ d[:, :, None]) / (d[:, None, :] @ d[:, :, None]),
-                    0.0, 1.0)[:, 0, 0]
-        return float(np.min(np.linalg.norm(a + t[:, None] * d, axis=1)))
-
-    def is_star_shaped(self) -> bool:
-        """True when the vertex angles wind strictly monotonically about
-        the origin, a sufficient condition for star-shapedness with the
-        origin interior."""
-        v = self.vertices
-        cr = cross_2d(v, cyclic_next(v))
-        return bool(np.all(cr > 0.0))
 
     def contains(self, points) -> np.ndarray:
         return points_in_polygon(points, self.vertices)
@@ -697,12 +659,11 @@ def _steiner_boxes(E: BoxUnion, u: np.ndarray) -> BoxUnion:
     return BoxUnion(np.insert(lo, axis[0], -half, axis=1), np.insert(hi, axis[0], half, axis=1))
 
 
-def symmetric_difference_distance(E: SetHandle, F: SetHandle,
-                                  resolution: int = 512) -> float:
+def symmetric_difference_distance(E: SetHandle, F: SetHandle) -> float:
     """Volume of the symmetric difference.  Exact for two box unions;
-    for two polygons a membership raster over the joint bounding box is
-    used and the value carries one raster cell of area uncertainty per
-    boundary cell."""
+    for two polygons a membership raster over the joint bounding box,
+    RASTER_RESOLUTION cells along its longer side, is used and the value
+    carries one raster cell of area uncertainty per boundary cell."""
     if isinstance(E, BoxUnion) and isinstance(F, BoxUnion):
         if E.dim != F.dim:
             raise InputError("sets must share a dimension")
@@ -712,7 +673,7 @@ def symmetric_difference_distance(E: SetHandle, F: SetHandle,
         lo = np.minimum(E.bounding_box()[0], F.bounding_box()[0])
         hi = np.maximum(E.bounding_box()[1], F.bounding_box()[1])
         span = hi - lo
-        cell = float(np.max(span)) / resolution
+        cell = float(np.max(span)) / RASTER_RESOLUTION
         nx = max(1, int(math.ceil(span[0] / cell)))
         ny = max(1, int(math.ceil(span[1] / cell)))
         cx = lo[0] + (np.arange(nx) + 0.5) * cell
@@ -783,16 +744,14 @@ def coarea_check(E: PolygonSet, g: Callable[[np.ndarray], np.ndarray],
 def set_from_json(obj: dict) -> SetHandle:
     if not isinstance(obj, dict):
         raise InputError("set description must be a JSON object")
+    if "polygon" in obj and "boxes" in obj:
+        raise InputError("set description holds both 'polygon' and 'boxes'; "
+                         "a file holds exactly one of them")
     if "polygon" in obj:
-        pts = obj["polygon"]
-        if not isinstance(pts, list) or len(pts) < 3:
-            raise InputError("field 'polygon' must list at least 3 vertices")
         try:
-            arr = np.asarray(pts, dtype=float)
+            arr = np.asarray(obj["polygon"], dtype=float)
         except (TypeError, ValueError) as exc:
             raise InputError(f"field 'polygon' is not numeric: {exc}") from exc
-        if arr.ndim != 2 or arr.shape[1] != 2:
-            raise InputError("field 'polygon' must be a list of [x, y] pairs")
         return PolygonSet(arr)
     if "boxes" in obj:
         boxes = obj["boxes"]
@@ -827,6 +786,8 @@ def load_set_file(path: str) -> SetHandle:
             obj = json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path} is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
     return set_from_json(obj)

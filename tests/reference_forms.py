@@ -3,7 +3,8 @@ as test oracles: the vectorised and blocked kernels in the package must
 agree with them.  Also the small derived quantities only tests read
 (column multiplicities and volumes, box-union axis masses, rigid-frame
 images), the grid-sampled inclusion margin the exact vertex margin
-must dominate, and the ring route of the planar polar area."""
+must dominate, the ring route of the planar polar area, and the
+shoelace area and centroid of a vertex ring."""
 
 from __future__ import annotations
 
@@ -17,6 +18,23 @@ from pettybox.geometry import RigidFrame, as_direction, circle_grid, cross_2d
 from pettybox.projection import projection_body
 from pettybox.sets import (BoxUnion, ColumnStructure, _on_segment,
                            steiner_symmetrize, surface_measure)
+
+
+def shoelace_area(vertices: np.ndarray) -> float:
+    """Signed area of a closed planar polygon (positive when CCW), with
+    the cross terms formed here from the vertex coordinates."""
+    v = np.asarray(vertices, dtype=float)
+    x, y = v[:, 0], v[:, 1]
+    return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
+
+
+def shoelace_centroid(vertices: np.ndarray) -> np.ndarray:
+    """Centroid of a closed CCW polygon: the sum of (v_j + v_j+1) times
+    the cross term of the edge, over 6 times the shoelace area."""
+    v = np.asarray(vertices, dtype=float)
+    ahead = np.roll(v, -1, axis=0)
+    w = v[:, 0] * ahead[:, 1] - v[:, 1] * ahead[:, 0]
+    return np.sum((v + ahead) * w[:, None], axis=0) / (6.0 * shoelace_area(v))
 
 
 def dense_radial(normals: np.ndarray, offsets: np.ndarray, nodes: np.ndarray,

@@ -28,6 +28,10 @@ def sets_dir(tmp_path):
                     ("tri_rot", tri)]:
         (tmp_path / f"{name}.json").write_text(json.dumps(set_to_json(E)))
     (tmp_path / "bad.json").write_text("{broken")
+    (tmp_path / "latin1.json").write_bytes(
+        '{"polygon": [[0, 0], [1, 0], [0, 1]], "name": "caf\xe9"}'.encode("latin-1"))
+    (tmp_path / "both.json").write_text(
+        json.dumps({**set_to_json(square), **set_to_json(staircase)}))
     return tmp_path
 
 
@@ -77,6 +81,26 @@ def test_malformed_json_reports_position(sets_dir, capsys):
     code, _, err = run(capsys, "petty", "--input", str(sets_dir / "bad.json"))
     assert code == 2
     assert ":1:" in err
+
+
+# a set file a command cannot take is invalid input: exit 2 and one error
+# line, never a traceback
+UNUSABLE = [
+    pytest.param("affine", "staircase", ("--seed", "1", "--trials", "1"), "polygons",
+                 id="affine-on-boxes"),
+    pytest.param("coarea-check", "staircase", (), "polygons", id="coarea-on-boxes"),
+    pytest.param("petty", "latin1", (), "UTF-8", id="not-utf8"),
+    pytest.param("petty", "both", (), "exactly one", id="polygon-and-boxes"),
+]
+
+
+@pytest.mark.parametrize("command,name,options,message", UNUSABLE)
+def test_unusable_set_file_exits_2(sets_dir, capsys, command, name, options, message):
+    code, out, err = run(capsys, command, "--input", str(sets_dir / f"{name}.json"), *options)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and message in err
+    assert "Traceback" not in err
 
 
 # ------------------------------------------------------------------ converge

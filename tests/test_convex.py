@@ -609,9 +609,12 @@ def test_polar_volume_shared_grid_matches_a_fresh_build(make):
     assert polar_volume(K, method="quadrature") == shared
 
 
-def test_hausdorff_3d_shared_grid_matches_a_fresh_build():
+def test_hausdorff_3d_shared_grid_matches_a_fresh_build(monkeypatch):
     a, b = _random_zonotope_3d(22), _random_zonotope_3d(23, count=4)
-    assert hausdorff_distance(a, b) == hausdorff_distance(a, b, grid=sphere_grid(128, 256))
+    shared = hausdorff_distance(a, b)
+    monkeypatch.setattr(pettybox.geometry, "default_grid",
+                        lambda dim: sphere_grid(128, 256))
+    assert hausdorff_distance(a, b) == shared
 
 
 def test_quadrature_does_not_rebuild_the_default_grid(monkeypatch):

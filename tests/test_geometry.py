@@ -19,6 +19,7 @@ from pettybox import (Ball, BoxUnion, DirectionPolicy, FacetPolytope,
                       NumericalError, PolarWrapper, PolygonSet, Zonotope,
                       circumradius, hausdorff_distance, polar_polygon,
                       run_symmetrization)
+from pettybox.convex import planar_polygon
 from pettybox.corpus import random_polygon
 from pettybox.errors import InputError
 from pettybox.geometry import (RigidFrame, as_direction, as_directions,
@@ -28,7 +29,8 @@ from pettybox.geometry import (RigidFrame, as_direction, as_directions,
 from hull import convex_hull_2d
 from reference_forms import (distance_to_polygon_loop, frame_apply, frame_inverse,
                              points_in_polygon_loop, prune_collinear_loop,
-                             ring_boundary_points_loop)
+                             ring_boundary_points_loop, shoelace_area,
+                             shoelace_centroid)
 
 
 CENTERED_SQUARE = [[-1, -1], [1, -1], [1, 1], [-1, 1]]
@@ -316,6 +318,66 @@ def test_prune_collinear_matches_the_per_vertex_loop(steps, seed, scale):
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
+# -------------------------------------------------------------- vertex rings
+
+def _star_ring(seed: int, m: int, scale: float) -> np.ndarray:
+    """A CCW ring star-shaped about a random point near the origin: m
+    jittered angles, each gap under pi, radii in [0.5, 1.5]."""
+    rng = np.random.default_rng(seed)
+    angles = 2.0 * math.pi * (np.arange(m) + rng.uniform(0.0, 0.4, m)) / m
+    radii = rng.uniform(0.5, 1.5, m)
+    center = rng.uniform(-0.5, 0.5, 2)
+    return scale * (radii[:, None] * np.column_stack([np.cos(angles), np.sin(angles)]) + center)
+
+
+@given(st.integers(0, 10**6), st.integers(3, 60), st.floats(1e-3, 1e3))
+@settings(max_examples=60, deadline=None)
+def test_ring_volume_and_centroid_are_the_shoelace_oracle(seed, m, scale):
+    v = _star_ring(seed, m, scale)
+    for ring in (PolygonSet(v), FacetPolytope(convex_hull_2d(v))):
+        assert ring.volume() == shoelace_area(ring.vertices)
+        assert ring.centroid().tobytes() == shoelace_centroid(ring.vertices).tobytes()
+
+
+def test_ring_arrays_are_read_only_and_the_measure_shares_them():
+    P = PolygonSet(_star_ring(3, 12, 1.0))
+    for ring in (P, FacetPolytope(CENTERED_SQUARE)):
+        for a in (ring.vertices, ring.edges, ring.lengths, ring.normals, ring.terms):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 0.0
+    mu = P.surface_measure()
+    assert np.shares_memory(mu.normals, P.normals)
+    assert np.shares_memory(mu.masses, P.lengths)
+
+
+@pytest.mark.parametrize("make", [PolygonSet, FacetPolytope, Zonotope])
+def test_constructors_copy_the_callers_array(make):
+    pts = np.array(CENTERED_SQUARE, dtype=float)
+    K = make(pts)
+    held = (K.generators if make is Zonotope else K.vertices).copy()
+    assert pts.flags.writeable
+    pts[0, 0] = 5.0
+    assert np.array_equal(K.generators if make is Zonotope else K.vertices, held)
+
+
+BAD_RINGS = [
+    pytest.param(np.zeros((4, 3)), "needs an (m,2) vertex array with m>=3", id="shape"),
+    pytest.param([[0, 0], [1, 0]], "needs an (m,2) vertex array with m>=3", id="two-vertices"),
+    pytest.param([[0, 0], [1, 0], [np.inf, 1]], "vertices must be finite", id="non-finite"),
+    pytest.param([[0, 0], [1, 0], [1, 0], [0, 1]], "has a zero-length edge", id="zero-edge"),
+]
+
+
+@pytest.mark.parametrize("make,kind", [(PolygonSet, "polygon"),
+                                       (FacetPolytope, "facet polytope")],
+                         ids=["polygon", "facets"])
+@pytest.mark.parametrize("vertices,message", BAD_RINGS)
+def test_bad_rings_raise_naming_their_kind(make, kind, vertices, message):
+    with pytest.raises(InputError, match="^" + re.escape(f"{kind} {message}")):
+        make(vertices)
+
+
 # ----------------------------------------------------------------- hausdorff
 
 def brute_force_hausdorff(a_pts, b_pts, a_inside, b_inside):
@@ -438,6 +500,69 @@ def test_hausdorff_convex_vs_ball():
     assert abs(hausdorff_distance(rectangle(), Ball(1.0)) - (math.sqrt(5) - 1)) <= 1e-12
     # the ball's point farthest from the diamond faces the middle of an edge
     assert abs(hausdorff_distance(diamond(), Ball(1.0)) - (1 - math.sqrt(0.5))) <= 1e-12
+
+
+def _three_rings(seed: int):
+    """A random planar zonotope, its ring as a FacetPolytope and the same
+    ring as a PolygonSet."""
+    rng = np.random.default_rng(seed)
+    Z = Zonotope(rng.normal(size=(int(rng.integers(2, 12)), 2)) * rng.uniform(0.1, 3.0))
+    ring = planar_polygon(Z).vertices
+    return Z, FacetPolytope(ring), PolygonSet(ring)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_one_ball_rule_on_a_zonotope_and_its_ring(seed):
+    # a planar zonotope, its ring as facets and as a polygon take one
+    # rule and give one value: on a convex ring the radial deviation is
+    # max(max|v| - r, r - min offset), up to rounding in the norms, whose
+    # scale is the radius
+    Z, P, Q = _three_rings(seed)
+    for r in (0.5 * float(np.min(P.offsets)), float(np.mean(P.offsets)), 1.5 * P.max_norm()):
+        want = max(P.max_norm() - r, r - float(np.min(P.offsets)))
+        got = hausdorff_distance(Ball(r), Z)
+        assert abs(got - want) <= 1e-15 * r
+        for K in (Z, P, Q):
+            assert hausdorff_distance(Ball(r), K) == got
+            assert hausdorff_distance(K, Ball(r)) == got
+
+
+def test_ball_rule_bounds_a_notched_star_polygon_from_above():
+    # a star-shaped non-convex ring: the radial deviation is an upper
+    # bound, at least the distance of dense boundary samples
+    m = 200
+    t = 2.0 * math.pi * np.arange(m) / m
+    radius = np.where(np.arange(m) == 0, 0.2, 1.0)
+    notched = PolygonSet(radius[:, None] * np.column_stack([np.cos(t), np.sin(t)]))
+    ball = Ball(math.sqrt(notched.volume() / math.pi))
+    assert notched.is_star_shaped()
+    step = 2.0 / 16384
+    lower = max(pettybox.geometry._directed_sample_distance(ball, notched, step),
+                pettybox.geometry._directed_sample_distance(notched, ball, step))
+    assert hausdorff_distance(ball, notched) >= lower
+
+
+@pytest.mark.parametrize("ring", [
+    [[0, 0], [2, 0], [2, 2], [0, 2]],
+    [[-1, 0], [1, 0], [1, 2], [-1, 2]],
+    [[1, 1], [3, 1], [3, 3], [1, 3]],
+], ids=["origin-vertex", "origin-on-edge", "origin-outside"])
+@pytest.mark.parametrize("make", [FacetPolytope, PolygonSet], ids=["facets", "polygon"])
+def test_ball_rule_needs_the_origin_interior(monkeypatch, ring, make):
+    # a convex ring whose origin is on or outside its boundary is not
+    # star-shaped about it and takes the sampled route
+    K = make(ring)
+    assert not K.is_star_shaped()
+    sampled = []
+    original = pettybox.geometry._directed_sample_distance
+
+    def counted(src, dst, step):
+        sampled.append(step)
+        return original(src, dst, step)
+
+    monkeypatch.setattr(pettybox.geometry, "_directed_sample_distance", counted)
+    hausdorff_distance(Ball(1.0), K)
+    assert len(sampled) == 2
 
 
 # Pairs of handle kinds and their distance, beyond those tested above;

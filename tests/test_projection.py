@@ -237,7 +237,7 @@ def test_polar_steiner_inclusion_margin_is_the_vertex_maximum():
         while True:
             a = rng.uniform(0.0, 2.0 * math.pi)
             u = np.array([math.cos(a), math.sin(a)])
-            if np.min(np.abs(P.edge_normals() @ u)) >= 1e-2:
+            if np.min(np.abs(P.normals @ u)) >= 1e-2:
                 break
         holds, margin = polar_steiner_inclusion_check(P, u)
         sampled = grid_inclusion_margin(P, u)
