@@ -17,9 +17,8 @@ from .errors import (BudgetError, ConditionViolationError, InputError,
                      NonGenericPointError, NumericalError,
                      PathologicalInputError, ToolkitError,
                      UnsupportedDirectionError)
-from .geometry import (RigidFrame, SphericalGrid, circle_grid, circumradius,
-                       default_grid, frame_to_last_axis, hausdorff_distance,
-                       integrate_sphere, sphere_grid)
+from .geometry import (SphericalGrid, circle_grid, circumradius, default_grid,
+                       hausdorff_distance, integrate_sphere, sphere_grid)
 from .projection import (PettyReport, affine_image_check, petty_product,
                          polar_projection_body, polar_projection_volume,
                          polar_steiner_inclusion_check, projection_body)
@@ -40,9 +39,8 @@ __all__ = [
     "BudgetError", "ConditionViolationError", "InputError",
     "NonGenericPointError", "NumericalError", "PathologicalInputError",
     "ToolkitError", "UnsupportedDirectionError",
-    "RigidFrame", "SphericalGrid", "circle_grid", "circumradius",
-    "default_grid", "frame_to_last_axis", "hausdorff_distance",
-    "integrate_sphere", "sphere_grid",
+    "SphericalGrid", "circle_grid", "circumradius", "default_grid",
+    "hausdorff_distance", "integrate_sphere", "sphere_grid",
     "PettyReport", "affine_image_check", "petty_product",
     "polar_projection_body", "polar_projection_volume",
     "polar_steiner_inclusion_check", "projection_body",

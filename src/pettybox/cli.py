@@ -19,11 +19,11 @@ import numpy as np
 
 from . import __version__
 from .corpus import random_polygon, random_sl2
-from .driver import (DirectionPolicy, ResampleBudget, draw_direction,
-                     run_symmetrization)
+from .driver import (POLICY_KINDS, DirectionPolicy, ResampleBudget,
+                     draw_direction, run_symmetrization)
 from .errors import (BudgetError, ConditionViolationError, InputError,
                      NumericalError)
-from .geometry import circle_grid
+from .geometry import circle_grid, unit_vector
 from .projection import (affine_image_check, petty_product,
                          polar_steiner_inclusion_check)
 from .sets import (BoxUnion, coarea_check, load_set_file, steiner_symmetrize,
@@ -77,10 +77,7 @@ def _parse_direction(text: str, dim: int) -> np.ndarray:
         raise InputError(f"direction {text!r} is not a comma-separated vector") from exc
     if parts.shape != (dim,):
         raise InputError(f"direction needs {dim} components, got {parts.shape[0]}")
-    norm = float(np.linalg.norm(parts))
-    if norm <= 0.0:
-        raise InputError("direction must be nonzero")
-    return parts / norm
+    return unit_vector(parts)
 
 
 def _cmd_petty(args) -> int:
@@ -233,9 +230,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("converge", help="iterated-symmetrization trace")
     common(p)
-    p.add_argument("--policy", default="cap-cover-greedy",
-                   choices=["uniform-random", "coordinate-cycle",
-                            "cap-cover-greedy"])
+    p.add_argument("--policy", default="cap-cover-greedy", choices=POLICY_KINDS)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--candidates", type=int, default=32)
     p.add_argument("--max-steps", type=int, default=500)

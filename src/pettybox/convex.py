@@ -90,7 +90,9 @@ class Ball:
 
 class FacetPolytope(VertexRing):
     """Planar convex polytope: CCW vertices with derived outer normals
-    and support offsets, consistent within 1e-10 by construction."""
+    and support offsets, consistent within 1e-10 by construction.  The
+    turns cross(e_j, e_(j+1)) of consecutive edges, which the convexity
+    check reads, are kept read-only as ``turns``."""
 
     def __init__(self, vertices):
         super().__init__(vertices, "facet polytope")
@@ -98,6 +100,8 @@ class FacetPolytope(VertexRing):
         scale = float(np.max(np.abs(turns))) or 1.0
         if np.min(turns) < -1e-9 * scale:
             raise InputError("vertices are not in convex CCW position")
+        turns.setflags(write=False)
+        self.turns = turns
 
     @classmethod
     def from_vertices(cls, vertices) -> "FacetPolytope":
@@ -248,13 +252,10 @@ class Zonotope:
         chain[0] = -np.sum(w, axis=0)
         np.cumsum(2.0 * w, axis=0, out=chain[1:])
         chain[1:] += chain[0]
-        ring = np.vstack([chain[:-1], -chain[:-1]])
-        edges = cyclic_next(ring) - ring
-        if np.any(np.hypot(edges[:, 0], edges[:, 1]) <= 0.0) \
-                or np.any(cross_2d(edges, cyclic_next(edges)) <= 0.0):
-            raise NumericalError("zonotope ring has a zero-length edge or edge angles "
-                                 "that do not strictly increase")
-        return FacetPolytope(ring)
+        P = FacetPolytope(np.vstack([chain[:-1], -chain[:-1]]))
+        if np.min(P.turns) <= 0.0:
+            raise NumericalError("zonotope ring has edge angles that do not strictly increase")
+        return P
 
     def _polar_area(self) -> float:
         """Area of the polar of a planar zonotope from its generators g_j
@@ -459,8 +460,9 @@ def polar_polygon(K: ConvexBody) -> FacetPolytope:
     if np.min(offsets) <= 0.0:
         raise InputError("polar polygon needs the origin interior to the body")
     if isinstance(K, Zonotope):
-        # Zonotope._polygon checked that the ring has no zero-length edge,
-        # so no three consecutive polar vertices are collinear
+        # the zonotope ring has no zero-length edge (its constructor checks)
+        # and no non-positive turn (Zonotope._polygon checks), so no three
+        # consecutive polar vertices are collinear
         return FacetPolytope(normals / offsets[:, None])
     return FacetPolytope.from_vertices(normals / offsets[:, None])
 

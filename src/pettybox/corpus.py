@@ -72,12 +72,10 @@ def random_box_union(seed: int, index: int = 0, dim: int = 2) -> BoxUnion:
     return BoxUnion(np.asarray(los), np.asarray(his))
 
 
-def random_sl2(seed: int | None = None, index: int = 0,
-               rng: np.random.Generator | None = None) -> np.ndarray:
+def random_sl2(seed: int, index: int = 0) -> np.ndarray:
     """Volume-preserving planar map as shear . rotation . shear with the
     determinant renormalized to kill rounding drift."""
-    if rng is None:
-        rng = np.random.default_rng((seed, index))
+    rng = np.random.default_rng((seed, index))
     a, b = rng.uniform(-1.0, 1.0, 2)
     theta = rng.uniform(0.0, 2.0 * math.pi)
     A = (np.array([[1.0, a], [0.0, 1.0]])

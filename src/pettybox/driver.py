@@ -18,8 +18,7 @@ from .convex import Ball
 from .errors import InputError, PathologicalInputError
 from .geometry import hausdorff_distance, rotation_2d
 from .projection import petty_product
-from .sets import (PolygonSet, is_regular_direction, least_circumradius_direction,
-                   steiner_symmetrize)
+from .sets import PolygonSet, least_circumradius_direction, steiner_symmetrize
 
 POLICY_KINDS = ("uniform-random", "coordinate-cycle", "cap-cover-greedy")
 RESAMPLE_BUDGET = 1_000_000
@@ -114,42 +113,42 @@ def draw_direction(E: PolygonSet, policy: DirectionPolicy,
                    rng: np.random.Generator, step: int,
                    budget: ResampleBudget) -> tuple[np.ndarray, int]:
     """One regular direction for the given (1-based) step plus the number
-    of rejected draws, each charged to the budget."""
-    rejected = 0
-    if policy.kind == "uniform-random":
-        while True:
-            a = rng.uniform(0.0, 2.0 * math.pi)
-            u = np.array([math.cos(a), math.sin(a)])
-            if is_regular_direction(E, u)[0]:
-                return u, rejected
-            rejected += 1
-            budget.charge()
-    if policy.kind == "coordinate-cycle":
-        axis = np.zeros(2)
-        axis[(step - 1) % 2] = 1.0
-        if is_regular_direction(E, axis)[0]:
-            return axis, rejected
-        while True:
-            rejected += 1
-            budget.charge()
-            theta = rng.uniform(0.0, AXIS_PERTURBATION)
-            u = rotation_2d(theta) @ axis
-            if is_regular_direction(E, u)[0]:
-                return u, rejected
-    # cap-cover-greedy: a randomly rotated fan of evenly spread
-    # directions, filtered to regular ones in one test over all atoms
+    of rejected draws, each charged to the budget.
+
+    Every attempt offers a fan of unit directions and keeps its regular
+    ones, tested over all atoms of the surface measure in one
+    orthogonal_atoms pass.  uniform-random offers one uniform direction;
+    coordinate-cycle offers the step's axis, and after a rejection that
+    axis nudged by a random angle; cap-cover-greedy offers a randomly
+    rotated fan of evenly spread directions and keeps the best of its
+    regular ones.
+    """
     mu = E.surface_measure()
+    rejected = 0
     while True:
-        offset = rng.uniform(0.0, 1.0)
-        angles = (np.arange(policy.candidates) + offset) * math.pi / policy.candidates
-        fan = np.column_stack([np.cos(angles), np.sin(angles)])
+        if policy.kind == "uniform-random":
+            a = rng.uniform(0.0, 2.0 * math.pi)
+            fan = np.array([[math.cos(a), math.sin(a)]])
+        elif policy.kind == "coordinate-cycle":
+            axis = np.zeros(2)
+            axis[(step - 1) % 2] = 1.0
+            if rejected:
+                axis = rotation_2d(rng.uniform(0.0, AXIS_PERTURBATION)) @ axis
+            fan = axis[None]
+        else:
+            offset = rng.uniform(0.0, 1.0)
+            angles = (np.arange(policy.candidates) + offset) * math.pi / policy.candidates
+            fan = np.column_stack([np.cos(angles), np.sin(angles)])
         regular = fan[~np.any(mu.orthogonal_atoms(fan), axis=0)]
-        dropped = policy.candidates - len(regular)
+        dropped = len(fan) - len(regular)
         rejected += dropped
         if dropped:
             budget.charge(dropped)
-        if len(regular):
+        if not len(regular):
+            continue
+        if policy.kind == "cap-cover-greedy":
             return cap_cover_greedy_step(E, regular), rejected
+        return regular[0], rejected
 
 
 def run_symmetrization(E0: PolygonSet, policy: DirectionPolicy,

@@ -1,4 +1,4 @@
-"""Low-level Euclidean plumbing: directions, frames, quadrature grids,
+"""Low-level Euclidean plumbing: directions, quadrature grids,
 the section-length kernel behind planar Steiner symmetrals,
 circumradius and Hausdorff distance.
 
@@ -45,7 +45,7 @@ _SPHERE_MEASURE = {2: 2.0 * math.pi, 3: 4.0 * math.pi}
 
 
 # ---------------------------------------------------------------------------
-# directions and frames
+# directions
 
 
 def unit_vector(v) -> np.ndarray:
@@ -102,46 +102,6 @@ def cross_2d(a, b) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     return a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
-
-
-@dataclass(frozen=True, eq=False)
-class RigidFrame:
-    """A proper rotation of the ambient space (orthonormal, det +1)."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] not in (2, 3):
-            raise InputError(f"frame matrix must be 2x2 or 3x3, got {m.shape}")
-        if not np.allclose(m @ m.T, np.eye(m.shape[0]), atol=1e-12):
-            raise InputError("frame matrix is not orthonormal within 1e-12")
-        if abs(float(np.linalg.det(m)) - 1.0) > 1e-12:
-            raise InputError("frame determinant is not +1 within 1e-12")
-        object.__setattr__(self, "matrix", m)
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
-    def last_axis_preimage(self) -> np.ndarray:
-        """The direction this frame maps onto the last coordinate axis."""
-        return self.matrix[-1].copy()
-
-
-def frame_to_last_axis(u) -> RigidFrame:
-    """Rotation taking the unit vector u onto the last coordinate axis."""
-    u = as_direction(u)
-    if u.shape[0] == 2:
-        # rows (perp, u): maps u -> e2, det +1
-        return RigidFrame(np.array([[u[1], -u[0]], [u[0], u[1]]]))
-    # pick the axis least aligned with u to seed an orthonormal pair
-    seed = np.zeros(3)
-    seed[int(np.argmin(np.abs(u)))] = 1.0
-    b1 = unit_vector(np.cross(u, seed))
-    b2 = np.cross(u, b1)
-    return RigidFrame(np.vstack([b1, b2, u]))
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +309,8 @@ def _symmetral_chains(vertices: np.ndarray, directions):
     U = as_directions(directions)
     if U.shape[1] != 2:
         raise InputError("planar Steiner symmetrals need a planar direction")
-    # the rotations frame_to_last_axis(u), rows (perp, u)
+    # the proper rotations with rows (perp, u), which take each u to the
+    # vertical axis
     frames = np.stack([np.column_stack([U[:, 1], -U[:, 0]]), U], axis=1)
     w = np.matmul(np.asarray(vertices, dtype=float)[None], frames.transpose(0, 2, 1))
     scale = 1.0 + np.max(np.abs(w), axis=(1, 2))
@@ -671,7 +632,7 @@ def _convex_exact(va: np.ndarray, vb: np.ndarray) -> float:
     return d
 
 
-def hausdorff_distance(a, b, divisions: int = BOUNDARY_DIVISIONS) -> float:
+def hausdorff_distance(a, b) -> float:
     """Hausdorff distance between two compact set handles.
 
     Exact for ball pairs and for pairs of planar convex bodies.  An
@@ -685,9 +646,10 @@ def hausdorff_distance(a, b, divisions: int = BOUNDARY_DIVISIONS) -> float:
     Pairs of 3D balls and zonotopes take the support-difference sup over
     the nodes of default_grid(3).  Other pairs are measured from
     intrinsic boundary samplings with arc-length step = scene diameter /
-    divisions; the returned value then carries an additive uncertainty of
-    one step.  Handles of different dimensions, 3D polar wrappers, and 3D
-    zonotopes against box unions are rejected.
+    BOUNDARY_DIVISIONS (read at call time); the returned value then
+    carries an additive uncertainty of one step.  Handles of different
+    dimensions, 3D polar wrappers, and 3D zonotopes against box unions
+    are rejected.
     """
     from .convex import (Ball, ConvexBody, FacetPolytope, PolarWrapper,
                          Zonotope, planar_polygon)
@@ -721,6 +683,6 @@ def hausdorff_distance(a, b, divisions: int = BOUNDARY_DIVISIONS) -> float:
     diam = _scene_diameter(a, b)
     if diam <= 0.0:
         return 0.0
-    step = diam / divisions
+    step = diam / BOUNDARY_DIVISIONS
     return max(_directed_sample_distance(pa, pb, step),
                _directed_sample_distance(pb, pa, step))

@@ -22,7 +22,7 @@ import numpy as np
 
 from .convex import _BALL_VOLUME, Ball
 from .errors import InputError, NonGenericPointError, UnsupportedDirectionError
-from .geometry import (BLOCK_PAIRS, RigidFrame, VertexRing, _gauss_legendre,
+from .geometry import (BLOCK_PAIRS, VertexRing, _gauss_legendre,
                        as_direction, as_directions, cross_2d, cyclic_next, lerp,
                        points_in_polygon, section_incidence, steiner_ring,
                        symmetral_radii)
@@ -561,14 +561,11 @@ def is_regular_direction(E: SetHandle, u):
     return mass == 0.0, mass
 
 
-def vertical_boundary_measure(E: SetHandle, frame: RigidFrame | Sequence[float]) -> float:
-    """Boundary mass orthogonal to the direction a frame sends to the
-    last coordinate axis (the mass of 'lateral' boundary in that frame).
-    Accepts a RigidFrame or the direction itself."""
-    if isinstance(frame, RigidFrame):
-        u = frame.last_axis_preimage
-    else:
-        u = as_direction(frame)
+def vertical_boundary_measure(E: SetHandle, u: Sequence[float]) -> float:
+    """Boundary mass orthogonal to the unit direction u: the mass of the
+    boundary that runs parallel to u, read from one orthogonal_atoms
+    column."""
+    u = as_direction(u)
     mu = E.surface_measure()
     return float(np.sum(mu.masses[mu.orthogonal_atoms(u[None])[:, 0]]))
 

@@ -1,10 +1,10 @@
 """Dense and per-edge or per-box loop forms of the package's kernels, kept
 as test oracles: the vectorised and blocked kernels in the package must
 agree with them.  Also the small derived quantities only tests read
-(column multiplicities and volumes, box-union axis masses, rigid-frame
-images), the grid-sampled inclusion margin the exact vertex margin
-must dominate, the ring route of the planar polar area, and the
-shoelace area and centroid of a vertex ring."""
+(column multiplicities and volumes, box-union axis masses), the
+grid-sampled inclusion margin the exact vertex margin must dominate,
+the ring route of the planar polar area, the shoelace area and centroid
+of a vertex ring, and the per-policy direction draw loops."""
 
 from __future__ import annotations
 
@@ -13,10 +13,12 @@ import math
 import numpy as np
 
 from pettybox.convex import polar_polygon, steiner_symmetrize_convex
+from pettybox.driver import AXIS_PERTURBATION
 from pettybox.errors import InputError
-from pettybox.geometry import RigidFrame, as_direction, circle_grid, cross_2d
+from pettybox.geometry import as_direction, circle_grid, cross_2d, rotation_2d
 from pettybox.projection import projection_body
 from pettybox.sets import (BoxUnion, ColumnStructure, _on_segment,
+                           is_regular_direction, least_circumradius_direction,
                            steiner_symmetrize, surface_measure)
 
 
@@ -240,10 +242,41 @@ def axis_class_masses(B: BoxUnion) -> np.ndarray:
     return 2.0 * B._class_masses
 
 
-def frame_apply(frame: RigidFrame, points) -> np.ndarray:
-    """Rotate row-stacked points (or a single point) by a frame."""
-    return np.asarray(points, dtype=float) @ frame.matrix.T
-
-
-def frame_inverse(frame: RigidFrame) -> RigidFrame:
-    return RigidFrame(frame.matrix.T.copy())
+def draw_direction_loops(E, policy, rng, step, budget):
+    """driver.draw_direction as one loop per policy: uniform-random and
+    coordinate-cycle test one direction at a time with
+    is_regular_direction, cap-cover-greedy filters its whole fan in one
+    orthogonal_atoms pass."""
+    rejected = 0
+    if policy.kind == "uniform-random":
+        while True:
+            a = rng.uniform(0.0, 2.0 * math.pi)
+            u = np.array([math.cos(a), math.sin(a)])
+            if is_regular_direction(E, u)[0]:
+                return u, rejected
+            rejected += 1
+            budget.charge()
+    if policy.kind == "coordinate-cycle":
+        axis = np.zeros(2)
+        axis[(step - 1) % 2] = 1.0
+        if is_regular_direction(E, axis)[0]:
+            return axis, rejected
+        while True:
+            rejected += 1
+            budget.charge()
+            theta = rng.uniform(0.0, AXIS_PERTURBATION)
+            u = rotation_2d(theta) @ axis
+            if is_regular_direction(E, u)[0]:
+                return u, rejected
+    mu = E.surface_measure()
+    while True:
+        offset = rng.uniform(0.0, 1.0)
+        angles = (np.arange(policy.candidates) + offset) * math.pi / policy.candidates
+        fan = np.column_stack([np.cos(angles), np.sin(angles)])
+        regular = fan[~np.any(mu.orthogonal_atoms(fan), axis=0)]
+        dropped = policy.candidates - len(regular)
+        rejected += dropped
+        if dropped:
+            budget.charge(dropped)
+        if len(regular):
+            return least_circumradius_direction(E, regular), rejected

@@ -1,12 +1,14 @@
 """The benchmark's tracer wraps package functions and constructors that it
 names by (module, attribute); a name that no longer resolves breaks every
-traced benchmark run."""
+traced benchmark run.  The package's own export list must resolve too."""
 
 from __future__ import annotations
 
 import importlib
 import importlib.util
 from pathlib import Path
+
+import pettybox
 
 TRACER = Path(__file__).resolve().parents[1] / "pettybench" / "tracer.py"
 
@@ -19,3 +21,9 @@ def test_traced_names_resolve_on_the_package():
     assert len(targets) == len(tracer.LAYERS)
     for layer, (module, attr) in targets.items():
         assert callable(getattr(importlib.import_module(module), attr, None)), layer
+
+
+def test_exported_names_resolve_on_the_package():
+    assert len(set(pettybox.__all__)) == len(pettybox.__all__)
+    for name in pettybox.__all__:
+        assert hasattr(pettybox, name), name

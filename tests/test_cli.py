@@ -6,10 +6,10 @@ from __future__ import annotations
 import json
 import math
 
+import numpy as np
 import pytest
 
-import pettybox.driver
-from pettybox import BoxUnion, PolygonSet, __version__
+from pettybox import BoxUnion, PolygonSet, SurfaceMeasure, __version__
 from pettybox.cli import main
 from pettybox.corpus import regular_polygon
 from pettybox.geometry import rotation_2d
@@ -170,11 +170,11 @@ def test_monotonicity_campaign_resampling_exhaustion(monkeypatch, capsys):
     # with every draw rejected, a set gets 10,000 redraws and then exit 3
     draws = []
 
-    def never_regular(E, u):
-        draws.append(u)
-        return False, 1.0
+    def never_regular(self, directions):
+        draws.append(directions)
+        return np.ones((len(self.normals), len(directions)), dtype=bool)
 
-    monkeypatch.setattr(pettybox.driver, "is_regular_direction", never_regular)
+    monkeypatch.setattr(SurfaceMeasure, "orthogonal_atoms", never_regular)
     code, _, err = run(capsys, "monotonicity", "--count", "2", "--seed", "5")
     assert code == 3
     assert len(draws) == 10_001
@@ -249,6 +249,18 @@ def test_polar_symmetral_check_holds(sets_dir, capsys):
     assert doc["holds"] is True
     assert doc["margin"] <= 1.0 + 1e-9
     assert doc["direction"] == [0.0, 1.0]
+
+
+@pytest.mark.parametrize("direction", ["0,0", "nan,1", "inf,1", "1", "a,b"])
+@pytest.mark.parametrize("command", ["polar-symmetral-check", "monotonicity"])
+def test_invalid_direction_is_an_input_error(sets_dir, capsys, command, direction):
+    # zero and non-finite vectors are refused by the one normaliser
+    code, out, err = run(capsys, command, "--input", str(sets_dir / "tri_rot.json"),
+                         f"--direction={direction}")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
 
 
 def test_polar_symmetral_check_rejects_axis_mass(sets_dir, capsys):

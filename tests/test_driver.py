@@ -15,10 +15,13 @@ from pettybox import (BoxUnion, DirectionPolicy, InputError,
                       polar_steiner_inclusion_check, run_symmetrization,
                       steiner_symmetrize)
 from pettybox.corpus import random_polygon, regular_polygon
-from pettybox.geometry import (frame_to_last_axis, rotation_2d,
-                               section_incidence, steiner_ring,
+from pettybox.driver import (POLICY_KINDS, RESAMPLE_BUDGET, ResampleBudget,
+                             draw_direction)
+from pettybox.geometry import (rotation_2d, section_incidence, steiner_ring,
                                symmetral_radii)
 from pettybox.sets import SurfaceMeasure
+
+from reference_forms import draw_direction_loops
 
 
 def unit_square():
@@ -95,7 +98,8 @@ def _scored_fans():
 
 
 def _blocks(E, fan) -> int:
-    stack = np.stack([E.vertices @ frame_to_last_axis(u).matrix.T for u in fan])
+    # each direction u taken to the vertical by the rotation with rows (perp, u)
+    stack = np.stack([E.vertices @ np.array([[u[1], -u[0]], u]).T for u in fan])
     return len(list(section_incidence(stack)))
 
 
@@ -304,6 +308,70 @@ def test_resample_budget_exhaustion_is_pathological():
         run_symmetrization(
             unit_square(), DirectionPolicy(kind="coordinate-cycle", seed=0),
             max_steps=6, resample_budget=0)
+
+
+# draw_direction offers each policy's fan to one orthogonal_atoms pass;
+# the per-policy loops it replaced are kept in tests/reference_forms.py,
+# and the two must draw the same directions, reject the same count,
+# charge the budget the same and leave the generator in the same state
+
+def staircase_polygon():
+    return PolygonSet([[0, 0], [1, 0], [1, 1], [2, 1], [2, 3], [1, 3], [1, 2], [0, 2]])
+
+
+def _draws_agree(E, policy, steps=4):
+    """Draw `steps` directions with both forms, symmetrizing along each,
+    and return the rejected counts."""
+    rngs = [np.random.default_rng((policy.seed, 5)) for _ in range(2)]
+    budgets = [ResampleBudget(RESAMPLE_BUDGET) for _ in range(2)]
+    counts = []
+    for step in range(1, steps + 1):
+        got = draw_direction(E, policy, rngs[0], step, budgets[0])
+        want = draw_direction_loops(E, policy, rngs[1], step, budgets[1])
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1] == want[1]
+        assert budgets[0].spent == budgets[1].spent
+        assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+        counts.append(got[1])
+        E = steiner_symmetrize(E, got[0])
+    return counts
+
+
+@pytest.mark.parametrize("kind", POLICY_KINDS)
+def test_one_draw_loop_matches_the_policy_loops(kind):
+    sets = [unit_square(), staircase_polygon()] + [random_polygon(seed) for seed in range(3)]
+    for seed in (0, 7):
+        counts = [_draws_agree(E, DirectionPolicy(kind=kind, seed=seed, candidates=8))
+                  for E in sets]
+        if kind == "coordinate-cycle":
+            # both axes carry boundary mass on the square and the
+            # staircase, so their first steps take the nudge path
+            assert counts[0][0] >= 1 and counts[1][0] >= 1
+
+
+@pytest.mark.parametrize("kind", POLICY_KINDS)
+def test_one_draw_loop_matches_the_policy_loops_on_a_forced_rejection(kind, monkeypatch):
+    # every atom counts as orthogonal on the first attempt of each draw
+    atoms = SurfaceMeasure.orthogonal_atoms
+    calls = []
+
+    def reject_first(self, directions):
+        mask = atoms(self, directions)
+        calls.append(mask.shape[1])
+        return np.ones_like(mask) if len(calls) == 1 else mask
+
+    monkeypatch.setattr(SurfaceMeasure, "orthogonal_atoms", reject_first)
+    policy = DirectionPolicy(kind=kind, seed=3, candidates=8)
+    for E in (unit_square(), staircase_polygon(), random_polygon(2)):
+        results = []
+        for draw in (draw_direction, draw_direction_loops):
+            calls.clear()
+            rng = np.random.default_rng(3)
+            budget = ResampleBudget(RESAMPLE_BUDGET)
+            u, rejected = draw(E, policy, rng, 1, budget)
+            results.append((u.tobytes(), rejected, budget.spent, rng.bit_generator.state))
+        assert results[0] == results[1]
+        assert results[0][1] >= calls[0] >= 1
 
 
 def test_recentering_makes_runs_translation_invariant():

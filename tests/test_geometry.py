@@ -22,15 +22,14 @@ from pettybox import (Ball, BoxUnion, DirectionPolicy, FacetPolytope,
 from pettybox.convex import planar_polygon
 from pettybox.corpus import random_polygon
 from pettybox.errors import InputError
-from pettybox.geometry import (RigidFrame, as_direction, as_directions,
-                               circle_grid, default_grid, frame_to_last_axis,
+from pettybox.geometry import (as_direction, as_directions, circle_grid,
+                               cross_2d, cyclic_next, default_grid,
                                integrate_sphere, rotation_2d, sphere_grid)
 
 from hull import convex_hull_2d
-from reference_forms import (distance_to_polygon_loop, frame_apply, frame_inverse,
-                             points_in_polygon_loop, prune_collinear_loop,
-                             ring_boundary_points_loop, shoelace_area,
-                             shoelace_centroid)
+from reference_forms import (distance_to_polygon_loop, points_in_polygon_loop,
+                             prune_collinear_loop, ring_boundary_points_loop,
+                             shoelace_area, shoelace_centroid)
 
 
 CENTERED_SQUARE = [[-1, -1], [1, -1], [1, 1], [-1, 1]]
@@ -79,37 +78,6 @@ def test_as_direction_rejects_non_unit_and_bad_shape():
         as_direction([1.0, 0.0, 0.0, 0.0])
 
 
-@pytest.mark.parametrize("dim", [2, 3])
-def test_frame_sends_direction_to_last_axis(dim):
-    rng = np.random.default_rng(7 + dim)
-    for _ in range(20):
-        v = rng.normal(size=dim)
-        u = v / np.linalg.norm(v)
-        frame = frame_to_last_axis(u)
-        image = frame_apply(frame, u)
-        target = np.zeros(dim)
-        target[-1] = 1.0
-        assert np.allclose(image, target, atol=1e-12)
-        R = frame.matrix
-        assert np.allclose(R @ R.T, np.eye(dim), atol=1e-12)
-        assert math.isclose(float(np.linalg.det(R)), 1.0, abs_tol=1e-12)
-        assert np.allclose(frame.last_axis_preimage, u, atol=1e-12)
-
-
-def test_rigid_frame_rejects_non_rotation():
-    with pytest.raises(InputError):
-        RigidFrame(np.array([[1.0, 0.0], [0.0, 2.0]]))
-    with pytest.raises(InputError):
-        RigidFrame(np.array([[1.0, 0.0], [0.0, -1.0]]))  # reflection
-
-
-def test_frame_roundtrip():
-    frame = frame_to_last_axis(as_direction([0.6, 0.8]))
-    pts = np.random.default_rng(0).normal(size=(50, 2))
-    assert np.allclose(frame_apply(frame_inverse(frame), frame_apply(frame, pts)), pts,
-                       atol=1e-12)
-
-
 # --------------------------------------------------------------------- grids
 
 @pytest.mark.parametrize(
@@ -153,10 +121,9 @@ def test_default_circle_grid_is_built_once_and_read_only():
     [lambda: sphere_grid(4, 8),
      lambda: unit_square().surface_measure(),
      lambda: unit_square().column_structure(1),
-     lambda: frame_to_last_axis([0.6, 0.8]),
      lambda: run_symmetrization(unit_square(), DirectionPolicy("uniform-random"),
                                 max_steps=1, stop_tol=1e-9).steps[-1]],
-    ids=["SphericalGrid", "SurfaceMeasure", "ColumnStructure", "RigidFrame", "TraceStep"],
+    ids=["SphericalGrid", "SurfaceMeasure", "ColumnStructure", "TraceStep"],
 )
 def test_array_records_compare_and_hash_by_identity(make):
     # records holding numpy arrays compare by identity, so they can be
@@ -275,14 +242,15 @@ def test_sampled_hausdorff_unchanged_from_per_edge_loops(monkeypatch):
     notched = PolygonSet([[0, 0], [3, 0], [3, 2], [1.5, 0.4], [0, 2]])
     pairs = [(star, unit_square()), (notched, star), (notched, Ball(1.0)),
              (FacetPolytope(CENTERED_SQUARE), notched)]
-    got = [hausdorff_distance(a, b, divisions=512) for a, b in pairs]
+    monkeypatch.setattr(pettybox.geometry, "BOUNDARY_DIVISIONS", 512)
+    got = [hausdorff_distance(a, b) for a, b in pairs]
     loops = {"points_in_polygon": points_in_polygon_loop,
              "distance_to_polygon": distance_to_polygon_loop,
              "ring_boundary_points": ring_boundary_points_loop}
     for name, loop in loops.items():
         monkeypatch.setattr(pettybox.geometry, name, loop)
     monkeypatch.setattr(pettybox.sets, "points_in_polygon", points_in_polygon_loop)
-    assert got == [hausdorff_distance(a, b, divisions=512) for a, b in pairs]
+    assert got == [hausdorff_distance(a, b) for a, b in pairs]
 
 
 # prune_collinear takes each pass as one mask over the pass's input ring;
@@ -346,6 +314,14 @@ def test_ring_arrays_are_read_only_and_the_measure_shares_them():
             assert not a.flags.writeable
             with pytest.raises(ValueError):
                 a[0] = 0.0
+    # a facet polytope keeps the turns of its convexity check, and a
+    # zonotope's ring is checked against the same array
+    for K in (FacetPolytope(CENTERED_SQUARE),
+              planar_polygon(Zonotope([[1.0, 0.2], [0.3, 1.0], [-0.7, 0.5]]))):
+        assert K.turns.tobytes() == cross_2d(K.edges, cyclic_next(K.edges)).tobytes()
+        assert not K.turns.flags.writeable
+        with pytest.raises(ValueError):
+            K.turns[0] = 0.0
     mu = P.surface_measure()
     assert np.shares_memory(mu.normals, P.normals)
     assert np.shares_memory(mu.masses, P.lengths)
