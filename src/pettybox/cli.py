@@ -23,7 +23,7 @@ from .driver import (POLICY_KINDS, DirectionPolicy, ResampleBudget,
                      draw_direction, run_symmetrization)
 from .errors import (BudgetError, ConditionViolationError, InputError,
                      NumericalError)
-from .geometry import circle_grid, unit_vector
+from .geometry import unit_vector
 from .projection import (affine_image_check, petty_product,
                          polar_steiner_inclusion_check)
 from .sets import (BoxUnion, coarea_check, load_set_file, steiner_symmetrize,
@@ -153,13 +153,12 @@ def _cmd_affine(args) -> int:
         raise InputError("the equivariance check is a planar computation")
     if args.seed is None:
         raise InputError("--seed is required for a random campaign")
-    grid = None if args.grid_n is None else circle_grid(args.grid_n)
     base_product = petty_product(E).product
     rows: list[list[str]] = []
     worst = 0.0
     for t in range(args.trials):
         A = random_sl2(args.seed, t)
-        disc = affine_image_check(E, A, grid)
+        disc = affine_image_check(E, A)
         mapped = petty_product(E.transform(A)).product
         rel = abs(mapped - base_product) / base_product
         rows.append([str(t), _fmt(A[0, 0]), _fmt(A[0, 1]), _fmt(A[1, 0]),
@@ -240,8 +239,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("affine", help="equivariance under random "
                                       "volume-preserving maps")
     common(p)
-    p.add_argument("--grid-n", type=int, default=None,
-                   help="size of the circle grid the discrepancy is sampled on")
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int)
     p.set_defaults(func=_cmd_affine, needs_input=True)

@@ -83,6 +83,17 @@ def rotation_2d(angle: float) -> np.ndarray:
     return np.array([[c, -s], [s, c]])
 
 
+def as_plane_map(matrix) -> np.ndarray:
+    """Validate a 2x2 matrix of finite entries, before any determinant
+    test: a nan entry would pass a tolerance comparison."""
+    A = np.asarray(matrix, dtype=float)
+    if A.shape != (2, 2):
+        raise InputError(f"expected a 2x2 matrix, got shape {A.shape}")
+    if not np.all(np.isfinite(A)):
+        raise InputError(f"matrix entries must be finite, got {A.tolist()!r}")
+    return A
+
+
 def cyclic_next(a: np.ndarray) -> np.ndarray:
     """The rows of a shifted up by one, the first row last: each vertex's
     successor on a closed ring.  The same array as numpy's roll by -1

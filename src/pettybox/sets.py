@@ -23,9 +23,9 @@ import numpy as np
 from .convex import _BALL_VOLUME, Ball
 from .errors import InputError, NonGenericPointError, UnsupportedDirectionError
 from .geometry import (BLOCK_PAIRS, VertexRing, _gauss_legendre,
-                       as_direction, as_directions, cross_2d, cyclic_next, lerp,
-                       points_in_polygon, section_incidence, steiner_ring,
-                       symmetral_radii)
+                       as_direction, as_directions, as_plane_map, cross_2d,
+                       cyclic_next, lerp, points_in_polygon, section_incidence,
+                       steiner_ring, symmetral_radii)
 
 CLOSEDNESS_TOL = 1e-9
 GENERIC_POINT_TOL = 1e-12
@@ -252,8 +252,8 @@ class PolygonSet(VertexRing):
 
     def transform(self, matrix) -> "PolygonSet":
         """Image under an orientation-preserving invertible linear map."""
-        m = np.asarray(matrix, dtype=float)
-        if m.shape != (2, 2) or np.linalg.det(m) <= 0.0:
+        m = as_plane_map(matrix)
+        if np.linalg.det(m) <= 0.0:
             raise InputError("transform needs a 2x2 matrix with positive determinant")
         return PolygonSet(self.vertices @ m.T, validate_simple=False)
 

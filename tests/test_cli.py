@@ -210,9 +210,11 @@ def test_affine_campaign(sets_dir, capsys):
         assert float(row.split(",")[6]) <= 1e-9
 
 
-@pytest.mark.parametrize("command", ["petty", "polar-symmetral-check"])
-def test_grid_override_is_affine_only(sets_dir, capsys, command):
-    # both reports are exact, so no grid size could change them
+@pytest.mark.parametrize("command", ["petty", "monotonicity", "converge", "affine",
+                                     "coarea-check", "polar-symmetral-check"])
+def test_no_command_takes_a_grid(sets_dir, capsys, command):
+    # every report is exact or an exact bound, so no grid size could
+    # change it
     with pytest.raises(SystemExit) as exc:
         main([command, "--input", str(sets_dir / "tri_rot.json"), "--grid-n", "64"])
     assert exc.value.code == 2
@@ -298,9 +300,9 @@ CONFIGS = [
                   "max_steps": 3, "stop_tol": 0.05},
                  id="converge"),
     pytest.param(["affine", "--input", "{tri_rot}", "--seed", "7", "--trials", "2",
-                  "--out", "{out}", "--grid-n", "64"],
+                  "--out", "{out}"],
                  {"command": "affine", "input": "{tri_rot}", "out": "{out}", "tol": 1e-9,
-                  "seed": 7, "trials": 2, "grid_n": 64},
+                  "seed": 7, "trials": 2},
                  id="affine"),
     pytest.param(["coarea-check", "--input", "{tri_rot}"],
                  {"command": "coarea-check", "input": "{tri_rot}", "tol": 1e-9},

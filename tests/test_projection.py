@@ -4,19 +4,21 @@ equivariance, and the polar-symmetral inclusion check."""
 from __future__ import annotations
 
 import math
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from pettybox import (BoxUnion, ConditionViolationError, InputError,
-                      PolygonSet, affine_image_check, petty_product,
+                      PolygonSet, Zonotope, affine_image_check, petty_product,
                       polar_projection_body, polar_projection_volume,
                       polar_polygon, polar_steiner_inclusion_check,
                       projection_body, steiner_symmetrize,
                       steiner_symmetrize_convex, surface_measure)
 from pettybox.corpus import (random_box_union, random_polygon, random_sl2,
                              regular_polygon)
-from pettybox.geometry import circle_grid, default_grid, rotation_2d
+from pettybox.geometry import circle_grid, rotation_2d
 from pettybox.projection import PRODUCT_BOUND
 
 from reference_forms import dense_support, grid_inclusion_margin
@@ -176,10 +178,55 @@ def test_affine_image_check_rejects_non_unimodular():
         affine_image_check(unit_square(), np.eye(3))
 
 
-def test_affine_image_check_rejects_a_sphere_grid():
-    with pytest.raises(InputError):
-        affine_image_check(unit_square(), np.array([[1.0, 1.0], [0.0, 1.0]]),
-                           default_grid(3))
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_matrices_are_rejected_before_any_arithmetic(bad):
+    # a nan determinant passes |det - 1| > tol, so the entries are tested
+    # first; a RuntimeWarning from the arithmetic after it fails the test
+    A = np.array([[1.0, 0.0], [bad, 1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InputError, match="matrix entries must be finite"):
+            affine_image_check(unit_square(), A)
+        with pytest.raises(InputError, match="matrix entries must be finite"):
+            unit_square().transform(A)
+
+
+# ((1 - t^2) / (1 + t^2), 2t / (1 + t^2)) for t = j / 32, |j| <= 32: 65
+# exact unit directions over a half turn, which is all a centred
+# zonotope's support needs; t = 0 and t = +-1 give the axes
+PYTHAGOREAN = np.array([[(1 - t * t) / (1 + t * t), 2 * t / (1 + t * t)]
+                        for t in (Fraction(j, 32) for j in range(-32, 33))],
+                       dtype=object)
+
+AFFINE_CASES = (
+    [pytest.param(unit_square(), np.array([[1.0, 1.0], [0.0, 1.0]]), id="square-shear")]
+    + [pytest.param(unit_square(), rotation_2d(a), id=f"square-rotation-{a}")
+       for a in (0.5, 2.0)]
+    + [pytest.param(random_polygon(23, i), random_sl2(24, i), id=f"random-{i}")
+       for i in range(12)])
+
+
+@pytest.mark.parametrize("P,A", AFFINE_CASES)
+def test_affine_image_check_bounds_the_exact_support_difference(P, A):
+    # the two generator arrays the check builds, taken as exact rationals:
+    # no exact support difference at any Pythagorean direction may exceed
+    # the returned figure
+    left = projection_body(surface_measure(P.transform(A))).generators
+    right = projection_body(surface_measure(P)).generators @ np.linalg.inv(A)
+    exact = np.vectorize(Fraction, otypes=[object])
+    h_left = np.abs(PYTHAGOREAN @ exact(left).T).sum(axis=1)
+    h_right = np.abs(PYTHAGOREAN @ exact(right).T).sum(axis=1)
+    figure = affine_image_check(P, A)
+    assert max(abs(h_left - h_right)) <= Fraction(figure)
+    assert figure <= 1e-9
+
+
+def test_affine_image_check_evaluates_no_support(monkeypatch):
+    def refuse(self, nodes):
+        raise AssertionError("affine_image_check sampled a support")
+
+    monkeypatch.setattr(Zonotope, "support_batch", refuse)
+    assert affine_image_check(random_polygon(5), random_sl2(5)) <= 1e-9
 
 
 def test_petty_product_is_affine_invariant():
