@@ -4,11 +4,10 @@ product bound they satisfy."""
 
 __version__ = "0.1.0"
 
-from .convex import (Ball, FacetPolytope, InclusionCheck, PolarVolume,
-                     PolarWrapper, Zonotope, body_volume, planar_polygon,
-                     polar_body, polar_polygon, polar_volume, radial,
-                     steiner_symmetrize_convex, support,
-                     symmetral_inclusion_criterion)
+from .convex import (Ball, FacetPolytope, PolarVolume, PolarWrapper,
+                     Zonotope, body_volume, planar_polygon, polar_body,
+                     polar_polygon, polar_volume, radial,
+                     steiner_symmetrize_convex, support)
 from .corpus import (random_box_union, random_polygon, random_sl2,
                      regular_polygon)
 from .driver import (DirectionPolicy, SymmetrizationTrace, TraceStep,
@@ -17,7 +16,7 @@ from .errors import (BudgetError, ConditionViolationError, InputError,
                      NonGenericPointError, NumericalError,
                      PathologicalInputError, ToolkitError,
                      UnsupportedDirectionError)
-from .geometry import (SphericalGrid, circle_grid, circumradius, default_grid,
+from .geometry import (SphericalGrid, circle_grid, default_grid,
                        hausdorff_distance, integrate_sphere, sphere_grid)
 from .projection import (PettyReport, affine_image_check, petty_product,
                          polar_projection_body, polar_projection_volume,
@@ -25,21 +24,18 @@ from .projection import (PettyReport, affine_image_check, petty_product,
 from .sets import (BoxUnion, ColumnStructure, PolygonSet, SurfaceMeasure,
                    coarea_check, column_structure, is_regular_direction,
                    load_set_file, perimeter, section_length_gradient,
-                   set_from_json, set_to_json, spherical_symmetral,
-                   steiner_symmetrize, surface_measure,
-                   symmetric_difference_distance, vertical_boundary_measure,
-                   volume)
+                   set_from_json, set_to_json, steiner_symmetrize,
+                   surface_measure, vertical_boundary_measure, volume)
 
 __all__ = [
     "__version__",
-    "Ball", "FacetPolytope", "InclusionCheck", "PolarVolume", "PolarWrapper",
+    "Ball", "FacetPolytope", "PolarVolume", "PolarWrapper",
     "Zonotope", "body_volume", "planar_polygon", "polar_body", "polar_polygon",
-    "polar_volume", "radial",
-    "steiner_symmetrize_convex", "support", "symmetral_inclusion_criterion",
+    "polar_volume", "radial", "steiner_symmetrize_convex", "support",
     "BudgetError", "ConditionViolationError", "InputError",
     "NonGenericPointError", "NumericalError", "PathologicalInputError",
     "ToolkitError", "UnsupportedDirectionError",
-    "SphericalGrid", "circle_grid", "circumradius", "default_grid",
+    "SphericalGrid", "circle_grid", "default_grid",
     "hausdorff_distance", "integrate_sphere", "sphere_grid",
     "PettyReport", "affine_image_check", "petty_product",
     "polar_projection_body", "polar_projection_volume",
@@ -50,7 +46,6 @@ __all__ = [
     "BoxUnion", "ColumnStructure", "PolygonSet", "SurfaceMeasure",
     "coarea_check", "column_structure", "is_regular_direction",
     "load_set_file", "perimeter", "section_length_gradient", "set_from_json",
-    "set_to_json", "spherical_symmetral", "steiner_symmetrize",
-    "surface_measure", "symmetric_difference_distance",
+    "set_to_json", "steiner_symmetrize", "surface_measure",
     "vertical_boundary_measure", "volume",
 ]

@@ -102,6 +102,8 @@ def _cmd_monotonicity(args) -> int:
     if (args.input is None) == (args.count is None):
         raise InputError("pass exactly one of --input (single set) or "
                          "--count (random campaign)")
+    if args.count is not None and args.count < 1:
+        raise InputError("set count must be at least 1")
     rows: list[list[str]] = []
     worst = np.inf
     dim = 2
@@ -153,6 +155,8 @@ def _cmd_affine(args) -> int:
         raise InputError("the equivariance check is a planar computation")
     if args.seed is None:
         raise InputError("--seed is required for a random campaign")
+    if args.trials < 1:
+        raise InputError("trial count must be at least 1")
     base_product = petty_product(E).product
     rows: list[list[str]] = []
     worst = 0.0
@@ -264,6 +268,9 @@ def main(argv=None) -> int:
     try:
         if args.needs_input and args.input is None:
             raise InputError(f"{args.command} requires --input")
+        # a nan tolerance would fail every verdict, and an infinite one pass it
+        if not (np.isfinite(args.tol) and args.tol >= 0.0):
+            raise InputError(f"--tol must be finite and nonnegative, got {args.tol!r}")
         return args.func(args)
     except tuple(EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -62,26 +62,18 @@ class Ball:
     def volume(self) -> float:
         return _BALL_VOLUME[self.dim] * self.radius ** self.dim
 
-    def max_norm(self) -> float:
-        return self.radius
-
     def bounding_box(self):
         r = np.full(self.dim, self.radius)
         return -r, r
 
     def boundary_points(self, step: float) -> np.ndarray:
+        if self.dim != 2:
+            raise InputError("only planar balls are sampled along their boundary")
         if step <= 0.0:
             raise InputError("boundary sampling step must be positive")
-        if self.dim == 2:
-            count = max(8, int(math.ceil(2.0 * math.pi * self.radius / step)))
-            t = np.arange(count) * (2.0 * math.pi / count)
-            return self.radius * np.column_stack([np.cos(t), np.sin(t)])
-        count = max(32, int(math.ceil(4.0 * math.pi * self.radius ** 2 / step ** 2)))
-        k = np.arange(count) + 0.5
-        phi = math.pi * (3.0 - math.sqrt(5.0)) * k
-        z = 1.0 - 2.0 * k / count
-        s = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-        return self.radius * np.column_stack([s * np.cos(phi), s * np.sin(phi), z])
+        count = max(8, int(math.ceil(2.0 * math.pi * self.radius / step)))
+        t = np.arange(count) * (2.0 * math.pi / count)
+        return self.radius * np.column_stack([np.cos(t), np.sin(t)])
 
     def solid_distance(self, points) -> np.ndarray:
         p = np.atleast_2d(np.asarray(points, dtype=float))
@@ -310,17 +302,6 @@ class Zonotope:
             total += abs(float(np.linalg.det(g[list(comb)])))
         return 8.0 * total
 
-    def max_norm(self) -> float:
-        if self.dim == 2:
-            return self._polygon.max_norm()
-        if len(self.generators) > 20:
-            raise InputError("vertex enumeration is capped at 20 generators")
-        best = 0.0
-        for signs in itertools.product((-1.0, 1.0), repeat=len(self.generators) - 1):
-            v = self.generators[0] + np.asarray(signs) @ self.generators[1:]
-            best = max(best, float(np.linalg.norm(v)))
-        return best
-
     def bounding_box(self):
         half = np.abs(self.generators).sum(axis=0)
         return -half, half
@@ -420,9 +401,6 @@ class PolarWrapper:
 
     def support_batch(self, nodes) -> np.ndarray:
         raise InputError("support of a 3D polar wrapper is not materialized")
-
-    def max_norm(self) -> float:
-        raise InputError("max norm of a 3D polar wrapper is not materialized")
 
 
 ConvexBody = Ball | FacetPolytope | Zonotope | PolarWrapper
@@ -557,98 +535,3 @@ def steiner_symmetrize_convex(K: ConvexBody, u):
     if isinstance(K, Ball):
         return K
     return FacetPolytope(steiner_ring(planar_polygon(K).vertices, u))
-
-
-@dataclass(frozen=True)
-class InclusionCheck:
-    """Outcome of the sampled polar-symmetral inclusion criterion."""
-
-    holds: bool
-    witness: tuple | None
-    checked: int
-    skipped: int
-
-
-def _polar_sections(K: ConvexBody, xp: np.ndarray):
-    """Exact ends (lo, hi) of the section {t : h_K(x', t) <= 1} of the
-    polar of K by the vertical line through each row x' of xp.
-
-    A ball has the closed form +-sqrt(r^-2 - |x'|^2).  Along a line every
-    other kind's support is the maximum of affine pieces c + d t, so the
-    section is the intersection of the half-lines c + d t <= 1.  A planar
-    polygon gives one piece per vertex v: c = v'.x', d = v_n.  A zonotope
-    support sum |a_i + b_i t|, with a_i = g_i'.x' and b_i = g_i,n, has one
-    piece between consecutive breakpoints -a_i / b_i, read off by prefix
-    sums over the breakpoints in ascending order.  A line that misses the
-    polar, or touches it in one point, gets lo >= hi; an end on an
-    unbounded side is infinite.
-    """
-    if isinstance(K, Ball):
-        q = K.radius ** -2.0 - np.sum(xp * xp, axis=1)
-        half = np.sqrt(np.maximum(q, 0.0))
-        return -half, half
-    if isinstance(K, Zonotope):
-        g = K.generators
-        tilted = g[:, -1] != 0.0
-        a = xp @ g[:, :-1].T
-        flat = np.sum(np.abs(a[:, ~tilted]), axis=1, keepdims=True)
-        a, b = a[:, tilted], g[tilted, -1]
-        # past its breakpoint a_i + b_i t has the sign of b_i, before it
-        # the opposite sign
-        order = np.argsort(-a / b, axis=1)
-        sa = np.take_along_axis(np.sign(b) * a, order, axis=1)
-        passed_a = np.pad(np.cumsum(sa, axis=1), ((0, 0), (1, 0)))
-        passed_b = np.pad(np.cumsum(np.abs(b)[order], axis=1), ((0, 0), (1, 0)))
-        c = 2.0 * passed_a - passed_a[:, -1:] + flat
-        d = 2.0 * passed_b - passed_b[:, -1:]
-    else:
-        v = planar_polygon(K).vertices
-        c = xp @ v[:, :-1].T
-        d = np.broadcast_to(v[:, -1], c.shape)
-    r = np.divide(1.0 - c, d, out=np.zeros_like(c), where=d != 0.0)
-    # a flat piece above 1 empties the section
-    blocked = (d == 0.0) & (c > 1.0)
-    lo = np.where(d < 0.0, r, np.where(blocked, np.inf, -np.inf)).max(axis=1)
-    hi = np.where(d > 0.0, r, np.where(blocked, -np.inf, np.inf)).min(axis=1)
-    return lo, hi
-
-
-def symmetral_inclusion_criterion(K: ConvexBody, L: ConvexBody,
-                                  samples: int = 64, seed: int = 0,
-                                  tol: float = 1e-9) -> InclusionCheck:
-    """Sampled test of whether the Steiner symmetral (about the last
-    coordinate axis) of the polar of K fits inside the polar of L.
-
-    For a random base point x', the vertical line through x' meets the
-    polar of K where the support of K along it is at most 1, say between
-    heights -s and t, computed exactly by _polar_sections.  The
-    symmetral's section there reaches heights +-(t+s)/2, so the inclusion
-    requires the support of L at both of those endpoints to stay at most
-    1.  Lines missing the polar of K, meeting it in an unbounded section,
-    or touching it in a single point, carry no constraint and are skipped
-    (and counted).  Returns the first witness on failure; checked and
-    skipped then count the samples up to it.
-    """
-    if K.dim != L.dim:
-        raise InputError("bodies must share a dimension")
-    n = K.dim
-    rng = np.random.default_rng(seed)
-    grid = default_grid(n)
-    min_h = float(np.min(K.support_batch(grid.nodes[:: max(1, grid.size // 512)])))
-    if min_h <= 0.0:
-        raise InputError("origin is not interior to the first body")
-    reach = 1.0 / min_h
-    xp = rng.uniform(-reach, reach, size=(samples, n - 1))
-    lo, hi = _polar_sections(K, xp)
-    length = hi - lo
-    live = np.isfinite(length) & (length > 1e-12)
-    for i in np.flatnonzero(live):
-        mid = 0.5 * length[i]
-        value = max(L.support(np.append(xp[i], mid)),
-                    L.support(np.append(xp[i], -mid)))
-        if value > 1.0 + tol:
-            checked = int(np.count_nonzero(live[:i + 1]))
-            return InclusionCheck(False, (tuple(xp[i]), float(hi[i]), float(-lo[i]), value),
-                                  checked, int(i) + 1 - checked)
-    checked = int(np.count_nonzero(live))
-    return InclusionCheck(True, None, checked, samples - checked)

@@ -167,7 +167,9 @@ def run_symmetrization(E0: PolygonSet, policy: DirectionPolicy,
     """
     if not isinstance(E0, PolygonSet):
         raise InputError("the symmetrization driver runs on polygons")
-    if stop_tol <= 0.0:
+    # a nan tolerance fails every comparison, so it is tested this way
+    # round; an infinite one would stop every run at step 0
+    if not 0.0 < stop_tol < math.inf:
         raise InputError("stop tolerance must be positive")
     if max_steps < 0:
         raise InputError("step budget must be nonnegative")

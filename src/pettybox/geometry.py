@@ -1,6 +1,6 @@
 """Low-level Euclidean plumbing: directions, quadrature grids,
-the section-length kernel behind planar Steiner symmetrals,
-circumradius and Hausdorff distance.
+the section-length kernel behind planar Steiner symmetrals, and
+Hausdorff distance.
 
 The metric operations dispatch on the handle kinds of the higher
 modules: the convex bodies (``convex.ConvexBody``) and the sets
@@ -31,10 +31,9 @@ PRUNE_TOL = 1e-12
 BLOCK_ROWS = 1 << 12
 # point-edge pairs per block of the vectorised polygon membership and
 # distance tests: a block's temporaries take about 100 bytes per pair, so
-# this keeps them near 1.6 MiB.  It also bounds the point-box pairs of a
-# box-union distance block and the node-generator pairs of a zonotope
-# support block in either dimension, whose (generators, nodes) products
-# take 8 bytes per pair, 128 KiB
+# this keeps them near 1.6 MiB.  It also bounds the node-generator pairs
+# of a zonotope support block in either dimension, whose (generators,
+# nodes) products take 8 bytes per pair, 128 KiB
 BLOCK_PAIRS = 1 << 14
 # Boundary sampling density for Hausdorff on general sets: arc-length step
 # is (scene diameter) / BOUNDARY_DIVISIONS, and the returned value carries
@@ -606,17 +605,7 @@ class VertexRing:
 
 
 # ---------------------------------------------------------------------------
-# circumradius and Hausdorff distance
-
-
-def circumradius(handle) -> float:
-    """Largest |x| over the set: the radius of the smallest origin-centered
-    ball containing it."""
-    from .convex import ConvexBody
-    from .sets import SetHandle
-    if not isinstance(handle, ConvexBody | SetHandle):
-        raise InputError(f"no circumradius for {type(handle).__name__}")
-    return float(handle.max_norm())
+# Hausdorff distance
 
 
 def _scene_diameter(a, b) -> float:
@@ -654,17 +643,14 @@ def hausdorff_distance(a, b) -> float:
     the ring is convex, since the boundary point of a convex body nearest
     an interior origin is the foot of the perpendicular on its nearest
     facet, and otherwise an upper bound that can exceed the distance.
-    Pairs of 3D balls and zonotopes take the support-difference sup over
-    the nodes of default_grid(3).  Other pairs are measured from
-    intrinsic boundary samplings with arc-length step = scene diameter /
-    BOUNDARY_DIVISIONS (read at call time); the returned value then
-    carries an additive uncertainty of one step.  Handles of different
-    dimensions, 3D polar wrappers, and 3D zonotopes against box unions
-    are rejected.
+    Other planar pairs are measured from intrinsic boundary samplings
+    with arc-length step = scene diameter / BOUNDARY_DIVISIONS (read at
+    call time); the returned value then carries an additive uncertainty
+    of one step.  Handles of different dimensions are rejected, and so,
+    before any sampling, are box unions and every 3D pair but two balls.
     """
-    from .convex import (Ball, ConvexBody, FacetPolytope, PolarWrapper,
-                         Zonotope, planar_polygon)
-    from .sets import SetHandle
+    from .convex import Ball, ConvexBody, FacetPolytope, Zonotope, planar_polygon
+    from .sets import BoxUnion, SetHandle
     no_route = f"no Hausdorff route for {type(a).__name__} vs {type(b).__name__}"
     if not (isinstance(a, ConvexBody | SetHandle) and isinstance(b, ConvexBody | SetHandle)):
         raise InputError(no_route)
@@ -675,15 +661,10 @@ def hausdorff_distance(a, b) -> float:
         a, b = b, a
     if isinstance(b, Ball):
         return abs(a.radius - b.radius)
-    if a.dim == 3 and isinstance(a, Ball | Zonotope) and isinstance(b, Zonotope):
-        nodes = default_grid(3).nodes
-        return float(np.max(np.abs(a.support_batch(nodes) - b.support_batch(nodes))))
-    convex = FacetPolytope | Zonotope | PolarWrapper
-    if a.dim == 3 and (isinstance(a, convex) or isinstance(b, convex)):
-        # 3D zonotopes have no boundary sampling, and 3D wrappers have
-        # neither that nor a support function
+    if a.dim == 3 or isinstance(a, BoxUnion) or isinstance(b, BoxUnion):
         raise InputError(no_route)
     # planar convex bodies by their vertex form
+    convex = FacetPolytope | Zonotope
     pa = planar_polygon(a) if isinstance(a, convex) else a
     pb = planar_polygon(b) if isinstance(b, convex) else b
     if isinstance(pa, FacetPolytope) and isinstance(pb, FacetPolytope):

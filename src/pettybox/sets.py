@@ -13,26 +13,21 @@ length and is exact on these families.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .convex import _BALL_VOLUME, Ball
 from .errors import InputError, NonGenericPointError, UnsupportedDirectionError
 from .geometry import (BLOCK_PAIRS, VertexRing, _gauss_legendre,
                        as_direction, as_directions, as_plane_map, cross_2d,
-                       cyclic_next, lerp, points_in_polygon, section_incidence,
-                       steiner_ring, symmetral_radii)
+                       cyclic_next, lerp, section_incidence, steiner_ring,
+                       symmetral_radii)
 
 CLOSEDNESS_TOL = 1e-9
 GENERIC_POINT_TOL = 1e-12
 AXIS_ALIGNMENT_TOL = 1e-12
-# raster cells along the longer side of the joint bounding box of two
-# polygons in symmetric_difference_distance
-RASTER_RESOLUTION = 512
 
 
 # ---------------------------------------------------------------------------
@@ -263,11 +258,6 @@ class PolygonSet(VertexRing):
         verts = self.vertices if axis == 1 else self.vertices[::-1, ::-1]
         return ColumnStructure(axis, 2, *_polygon_columns(verts))
 
-    # -- metric methods --------------------------------------------------
-
-    def contains(self, points) -> np.ndarray:
-        return points_in_polygon(points, self.vertices)
-
 
 def _check_simple(v: np.ndarray) -> None:
     """Reject self-intersecting or self-touching vertex chains.
@@ -396,7 +386,7 @@ class BoxUnion:
         for axis in range(self.dim):
             others = [k for k in range(self.dim) if k != axis]
             facets = float(np.sum(np.prod(self.his[:, others] - self.los[:, others], axis=1)))
-            contacts = float(np.sum(_contacts(self.los, self.his, self.los, self.his, axis)[2]))
+            contacts = float(np.sum(_contacts(self.los, self.his, axis)[2]))
             masses[axis] = facets - contacts
         return masses
 
@@ -416,92 +406,28 @@ class BoxUnion:
             raise InputError(f"column axis must be in 0..{self.dim - 1}, got {axis}")
         return ColumnStructure(axis, self.dim, *_box_columns(self.los, self.his, axis))
 
-    def translate(self, offset) -> "BoxUnion":
-        off = np.asarray(offset, dtype=float)
-        return BoxUnion(self.los + off, self.his + off)
 
-    # -- metric methods --------------------------------------------------
-
-    def corners(self) -> np.ndarray:
-        """The 2^dim corners of every box, box after box, each box's in
-        row-major order over (lo, hi) per axis, the first axis slowest."""
-        high = (np.arange(2 ** self.dim)[:, None] >> np.arange(self.dim)[::-1]) & 1
-        return np.where(high, self.his[:, None], self.los[:, None]).reshape(-1, self.dim)
-
-    def max_norm(self) -> float:
-        return float(np.max(np.linalg.norm(self.corners(), axis=1)))
-
-    def bounding_box(self):
-        return self.los.min(axis=0), self.his.max(axis=0)
-
-    def boundary_points(self, step: float) -> np.ndarray:
-        if step <= 0.0:
-            raise InputError("boundary sampling step must be positive")
-        pts = []
-        for b in range(self.box_count):
-            for axis in range(self.dim):
-                others = [k for k in range(self.dim) if k != axis]
-                for sign in (+1, -1):
-                    plane = self.his[b, axis] if sign > 0 else self.los[b, axis]
-                    axes_pts = []
-                    for k in others:
-                        cnt = max(2, int(math.ceil((self.his[b, k] - self.los[b, k]) / step)) + 1)
-                        axes_pts.append(np.linspace(self.los[b, k], self.his[b, k], cnt))
-                    grids = np.meshgrid(*axes_pts, indexing="ij")
-                    face = np.empty((grids[0].size, self.dim))
-                    face[:, axis] = plane
-                    for k, g in zip(others, grids):
-                        face[:, k] = g.ravel()
-                    facing = (self.los if sign > 0 else self.his)[:, axis] == plane
-                    at = face[:, None, others]
-                    keep = ~np.any(np.all((at >= self.los[facing][:, others])
-                                          & (at <= self.his[facing][:, others]), axis=2), axis=1)
-                    if np.any(keep):
-                        pts.append(face[keep])
-        return np.vstack(pts)
-
-    def solid_distance(self, points) -> np.ndarray:
-        """Distance from each point to the union: the least over the boxes
-        of the norm of the per-axis excess, in blocks of BLOCK_PAIRS //
-        box_count points (at least one) against all boxes at once.  The
-        squares add up axis by axis, the order of a row norm, and the root
-        of the least sum is the least root."""
-        p = np.atleast_2d(np.asarray(points, dtype=float))
-        best = np.empty(len(p))
-        rows = max(1, BLOCK_PAIRS // self.box_count)
-        for s in range(0, len(p), rows):
-            block = p[s:s + rows]
-            squares = np.zeros((len(block), self.box_count))
-            for k in range(self.dim):
-                q = block[:, k, None]
-                excess = np.maximum(np.maximum(self.los[:, k] - q, 0.0), q - self.his[:, k])
-                squares += excess * excess
-            np.sqrt(squares.min(axis=1), out=best[s:s + rows])
-        return best
-
-
-def _contacts(alo: np.ndarray, ahi: np.ndarray, blo: np.ndarray, bhi: np.ndarray,
-              axis: int | None = None):
-    """Pairs (i, j), in row-major order, of a box i of the first list and
-    a box j of the second whose interiors overlap on every axis; with an
-    axis given, box i's upper facet on that axis lies in the plane of box
-    j's lower facet instead of overlapping it there.  Returns the index
-    arrays and the product of the overlap widths of each pair."""
-    match = np.ones((len(alo), len(blo)), dtype=bool)
-    for k in range(alo.shape[1]):
+def _contacts(los: np.ndarray, his: np.ndarray, axis: int | None = None):
+    """Pairs (i, j), in row-major order, of boxes whose interiors overlap
+    on every axis; with an axis given, box i's upper facet on that axis
+    lies in the plane of box j's lower facet instead of overlapping it
+    there.  Returns the index arrays and the product of the overlap
+    widths of each pair."""
+    match = np.ones((len(los), len(los)), dtype=bool)
+    for k in range(los.shape[1]):
         if k == axis:
-            match &= ahi[:, None, k] == blo[None, :, k]
+            match &= his[:, None, k] == los[None, :, k]
         else:
-            match &= (alo[:, None, k] < bhi[None, :, k]) & (blo[None, :, k] < ahi[:, None, k])
+            match &= (los[:, None, k] < his[None, :, k]) & (los[None, :, k] < his[:, None, k])
     i, j = np.nonzero(match)
-    others = [k for k in range(alo.shape[1]) if k != axis]
-    widths = np.minimum(ahi[i][:, others], bhi[j][:, others]) \
-        - np.maximum(alo[i][:, others], blo[j][:, others])
+    others = [k for k in range(los.shape[1]) if k != axis]
+    widths = np.minimum(his[i][:, others], his[j][:, others]) \
+        - np.maximum(los[i][:, others], los[j][:, others])
     return i, j, np.prod(widths, axis=1)
 
 
 def _check_disjoint(los: np.ndarray, his: np.ndarray) -> None:
-    i, j, _ = _contacts(los, his, los, his)
+    i, j, _ = _contacts(los, his)
     clash = np.flatnonzero(i < j)
     if len(clash):
         raise InputError(f"boxes {i[clash[0]]} and {j[clash[0]]} have overlapping interiors")
@@ -546,12 +472,6 @@ def column_structure(E: SetHandle, axis: int | None = None) -> ColumnStructure:
     if axis is None:
         axis = E.dim - 1
     return E.column_structure(axis)
-
-
-def spherical_symmetral(E: SetHandle) -> Ball:
-    """The origin-centered ball with the same volume as E."""
-    v = E.volume()
-    return Ball((v / _BALL_VOLUME[E.dim]) ** (1.0 / E.dim), dim=E.dim)
 
 
 def is_regular_direction(E: SetHandle, u):
@@ -654,35 +574,6 @@ def _steiner_boxes(E: BoxUnion, u: np.ndarray) -> BoxUnion:
     lo, hi = cs.cell_bounds
     half = 0.5 * np.bincount(cs.row_cells, cs.y0[:, 1] - cs.y0[:, 0], len(lo))
     return BoxUnion(np.insert(lo, axis[0], -half, axis=1), np.insert(hi, axis[0], half, axis=1))
-
-
-def symmetric_difference_distance(E: SetHandle, F: SetHandle) -> float:
-    """Volume of the symmetric difference.  Exact for two box unions;
-    for two polygons a membership raster over the joint bounding box,
-    RASTER_RESOLUTION cells along its longer side, is used and the value
-    carries one raster cell of area uncertainty per boundary cell."""
-    if isinstance(E, BoxUnion) and isinstance(F, BoxUnion):
-        if E.dim != F.dim:
-            raise InputError("sets must share a dimension")
-        inter = float(np.sum(_contacts(E.los, E.his, F.los, F.his)[2]))
-        return E.volume() + F.volume() - 2.0 * inter
-    if isinstance(E, PolygonSet) and isinstance(F, PolygonSet):
-        lo = np.minimum(E.bounding_box()[0], F.bounding_box()[0])
-        hi = np.maximum(E.bounding_box()[1], F.bounding_box()[1])
-        span = hi - lo
-        cell = float(np.max(span)) / RASTER_RESOLUTION
-        nx = max(1, int(math.ceil(span[0] / cell)))
-        ny = max(1, int(math.ceil(span[1] / cell)))
-        cx = lo[0] + (np.arange(nx) + 0.5) * cell
-        cy = lo[1] + (np.arange(ny) + 0.5) * cell
-        gx, gy = np.meshgrid(cx, cy, indexing="ij")
-        pts = np.column_stack([gx.ravel(), gy.ravel()])
-        mismatch = 0
-        for start in range(0, len(pts), 262144):
-            chunk = pts[start:start + 262144]
-            mismatch += int(np.sum(E.contains(chunk) != F.contains(chunk)))
-        return mismatch * cell * cell
-    raise InputError("symmetric difference requires two sets of the same kind")
 
 
 def _segment_gauss(g: Callable[[np.ndarray], np.ndarray], xa: np.ndarray, ya: np.ndarray,

@@ -1,10 +1,11 @@
-"""Dense and per-edge or per-box loop forms of the package's kernels, kept
-as test oracles: the vectorised and blocked kernels in the package must
-agree with them.  Also the small derived quantities only tests read
-(column multiplicities and volumes, box-union axis masses), the
-grid-sampled inclusion margin the exact vertex margin must dominate,
-the ring route of the planar polar area, the shoelace area and centroid
-of a vertex ring, and the per-policy direction draw loops."""
+"""Dense and per-edge loop forms of the package's kernels, kept as test
+oracles: the vectorised and blocked kernels in the package must agree
+with them.  Also the small derived quantities only tests read
+(column multiplicities and volumes, box-union axis masses and symmetric
+differences), the grid-sampled inclusion margin the exact vertex margin
+must dominate, the ring route of the planar polar area, the shoelace
+area and centroid of a vertex ring, and the per-policy direction draw
+loops."""
 
 from __future__ import annotations
 
@@ -202,25 +203,16 @@ def check_simple_loop(v: np.ndarray) -> None:
             raise InputError("polygon edges touch; the chain is not simple")
 
 
-def box_corners_loop(los: np.ndarray, his: np.ndarray) -> np.ndarray:
-    """Every corner of every box, box by box, from a meshgrid per box."""
-    pts = []
-    for lo, hi in zip(los, his):
-        bounds = np.stack([lo, hi])
-        grids = np.meshgrid(*[bounds[:, k] for k in range(len(lo))], indexing="ij")
-        pts.append(np.column_stack([g.ravel() for g in grids]))
-    return np.vstack(pts)
-
-
-def box_solid_distance_loop(los: np.ndarray, his: np.ndarray, points) -> np.ndarray:
-    """Distance from each point to a union of boxes, box by box."""
-    p = np.atleast_2d(np.asarray(points, dtype=float))
-    best = np.full(len(p), np.inf)
-    for lo, hi in zip(los, his):
-        delta = np.maximum(lo - p, 0.0)
-        delta = np.maximum(delta, p - hi)
-        best = np.minimum(best, np.linalg.norm(delta, axis=1))
-    return best
+def box_symmetric_difference(E: BoxUnion, F: BoxUnion) -> float:
+    """Volume of the symmetric difference of two box unions, each of
+    boxes with disjoint interiors: |E| + |F| - 2 |E n F|, the
+    intersection summed box pair by box pair."""
+    overlap = 0.0
+    for alo, ahi in zip(E.los, E.his):
+        for blo, bhi in zip(F.los, F.his):
+            overlap += float(np.prod(np.maximum(np.minimum(ahi, bhi) - np.maximum(alo, blo), 0.0)))
+    return (float(np.sum(np.prod(E.his - E.los, axis=1)))
+            + float(np.sum(np.prod(F.his - F.los, axis=1))) - 2.0 * overlap)
 
 
 def section_multiplicity(cs: ColumnStructure, xprime) -> int:

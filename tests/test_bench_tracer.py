@@ -1,16 +1,21 @@
 """The benchmark's tracer wraps package functions and constructors that it
 names by (module, attribute); a name that no longer resolves breaks every
-traced benchmark run.  The package's own export list must resolve too."""
+traced benchmark run.  The package's own export list must resolve too, and
+so must the package names the README gives."""
 
 from __future__ import annotations
 
+import builtins
 import importlib
 import importlib.util
+import pkgutil
+import re
 from pathlib import Path
 
 import pettybox
 
-TRACER = Path(__file__).resolve().parents[1] / "pettybench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "pettybench" / "tracer.py"
 
 
 def test_traced_names_resolve_on_the_package():
@@ -27,3 +32,26 @@ def test_exported_names_resolve_on_the_package():
     assert len(set(pettybox.__all__)) == len(pettybox.__all__)
     for name in pettybox.__all__:
         assert hasattr(pettybox, name), name
+
+
+def test_readme_names_resolve_on_the_package():
+    # a backticked dotted name that starts at a pettybox module or export
+    # (`geometry.steiner_ring`, `Zonotope._polar_area`), and a backticked
+    # call of a bare name (`hausdorff_distance(A, B)`), must resolve
+    roots = {m.name: importlib.import_module(f"pettybox.{m.name}")
+             for m in pkgutil.iter_modules(pettybox.__path__)}
+    roots.update({name: getattr(pettybox, name) for name in pettybox.__all__})
+    checked = 0
+    for span in re.findall(r"`([^`\n]+)`", (ROOT / "README.md").read_text()):
+        head, rest, call = re.match(r"(\w*)((?:\.\w+)*)(\(?)", span).groups()
+        if rest and head in roots:
+            target = roots[head]
+            for part in rest[1:].split("."):
+                assert hasattr(target, part), span
+                target = getattr(target, part)
+        elif call and not rest and head and not hasattr(builtins, head):
+            assert hasattr(pettybox, head), span
+        else:
+            continue
+        checked += 1
+    assert checked > 0

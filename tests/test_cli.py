@@ -103,6 +103,37 @@ def test_unusable_set_file_exits_2(sets_dir, capsys, command, name, options, mes
     assert "Traceback" not in err
 
 
+# a tolerance that is nan, infinite or negative, or a campaign of no sets
+# or trials, is invalid input: exit 2 before any work, never a vacuous
+# verdict
+INVALID_OPTIONS = [
+    pytest.param(("petty", "--input", "{square}", "--tol", "nan"), "--tol", id="tol-nan"),
+    pytest.param(("petty", "--input", "{square}", "--tol", "inf"), "--tol", id="tol-inf"),
+    pytest.param(("coarea-check", "--input", "{tri_rot}", "--tol", "-0.001"), "--tol",
+                 id="tol-negative"),
+    pytest.param(("converge", "--input", "{square}", "--stop-tol", "nan", "--max-steps", "3"),
+                 "stop tolerance", id="stop-tol-nan"),
+    pytest.param(("converge", "--input", "{square}", "--stop-tol", "inf"), "stop tolerance",
+                 id="stop-tol-inf"),
+    pytest.param(("affine", "--input", "{tri_rot}", "--seed", "1", "--trials", "-4"),
+                 "at least 1", id="trials-negative"),
+    pytest.param(("affine", "--input", "{tri_rot}", "--seed", "1", "--trials", "0"),
+                 "at least 1", id="trials-zero"),
+    pytest.param(("monotonicity", "--count", "-2", "--seed", "5"), "at least 1",
+                 id="count-negative"),
+]
+
+
+@pytest.mark.parametrize("argv,message", INVALID_OPTIONS)
+def test_invalid_option_exits_2(sets_dir, capsys, argv, message):
+    argv = [a.format(square=sets_dir / "square.json", tri_rot=sets_dir / "tri_rot.json")
+            for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and message in err
+
+
 # ------------------------------------------------------------------ converge
 
 def test_converge_square(sets_dir, capsys):

@@ -52,8 +52,9 @@ def test_run_input_validation():
     policy = DirectionPolicy(kind="uniform-random")
     with pytest.raises(InputError):
         run_symmetrization(BoxUnion([[0, 0]], [[1, 1]]), policy)
-    with pytest.raises(InputError):
-        run_symmetrization(sq, policy, stop_tol=0.0)
+    for stop_tol in (0.0, math.nan, math.inf):
+        with pytest.raises(InputError):
+            run_symmetrization(sq, policy, max_steps=3, stop_tol=stop_tol)
     with pytest.raises(InputError):
         run_symmetrization(sq, policy, max_steps=-1)
 

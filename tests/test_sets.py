@@ -1,6 +1,5 @@
-"""Polygons, box unions, surface measures, column structures, Steiner and
-spherical symmetrization, set metrics, the boundary-slicing identity, and
-the JSON set format."""
+"""Polygons, box unions, surface measures, column structures, Steiner
+symmetrization, the boundary-slicing identity, and the JSON set format."""
 
 from __future__ import annotations
 
@@ -13,19 +12,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pettybox import (Ball, BoxUnion, InputError, NonGenericPointError,
+from pettybox import (BoxUnion, InputError, NonGenericPointError,
                       PolygonSet, UnsupportedDirectionError, coarea_check,
                       column_structure, is_regular_direction, perimeter,
                       section_length_gradient, set_from_json, set_to_json,
-                      spherical_symmetral, steiner_symmetrize,
-                      surface_measure, symmetric_difference_distance,
+                      steiner_symmetrize, surface_measure,
                       vertical_boundary_measure, volume)
 from pettybox.corpus import random_box_union, random_polygon
-from pettybox.geometry import BLOCK_PAIRS, rotation_2d
+from pettybox.geometry import rotation_2d
 from pettybox.sets import _check_simple, load_set_file
 
-from reference_forms import (axis_class_masses, box_corners_loop, box_solid_distance_loop,
-                             check_simple_loop, column_total_volume, section_multiplicity)
+from reference_forms import (axis_class_masses, box_symmetric_difference, check_simple_loop,
+                             column_total_volume, section_multiplicity)
 
 
 def unit_square():
@@ -437,39 +435,6 @@ def test_box_columns_keep_one_height_per_row():
             assert np.array_equal(cs.section_intervals(x), rows)
 
 
-@pytest.mark.parametrize("dim", [2, 3])
-def test_box_corners_match_loop(dim):
-    for seed in range(20):
-        B = random_box_union(seed, dim=dim)
-        assert np.array_equal(B.corners(), box_corners_loop(B.los, B.his))
-
-
-def _spaced_boxes(seed, dim, count):
-    """count boxes with random real corners, spaced along the first axis
-    so that no two touch and none merge."""
-    rng = np.random.default_rng(seed)
-    los = rng.uniform(-1.0, 1.0, (count, dim))
-    los[:, 0] += 4.0 * np.arange(count)
-    return BoxUnion(los, los + rng.uniform(0.25, 2.0, (count, dim)))
-
-
-@pytest.mark.parametrize("dim", [2, 3])
-def test_box_solid_distance_matches_loop(dim):
-    # one box, a lattice union, and 500 boxes, so that a block of
-    # BLOCK_PAIRS // 500 points is short; the point counts straddle it
-    rng = np.random.default_rng(dim)
-    for B in (_spaced_boxes(dim, dim, 1), random_box_union(5, dim=dim),
-              _spaced_boxes(dim, dim, 500)):
-        lo, hi = B.bounding_box()
-        rows = BLOCK_PAIRS // B.box_count
-        for n in (1, rows - 1, rows, rows + 1, 3 * rows + 7):
-            points = rng.uniform(lo - 1.0, hi + 1.0, (n, dim))
-            points[::3] = B.corners()[rng.integers(0, 2 ** dim * B.box_count, len(points[::3]))]
-            got = B.solid_distance(points)
-            assert np.array_equal(got, box_solid_distance_loop(B.los, B.his, points))
-            assert np.any(got == 0.0)
-
-
 # ------------------------------------------------------------------- gradient
 
 def test_section_length_gradient_examples():
@@ -677,42 +642,12 @@ def test_steiner_preserves_box_inclusion():
     # E inside F stays inside after symmetrizing both; exact volume algebra
     for seed in (2, 9, 17):
         E = random_box_union(seed)
-        lo, hi = E.bounding_box()
-        F = BoxUnion([lo], [hi])
+        F = BoxUnion([E.los.min(axis=0)], [E.his.max(axis=0)])
         SE = steiner_symmetrize(E, E2)
         SF = steiner_symmetrize(F, E2)
         gap = volume(F) - volume(E)
-        d = symmetric_difference_distance(SE, SF)
+        d = box_symmetric_difference(SE, SF)
         assert abs(d - gap) <= 1e-12 * (1.0 + volume(F))
-
-
-# ------------------------------------------------------------------ spherical
-
-def test_spherical_symmetral_examples():
-    b = spherical_symmetral(unit_square())
-    assert isinstance(b, Ball)
-    assert abs(b.radius - 1.0 / math.sqrt(math.pi)) <= 1e-15
-    cube = BoxUnion([[0, 0, 0]], [[1, 1, 1]])
-    b3 = spherical_symmetral(cube)
-    assert b3.dim == 3
-    assert abs(b3.radius - (3.0 / (4.0 * math.pi)) ** (1.0 / 3.0)) <= 1e-15
-    E = random_polygon(8)
-    assert abs(spherical_symmetral(E).volume() - volume(E)) <= 1e-12
-
-
-# ------------------------------------------------------------------- metrics
-
-def test_symmetric_difference_examples():
-    sq = unit_square()
-    assert symmetric_difference_distance(sq, sq) == 0.0
-    shifted = PolygonSet([[1, 0], [2, 0], [2, 1], [1, 1]])
-    assert abs(symmetric_difference_distance(sq, shifted) - 2.0) <= 1e-12
-    a = BoxUnion([[0, 0]], [[2, 1]])
-    b = BoxUnion([[0, 0]], [[1, 1]])
-    assert symmetric_difference_distance(a, b) == 1.0
-    assert symmetric_difference_distance(a, a) == 0.0
-    with pytest.raises(InputError):
-        symmetric_difference_distance(sq, a)
 
 
 # ------------------------------------------------------------ boundary slices
