@@ -514,6 +514,54 @@ def test_polar_wrapper_rejects_planar_bodies(body):
         PolarWrapper(body)
 
 
+_SECTION_BODIES = {
+    "ball": lambda seed: Ball(0.5 + np.random.default_rng(seed).uniform()),
+    "ball3": lambda seed: Ball(0.5 + np.random.default_rng(seed).uniform(), dim=3),
+    "zonotope2": lambda seed: Zonotope(np.random.default_rng(seed).normal(size=(5, 2))),
+    "zonotope3": lambda seed: _random_zonotope_3d(seed),
+    "facet_polytope": random_centered_body,
+    # a planar polar by polar_polygon; the key keeps its test ids
+    "polar_wrapper": lambda seed: polar_polygon(random_centered_body(seed)),
+    # supports with flat pieces, some above 1
+    "flat_zonotope2": lambda seed: Zonotope(seed * np.array([[1.0, 1.0], [1.0, -1.0],
+                                                             [0.5, 0.0]])),
+    "flat_zonotope3": lambda seed: Zonotope(seed * np.array([[1.0, 0.0, 1.0],
+                                                             [1.0, 0.0, -1.0],
+                                                             [0.0, 1.0, 0.0]])),
+    "flat_polytope": lambda seed: FacetPolytope(seed * np.array([[2.5, 0.0], [0.0, 2.0],
+                                                                 [-2.5, 0.0], [0.0, -2.0]])),
+}
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("kind", list(_SECTION_BODIES))
+def test_polar_sections_are_exact(kind, seed):
+    # polar_body's exact form (ball, polygon or lazy wrapper) meets each
+    # line through the origin in a chord whose two ends lie on h_K = 1
+    K = _SECTION_BODIES[kind](seed)
+    P = polar_body(K)
+    u = np.random.default_rng(seed).normal(size=(200, K.dim))
+    for w in u / np.linalg.norm(u, axis=1, keepdims=True):
+        lo, hi = -P.radial(-w), P.radial(w)
+        assert np.isfinite(lo) and np.isfinite(hi) and lo < 0.0 < hi
+        for end in (lo, hi):
+            assert abs(K.support(end * w) - 1.0) <= 1e-12 * (1.0 + abs(end))
+        assert K.support(0.5 * (lo + hi) * w) < 1.0
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+def test_polar_sections_of_planar_zonotope_match_its_vertex_form(seed):
+    # the section ends of the polar by lines through the origin: by support
+    # duality on the generator sum, and from the polar of the merged ring
+    Z = Zonotope(np.random.default_rng(seed).normal(size=(6, 2)))
+    P = polar_polygon(Z)
+    u = np.random.default_rng(seed).normal(size=(200, 2))
+    for w in u / np.linalg.norm(u, axis=1, keepdims=True):
+        for end in (w, -w):
+            want = 1.0 / Z.support(end)
+            assert abs(P.radial(end) - want) <= 1e-12 * want
+
+
 # ------------------------------------------------------------- polar volumes
 
 def test_polar_volume_exact_routes():
