@@ -5,9 +5,8 @@ product bound they satisfy."""
 __version__ = "0.1.0"
 
 from .convex import (Ball, FacetPolytope, PolarVolume, PolarWrapper,
-                     Zonotope, body_volume, planar_polygon, polar_body,
-                     polar_polygon, polar_volume, radial,
-                     steiner_symmetrize_convex, support)
+                     Zonotope, planar_polygon, polar_body, polar_polygon,
+                     polar_volume, steiner_symmetrize_convex)
 from .corpus import (random_box_union, random_polygon, random_sl2,
                      regular_polygon)
 from .driver import (DirectionPolicy, SymmetrizationTrace, TraceStep,
@@ -19,7 +18,6 @@ from .errors import (BudgetError, ConditionViolationError, InputError,
 from .geometry import (SphericalGrid, circle_grid, default_grid,
                        hausdorff_distance, integrate_sphere, sphere_grid)
 from .projection import (PettyReport, affine_image_check, petty_product,
-                         polar_projection_body, polar_projection_volume,
                          polar_steiner_inclusion_check, projection_body)
 from .sets import (BoxUnion, ColumnStructure, PolygonSet, SurfaceMeasure,
                    coarea_check, column_structure, is_regular_direction,
@@ -30,15 +28,14 @@ from .sets import (BoxUnion, ColumnStructure, PolygonSet, SurfaceMeasure,
 __all__ = [
     "__version__",
     "Ball", "FacetPolytope", "PolarVolume", "PolarWrapper",
-    "Zonotope", "body_volume", "planar_polygon", "polar_body", "polar_polygon",
-    "polar_volume", "radial", "steiner_symmetrize_convex", "support",
+    "Zonotope", "planar_polygon", "polar_body", "polar_polygon",
+    "polar_volume", "steiner_symmetrize_convex",
     "BudgetError", "ConditionViolationError", "InputError",
     "NonGenericPointError", "NumericalError", "PathologicalInputError",
     "ToolkitError", "UnsupportedDirectionError",
     "SphericalGrid", "circle_grid", "default_grid",
     "hausdorff_distance", "integrate_sphere", "sphere_grid",
     "PettyReport", "affine_image_check", "petty_product",
-    "polar_projection_body", "polar_projection_volume",
     "polar_steiner_inclusion_check", "projection_body",
     "DirectionPolicy", "SymmetrizationTrace", "TraceStep",
     "cap_cover_greedy_step", "run_symmetrization",

@@ -271,6 +271,9 @@ def main(argv=None) -> int:
         # a nan tolerance would fail every verdict, and an infinite one pass it
         if not (np.isfinite(args.tol) and args.tol >= 0.0):
             raise InputError(f"--tol must be finite and nonnegative, got {args.tol!r}")
+        # numpy seeds its generators from nonnegative integers only
+        if getattr(args, "seed", None) is not None and args.seed < 0:
+            raise InputError(f"--seed must be nonnegative, got {args.seed}")
         return args.func(args)
     except tuple(EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)

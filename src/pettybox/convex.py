@@ -207,9 +207,8 @@ class Zonotope:
     def _polygon(self) -> FacetPolytope:
         """The planar zonotope as a strictly convex ring, built from its
         generators with parallel ones merged, so no vertex is collinear
-        with its neighbours and nothing is pruned."""
-        if self.dim != 2:
-            raise InputError("only planar zonotopes materialize to polygons")
+        with its neighbours and nothing is pruned.  Every caller checks
+        that the zonotope is planar."""
         g, angles = self._half_turn
         # a generator joins the group of the one before it when the angle
         # steps by at most PARALLEL_TOL, or when the ring vertex between
@@ -402,19 +401,11 @@ class PolarWrapper:
     def support_batch(self, nodes) -> np.ndarray:
         raise InputError("support of a 3D polar wrapper is not materialized")
 
+    def volume(self) -> float:
+        return polar_volume(self.body).value
+
 
 ConvexBody = Ball | FacetPolytope | Zonotope | PolarWrapper
-
-
-def support(K: ConvexBody, z) -> float:
-    """Support function h_K(z) = sup over x in K of x.z."""
-    return K.support(z)
-
-
-def radial(K: ConvexBody, u) -> float:
-    """Radial function: the largest t with t*u in K.  Exact through
-    facet data or support duality; requires the origin interior."""
-    return K.radial(u)
 
 
 def planar_polygon(K: ConvexBody) -> FacetPolytope:
@@ -457,16 +448,6 @@ def polar_body(K: ConvexBody) -> ConvexBody:
     return PolarWrapper(K)
 
 
-def body_volume(K: ConvexBody) -> float:
-    if isinstance(K, Ball):
-        return K.volume()
-    if isinstance(K, PolarWrapper):
-        return polar_volume(K.body).value
-    if isinstance(K, (FacetPolytope, Zonotope)):
-        return K.volume()
-    raise InputError(f"no volume rule for {type(K).__name__}")
-
-
 @dataclass(frozen=True)
 class PolarVolume:
     """Volume of the polar body together with a quadrature error
@@ -494,7 +475,7 @@ def polar_volume(K: ConvexBody, grid: SphericalGrid | None = None,
             return PolarVolume(_BALL_VOLUME[K.dim] / K.radius ** K.dim, 0.0)
         if isinstance(K, PolarWrapper):
             # polar of the polar: the body itself
-            return PolarVolume(body_volume(K.body), 0.0)
+            return PolarVolume(K.body.volume(), 0.0)
         if isinstance(K, Zonotope) and K.dim == 2:
             return PolarVolume(K._polar_area(), 0.0)
         if K.dim == 2:

@@ -18,7 +18,7 @@ from .convex import Ball
 from .errors import InputError, PathologicalInputError
 from .geometry import hausdorff_distance, rotation_2d
 from .projection import petty_product
-from .sets import PolygonSet, least_circumradius_direction, steiner_symmetrize
+from .sets import PolygonSet, cap_cover_greedy_step, steiner_symmetrize
 
 POLICY_KINDS = ("uniform-random", "coordinate-cycle", "cap-cover-greedy")
 RESAMPLE_BUDGET = 1_000_000
@@ -88,9 +88,6 @@ class SymmetrizationTrace:
                 f"{s.dh_to_ball:.17g}", str(s.resamples)]
             lines.append(",".join(row))
         return "\n".join(lines) + "\n"
-
-
-cap_cover_greedy_step = least_circumradius_direction
 
 
 class ResampleBudget:

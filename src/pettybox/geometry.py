@@ -134,13 +134,14 @@ class SphericalGrid:
             raise InputError("grid weights must match the node count")
         if nodes.shape[0] == 0:
             raise InputError("empty quadrature grid")
+        # each check is written so that nan fails it
         norms = np.linalg.norm(nodes, axis=1)
-        if np.max(np.abs(norms - 1.0)) > DIRECTION_TOL:
+        if not np.max(np.abs(norms - 1.0)) <= DIRECTION_TOL:
             raise InputError("grid nodes must be unit vectors within 1e-12")
-        if np.min(weights) <= 0.0:
+        if not np.min(weights) > 0.0:
             raise InputError("grid weights must be positive")
         total = float(np.sum(weights))
-        if abs(total - _SPHERE_MEASURE[nodes.shape[1]]) > GRID_MEASURE_TOL:
+        if not abs(total - _SPHERE_MEASURE[nodes.shape[1]]) <= GRID_MEASURE_TOL:
             raise InputError("grid weights do not sum to the sphere measure within 1e-9")
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "weights", weights)
@@ -533,13 +534,13 @@ class VertexRing:
     by PolygonSet and FacetPolytope.
 
     The constructor copies the vertices and checks, once, that they form
-    an (m, 2) array with m >= 3 of finite values and no zero-length edge;
-    its messages name the subclass's ``kind``.  It then computes, once,
-    the edge vectors v_(j+1) - v_j, their lengths, the unit outer normals
-    and the shoelace terms cross(v_j, v_(j+1)), and seals all five arrays
-    read-only.  Volume, centroid, perimeter, the star-shape test and the
-    boundary norm all read these arrays.  Subclasses add their own
-    checks."""
+    an (m, 2) array with m >= 3 of finite values, with no zero-length
+    edge and no overflow; its messages name the subclass's ``kind``.  It
+    computes, once, the edge vectors v_(j+1) - v_j, their lengths, the
+    unit outer normals and the shoelace terms cross(v_j, v_(j+1)), seals
+    all five arrays read-only, and keeps their sums, the perimeter and
+    the area.  The centroid, the star-shape test and the boundary norm
+    read the arrays.  Subclasses add their own checks."""
 
     dim = 2
 
@@ -550,22 +551,29 @@ class VertexRing:
         if not np.all(np.isfinite(v)):
             raise InputError(f"{kind} vertices must be finite")
         ahead = cyclic_next(v)
-        edges = ahead - v
-        lengths = np.linalg.norm(edges, axis=1)
+        # finite coordinates can overflow their edges, products and sums
+        with np.errstate(over="ignore", invalid="ignore"):
+            edges = ahead - v
+            lengths = np.linalg.norm(edges, axis=1)
+            terms = cross_2d(v, ahead)
+            self._perimeter = float(lengths.sum())
+            self._area = 0.5 * float(terms.sum())
         if np.min(lengths) <= 0.0:
             raise InputError(f"{kind} has a zero-length edge")
+        if not (math.isfinite(self._perimeter) and math.isfinite(self._area)):
+            raise InputError(f"{kind} is too large: its edge lengths or shoelace terms overflow")
         self.vertices = v
         self.edges = edges
         self.lengths = lengths
         self.normals = np.column_stack([edges[:, 1], -edges[:, 0]]) / lengths[:, None]
-        self.terms = cross_2d(v, ahead)
+        self.terms = terms
         for a in (v, edges, lengths, self.normals, self.terms):
             a.setflags(write=False)
 
     def volume(self) -> float:
         """Half the sum of the shoelace terms: the signed area, positive
         on a CCW ring."""
-        return 0.5 * float(np.sum(self.terms))
+        return self._area
 
     def centroid(self) -> np.ndarray:
         v = self.vertices
@@ -573,7 +581,7 @@ class VertexRing:
         return np.sum(c, axis=0) / (6.0 * self.volume())
 
     def perimeter(self) -> float:
-        return float(np.sum(self.lengths))
+        return self._perimeter
 
     def is_star_shaped(self) -> bool:
         """True when every shoelace term is positive: the vertex angles
@@ -608,14 +616,6 @@ class VertexRing:
 # Hausdorff distance
 
 
-def _scene_diameter(a, b) -> float:
-    lo_a, hi_a = a.bounding_box()
-    lo_b, hi_b = b.bounding_box()
-    lo = np.minimum(lo_a, lo_b)
-    hi = np.maximum(hi_a, hi_b)
-    return float(np.linalg.norm(hi - lo))
-
-
 def _directed_sample_distance(src, dst, step: float) -> float:
     pts = src.boundary_points(step)
     worst = 0.0
@@ -645,9 +645,11 @@ def hausdorff_distance(a, b) -> float:
     facet, and otherwise an upper bound that can exceed the distance.
     Other planar pairs are measured from intrinsic boundary samplings
     with arc-length step = scene diameter / BOUNDARY_DIVISIONS (read at
-    call time); the returned value then carries an additive uncertainty
-    of one step.  Handles of different dimensions are rejected, and so,
-    before any sampling, are box unions and every 3D pair but two balls.
+    call time) to the other solid.  That is a lower estimate with no
+    one-step bound: the point of a solid farthest from the other set can
+    lie inside it, where no sample falls.  Handles of different
+    dimensions are rejected, and so, before any sampling, are box unions
+    and every 3D pair but two balls.
     """
     from .convex import Ball, ConvexBody, FacetPolytope, Zonotope, planar_polygon
     from .sets import BoxUnion, SetHandle
@@ -672,9 +674,8 @@ def hausdorff_distance(a, b) -> float:
     if isinstance(a, Ball) and isinstance(pb, VertexRing) and pb.is_star_shaped():
         return max(pb.max_norm() - a.radius, a.radius - pb.min_boundary_norm(), 0.0)
     # the rest, and a ball against a ring not star-shaped about the origin
-    diam = _scene_diameter(a, b)
-    if diam <= 0.0:
-        return 0.0
-    step = diam / BOUNDARY_DIVISIONS
+    (lo_a, hi_a), (lo_b, hi_b) = a.bounding_box(), b.bounding_box()
+    diameter = float(np.linalg.norm(np.maximum(hi_a, hi_b) - np.minimum(lo_a, lo_b)))
+    step = diameter / BOUNDARY_DIVISIONS
     return max(_directed_sample_distance(pa, pb, step),
                _directed_sample_distance(pb, pa, step))

@@ -14,8 +14,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .convex import (PolarVolume, Zonotope, polar_body, polar_polygon,
-                     polar_volume, steiner_symmetrize_convex)
+from .convex import (Zonotope, polar_polygon, polar_volume,
+                     steiner_symmetrize_convex)
 from .errors import ConditionViolationError, InputError
 from .geometry import as_direction, as_plane_map
 from .sets import (PolygonSet, SurfaceMeasure, steiner_symmetrize,
@@ -41,22 +41,7 @@ def projection_body(mu) -> Zonotope:
     """
     if not isinstance(mu, SurfaceMeasure):
         mu = surface_measure(mu)
-    if len(mu.masses) == 0 or mu.total_mass <= 0.0:
-        raise InputError("surface measure has no mass; projection body is empty")
     return Zonotope(0.5 * mu.masses[:, None] * mu.normals)
-
-
-def polar_projection_body(E):
-    """Polar of the projection body: materialized planar polytope in 2D,
-    lazy radial wrapper in 3D."""
-    return polar_body(projection_body(E))
-
-
-def polar_projection_volume(E) -> PolarVolume:
-    """Volume of the polar projection body with its error estimate, which
-    is zero: every set handle's projection body is a planar zonotope or an
-    axis-aligned box, and both take exact routes."""
-    return polar_volume(projection_body(E))
 
 
 @dataclass(frozen=True)
@@ -78,9 +63,11 @@ class PettyReport:
 
 def petty_product(E) -> PettyReport:
     """Assemble the product report |E|^(n-1) * |polar projection body|
-    against the sharp bound for E's dimension."""
+    against the sharp bound for E's dimension.  The polar volume's error
+    estimate is zero: every set handle's projection body is a planar
+    zonotope or an axis-aligned box, and both take exact routes."""
     vol = volume(E)
-    pv = polar_projection_volume(E)
+    pv = polar_volume(projection_body(E))
     n = E.dim
     power = vol ** (n - 1)
     product = power * pv.value

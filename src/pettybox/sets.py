@@ -50,12 +50,13 @@ class SurfaceMeasure:
             raise InputError("surface measure needs matching, nonempty atom arrays")
         if normals.shape[1] not in (2, 3):
             raise InputError("surface measure normals must live in dimension 2 or 3")
-        if np.max(np.abs(np.linalg.norm(normals, axis=1) - 1.0)) > 1e-12:
+        # each check is written so that nan fails it
+        if not np.max(np.abs(np.linalg.norm(normals, axis=1) - 1.0)) <= 1e-12:
             raise InputError("surface measure normals must be unit vectors")
-        if np.min(masses) <= 0.0:
-            raise InputError("surface measure masses must be positive")
+        if not (0.0 < masses.min() and masses.max() < np.inf):
+            raise InputError("surface measure masses must be positive and finite")
         resultant = np.linalg.norm(normals.T @ masses)
-        if resultant > CLOSEDNESS_TOL * (1.0 + float(np.sum(masses))):
+        if not resultant <= CLOSEDNESS_TOL * (1.0 + float(np.sum(masses))):
             raise InputError(
                 f"surface measure is not closed: |sum(mass*normal)| = {resultant:g}")
         object.__setattr__(self, "normals", normals)
@@ -220,13 +221,23 @@ class PolygonSet(VertexRing):
     predecessors, and the driver rebinds its iterate every step, so no
     chain of iterates stays alive."""
 
-    def __init__(self, vertices, validate_simple: bool = True):
+    def __init__(self, vertices):
+        self._set_ring(vertices)
+        _check_simple(self.vertices)
+
+    @classmethod
+    def _derived(cls, vertices) -> "PolygonSet":
+        """A translate, linear image or symmetral of a simple polygon: every
+        check but simplicity runs, since rounding can break the others."""
+        E = cls.__new__(cls)
+        E._set_ring(vertices)
+        return E
+
+    def _set_ring(self, vertices) -> None:
         super().__init__(vertices, "polygon")
         area = self.volume()
         if area <= 0.0:
             raise InputError(f"polygon must be CCW with positive area, got signed area {area:g}")
-        if validate_simple:
-            _check_simple(self.vertices)
         self._symmetral: tuple[bytes, PolygonSet] | None = None
 
     def __repr__(self):
@@ -242,15 +253,14 @@ class PolygonSet(VertexRing):
         return SurfaceMeasure(self.normals, self.lengths)
 
     def translate(self, offset) -> "PolygonSet":
-        return PolygonSet(self.vertices + np.asarray(offset, dtype=float),
-                          validate_simple=False)
+        return PolygonSet._derived(self.vertices + np.asarray(offset, dtype=float))
 
     def transform(self, matrix) -> "PolygonSet":
         """Image under an orientation-preserving invertible linear map."""
         m = as_plane_map(matrix)
         if np.linalg.det(m) <= 0.0:
             raise InputError("transform needs a 2x2 matrix with positive determinant")
-        return PolygonSet(self.vertices @ m.T, validate_simple=False)
+        return PolygonSet._derived(self.vertices @ m.T)
 
     def column_structure(self, axis: int = 1) -> ColumnStructure:
         if axis not in (0, 1):
@@ -355,6 +365,9 @@ class BoxUnion:
             raise InputError("box corners must be finite")
         if not np.all(his > los):
             raise InputError("each box needs hi > lo in every axis")
+        with np.errstate(over="ignore"):
+            if not np.isfinite(np.sum(np.prod(his - los, axis=1))):
+                raise InputError("box union is too large: its box extents or volume overflow")
         _check_disjoint(los, his)
         los, his = _canonical_merge(los, his)
         self.los = los
@@ -517,7 +530,7 @@ def steiner_symmetrize(E: SetHandle, u) -> SetHandle:
 
     A polygon's symmetral is the set in the polygon's slot when the
     slot's direction has exactly the bytes of u: a repeat along the same
-    direction, or the winner that least_circumradius_direction left
+    direction, or the winner that cap_cover_greedy_step left
     there.  Otherwise geometry.steiner_ring runs and a set on its ring
     fills the slot.  Either way the vertices are
     steiner_ring(E.vertices, u) bit for bit, and every symmetral still
@@ -538,13 +551,13 @@ def _steiner_polygon(E: PolygonSet, u: np.ndarray) -> PolygonSet:
 
 
 def _keep_symmetral(E: PolygonSet, u: np.ndarray, ring: np.ndarray) -> None:
-    E._symmetral = (u.tobytes(), PolygonSet(ring, validate_simple=False))
+    E._symmetral = (u.tobytes(), PolygonSet._derived(ring))
 
 
-def least_circumradius_direction(E: PolygonSet, candidates) -> np.ndarray:
+def cap_cover_greedy_step(E: PolygonSet, candidates) -> np.ndarray:
     """The candidate direction whose Steiner symmetral of E has the least
     circumradius, the lowest index on a tie; candidates must all be
-    regular.  The cap-cover-greedy step (driver.cap_cover_greedy_step).
+    regular.  The cap-cover-greedy policy's step in the driver.
 
     One pass of the batched section-length kernel scores the whole
     (K, 2) stack (geometry.symmetral_radii): each score is max |v| (the

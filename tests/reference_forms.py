@@ -19,7 +19,7 @@ from pettybox.errors import InputError
 from pettybox.geometry import as_direction, circle_grid, cross_2d, rotation_2d
 from pettybox.projection import projection_body
 from pettybox.sets import (BoxUnion, ColumnStructure, _on_segment,
-                           is_regular_direction, least_circumradius_direction,
+                           cap_cover_greedy_step, is_regular_direction,
                            steiner_symmetrize, surface_measure)
 
 
@@ -271,4 +271,4 @@ def draw_direction_loops(E, policy, rng, step, budget):
         if dropped:
             budget.charge(dropped)
         if len(regular):
-            return least_circumradius_direction(E, regular), rejected
+            return cap_cover_greedy_step(E, regular), rejected

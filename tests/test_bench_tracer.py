@@ -18,14 +18,34 @@ ROOT = Path(__file__).resolve().parents[1]
 TRACER = ROOT / "pettybench" / "tracer.py"
 
 
-def test_traced_names_resolve_on_the_package():
+def _tracer():
     spec = importlib.util.spec_from_file_location("pettybench_tracer", TRACER)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
+    return tracer
+
+
+def _modules():
+    return [pettybox] + [importlib.import_module(f"pettybox.{m.name}")
+                         for m in pkgutil.iter_modules(pettybox.__path__)]
+
+
+def test_traced_names_resolve_on_the_package():
+    tracer = _tracer()
     targets = {**tracer.TRACED_FUNCTIONS, **tracer.TRACED_CONSTRUCTORS}
     assert len(targets) == len(tracer.LAYERS)
     for layer, (module, attr) in targets.items():
         assert callable(getattr(importlib.import_module(module), attr, None)), layer
+
+
+def test_each_traced_name_binds_one_function():
+    # the tracer wraps the object at every module binding that holds it, so
+    # a second definition under a traced name would run untraced
+    for layer, (module, attr) in _tracer().TRACED_FUNCTIONS.items():
+        traced = getattr(importlib.import_module(module), attr)
+        for mod in _modules():
+            if hasattr(mod, attr):
+                assert getattr(mod, attr) is traced, f"{layer}: {mod.__name__}.{attr}"
 
 
 def test_exported_names_resolve_on_the_package():

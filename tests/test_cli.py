@@ -32,6 +32,8 @@ def sets_dir(tmp_path):
         '{"polygon": [[0, 0], [1, 0], [0, 1]], "name": "caf\xe9"}'.encode("latin-1"))
     (tmp_path / "both.json").write_text(
         json.dumps({**set_to_json(square), **set_to_json(staircase)}))
+    (tmp_path / "overflow.json").write_text(json.dumps(
+        {"polygon": [[-1e308, -1e308], [1e308, -1e308], [1e308, 1e308], [-1e308, 1e308]]}))
     return tmp_path
 
 
@@ -91,6 +93,7 @@ UNUSABLE = [
     pytest.param("coarea-check", "staircase", (), "polygons", id="coarea-on-boxes"),
     pytest.param("petty", "latin1", (), "UTF-8", id="not-utf8"),
     pytest.param("petty", "both", (), "exactly one", id="polygon-and-boxes"),
+    pytest.param("petty", "overflow", (), "polygon is too large", id="overflowing-edges"),
 ]
 
 
@@ -103,9 +106,9 @@ def test_unusable_set_file_exits_2(sets_dir, capsys, command, name, options, mes
     assert "Traceback" not in err
 
 
-# a tolerance that is nan, infinite or negative, or a campaign of no sets
-# or trials, is invalid input: exit 2 before any work, never a vacuous
-# verdict
+# a tolerance that is nan, infinite or negative, a campaign of no sets or
+# trials, or a negative seed, is invalid input: exit 2 before any work,
+# never a vacuous verdict or a traceback
 INVALID_OPTIONS = [
     pytest.param(("petty", "--input", "{square}", "--tol", "nan"), "--tol", id="tol-nan"),
     pytest.param(("petty", "--input", "{square}", "--tol", "inf"), "--tol", id="tol-inf"),
@@ -121,6 +124,12 @@ INVALID_OPTIONS = [
                  "at least 1", id="trials-zero"),
     pytest.param(("monotonicity", "--count", "-2", "--seed", "5"), "at least 1",
                  id="count-negative"),
+    pytest.param(("monotonicity", "--count", "2", "--seed", "-1"), "--seed",
+                 id="seed-negative-monotonicity"),
+    pytest.param(("affine", "--input", "{tri_rot}", "--trials", "2", "--seed", "-1"), "--seed",
+                 id="seed-negative-affine"),
+    pytest.param(("converge", "--input", "{square}", "--seed", "-1"), "--seed",
+                 id="seed-negative-converge"),
 ]
 
 

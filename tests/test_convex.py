@@ -9,17 +9,16 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pettybox.convex
 import pettybox.geometry
 from pettybox import (Ball, BoxUnion, FacetPolytope, InputError, PolarWrapper,
-                      Zonotope, body_volume, petty_product, planar_polygon,
-                      polar_body, polar_polygon, polar_steiner_inclusion_check,
-                      polar_volume, projection_body, radial,
-                      steiner_symmetrize, steiner_symmetrize_convex,
-                      support)
+                      Zonotope, petty_product, planar_polygon, polar_body,
+                      polar_polygon, polar_steiner_inclusion_check,
+                      polar_volume, projection_body, steiner_symmetrize,
+                      steiner_symmetrize_convex)
 from pettybox.corpus import random_box_union, random_polygon, regular_polygon
 from pettybox.geometry import (BLOCK_PAIRS, circle_grid, cross_2d, default_grid,
                                rotation_2d, sphere_grid)
@@ -28,6 +27,7 @@ from hull import convex_hull_2d
 from reference_forms import dense_radial, dense_support, ring_polar_area
 
 E1 = np.array([1.0, 0.0])
+EPS = float(np.finfo(float).eps)
 E2 = np.array([0.0, 1.0])
 
 
@@ -68,11 +68,11 @@ def test_ball_validation():
 
 def test_facet_polytope_support_and_radial():
     K = centered_square()
-    assert support(K, [1.0, 1.0]) == 2.0
-    assert support(K, E1) == 1.0
-    assert abs(radial(K, [math.sqrt(0.5), math.sqrt(0.5)]) - math.sqrt(2)) \
+    assert K.support([1.0, 1.0]) == 2.0
+    assert K.support(E1) == 1.0
+    assert abs(K.radial([math.sqrt(0.5), math.sqrt(0.5)]) - math.sqrt(2)) \
         <= 1e-12
-    assert abs(radial(K, E1) - 1.0) <= 1e-12
+    assert abs(K.radial(E1) - 1.0) <= 1e-12
     assert K.volume() == 4.0
 
 
@@ -129,6 +129,8 @@ def _probe_nodes(rng, special):
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 10**6), st.integers(3, 40), st.floats(1e-3, 1e3))
+# a sliver triangle: u . normal at the minimizing facet down to 1.4e-5
+@example(seed=24832, points=3, scale=1.0)
 def test_radial_matches_dense_formula_and_polar_duality(seed, points, scale):
     K = FacetPolytope(scale * random_centered_body(seed, points).vertices)
     polar = polar_polygon(K)
@@ -137,8 +139,16 @@ def test_radial_matches_dense_formula_and_polar_duality(seed, points, scale):
     nodes = _probe_nodes(rng, _directions(K.vertices))
     got = np.array([K.radial(u) for u in nodes])
     want = dense_radial(K.normals, K.offsets, nodes)
-    assert np.all(np.abs(got - want) <= 1e-13 * want)
-    assert np.all(np.abs(got * polar.support_batch(nodes) - 1.0) <= 1e-13)
+    # both sides divide the same offset by d = u . normal at the minimizing
+    # facet, and d rounds differently in a matrix-vector and a
+    # matrix-matrix product, so they agree to a few eps / d, relative
+    # (at most 2.0 eps / d over 3,000 random bodies)
+    dots = nodes @ K.normals.T
+    with np.errstate(divide="ignore"):
+        ratios = np.where(dots > 0.0, K.offsets / dots, np.inf)
+    bound = 8.0 * EPS / dots[np.arange(len(nodes)), np.argmin(ratios, axis=1)]
+    assert np.all(np.abs(got - want) <= bound * want)
+    assert np.all(np.abs(got * polar.support_batch(nodes) - 1.0) <= bound)
 
 
 _AXES = (0.0, 0.5 * math.pi, math.pi, -0.5 * math.pi)
@@ -500,10 +510,10 @@ def test_polar_wrapper_radial_duality():
     K = Zonotope([[1.0, 0.0, 0.0], [0.5, 1.0, 0.0], [0.0, 0.3, 1.2]])
     W = PolarWrapper(K)
     # definitional identity: rho of the polar is the reciprocal support
-    assert W.radial([1.0, 0.0, 0.0]) == 1.0 / support(K, [1.0, 0.0, 0.0])
-    assert W.radial([0.0, 0.0, 1.0]) == 1.0 / support(K, [0.0, 0.0, 1.0])
+    assert W.radial([1.0, 0.0, 0.0]) == 1.0 / K.support([1.0, 0.0, 0.0])
+    assert W.radial([0.0, 0.0, 1.0]) == 1.0 / K.support([0.0, 0.0, 1.0])
     u = np.array([0.48, 0.6, 0.64])
-    assert abs(W.radial(u) - 1.0 / support(K, u)) <= 1e-15
+    assert abs(W.radial(u) - 1.0 / K.support(u)) <= 1e-15
 
 
 @pytest.mark.parametrize("body", [centered_square(), Zonotope([[1.0, 0.5], [0.0, 1.0]]),
@@ -747,11 +757,12 @@ def test_blocked_support_on_the_default_grid_stays_under_one_mib():
 
 
 def test_body_volume_dispatch():
-    assert body_volume(Ball(1.0)) == math.pi
-    assert body_volume(centered_square()) == 4.0
-    assert body_volume(Zonotope([[1, 0], [0, 1]])) == 4.0
+    # every body kind answers volume(); a wrapper's is its polar volume
+    assert Ball(1.0).volume() == math.pi
+    assert centered_square().volume() == 4.0
+    assert Zonotope([[1, 0], [0, 1]]).volume() == 4.0
     W = PolarWrapper(Zonotope(np.eye(3)))
-    assert abs(body_volume(W) - 4.0 / 3.0) <= 1e-15
+    assert abs(W.volume() - 4.0 / 3.0) <= 1e-15
 
 
 # --------------------------------------------------------- convex symmetrals

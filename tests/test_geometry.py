@@ -20,8 +20,8 @@ from pettybox import (Ball, BoxUnion, DirectionPolicy, FacetPolytope,
 from pettybox.convex import planar_polygon
 from pettybox.corpus import random_polygon
 from pettybox.errors import InputError
-from pettybox.geometry import (as_direction, as_directions, circle_grid,
-                               cross_2d, cyclic_next, default_grid,
+from pettybox.geometry import (SphericalGrid, as_direction, as_directions,
+                               circle_grid, cross_2d, cyclic_next, default_grid,
                                integrate_sphere, rotation_2d, sphere_grid)
 
 from hull import convex_hull_2d
@@ -90,6 +90,21 @@ def test_grid_weights_positive_and_measure_exact(make, total):
     assert math.isclose(float(grid.weights.sum()), total, rel_tol=1e-9)
     norms = np.linalg.norm(grid.nodes, axis=1)
     assert np.allclose(norms, 1.0, atol=1e-12)
+
+
+def test_spherical_grid_rejects_nan_nodes_and_weights():
+    # nan fails every check, where a check of the form bad > tol passed it
+    grid = circle_grid(8)
+    nodes = grid.nodes.copy()
+    nodes[0] = np.nan
+    with pytest.raises(InputError, match="unit vectors"):
+        SphericalGrid(nodes, grid.weights)
+    with pytest.raises(InputError, match="positive"):
+        SphericalGrid(grid.nodes, np.full(8, np.nan))
+    weights = grid.weights.copy()
+    weights[0] = np.nan
+    with pytest.raises(InputError, match="positive"):
+        SphericalGrid(grid.nodes, weights)
 
 
 def test_default_circle_grid_is_built_once_and_read_only():

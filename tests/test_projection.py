@@ -12,9 +12,8 @@ import pytest
 
 from pettybox import (BoxUnion, ConditionViolationError, InputError,
                       PolygonSet, Zonotope, affine_image_check, petty_product,
-                      polar_projection_body, polar_projection_volume,
-                      polar_polygon, polar_steiner_inclusion_check,
-                      projection_body, steiner_symmetrize,
+                      polar_body, polar_polygon, polar_steiner_inclusion_check,
+                      polar_volume, projection_body, steiner_symmetrize,
                       steiner_symmetrize_convex, surface_measure)
 from pettybox.corpus import (random_box_union, random_polygon, random_sl2,
                              regular_polygon)
@@ -86,21 +85,21 @@ def test_projection_body_shear_support_formula():
 # ------------------------------------------------------------- polar volumes
 
 def test_polar_projection_volume_closed_forms():
-    pv = polar_projection_volume(unit_square())
+    pv = polar_volume(projection_body(unit_square()))
     assert pv.error == 0.0
     assert abs(pv.value - 2.0) <= 1e-15
-    pv = polar_projection_volume(unit_cube())
+    pv = polar_volume(projection_body(unit_cube()))
     assert pv.error == 0.0
     assert abs(pv.value - 4.0 / 3.0) <= 1e-15
-    pv = polar_projection_volume(staircase())
+    pv = polar_volume(projection_body(staircase()))
     assert abs(pv.value - 1.0 / 3.0) <= 1e-15
 
 
 def test_polar_projection_body_forms():
-    body = polar_projection_body(unit_square())
+    body = polar_body(projection_body(unit_square()))
     assert body.dim == 2
     assert abs(body.volume() - 2.0) <= 1e-15
-    body3 = polar_projection_body(unit_cube())
+    body3 = polar_body(projection_body(unit_cube()))
     assert body3.dim == 3
     assert body3.radial([1.0, 0.0, 0.0]) == 1.0
 

@@ -89,6 +89,12 @@ def test_polygon_validation():
         PolygonSet([[0, 0], [2, 0], [2, 2], [1, 0], [0, 2]])
     with pytest.raises(InputError):
         PolygonSet([[0, 0], [1, 0], [1, float("nan")]])
+    # finite corners whose edges and shoelace terms overflow
+    with pytest.raises(InputError, match="polygon is too large"):
+        PolygonSet([[-1e308, -1e308], [1e308, -1e308], [1e308, 1e308], [-1e308, 1e308]])
+    # finite edges and area, but a perimeter that overflows
+    with pytest.raises(InputError, match="polygon is too large"):
+        PolygonSet([[-9e307, 0], [9e307, 0], [0, 1]])
 
 
 # ------------------------------------------------------- simplicity check
@@ -196,6 +202,11 @@ def test_box_union_validation_and_canonical_merge():
         BoxUnion([[0, 0]], [[0, 1]])  # empty box
     with pytest.raises(InputError):
         BoxUnion([[0, 0], [0.5, 0]], [[1, 1], [1.5, 1]])  # interior overlap
+    # finite corners whose extents or volume overflow
+    with pytest.raises(InputError, match="box union is too large"):
+        BoxUnion([[-1e308, -1e308]], [[1e308, 1e308]])
+    with pytest.raises(InputError, match="box union is too large"):
+        BoxUnion([[-1e200, -1e200]], [[1e200, 1e200]])
     # abutting boxes with identical cross-sections collapse to one box
     merged = BoxUnion([[0, 0], [1, 0]], [[1, 1], [2, 1]])
     assert merged.box_count == 1
@@ -333,6 +344,13 @@ def test_surface_measure_validation():
     with pytest.raises(InputError):
         SurfaceMeasure(np.array([[1.0, 0.0], [-1.0, 0.0]]),
                        np.array([1.0, -1.0]))  # negative mass
+    # nan fails every check, where a check of the form bad > tol passed it
+    with pytest.raises(InputError, match="unit vectors"):
+        SurfaceMeasure(np.array([[np.nan, np.nan], [1.0, 0.0]]), np.array([1.0, 1.0]))
+    with pytest.raises(InputError, match="positive and finite"):
+        SurfaceMeasure(np.array([[1.0, 0.0], [-1.0, 0.0]]), np.array([np.nan, 1.0]))
+    with pytest.raises(InputError, match="positive and finite"):
+        SurfaceMeasure(np.array([[1.0, 0.0], [-1.0, 0.0]]), np.array([np.inf, np.inf]))
 
 
 # ---------------------------------------------------------- column structure
