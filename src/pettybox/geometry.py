@@ -36,8 +36,8 @@ BLOCK_ROWS = 1 << 12
 # nodes) products take 8 bytes per pair, 128 KiB
 BLOCK_PAIRS = 1 << 14
 # Boundary sampling density for Hausdorff on general sets: arc-length step
-# is (scene diameter) / BOUNDARY_DIVISIONS, and the returned value carries
-# an additive uncertainty of one step.
+# is (scene diameter) / BOUNDARY_DIVISIONS.  The sampled value is a lower
+# estimate with no one-step bound (see hausdorff_distance).
 BOUNDARY_DIVISIONS = 2048
 
 _SPHERE_MEASURE = {2: 2.0 * math.pi, 3: 4.0 * math.pi}
@@ -576,9 +576,16 @@ class VertexRing:
         return self._area
 
     def centroid(self) -> np.ndarray:
+        """The area centroid.  Its moment terms can overflow on a ring
+        whose area is finite, and then it raises rather than return a
+        point at infinity."""
         v = self.vertices
-        c = (v + cyclic_next(v)) * self.terms[:, None]
-        return np.sum(c, axis=0) / (6.0 * self.volume())
+        with np.errstate(over="ignore", invalid="ignore"):
+            c = (v + cyclic_next(v)) * self.terms[:, None]
+            centroid = np.sum(c, axis=0) / (6.0 * self.volume())
+        if not np.all(np.isfinite(centroid)):
+            raise InputError("polygon is too large: its centroid overflows")
+        return centroid
 
     def perimeter(self) -> float:
         return self._perimeter

@@ -34,14 +34,16 @@ def projection_body(mu) -> Zonotope:
     """Zonotope whose support is half the first moment of |z . normal|
     against the surface measure: generators mass_i * normal_i / 2.
 
-    Accepts a SurfaceMeasure or any set with one.  For axis-class
-    measures (box-unions) the generators are axis-aligned, so the body
-    is the box with half-widths A_i / 2; axis_box_halfwidths() on the
-    result recovers that closed form.
+    Accepts a SurfaceMeasure or any set with one, and returns the body
+    the measure keeps (SurfaceMeasure.projection_body), so every caller
+    of one set shares one body.  For axis-class measures (box-unions)
+    the generators are axis-aligned, so the body is the box with
+    half-widths A_i / 2; axis_box_halfwidths() on the result recovers
+    that closed form.
     """
     if not isinstance(mu, SurfaceMeasure):
         mu = surface_measure(mu)
-    return Zonotope(0.5 * mu.masses[:, None] * mu.normals)
+    return mu.projection_body
 
 
 @dataclass(frozen=True)
@@ -110,8 +112,8 @@ def affine_image_check(P, matrix) -> float:
     det = float(np.linalg.det(A))
     if abs(det - 1.0) > DETERMINANT_TOL:
         raise InputError(f"matrix is not volume preserving: det = {det!r}")
-    left = projection_body(surface_measure(P.transform(A))).generators
-    right = projection_body(surface_measure(P)).generators @ np.linalg.inv(A)
+    left = projection_body(P.transform(A)).generators
+    right = projection_body(P).generators @ np.linalg.inv(A)
     d = left - right
     return float(np.sum(np.hypot(d[:, 0], d[:, 1]))) * (1.0 + (len(d) + 2) * EPS)
 
@@ -144,7 +146,7 @@ def polar_steiner_inclusion_check(E, direction=(0.0, 1.0),
             f"boundary mass {mass:.17g} is orthogonal to the symmetrization "
             "direction; the inclusion hypothesis fails in this frame", mass)
     sym_of_polar = steiner_symmetrize_convex(
-        polar_polygon(projection_body(surface_measure(E))), u)
-    proj_of_sym = projection_body(surface_measure(steiner_symmetrize(E, u)))
+        polar_polygon(projection_body(E)), u)
+    proj_of_sym = projection_body(steiner_symmetrize(E, u))
     margin = float(np.max(proj_of_sym.support_batch(sym_of_polar.vertices)))
     return margin <= 1.0 + factor_tol, margin

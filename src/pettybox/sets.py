@@ -75,6 +75,13 @@ class SurfaceMeasure:
         AXIS_ALIGNMENT_TOL to each of a (K, dim) stack of unit directions."""
         return np.abs(self.normals @ as_directions(directions).T) <= AXIS_ALIGNMENT_TOL
 
+    @cached_property
+    def projection_body(self):
+        """The zonotope generated by the half-weighted normals
+        mass_i * normal_i / 2, built and checked once per measure."""
+        from .convex import Zonotope
+        return Zonotope(0.5 * self.masses[:, None] * self.normals)
+
 
 # ---------------------------------------------------------------------------
 # column structure
@@ -217,9 +224,14 @@ class PolygonSet(VertexRing):
     the exact bytes of its direction and the symmetral set, with
     read-only vertices (see steiner_symmetrize).  A repeat along that
     direction returns the same set, whose edges and surface measure are
-    then built once.  The slot keeps a polygon's successor alive, not its
-    predecessors, and the driver rebinds its iterate every step, so no
-    chain of iterates stays alive."""
+    then built once.  A second slot keeps the last linear image the same
+    way (see transform).  The slots keep a polygon's successors alive,
+    not its predecessors, and the driver rebinds its iterate every step,
+    so no chain of iterates stays alive."""
+
+    # a class default, so a polygon that is never mapped carries no
+    # image attribute of its own
+    _image: tuple[bytes, "PolygonSet"] | None = None
 
     def __init__(self, vertices):
         self._set_ring(vertices)
@@ -256,11 +268,20 @@ class PolygonSet(VertexRing):
         return PolygonSet._derived(self.vertices + np.asarray(offset, dtype=float))
 
     def transform(self, matrix) -> "PolygonSet":
-        """Image under an orientation-preserving invertible linear map."""
+        """Image under an orientation-preserving invertible linear map.
+
+        The image is the set in the polygon's image slot when the slot's
+        matrix has exactly the bytes of the validated matrix, so a check
+        and a product of the same image share its ring, measure and
+        body.  Otherwise the determinant is tested and a set on the
+        vertices times the transpose fills the slot."""
         m = as_plane_map(matrix)
-        if np.linalg.det(m) <= 0.0:
-            raise InputError("transform needs a 2x2 matrix with positive determinant")
-        return PolygonSet._derived(self.vertices @ m.T)
+        key = m.tobytes()
+        if self._image is None or self._image[0] != key:
+            if np.linalg.det(m) <= 0.0:
+                raise InputError("transform needs a 2x2 matrix with positive determinant")
+            self._image = (key, PolygonSet._derived(self.vertices @ m.T))
+        return self._image[1]
 
     def column_structure(self, axis: int = 1) -> ColumnStructure:
         if axis not in (0, 1):
@@ -409,10 +430,18 @@ class BoxUnion:
         return float(sum(np.repeat(self._class_masses, 2)))
 
     def surface_measure(self) -> SurfaceMeasure:
-        """Two atoms per axis, -e_k before +e_k, in axis order."""
+        """Two atoms per axis, -e_k before +e_k, in axis order, built once
+        per box union on read-only arrays."""
+        return self._surface_measure
+
+    @cached_property
+    def _surface_measure(self) -> SurfaceMeasure:
         on_axis = np.repeat(np.eye(self.dim, dtype=bool), 2, axis=0)
         normals = np.where(on_axis, np.tile([-1.0, 1.0], self.dim)[:, None], 0.0)
-        return SurfaceMeasure(normals, np.repeat(self._class_masses, 2))
+        masses = np.repeat(self._class_masses, 2)
+        for a in (normals, masses):
+            a.setflags(write=False)
+        return SurfaceMeasure(normals, masses)
 
     def column_structure(self, axis: int) -> ColumnStructure:
         if not 0 <= axis < self.dim:

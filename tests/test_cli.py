@@ -34,6 +34,10 @@ def sets_dir(tmp_path):
         json.dumps({**set_to_json(square), **set_to_json(staircase)}))
     (tmp_path / "overflow.json").write_text(json.dumps(
         {"polygon": [[-1e308, -1e308], [1e308, -1e308], [1e308, 1e308], [-1e308, 1e308]]}))
+    # finite edges, shoelace terms and area (1.6e307), but the centroid's
+    # moment terms overflow
+    (tmp_path / "huge.json").write_text(json.dumps(
+        {"polygon": [[0, 0], [4e153, 0], [4e153, 4e153], [0, 4e153]]}))
     return tmp_path
 
 
@@ -94,6 +98,10 @@ UNUSABLE = [
     pytest.param("petty", "latin1", (), "UTF-8", id="not-utf8"),
     pytest.param("petty", "both", (), "exactly one", id="polygon-and-boxes"),
     pytest.param("petty", "overflow", (), "polygon is too large", id="overflowing-edges"),
+    pytest.param("converge", "huge", (), "polygon is too large: its centroid overflows",
+                 id="converge-overflowing-centroid"),
+    pytest.param("coarea-check", "huge", (), "polygon is too large: its centroid overflows",
+                 id="coarea-overflowing-centroid"),
 ]
 
 
@@ -103,6 +111,7 @@ def test_unusable_set_file_exits_2(sets_dir, capsys, command, name, options, mes
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and message in err
+    assert err.count("\n") == 1
     assert "Traceback" not in err
 
 

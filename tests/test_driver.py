@@ -3,6 +3,7 @@ handling, and the CSV trace format."""
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -10,15 +11,19 @@ import pytest
 
 import pettybox.geometry
 from pettybox import (BoxUnion, DirectionPolicy, InputError,
-                      PathologicalInputError, PolygonSet,
-                      cap_cover_greedy_step, petty_product,
-                      polar_steiner_inclusion_check, run_symmetrization,
+                      PathologicalInputError, PolygonSet, Zonotope,
+                      affine_image_check, cap_cover_greedy_step,
+                      is_regular_direction, petty_product,
+                      polar_steiner_inclusion_check, polar_volume,
+                      projection_body, run_symmetrization, set_to_json,
                       steiner_symmetrize)
-from pettybox.corpus import random_polygon, regular_polygon
+from pettybox.cli import main
+from pettybox.corpus import (random_box_union, random_polygon, random_sl2,
+                             regular_polygon)
 from pettybox.driver import (POLICY_KINDS, RESAMPLE_BUDGET, ResampleBudget,
                              draw_direction)
-from pettybox.geometry import (rotation_2d, section_incidence, steiner_ring,
-                               symmetral_radii)
+from pettybox.geometry import (VertexRing, rotation_2d, section_incidence,
+                               steiner_ring, symmetral_radii)
 from pettybox.sets import SurfaceMeasure
 
 from reference_forms import draw_direction_loops
@@ -225,18 +230,36 @@ def test_greedy_run_on_square_converges():
     assert trace.final_set is not None
 
 
+def _record(monkeypatch, cls, method: str) -> list:
+    """Every instance of cls whose constructor step `method` runs from
+    here on."""
+    built = []
+    original = getattr(cls, method)
+
+    def counted(self, *args):
+        built.append(self)
+        original(self, *args)
+
+    monkeypatch.setattr(cls, method, counted)
+    return built
+
+
 @pytest.fixture
 def measures_built(monkeypatch):
     """Every SurfaceMeasure built from here on."""
-    built = []
-    post_init = SurfaceMeasure.__post_init__
+    return _record(monkeypatch, SurfaceMeasure, "__post_init__")
 
-    def counted(self):
-        built.append(self)
-        post_init(self)
 
-    monkeypatch.setattr(SurfaceMeasure, "__post_init__", counted)
-    return built
+@pytest.fixture
+def bodies_built(monkeypatch):
+    """Every Zonotope built from here on."""
+    return _record(monkeypatch, Zonotope, "__init__")
+
+
+@pytest.fixture
+def rings_built(monkeypatch):
+    """Every VertexRing built from here on: polygons and facet polytopes."""
+    return _record(monkeypatch, VertexRing, "__init__")
 
 
 def test_greedy_run_builds_one_surface_measure_per_iterate(measures_built):
@@ -260,6 +283,55 @@ def test_slot_symmetral_is_built_once(measures_built):
     assert polar_steiner_inclusion_check(P, u)[0]
     assert len(measures_built) == 2
     assert steiner_symmetrize(P, u) is S
+
+
+def test_campaign_polygon_operation_builds_each_body_once(measures_built, bodies_built,
+                                                          rings_built):
+    # the benchmark campaign's operation on one polygon.  P, its symmetral
+    # and its three images each get one ring, one measure and one body;
+    # the inclusion check adds the ring of P's body, its polar and the
+    # polar's symmetral.  Building every derived object again gives 13
+    # bodies, 8 measures and 11 rings
+    P = random_polygon(3)
+    u = np.array([0.2, 1.0]) / math.hypot(0.2, 1.0)
+    base = petty_product(P).product
+    assert is_regular_direction(P, u)[0]
+    S = steiner_symmetrize(P, u)
+    assert petty_product(S).product >= base - 1e-9
+    assert polar_steiner_inclusion_check(P, u)[0]
+    for i in range(3):
+        A = random_sl2(5, i)
+        assert affine_image_check(P, A) <= 1e-9
+        assert abs(petty_product(P.transform(A)).product - base) <= 1e-9
+    assert (len(bodies_built), len(measures_built), len(rings_built)) == (5, 5, 8)
+    assert all(mu.projection_body in bodies_built for mu in measures_built)
+
+
+def test_affine_campaign_builds_each_image_measure_once(tmp_path, capsys, measures_built):
+    # the check and the product of one trial share the image's measure
+    path = tmp_path / "polygon.json"
+    path.write_text(json.dumps(set_to_json(random_polygon(3))))
+    assert main(["affine", "--input", str(path), "--seed", "1", "--trials", "3"]) == 0
+    capsys.readouterr()
+    assert len(measures_built) == 1 + 3
+
+
+def test_box_union_body_is_built_once(measures_built, bodies_built):
+    # the benchmark voxels operation on one 3D box union: the product and
+    # the quadrature cross-check share B's body, and each symmetral has
+    # its own measure and body
+    B = random_box_union(3, dim=3)
+    petty_product(B)
+    current = B
+    for axis in range(3):
+        current = steiner_symmetrize(current, np.eye(3)[axis])
+        petty_product(current)
+    Z = projection_body(B)
+    polar_volume(Z, method="quadrature")
+    mu = B.surface_measure()
+    assert projection_body(B) is Z and mu.projection_body is Z
+    assert not (mu.normals.flags.writeable or mu.masses.flags.writeable)
+    assert len(bodies_built) == len(measures_built) == 1 + 3
 
 
 def test_uniform_random_run_converges():

@@ -59,6 +59,20 @@ def test_projection_body_of_cube():
     assert np.allclose(Z.axis_box_halfwidths(), [1.0, 1.0, 1.0])
 
 
+@pytest.mark.parametrize("make", [unit_square, lambda: random_polygon(8), staircase,
+                                  unit_cube, lambda: random_box_union(8, dim=3)],
+                         ids=["square", "random-polygon", "staircase", "cube",
+                              "random-boxes"])
+def test_projection_body_is_kept_by_the_measure(make):
+    E = make()
+    mu = surface_measure(E)
+    Z = projection_body(E)
+    assert projection_body(mu) is Z and projection_body(E) is Z
+    assert surface_measure(E) is mu
+    fresh = Zonotope(0.5 * mu.masses[:, None] * mu.normals)
+    assert np.array_equal(Z.generators, fresh.generators)
+
+
 def test_projection_body_of_inscribed_polygon_approaches_scaled_ball():
     # the projection body of a shape inscribed in the unit circle tends
     # to the ball of radius 2; the 64-gon is within 5e-3

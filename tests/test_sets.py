@@ -15,10 +15,10 @@ from hypothesis import strategies as st
 from pettybox import (BoxUnion, InputError, NonGenericPointError,
                       PolygonSet, UnsupportedDirectionError, coarea_check,
                       column_structure, is_regular_direction, perimeter,
-                      section_length_gradient, set_from_json, set_to_json,
-                      steiner_symmetrize, surface_measure,
+                      projection_body, section_length_gradient, set_from_json,
+                      set_to_json, steiner_symmetrize, surface_measure,
                       vertical_boundary_measure, volume)
-from pettybox.corpus import random_box_union, random_polygon
+from pettybox.corpus import random_box_union, random_polygon, random_sl2
 from pettybox.geometry import rotation_2d
 from pettybox.sets import _check_simple, load_set_file
 
@@ -351,6 +351,70 @@ def test_surface_measure_validation():
         SurfaceMeasure(np.array([[1.0, 0.0], [-1.0, 0.0]]), np.array([np.nan, 1.0]))
     with pytest.raises(InputError, match="positive and finite"):
         SurfaceMeasure(np.array([[1.0, 0.0], [-1.0, 0.0]]), np.array([np.inf, np.inf]))
+
+
+# ------------------------------------------------------------- derived slots
+
+RING_ARRAYS = ("vertices", "edges", "lengths", "normals", "terms")
+
+
+def test_transform_keeps_the_last_image():
+    P = random_polygon(4)
+    A = random_sl2(4)
+    Q = P.transform(A)
+    fresh = PolygonSet._derived(P.vertices @ A.T)
+    for name in RING_ARRAYS:
+        assert np.array_equal(getattr(Q, name), getattr(fresh, name))
+    # the same bytes in another array hit the slot
+    assert P.transform(A.copy()) is Q
+    assert P.transform(A.tolist()) is Q
+    # another matrix builds a new set and replaces the slot
+    B = random_sl2(4, 1)
+    R = P.transform(B)
+    assert R is not Q
+    assert P.transform(B) is R
+    assert P.transform(A) is not Q
+
+
+def test_transform_misses_the_slot_after_the_matrix_changes_in_place():
+    P = random_polygon(4)
+    A = np.array([[1.0, 0.5], [0.0, 1.0]])
+    Q = P.transform(A)
+    A[0, 1] = -0.5
+    R = P.transform(A)
+    assert R is not Q
+    assert np.array_equal(R.vertices, P.vertices @ A.T)
+
+
+@pytest.mark.parametrize("bad", [[[1.0, 0.0], [0.0, -1.0]], [[1.0, 1.0], [1.0, 1.0]],
+                                 [[0.0, 0.0], [0.0, 0.0]]])
+def test_transform_tests_the_determinant_with_the_slot_full(bad):
+    P = random_polygon(4)
+    with pytest.raises(InputError, match="positive determinant"):
+        P.transform(bad)
+    Q = P.transform(np.eye(2))
+    with pytest.raises(InputError, match="positive determinant"):
+        P.transform(bad)
+    assert P.transform(np.eye(2)) is Q
+
+
+def test_no_derived_object_is_shared_across_handles():
+    # caches live on the handle that owns them, so two handles on one
+    # input each build their own measure, body, symmetral and image, and
+    # a benchmark operation on fresh handles does all of its own work
+    v = random_polygon(6).vertices
+    P1, P2 = PolygonSet(v), PolygonSet(v)
+    u = np.array([0.2, 1.0]) / math.hypot(0.2, 1.0)
+    A = random_sl2(6)
+    assert P1.surface_measure() is not P2.surface_measure()
+    assert projection_body(P1) is not projection_body(P2)
+    assert steiner_symmetrize(P1, u) is not steiner_symmetrize(P2, u)
+    assert P1.transform(A) is not P2.transform(A)
+    assert projection_body(P1.transform(A)) is not projection_body(P2.transform(A))
+    B = random_box_union(6, dim=3)
+    B1, B2 = BoxUnion(B.los, B.his), BoxUnion(B.los, B.his)
+    assert B1.surface_measure() is not B2.surface_measure()
+    assert projection_body(B1) is not projection_body(B2)
 
 
 # ---------------------------------------------------------- column structure
