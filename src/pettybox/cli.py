@@ -102,6 +102,13 @@ def _cmd_monotonicity(args) -> int:
     if (args.input is None) == (args.count is None):
         raise InputError("pass exactly one of --input (single set) or "
                          "--count (random campaign)")
+    # an option the chosen mode never reads would stand in the config
+    # without acting on any row
+    if args.count is not None and (args.direction is not None or args.exploratory):
+        raise InputError("--direction and --exploratory apply to --input; "
+                         "a --count campaign draws each direction")
+    if args.input is not None and args.seed is not None:
+        raise InputError("--seed applies to --count; a single set (--input) draws nothing")
     if args.count is not None and args.count < 1:
         raise InputError("set count must be at least 1")
     rows: list[list[str]] = []

@@ -53,31 +53,11 @@ class Ball:
     def support(self, z) -> float:
         return self.radius * float(np.linalg.norm(z))
 
-    def support_batch(self, nodes: np.ndarray) -> np.ndarray:
-        return self.radius * np.linalg.norm(np.asarray(nodes, dtype=float), axis=1)
-
     def radial(self, u) -> float:
         return self.radius
 
     def volume(self) -> float:
         return _BALL_VOLUME[self.dim] * self.radius ** self.dim
-
-    def bounding_box(self):
-        r = np.full(self.dim, self.radius)
-        return -r, r
-
-    def boundary_points(self, step: float) -> np.ndarray:
-        if self.dim != 2:
-            raise InputError("only planar balls are sampled along their boundary")
-        if step <= 0.0:
-            raise InputError("boundary sampling step must be positive")
-        count = max(8, int(math.ceil(2.0 * math.pi * self.radius / step)))
-        t = np.arange(count) * (2.0 * math.pi / count)
-        return self.radius * np.column_stack([np.cos(t), np.sin(t)])
-
-    def solid_distance(self, points) -> np.ndarray:
-        p = np.atleast_2d(np.asarray(points, dtype=float))
-        return np.maximum(np.linalg.norm(p, axis=1) - self.radius, 0.0)
 
 
 class FacetPolytope(VertexRing):
@@ -280,11 +260,6 @@ class Zonotope:
         h = np.abs(cross_2d(2.0 * passed - g - passed[-1], unit))
         return float(np.sum(cross_2d(unit, ahead) / (h * cyclic_next(h))))
 
-    def radial(self, u) -> float:
-        if self.dim == 2:
-            return self._polygon.radial(u)
-        raise InputError("radial evaluation is only materialized for planar zonotopes")
-
     def volume(self) -> float:
         """Planar: 4 times the sum of cross(g_1 + ... + g_(j-1), g_j) over
         the generators sorted over a half turn, each cross product the
@@ -300,10 +275,6 @@ class Zonotope:
         for comb in itertools.combinations(range(len(g)), 3):
             total += abs(float(np.linalg.det(g[list(comb)])))
         return 8.0 * total
-
-    def bounding_box(self):
-        half = np.abs(self.generators).sum(axis=0)
-        return -half, half
 
 
 def _links(g: np.ndarray, angles: np.ndarray, resolution: float):
@@ -395,12 +366,6 @@ class PolarWrapper:
             raise InputError("polar radial undefined: support is nonpositive")
         return float(np.linalg.norm(u)) / h
 
-    def support(self, z) -> float:
-        raise InputError("support of a 3D polar wrapper is not materialized")
-
-    def support_batch(self, nodes) -> np.ndarray:
-        raise InputError("support of a 3D polar wrapper is not materialized")
-
     def volume(self) -> float:
         return polar_volume(self.body).value
 
@@ -466,7 +431,8 @@ def polar_volume(K: ConvexBody, grid: SphericalGrid | None = None,
     with the differences against the grid's half- and quarter-resolution
     error levels reported as the error estimate.  method='quadrature'
     forces the quadrature route on bodies that would otherwise take a
-    closed form (used to validate the grids).
+    closed form (used to validate the grids); it takes facet polytopes
+    and zonotopes, the bodies with a support kernel.
     """
     if method not in ("auto", "quadrature"):
         raise InputError(f"unknown polar volume method {method!r}")
@@ -485,7 +451,7 @@ def polar_volume(K: ConvexBody, grid: SphericalGrid | None = None,
             if half is not None:
                 n = K.dim
                 return PolarVolume(2.0 ** n / (math.factorial(n) * float(np.prod(half))), 0.0)
-    if not isinstance(K, (Ball, FacetPolytope, Zonotope)):
+    if not isinstance(K, (FacetPolytope, Zonotope)):
         raise InputError(f"no quadrature route for {type(K).__name__}")
     n = K.dim
     g = grid if grid is not None else default_grid(n)

@@ -1,10 +1,7 @@
 """Low-level Euclidean plumbing: directions, quadrature grids,
-the section-length kernel behind planar Steiner symmetrals, and
-Hausdorff distance.
-
-The metric operations dispatch on the handle kinds of the higher
-modules: the convex bodies (``convex.ConvexBody``) and the sets
-(``sets.SetHandle``).
+the section-length kernel behind planar Steiner symmetrals, polygon
+membership and distance, and the Hausdorff distance from a polygon to
+its centered ball, the one metric the symmetrization driver reads.
 """
 
 from __future__ import annotations
@@ -35,8 +32,9 @@ BLOCK_ROWS = 1 << 12
 # of a zonotope support block in either dimension, whose (generators,
 # nodes) products take 8 bytes per pair, 128 KiB
 BLOCK_PAIRS = 1 << 14
-# Boundary sampling density for Hausdorff on general sets: arc-length step
-# is (scene diameter) / BOUNDARY_DIVISIONS.  The sampled value is a lower
+# Boundary sampling density of the Hausdorff distance from a polygon that
+# is not star-shaped about the origin to a ball: arc-length step is
+# (scene diameter) / BOUNDARY_DIVISIONS.  The sampled value is a lower
 # estimate with no one-step bound (see hausdorff_distance).
 BOUNDARY_DIVISIONS = 2048
 
@@ -609,80 +607,49 @@ class VertexRing:
     def max_norm(self) -> float:
         return float(np.max(np.linalg.norm(self.vertices, axis=1)))
 
-    def bounding_box(self):
-        return self.vertices.min(axis=0), self.vertices.max(axis=0)
-
-    def boundary_points(self, step: float) -> np.ndarray:
-        return ring_boundary_points(self.vertices, step)
-
-    def solid_distance(self, points) -> np.ndarray:
-        return distance_to_polygon(points, self.vertices)
-
 
 # ---------------------------------------------------------------------------
 # Hausdorff distance
 
 
-def _directed_sample_distance(src, dst, step: float) -> float:
-    pts = src.boundary_points(step)
-    worst = 0.0
-    for start in range(0, len(pts), 65536):
-        chunk = pts[start:start + 65536]
-        worst = max(worst, float(np.max(dst.solid_distance(chunk))))
-    return worst
-
-
-def _convex_exact(va: np.ndarray, vb: np.ndarray) -> float:
-    d = 0.0
-    for pts, verts in ((va, vb), (vb, va)):
-        d = max(d, float(np.max(distance_to_polygon(pts, verts))))
-    return d
-
-
 def hausdorff_distance(a, b) -> float:
-    """Hausdorff distance between two compact set handles.
+    """Hausdorff distance between a PolygonSet and an origin-centered
+    planar Ball of radius r, given in either order.
 
-    Exact for ball pairs and for pairs of planar convex bodies.  An
-    origin-centered ball of radius r against a planar vertex ring that is
-    star-shaped about the origin (VertexRing.is_star_shaped: a polygon, a
-    facet polytope or a zonotope's ring) gives the radial deviation
-    max(max |v| - r, r - min |x| over the boundary, 0).  It is exact when
-    the ring is convex, since the boundary point of a convex body nearest
-    an interior origin is the foot of the perpendicular on its nearest
-    facet, and otherwise an upper bound that can exceed the distance.
-    Other planar pairs are measured from intrinsic boundary samplings
-    with arc-length step = scene diameter / BOUNDARY_DIVISIONS (read at
-    call time) to the other solid.  That is a lower estimate with no
-    one-step bound: the point of a solid farthest from the other set can
-    lie inside it, where no sample falls.  Handles of different
-    dimensions are rejected, and so, before any sampling, are box unions
-    and every 3D pair but two balls.
+    A polygon star-shaped about the origin (VertexRing.is_star_shaped)
+    gives the radial deviation max(max |v| - r, r - min |x| over the
+    boundary, 0).  It is exact when the polygon is convex, since the
+    boundary point of a convex body nearest an interior origin is the
+    foot of the perpendicular on its nearest edge, and otherwise an upper
+    bound that can exceed the distance.  Any other polygon is sampled:
+    the circle and the polygon's boundary are cut with arc-length step
+    scene diameter / BOUNDARY_DIVISIONS (read at call time), and the
+    value is the largest distance from a circle sample to the solid
+    polygon or from a boundary sample to the disk.  That is a lower
+    estimate with no one-step bound: the point of the disk farthest from
+    the polygon can lie inside the disk, where no sample falls.  Every
+    other pair raises InputError before any sampling.
     """
-    from .convex import Ball, ConvexBody, FacetPolytope, Zonotope, planar_polygon
-    from .sets import BoxUnion, SetHandle
-    no_route = f"no Hausdorff route for {type(a).__name__} vs {type(b).__name__}"
-    if not (isinstance(a, ConvexBody | SetHandle) and isinstance(b, ConvexBody | SetHandle)):
-        raise InputError(no_route)
-    if a.dim != b.dim:
-        raise InputError("cannot compare handles of different dimensions")
-    # every route is symmetric in its arguments, so a ball goes first
-    if isinstance(b, Ball):
-        a, b = b, a
-    if isinstance(b, Ball):
-        return abs(a.radius - b.radius)
-    if a.dim == 3 or isinstance(a, BoxUnion) or isinstance(b, BoxUnion):
-        raise InputError(no_route)
-    # planar convex bodies by their vertex form
-    convex = FacetPolytope | Zonotope
-    pa = planar_polygon(a) if isinstance(a, convex) else a
-    pb = planar_polygon(b) if isinstance(b, convex) else b
-    if isinstance(pa, FacetPolytope) and isinstance(pb, FacetPolytope):
-        return _convex_exact(pa.vertices, pb.vertices)
-    if isinstance(a, Ball) and isinstance(pb, VertexRing) and pb.is_star_shaped():
-        return max(pb.max_norm() - a.radius, a.radius - pb.min_boundary_norm(), 0.0)
-    # the rest, and a ball against a ring not star-shaped about the origin
-    (lo_a, hi_a), (lo_b, hi_b) = a.bounding_box(), b.bounding_box()
-    diameter = float(np.linalg.norm(np.maximum(hi_a, hi_b) - np.minimum(lo_a, lo_b)))
-    step = diameter / BOUNDARY_DIVISIONS
-    return max(_directed_sample_distance(pa, pb, step),
-               _directed_sample_distance(pb, pa, step))
+    from .convex import Ball
+    from .sets import PolygonSet
+    ball, P = (b, a) if isinstance(b, Ball) else (a, b)
+    if not (isinstance(ball, Ball) and ball.dim == 2 and isinstance(P, PolygonSet)):
+        raise InputError(f"no Hausdorff route for {type(a).__name__} vs {type(b).__name__}")
+    r = ball.radius
+    if P.is_star_shaped():
+        return max(P.max_norm() - r, r - P.min_boundary_norm(), 0.0)
+    v = P.vertices
+    # the diameter of the bounding box of the polygon and the disk
+    hi, lo = np.maximum(v.max(axis=0), r), np.minimum(v.min(axis=0), -r)
+    step = float(np.linalg.norm(hi - lo)) / BOUNDARY_DIVISIONS
+    count = max(8, int(math.ceil(2.0 * math.pi * r / step)))
+    t = np.arange(count) * (2.0 * math.pi / count)
+    circle = r * np.column_stack([np.cos(t), np.sin(t)])
+    edge = ring_boundary_points(v, step)
+    # in chunks of 65,536 samples: circle to polygon, then boundary to disk
+    worst = 0.0
+    for start in range(0, len(circle), 65536):
+        worst = max(worst, float(np.max(distance_to_polygon(circle[start:start + 65536], v))))
+    for start in range(0, len(edge), 65536):
+        worst = max(worst, float(np.max(np.linalg.norm(edge[start:start + 65536], axis=1))) - r)
+    return worst

@@ -680,7 +680,7 @@ def set_from_json(obj: dict) -> SetHandle:
     if "polygon" in obj:
         try:
             arr = np.asarray(obj["polygon"], dtype=float)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise InputError(f"field 'polygon' is not numeric: {exc}") from exc
         return PolygonSet(arr)
     if "boxes" in obj:
@@ -694,7 +694,7 @@ def set_from_json(obj: dict) -> SetHandle:
             try:
                 los.append(np.asarray(box["lo"], dtype=float))
                 his.append(np.asarray(box["hi"], dtype=float))
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise InputError(f"box {k} corners are not numeric: {exc}") from exc
         dims = {a.shape for a in los} | {a.shape for a in his}
         if len(dims) != 1:

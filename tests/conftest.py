@@ -5,6 +5,9 @@ wrapped so that the volume-preservation and perimeter-monotonicity
 guarantees are checked on the spot.  Violations are collected and raised
 at session teardown, so a regression in the symmetrizer cannot hide
 behind a test that only looks at some other quantity.
+
+The ``hausdorff_routes`` fixture records which route each Hausdorff
+distance takes.
 """
 
 from __future__ import annotations
@@ -14,8 +17,10 @@ import pytest
 import pettybox as _pkg
 import pettybox.cli as _cli
 import pettybox.driver as _driver
+import pettybox.geometry as _geometry
 import pettybox.projection as _projection
 import pettybox.sets as _sets
+from pettybox.geometry import VertexRing
 from pettybox.sets import perimeter, volume
 
 VOLUME_REL_TOL = 1e-12
@@ -69,3 +74,25 @@ def symmetrization_log():
                 "symmetrization guarantees violated during the session:\n"
                 + "\n".join(log.violations[:20])
             )
+
+
+@pytest.fixture
+def hausdorff_routes(monkeypatch):
+    """The routes geometry.hausdorff_distance takes, one entry per call
+    that passes its dispatch: "star_bound" when it reads the polygon's
+    boundary norm, "sampled" when it samples the polygon's boundary."""
+    taken = []
+    norm = VertexRing.min_boundary_norm
+    sample = _geometry.ring_boundary_points
+
+    def read_norm(self):
+        taken.append("star_bound")
+        return norm(self)
+
+    def read_samples(vertices, step):
+        taken.append("sampled")
+        return sample(vertices, step)
+
+    monkeypatch.setattr(VertexRing, "min_boundary_norm", read_norm)
+    monkeypatch.setattr(_geometry, "ring_boundary_points", read_samples)
+    return taken

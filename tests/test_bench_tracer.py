@@ -1,23 +1,30 @@
 """The benchmark's tracer wraps package functions and constructors that it
 names by (module, attribute); a name that no longer resolves breaks every
 traced benchmark run.  The package's own export list must resolve too, and
-so must the package names the README gives."""
+so must the package names the README gives.  The tracer's Hausdorff route
+counter must name the route the package takes."""
 
 from __future__ import annotations
 
 import builtins
+import functools
 import importlib
 import importlib.util
+import itertools
 import pkgutil
 import re
 from pathlib import Path
 
+import pytest
+
 import pettybox
+from pettybox import Ball, BoxUnion, FacetPolytope, InputError, PolygonSet, Zonotope
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACER = ROOT / "pettybench" / "tracer.py"
 
 
+@functools.cache
 def _tracer():
     spec = importlib.util.spec_from_file_location("pettybench_tracer", TRACER)
     tracer = importlib.util.module_from_spec(spec)
@@ -75,3 +82,31 @@ def test_readme_names_resolve_on_the_package():
             continue
         checked += 1
     assert checked > 0
+
+
+# one handle of each planar kind; the first polygon is star-shaped about
+# the origin, the second has the origin at a corner
+HANDLES = {
+    "ball": Ball(1.0),
+    "star-polygon": PolygonSet([[-1, -1], [1, -1], [1, 1], [-1, 1]]),
+    "polygon": PolygonSet([[0, 0], [1, 0], [1, 1], [0, 1]]),
+    "facets": FacetPolytope([[1, 0], [0, 1], [-1, 0], [0, -1]]),
+    "zonotope": Zonotope([[1.0, 0.0], [0.3, 1.0]]),
+    "boxes": BoxUnion([[-1, -1]], [[1, 1]]),
+}
+
+
+@pytest.mark.parametrize("first,second", itertools.product(HANDLES, repeat=2))
+def test_tracer_counts_the_hausdorff_route_the_package_takes(first, second, hausdorff_routes):
+    # the classifier names the route the call takes, and None exactly for
+    # a pair the call rejects.  The pairs are planar: the classifier does
+    # not read a ball's dimension, and the tracer counts only calls that
+    # return, so a rejected 3D pair is never counted
+    a, b = HANDLES[first], HANDLES[second]
+    counted = _tracer()._hausdorff_route(pettybox, a, b)
+    try:
+        pettybox.hausdorff_distance(a, b)
+    except InputError:
+        assert counted is None and hausdorff_routes == []
+    else:
+        assert hausdorff_routes == [counted]

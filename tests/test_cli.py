@@ -38,6 +38,11 @@ def sets_dir(tmp_path):
     # moment terms overflow
     (tmp_path / "huge.json").write_text(json.dumps(
         {"polygon": [[0, 0], [4e153, 0], [4e153, 4e153], [0, 4e153]]}))
+    # an integer too large for a float, in either shape
+    (tmp_path / "bigint_polygon.json").write_text(json.dumps(
+        {"polygon": [[0, 0], [10**400, 0], [0, 1]]}))
+    (tmp_path / "bigint_boxes.json").write_text(json.dumps(
+        {"boxes": [{"lo": [0, 0], "hi": [10**400, 1]}]}))
     return tmp_path
 
 
@@ -102,6 +107,10 @@ UNUSABLE = [
                  id="converge-overflowing-centroid"),
     pytest.param("coarea-check", "huge", (), "polygon is too large: its centroid overflows",
                  id="coarea-overflowing-centroid"),
+    pytest.param("petty", "bigint_polygon", (), "field 'polygon' is not numeric",
+                 id="polygon-int-beyond-float"),
+    pytest.param("petty", "bigint_boxes", (), "box 0 corners are not numeric",
+                 id="boxes-int-beyond-float"),
 ]
 
 
@@ -116,8 +125,9 @@ def test_unusable_set_file_exits_2(sets_dir, capsys, command, name, options, mes
 
 
 # a tolerance that is nan, infinite or negative, a campaign of no sets or
-# trials, or a negative seed, is invalid input: exit 2 before any work,
-# never a vacuous verdict or a traceback
+# trials, a negative seed, or a monotonicity option that the chosen mode
+# never reads, is invalid input: exit 2 before any work, never a vacuous
+# verdict, a traceback or a config that records an unused option
 INVALID_OPTIONS = [
     pytest.param(("petty", "--input", "{square}", "--tol", "nan"), "--tol", id="tol-nan"),
     pytest.param(("petty", "--input", "{square}", "--tol", "inf"), "--tol", id="tol-inf"),
@@ -139,6 +149,12 @@ INVALID_OPTIONS = [
                  id="seed-negative-affine"),
     pytest.param(("converge", "--input", "{square}", "--seed", "-1"), "--seed",
                  id="seed-negative-converge"),
+    pytest.param(("monotonicity", "--count", "2", "--seed", "1", "--direction", "1,0"),
+                 "--direction and --exploratory apply to --input", id="count-with-direction"),
+    pytest.param(("monotonicity", "--count", "2", "--seed", "1", "--exploratory"),
+                 "--direction and --exploratory apply to --input", id="count-with-exploratory"),
+    pytest.param(("monotonicity", "--input", "{square}", "--direction", "0.6,0.8", "--seed", "4"),
+                 "--seed applies to --count", id="input-with-seed"),
 ]
 
 

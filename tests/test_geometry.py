@@ -250,11 +250,14 @@ def test_cyclic_next_is_roll_by_minus_one():
 
 
 def test_sampled_hausdorff_unchanged_from_per_edge_loops(monkeypatch):
-    star = PolygonSet([[2, 0], [0.5, 0.5], [0, 2], [-0.5, 0.5], [-2, 0],
-                       [-0.5, -0.5], [0, -2], [0.5, -0.5]])
+    # polygons with the origin on or outside their boundary take the
+    # sampled route, whose kernels must give the loops' values
+    star = PolygonSet(np.array(STAR) + [2.5, 0.0])
     notched = PolygonSet([[0, 0], [3, 0], [3, 2], [1.5, 0.4], [0, 2]])
-    pairs = [(star, unit_square()), (notched, star), (notched, Ball(1.0)),
-             (FacetPolytope(CENTERED_SQUARE), notched)]
+    pairs = [(notched, Ball(1.0)), (Ball(0.5), unit_square()), (star, Ball(2.0)),
+             (Ball(0.6), c_shape())]
+    assert not any(P.is_star_shaped() for pair in pairs for P in pair
+                   if isinstance(P, PolygonSet))
     monkeypatch.setattr(pettybox.geometry, "BOUNDARY_DIVISIONS", 512)
     got = [hausdorff_distance(a, b) for a, b in pairs]
     loops = {"points_in_polygon": points_in_polygon_loop,
@@ -367,160 +370,106 @@ def test_bad_rings_raise_naming_their_kind(make, kind, vertices, message):
 
 
 # ----------------------------------------------------------------- hausdorff
+#
+# hausdorff_distance takes one pair, a polygon and a planar ball in either
+# order: the radial-deviation rule when the polygon is star-shaped about
+# the origin, boundary sampling otherwise.  Every other pair is rejected.
 
-def brute_force_hausdorff(a_pts, b_pts, a_inside, b_inside):
-    """Oracle: directed sup-inf over dense boundary samples, where each
-    side's distance honours solid membership of the other set (the
-    membership tests take a point array and return a mask)."""
-
-    def directed(pts, inside_other, other_pts):
-        worst = 0.0
-        outside = pts[~inside_other(pts)]
-        for start in range(0, len(outside), 256):
-            p = outside[start:start + 256, None, :]
-            dx = other_pts[None, :, 0] - p[..., 0]
-            dy = other_pts[None, :, 1] - p[..., 1]
-            worst = max(worst, float(np.max(np.min(np.sqrt(dx * dx + dy * dy), axis=1))))
-        return worst
-
-    return max(
-        directed(a_pts, b_inside, b_pts), directed(b_pts, a_inside, a_pts)
-    )
+STAR = [[2, 0], [0.5, 0.5], [0, 2], [-0.5, 0.5], [-2, 0], [-0.5, -0.5], [0, -2], [0.5, -0.5]]
 
 
-def test_hausdorff_concentric_balls_exact():
-    assert hausdorff_distance(Ball(1.0), Ball(2.0)) == 1.0
-    assert hausdorff_distance(Ball(2.0), Ball(1.0)) == 1.0
-    assert hausdorff_distance(Ball(1.5, dim=3), Ball(1.5, dim=3)) == 0.0
+def c_shape():
+    """Arcs of radii 1.1 and 0.9, 200 points each, over the angles
+    0.1 ... 2 pi - 0.1: a ring that does not wind about the origin."""
+    t = np.linspace(0.1, 2.0 * math.pi - 0.1, 200)
+    arc = np.column_stack([np.cos(t), np.sin(t)])
+    return PolygonSet(np.vstack([1.1 * arc, 0.9 * arc[::-1]]))
 
 
-def test_hausdorff_rejects_mixed_dimensions():
+def test_hausdorff_rejects_mixed_dimensions(hausdorff_routes):
     square = PolygonSet([[0, 0], [2, 0], [2, 2], [0, 2]])
-    with pytest.raises(InputError, match="dimensions"):
-        hausdorff_distance(Ball(1.0, dim=3), square)
     cube = BoxUnion([[0, 0, 0]], [[1, 1, 1]])
-    for other in (square, Ball(1.0), BoxUnion([[0, 0]], [[1, 1]])):
-        with pytest.raises(InputError, match="dimensions"):
-            hausdorff_distance(cube, other)
-    for a, b in ((Zonotope(np.eye(3)), FacetPolytope(CENTERED_SQUARE)),
+    for a, b in ((Ball(1.0, dim=3), square), (square, Ball(1.0, dim=3)),
+                 (cube, square), (cube, Ball(1.0)), (cube, BoxUnion([[0, 0]], [[1, 1]])),
+                 (Zonotope(np.eye(3)), FacetPolytope(CENTERED_SQUARE)),
                  (diamond(), Ball(1.0, dim=3))):
-        with pytest.raises(InputError, match="dimensions"):
+        with pytest.raises(InputError, match="^no Hausdorff route for "):
             hausdorff_distance(a, b)
-
-
-def test_hausdorff_identity_is_zero():
-    sq = unit_square()
-    assert hausdorff_distance(sq, sq) == 0.0
-    K = FacetPolytope([[1, 0], [0, 1], [-1, 0], [0, -1]])
-    assert hausdorff_distance(K, K) == 0.0
-
-
-def test_hausdorff_translated_squares_matches_oracle():
-    a = unit_square()
-    b = PolygonSet([[1, 0], [2, 0], [2, 1], [1, 1]])
-    got = hausdorff_distance(a, b)
-
-    ts = np.linspace(0.0, 1.0, 2001)
-
-    def ring(lo):
-        return np.vstack(
-            [
-                np.column_stack([lo + ts, np.zeros_like(ts)]),
-                np.column_stack([np.full_like(ts, lo + 1.0), ts]),
-                np.column_stack([lo + 1.0 - ts, np.ones_like(ts)]),
-                np.column_stack([np.full_like(ts, lo), 1.0 - ts]),
-            ]
-        )
-
-    def inside(lo):
-        return lambda p: ((lo <= p[:, 0]) & (p[:, 0] <= lo + 1.0)
-                          & (0.0 <= p[:, 1]) & (p[:, 1] <= 1.0))
-
-    oracle = brute_force_hausdorff(
-        ring(0.0), ring(1.0), inside(0.0), inside(1.0)
-    )
-    assert abs(oracle - 1.0) <= 1e-3
-    # sampled estimator is accurate to about one boundary step
-    scene = math.sqrt(2.0 * 2.0 + 1.0)
-    assert abs(got - 1.0) <= scene / 2048 + 1e-9
+    assert hausdorff_routes == []
 
 
 def test_hausdorff_rotation_invariance_convex_pairs():
-    # convex-convex pairs go through the exact vertex/facet path
+    # a convex polygon turned about the ball's centre keeps its distance
+    # to the ball, to rounding
     rng = np.random.default_rng(23)
-    K = FacetPolytope(
-        [[1.2, 0], [0.3, 0.9], [-1.0, 0.4], [-0.5, -1.1], [0.6, -0.8]])
-    L = FacetPolytope([[0.9, 0.1], [0.0, 1.3], [-1.2, -0.2], [0.2, -1.0]])
-    base = hausdorff_distance(K, L)
-    for _ in range(10):
-        R = rotation_2d(rng.uniform(0, 2 * math.pi))
-        Kr = FacetPolytope(K.vertices @ R.T)
-        Lr = FacetPolytope(L.vertices @ R.T)
-        assert abs(hausdorff_distance(Kr, Lr) - base) <= 1e-9
+    K = PolygonSet([[1.2, 0], [0.3, 0.9], [-1.0, 0.4], [-0.5, -1.1], [0.6, -0.8]])
+    for r in (0.5, 1.0, 1.4):
+        base = hausdorff_distance(K, Ball(r))
+        for _ in range(10):
+            Kr = PolygonSet(K.vertices @ rotation_2d(rng.uniform(0, 2 * math.pi)).T)
+            assert abs(hausdorff_distance(Kr, Ball(r)) - base) <= 1e-12
 
 
 def test_hausdorff_rotation_stability_sampled_path():
-    # nonconvex pairs are sampled; invariance holds to sampling resolution
-    star = PolygonSet(
-        [[2, 0], [0.5, 0.5], [0, 2], [-0.5, 0.5], [-2, 0], [-0.5, -0.5],
-         [0, -2], [0.5, -0.5]]
-    )
-    sq = unit_square()
-    base = hausdorff_distance(star, sq)
-    R = rotation_2d(0.7)
-    star_r = PolygonSet(np.asarray(star.vertices) @ R.T)
-    sq_r = PolygonSet(np.asarray(sq.vertices) @ R.T)
-    step = math.hypot(6.0, 5.0) / 2048  # generous scene bound
-    assert abs(hausdorff_distance(star_r, sq_r) - base) <= 2 * step
+    # a polygon whose origin lies outside it is sampled; turning the pair
+    # about the origin moves the value by at most about one boundary step.
+    # Every turn of the scene lies in the disk of radius 4.5, so its
+    # bounding box has a diagonal of at most 9 sqrt(2)
+    star = PolygonSet(np.array(STAR) + [2.5, 0.0])
+    base = hausdorff_distance(star, Ball(1.0))
+    star_r = PolygonSet(star.vertices @ rotation_2d(0.7).T)
+    step = 9.0 * math.sqrt(2.0) / 2048
+    assert abs(hausdorff_distance(star_r, Ball(1.0)) - base) <= 2 * step
 
 
 def test_hausdorff_convex_vs_ball():
-    K = FacetPolytope([[1, 1], [-1, 1], [-1, -1], [1, -1]])
+    K = PolygonSet(CENTERED_SQUARE)
     # farthest point of the square from the unit ball is a corner
     assert abs(hausdorff_distance(K, Ball(1.0)) - (math.sqrt(2) - 1)) <= 1e-12
-    assert abs(hausdorff_distance(rectangle(), Ball(1.0)) - (math.sqrt(5) - 1)) <= 1e-12
+    wide = PolygonSet(planar_polygon(rectangle()).vertices)
+    assert abs(hausdorff_distance(wide, Ball(1.0)) - (math.sqrt(5) - 1)) <= 1e-12
     # the ball's point farthest from the diamond faces the middle of an edge
-    assert abs(hausdorff_distance(diamond(), Ball(1.0)) - (1 - math.sqrt(0.5))) <= 1e-12
-
-
-def _three_rings(seed: int):
-    """A random planar zonotope, its ring as a FacetPolytope and the same
-    ring as a PolygonSet."""
-    rng = np.random.default_rng(seed)
-    Z = Zonotope(rng.normal(size=(int(rng.integers(2, 12)), 2)) * rng.uniform(0.1, 3.0))
-    ring = planar_polygon(Z).vertices
-    return Z, FacetPolytope(ring), PolygonSet(ring)
+    rhombus = PolygonSet(diamond().vertices)
+    assert abs(hausdorff_distance(rhombus, Ball(1.0)) - (1 - math.sqrt(0.5))) <= 1e-12
 
 
 @pytest.mark.parametrize("seed", range(40))
-def test_one_ball_rule_on_a_zonotope_and_its_ring(seed):
-    # a planar zonotope, its ring as facets and as a polygon take one
-    # rule and give one value: on a convex ring the radial deviation is
-    # max(max|v| - r, r - min offset), up to rounding in the norms, whose
-    # scale is the radius
-    Z, P, Q = _three_rings(seed)
+def test_one_ball_rule_on_a_zonotope_and_its_ring(seed, hausdorff_routes):
+    # a random planar zonotope's ring as a polygon takes the ball rule: on
+    # a convex ring the radial deviation is max(max|v| - r, r - min
+    # offset), up to rounding in the norms, whose scale is the radius.
+    # The zonotope and its ring as facets have no route.
+    rng = np.random.default_rng(seed)
+    Z = Zonotope(rng.normal(size=(int(rng.integers(2, 12)), 2)) * rng.uniform(0.1, 3.0))
+    P = FacetPolytope(planar_polygon(Z).vertices)
+    Q = PolygonSet(P.vertices)
     for r in (0.5 * float(np.min(P.offsets)), float(np.mean(P.offsets)), 1.5 * P.max_norm()):
         want = max(P.max_norm() - r, r - float(np.min(P.offsets)))
-        got = hausdorff_distance(Ball(r), Z)
+        got = hausdorff_distance(Ball(r), Q)
         assert abs(got - want) <= 1e-15 * r
-        for K in (Z, P, Q):
-            assert hausdorff_distance(Ball(r), K) == got
-            assert hausdorff_distance(K, Ball(r)) == got
+        assert hausdorff_distance(Q, Ball(r)) == got
+        for K in (Z, P):
+            with pytest.raises(InputError, match="^no Hausdorff route for "):
+                hausdorff_distance(Ball(r), K)
+    assert hausdorff_routes == ["star_bound"] * 6
 
 
 def test_ball_rule_bounds_a_notched_star_polygon_from_above():
     # a star-shaped non-convex ring: the radial deviation is an upper
-    # bound, at least the distance of dense boundary samples
+    # bound, at least the distance of dense samples of both boundaries
     m = 200
     t = 2.0 * math.pi * np.arange(m) / m
     radius = np.where(np.arange(m) == 0, 0.2, 1.0)
     notched = PolygonSet(radius[:, None] * np.column_stack([np.cos(t), np.sin(t)]))
-    ball = Ball(math.sqrt(notched.volume() / math.pi))
+    r = math.sqrt(notched.volume() / math.pi)
     assert notched.is_star_shaped()
     step = 2.0 / 16384
-    lower = max(pettybox.geometry._directed_sample_distance(ball, notched, step),
-                pettybox.geometry._directed_sample_distance(notched, ball, step))
-    assert hausdorff_distance(ball, notched) >= lower
+    s = np.arange(0.0, 2.0 * math.pi, step / r)
+    circle = r * np.column_stack([np.cos(s), np.sin(s)])
+    edge = pettybox.geometry.ring_boundary_points(notched.vertices, step)
+    lower = max(float(np.max(pettybox.geometry.distance_to_polygon(circle, notched.vertices))),
+                float(np.max(np.linalg.norm(edge, axis=1))) - r)
+    assert hausdorff_distance(Ball(r), notched) >= lower
 
 
 @pytest.mark.parametrize("ring", [
@@ -529,49 +478,55 @@ def test_ball_rule_bounds_a_notched_star_polygon_from_above():
     [[1, 1], [3, 1], [3, 3], [1, 3]],
 ], ids=["origin-vertex", "origin-on-edge", "origin-outside"])
 @pytest.mark.parametrize("make", [FacetPolytope, PolygonSet], ids=["facets", "polygon"])
-def test_ball_rule_needs_the_origin_interior(monkeypatch, ring, make):
+def test_ball_rule_needs_the_origin_interior(hausdorff_routes, ring, make):
     # a convex ring whose origin is on or outside its boundary is not
-    # star-shaped about it and takes the sampled route
+    # star-shaped about it: as a polygon it takes the sampled route, as
+    # facets it has no route and is rejected before any sampling
     K = make(ring)
     assert not K.is_star_shaped()
-    sampled = []
-    original = pettybox.geometry._directed_sample_distance
-
-    def counted(src, dst, step):
-        sampled.append(step)
-        return original(src, dst, step)
-
-    monkeypatch.setattr(pettybox.geometry, "_directed_sample_distance", counted)
-    hausdorff_distance(Ball(1.0), K)
-    assert len(sampled) == 2
+    if make is PolygonSet:
+        hausdorff_distance(Ball(1.0), K)
+        assert hausdorff_routes == ["sampled"]
+    else:
+        with pytest.raises(InputError, match="^no Hausdorff route for Ball vs FacetPolytope$"):
+            hausdorff_distance(Ball(1.0), K)
+        assert hausdorff_routes == []
 
 
-# Pairs of handle kinds and their distance, beyond those tested above;
-# sampled routes are good to one boundary step of the widest scene here
-# (the rectangle's), exact ones to rounding
-STEP = math.sqrt(20.0) / 2048
+# Pairs of planar handle kinds and their distance, None where the pair has
+# no route; the sampled route is good to one boundary step of its scene,
+# the ball rule to rounding
+STEP = 2.0 * math.sqrt(2.0) / 2048
 EXACT = 1e-12
 ROUTES = [
     pytest.param(Ball(1.0), PolygonSet(CENTERED_SQUARE), math.sqrt(2) - 1, EXACT,
                  id="ball-starshaped"),
+    # the unit square's corner at the ball's centre: the farthest ball
+    # points from it, (-1, 0) to (0, -1), lie at distance 1
+    pytest.param(Ball(1.0), unit_square(), 1.0, STEP, id="ball-polygon-sampled"),
     pytest.param(FacetPolytope(CENTERED_SQUARE), FacetPolytope(2 * np.array(CENTERED_SQUARE)),
-                 math.sqrt(2), EXACT, id="facets-facets"),
-    pytest.param(FacetPolytope(CENTERED_SQUARE), rectangle(), 1.0, EXACT, id="facets-zonotope"),
-    pytest.param(FacetPolytope(CENTERED_SQUARE), diamond(), math.sqrt(0.5), EXACT,
-                 id="facets-wrapper"),
-    pytest.param(rectangle(), Zonotope(np.eye(2)), 1.0, EXACT, id="zonotope-zonotope"),
-    pytest.param(rectangle(), diamond(), math.sqrt(2), EXACT, id="zonotope-wrapper"),
-    pytest.param(diamond(), diamond(2.0), 0.5, EXACT, id="wrapper-wrapper"),
-    pytest.param(FacetPolytope(CENTERED_SQUARE), unit_square(), math.sqrt(2), STEP,
+                 None, None, id="facets-facets"),
+    pytest.param(FacetPolytope(CENTERED_SQUARE), rectangle(), None, None, id="facets-zonotope"),
+    pytest.param(FacetPolytope(CENTERED_SQUARE), diamond(), None, None, id="facets-wrapper"),
+    pytest.param(rectangle(), Zonotope(np.eye(2)), None, None, id="zonotope-zonotope"),
+    pytest.param(rectangle(), diamond(), None, None, id="zonotope-wrapper"),
+    pytest.param(diamond(), diamond(2.0), None, None, id="wrapper-wrapper"),
+    pytest.param(FacetPolytope(CENTERED_SQUARE), unit_square(), None, None,
                  id="facets-polygon"),
-    pytest.param(rectangle(), PolygonSet(CENTERED_SQUARE), 1.0, STEP, id="zonotope-polygon"),
-    pytest.param(diamond(), PolygonSet(CENTERED_SQUARE), math.sqrt(0.5), STEP,
-                 id="wrapper-polygon"),
+    pytest.param(rectangle(), PolygonSet(CENTERED_SQUARE), None, None, id="zonotope-polygon"),
+    pytest.param(diamond(), PolygonSet(CENTERED_SQUARE), None, None, id="wrapper-polygon"),
+    pytest.param(PolygonSet(CENTERED_SQUARE), unit_square(), None, None, id="polygon-polygon"),
+    pytest.param(Ball(1.0), Ball(2.0), None, None, id="ball-ball"),
 ]
 
 
 @pytest.mark.parametrize("a,b,expected,tol", ROUTES)
 def test_hausdorff_routes(a, b, expected, tol):
+    if expected is None:
+        for x, y in ((a, b), (b, a)):
+            with pytest.raises(InputError, match="^no Hausdorff route for "):
+                hausdorff_distance(x, y)
+        return
     got = hausdorff_distance(a, b)
     assert abs(got - expected) <= tol
     assert hausdorff_distance(b, a) == got
@@ -588,17 +543,24 @@ def test_hausdorff_routes(a, b, expected, tol):
                  "^no Hausdorff route for Zonotope vs PolarWrapper$", id="zonotope3d-wrapper"),
     pytest.param(Zonotope(np.eye(3)), BoxUnion([[0, 0, 0]], [[1, 1, 1]]),
                  "^no Hausdorff route for Zonotope vs BoxUnion$", id="zonotope3d-boxes"),
-    # box unions and 3D pairs other than two balls have no route
     pytest.param(Ball(1.0), BoxUnion([[-1, -1]], [[1, 1]]),
                  "^no Hausdorff route for Ball vs BoxUnion$", id="ball-boxes"),
     pytest.param(Ball(1.0, dim=3), BoxUnion([[0, 0, 0]], [[1, 1, 1]]),
                  "^no Hausdorff route for Ball vs BoxUnion$", id="ball3d-boxes"),
     pytest.param(Zonotope(np.eye(3)), Zonotope(2.0 * np.eye(3)),
                  "^no Hausdorff route for Zonotope vs Zonotope$", id="zonotope3d-zonotope3d"),
+    # a polygon goes with a planar ball only
+    pytest.param(PolygonSet(CENTERED_SQUARE), Ball(1.0, dim=3),
+                 "^no Hausdorff route for PolygonSet vs Ball$", id="polygon-ball3d"),
+    pytest.param(Ball(1.5, dim=3), Ball(1.5, dim=3),
+                 "^no Hausdorff route for Ball vs Ball$", id="ball3d-ball3d"),
+    pytest.param(Zonotope(np.eye(2)), Ball(1.0),
+                 "^no Hausdorff route for Zonotope vs Ball$", id="zonotope-ball"),
 ])
-def test_hausdorff_rejects_unrouted_pairs(a, b, message):
+def test_hausdorff_rejects_unrouted_pairs(a, b, message, hausdorff_routes):
     with pytest.raises(InputError, match=message):
         hausdorff_distance(a, b)
+    assert hausdorff_routes == []
 
 
 # ----------------------------------------------------------------------- hull
