@@ -32,6 +32,10 @@ BLOCK_ROWS = 1 << 12
 # of a zonotope support block in either dimension, whose (generators,
 # nodes) products take 8 bytes per pair, 128 KiB
 BLOCK_PAIRS = 1 << 14
+# relative width, on squared circumradii, of the near ties that the greedy
+# scorer reads again in the input frame: a radius read in the direction's
+# own frame and one rotated back differ by a few eps
+NEAR_TIE = 16 * np.finfo(float).eps
 # Boundary sampling density of the Hausdorff distance from a polygon that
 # is not star-shaped about the origin to a ball: arc-length step is
 # (scene diameter) / BOUNDARY_DIVISIONS.  The sampled value is a lower
@@ -247,8 +251,10 @@ def section_incidence(w: np.ndarray):
     block is sorted once by abscissa, and dense ranks of the sorted
     abscissae number the row's distinct values ``breaks``; the cells are
     the intervals between consecutive breaks, and every non-vertical
-    edge spans the cells between the ranks of its own endpoints.  A block's tuple holds the slice of stack rows, the block's
-    breaks row after row, ``starts`` (the index of each row's first break,
+    edge spans the cells between the ranks of its own endpoints.
+
+    A block's tuple holds the slice of stack rows, the block's breaks
+    row after row, ``starts`` (the index of each row's first break,
     closed by len(breaks)), then one entry per edge and cell it spans: the
     edge's index in the flattened stack, the cell (the index of its left
     break), the edge's heights at the cell's left and right ends, its
@@ -278,7 +284,8 @@ def _incidence_block(w: np.ndarray, first: int):
     distinct[:, 1:] = sx[:, 1:] != sx[:, :-1]
     rank = np.empty((K, m), dtype=np.intp)
     np.put_along_axis(rank, order, np.cumsum(distinct, axis=1) - 1, axis=1)
-    ahead = np.roll(rank, -1, axis=1)
+    # each vertex's successor's rank, the first column moved to the end
+    ahead = np.concatenate([rank[:, 1:], rank[:, :1]], axis=1)
     breaks = sx[distinct]
     starts = np.concatenate([[0], np.cumsum(distinct.sum(axis=1))])
     lo = (np.minimum(rank, ahead) + starts[:-1, None]).ravel()
@@ -289,12 +296,14 @@ def _incidence_block(w: np.ndarray, first: int):
         j = int(odd[0])
         raise NumericalError(f"odd section parity in cell ({breaks[j]}, {breaks[j + 1]})")
     edge = np.repeat(np.arange(len(span)), span)
-    # both endpoints of every entry's edge, (entry, endpoint, axis)
-    ends = np.stack([w, np.roll(w, -1, axis=1)], axis=2).reshape(-1, 2, 2)[edge]
-    xa, xb, ya, yb = ends[:, 0, 0], ends[:, 1, 0], ends[:, 0, 1], ends[:, 1, 1]
+    # both endpoints of every entry's edge, (x, y) of the vertex and of its
+    # successor, in one gather
+    ahead_w = np.concatenate([w[:, 1:], w[:, :1]], axis=1)
+    xa, ya, xb, yb = np.concatenate([w, ahead_w], axis=2).reshape(-1, 4)[edge].T
+    dx = xb - xa
     return (slice(first, first + K), breaks, starts, edge + first * m, cells,
-            lerp((breaks[cells] - xa) / (xb - xa), ya, yb),
-            lerp((breaks[cells + 1] - xa) / (xb - xa), ya, yb), (yb - ya) / (xb - xa),
+            lerp((breaks[cells] - xa) / dx, ya, yb),
+            lerp((breaks[cells + 1] - xa) / dx, ya, yb), (yb - ya) / dx,
             np.where(xb < xa, 1.0, -1.0))
 
 
@@ -389,31 +398,36 @@ def symmetral_radii(vertices: np.ndarray, directions) -> tuple[np.ndarray, np.nd
     call per block of directions and no set built, and the vertex ring of
     the lowest-index direction of least radius.
 
-    The chain points and their mirrors are rotated back to the input
-    frame in one stacked product, as steiner_ring rotates its ring, so
-    each radius is the max norm over that direction's ring.  The winner's
-    ring comes from its own chain through _chain_ring, as steiner_ring
-    builds it, and the chain of a direction does not depend on the other
-    directions of its block, so the ring equals steiner_ring(vertices,
-    winner) bit for bit."""
+    A rotation keeps norms, so each radius is read in the direction's own
+    frame, from its chain: max sqrt(x^2 + (L/2)^2) over the chain points,
+    times |u|, the factor by which the rotation back to the input frame
+    scales a direction that is unit only within DIRECTION_TOL.  Rounding
+    can split or join exact ties there, so the directions whose squared
+    radius is within NEAR_TIE of the block's least are scored again in
+    the same pass: each gets the max norm over its ring, built from its
+    chain and rotated back as steiner_ring builds it (_chain_ring).  Every
+    other radius exceeds the least by more than the few eps between the
+    two readings, so the winner, the lowest index among the least of the
+    radii returned, is the one that the rotated rings of all directions
+    would give.  The chain of a direction does not depend on the other
+    directions of its block, so the winner's ring equals
+    steiner_ring(vertices, winner) bit for bit."""
     radii = np.empty(len(directions))
-    best = None  # the least radius so far, then the frame and chain it came from
+    best = None  # the least radius so far and its ring
     for rows, frames, who, xs, half, mirrored in _symmetral_chains(vertices, directions):
         count = np.bincount(who)
         first = np.cumsum(count) - count
-        at = np.arange(len(who)) - np.repeat(first, count)
-        # each direction's chain and its mirror image, padded with zeros
-        pts = np.zeros((len(count), 2, int(count.max()), 2))
-        pts[who, 0, at] = np.column_stack([xs, -half])
-        pts[who, 1, at] = np.column_stack([xs, half])
-        ring = np.matmul(pts.reshape(len(count), -1, 2), frames)
-        block = np.max(np.linalg.norm(ring, axis=2), axis=1)
-        radii[rows] = block
-        j = int(np.argmin(block))
-        if best is None or block[j] < best[0]:
+        square = (np.maximum.reduceat(xs * xs + half * half, first)
+                  * np.sum(frames[:, 1] * frames[:, 1], axis=1))
+        block = np.sqrt(square)
+        for j in np.flatnonzero(square <= square.min() * (1.0 + NEAR_TIE)):
             chain = slice(first[j], first[j] + count[j])
-            best = (block[j], frames[j], xs[chain], half[chain], mirrored[chain])
-    return radii, _chain_ring(*best[1:])
+            ring = _chain_ring(frames[j], xs[chain], half[chain], mirrored[chain])
+            block[j] = np.max(np.linalg.norm(ring, axis=1))
+            if best is None or block[j] < best[0]:
+                best = (block[j], ring)
+        radii[rows] = block
+    return radii, best[1]
 
 
 def prune_collinear(vertices: np.ndarray) -> np.ndarray:

@@ -589,13 +589,16 @@ def cap_cover_greedy_step(E: PolygonSet, candidates) -> np.ndarray:
     regular.  The cap-cover-greedy policy's step in the driver.
 
     One pass of the batched section-length kernel scores the whole
-    (K, 2) stack (geometry.symmetral_radii): each score is max |v| (the
-    formula of PolygonSet.max_norm) over the symmetral's vertex ring,
-    rotated back to the input frame as steiner_ring rotates it, and no
-    symmetral set is built but the winner's.  That set, on the winner's
-    ring, fills E's slot, so the steiner_symmetrize(E, winner) that
-    follows returns it as the next iterate without running the kernel
-    again."""
+    (K, 2) stack (geometry.symmetral_radii): each score is the
+    symmetral's circumradius, max sqrt(x^2 + (L/2)^2) over its chain in
+    the candidate's own frame, and no symmetral set is built but the
+    winner's.  The candidates within rounding of the least score are
+    scored again in the same pass by max |v| over their vertex rings,
+    rotated back to the input frame as steiner_ring rotates them, so ties
+    are broken on the same values as by steiner_ring.  The winner's set,
+    on its ring, fills E's slot, so the steiner_symmetrize(E, winner)
+    that follows returns it as the next iterate without running the
+    kernel again."""
     if not isinstance(E, PolygonSet):
         raise InputError("symmetrals are scored on polygons")
     U = np.asarray(candidates, dtype=float)

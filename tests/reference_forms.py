@@ -1,6 +1,8 @@
 """Dense and per-edge loop forms of the package's kernels, kept as test
 oracles: the vectorised and blocked kernels in the package must agree
-with them.  Also the small derived quantities only tests read
+with them.  Also the section-incidence block with its successors taken by
+np.roll and the greedy scorer that rotates every chain back to the input
+frame, which the package's forms must match bit for bit.  Also the small derived quantities only tests read
 (column multiplicities and volumes, box-union axis masses and symmetric
 differences), the grid-sampled inclusion margin the exact vertex margin
 must dominate, the ring route of the planar polar area, the shoelace
@@ -15,8 +17,9 @@ import numpy as np
 
 from pettybox.convex import polar_polygon, steiner_symmetrize_convex
 from pettybox.driver import AXIS_PERTURBATION
-from pettybox.errors import InputError
-from pettybox.geometry import as_direction, circle_grid, cross_2d, rotation_2d
+from pettybox.errors import InputError, NumericalError
+from pettybox.geometry import (_chain_ring, _symmetral_chains, as_direction,
+                               circle_grid, cross_2d, lerp, rotation_2d)
 from pettybox.projection import projection_body
 from pettybox.sets import (BoxUnion, ColumnStructure, _on_segment,
                            cap_cover_greedy_step, is_regular_direction,
@@ -115,6 +118,62 @@ def prune_collinear_loop(vertices: np.ndarray) -> np.ndarray:
                 changed = True
         v = np.array(out) if out else v[:0]
     return v
+
+
+def roll_incidence_block(w: np.ndarray, first: int):
+    """geometry._incidence_block with each vertex's successor taken by
+    np.roll and both endpoints of every entry's edge gathered from a
+    stacked (vertex, successor) array: the same tuple, bit for bit."""
+    K, m = w.shape[:2]
+    x = w[..., 0]
+    order = np.argsort(x, axis=1)
+    sx = np.take_along_axis(x, order, axis=1)
+    distinct = np.ones((K, m), dtype=bool)
+    distinct[:, 1:] = sx[:, 1:] != sx[:, :-1]
+    rank = np.empty((K, m), dtype=np.intp)
+    np.put_along_axis(rank, order, np.cumsum(distinct, axis=1) - 1, axis=1)
+    ahead = np.roll(rank, -1, axis=1)
+    breaks = sx[distinct]
+    starts = np.concatenate([[0], np.cumsum(distinct.sum(axis=1))])
+    lo = (np.minimum(rank, ahead) + starts[:-1, None]).ravel()
+    span = np.abs(ahead - rank).ravel()
+    cells = np.arange(int(span.sum())) + np.repeat(lo - np.cumsum(span) + span, span)
+    odd = np.flatnonzero(np.bincount(cells, minlength=len(breaks)) % 2)
+    if len(odd):
+        j = int(odd[0])
+        raise NumericalError(f"odd section parity in cell ({breaks[j]}, {breaks[j + 1]})")
+    edge = np.repeat(np.arange(len(span)), span)
+    ends = np.stack([w, np.roll(w, -1, axis=1)], axis=2).reshape(-1, 2, 2)[edge]
+    xa, xb, ya, yb = ends[:, 0, 0], ends[:, 1, 0], ends[:, 0, 1], ends[:, 1, 1]
+    return (slice(first, first + K), breaks, starts, edge + first * m, cells,
+            lerp((breaks[cells] - xa) / (xb - xa), ya, yb),
+            lerp((breaks[cells + 1] - xa) / (xb - xa), ya, yb), (yb - ya) / (xb - xa),
+            np.where(xb < xa, 1.0, -1.0))
+
+
+def rotated_symmetral_radii(vertices: np.ndarray, directions):
+    """geometry.symmetral_radii with every radius read in the input frame:
+    each direction's chain and its mirror image, padded with zeros, are
+    rotated back in one stacked product, and each radius is the max norm
+    over that ring; the winner is the lowest index of least radius, its
+    ring built by _chain_ring."""
+    radii = np.empty(len(directions))
+    best = None
+    for rows, frames, who, xs, half, mirrored in _symmetral_chains(vertices, directions):
+        count = np.bincount(who)
+        first = np.cumsum(count) - count
+        at = np.arange(len(who)) - np.repeat(first, count)
+        pts = np.zeros((len(count), 2, int(count.max()), 2))
+        pts[who, 0, at] = np.column_stack([xs, -half])
+        pts[who, 1, at] = np.column_stack([xs, half])
+        ring = np.matmul(pts.reshape(len(count), -1, 2), frames)
+        block = np.max(np.linalg.norm(ring, axis=2), axis=1)
+        radii[rows] = block
+        j = int(np.argmin(block))
+        if best is None or block[j] < best[0]:
+            chain = slice(first[j], first[j] + count[j])
+            best = (block[j], frames[j], xs[chain], half[chain], mirrored[chain])
+    return radii, _chain_ring(*best[1:])
 
 
 def ring_boundary_points_loop(vertices: np.ndarray, step: float) -> np.ndarray:

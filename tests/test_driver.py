@@ -26,7 +26,8 @@ from pettybox.geometry import (VertexRing, rotation_2d, section_incidence,
                                steiner_ring, symmetral_radii)
 from pettybox.sets import SurfaceMeasure
 
-from reference_forms import draw_direction_loops
+from reference_forms import (draw_direction_loops, roll_incidence_block,
+                             rotated_symmetral_radii)
 
 
 def unit_square():
@@ -103,18 +104,26 @@ def _scored_fans():
     return [(E, _fan(32, rng.uniform())) for E in polygons]
 
 
-def _blocks(E, fan) -> int:
+def _frame_stack(E, fan) -> np.ndarray:
     # each direction u taken to the vertical by the rotation with rows (perp, u)
-    stack = np.stack([E.vertices @ np.array([[u[1], -u[0]], u]).T for u in fan])
-    return len(list(section_incidence(stack)))
+    return np.stack([E.vertices @ np.array([[u[1], -u[0]], u]).T for u in fan])
+
+
+def _blocks(E, fan) -> int:
+    return len(list(section_incidence(_frame_stack(E, fan))))
+
+
+def _ring_radii(E, fan) -> np.ndarray:
+    """max |v| over the ring of each symmetral, one steiner_ring each."""
+    return np.array([np.max(np.linalg.norm(steiner_ring(E.vertices, u), axis=1))
+                     for u in fan])
 
 
 def test_batched_scores_match_each_ring():
     blocked = 0
     for E, fan in _scored_fans():
         blocked += _blocks(E, fan) > 1
-        want = np.array([np.max(np.linalg.norm(steiner_ring(E.vertices, u), axis=1))
-                         for u in fan])
+        want = _ring_radii(E, fan)
         got, ring = symmetral_radii(E.vertices, fan)
         assert np.all(np.abs(got - want) <= 1e-15 * want)
         assert int(np.argmin(got)) == int(np.argmin(want))
@@ -139,16 +148,23 @@ def kernel_passes(monkeypatch):
 
 
 def test_greedy_winner_is_served_from_the_slot(kernel_passes):
-    # single- and multi-block fans, and the tied square fan, whose winner
-    # is the first of two equal minima
-    cases = _scored_fans() + [(centered_square(), _fan(8, 0.5))]
+    # single- and multi-block fans, and two centred regular polygons on
+    # fans whose ring radii tie exactly: the square's (candidates 1 and 5)
+    # and the 9-gon's (five candidates), whose winner is the first of the
+    # equal minima; the near ties are scored again within the one pass
+    tied = [(centered_square(), _fan(8, 0.5)), (regular_polygon(9), _fan(12, 0.5))]
+    cases = _scored_fans() + tied
     assert {_blocks(E, fan) > 1 for E, fan in cases} == {False, True}
-    for E, fan in cases:
+    for k, (E, fan) in enumerate(cases):
+        want = _ring_radii(E, fan)
+        ties = np.flatnonzero(want == want.min())
+        assert len(ties) >= 2 or k < len(cases) - len(tied)
         del kernel_passes[:]
         u = cap_cover_greedy_step(E, fan)
         S = steiner_symmetrize(E, u)
         again = steiner_symmetrize(E, u)
         assert kernel_passes == [len(fan)]
+        assert np.array_equal(u, fan[ties[0]])
         fresh = steiner_ring(E.vertices, u)
         assert S.vertices.tobytes() == again.vertices.tobytes() == fresh.tobytes()
         assert not S.vertices.flags.writeable
@@ -199,12 +215,60 @@ def test_greedy_step_ties_go_to_the_lowest_index():
     # fan candidates 3 and 7 give symmetrals of exactly equal circumradius
     E = centered_square()
     fan = _fan(8, 0.5)
-    want = np.array([np.max(np.linalg.norm(steiner_ring(E.vertices, u), axis=1))
-                     for u in fan])
+    want = _ring_radii(E, fan)
     ties = np.flatnonzero(want == want.min())
     assert len(ties) >= 2
     assert np.array_equal(cap_cover_greedy_step(E, fan), fan[ties[0]])
     assert np.array_equal(cap_cover_greedy_step(E, fan[::-1]), fan[::-1][7 - ties[-1]])
+
+
+def _oracle_cases():
+    """_scored_fans, the centred regular 3- to 12-gons on fans of 8, 12
+    and 32 directions at four offsets (many with exact ties), and a fan
+    whose directions are unit only to within 5e-13."""
+    cases = _scored_fans()
+    cases += [(regular_polygon(m), _fan(count, offset)) for m in range(3, 13)
+              for count in (8, 12, 32) for offset in (0.0, 0.25, 0.5, 0.75)]
+    rng = np.random.default_rng(5)
+    cases.append((random_polygon(2), _fan(32, 0.3) * rng.uniform(1 - 5e-13, 1 + 5e-13, (32, 1))))
+    return cases
+
+
+def test_greedy_winner_follows_the_rotated_oracle():
+    # the scorer reads radii in each candidate's frame and scores near
+    # ties again by the ring rotated back; its winner, the least radius
+    # and the ring must be those of the scorer that rotates every chain
+    tied = 0
+    for E, fan in _oracle_cases():
+        want, want_ring = rotated_symmetral_radii(E.vertices, fan)
+        tied += np.count_nonzero(want == want.min()) >= 2
+        winner = fan[np.argmin(want)]
+        got, ring = symmetral_radii(E.vertices, fan)
+        assert np.all(np.abs(got - want) <= 1e-15 * want)
+        assert got.min() == want.min()
+        assert ring.tobytes() == want_ring.tobytes() == steiner_ring(E.vertices, winner).tobytes()
+        assert np.array_equal(cap_cover_greedy_step(E, fan), winner)
+    assert tied >= 20
+
+
+def test_section_incidence_matches_the_roll_form():
+    # single rings, convex and not, and stacks of frames, some cut into
+    # several blocks: every field of every block's tuple, bit for bit
+    comb = PolygonSet([[0, 0], [5, 0], [5, 3], [4, 3], [4, 1], [3, 1], [3, 3],
+                       [2, 3], [2, 1], [1, 1], [1, 3], [0, 3]])
+    rings = [unit_square(), comb, PolygonSet([[0, 0], [3, 0], [3, 2], [1.5, 0.4], [0, 2]]),
+             random_polygon(3), random_polygon(8, max_vertices=900), regular_polygon(7)]
+    stacks = [_frame_stack(E, fan) for E, fan in _scored_fans()]
+    stacks += [_frame_stack(E, _fan(32, 0.1)) for E in (comb, regular_polygon(200))]
+    assert max(len(list(section_incidence(w))) for w in stacks) > 1
+    for w in [E.vertices for E in rings] + stacks:
+        w3 = w[None] if w.ndim == 2 else w
+        for got in section_incidence(w):
+            want = roll_incidence_block(w3[got[0]], got[0].start)
+            assert got[0] == want[0]
+            for a, b in zip(got[1:], want[1:]):
+                assert a.dtype == b.dtype and a.shape == b.shape
+                assert a.tobytes() == b.tobytes()
 
 
 # -------------------------------------------------------------------- traces
