@@ -1,14 +1,15 @@
 """Convex bodies and polarity.
 
-Four body kinds cover everything the toolkit builds: planar facet
-polytopes, origin-symmetric zonotopes in dimension 2 or 3, origin-centered
-balls, and a lazy polar wrapper for three-dimensional bodies, whose polar
-has no materialized form.  A zonotope's support, in either dimension, is
-one blocked sum of |u . g| over its generators (Zonotope.support_batch).
+Four body kinds cover what the toolkit builds: planar facet polytopes,
+origin-symmetric zonotopes in dimension 2 or 3, planar origin-centered
+balls, which the driver measures its iterates against, and a lazy polar
+wrapper for a three-dimensional zonotope, whose polar has no materialized
+form.  The zonotope is the one body with a support kernel: one blocked sum
+of |u . g| over its generators in either dimension (Zonotope.support_batch).
 Planar polars are materialized exactly by polar_polygon.  A planar
 zonotope's polar area is a closed form over its generators sorted by
 angle (Zonotope._polar_area), with no vertex ring; the ring serves the
-callers that need vertices.  Three-dimensional polar volumes of bodies
+callers that need vertices.  Three-dimensional polar volumes of zonotopes
 other than boxes fall back to spherical quadrature of the reciprocal
 support function with a reported error estimate.
 """
@@ -34,8 +35,6 @@ PARALLEL_TOL = 1e-12
 # the ring's coordinates cannot resolve it (64 units of roundoff)
 RING_RESOLUTION = 64.0 * np.finfo(float).eps
 
-_BALL_VOLUME = {1: 2.0, 2: math.pi, 3: 4.0 * math.pi / 3.0}
-
 
 @dataclass(frozen=True)
 class Ball:
@@ -49,15 +48,6 @@ class Ball:
             raise InputError(f"ball radius must be positive, got {self.radius!r}")
         if self.dim not in (2, 3):
             raise InputError("balls live in dimension 2 or 3")
-
-    def support(self, z) -> float:
-        return self.radius * float(np.linalg.norm(z))
-
-    def radial(self, u) -> float:
-        return self.radius
-
-    def volume(self) -> float:
-        return _BALL_VOLUME[self.dim] * self.radius ** self.dim
 
 
 class FacetPolytope(VertexRing):
@@ -92,27 +82,6 @@ class FacetPolytope(VertexRing):
             raise NumericalError("facet offsets inconsistent with vertices")
         return offsets
 
-    def support(self, z) -> float:
-        return float(np.max(self.vertices @ np.asarray(z, dtype=float)))
-
-    def support_batch(self, nodes: np.ndarray) -> np.ndarray:
-        return np.max(np.asarray(nodes, dtype=float) @ self.vertices.T, axis=1)
-
-    def radial(self, u) -> float:
-        """The largest t with t*u in the body: the least offset / (u . normal)
-        over the facets with u . normal > 0, with the origin interior."""
-        normals, offsets = self.normals, self.offsets
-        if np.min(offsets) <= 0.0:
-            raise InputError("radial function needs the origin interior to the body")
-        u = np.asarray(u, dtype=float)
-        if u.shape != (2,):
-            raise InputError(f"a planar direction has shape (2,), got {u.shape}")
-        dots = normals @ u
-        ahead = dots > 0.0
-        if not np.any(ahead):
-            raise InputError("radial evaluation hit an unbounded direction")
-        return float(np.min(offsets[ahead] / dots[ahead]))
-
 
 class Zonotope:
     """Origin-symmetric zonotope: the Minkowski sum of segments
@@ -135,11 +104,6 @@ class Zonotope:
 
     def __repr__(self):
         return f"Zonotope({len(self.generators)} generators, dim={self.dim})"
-
-    def support(self, z) -> float:
-        """The one-row case of support_batch, so the two agree bit for
-        bit."""
-        return float(self.support_batch(np.asarray(z, dtype=float)[None])[0])
 
     def support_batch(self, nodes: np.ndarray) -> np.ndarray:
         """Support sum |u . g| at each row of an (n, dim) stack of
@@ -343,31 +307,19 @@ def _cut_wide_groups(g: np.ndarray, start: np.ndarray, turn: np.ndarray,
 
 
 class PolarWrapper:
-    """Lazy polar of a 3D convex body with the origin interior.  Radial
-    evaluation is exact through support duality.  The polar of a planar
-    body is materialized exactly by polar_polygon instead."""
+    """Lazy polar of a 3D zonotope.  The polar of a planar body is
+    materialized exactly by polar_polygon instead."""
 
     dim = 3
 
     def __init__(self, body):
-        if isinstance(body, PolarWrapper):
-            raise InputError("polar wrappers do not nest; unwrap to the inner body")
-        if body.dim != 3:
-            raise InputError(f"polar wrappers hold 3D bodies; the polar of a planar "
-                             f"{type(body).__name__} is exact as polar_polygon or polar_body")
+        if not (isinstance(body, Zonotope) and body.dim == 3):
+            raise InputError(f"polar wrappers hold 3D zonotopes, not {body!r}; a planar "
+                             f"polar is exact as polar_polygon or polar_body")
         self.body = body
 
     def __repr__(self):
         return f"PolarWrapper({self.body!r})"
-
-    def radial(self, u) -> float:
-        h = self.body.support(u)
-        if h <= 0.0:
-            raise InputError("polar radial undefined: support is nonpositive")
-        return float(np.linalg.norm(u)) / h
-
-    def volume(self) -> float:
-        return polar_volume(self.body).value
 
 
 ConvexBody = Ball | FacetPolytope | Zonotope | PolarWrapper
@@ -387,8 +339,6 @@ def polar_polygon(K: ConvexBody) -> FacetPolytope:
     """Materialized polar of a planar body with the origin interior:
     each facet with outer normal nu and offset h contributes the polar
     vertex nu/h, in matching CCW order."""
-    if isinstance(K, Ball):
-        raise InputError("the polar of a ball is a ball; use polar_body")
     P = planar_polygon(K)
     normals, offsets = P.normals, P.offsets
     if np.min(offsets) <= 0.0:
@@ -403,14 +353,14 @@ def polar_polygon(K: ConvexBody) -> FacetPolytope:
 
 def polar_body(K: ConvexBody) -> ConvexBody:
     """The polar of K in whichever form is exact: balls invert, planar
-    bodies materialize, 3D bodies wrap lazily, wrappers unwrap."""
+    bodies materialize, 3D zonotopes wrap lazily, wrappers unwrap."""
     if isinstance(K, PolarWrapper):
         return K.body
     if isinstance(K, Ball):
         return Ball(1.0 / K.radius, dim=K.dim)
-    if K.dim == 2:
-        return polar_polygon(K)
-    return PolarWrapper(K)
+    if isinstance(K, Zonotope) and K.dim == 3:
+        return PolarWrapper(K)
+    return polar_polygon(K)
 
 
 @dataclass(frozen=True)
@@ -424,35 +374,31 @@ class PolarVolume:
 
 def polar_volume(K: ConvexBody, grid: SphericalGrid | None = None,
                  method: str = "auto") -> PolarVolume:
-    """Volume of the polar of K.
+    """Volume of the polar of a zonotope K, or of the polar of a wrapper
+    (the wrapped zonotope itself).
 
-    Planar bodies and axis-aligned box zonotopes are exact; other 3D
-    bodies integrate the reciprocal support cubed over a spherical grid,
-    with the differences against the grid's half- and quarter-resolution
-    error levels reported as the error estimate.  method='quadrature'
-    forces the quadrature route on bodies that would otherwise take a
-    closed form (used to validate the grids); it takes facet polytopes
-    and zonotopes, the bodies with a support kernel.
+    Planar zonotopes and 3D axis-aligned boxes are exact; other 3D
+    zonotopes integrate the reciprocal support cubed over a spherical
+    grid, with the differences against the grid's half- and
+    quarter-resolution error levels reported as the error estimate.
+    method='quadrature' forces the quadrature route on zonotopes that
+    would otherwise take a closed form (used to validate the grids).
+    Any other body or route raises InputError.
     """
     if method not in ("auto", "quadrature"):
         raise InputError(f"unknown polar volume method {method!r}")
+    if method == "auto" and isinstance(K, PolarWrapper):
+        # polar of the polar: the body itself
+        return PolarVolume(K.body.volume(), 0.0)
+    if not isinstance(K, Zonotope):
+        raise InputError(f"no {method} route for {type(K).__name__}")
     if method == "auto":
-        if isinstance(K, Ball):
-            return PolarVolume(_BALL_VOLUME[K.dim] / K.radius ** K.dim, 0.0)
-        if isinstance(K, PolarWrapper):
-            # polar of the polar: the body itself
-            return PolarVolume(K.body.volume(), 0.0)
-        if isinstance(K, Zonotope) and K.dim == 2:
-            return PolarVolume(K._polar_area(), 0.0)
         if K.dim == 2:
-            return PolarVolume(polar_polygon(K).volume(), 0.0)
-        if isinstance(K, Zonotope):
-            half = K.axis_box_halfwidths()
-            if half is not None:
-                n = K.dim
-                return PolarVolume(2.0 ** n / (math.factorial(n) * float(np.prod(half))), 0.0)
-    if not isinstance(K, (FacetPolytope, Zonotope)):
-        raise InputError(f"no quadrature route for {type(K).__name__}")
+            return PolarVolume(K._polar_area(), 0.0)
+        half = K.axis_box_halfwidths()
+        if half is not None:
+            # the cross-polytope with half-diagonals 1/a, 1/b, 1/c
+            return PolarVolume(8.0 / (6.0 * float(np.prod(half))), 0.0)
     n = K.dim
     g = grid if grid is not None else default_grid(n)
 
@@ -477,8 +423,5 @@ def steiner_symmetrize_convex(K: ConvexBody, u):
     through the origin orthogonal to u: every chord parallel to u is
     recentered.  The vertex ring comes from the same section-length
     kernel as polygon symmetrals (geometry.steiner_ring), so area is kept
-    to rounding and convexity is kept.  Centered balls are fixed points
-    and come back unchanged."""
-    if isinstance(K, Ball):
-        return K
+    to rounding and convexity is kept."""
     return FacetPolytope(steiner_ring(planar_polygon(K).vertices, u))

@@ -62,14 +62,6 @@ class SurfaceMeasure:
         object.__setattr__(self, "normals", normals)
         object.__setattr__(self, "masses", masses)
 
-    @property
-    def dim(self) -> int:
-        return self.normals.shape[1]
-
-    @property
-    def total_mass(self) -> float:
-        return float(np.sum(self.masses))
-
     def orthogonal_atoms(self, directions) -> np.ndarray:
         """(atoms, K) mask: whether each atom's normal is orthogonal within
         AXIS_ALIGNMENT_TOL to each of a (K, dim) stack of unit directions."""

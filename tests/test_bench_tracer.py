@@ -1,6 +1,7 @@
 """The benchmark's tracer wraps package functions and constructors that it
 names by (module, attribute); a name that no longer resolves breaks every
-traced benchmark run.  The package's own export list must resolve too, and
+traced benchmark run.  So does a package name or a result attribute that
+the benchmark reads.  The package's own export list must resolve too, and
 so must the package names the README gives.  The tracer's Hausdorff route
 counter must name the route the package takes."""
 
@@ -18,10 +19,12 @@ from pathlib import Path
 import pytest
 
 import pettybox
-from pettybox import Ball, BoxUnion, FacetPolytope, InputError, PolygonSet, Zonotope
+from pettybox import (Ball, BoxUnion, FacetPolytope, InputError, PolygonSet,
+                      SphericalGrid, Zonotope)
 
 ROOT = Path(__file__).resolve().parents[1]
-TRACER = ROOT / "pettybench" / "tracer.py"
+BENCH = ROOT / "pettybench"
+TRACER = BENCH / "tracer.py"
 
 
 @functools.cache
@@ -53,6 +56,19 @@ def test_each_traced_name_binds_one_function():
         for mod in _modules():
             if hasattr(mod, attr):
                 assert getattr(mod, attr) is traced, f"{layer}: {mod.__name__}.{attr}"
+
+
+def test_benchmark_names_resolve_on_the_package():
+    # the benchmark reads the package as pb; the tracer also reads these
+    # attributes off results and grids
+    names = {name for path in BENCH.glob("*.py")
+             for name in re.findall(r"\bpb\.(\w+)", path.read_text())}
+    assert "PolarWrapper" in names and "default_grid" in names
+    for name in sorted(names):
+        assert hasattr(pettybox, name), name
+    for cls, attr in [(BoxUnion, "box_count"), (Zonotope, "axis_box_halfwidths"),
+                      (PolygonSet, "is_star_shaped"), (SphericalGrid, "size")]:
+        assert hasattr(cls, attr), f"{cls.__name__}.{attr}"
 
 
 def test_exported_names_resolve_on_the_package():

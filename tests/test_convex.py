@@ -1,5 +1,7 @@
-"""Convex bodies: support and radial evaluation, polar bodies and polar
-volumes, zonotopes, and convex Steiner symmetrization."""
+"""Convex bodies: the zonotope support kernel, polar bodies and polar
+volumes, and convex Steiner symmetrization.  Supports and radial
+functions of the other bodies are read off their vertices and facets
+(reference_forms.dense_radial)."""
 
 from __future__ import annotations
 
@@ -42,16 +44,13 @@ def random_centered_body(seed, points=12):
     return FacetPolytope(hull - hull.mean(axis=0))
 
 
+def vertex_support(P, nodes):
+    """Support of a planar polytope at each row of a node stack: the
+    largest product with a vertex."""
+    return np.max(np.asarray(nodes, dtype=float) @ P.vertices.T, axis=1)
+
+
 # --------------------------------------------------------------------- balls
-
-def test_ball_basics():
-    b = Ball(2.0)
-    assert b.support(E2) == 2.0
-    assert b.radial([0.6, 0.8]) == 2.0
-    assert abs(b.volume() - 4.0 * math.pi) <= 1e-12
-    b3 = Ball(2.0, dim=3)
-    assert abs(b3.volume() - 32.0 * math.pi / 3.0) <= 1e-12
-
 
 def test_ball_validation():
     with pytest.raises(InputError):
@@ -65,12 +64,10 @@ def test_ball_validation():
 # ----------------------------------------------------------- facet polytopes
 
 def test_facet_polytope_support_and_radial():
+    # the radial function read off the derived normals and offsets
     K = centered_square()
-    assert K.support([1.0, 1.0]) == 2.0
-    assert K.support(E1) == 1.0
-    assert abs(K.radial([math.sqrt(0.5), math.sqrt(0.5)]) - math.sqrt(2)) \
-        <= 1e-12
-    assert abs(K.radial(E1) - 1.0) <= 1e-12
+    radial = dense_radial(K.normals, K.offsets, np.array([[math.sqrt(0.5)] * 2, E1]))
+    assert np.all(np.abs(radial - [math.sqrt(2), 1.0]) <= 1e-12)
     assert K.volume() == 4.0
 
 
@@ -90,17 +87,11 @@ def test_from_vertices_prunes_collinear():
     assert len(K.vertices) == 4
 
 
-def test_radial_requires_origin_interior():
-    K = FacetPolytope([[0, 0], [1, 0], [0, 1]])
-    with pytest.raises(InputError):
-        K.radial(E1)
-
-
 # ------------------------------------------------ radial and planar support
 #
-# FacetPolytope.radial is the least offset / (u . normal) over every
-# facet; it must agree with the dense formula and with polar duality,
-# rho_K(u) h_{K polar}(u) = 1.  The planar Zonotope.support_batch is the
+# The radial function of a polytope, the least offset / (u . normal) over
+# its facets, and the support of its polar_polygon must meet polar
+# duality, rho_K(u) h_{K polar}(u) = 1.  The planar Zonotope.support_batch is the
 # blocked sum of |u . g| that 3D bodies use; it must agree with the dense
 # formula over every generator to 1e-13 of the body's size, on nodes
 # where some u . g is zero or changes sign (a generator's breakpoint, the
@@ -135,18 +126,14 @@ def test_radial_matches_dense_formula_and_polar_duality(seed, points, scale):
     rng = np.random.default_rng(seed)
     # nodes at the vertex angles and across the +-pi seam
     nodes = _probe_nodes(rng, _directions(K.vertices))
-    got = np.array([K.radial(u) for u in nodes])
-    want = dense_radial(K.normals, K.offsets, nodes)
-    # both sides divide the same offset by d = u . normal at the minimizing
-    # facet, and d rounds differently in a matrix-vector and a
-    # matrix-matrix product, so they agree to a few eps / d, relative
-    # (at most 2.0 eps / d over 3,000 random bodies)
+    radial = dense_radial(K.normals, K.offsets, nodes)
+    # the radial divides an offset by d = u . normal at the minimizing
+    # facet, and d carries rounding, so the product is 1 to a few eps / d
     dots = nodes @ K.normals.T
     with np.errstate(divide="ignore"):
         ratios = np.where(dots > 0.0, K.offsets / dots, np.inf)
     bound = 8.0 * EPS / dots[np.arange(len(nodes)), np.argmin(ratios, axis=1)]
-    assert np.all(np.abs(got - want) <= bound * want)
-    assert np.all(np.abs(got * polar.support_batch(nodes) - 1.0) <= bound)
+    assert np.all(np.abs(radial * vertex_support(polar, nodes) - 1.0) <= bound)
 
 
 _AXES = (0.0, 0.5 * math.pi, math.pi, -0.5 * math.pi)
@@ -186,28 +173,19 @@ def test_zonotope_support_batch_single_direction(angle, lengths, seed):
 
 
 def test_radial_and_support_walk_reject_bad_inputs():
-    K = random_centered_body(1)
     Z = Zonotope([[1.0, 0.0], [0.3, 1.0]])
     nodes3 = default_grid(3).nodes[:8]
-    with pytest.raises(InputError):
-        K.radial(nodes3[0])
     # a node stack whose width is not the body's dimension, either way
     for body, nodes in [(Z, nodes3), (_random_zonotope_3d(2), default_grid(2).nodes[:8])]:
         with pytest.raises(InputError):
             body.support_batch(nodes)
-        with pytest.raises(InputError):
-            body.support(nodes[0])
-    with pytest.raises(InputError):
-        FacetPolytope(K.vertices + [10.0, 0.0]).radial(E1)
-    with pytest.raises(InputError):
-        K.radial(np.zeros(2))
 
 
 # ----------------------------------------------------------------- zonotopes
 
 def test_zonotope_support_and_box_detection():
     Z = Zonotope([[1, 0], [0, 1]])
-    assert Z.support([1.0, 1.0]) == 2.0
+    assert Z.support_batch(np.array([[1.0, 1.0]]))[0] == 2.0
     assert np.allclose(Z.axis_box_halfwidths(), [1.0, 1.0])
     got = sorted(map(tuple, np.round(planar_polygon(Z).vertices, 12)))
     assert got == [(-1.0, -1.0), (-1.0, 1.0), (1.0, -1.0), (1.0, 1.0)]
@@ -239,9 +217,8 @@ def test_zonogon_materialization_matches_support(seed):
     Z = Zonotope(gens)
     P = FacetPolytope(planar_polygon(Z).vertices)
     scale = 1.0 + float(np.abs(gens).sum())
-    for _ in range(20):
-        z = rng.normal(size=2)
-        assert abs(Z.support(z) - P.support(z)) <= 1e-9 * scale
+    z = rng.normal(size=(20, 2))
+    assert np.all(np.abs(Z.support_batch(z) - vertex_support(P, z)) <= 1e-9 * scale)
     assert abs(Z.volume() - P.volume()) <= 1e-9 * scale ** 2
 
 
@@ -502,22 +479,17 @@ def test_polar_body_forms():
     assert polar_body(W) is Z
     with pytest.raises(InputError):
         PolarWrapper(W)
-
-
-def test_polar_wrapper_radial_duality():
-    K = Zonotope([[1.0, 0.0, 0.0], [0.5, 1.0, 0.0], [0.0, 0.3, 1.2]])
-    W = PolarWrapper(K)
-    # definitional identity: rho of the polar is the reciprocal support
-    assert W.radial([1.0, 0.0, 0.0]) == 1.0 / K.support([1.0, 0.0, 0.0])
-    assert W.radial([0.0, 0.0, 1.0]) == 1.0 / K.support([0.0, 0.0, 1.0])
-    u = np.array([0.48, 0.6, 0.64])
-    assert abs(W.radial(u) - 1.0 / K.support(u)) <= 1e-15
+    for body in ("x", BoxUnion([[0, 0, 0]], [[1, 1, 1]])):
+        with pytest.raises(InputError, match="no planar vertex form"):
+            polar_body(body)
 
 
 @pytest.mark.parametrize("body", [centered_square(), Zonotope([[1.0, 0.5], [0.0, 1.0]]),
-                                  Ball(1.0)], ids=["facets", "zonotope", "ball"])
+                                  Ball(1.0), Ball(1.0, dim=3), "x"],
+                         ids=["facets", "zonotope", "ball", "ball3", "string"])
 def test_polar_wrapper_rejects_planar_bodies(body):
-    # a planar polar is exact as a polygon, so there is no planar wrapper
+    # a planar polar is exact as a polygon, so there is no planar wrapper,
+    # and polar_body wraps nothing but a 3D zonotope
     with pytest.raises(InputError, match="polar_polygon"):
         PolarWrapper(body)
 
@@ -541,6 +513,27 @@ _SECTION_BODIES = {
 }
 
 
+def _support(K, nodes):
+    """Support of a body at each row of a node stack, from its own form:
+    r |z| for a ball, the kernel for a zonotope, vertices for a polytope."""
+    if isinstance(K, Ball):
+        return K.radius * np.linalg.norm(nodes, axis=1)
+    if isinstance(K, Zonotope):
+        return K.support_batch(nodes)
+    return vertex_support(K, nodes)
+
+
+def _radial(P, nodes):
+    """Radial function of one of polar_body's exact forms at unit nodes:
+    a ball's radius, a wrapper's reciprocal support of its zonotope, a
+    polygon's least offset / (u . normal)."""
+    if isinstance(P, Ball):
+        return np.full(len(nodes), P.radius)
+    if isinstance(P, PolarWrapper):
+        return 1.0 / P.body.support_batch(nodes)
+    return dense_radial(P.normals, P.offsets, nodes)
+
+
 @pytest.mark.parametrize("seed", [1, 2, 3])
 @pytest.mark.parametrize("kind", list(_SECTION_BODIES))
 def test_polar_sections_are_exact(kind, seed):
@@ -549,12 +542,12 @@ def test_polar_sections_are_exact(kind, seed):
     K = _SECTION_BODIES[kind](seed)
     P = polar_body(K)
     u = np.random.default_rng(seed).normal(size=(200, K.dim))
-    for w in u / np.linalg.norm(u, axis=1, keepdims=True):
-        lo, hi = -P.radial(-w), P.radial(w)
-        assert np.isfinite(lo) and np.isfinite(hi) and lo < 0.0 < hi
-        for end in (lo, hi):
-            assert abs(K.support(end * w) - 1.0) <= 1e-12 * (1.0 + abs(end))
-        assert K.support(0.5 * (lo + hi) * w) < 1.0
+    w = u / np.linalg.norm(u, axis=1, keepdims=True)
+    lo, hi = -_radial(P, -w), _radial(P, w)
+    assert np.all(np.isfinite(lo) & np.isfinite(hi) & (lo < 0.0) & (0.0 < hi))
+    for end in (lo, hi):
+        assert np.all(np.abs(_support(K, end[:, None] * w) - 1.0) <= 1e-12 * (1.0 + np.abs(end)))
+    assert np.all(_support(K, 0.5 * (lo + hi)[:, None] * w) < 1.0)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3, 4])
@@ -564,19 +557,18 @@ def test_polar_sections_of_planar_zonotope_match_its_vertex_form(seed):
     Z = Zonotope(np.random.default_rng(seed).normal(size=(6, 2)))
     P = polar_polygon(Z)
     u = np.random.default_rng(seed).normal(size=(200, 2))
-    for w in u / np.linalg.norm(u, axis=1, keepdims=True):
-        for end in (w, -w):
-            want = 1.0 / Z.support(end)
-            assert abs(P.radial(end) - want) <= 1e-12 * want
+    w = u / np.linalg.norm(u, axis=1, keepdims=True)
+    for end in (w, -w):
+        want = 1.0 / Z.support_batch(end)
+        assert np.all(np.abs(dense_radial(P.normals, P.offsets, end) - want) <= 1e-12 * want)
 
 
 # ------------------------------------------------------------- polar volumes
 
 def test_polar_volume_exact_routes():
-    assert polar_volume(Ball(1.0)).value == math.pi
-    assert polar_volume(Ball(2.0)).error == 0.0
-    assert abs(polar_volume(Ball(2.0)).value - math.pi / 4.0) <= 1e-12
-    pv = polar_volume(centered_square())
+    # a parallelogram of area 4 is a unimodular image of the square
+    # [-1, 1]^2, so its polar has the cross-polytope's area 2
+    pv = polar_volume(Zonotope([[1.0, 0.0], [0.3, 1.0]]))
     assert pv.error == 0.0
     assert abs(pv.value - 2.0) <= 1e-12
     cube = Zonotope(np.eye(3))
@@ -603,7 +595,7 @@ def test_polar_volume_quadrature_matches_exact_3d():
 
 def test_polar_volume_quadrature_error_estimate_2d():
     for seed in (2, 7):
-        K = random_centered_body(seed)
+        K = Zonotope(np.random.default_rng(seed).normal(size=(6, 2)))
         exact = polar_volume(K).value
         q = polar_volume(K, method="quadrature")
         assert abs(q.value - exact) <= q.error + 1e-12
@@ -617,22 +609,31 @@ def test_polar_volume_denser_grid_tightens():
 
 
 def test_polar_volume_reverses_containment():
-    K = centered_square()
-    L = FacetPolytope(1.5 * K.vertices)
+    K = Zonotope([[1.0, 0.0], [0.3, 1.0]])
+    L = Zonotope(1.5 * K.generators)
     assert polar_volume(K).value >= polar_volume(L).value
 
 
 def test_polar_volume_rejects_bad_method_and_exterior_origin():
     with pytest.raises(InputError):
-        polar_volume(centered_square(), method="guess")
+        polar_volume(Zonotope(np.eye(2)), method="guess")
+    # polar volumes take a zonotope or a wrapper, and only a zonotope has a
+    # support kernel to integrate; a ball has no planar vertex form, so no
+    # convex symmetral
     shifted = FacetPolytope([[1, 1], [2, 1], [2, 2], [1, 2]])
-    with pytest.raises(InputError):
-        polar_volume(shifted)
-    # a wrapper and a ball have no support kernel to integrate
-    with pytest.raises(InputError, match="^no quadrature route for PolarWrapper$"):
-        polar_volume(PolarWrapper(Zonotope(np.eye(3))), method="quadrature")
-    with pytest.raises(InputError, match="^no quadrature route for Ball$"):
-        polar_volume(Ball(1.0), method="quadrature")
+    for call, message in [
+            (lambda: polar_volume(shifted), "^no auto route for FacetPolytope$"),
+            (lambda: polar_volume(Ball(1.0)), "^no auto route for Ball$"),
+            (lambda: polar_volume(centered_square(), method="quadrature"),
+             "^no quadrature route for FacetPolytope$"),
+            (lambda: polar_volume(PolarWrapper(Zonotope(np.eye(3))), method="quadrature"),
+             "^no quadrature route for PolarWrapper$"),
+            (lambda: polar_volume(Ball(1.0), method="quadrature"),
+             "^no quadrature route for Ball$"),
+            (lambda: steiner_symmetrize_convex(Ball(1.0), (0, 1)),
+             "^Ball has no planar vertex form$")]:
+        with pytest.raises(InputError, match=message):
+            call()
 
 
 def _random_zonotope_3d(seed, count=6):
@@ -731,15 +732,6 @@ def test_blocked_support_gives_the_dense_quadrature(monkeypatch):
     assert abs(pv.error - dense_pv.error) <= 1e-13 * dense_pv.value
 
 
-@pytest.mark.parametrize("k", [1, 7, 9, 60])
-def test_scalar_support_is_the_one_row_batch(k):
-    rng = np.random.default_rng(k)
-    for dim in (2, 3):
-        Z = Zonotope(rng.normal(size=(k, dim)))
-        for z in rng.normal(size=(16, dim)) * rng.uniform(1e-3, 1e3, size=(16, 1)):
-            assert Z.support(z) == Z.support_batch(z[None])[0]
-
-
 def test_blocked_support_on_the_default_grid_stays_under_one_mib():
     # the dense form's two (32768, 6) temporaries peak at 3 MiB on the
     # sphere, and its two (4096, 40) ones at 2.5 MiB for a campaign-sized
@@ -756,15 +748,6 @@ def test_blocked_support_on_the_default_grid_stays_under_one_mib():
         assert peak < 1 << 20
 
 
-def test_body_volume_dispatch():
-    # every body kind answers volume(); a wrapper's is its polar volume
-    assert Ball(1.0).volume() == math.pi
-    assert centered_square().volume() == 4.0
-    assert Zonotope([[1, 0], [0, 1]]).volume() == 4.0
-    W = PolarWrapper(Zonotope(np.eye(3)))
-    assert abs(W.volume() - 4.0 / 3.0) <= 1e-15
-
-
 # --------------------------------------------------------- convex symmetrals
 
 def test_convex_steiner_examples():
@@ -776,8 +759,6 @@ def test_convex_steiner_examples():
     S = steiner_symmetrize_convex(tri, E2)
     got = sorted(map(tuple, np.round(S.vertices, 12)))
     assert got == [(0.0, -1.0), (0.0, 1.0), (2.0, 0.0)]
-    b = Ball(2.0)
-    assert steiner_symmetrize_convex(b, [0.6, 0.8]) is b
 
 
 def test_convex_steiner_preserves_area_and_reflects():
@@ -790,10 +771,9 @@ def test_convex_steiner_preserves_area_and_reflects():
         S = steiner_symmetrize_convex(K, u)
         assert abs(S.volume() - K.volume()) <= 1e-9 * (1.0 + K.volume())
         R = np.eye(2) - 2.0 * np.outer(u, u)
-        grid = circle_grid(256)
-        for z in grid.nodes[::16]:
-            assert abs(S.support(z) - S.support(R @ z)) \
-                <= 1e-9 * (1.0 + abs(S.support(z)))
+        z = circle_grid(256).nodes[::16]
+        h = vertex_support(S, z)
+        assert np.all(np.abs(h - vertex_support(S, z @ R.T)) <= 1e-9 * (1.0 + np.abs(h)))
 
 
 def test_convex_steiner_rotation_equivariance():
@@ -802,8 +782,7 @@ def test_convex_steiner_rotation_equivariance():
     R = rotation_2d(0.9)
     left = steiner_symmetrize_convex(FacetPolytope(K.vertices @ R.T), R @ u)
     right_v = steiner_symmetrize_convex(K, u).vertices @ R.T
-    grid = circle_grid(512)
     right = FacetPolytope.from_vertices(right_v)
-    for z in grid.nodes[::32]:
-        assert abs(left.support(z) - right.support(z)) \
-            <= 1e-9 * (1.0 + abs(left.support(z)))
+    z = circle_grid(512).nodes[::32]
+    h = vertex_support(left, z)
+    assert np.all(np.abs(h - vertex_support(right, z)) <= 1e-9 * (1.0 + np.abs(h)))

@@ -42,7 +42,7 @@ def unit_cube():
 def test_projection_body_of_square_is_centered_square():
     Z = projection_body(unit_square())
     assert np.allclose(Z.axis_box_halfwidths(), [1.0, 1.0])
-    assert Z.support([1.0, 1.0]) == 2.0
+    assert Z.support_batch(np.array([[1.0, 1.0]]))[0] == 2.0
     # a surface measure passes through unchanged
     Z2 = projection_body(surface_measure(unit_square()))
     assert np.allclose(np.sort(Z.generators, axis=0),
@@ -89,11 +89,9 @@ def test_projection_body_shear_support_formula():
     # body support becomes |z2| + |z1 - z2|
     A = np.array([[1.0, 1.0], [0.0, 1.0]])
     Z = projection_body(unit_square().transform(A))
-    rng = np.random.default_rng(5)
-    for _ in range(50):
-        z = rng.normal(size=2)
-        want = abs(z[1]) + abs(z[0] - z[1])
-        assert abs(Z.support(z) - want) <= 1e-12 * (1.0 + want)
+    z = np.random.default_rng(5).normal(size=(50, 2))
+    want = np.abs(z[:, 1]) + np.abs(z[:, 0] - z[:, 1])
+    assert np.all(np.abs(Z.support_batch(z) - want) <= 1e-12 * (1.0 + want))
 
 
 # ------------------------------------------------------------- polar volumes
@@ -115,7 +113,8 @@ def test_polar_projection_body_forms():
     assert abs(body.volume() - 2.0) <= 1e-15
     body3 = polar_body(projection_body(unit_cube()))
     assert body3.dim == 3
-    assert body3.radial([1.0, 0.0, 0.0]) == 1.0
+    # the wrapper's radial is the reciprocal support of the body it holds
+    assert 1.0 / body3.body.support_batch(np.array([[1.0, 0.0, 0.0]]))[0] == 1.0
 
 
 # ------------------------------------------------------------------- product
