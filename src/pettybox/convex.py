@@ -7,8 +7,11 @@ wrapper for a three-dimensional zonotope, whose polar has no materialized
 form.  The zonotope is the one body with a support kernel: one blocked sum
 of |u . g| over its generators in either dimension (Zonotope.support_batch).
 Planar polars are materialized exactly by polar_polygon.  A planar
-zonotope's polar area is a closed form over its generators sorted by
-angle (Zonotope._polar_area), with no vertex ring; the ring serves the
+polar area is one closed form over generators sorted over a half turn
+(_sorted_polar_area after the one sort, _sort_half_turn), with no vertex
+ring.  It serves a planar zonotope (Zonotope._polar_area) and a
+polygon's product, which takes the generators from the polygon's edges
+and builds no zonotope (projection.petty_product); the ring serves the
 callers that need vertices.  Three-dimensional polar volumes of zonotopes
 other than boxes fall back to spherical quadrature of the reciprocal
 support function with a reported error estimate.
@@ -129,15 +132,8 @@ class Zonotope:
 
     @cached_property
     def _half_turn(self):
-        """The planar generators turned into the upper half-plane (g and -g
-        span the same segment) and sorted by angle, with their angles in
-        [0, pi]."""
-        g = self.generators.copy()
-        flip = (g[:, 1] < 0.0) | ((g[:, 1] == 0.0) & (g[:, 0] < 0.0))
-        g[flip] *= -1.0
-        angles = np.arctan2(g[:, 1], g[:, 0])
-        order = np.argsort(angles, kind="stable")
-        return g[order], angles[order]
+        """The planar generators sorted over a half turn (_sort_half_turn)."""
+        return _sort_half_turn(self.generators)
 
     def axis_box_halfwidths(self) -> np.ndarray | None:
         """Half-widths when every generator is axis-aligned, else None."""
@@ -193,15 +189,8 @@ class Zonotope:
         return P
 
     def _polar_area(self) -> float:
-        """Area of the polar of a planar zonotope from its generators g_j
-        sorted over a half turn, with no ring: the ring's edge 2 g_j has
-        midpoint S_j = 2 (g_1 + ... + g_(j-1)) + g_j - (g_1 + ... + g_k),
-        from prefix sums, so with unit e_j = g_j / |g_j| its support is
-        h_j = |cross(S_j, e_j)|.  The polar's vertices are +-nu_j / h_j,
-        nu_j the outer normal e_j turned a quarter clockwise, in the ring's
-        order, and by symmetry half their shoelace sum is the area: the sum
-        over j of cross(e_j, e_(j+1)) / (h_j h_(j+1)), with -e_1 after e_k.
-        Parallel generators repeat a vertex and add 0, so nothing merges.
+        """Area of the polar of a planar zonotope from its generators
+        sorted over a half turn, with no ring (_sorted_polar_area).
 
         A ring link (_links) between two generators longer than the ring's
         resolution that is neither parallel nor unresolved is a ring
@@ -217,12 +206,7 @@ class Zonotope:
         if np.count_nonzero(big & cyclic_next(big) & ~(parallel | unresolved)) < 2:
             # the ring decides, and raises on a degenerate zonotope
             self._polygon
-        unit = g / length[:, None]
-        ahead = cyclic_next(unit)
-        ahead[-1] *= -1.0
-        passed = np.cumsum(g, axis=0)
-        h = np.abs(cross_2d(2.0 * passed - g - passed[-1], unit))
-        return float(np.sum(cross_2d(unit, ahead) / (h * cyclic_next(h))))
+        return _sorted_polar_area(g)
 
     def volume(self) -> float:
         """Planar: 4 times the sum of cross(g_1 + ... + g_(j-1), g_j) over
@@ -239,6 +223,45 @@ class Zonotope:
         for comb in itertools.combinations(range(len(g)), 3):
             total += abs(float(np.linalg.det(g[list(comb)])))
         return 8.0 * total
+
+
+def _sort_half_turn(generators: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Planar generators turned into the upper half-plane (g and -g span
+    the same segment) and sorted by angle, with their angles in [0, pi]."""
+    x, y = generators[:, 0], generators[:, 1]
+    flip = (y < 0.0) | ((y == 0.0) & (x < 0.0))
+    g = np.where(flip[:, None], -generators, generators)
+    angles = np.arctan2(g[:, 1], g[:, 0])
+    order = np.argsort(angles, kind="stable")
+    return g[order], angles[order]
+
+
+def _sorted_polar_area(g: np.ndarray) -> float:
+    """Area of the polar of the planar zonotope with generators g sorted
+    over a half turn (_sort_half_turn), from the generators alone.
+
+    The zonotope's ring has the edge 2 g_j with midpoint
+    S_j = 2 (g_1 + ... + g_(j-1)) + g_j - (g_1 + ... + g_k), from prefix
+    sums, so that edge's support is H_j / |g_j| with
+    H_j = |cross(S_j, g_j)|.  The polar's vertices are +-nu_j |g_j| / H_j,
+    nu_j the edge's outer normal, in the ring's order, and by symmetry
+    half their shoelace sum is the area: the sum over j of
+    (cross(g_j, g_(j+1)) / H_j) / H_(j+1), with -g_1 after g_k.  The
+    lengths |g_j| cancel, so no unit vector is formed.  Parallel
+    generators repeat a vertex and add 0, so nothing merges.  Dividing
+    by H_j and then by H_(j+1) keeps an axis box exact: each of its
+    terms is (ab / ab) / ab = 1 / ab.  Raises NumericalError when some
+    H_j is not positive, nan included: the origin is then not interior
+    as far as rounding can tell.
+    """
+    ahead = cyclic_next(g)
+    ahead[-1] *= -1.0
+    passed = np.cumsum(g, axis=0)
+    support = np.abs(cross_2d(2.0 * passed - g - passed[-1], g))
+    if not np.min(support) > 0.0:
+        raise NumericalError("zonotope has an edge of nonpositive support; "
+                             "the origin is not interior to rounding")
+    return float(np.sum(cross_2d(g, ahead) / support / cyclic_next(support)))
 
 
 def _links(g: np.ndarray, angles: np.ndarray, resolution: float):
@@ -383,7 +406,11 @@ def polar_volume(K: ConvexBody, grid: SphericalGrid | None = None,
     quarter-resolution error levels reported as the error estimate.
     method='quadrature' forces the quadrature route on zonotopes that
     would otherwise take a closed form (used to validate the grids).
-    Any other body or route raises InputError.
+    A zonotope that is not full-dimensional has an unbounded polar and
+    raises InputError ("degenerate"): a 3D box with a zero half-width
+    before its closed form, generators of rank below the dimension
+    before quadrature, and a planar zonotope whose ring shows it (see
+    Zonotope._polar_area).  Any other body or route raises InputError.
     """
     if method not in ("auto", "quadrature"):
         raise InputError(f"unknown polar volume method {method!r}")
@@ -397,9 +424,13 @@ def polar_volume(K: ConvexBody, grid: SphericalGrid | None = None,
             return PolarVolume(K._polar_area(), 0.0)
         half = K.axis_box_halfwidths()
         if half is not None:
+            if not np.min(half) > 0.0:
+                raise InputError("zonotope is degenerate (a box of zero half-width)")
             # the cross-polytope with half-diagonals 1/a, 1/b, 1/c
             return PolarVolume(8.0 / (6.0 * float(np.prod(half))), 0.0)
     n = K.dim
+    if np.linalg.matrix_rank(K.generators) < n:
+        raise InputError(f"zonotope is degenerate (generators of rank below {n})")
     g = grid if grid is not None else default_grid(n)
 
     def reciprocal(nodes: np.ndarray) -> np.ndarray:

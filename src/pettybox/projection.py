@@ -14,8 +14,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .convex import (Zonotope, polar_polygon, polar_volume,
-                     steiner_symmetrize_convex)
+from .convex import (Zonotope, _sort_half_turn, _sorted_polar_area,
+                     polar_polygon, polar_volume, steiner_symmetrize_convex)
 from .errors import ConditionViolationError, InputError
 from .geometry import as_direction, as_plane_map
 from .sets import (PolygonSet, SurfaceMeasure, steiner_symmetrize,
@@ -65,19 +65,32 @@ class PettyReport:
 
 def petty_product(E) -> PettyReport:
     """Assemble the product report |E|^(n-1) * |polar projection body|
-    against the sharp bound for E's dimension.  The polar volume's error
-    estimate is zero: every set handle's projection body is a planar
-    zonotope or an axis-aligned box, and both take exact routes."""
+    against the sharp bound for E's dimension.
+
+    A polygon's projection body has the generators J e_i / 2 for its
+    edges e_i, J the quarter turn (x, y) -> (y, -x), which are exact in
+    floats.  Its polar area is the closed form over them sorted over a
+    half turn (convex._sorted_polar_area), the kernel a planar zonotope's
+    polar area runs too, with no surface measure and no zonotope built.
+    A box union's product goes through polar_volume of its projection
+    body, an axis-aligned box.  The error estimate is zero: both routes
+    are exact."""
     vol = volume(E)
-    pv = polar_volume(projection_body(E))
+    if isinstance(E, PolygonSet):
+        e = E.edges
+        g = _sort_half_turn(0.5 * np.column_stack([e[:, 1], -e[:, 0]]))[0]
+        polar, error = _sorted_polar_area(g), 0.0
+    else:
+        pv = polar_volume(projection_body(E))
+        polar, error = pv.value, pv.error
     n = E.dim
     power = vol ** (n - 1)
-    product = power * pv.value
+    product = power * polar
     bound = PRODUCT_BOUND[n]
     return PettyReport(
         volume=vol,
-        polar_projection_volume=pv.value,
-        error_estimate=power * pv.error,
+        polar_projection_volume=polar,
+        error_estimate=power * error,
         product=product,
         bound=bound,
         slack=bound - product,

@@ -264,8 +264,8 @@ class PolygonSet(VertexRing):
 
         The image is the set in the polygon's image slot when the slot's
         matrix has exactly the bytes of the validated matrix, so a check
-        and a product of the same image share its ring, measure and
-        body.  Otherwise the determinant is tested and a set on the
+        and a product of the same image share its ring and edges.
+        Otherwise the determinant is tested and a set on the
         vertices times the transpose fills the slot."""
         m = as_plane_map(matrix)
         key = m.tobytes()

@@ -5,13 +5,15 @@ np.roll and the greedy scorer that rotates every chain back to the input
 frame, which the package's forms must match bit for bit.  Also the small derived quantities only tests read
 (column multiplicities and volumes, box-union axis masses and symmetric
 differences), the grid-sampled inclusion margin the exact vertex margin
-must dominate, the ring route of the planar polar area, the shoelace
-area and centroid of a vertex ring, and the per-policy direction draw
-loops."""
+must dominate, the ring route of the planar polar area, the exact
+rational product of a float polygon, the shoelace area and centroid of
+a vertex ring, and the per-policy direction draw loops."""
 
 from __future__ import annotations
 
+import functools
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -78,6 +80,50 @@ def ring_polar_area(Z) -> float:
     """Area of the polar of a planar zonotope through its merged vertex
     ring: the shoelace area of polar_polygon(Z)."""
     return polar_polygon(Z).volume()
+
+
+def exact_polar_product(vertices) -> Fraction:
+    """|P| * |(Pi P)°| of the polygon on the given float vertices, in
+    exact rational arithmetic, through the vertex ring of Pi P and not
+    the package's closed form.
+
+    Pi P is the zonotope generated by J e_i / 2 for the edges e_i, J the
+    quarter turn (x, y) -> (y, -x).  The generators are turned into the
+    upper half-plane, sorted by exact cross products, and parallel ones
+    summed, so the ring's edges 2 g_1, ..., 2 g_k, -2 g_1, ..., -2 g_k
+    run CCW from -(g_1 + ... + g_k) with no collinear vertex.  An edge
+    from a to b with the outer normal n = J (b - a), of any length, has
+    the polar vertex n / (n . a), and the polar's shoelace area times the
+    polygon's is the product."""
+    v = [(Fraction(x), Fraction(y)) for x, y in np.asarray(vertices, dtype=float)]
+    ahead = v[1:] + v[:1]
+    area = sum(x0 * y1 - y0 * x1 for (x0, y0), (x1, y1) in zip(v, ahead)) / 2
+    gens = []
+    for (x0, y0), (x1, y1) in zip(v, ahead):
+        g = ((y1 - y0) / 2, (x0 - x1) / 2)
+        gens.append(g if g[1] > 0 or (g[1] == 0 and g[0] > 0) else (-g[0], -g[1]))
+    # in the upper half-plane, g comes before h exactly when cross(g, h) > 0
+    gens.sort(key=functools.cmp_to_key(lambda g, h: h[0] * g[1] - g[0] * h[1]))
+    merged = [gens[0]]
+    for g in gens[1:]:
+        last = merged[-1]
+        if last[0] * g[1] - last[1] * g[0] == 0:
+            merged[-1] = (last[0] + g[0], last[1] + g[1])
+        else:
+            merged.append(g)
+    edges = [(2 * x, 2 * y) for x, y in merged]
+    edges += [(-x, -y) for x, y in edges]
+    ring = [(-sum(x for x, _ in merged), -sum(y for _, y in merged))]
+    for dx, dy in edges[:-1]:
+        ring.append((ring[-1][0] + dx, ring[-1][1] + dy))
+    polar = []
+    for (ax, ay), (dx, dy) in zip(ring, edges):
+        h = dy * ax - dx * ay
+        polar.append((dy / h, -dx / h))
+    polar_ahead = polar[1:] + polar[:1]
+    polar_area = sum(x0 * y1 - y0 * x1
+                     for (x0, y0), (x1, y1) in zip(polar, polar_ahead)) / 2
+    return area * polar_area
 
 
 def dense_support(generators: np.ndarray, nodes: np.ndarray) -> np.ndarray:

@@ -16,16 +16,18 @@ from hypothesis import strategies as st
 
 import pettybox.convex
 import pettybox.geometry
-from pettybox import (Ball, BoxUnion, FacetPolytope, InputError, PolarWrapper,
-                      Zonotope, petty_product, planar_polygon, polar_body,
-                      polar_polygon, polar_steiner_inclusion_check,
-                      polar_volume, projection_body, steiner_symmetrize,
+from pettybox import (Ball, BoxUnion, FacetPolytope, InputError,
+                      NumericalError, PolarWrapper, Zonotope, petty_product,
+                      planar_polygon, polar_body, polar_polygon,
+                      polar_steiner_inclusion_check, polar_volume,
+                      projection_body, steiner_symmetrize,
                       steiner_symmetrize_convex)
 from pettybox.corpus import random_box_union, random_polygon, regular_polygon
 from pettybox.geometry import (BLOCK_PAIRS, circle_grid, cross_2d, default_grid,
                                rotation_2d, sphere_grid)
 
 from hull import convex_hull_2d
+from recorders import bodies_built, measures_built  # noqa: F401
 from reference_forms import dense_radial, dense_support, ring_polar_area
 
 E1 = np.array([1.0, 0.0])
@@ -382,17 +384,34 @@ def test_degenerate_zonotope_keeps_its_error(generators):
         polar_volume(Zonotope(generators))
 
 
-def test_planar_products_never_build_a_zonotope_ring(monkeypatch):
+@pytest.mark.parametrize("generators", [
+    [[1.0, 0.0], [2.0, 0.0]],
+    [[1.0, 0.0], [np.nan, 1.0]],
+], ids=["parallel", "nan"])
+def test_sorted_polar_area_needs_positive_supports(generators):
+    # the kernel behind the ring-free routes raises where an edge's
+    # support H_j is not positive, nan included, instead of dividing
+    with pytest.raises(NumericalError, match="nonpositive support"):
+        pettybox.convex._sorted_polar_area(np.array(generators))
+
+
+def test_planar_products_never_build_a_zonotope_ring(monkeypatch, measures_built,
+                                                     bodies_built):
     E = random_polygon(4, min_vertices=40, max_vertices=40)
-    sets = [E, steiner_symmetrize(E, np.array([0.6, 0.8])), random_box_union(3, dim=2)]
+    polygons = [E, steiner_symmetrize(E, np.array([0.6, 0.8]))]
+    boxes = random_box_union(3, dim=2)
 
     def refuse(self):
         raise AssertionError("Zonotope._polygon read on the product path")
 
     monkeypatch.setattr(Zonotope, "_polygon", property(refuse))
-    for X in sets:
+    for X in polygons + [boxes]:
         report = petty_product(X)
         assert 0.0 < report.product <= report.bound
+    # a polygon's product reads its edges: only the box union builds its
+    # measure and its body
+    assert measures_built == [boxes.surface_measure()]
+    assert bodies_built == [boxes.surface_measure().projection_body]
 
 
 @settings(max_examples=60, deadline=None)
@@ -631,7 +650,14 @@ def test_polar_volume_rejects_bad_method_and_exterior_origin():
             (lambda: polar_volume(Ball(1.0), method="quadrature"),
              "^no quadrature route for Ball$"),
             (lambda: steiner_symmetrize_convex(Ball(1.0), (0, 1)),
-             "^Ball has no planar vertex form$")]:
+             "^Ball has no planar vertex form$"),
+            # a zonotope that is not full-dimensional has an unbounded polar
+            (lambda: polar_volume(Zonotope([[1, 0, 0], [0, 1, 0]])),
+             "^zonotope is degenerate \\(a box of zero half-width\\)$"),
+            (lambda: polar_volume(Zonotope([[1, 0.2, 0], [0, 1, 0]])),
+             "^zonotope is degenerate \\(generators of rank below 3\\)$"),
+            (lambda: polar_volume(Zonotope([[1, 0]]), method="quadrature"),
+             "^zonotope is degenerate \\(generators of rank below 2\\)$")]:
         with pytest.raises(InputError, match=message):
             call()
 

@@ -11,21 +11,21 @@ import pytest
 
 import pettybox.geometry
 from pettybox import (BoxUnion, DirectionPolicy, InputError,
-                      PathologicalInputError, PolygonSet, Zonotope,
-                      affine_image_check, cap_cover_greedy_step,
-                      is_regular_direction, petty_product,
-                      polar_steiner_inclusion_check, polar_volume,
-                      projection_body, run_symmetrization, set_to_json,
-                      steiner_symmetrize)
+                      PathologicalInputError, PolygonSet, affine_image_check,
+                      cap_cover_greedy_step, is_regular_direction,
+                      petty_product, polar_steiner_inclusion_check,
+                      polar_volume, projection_body, run_symmetrization,
+                      set_to_json, steiner_symmetrize)
 from pettybox.cli import main
 from pettybox.corpus import (random_box_union, random_polygon, random_sl2,
                              regular_polygon)
 from pettybox.driver import (POLICY_KINDS, RESAMPLE_BUDGET, ResampleBudget,
                              draw_direction)
-from pettybox.geometry import (VertexRing, rotation_2d, section_incidence,
-                               steiner_ring, symmetral_radii)
+from pettybox.geometry import (rotation_2d, section_incidence, steiner_ring,
+                               symmetral_radii)
 from pettybox.sets import SurfaceMeasure
 
+from recorders import bodies_built, measures_built, rings_built  # noqa: F401
 from reference_forms import (draw_direction_loops, roll_incidence_block,
                              rotated_symmetral_radii)
 
@@ -294,45 +294,14 @@ def test_greedy_run_on_square_converges():
     assert trace.final_set is not None
 
 
-def _record(monkeypatch, cls, method: str) -> list:
-    """Every instance of cls whose constructor step `method` runs from
-    here on."""
-    built = []
-    original = getattr(cls, method)
-
-    def counted(self, *args):
-        built.append(self)
-        original(self, *args)
-
-    monkeypatch.setattr(cls, method, counted)
-    return built
-
-
-@pytest.fixture
-def measures_built(monkeypatch):
-    """Every SurfaceMeasure built from here on."""
-    return _record(monkeypatch, SurfaceMeasure, "__post_init__")
-
-
-@pytest.fixture
-def bodies_built(monkeypatch):
-    """Every Zonotope built from here on."""
-    return _record(monkeypatch, Zonotope, "__init__")
-
-
-@pytest.fixture
-def rings_built(monkeypatch):
-    """Every VertexRing built from here on: polygons and facet polytopes."""
-    return _record(monkeypatch, VertexRing, "__init__")
-
-
-def test_greedy_run_builds_one_surface_measure_per_iterate(measures_built):
-    # the trace row's product and the next step's regularity test share
-    # the iterate's cached measure
+def test_greedy_run_builds_one_surface_measure_per_drawn_direction(measures_built):
+    # a trace row's product reads the iterate's edges, so only the
+    # regularity test of a direction draw builds a measure: one for each
+    # of the five iterates that draw one, none for the final iterate
     trace = run_symmetrization(random_polygon(3), DirectionPolicy(kind="cap-cover-greedy", seed=2),
                                max_steps=5, stop_tol=1e-9)
     assert len(trace.steps) == 6
-    assert len(measures_built) == 6
+    assert len(measures_built) == 5
     last = measures_built[-1]
     assert not (last.normals.flags.writeable or last.masses.flags.writeable)
 

@@ -20,9 +20,11 @@ from pettybox.corpus import (random_box_union, random_polygon, random_sl2,
 from pettybox.geometry import circle_grid, rotation_2d
 from pettybox.projection import PRODUCT_BOUND
 
-from reference_forms import dense_support, grid_inclusion_margin
+from reference_forms import (dense_support, exact_polar_product,
+                             grid_inclusion_margin)
 
 E2 = np.array([0.0, 1.0])
+EPS = float(np.finfo(float).eps)
 
 
 def unit_square():
@@ -160,6 +162,30 @@ def test_petty_product_never_exceeds_bound_on_corpus():
         assert r2.slack >= -1e-9
         r3 = petty_product(random_box_union(100, index=i, dim=3))
         assert r3.slack >= -1e-9
+
+
+def _oracle_polygons():
+    u = np.array([0.6, 0.8])
+    yield from (random_polygon(41, i) for i in range(60))
+    yield from (regular_polygon(m) for m in (4, 64, 500))
+    # thinner than a zonotope ring resolves: the edge route needs no ring
+    yield PolygonSet([[0.0, 0.0], [1e10, 0.0], [1e10, 1e-10]])
+    for i in range(4):
+        P = random_polygon(43, i)
+        yield steiner_symmetrize(P, u)
+        yield steiner_symmetrize(P, E2)
+        yield P.transform(random_sl2(5, i))
+        yield steiner_symmetrize(P, u).transform(random_sl2(6, i))
+
+
+def test_polygon_product_is_within_8_eps_of_the_exact_product():
+    # the edge route's rounding bound, which the report's zero error
+    # estimate rests on: the exact product of the same float vertices
+    for P in _oracle_polygons():
+        exact = exact_polar_product(P.vertices)
+        r = petty_product(P)
+        assert r.error_estimate == 0.0
+        assert abs(Fraction(r.product) - exact) <= 8 * Fraction(EPS) * exact, len(P.vertices)
 
 
 def test_petty_report_json_fields():
