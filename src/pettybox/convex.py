@@ -8,13 +8,14 @@ form.  The zonotope is the one body with a support kernel: one blocked sum
 of |u . g| over its generators in either dimension (Zonotope.support_batch).
 Planar polars are materialized exactly by polar_polygon.  A planar
 polar area is one closed form over generators sorted over a half turn
-(_sorted_polar_area after the one sort, _sort_half_turn), with no vertex
-ring.  It serves a planar zonotope (Zonotope._polar_area) and a
+(_sorted_polar_area after the one sort, _sort_half_turn).  It serves a
 polygon's product, which takes the generators from the polygon's edges
-and builds no zonotope (projection.petty_product); the ring serves the
-callers that need vertices.  Three-dimensional polar volumes of zonotopes
-other than boxes fall back to spherical quadrature of the reciprocal
-support function with a reported error estimate.
+and builds no zonotope (projection.petty_product), and a planar zonotope
+(Zonotope._polar_area, after its ring has ruled out a degenerate one).
+Axis-aligned boxes take the cross-polytope closed form in either
+dimension.  Three-dimensional polar volumes of zonotopes other than
+boxes fall back to spherical quadrature of the reciprocal support
+function with a reported error estimate.
 """
 
 from __future__ import annotations
@@ -190,23 +191,11 @@ class Zonotope:
 
     def _polar_area(self) -> float:
         """Area of the polar of a planar zonotope from its generators
-        sorted over a half turn, with no ring (_sorted_polar_area).
-
-        A ring link (_links) between two generators longer than the ring's
-        resolution that is neither parallel nor unresolved is a ring
-        vertex, and two of them over a half turn make a polygon.  With
-        fewer, only the ring's groups tell a polygon from a segment, and
-        the ring is built: it raises InputError on a degenerate zonotope.
-        """
-        g, angles = self._half_turn
-        length = np.hypot(g[:, 0], g[:, 1])
-        resolution = RING_RESOLUTION * float(np.sum(length))
-        _, parallel, unresolved = _links(g, angles, resolution)
-        big = length > resolution
-        if np.count_nonzero(big & cyclic_next(big) & ~(parallel | unresolved)) < 2:
-            # the ring decides, and raises on a degenerate zonotope
-            self._polygon
-        return _sorted_polar_area(g)
+        sorted over a half turn (_sorted_polar_area).  The ring is built
+        first: its groups tell a polygon from a segment, and it raises
+        InputError on a degenerate zonotope."""
+        self._polygon
+        return _sorted_polar_area(self._half_turn[0])
 
     def volume(self) -> float:
         """Planar: 4 times the sum of cross(g_1 + ... + g_(j-1), g_j) over
@@ -400,17 +389,18 @@ def polar_volume(K: ConvexBody, grid: SphericalGrid | None = None,
     """Volume of the polar of a zonotope K, or of the polar of a wrapper
     (the wrapped zonotope itself).
 
-    Planar zonotopes and 3D axis-aligned boxes are exact; other 3D
-    zonotopes integrate the reciprocal support cubed over a spherical
-    grid, with the differences against the grid's half- and
-    quarter-resolution error levels reported as the error estimate.
-    method='quadrature' forces the quadrature route on zonotopes that
-    would otherwise take a closed form (used to validate the grids).
-    A zonotope that is not full-dimensional has an unbounded polar and
-    raises InputError ("degenerate"): a 3D box with a zero half-width
-    before its closed form, generators of rank below the dimension
-    before quadrature, and a planar zonotope whose ring shows it (see
-    Zonotope._polar_area).  Any other body or route raises InputError.
+    Axis-aligned boxes in either dimension take the cross-polytope
+    closed form 2^n / (n! * prod of half-widths); other planar zonotopes
+    are exact (Zonotope._polar_area); other 3D zonotopes integrate the
+    reciprocal support cubed over a spherical grid, with the differences
+    against the grid's half- and quarter-resolution error levels reported
+    as the error estimate.  method='quadrature' forces the quadrature
+    route on zonotopes that would otherwise take a closed form (used to
+    validate the grids).  A zonotope that is not full-dimensional has an
+    unbounded polar and raises InputError ("degenerate"): a box with a
+    zero half-width before its closed form, generators of rank below the
+    dimension before quadrature, and a planar zonotope whose ring shows
+    it.  Any other body or route raises InputError.
     """
     if method not in ("auto", "quadrature"):
         raise InputError(f"unknown polar volume method {method!r}")
@@ -419,16 +409,16 @@ def polar_volume(K: ConvexBody, grid: SphericalGrid | None = None,
         return PolarVolume(K.body.volume(), 0.0)
     if not isinstance(K, Zonotope):
         raise InputError(f"no {method} route for {type(K).__name__}")
+    n = K.dim
     if method == "auto":
-        if K.dim == 2:
-            return PolarVolume(K._polar_area(), 0.0)
         half = K.axis_box_halfwidths()
         if half is not None:
             if not np.min(half) > 0.0:
                 raise InputError("zonotope is degenerate (a box of zero half-width)")
-            # the cross-polytope with half-diagonals 1/a, 1/b, 1/c
-            return PolarVolume(8.0 / (6.0 * float(np.prod(half))), 0.0)
-    n = K.dim
+            # the cross-polytope with half-diagonals 1/a, 1/b (, 1/c)
+            return PolarVolume(2.0 ** n / (math.factorial(n) * float(np.prod(half))), 0.0)
+        if n == 2:
+            return PolarVolume(K._polar_area(), 0.0)
     if np.linalg.matrix_rank(K.generators) < n:
         raise InputError(f"zonotope is degenerate (generators of rank below {n})")
     g = grid if grid is not None else default_grid(n)

@@ -36,7 +36,7 @@ BLOCK_PAIRS = 1 << 14
 # scorer reads again in the input frame: a radius read in the direction's
 # own frame and one rotated back differ by a few eps
 NEAR_TIE = 16 * np.finfo(float).eps
-# Boundary sampling density of the Hausdorff distance from a polygon that
+# Circle sampling density of the Hausdorff distance from a polygon that
 # is not star-shaped about the origin to a ball: arc-length step is
 # (scene diameter) / BOUNDARY_DIVISIONS.  The sampled value is a lower
 # estimate with no one-step bound (see hausdorff_distance).
@@ -475,19 +475,6 @@ def prune_collinear(vertices: np.ndarray) -> np.ndarray:
     return v
 
 
-def ring_boundary_points(vertices: np.ndarray, step: float) -> np.ndarray:
-    """Sample of a closed polygonal ring: each edge, from its first
-    vertex on, cut into ceil(length / step) equal pieces (at least one)."""
-    if step <= 0.0:
-        raise InputError("boundary sampling step must be positive")
-    v = vertices
-    edges = cyclic_next(v) - v
-    k = np.maximum(1, np.ceil(np.linalg.norm(edges, axis=1) / step)).astype(np.intp)
-    edge = np.repeat(np.arange(len(v)), k)
-    t = (np.arange(len(edge)) - np.repeat(np.cumsum(k) - k, k)) / k[edge]
-    return v[edge] + t[:, None] * edges[edge]
-
-
 def _edge_blocks(points: np.ndarray, vertices: np.ndarray):
     """The points as an (n, 2) array, then per block of about
     BLOCK_PAIRS // n consecutive edges (at least one) the edges' first
@@ -635,14 +622,15 @@ def hausdorff_distance(a, b) -> float:
     boundary, 0).  It is exact when the polygon is convex, since the
     boundary point of a convex body nearest an interior origin is the
     foot of the perpendicular on its nearest edge, and otherwise an upper
-    bound that can exceed the distance.  Any other polygon is sampled:
-    the circle and the polygon's boundary are cut with arc-length step
-    scene diameter / BOUNDARY_DIVISIONS (read at call time), and the
-    value is the largest distance from a circle sample to the solid
-    polygon or from a boundary sample to the disk.  That is a lower
-    estimate with no one-step bound: the point of the disk farthest from
-    the polygon can lie inside the disk, where no sample falls.  Every
-    other pair raises InputError before any sampling.
+    bound that can exceed the distance.  For any other polygon the
+    polygon-to-disk half is exact, max(max |v| - r, 0), since the norm is
+    convex along each edge; the disk-to-polygon half samples the circle
+    with arc-length step scene diameter / BOUNDARY_DIVISIONS (read at
+    call time), the largest distance from a sample to the solid polygon.
+    That half is a lower estimate with no one-step bound: the point of
+    the disk farthest from the polygon can lie inside the disk, where no
+    sample falls.  Every other pair raises InputError before any
+    sampling.
     """
     from .convex import Ball
     from .sets import PolygonSet
@@ -659,11 +647,4 @@ def hausdorff_distance(a, b) -> float:
     count = max(8, int(math.ceil(2.0 * math.pi * r / step)))
     t = np.arange(count) * (2.0 * math.pi / count)
     circle = r * np.column_stack([np.cos(t), np.sin(t)])
-    edge = ring_boundary_points(v, step)
-    # in chunks of 65,536 samples: circle to polygon, then boundary to disk
-    worst = 0.0
-    for start in range(0, len(circle), 65536):
-        worst = max(worst, float(np.max(distance_to_polygon(circle[start:start + 65536], v))))
-    for start in range(0, len(edge), 65536):
-        worst = max(worst, float(np.max(np.linalg.norm(edge[start:start + 65536], axis=1))) - r)
-    return worst
+    return max(float(np.max(distance_to_polygon(circle, v))), P.max_norm() - r, 0.0)

@@ -2,9 +2,12 @@
 
 The surface measure of a polyhedral set is a finite list of weighted
 normals, so its projection body is exactly the zonotope generated by the
-half-weighted normals.  Everything downstream (polar volume, the product
-bound, the equivariance and symmetrization checks) rides on that exact
-representation.
+half-weighted normals.  Each kind has one formula for those generators,
+read off its boundary: a polygon's are its edges turned a quarter turn
+and halved (_polygon_generators, exact in floats), and a box union's are
+its measure's mass * normal / 2, which are axis-aligned.  The product,
+the equivariance check and the inclusion check read the polygon's
+generators; a Zonotope is built only where a support or a ring is needed.
 """
 
 from __future__ import annotations
@@ -18,8 +21,8 @@ from .convex import (Zonotope, _sort_half_turn, _sorted_polar_area,
                      polar_polygon, polar_volume, steiner_symmetrize_convex)
 from .errors import ConditionViolationError, InputError
 from .geometry import as_direction, as_plane_map
-from .sets import (PolygonSet, SurfaceMeasure, steiner_symmetrize,
-                   surface_measure, vertical_boundary_measure, volume)
+from .sets import (BoxUnion, PolygonSet, steiner_symmetrize, surface_measure,
+                   vertical_boundary_measure, volume)
 
 INCLUSION_FACTOR_TOL = 1e-9
 DETERMINANT_TOL = 1e-12
@@ -30,20 +33,30 @@ EPS = float(np.finfo(float).eps)
 PRODUCT_BOUND = {2: (math.pi / 2.0) ** 2, 3: (4.0 / 3.0) ** 3}
 
 
-def projection_body(mu) -> Zonotope:
-    """Zonotope whose support is half the first moment of |z . normal|
-    against the surface measure: generators mass_i * normal_i / 2.
+def _polygon_generators(P: PolygonSet) -> np.ndarray:
+    """The projection body's generators J e_i / 2 for the polygon's edges
+    e_i, J the quarter turn (x, y) -> (y, -x): mass_i * normal_i / 2 with
+    the lengths cancelled, exact in floats."""
+    e = P.edges
+    return 0.5 * np.column_stack([e[:, 1], -e[:, 0]])
 
-    Accepts a SurfaceMeasure or any set with one, and returns the body
-    the measure keeps (SurfaceMeasure.projection_body), so every caller
-    of one set shares one body.  For axis-class measures (box-unions)
-    the generators are axis-aligned, so the body is the box with
-    half-widths A_i / 2; axis_box_halfwidths() on the result recovers
-    that closed form.
+
+def projection_body(E) -> Zonotope:
+    """A fresh zonotope whose support is half the first moment of
+    |z . normal| against the surface measure of the set E.
+
+    A polygon's generators are _polygon_generators.  A box union's are
+    its measure's mass_i * normal_i / 2, axis-aligned, so the body is the
+    box whose half-width on axis k is the exposed facet area of one sign
+    class; axis_box_halfwidths() on the result recovers that closed form.
+    Any other argument, a surface measure included, raises InputError.
     """
-    if not isinstance(mu, SurfaceMeasure):
-        mu = surface_measure(mu)
-    return mu.projection_body
+    if isinstance(E, PolygonSet):
+        return Zonotope(_polygon_generators(E))
+    if not isinstance(E, BoxUnion):
+        raise InputError(f"no projection body for {type(E).__name__}; pass a set")
+    mu = surface_measure(E)
+    return Zonotope(0.5 * mu.masses[:, None] * mu.normals)
 
 
 @dataclass(frozen=True)
@@ -67,18 +80,16 @@ def petty_product(E) -> PettyReport:
     """Assemble the product report |E|^(n-1) * |polar projection body|
     against the sharp bound for E's dimension.
 
-    A polygon's projection body has the generators J e_i / 2 for its
-    edges e_i, J the quarter turn (x, y) -> (y, -x), which are exact in
-    floats.  Its polar area is the closed form over them sorted over a
-    half turn (convex._sorted_polar_area), the kernel a planar zonotope's
-    polar area runs too, with no surface measure and no zonotope built.
-    A box union's product goes through polar_volume of its projection
-    body, an axis-aligned box.  The error estimate is zero: both routes
-    are exact."""
+    A polygon's polar area is the closed form over its projection body's
+    generators (_polygon_generators) sorted over a half turn
+    (convex._sorted_polar_area), the kernel a planar zonotope's polar
+    area runs too, with no surface measure and no zonotope built.  A box
+    union's product goes through polar_volume of its projection body, an
+    axis-aligned box, which takes the cross-polytope closed form.  The
+    error estimate is zero: both routes are exact."""
     vol = volume(E)
     if isinstance(E, PolygonSet):
-        e = E.edges
-        g = _sort_half_turn(0.5 * np.column_stack([e[:, 1], -e[:, 0]]))[0]
+        g = _sort_half_turn(_polygon_generators(E))[0]
         polar, error = _sorted_polar_area(g), 0.0
     else:
         pv = polar_volume(projection_body(E))
@@ -102,10 +113,11 @@ def affine_image_check(P, matrix) -> float:
     linear maps: the projection body of A.P equals the inverse-transpose
     image of the projection body of P.
 
-    Both bodies have one generator per edge of P, in P's vertex order:
-    g_i from the measure of A.P, and g'_i, the rows of P's generators
-    times inv(A).  For det A = 1, J A = A^-T J with J the quarter turn,
-    so g_i = g'_i in exact arithmetic.  For every unit u,
+    Both bodies have one generator per edge of P, in P's vertex order
+    (_polygon_generators, so no measure and no zonotope is built): g_i
+    from the edges of A.P, and g'_i, the rows of P's generators times
+    inv(A).  For det A = 1, J A = A^-T J with J the quarter turn, so
+    g_i = g'_i in exact arithmetic.  For every unit u,
     |h_left(u) - h_right(u)| <= sum_i ||u . g_i| - |u . g'_i||
     <= sum_i |g_i - g'_i|, so that O(m) sum bounds the support difference
     of the two computed bodies in every direction, not only at samples.
@@ -125,8 +137,8 @@ def affine_image_check(P, matrix) -> float:
     det = float(np.linalg.det(A))
     if abs(det - 1.0) > DETERMINANT_TOL:
         raise InputError(f"matrix is not volume preserving: det = {det!r}")
-    left = projection_body(P.transform(A)).generators
-    right = projection_body(P).generators @ np.linalg.inv(A)
+    left = _polygon_generators(P.transform(A))
+    right = _polygon_generators(P) @ np.linalg.inv(A)
     d = left - right
     return float(np.sum(np.hypot(d[:, 0], d[:, 1]))) * (1.0 + (len(d) + 2) * EPS)
 

@@ -38,7 +38,8 @@ AXIS_ALIGNMENT_TOL = 1e-12
 class SurfaceMeasure:
     """Finite atomic surface measure: unit outer normals with positive
     masses.  Closed boundaries balance: the mass-weighted normal sum
-    vanishes."""
+    vanishes.  It answers the regularity questions (orthogonal_atoms,
+    vertical_boundary_measure, the driver's direction draws)."""
 
     normals: np.ndarray
     masses: np.ndarray
@@ -66,13 +67,6 @@ class SurfaceMeasure:
         """(atoms, K) mask: whether each atom's normal is orthogonal within
         AXIS_ALIGNMENT_TOL to each of a (K, dim) stack of unit directions."""
         return np.abs(self.normals @ as_directions(directions).T) <= AXIS_ALIGNMENT_TOL
-
-    @cached_property
-    def projection_body(self):
-        """The zonotope generated by the half-weighted normals
-        mass_i * normal_i / 2, built and checked once per measure."""
-        from .convex import Zonotope
-        return Zonotope(0.5 * self.masses[:, None] * self.normals)
 
 
 # ---------------------------------------------------------------------------

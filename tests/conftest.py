@@ -80,19 +80,20 @@ def symmetrization_log():
 def hausdorff_routes(monkeypatch):
     """The routes geometry.hausdorff_distance takes, one entry per call
     that passes its dispatch: "star_bound" when it reads the polygon's
-    boundary norm, "sampled" when it samples the polygon's boundary."""
+    boundary norm, "sampled" when it measures circle samples against the
+    polygon (geometry.distance_to_polygon)."""
     taken = []
     norm = VertexRing.min_boundary_norm
-    sample = _geometry.ring_boundary_points
+    distance = _geometry.distance_to_polygon
 
     def read_norm(self):
         taken.append("star_bound")
         return norm(self)
 
-    def read_samples(vertices, step):
+    def read_samples(points, vertices):
         taken.append("sampled")
-        return sample(vertices, step)
+        return distance(points, vertices)
 
     monkeypatch.setattr(VertexRing, "min_boundary_norm", read_norm)
-    monkeypatch.setattr(_geometry, "ring_boundary_points", read_samples)
+    monkeypatch.setattr(_geometry, "distance_to_polygon", read_samples)
     return taken

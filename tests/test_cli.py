@@ -74,6 +74,16 @@ def test_petty_cube(sets_dir, capsys):
     assert abs(doc["bound"] - (4.0 / 3.0) ** 3) <= 1e-15
 
 
+def test_petty_thin_box_union(tmp_path, capsys):
+    # a box union thinner than a zonotope ring resolves has its product
+    # from the cross-polytope closed form, as the same polygon does
+    path = tmp_path / "thin.json"
+    path.write_text(json.dumps({"boxes": [{"lo": [0, 0], "hi": [1, 1e-15]}]}))
+    code, out, err = run(capsys, "petty", "--input", str(path))
+    assert (code, err) == (0, "")
+    assert json.loads(out)["product"] == 2.0
+
+
 def test_petty_writes_out_file(sets_dir, capsys, tmp_path):
     dest = tmp_path / "report.json"
     code, out, _ = run(capsys, "petty", "--input",

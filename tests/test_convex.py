@@ -256,6 +256,10 @@ def test_zonotope_ring_merges_turns_below_rounding():
         assert abs(polar_volume(Z).value - q.value) <= q.error
 
 
+# an axis box of half-widths 1 and 1e-15, thinner than its ring resolves
+THIN_BOX = [[1.0, 0.0], [0.0, 1e-15]]
+
+
 def _generators(angles, lengths):
     return np.asarray(lengths)[:, None] * np.column_stack([np.cos(angles), np.sin(angles)])
 
@@ -358,12 +362,20 @@ def test_planar_polar_area_matches_the_ring_route():
 
 
 def test_planar_axis_box_polar_area_is_exact():
-    for a, b in [(1.0, 1.0), (0.3, 7.0), (1.0 / 3.0, 0.1)]:
-        assert polar_volume(Zonotope([[0.0, b], [a, 0.0]])).value == 2.0 / (a * b)
-    for seed in range(6):
+    # polar_volume takes the cross-polytope closed form of an axis box,
+    # and the sorted kernel over the same generators gives the same bits
+    def kernel(Z):
+        return pettybox.convex._sorted_polar_area(Z._half_turn[0])
+
+    for a, b in [(1.0, 1.0), (0.3, 7.0), (1.0 / 3.0, 0.1), (1.0, 1e-15)]:
+        Z = Zonotope([[0.0, b], [a, 0.0]])
+        assert polar_volume(Z).value == kernel(Z) == 2.0 / (a * b)
+    for seed in range(100):
         B = random_box_union(seed, dim=2)
-        a, b = projection_body(B).axis_box_halfwidths()
-        assert petty_product(B).polar_projection_volume == 2.0 / (a * b)
+        for E in (B, steiner_symmetrize(B, E1), steiner_symmetrize(B, E2)):
+            Z = projection_body(E)
+            a, b = Z.axis_box_halfwidths()
+            assert petty_product(E).polar_projection_volume == kernel(Z) == 2.0 / (a * b)
 
 
 @pytest.mark.parametrize("generators", [
@@ -374,12 +386,17 @@ def test_planar_axis_box_polar_area_is_exact():
     _generators((0.0, 1e-13, -1e-13), (1.0, 2.0, 0.5)),
     _generators((0.0, math.pi - 1e-13), (1.0, 2.0)),
     _generators((5e-14, -5e-14), (1.0, 1.0)),
-    [[1.0, 0.0], [0.0, 1e-15]],
+    THIN_BOX,
 ], ids=["one", "parallel", "antiparallel", "1e-13-apart", "1e-13-apart-at-0",
         "1e-13-across-seam", "1e-13-astride-seam", "short"])
 def test_degenerate_zonotope_keeps_its_error(generators):
     with pytest.raises(InputError, match="degenerate"):
         planar_polygon(Zonotope(generators))
+    if generators is THIN_BOX:
+        # a thin axis box is full-dimensional, and polar_volume takes its
+        # cross-polytope closed form 2 / (ab) before any ring
+        assert polar_volume(Zonotope(generators)).value == 2.0 / 1e-15
+        return
     with pytest.raises(InputError, match="degenerate"):
         polar_volume(Zonotope(generators))
 
@@ -411,7 +428,8 @@ def test_planar_products_never_build_a_zonotope_ring(monkeypatch, measures_built
     # a polygon's product reads its edges: only the box union builds its
     # measure and its body
     assert measures_built == [boxes.surface_measure()]
-    assert bodies_built == [boxes.surface_measure().projection_body]
+    assert len(bodies_built) == 1
+    assert np.array_equal(bodies_built[0].generators, projection_body(boxes).generators)
 
 
 @settings(max_examples=60, deadline=None)

@@ -306,25 +306,31 @@ def test_greedy_run_builds_one_surface_measure_per_drawn_direction(measures_buil
     assert not (last.normals.flags.writeable or last.masses.flags.writeable)
 
 
-def test_slot_symmetral_is_built_once(measures_built):
+def test_slot_symmetral_is_built_once(rings_built):
     # the symmetral's product and the inclusion check's second
-    # symmetrization share one set, so two rings give two measures
+    # symmetrization share one set: the only polygon ring built after P
+    # is the symmetral's.  (Products and projection bodies build no
+    # measure since they read edges, so the rings are what count.)
     P = random_polygon(3)
     u = np.array([0.2, 1.0]) / math.hypot(0.2, 1.0)
+    rings_built.clear()
     S = steiner_symmetrize(P, u)
     petty_product(S)
     assert polar_steiner_inclusion_check(P, u)[0]
-    assert len(measures_built) == 2
+    assert [R for R in rings_built if isinstance(R, PolygonSet)] == [S]
     assert steiner_symmetrize(P, u) is S
 
 
 def test_campaign_polygon_operation_builds_each_body_once(measures_built, bodies_built,
                                                           rings_built):
     # the benchmark campaign's operation on one polygon.  P, its symmetral
-    # and its three images each get one ring, one measure and one body;
-    # the inclusion check adds the ring of P's body, its polar and the
-    # polar's symmetral.  Building every derived object again gives 13
-    # bodies, 8 measures and 11 rings
+    # and its three images each get one ring; the inclusion check adds
+    # the ring of P's body, its polar and the polar's symmetral.  Only
+    # P's regularity questions build a measure, and only the inclusion
+    # check builds zonotopes, P's body for its ring and the symmetral's
+    # for its support: products and the affine check read the edges.
+    # Building every derived object again gives 13 bodies, 8 measures and
+    # 11 rings
     P = random_polygon(3)
     u = np.array([0.2, 1.0]) / math.hypot(0.2, 1.0)
     base = petty_product(P).product
@@ -336,35 +342,41 @@ def test_campaign_polygon_operation_builds_each_body_once(measures_built, bodies
         A = random_sl2(5, i)
         assert affine_image_check(P, A) <= 1e-9
         assert abs(petty_product(P.transform(A)).product - base) <= 1e-9
-    assert (len(bodies_built), len(measures_built), len(rings_built)) == (5, 5, 8)
-    assert all(mu.projection_body in bodies_built for mu in measures_built)
+    assert (len(bodies_built), len(measures_built), len(rings_built)) == (2, 1, 8)
+    assert measures_built == [P.surface_measure()]
+    assert [len(Z.generators) for Z in bodies_built] == [len(P.edges), len(S.edges)]
 
 
-def test_affine_campaign_builds_each_image_measure_once(tmp_path, capsys, measures_built):
-    # the check and the product of one trial share the image's measure
+def test_affine_campaign_builds_each_image_once(tmp_path, capsys, measures_built,
+                                                rings_built):
+    # the check and the product of one trial share the image's ring, and
+    # neither builds a measure: both read the edges
     path = tmp_path / "polygon.json"
     path.write_text(json.dumps(set_to_json(random_polygon(3))))
+    rings_built.clear()
     assert main(["affine", "--input", str(path), "--seed", "1", "--trials", "3"]) == 0
     capsys.readouterr()
-    assert len(measures_built) == 1 + 3
+    assert len(rings_built) == 1 + 3
+    assert measures_built == []
 
 
-def test_box_union_body_is_built_once(measures_built, bodies_built):
+def test_box_union_measure_is_built_once(measures_built, bodies_built):
     # the benchmark voxels operation on one 3D box union: the product and
-    # the quadrature cross-check share B's body, and each symmetral has
-    # its own measure and body
+    # the quadrature cross-check share B's measure, and each symmetral has
+    # its own.  projection_body builds a fresh zonotope on every call, so
+    # B's body is built twice, once per reader
     B = random_box_union(3, dim=3)
     petty_product(B)
     current = B
     for axis in range(3):
         current = steiner_symmetrize(current, np.eye(3)[axis])
         petty_product(current)
-    Z = projection_body(B)
-    polar_volume(Z, method="quadrature")
+    polar_volume(projection_body(B), method="quadrature")
     mu = B.surface_measure()
-    assert projection_body(B) is Z and mu.projection_body is Z
+    assert measures_built[0] is mu and len(measures_built) == 1 + 3
     assert not (mu.normals.flags.writeable or mu.masses.flags.writeable)
-    assert len(bodies_built) == len(measures_built) == 1 + 3
+    assert len(bodies_built) == 1 + 3 + 1
+    assert np.array_equal(bodies_built[0].generators, bodies_built[-1].generators)
 
 
 def test_uniform_random_run_converges():

@@ -199,9 +199,9 @@ def test_integrate_sphere_rejects_nonfinite_values():
 
 # ------------------------------------------- polygon membership and distance
 #
-# points_in_polygon, distance_to_polygon and ring_boundary_points run over
-# blocks of edges; the per-pair arithmetic is that of the per-edge loops
-# kept in tests/reference_forms.py, so the results must be bit-identical.
+# points_in_polygon and distance_to_polygon run over blocks of edges; the
+# per-pair arithmetic is that of the per-edge loops kept in
+# tests/reference_forms.py, so the results must be bit-identical.
 
 def _probe_points(v, rng, count):
     """Random points around the polygon, its vertices, its edge midpoints,
@@ -216,8 +216,6 @@ def _assert_edge_kernels_match_loops(v, rng, count):
     geo = pettybox.geometry
     assert np.array_equal(geo.points_in_polygon(pts, v), points_in_polygon_loop(pts, v))
     assert np.array_equal(geo.distance_to_polygon(pts, v), distance_to_polygon_loop(pts, v))
-    step = float(rng.uniform(1e-3, 0.5))
-    assert np.array_equal(geo.ring_boundary_points(v, step), ring_boundary_points_loop(v, step))
 
 
 @settings(max_examples=40, deadline=None)
@@ -251,18 +249,24 @@ def test_cyclic_next_is_roll_by_minus_one():
 
 def test_sampled_hausdorff_unchanged_from_per_edge_loops(monkeypatch):
     # polygons with the origin on or outside their boundary take the
-    # sampled route, whose kernels must give the loops' values
+    # sampled route, whose kernels must give the loops' values.  Its
+    # polygon-to-disk half reads max_norm, which is the largest norm of
+    # the boundary samples (reference_forms.ring_boundary_points_loop) it
+    # replaced, here bit for bit
     star = PolygonSet(np.array(STAR) + [2.5, 0.0])
     notched = PolygonSet([[0, 0], [3, 0], [3, 2], [1.5, 0.4], [0, 2]])
     pairs = [(notched, Ball(1.0)), (Ball(0.5), unit_square()), (star, Ball(2.0)),
              (Ball(0.6), c_shape())]
-    assert not any(P.is_star_shaped() for pair in pairs for P in pair
-                   if isinstance(P, PolygonSet))
+    polygons = [P for pair in pairs for P in pair if isinstance(P, PolygonSet)]
+    assert not any(P.is_star_shaped() for P in polygons)
+    for P in polygons:
+        for step in (1e-3, 1e-2, 0.1):
+            samples = ring_boundary_points_loop(P.vertices, step)
+            assert float(np.max(np.linalg.norm(samples, axis=1))) == P.max_norm()
     monkeypatch.setattr(pettybox.geometry, "BOUNDARY_DIVISIONS", 512)
     got = [hausdorff_distance(a, b) for a, b in pairs]
     loops = {"points_in_polygon": points_in_polygon_loop,
-             "distance_to_polygon": distance_to_polygon_loop,
-             "ring_boundary_points": ring_boundary_points_loop}
+             "distance_to_polygon": distance_to_polygon_loop}
     for name, loop in loops.items():
         monkeypatch.setattr(pettybox.geometry, name, loop)
     assert got == [hausdorff_distance(a, b) for a, b in pairs]
@@ -466,7 +470,7 @@ def test_ball_rule_bounds_a_notched_star_polygon_from_above():
     step = 2.0 / 16384
     s = np.arange(0.0, 2.0 * math.pi, step / r)
     circle = r * np.column_stack([np.cos(s), np.sin(s)])
-    edge = pettybox.geometry.ring_boundary_points(notched.vertices, step)
+    edge = ring_boundary_points_loop(notched.vertices, step)
     lower = max(float(np.max(pettybox.geometry.distance_to_polygon(circle, notched.vertices))),
                 float(np.max(np.linalg.norm(edge, axis=1))) - r)
     assert hausdorff_distance(Ball(r), notched) >= lower

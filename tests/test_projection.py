@@ -15,13 +15,14 @@ from pettybox import (BoxUnion, ConditionViolationError, InputError,
                       polar_body, polar_polygon, polar_steiner_inclusion_check,
                       polar_volume, projection_body, steiner_symmetrize,
                       steiner_symmetrize_convex, surface_measure)
+from pettybox.convex import _sorted_polar_area
 from pettybox.corpus import (random_box_union, random_polygon, random_sl2,
                              regular_polygon)
 from pettybox.geometry import circle_grid, rotation_2d
 from pettybox.projection import PRODUCT_BOUND
 
 from reference_forms import (dense_support, exact_polar_product,
-                             grid_inclusion_margin)
+                             grid_inclusion_margin, measure_body)
 
 E2 = np.array([0.0, 1.0])
 EPS = float(np.finfo(float).eps)
@@ -45,10 +46,9 @@ def test_projection_body_of_square_is_centered_square():
     Z = projection_body(unit_square())
     assert np.allclose(Z.axis_box_halfwidths(), [1.0, 1.0])
     assert Z.support_batch(np.array([[1.0, 1.0]]))[0] == 2.0
-    # a surface measure passes through unchanged
-    Z2 = projection_body(surface_measure(unit_square()))
-    assert np.allclose(np.sort(Z.generators, axis=0),
-                       np.sort(Z2.generators, axis=0))
+    # the body is built from a set only: a surface measure is refused
+    with pytest.raises(InputError, match="^no projection body for SurfaceMeasure"):
+        projection_body(surface_measure(unit_square()))
 
 
 def test_projection_body_of_staircase_is_box():
@@ -66,13 +66,23 @@ def test_projection_body_of_cube():
                          ids=["square", "random-polygon", "staircase", "cube",
                               "random-boxes"])
 def test_projection_body_is_kept_by_the_measure(make):
+    # the set keeps one measure, and the body keeps to it: each call
+    # builds a fresh zonotope from the set's own formula, whose generators
+    # are the measure's mass_i * normal_i / 2 (reference_forms.measure_body),
+    # bit for bit for a box union, whose normals are exact, and within
+    # rounding of the unit normals for a polygon
     E = make()
     mu = surface_measure(E)
     Z = projection_body(E)
-    assert projection_body(mu) is Z and projection_body(E) is Z
+    again = projection_body(E)
+    assert again is not Z and np.array_equal(again.generators, Z.generators)
     assert surface_measure(E) is mu
-    fresh = Zonotope(0.5 * mu.masses[:, None] * mu.normals)
-    assert np.array_equal(Z.generators, fresh.generators)
+    fresh = measure_body(E).generators
+    if isinstance(E, BoxUnion):
+        assert np.array_equal(Z.generators, fresh)
+    else:
+        scale = np.abs(fresh).max(axis=1, keepdims=True)
+        assert np.all(np.abs(Z.generators - fresh) <= 4.0 * EPS * scale)
 
 
 def test_projection_body_of_inscribed_polygon_approaches_scaled_ball():
@@ -94,6 +104,24 @@ def test_projection_body_shear_support_formula():
     z = np.random.default_rng(5).normal(size=(50, 2))
     want = np.abs(z[:, 1]) + np.abs(z[:, 0] - z[:, 1])
     assert np.all(np.abs(Z.support_batch(z) - want) <= 1e-12 * (1.0 + want))
+
+
+def test_polygon_body_product_and_affine_check_read_one_formula():
+    # one generator formula per polygon, J e_i / 2: the body's generators
+    # are the quarter-turned half edges bit for bit, the product's polar
+    # area is the sorted kernel over exactly those generators, and the
+    # identity map moves none of them
+    identity = np.eye(2)
+    for i in range(16):
+        P = random_polygon(29, i)
+        u = np.random.default_rng((29, i)).normal(size=2)
+        for E in (P, steiner_symmetrize(P, u / np.linalg.norm(u)),
+                  P.transform(random_sl2(30, i))):
+            e = E.edges
+            Z = projection_body(E)
+            assert np.array_equal(Z.generators, np.column_stack([0.5 * e[:, 1], -0.5 * e[:, 0]]))
+            assert petty_product(E).polar_projection_volume == _sorted_polar_area(Z._half_turn[0])
+            assert affine_image_check(E, identity) == 0.0
 
 
 # ------------------------------------------------------------- polar volumes
@@ -188,6 +216,16 @@ def test_polygon_product_is_within_8_eps_of_the_exact_product():
         assert abs(Fraction(r.product) - exact) <= 8 * Fraction(EPS) * exact, len(P.vertices)
 
 
+def test_thin_rectangle_has_one_product_as_polygon_and_as_box_union():
+    # 1 x 1e-15, thinner than a zonotope ring resolves: the box union's
+    # body takes the cross-polytope closed form, and both kinds give the
+    # same report
+    P = PolygonSet([[0, 0], [1, 0], [1, 1e-15], [0, 1e-15]])
+    B = BoxUnion([[0, 0]], [[1, 1e-15]])
+    assert petty_product(B) == petty_product(P)
+    assert petty_product(P).product == 2.0
+
+
 def test_petty_report_json_fields():
     r = petty_product(unit_square())
     obj = r.to_json()
@@ -249,8 +287,8 @@ def test_affine_image_check_bounds_the_exact_support_difference(P, A):
     # the two generator arrays the check builds, taken as exact rationals:
     # no exact support difference at any Pythagorean direction may exceed
     # the returned figure
-    left = projection_body(surface_measure(P.transform(A))).generators
-    right = projection_body(surface_measure(P)).generators @ np.linalg.inv(A)
+    left = projection_body(P.transform(A)).generators
+    right = projection_body(P).generators @ np.linalg.inv(A)
     exact = np.vectorize(Fraction, otypes=[object])
     h_left = np.abs(PYTHAGOREAN @ exact(left).T).sum(axis=1)
     h_right = np.abs(PYTHAGOREAN @ exact(right).T).sum(axis=1)
