@@ -4,9 +4,8 @@ product bound they satisfy."""
 
 __version__ = "0.1.0"
 
-from .convex import (Ball, FacetPolytope, PolarVolume, PolarWrapper,
-                     Zonotope, planar_polygon, polar_body, polar_polygon,
-                     polar_volume, steiner_symmetrize_convex)
+from .convex import (Ball, PolarVolume, PolarWrapper, Zonotope, polar_body,
+                     polar_polygon, polar_volume)
 from .corpus import (random_box_union, random_polygon, random_sl2,
                      regular_polygon)
 from .driver import (DirectionPolicy, SymmetrizationTrace, TraceStep,
@@ -27,9 +26,8 @@ from .sets import (BoxUnion, ColumnStructure, PolygonSet, SurfaceMeasure,
 
 __all__ = [
     "__version__",
-    "Ball", "FacetPolytope", "PolarVolume", "PolarWrapper",
-    "Zonotope", "planar_polygon", "polar_body", "polar_polygon",
-    "polar_volume", "steiner_symmetrize_convex",
+    "Ball", "PolarVolume", "PolarWrapper", "Zonotope", "polar_body",
+    "polar_polygon", "polar_volume",
     "BudgetError", "ConditionViolationError", "InputError",
     "NonGenericPointError", "NumericalError", "PathologicalInputError",
     "ToolkitError", "UnsupportedDirectionError",

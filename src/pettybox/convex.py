@@ -1,21 +1,21 @@
 """Convex bodies and polarity.
 
-Four body kinds cover what the toolkit builds: planar facet polytopes,
-origin-symmetric zonotopes in dimension 2 or 3, planar origin-centered
-balls, which the driver measures its iterates against, and a lazy polar
-wrapper for a three-dimensional zonotope, whose polar has no materialized
-form.  The zonotope is the one body with a support kernel: one blocked sum
-of |u . g| over its generators in either dimension (Zonotope.support_batch).
-Planar polars are materialized exactly by polar_polygon.  A planar
-polar area is one closed form over generators sorted over a half turn
-(_sorted_polar_area after the one sort, _sort_half_turn).  It serves a
-polygon's product, which takes the generators from the polygon's edges
-and builds no zonotope (projection.petty_product), and a planar zonotope
-(Zonotope._polar_area, after its ring has ruled out a degenerate one).
-Axis-aligned boxes take the cross-polytope closed form in either
-dimension.  Three-dimensional polar volumes of zonotopes other than
-boxes fall back to spherical quadrature of the reciprocal support
-function with a reported error estimate.
+Three body kinds cover what the toolkit builds: origin-symmetric
+zonotopes in dimension 2 or 3, origin-centered balls, which the driver
+measures its iterates against, and a lazy polar wrapper for a
+three-dimensional zonotope, whose polar has no materialized form.  The
+zonotope is the one body with a support kernel: one blocked sum of
+|u . g| over its generators in either dimension (Zonotope.support_batch).
+
+A planar zonotope's polar has one kernel over its generators sorted over
+a half turn: the supports H_j of its ring's edges (_edge_supports), then
+the polar's vertex ring (polar_polygon) or its area (_sorted_polar_area),
+which a polygon's product also reads off the polygon's edges.  No ring of
+the zonotope itself is built.  On a body of width h the relative error
+of both grows like eps * scale / h, with no bound.  Axis-aligned boxes
+take the cross-polytope closed form in either dimension; other 3D
+zonotopes take spherical quadrature of the reciprocal support function
+with a reported error estimate.
 """
 
 from __future__ import annotations
@@ -28,16 +28,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InputError, NumericalError
-from .geometry import (BLOCK_PAIRS, SphericalGrid, VertexRing, cross_2d,
-                       cyclic_next, default_grid, integrate_sphere,
-                       prune_collinear, steiner_ring)
-
-SUPPORT_CONSISTENCY_TOL = 1e-10
-# angle step (radians) up to which zonotope generators count as parallel
-PARALLEL_TOL = 1e-12
-# turn of a zonotope ring, relative to its size, below which rounding in
-# the ring's coordinates cannot resolve it (64 units of roundoff)
-RING_RESOLUTION = 64.0 * np.finfo(float).eps
+from .geometry import (BLOCK_PAIRS, SphericalGrid, cross_2d, cyclic_next,
+                       default_grid, integrate_sphere)
 
 
 @dataclass(frozen=True)
@@ -52,39 +44,6 @@ class Ball:
             raise InputError(f"ball radius must be positive, got {self.radius!r}")
         if self.dim not in (2, 3):
             raise InputError("balls live in dimension 2 or 3")
-
-
-class FacetPolytope(VertexRing):
-    """Planar convex polytope: CCW vertices with derived outer normals
-    and support offsets, consistent within 1e-10 by construction.  The
-    turns cross(e_j, e_(j+1)) of consecutive edges, which the convexity
-    check reads, are kept read-only as ``turns``."""
-
-    def __init__(self, vertices):
-        super().__init__(vertices, "facet polytope")
-        turns = cross_2d(self.edges, cyclic_next(self.edges))
-        scale = float(np.max(np.abs(turns))) or 1.0
-        if np.min(turns) < -1e-9 * scale:
-            raise InputError("vertices are not in convex CCW position")
-        turns.setflags(write=False)
-        self.turns = turns
-
-    @classmethod
-    def from_vertices(cls, vertices) -> "FacetPolytope":
-        return cls(prune_collinear(np.asarray(vertices, dtype=float)))
-
-    def __repr__(self):
-        return f"FacetPolytope({len(self.vertices)} facets)"
-
-    @cached_property
-    def offsets(self) -> np.ndarray:
-        v = self.vertices
-        normals = self.normals
-        offsets = np.sum(v * normals, axis=1)
-        check = np.sum(cyclic_next(v) * normals, axis=1)
-        if np.max(np.abs(check - offsets)) > SUPPORT_CONSISTENCY_TOL * (1.0 + np.max(np.abs(offsets))):
-            raise NumericalError("facet offsets inconsistent with vertices")
-        return offsets
 
 
 class Zonotope:
@@ -144,59 +103,6 @@ class Zonotope:
             return None
         return np.abs(g).sum(axis=0)
 
-    @cached_property
-    def _polygon(self) -> FacetPolytope:
-        """The planar zonotope as a strictly convex ring, built from its
-        generators with parallel ones merged, so no vertex is collinear
-        with its neighbours and nothing is pruned.  Every caller checks
-        that the zonotope is planar."""
-        g, angles = self._half_turn
-        # a generator joins the group of the one before it when the angle
-        # steps by at most PARALLEL_TOL, or when the ring vertex between
-        # them would sit within RING_RESOLUTION * (total length) of the
-        # chord through its neighbours, a turn that rounding in the ring
-        # cannot resolve.  A generator shorter than that resolution never
-        # starts a group and is left out of these tests.  The angles live
-        # on a circle of length pi, so the first generator may also join
-        # the last one's group: then the last group, reversed, joins the
-        # first.  start[j] marks generator j as the first of a group, and
-        # start[0] stands for the link across that seam.
-        length = np.hypot(g[:, 0], g[:, 1])
-        resolution = RING_RESOLUTION * float(np.sum(length))
-        big = np.flatnonzero(length > resolution)
-        step, parallel, unresolved = _links(g[big], angles[big], resolution)
-        after = np.append(big[1:], 0)
-        start = np.zeros(len(g), dtype=bool)
-        start[after] = ~(parallel | unresolved)
-        if np.any(unresolved):
-            turn = np.zeros(len(g))
-            turn[after] = np.where(unresolved, step, 0.0)
-            _cut_wide_groups(g, start, turn, resolution)
-        wrap = not start[0]
-        start[0] = True
-        w = np.add.reduceat(g, np.flatnonzero(start), axis=0)
-        if len(w) > 1 and wrap:
-            w[0] -= w[-1]
-            w = w[:-1]
-        if len(w) < 2:
-            raise InputError("zonotope is degenerate (all generators parallel)")
-        chain = np.empty((len(w) + 1, 2))
-        chain[0] = -np.sum(w, axis=0)
-        np.cumsum(2.0 * w, axis=0, out=chain[1:])
-        chain[1:] += chain[0]
-        P = FacetPolytope(np.vstack([chain[:-1], -chain[:-1]]))
-        if np.min(P.turns) <= 0.0:
-            raise NumericalError("zonotope ring has edge angles that do not strictly increase")
-        return P
-
-    def _polar_area(self) -> float:
-        """Area of the polar of a planar zonotope from its generators
-        sorted over a half turn (_sorted_polar_area).  The ring is built
-        first: its groups tell a polygon from a segment, and it raises
-        InputError on a degenerate zonotope."""
-        self._polygon
-        return _sorted_polar_area(self._half_turn[0])
-
     def volume(self) -> float:
         """Planar: 4 times the sum of cross(g_1 + ... + g_(j-1), g_j) over
         the generators sorted over a half turn, each cross product the
@@ -225,101 +131,52 @@ def _sort_half_turn(generators: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return g[order], angles[order]
 
 
-def _sorted_polar_area(g: np.ndarray) -> float:
-    """Area of the polar of the planar zonotope with generators g sorted
-    over a half turn (_sort_half_turn), from the generators alone.
+def _spanning_half_turn(K: Zonotope) -> np.ndarray:
+    """The planar zonotope K's generators sorted over a half turn.  All
+    exactly parallel (every cross product with the first zero), they span
+    a segment, whose polar is unbounded, and raise InputError: rounding
+    in the prefix sums can leave the edge supports positive."""
+    g = K._half_turn[0]
+    if not np.any(cross_2d(g, g[0])):
+        raise InputError("zonotope is degenerate (all generators parallel)")
+    return g
 
-    The zonotope's ring has the edge 2 g_j with midpoint
-    S_j = 2 (g_1 + ... + g_(j-1)) + g_j - (g_1 + ... + g_k), from prefix
-    sums, so that edge's support is H_j / |g_j| with
-    H_j = |cross(S_j, g_j)|.  The polar's vertices are +-nu_j |g_j| / H_j,
-    nu_j the edge's outer normal, in the ring's order, and by symmetry
-    half their shoelace sum is the area: the sum over j of
-    (cross(g_j, g_(j+1)) / H_j) / H_(j+1), with -g_1 after g_k.  The
-    lengths |g_j| cancel, so no unit vector is formed.  Parallel
-    generators repeat a vertex and add 0, so nothing merges.  Dividing
-    by H_j and then by H_(j+1) keeps an axis box exact: each of its
-    terms is (ab / ab) / ab = 1 / ab.  Raises NumericalError when some
-    H_j is not positive, nan included: the origin is then not interior
-    as far as rounding can tell.
-    """
-    ahead = cyclic_next(g)
-    ahead[-1] *= -1.0
+
+def _edge_supports(g: np.ndarray) -> np.ndarray:
+    """H_j = |cross(S_j, g_j)| for the planar generators g sorted over a
+    half turn (_sort_half_turn), S_j = 2 (g_1 + ... + g_(j-1)) + g_j -
+    (g_1 + ... + g_k) the midpoint of the zonotope ring's edge 2 g_j, from
+    prefix sums: that edge's support is H_j / |g_j|.  Raises
+    NumericalError when some H_j is not positive, nan included: the origin
+    is then not interior as far as rounding can tell."""
     passed = np.cumsum(g, axis=0)
     support = np.abs(cross_2d(2.0 * passed - g - passed[-1], g))
     if not np.min(support) > 0.0:
         raise NumericalError("zonotope has an edge of nonpositive support; "
                              "the origin is not interior to rounding")
+    return support
+
+
+def _sorted_polar_area(g: np.ndarray) -> float:
+    """Area of the polar of the planar zonotope with generators g sorted
+    over a half turn (_sort_half_turn), from the generators alone.
+
+    The polar's vertices are +-J g_j / H_j (polar_polygon), and by
+    symmetry half their shoelace sum is the area: the sum over j of
+    (cross(g_j, g_(j+1)) / H_j) / H_(j+1), with -g_1 after g_k.  No unit
+    vector is formed.  Parallel generators repeat a vertex and add 0, so
+    nothing merges.  Dividing by H_j and then by H_(j+1) keeps an axis box
+    exact: each of its terms is (ab / ab) / ab = 1 / ab.  Raises
+    NumericalError as _edge_supports does.
+    """
+    ahead = cyclic_next(g)
+    ahead[-1] *= -1.0
+    support = _edge_supports(g)
     return float(np.sum(cross_2d(g, ahead) / support / cyclic_next(support)))
 
 
-def _links(g: np.ndarray, angles: np.ndarray, resolution: float):
-    """The ring links of planar zonotope generators g sorted by their
-    angles over a half turn: each generator and the next, the last with
-    the first reversed across the seam.  Returns each link's angle step,
-    whether the two are parallel (a step of at most PARALLEL_TOL) and
-    whether the ring vertex between them lies within resolution of the
-    chord through its neighbours, a turn rounding cannot resolve."""
-    ahead = cyclic_next(g)
-    ahead[-1] *= -1.0
-    step = cyclic_next(angles) - angles
-    step[-1] = angles[0] - math.atan2(-g[-1, 1], -g[-1, 0])
-    chord = np.hypot(g[:, 0] + ahead[:, 0], g[:, 1] + ahead[:, 1])
-    parallel = step <= PARALLEL_TOL
-    unresolved = ~parallel & (cross_2d(g, ahead) <= resolution * chord)
-    return step, parallel, unresolved
-
-
-def _cut_wide_groups(g: np.ndarray, start: np.ndarray, turn: np.ndarray,
-                     resolution: float) -> None:
-    """Cut zonotope generator groups, in place in start, until every ring
-    vertex dropped by a rounding-level link lies within resolution of the
-    chord of its group.
-
-    g holds the generators in angle order over a half turn and start
-    marks the first generator of each group.  turn[j] > 0 is the angle
-    step to generator j from the one before it (index 0: across the seam)
-    where the two joined only because the ring vertex between them is
-    within resolution of their chord.  These links are tested pair by
-    pair, so they chain: a generator just longer than resolution can
-    bridge two that are far from parallel.  Each round cuts every group
-    once, among its linked vertices farther than resolution from the
-    chord at the one of largest turn (the first of equal ones).  On a
-    convex chain a vertex within resolution of a chord stays within it of
-    every sub-chord, so no cut undoes a vertex that passed.  Links of
-    parallel generators are never cut.
-    """
-    n = len(g)
-    if not np.any(start):
-        return
-    while True:
-        # read the groups from the first start on, the generators before
-        # it reversed after the others, so that no group crosses the seam
-        first = int(np.argmax(start))
-        order = np.roll(np.arange(n), -first)
-        seq = g[order]
-        seq[n - first:] *= -1.0
-        heads = np.flatnonzero(start[order])
-        group = np.cumsum(start[order]) - 1
-        end = np.cumsum(seq, axis=0)
-        base = np.zeros((len(heads), 2))
-        base[1:] = end[heads[1:] - 1]
-        chord = np.add.reduceat(seq, heads, axis=0)[group]
-        # the ring vertex before each generator, from its group's first one
-        vertex = np.zeros((n, 2))
-        vertex[1:] = end[:-1] - base[group[1:]]
-        offset = np.abs(cross_2d(vertex, chord)) / np.hypot(chord[:, 0], chord[:, 1])
-        score = np.where(offset > resolution, turn[order], 0.0)
-        cut = np.flatnonzero((score > 0.0)
-                             & (score == np.maximum.reduceat(score, heads)[group]))
-        if len(cut) == 0:
-            return
-        cut = cut[np.diff(group[cut], prepend=-1) != 0]
-        start[order[cut]] = True
-
-
 class PolarWrapper:
-    """Lazy polar of a 3D zonotope.  The polar of a planar body is
+    """Lazy polar of a 3D zonotope.  The polar of a planar zonotope is
     materialized exactly by polar_polygon instead."""
 
     dim = 3
@@ -327,52 +184,44 @@ class PolarWrapper:
     def __init__(self, body):
         if not (isinstance(body, Zonotope) and body.dim == 3):
             raise InputError(f"polar wrappers hold 3D zonotopes, not {body!r}; a planar "
-                             f"polar is exact as polar_polygon or polar_body")
+                             f"polar is exact as polar_polygon")
         self.body = body
 
     def __repr__(self):
         return f"PolarWrapper({self.body!r})"
 
 
-ConvexBody = Ball | FacetPolytope | Zonotope | PolarWrapper
+ConvexBody = Ball | Zonotope | PolarWrapper
 
 
-def planar_polygon(K: ConvexBody) -> FacetPolytope:
-    """The vertex form of a planar convex body: a FacetPolytope itself or
-    a zonotope's merged ring."""
-    if isinstance(K, FacetPolytope):
-        return K
-    if isinstance(K, Zonotope) and K.dim == 2:
-        return K._polygon
-    raise InputError(f"{type(K).__name__} has no planar vertex form")
-
-
-def polar_polygon(K: ConvexBody) -> FacetPolytope:
-    """Materialized polar of a planar body with the origin interior:
-    each facet with outer normal nu and offset h contributes the polar
-    vertex nu/h, in matching CCW order."""
-    P = planar_polygon(K)
-    normals, offsets = P.normals, P.offsets
-    if np.min(offsets) <= 0.0:
-        raise InputError("polar polygon needs the origin interior to the body")
-    if isinstance(K, Zonotope):
-        # the zonotope ring has no zero-length edge (its constructor checks)
-        # and no non-positive turn (Zonotope._polygon checks), so no three
-        # consecutive polar vertices are collinear
-        return FacetPolytope(normals / offsets[:, None])
-    return FacetPolytope.from_vertices(normals / offsets[:, None])
+def polar_polygon(K: Zonotope) -> np.ndarray:
+    """The polar of a planar zonotope as its CCW vertex ring, a (2k, 2)
+    array for k generators: J g_j / H_j over the sorted generators, J the
+    quarter turn (x, y) -> (y, -x), then the negatives of those rows.  Row
+    j is the pole of the ring edge 2 g_j, its outer normal over its
+    support.  Parallel generators repeat a vertex up to rounding; nothing
+    merges them.  Raises InputError for any other body and as
+    _spanning_half_turn does, NumericalError as _edge_supports does."""
+    if not (isinstance(K, Zonotope) and K.dim == 2):
+        raise InputError(f"no planar polar ring for {K!r}; polar_polygon takes "
+                         "a planar zonotope")
+    g = _spanning_half_turn(K)
+    half = np.column_stack([g[:, 1], -g[:, 0]]) / _edge_supports(g)[:, None]
+    return np.vstack([half, -half])
 
 
 def polar_body(K: ConvexBody) -> ConvexBody:
-    """The polar of K in whichever form is exact: balls invert, planar
-    bodies materialize, 3D zonotopes wrap lazily, wrappers unwrap."""
+    """The polar of K where it is a body: balls invert, 3D zonotopes wrap
+    lazily, wrappers unwrap.  A planar zonotope's polar is exact as the
+    vertex ring of polar_polygon, and anything else raises InputError."""
     if isinstance(K, PolarWrapper):
         return K.body
     if isinstance(K, Ball):
         return Ball(1.0 / K.radius, dim=K.dim)
     if isinstance(K, Zonotope) and K.dim == 3:
         return PolarWrapper(K)
-    return polar_polygon(K)
+    raise InputError(f"no polar body for {K!r}; a planar zonotope's polar is "
+                     "exact as polar_polygon")
 
 
 @dataclass(frozen=True)
@@ -391,16 +240,20 @@ def polar_volume(K: ConvexBody, grid: SphericalGrid | None = None,
 
     Axis-aligned boxes in either dimension take the cross-polytope
     closed form 2^n / (n! * prod of half-widths); other planar zonotopes
-    are exact (Zonotope._polar_area); other 3D zonotopes integrate the
-    reciprocal support cubed over a spherical grid, with the differences
-    against the grid's half- and quarter-resolution error levels reported
-    as the error estimate.  method='quadrature' forces the quadrature
-    route on zonotopes that would otherwise take a closed form (used to
-    validate the grids).  A zonotope that is not full-dimensional has an
-    unbounded polar and raises InputError ("degenerate"): a box with a
-    zero half-width before its closed form, generators of rank below the
-    dimension before quadrature, and a planar zonotope whose ring shows
-    it.  Any other body or route raises InputError.
+    take the closed form over their sorted generators (_sorted_polar_area,
+    whose NumericalError passes on), with a relative error that grows
+    like eps * scale / h on a body of width h and has no bound; other 3D
+    zonotopes integrate the reciprocal support cubed over a spherical
+    grid, with the differences against the grid's half- and
+    quarter-resolution error levels reported as the error estimate.
+    method='quadrature' forces the quadrature route on zonotopes that
+    would otherwise take a closed form (used to validate the grids).  A
+    zonotope that is not full-dimensional has an unbounded polar and
+    raises InputError ("degenerate"): a box with a zero half-width before
+    its closed form, planar generators that are all exactly parallel
+    before theirs (_spanning_half_turn), and generators of rank below the
+    dimension before quadrature.  Any other body or route raises
+    InputError.
     """
     if method not in ("auto", "quadrature"):
         raise InputError(f"unknown polar volume method {method!r}")
@@ -418,7 +271,7 @@ def polar_volume(K: ConvexBody, grid: SphericalGrid | None = None,
             # the cross-polytope with half-diagonals 1/a, 1/b (, 1/c)
             return PolarVolume(2.0 ** n / (math.factorial(n) * float(np.prod(half))), 0.0)
         if n == 2:
-            return PolarVolume(K._polar_area(), 0.0)
+            return PolarVolume(_sorted_polar_area(_spanning_half_turn(K)), 0.0)
     if np.linalg.matrix_rank(K.generators) < n:
         raise InputError(f"zonotope is degenerate (generators of rank below {n})")
     g = grid if grid is not None else default_grid(n)
@@ -437,12 +290,3 @@ def polar_volume(K: ConvexBody, grid: SphericalGrid | None = None,
     v1 = integrate_sphere(half_grid, reciprocal) / n
     v2 = integrate_sphere(quarter_grid, reciprocal) / n
     return PolarVolume(value, abs(value - v1) + abs(v1 - v2))
-
-
-def steiner_symmetrize_convex(K: ConvexBody, u):
-    """Exact Steiner symmetral of a planar convex body about the line
-    through the origin orthogonal to u: every chord parallel to u is
-    recentered.  The vertex ring comes from the same section-length
-    kernel as polygon symmetrals (geometry.steiner_ring), so area is kept
-    to rounding and convexity is kept."""
-    return FacetPolytope(steiner_ring(planar_polygon(K).vertices, u))

@@ -529,8 +529,8 @@ def distance_to_polygon(points: np.ndarray, vertices: np.ndarray) -> np.ndarray:
 
 
 class VertexRing:
-    """What a closed planar ring of CCW vertices alone determines, shared
-    by PolygonSet and FacetPolytope.
+    """What a closed planar ring of CCW vertices alone determines: the
+    base of PolygonSet, which adds the simplicity and orientation checks.
 
     The constructor copies the vertices and checks, once, that they form
     an (m, 2) array with m >= 3 of finite values, with no zero-length

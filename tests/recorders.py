@@ -39,5 +39,6 @@ def bodies_built(monkeypatch):
 
 @pytest.fixture
 def rings_built(monkeypatch):
-    """Every VertexRing built from here on: polygons and facet polytopes."""
+    """Every VertexRing built from here on: every PolygonSet, checked or
+    derived, since the package builds no other vertex ring."""
     return _record(monkeypatch, VertexRing, "__init__")

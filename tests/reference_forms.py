@@ -5,8 +5,9 @@ np.roll and the greedy scorer that rotates every chain back to the input
 frame, which the package's forms must match bit for bit.  Also the small derived quantities only tests read
 (column multiplicities and volumes, box-union axis masses and symmetric
 differences), the projection body on a surface measure's half-weighted
-normals, the grid-sampled inclusion margin the exact vertex margin
-must dominate, the ring route of the planar polar area, the exact
+normals, a planar zonotope's ring and its polar's ring from a convex
+hull, the grid-sampled inclusion margin the exact vertex margin must
+dominate, the ring route of the planar polar area, the exact
 rational product of a float polygon, the shoelace area and centroid of
 a vertex ring, and the per-policy direction draw loops."""
 
@@ -18,14 +19,17 @@ from fractions import Fraction
 
 import numpy as np
 
-from pettybox.convex import Zonotope, polar_polygon, steiner_symmetrize_convex
+from pettybox.convex import Zonotope
 from pettybox.driver import AXIS_PERTURBATION
 from pettybox.errors import InputError, NumericalError
 from pettybox.geometry import (_chain_ring, _symmetral_chains, as_direction,
-                               circle_grid, cross_2d, lerp, rotation_2d)
+                               circle_grid, cross_2d, lerp, rotation_2d,
+                               steiner_ring)
 from pettybox.sets import (BoxUnion, ColumnStructure, _on_segment,
                            cap_cover_greedy_step, is_regular_direction,
                            steiner_symmetrize, surface_measure)
+
+from hull import convex_hull_2d
 
 
 def shoelace_area(vertices: np.ndarray) -> float:
@@ -69,25 +73,57 @@ def measure_body(E) -> Zonotope:
     return Zonotope(0.5 * mu.masses[:, None] * mu.normals)
 
 
+def zonotope_hull(generators) -> np.ndarray:
+    """CCW vertex ring of the planar zonotope on the given generators,
+    built apart from the package: the generators turned into the upper
+    half-plane and sorted by angle, the chain from minus their sum by
+    twice each but the last in turn, and the convex hull (tests/hull.py)
+    of that chain and its mirror image, which drops the points that
+    parallel generators leave collinear.  The chain stops short of its
+    end, the mirror of its start, so rounding in the sum leaves no second
+    point there."""
+    g = np.array(generators, dtype=float)
+    g[(g[:, 1] < 0.0) | ((g[:, 1] == 0.0) & (g[:, 0] < 0.0))] *= -1.0
+    g = g[np.argsort(np.arctan2(g[:, 1], g[:, 0]))]
+    chain = np.cumsum(np.vstack([-np.sum(g, axis=0), 2.0 * g[:-1]]), axis=0)
+    return convex_hull_2d(np.vstack([chain, -chain]))
+
+
+def normals_offsets(ring: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unit outer normals of a convex CCW ring's edges and the offsets
+    normal . vertex of their lines."""
+    e = np.roll(ring, -1, axis=0) - ring
+    n = np.column_stack([e[:, 1], -e[:, 0]]) / np.hypot(e[:, 0], e[:, 1])[:, None]
+    return n, np.sum(ring * n, axis=1)
+
+
+def polar_hull(Z) -> np.ndarray:
+    """CCW vertex ring of the polar of the planar zonotope Z: the pole
+    normal / offset of each edge of zonotope_hull, in the ring's order."""
+    n, h = normals_offsets(zonotope_hull(Z.generators))
+    return n / h[:, None]
+
+
 def grid_inclusion_margin(E, direction, nodes: int = 4096) -> float:
     """The polar-symmetral inclusion margin sampled on a circle grid: the
     max over the nodes of rho_A / rho_B, with A the symmetral of the polar
     projection body of E and B the polar projection body of the
     symmetral, both radial functions in the dense form with each term of
-    a dot product rounded.  A lower bound of the exact margin, which is
-    the max over the vertices of A."""
+    a dot product rounded.  Both polars are polar_hull of measure_body,
+    and A is the hull of the section kernel's ring of the first.  A lower
+    bound of the exact margin, which is the max over the vertices of A."""
     u = as_direction(direction)
     w = circle_grid(nodes).nodes
-    A = steiner_symmetrize_convex(polar_polygon(measure_body(E)), u)
-    B = polar_polygon(measure_body(steiner_symmetrize(E, u)))
-    return float(np.max(dense_radial(A.normals, A.offsets, w, matmul=False)
-                        / dense_radial(B.normals, B.offsets, w, matmul=False)))
+    A = normals_offsets(convex_hull_2d(steiner_ring(polar_hull(measure_body(E)), u)))
+    B = normals_offsets(polar_hull(measure_body(steiner_symmetrize(E, u))))
+    return float(np.max(dense_radial(*A, w, matmul=False)
+                        / dense_radial(*B, w, matmul=False)))
 
 
 def ring_polar_area(Z) -> float:
-    """Area of the polar of a planar zonotope through its merged vertex
-    ring: the shoelace area of polar_polygon(Z)."""
-    return polar_polygon(Z).volume()
+    """Area of the polar of a planar zonotope through the vertex ring of
+    the zonotope: the shoelace area of polar_hull(Z)."""
+    return shoelace_area(polar_hull(Z))
 
 
 def exact_polar_product(vertices) -> Fraction:

@@ -3,7 +3,8 @@ names by (module, attribute); a name that no longer resolves breaks every
 traced benchmark run.  So does a package name or a result attribute that
 the benchmark reads.  The package's own export list must resolve too, and
 so must the package names the README gives.  The tracer's Hausdorff route
-counter must name the route the package takes."""
+counter must name the route the package takes, and a traced layer must
+be reached through the module binding the tracer wraps."""
 
 from __future__ import annotations
 
@@ -19,8 +20,9 @@ from pathlib import Path
 import pytest
 
 import pettybox
-from pettybox import (Ball, BoxUnion, FacetPolytope, InputError, PolygonSet,
-                      SphericalGrid, Zonotope)
+import pettybox.projection
+from pettybox import (Ball, BoxUnion, InputError, PolygonSet, SphericalGrid,
+                      Zonotope)
 
 ROOT = Path(__file__).resolve().parents[1]
 BENCH = ROOT / "pettybench"
@@ -79,7 +81,7 @@ def test_exported_names_resolve_on_the_package():
 
 def test_readme_names_resolve_on_the_package():
     # a backticked dotted name that starts at a pettybox module or export
-    # (`geometry.steiner_ring`, `Zonotope._polar_area`), and a backticked
+    # (`geometry.steiner_ring`, `Zonotope._half_turn`), and a backticked
     # call of a bare name (`hausdorff_distance(A, B)`), must resolve
     roots = {m.name: importlib.import_module(f"pettybox.{m.name}")
              for m in pkgutil.iter_modules(pettybox.__path__)}
@@ -106,7 +108,9 @@ HANDLES = {
     "ball": Ball(1.0),
     "star-polygon": PolygonSet([[-1, -1], [1, -1], [1, 1], [-1, 1]]),
     "polygon": PolygonSet([[0, 0], [1, 0], [1, 1], [0, 1]]),
-    "facets": FacetPolytope([[1, 0], [0, 1], [-1, 0], [0, -1]]),
+    # the diamond |x| + |y| <= 1 as the zonotope on its half edges; the key
+    # keeps its test ids
+    "facets": Zonotope([[0.5, 0.5], [-0.5, 0.5]]),
     "zonotope": Zonotope([[1.0, 0.0], [0.3, 1.0]]),
     "boxes": BoxUnion([[-1, -1]], [[1, 1]]),
 }
@@ -126,3 +130,21 @@ def test_tracer_counts_the_hausdorff_route_the_package_takes(first, second, haus
         assert counted is None and hausdorff_routes == []
     else:
         assert hausdorff_routes == [counted]
+
+
+def test_inclusion_check_reaches_the_polar_ring_through_its_binding(monkeypatch):
+    # the tracer counts convex.polar_polygon at every module binding that
+    # holds it; the inclusion check must call it through projection's, once,
+    # or the layer reads 0 calls while the work still runs
+    calls = []
+    original = pettybox.projection.polar_polygon
+
+    def counted(K):
+        calls.append(K)
+        return original(K)
+
+    monkeypatch.setattr(pettybox.projection, "polar_polygon", counted)
+    square = PolygonSet([[0, 0], [1, 0], [1, 1], [0, 1]])
+    holds, _ = pettybox.polar_steiner_inclusion_check(square, [0.6, 0.8])
+    assert holds
+    assert len(calls) == 1 and isinstance(calls[0], Zonotope)

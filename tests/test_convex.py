@@ -1,7 +1,9 @@
-"""Convex bodies: the zonotope support kernel, polar bodies and polar
-volumes, and convex Steiner symmetrization.  Supports and radial
-functions of the other bodies are read off their vertices and facets
-(reference_forms.dense_radial)."""
+"""Convex bodies: the zonotope support kernel, polar bodies, the planar
+polar ring and polar volumes, and Steiner symmetrals of convex rings by
+the section kernel.  Supports and radial functions of vertex rings are
+read off their vertices and facets (reference_forms.dense_radial), with
+a zonotope's ring and its polar's from the convex hull oracle
+(reference_forms.zonotope_hull, polar_hull)."""
 
 from __future__ import annotations
 
@@ -11,45 +13,51 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pettybox.convex
 import pettybox.geometry
-from pettybox import (Ball, BoxUnion, FacetPolytope, InputError,
-                      NumericalError, PolarWrapper, Zonotope, petty_product,
-                      planar_polygon, polar_body, polar_polygon,
-                      polar_steiner_inclusion_check, polar_volume,
-                      projection_body, steiner_symmetrize,
-                      steiner_symmetrize_convex)
+import pettybox.projection
+from pettybox import (Ball, BoxUnion, InputError, NumericalError,
+                      PolarWrapper, PolygonSet, Zonotope, petty_product,
+                      polar_body, polar_polygon, polar_steiner_inclusion_check,
+                      polar_volume, projection_body, steiner_symmetrize)
 from pettybox.corpus import random_box_union, random_polygon, regular_polygon
 from pettybox.geometry import (BLOCK_PAIRS, circle_grid, cross_2d, default_grid,
-                               rotation_2d, sphere_grid)
+                               rotation_2d, sphere_grid, steiner_ring)
 
 from hull import convex_hull_2d
 from recorders import bodies_built, measures_built  # noqa: F401
-from reference_forms import dense_radial, dense_support, ring_polar_area
+from reference_forms import (dense_radial, dense_support, normals_offsets,
+                             polar_hull, ring_polar_area, shoelace_area,
+                             zonotope_hull)
 
 E1 = np.array([1.0, 0.0])
 EPS = float(np.finfo(float).eps)
 E2 = np.array([0.0, 1.0])
 
 
-def centered_square():
-    return FacetPolytope([[1, -1], [1, 1], [-1, 1], [-1, -1]])
-
-
 def random_centered_body(seed, points=12):
+    """The CCW vertex ring of a random convex polygon, its vertex mean at
+    the origin."""
     rng = np.random.default_rng(seed)
     pts = rng.normal(size=(points, 2))
     hull = convex_hull_2d(pts)
-    return FacetPolytope(hull - hull.mean(axis=0))
+    return hull - hull.mean(axis=0)
 
 
-def vertex_support(P, nodes):
+def vertex_support(vertices, nodes):
     """Support of a planar polytope at each row of a node stack: the
     largest product with a vertex."""
-    return np.max(np.asarray(nodes, dtype=float) @ P.vertices.T, axis=1)
+    return np.max(np.asarray(nodes, dtype=float) @ np.asarray(vertices).T, axis=1)
+
+
+def ring_radial(vertices, nodes):
+    """Radial function of a convex ring with the origin interior, read
+    off the normals and offsets of its convex hull, which drops the
+    vertices parallel generators repeat."""
+    return dense_radial(*normals_offsets(convex_hull_2d(vertices)), nodes)
 
 
 # --------------------------------------------------------------------- balls
@@ -63,37 +71,11 @@ def test_ball_validation():
         Ball(1.0, dim=4)
 
 
-# ----------------------------------------------------------- facet polytopes
-
-def test_facet_polytope_support_and_radial():
-    # the radial function read off the derived normals and offsets
-    K = centered_square()
-    radial = dense_radial(K.normals, K.offsets, np.array([[math.sqrt(0.5)] * 2, E1]))
-    assert np.all(np.abs(radial - [math.sqrt(2), 1.0]) <= 1e-12)
-    assert K.volume() == 4.0
-
-
-def test_facet_polytope_validation():
-    with pytest.raises(InputError):
-        FacetPolytope([[0, 0], [2, 0], [1, 0.2], [0, 2]])  # reflex vertex
-    with pytest.raises(InputError):
-        FacetPolytope([[0, 0], [1, 1]])
-    # clockwise ordering is not convex-positively-oriented
-    with pytest.raises(InputError):
-        FacetPolytope([[0, 0], [0, 1], [1, 1], [1, 0]])
-
-
-def test_from_vertices_prunes_collinear():
-    K = FacetPolytope.from_vertices(
-        [[1, -1], [1, 0], [1, 1], [-1, 1], [-1, -1]])
-    assert len(K.vertices) == 4
-
-
 # ------------------------------------------------ radial and planar support
 #
-# The radial function of a polytope, the least offset / (u . normal) over
-# its facets, and the support of its polar_polygon must meet polar
-# duality, rho_K(u) h_{K polar}(u) = 1.  The planar Zonotope.support_batch is the
+# The radial function of a planar zonotope, the least offset /
+# (u . normal) over the facets of its hull oracle ring, and the support of
+# its polar_polygon must meet polar duality, rho_K(u) h_{K polar}(u) = 1.  The planar Zonotope.support_batch is the
 # blocked sum of |u . g| that 3D bodies use; it must agree with the dense
 # formula over every generator to 1e-13 of the body's size, on nodes
 # where some u . g is zero or changes sign (a generator's breakpoint, the
@@ -119,22 +101,27 @@ def _probe_nodes(rng, special):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(0, 10**6), st.integers(3, 40), st.floats(1e-3, 1e3))
-# a sliver triangle: u . normal at the minimizing facet down to 1.4e-5
-@example(seed=24832, points=3, scale=1.0)
+@given(st.integers(0, 10**6), st.integers(2, 40), st.floats(1e-3, 1e3))
 def test_radial_matches_dense_formula_and_polar_duality(seed, points, scale):
-    K = FacetPolytope(scale * random_centered_body(seed, points).vertices)
-    polar = polar_polygon(K)
     rng = np.random.default_rng(seed)
+    g = scale * rng.normal(size=(points, 2))
+    Z = Zonotope(g)
+    ring = zonotope_hull(Z.generators)
+    normals, offsets = normals_offsets(ring)
+    polar = polar_polygon(Z)
     # nodes at the vertex angles and across the +-pi seam
-    nodes = _probe_nodes(rng, _directions(K.vertices))
-    radial = dense_radial(K.normals, K.offsets, nodes)
+    nodes = _probe_nodes(rng, _directions(ring))
+    radial = dense_radial(normals, offsets, nodes)
     # the radial divides an offset by d = u . normal at the minimizing
-    # facet, and d carries rounding, so the product is 1 to a few eps / d
-    dots = nodes @ K.normals.T
+    # facet, and d carries rounding, so the product is 1 to a few eps / d;
+    # the polar's row J g_j / H_j carries the rounding of H_j, a few eps
+    # |S_j| |g_j| / H_j, at most eps times the size over the least offset
+    dots = nodes @ normals.T
     with np.errstate(divide="ignore"):
-        ratios = np.where(dots > 0.0, K.offsets / dots, np.inf)
-    bound = 8.0 * EPS / dots[np.arange(len(nodes)), np.argmin(ratios, axis=1)]
+        ratios = np.where(dots > 0.0, offsets / dots, np.inf)
+    d = dots[np.arange(len(nodes)), np.argmin(ratios, axis=1)]
+    size = float(np.sum(np.hypot(g[:, 0], g[:, 1])))
+    bound = 8.0 * EPS / d + 16.0 * EPS * size / float(np.min(offsets))
     assert np.all(np.abs(radial * vertex_support(polar, nodes) - 1.0) <= bound)
 
 
@@ -189,8 +176,6 @@ def test_zonotope_support_and_box_detection():
     Z = Zonotope([[1, 0], [0, 1]])
     assert Z.support_batch(np.array([[1.0, 1.0]]))[0] == 2.0
     assert np.allclose(Z.axis_box_halfwidths(), [1.0, 1.0])
-    got = sorted(map(tuple, np.round(planar_polygon(Z).vertices, 12)))
-    assert got == [(-1.0, -1.0), (-1.0, 1.0), (1.0, -1.0), (1.0, 1.0)]
     tilted = Zonotope([[1, 1], [0, 1]])
     assert tilted.axis_box_halfwidths() is None
 
@@ -214,46 +199,16 @@ def test_zonotope_validation():
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 10**6))
 def test_zonogon_materialization_matches_support(seed):
+    # the support kernel and the pair-sum volume against the zonotope's
+    # ring from the hull oracle
     rng = np.random.default_rng(seed)
     gens = rng.normal(size=(int(rng.integers(2, 8)), 2))
     Z = Zonotope(gens)
-    P = FacetPolytope(planar_polygon(Z).vertices)
+    ring = zonotope_hull(gens)
     scale = 1.0 + float(np.abs(gens).sum())
     z = rng.normal(size=(20, 2))
-    assert np.all(np.abs(Z.support_batch(z) - vertex_support(P, z)) <= 1e-9 * scale)
-    assert abs(Z.volume() - P.volume()) <= 1e-9 * scale ** 2
-
-
-@pytest.mark.parametrize("delta, count", [(1e-16, 4), (1e-13, 4), (1e-12, 4),
-                                          (2e-12, 6), (1e-11, 6)])
-def test_zonotope_seam_merge_threshold(delta, count):
-    # the last generator lies delta rad short of angle pi, so it is the
-    # first generator reversed up to delta; within 1e-12 the two merge
-    # across the seam, and beyond it the ring keeps both edges
-    Z = Zonotope([[1, 0], [0.3, 1], [-1, delta]])
-    assert len(planar_polygon(Z).vertices) == count
-    P = polar_polygon(Z)
-    assert len(P.vertices) == count
-    q = polar_volume(Z, method="quadrature")
-    assert abs(P.volume() - q.value) <= q.error
-
-
-def _strictly_convex(v):
-    e = np.roll(v, -1, axis=0) - v
-    return bool(np.all(cross_2d(e, np.roll(e, -1, axis=0)) > 0.0))
-
-
-def test_zonotope_ring_merges_turns_below_rounding():
-    # symmetrals of regular polygons along these directions carry edges
-    # of rounding length, and generators 1e-12 rad apart at 4e-5 length,
-    # whose turns the ring's coordinates cannot resolve; both merge and
-    # the ring stays strictly convex
-    for m, phase, u in [(64, 0.0, E2), (110, 0.1, np.array([math.sqrt(0.5)] * 2))]:
-        Z = projection_body(steiner_symmetrize(regular_polygon(m, phase=phase), u))
-        assert _strictly_convex(planar_polygon(Z).vertices)
-        assert _strictly_convex(polar_polygon(Z).vertices)
-        q = polar_volume(Z, grid=circle_grid(1 << 16), method="quadrature")
-        assert abs(polar_volume(Z).value - q.value) <= q.error
+    assert np.all(np.abs(Z.support_batch(z) - vertex_support(ring, z)) <= 1e-9 * scale)
+    assert abs(Z.volume() - shoelace_area(ring)) <= 1e-9 * scale ** 2
 
 
 # an axis box of half-widths 1 and 1e-15, thinner than its ring resolves
@@ -264,17 +219,14 @@ def _generators(angles, lengths):
     return np.asarray(lengths)[:, None] * np.column_stack([np.cos(angles), np.sin(angles)])
 
 
-# In the first two, a 5e-14-long generator turns by a quarter or more
-# from each neighbour, below the ring's resolution, so each pair joins;
-# the chain of links must still keep the real turn between the long
-# neighbours (in the second, across the seam).  In the third, sorted by
-# angle: a long generator at 8.1 deg with a short parallel one, short
-# ones at 26.1 and 44.2 deg, a long one 2e-12 rad past the last, a long
-# one at 53.3 deg with a short parallel one.  Links join everything from
-# 26.1 deg to the long generator at 44.2 deg; a cut at the vertex
-# farthest from the chord split off the 2e-12 rad turn, which rounding
-# cannot resolve, and the ring check raised.  The cut at the largest
-# turn keeps the 18 deg one.
+# Generators that a ring merging turns below its resolution once joined
+# in links.  In the first two, a 5e-14-long generator turns by a quarter
+# or more from each neighbour; the real turn between the long neighbours
+# (in the second, across the seam) must still count.  In the third,
+# sorted by angle: a long generator at 8.1 deg with a short parallel one,
+# short ones at 26.1 and 44.2 deg, a long one 2e-12 rad past the last, a
+# long one at 53.3 deg with a short parallel one.  The polar's closed
+# form merges nothing, so it keeps every real turn: it meets quadrature.
 ROUNDING_LINKS = {
     "bridge": _generators((0.0, 0.25, 0.5, math.pi / 2), (1.0, 5e-14, 1.0, 1.0)),
     "bridge-across-seam": _generators((0.0, 0.5, math.pi - 0.3, math.pi - 0.05),
@@ -293,8 +245,7 @@ ROUNDING_LINKS = {
 @pytest.mark.parametrize("generators", list(ROUNDING_LINKS.values()), ids=list(ROUNDING_LINKS))
 def test_rounding_links_keep_real_turns(generators):
     Z = Zonotope(generators)
-    assert _strictly_convex(planar_polygon(Z).vertices)
-    assert abs(Z._polygon.volume() - Z.volume()) <= 1e-13 * Z.volume()
+    assert abs(shoelace_area(zonotope_hull(generators)) - Z.volume()) <= 1e-13 * Z.volume()
     q = polar_volume(Z, grid=circle_grid(1 << 16), method="quadrature")
     assert abs(polar_volume(Z).value - q.value) <= q.error
 
@@ -303,7 +254,8 @@ def test_polar_of_nearly_parallel_facets_keeps_its_area():
     # along a direction 7.8e-12 rad from an edge, the symmetral's
     # projection body has facets a hair apart; pruning the polar's
     # collinear-looking vertices once dropped four of them and lost
-    # 1.6e-5 of the polar area
+    # 1.6e-5 of the polar area.  The polar ring keeps every vertex, and
+    # its area and the closed form meet quadrature
     E = random_polygon(3)
     v = E.vertices
     edge = v[28] - v[27]
@@ -311,6 +263,55 @@ def test_polar_of_nearly_parallel_facets_keeps_its_area():
     Z = projection_body(steiner_symmetrize(E, u))
     q = polar_volume(Z, grid=circle_grid(1 << 16), method="quadrature")
     assert abs(polar_volume(Z).value - q.value) <= q.error
+    assert abs(shoelace_area(polar_polygon(Z)) - q.value) <= q.error
+
+
+def _turns(ring):
+    """Angle about the origin from each row of a ring to the next."""
+    ahead = np.roll(ring, -1, axis=0)
+    return np.arctan2(cross_2d(ring, ahead), np.sum(ring * ahead, axis=1))
+
+
+@pytest.mark.parametrize("delta, count", [(1e-16, 4), (1e-13, 4), (1e-12, 4),
+                                          (2e-12, 6), (1e-11, 6)])
+def test_zonotope_seam_merge_threshold(delta, count):
+    # the last generator lies delta rad short of angle pi, so it is the
+    # first generator reversed up to delta.  The polar ring merges
+    # nothing: it keeps all six rows at every delta, and its two seam
+    # rows turn by delta about the origin, to rounding.  Only `count`
+    # rows turn by more than 1.5e-12 rad, so a ring merging turns below
+    # that would keep `count` vertices
+    Z = Zonotope([[1, 0], [0.3, 1], [-1, delta]])
+    P = polar_polygon(Z)
+    assert P.shape == (6, 2)
+    turns = _turns(P)
+    assert np.all(np.abs(turns[[2, 5]] - delta) <= 4.0 * EPS)
+    assert np.count_nonzero(turns > 1.5e-12) == count
+    q = polar_volume(Z, method="quadrature")
+    assert abs(shoelace_area(P) - q.value) <= q.error
+    assert abs(polar_volume(Z).value - q.value) <= q.error
+
+
+def test_zonotope_ring_merges_turns_below_rounding():
+    # symmetrals of regular polygons along these directions carry edges
+    # of rounding length, and generators 1e-12 rad apart at 4e-5 length,
+    # whose turns the ring's coordinates cannot resolve.  The polar ring
+    # keeps a row for each and steps back by no more than rounding; its
+    # convex hull merges those turns and has the ring's area to rounding,
+    # so the repeated rows dent nothing, and the ring's area and the
+    # closed form meet quadrature
+    for m, phase, u in [(64, 0.0, E2), (110, 0.1, np.array([math.sqrt(0.5)] * 2))]:
+        Z = projection_body(steiner_symmetrize(regular_polygon(m, phase=phase), u))
+        P = polar_polygon(Z)
+        assert P.shape == (2 * len(Z.generators), 2)
+        assert np.min(_turns(P)) >= -4.0 * EPS
+        hull = convex_hull_2d(P)
+        assert len(hull) < len(P)
+        area = shoelace_area(hull)
+        assert abs(shoelace_area(P) - area) <= 16.0 * EPS * area
+        q = polar_volume(Z, grid=circle_grid(1 << 16), method="quadrature")
+        assert abs(polar_volume(Z).value - q.value) <= q.error
+        assert abs(shoelace_area(P) - q.value) <= q.error
 
 
 def test_planar_polar_projection_body_never_prunes(monkeypatch):
@@ -318,7 +319,6 @@ def test_planar_polar_projection_body_never_prunes(monkeypatch):
         raise AssertionError("prune_collinear called on the projection-body path")
 
     monkeypatch.setattr(pettybox.geometry, "prune_collinear", refuse)
-    monkeypatch.setattr(pettybox.convex, "prune_collinear", refuse)
     E = random_polygon(4, min_vertices=40, max_vertices=40)
     report = petty_product(E)
     assert 0.0 < report.product <= report.bound
@@ -329,9 +329,10 @@ def test_planar_polar_projection_body_never_prunes(monkeypatch):
 # -------------------------------------------------------- planar polar area
 #
 # polar_volume of a planar zonotope is the closed form over its generators
-# sorted over a half turn, with no ring; the ring route
-# (reference_forms.ring_polar_area) must agree with it within 1e-13, and
-# a zonotope the ring finds degenerate must raise on both routes.
+# sorted over a half turn, with no ring; the ring route of the hull oracle
+# (reference_forms.ring_polar_area) must agree with it within 1e-13.  A
+# zonotope whose generators are all exactly parallel raises InputError,
+# and a thin one has a closed form good to about eps * scale / width.
 
 def _campaign_bodies():
     """Projection bodies of campaign-style polygons and of their
@@ -378,27 +379,38 @@ def test_planar_axis_box_polar_area_is_exact():
             assert petty_product(E).polar_projection_volume == kernel(Z) == 2.0 / (a * b)
 
 
-@pytest.mark.parametrize("generators", [
-    [[1.0, 0.0]],
-    [[1.0, 0.0], [2.0, 0.0], [-3.0, 0.0]],
-    [[0.3, 1.0], [-0.6, -2.0]],
-    _generators((0.4, 0.4 + 1e-13), (1.0, 2.0)),
-    _generators((0.0, 1e-13, -1e-13), (1.0, 2.0, 0.5)),
-    _generators((0.0, math.pi - 1e-13), (1.0, 2.0)),
-    _generators((5e-14, -5e-14), (1.0, 1.0)),
-    THIN_BOX,
+@pytest.mark.parametrize("generators, parallel", [
+    ([[1.0, 0.0]], True),
+    ([[1.0, 0.0], [2.0, 0.0], [-3.0, 0.0]], True),
+    ([[0.3, 1.0], [-0.6, -2.0]], True),
+    (_generators((0.4, 0.4 + 1e-13), (1.0, 2.0)), False),
+    (_generators((0.0, 1e-13, -1e-13), (1.0, 2.0, 0.5)), False),
+    (_generators((0.0, math.pi - 1e-13), (1.0, 2.0)), False),
+    (_generators((5e-14, -5e-14), (1.0, 1.0)), False),
+    (THIN_BOX, False),
 ], ids=["one", "parallel", "antiparallel", "1e-13-apart", "1e-13-apart-at-0",
         "1e-13-across-seam", "1e-13-astride-seam", "short"])
-def test_degenerate_zonotope_keeps_its_error(generators):
-    with pytest.raises(InputError, match="degenerate"):
-        planar_polygon(Zonotope(generators))
-    if generators is THIN_BOX:
-        # a thin axis box is full-dimensional, and polar_volume takes its
-        # cross-polytope closed form 2 / (ab) before any ring
-        assert polar_volume(Zonotope(generators)).value == 2.0 / 1e-15
+def test_degenerate_zonotope_keeps_its_error(generators, parallel):
+    Z = Zonotope(generators)
+    if parallel:
+        # a segment has an unbounded polar: both routes say so before the
+        # kernel, whose edge supports rounding can leave positive
+        for route in (polar_volume, polar_polygon):
+            with pytest.raises(InputError, match="degenerate"):
+                route(Z)
         return
-    with pytest.raises(InputError, match="degenerate"):
-        polar_volume(Zonotope(generators))
+    if generators is THIN_BOX:
+        # a thin axis box takes its cross-polytope closed form 2 / (ab)
+        assert polar_volume(Z).value == 2.0 / 1e-15
+        return
+    # generators 1e-13 rad apart span a full-dimensional sliver, 1e-13 of
+    # its length wide: the closed form and the hull oracle's ring route
+    # agree to about eps * scale^2 / area, the rounding floor of both
+    g = Z.generators
+    size = float(np.sum(np.hypot(g[:, 0], g[:, 1])))
+    want = ring_polar_area(Z)
+    assert abs(polar_volume(Z).value - want) <= 4.0 * EPS * size ** 2 / Z.volume() * want
+    assert abs(shoelace_area(polar_polygon(Z)) - want) <= 4.0 * EPS * size ** 2 / Z.volume() * want
 
 
 @pytest.mark.parametrize("generators", [
@@ -418,10 +430,11 @@ def test_planar_products_never_build_a_zonotope_ring(monkeypatch, measures_built
     polygons = [E, steiner_symmetrize(E, np.array([0.6, 0.8]))]
     boxes = random_box_union(3, dim=2)
 
-    def refuse(self):
-        raise AssertionError("Zonotope._polygon read on the product path")
+    def refuse(*args):
+        raise AssertionError("a polar ring built on the product path")
 
-    monkeypatch.setattr(Zonotope, "_polygon", property(refuse))
+    monkeypatch.setattr(pettybox.convex, "polar_polygon", refuse)
+    monkeypatch.setattr(pettybox.projection, "polar_polygon", refuse)
     for X in polygons + [boxes]:
         report = petty_product(X)
         assert 0.0 < report.product <= report.bound
@@ -446,89 +459,140 @@ def test_planar_zonotope_volume_is_the_pair_sum(generators):
 # ------------------------------------------------------------------- polars
 
 def test_polar_polygon_square_is_cross():
-    P = polar_polygon(centered_square())
-    got = sorted(map(tuple, np.round(P.vertices, 12)))
-    assert got == [(-1.0, 0.0), (0.0, -1.0), (0.0, 1.0), (1.0, 0.0)]
+    P = polar_polygon(Zonotope([[1, 0], [0, 1]]))
+    assert P.tolist() == [[0.0, -1.0], [1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]]
+
+
+def _regular_zonotope(m):
+    """The regular 2m-gon as the zonotope on m unit generators at angles
+    pi j / m, scaled to circumradius 1 by its hull oracle ring."""
+    t = math.pi * np.arange(m) / m
+    g = np.column_stack([np.cos(t), np.sin(t)])
+    return Zonotope(g / np.max(np.linalg.norm(zonotope_hull(g), axis=1)))
 
 
 def test_polar_of_regular_polygon_has_unit_inradius():
     for m in (3, 5, 8, 64):
-        K = FacetPolytope(regular_polygon(m).vertices)
-        P = polar_polygon(K)
-        # polar of a circumradius-1 regular m-gon is a regular m-gon
+        P = polar_polygon(_regular_zonotope(m))
+        # polar of a circumradius-1 regular 2m-gon is a regular 2m-gon
         # with inradius exactly 1
-        assert np.max(np.abs(P.offsets - 1.0)) <= 1e-12
+        assert np.max(np.abs(normals_offsets(P)[1] - 1.0)) <= 1e-12
 
 
 def test_polar_polygon_facet_normals_become_vertices():
-    angles = np.array([0.0, 2.0 * math.pi / 3.0, 4.0 * math.pi / 3.0])
-    normals = np.column_stack([np.cos(angles), np.sin(angles)])
-    # triangle with those unit facet normals at offset 1
-    verts = 2.0 * np.column_stack(
-        [np.cos(angles + math.pi / 3.0), np.sin(angles + math.pi / 3.0)])
-    K = FacetPolytope.from_vertices(verts)
-    P = polar_polygon(K)
-    got = sorted(map(tuple, np.round(P.vertices, 9)))
-    want = sorted(map(tuple, np.round(normals, 9)))
-    assert np.allclose(got, want, atol=1e-9)
+    # the regular hexagon on unit generators at 0, 60 and 120 degrees has
+    # side 2 and inradius sqrt(3): the polar's rows are the ring's outer
+    # unit normals J g_j over sqrt(3), in the generators' order, then
+    # their negatives
+    t = np.array([0.0, math.pi / 3.0, 2.0 * math.pi / 3.0])
+    g = np.column_stack([np.cos(t), np.sin(t)])
+    normals = np.column_stack([g[:, 1], -g[:, 0]])
+    P = polar_polygon(Zonotope(g[::-1]))
+    assert np.allclose(P, np.vstack([normals, -normals]) / math.sqrt(3.0), rtol=0.0, atol=1e-15)
 
 
 def test_polar_involution():
+    # the polar of the polar ring, by the ring's own normals and offsets,
+    # is the zonotope's ring
     for seed in (1, 5, 9):
-        K = random_centered_body(seed)
-        back = polar_polygon(polar_polygon(K))
-        a = np.array(sorted(map(tuple, np.round(K.vertices, 9))))
-        b = np.array(sorted(map(tuple, np.round(back.vertices, 9))))
+        g = np.random.default_rng(seed).normal(size=(6, 2))
+        n, h = normals_offsets(polar_polygon(Zonotope(g)))
+        a = np.array(sorted(map(tuple, np.round(n / h[:, None], 9))))
+        b = np.array(sorted(map(tuple, np.round(zonotope_hull(g), 9))))
         assert a.shape == b.shape
         assert np.allclose(a, b, atol=1e-9)
 
 
 def test_polar_polygon_errors():
-    with pytest.raises(InputError):
-        polar_polygon(Ball(1.0))
-    K = FacetPolytope([[0, 0], [1, 0], [0, 1]])
-    with pytest.raises(InputError):
-        polar_polygon(K)
-    with pytest.raises(InputError, match="no planar vertex form"):
-        polar_polygon(Zonotope(np.eye(3)))
+    for body in (Ball(1.0), Zonotope(np.eye(3)), PolarWrapper(Zonotope(np.eye(3))), "x"):
+        with pytest.raises(InputError, match="^no planar polar ring for .*; polar_polygon takes"):
+            polar_polygon(body)
+    # parallel generators span a segment, and a nan generator leaves no
+    # edge a positive support
+    with pytest.raises(InputError, match="^zonotope is degenerate"):
+        polar_polygon(Zonotope([[1.0, 1.0], [2.0, 2.0]]))
+    Z = Zonotope([[1.0, 0.0], [0.0, 1.0]])
+    Z._half_turn = (np.array([[1.0, 0.0], [np.nan, 1.0]]), None)
+    with pytest.raises(NumericalError, match="nonpositive support"):
+        polar_polygon(Z)
 
 
-def test_planar_polygon_forms():
-    K = centered_square()
-    Z = Zonotope([[1, 0], [0, 1]])
-    P = polar_polygon(Z)
-    assert planar_polygon(K) is K
-    assert planar_polygon(Z) is Z._polygon
-    assert planar_polygon(P) is P
-    for body in (Ball(1.0), Zonotope(np.eye(3)), PolarWrapper(Zonotope(np.eye(3))), object()):
-        with pytest.raises(InputError, match="no planar vertex form"):
-            planar_polygon(body)
+# The polar ring's rows against the hull oracle: every row lies on the
+# polar's boundary, where the zonotope's support is 1, and every vertex
+# of the oracle polar is among the rows.  Parallel generators repeat a
+# row, which the oracle's hull leaves out.  A row carries the rounding of
+# its H_j, a few eps times size^2 / area for the zonotope's size (its
+# generator lengths summed), which grows as the body thins, and the
+# support sums k terms.  The oracle reads each edge's normal off a
+# difference of prefix sums, whose rounding is eps times the size, so
+# the pole of an edge 2 g is off by about eps * size / |g| of the
+# polar's radius.
+
+def _polar_ring_cases():
+    for i in range(12):
+        E = random_polygon(61, i)
+        yield f"polygon-{i}", projection_body(E)
+        yield f"symmetral-{i}", projection_body(steiner_symmetrize(E, np.array([0.6, 0.8])))
+    for a, b in [(1.0, 1.0), (3.0, 0.2), (1e-3, 50.0)]:
+        yield f"rectangle-{a}-{b}", projection_body(PolygonSet([[0, 0], [a, 0], [a, b], [0, b]]))
+        yield f"tilted-rectangle-{a}-{b}", projection_body(
+            PolygonSet(np.array([[0, 0], [a, 0], [a, b], [0, b]]) @ rotation_2d(0.3).T))
+    for m in (4, 6, 16, 64, 450):
+        yield f"regular-{m}", projection_body(regular_polygon(m, phase=0.1))
+    for seed in range(6):
+        B = random_box_union(seed, dim=2)
+        yield f"boxes-{seed}", projection_body(B)
+        yield f"box-symmetral-{seed}", projection_body(steiner_symmetrize(B, E1))
+    for delta in (1e-16, 1e-13, 1e-12, 2e-12, 1e-11):
+        yield f"seam-{delta}", Zonotope([[1, 0], [0.3, 1], [-1, delta]])
+
+
+def test_polar_polygon_rows_lie_on_the_hull_oracle_polar():
+    for name, Z in _polar_ring_cases():
+        P = polar_polygon(Z)
+        want = polar_hull(Z)
+        assert P.shape == (2 * len(Z.generators), 2), name
+        length = np.hypot(Z.generators[:, 0], Z.generators[:, 1])
+        floor = 16.0 * EPS * (length.sum() ** 2 / Z.volume() + len(length))
+        assert np.all(np.abs(Z.support_batch(P) - 1.0) <= floor), name
+        radius = float(np.max(np.linalg.norm(want, axis=1)))
+        gap = np.min(np.linalg.norm(want[:, None, :] - P[None, :, :], axis=2), axis=1)
+        assert np.max(gap) <= 16.0 * EPS * radius * length.sum() / length.min(), name
 
 
 def test_polar_body_forms():
     b = polar_body(Ball(2.0))
     assert isinstance(b, Ball) and b.radius == 0.5
-    P = polar_body(centered_square())
-    assert isinstance(P, FacetPolytope)
     Z = Zonotope(np.eye(3))
     W = polar_body(Z)
     assert isinstance(W, PolarWrapper)
     assert polar_body(W) is Z
     with pytest.raises(InputError):
         PolarWrapper(W)
-    for body in ("x", BoxUnion([[0, 0, 0]], [[1, 1, 1]])):
-        with pytest.raises(InputError, match="no planar vertex form"):
+    # a planar zonotope's polar is exact as a vertex ring, not a body
+    for body in ("x", BoxUnion([[0, 0, 0]], [[1, 1, 1]]), Zonotope([[1, 0], [0, 1]])):
+        with pytest.raises(InputError, match="^no polar body for .*; a planar zonotope's "
+                                             "polar is exact as polar_polygon$"):
             polar_body(body)
 
 
-@pytest.mark.parametrize("body", [centered_square(), Zonotope([[1.0, 0.5], [0.0, 1.0]]),
+@pytest.mark.parametrize("body", [Zonotope([[0.5, 0.5], [-0.5, 0.5]]),
+                                  Zonotope([[1.0, 0.5], [0.0, 1.0]]),
                                   Ball(1.0), Ball(1.0, dim=3), "x"],
                          ids=["facets", "zonotope", "ball", "ball3", "string"])
 def test_polar_wrapper_rejects_planar_bodies(body):
-    # a planar polar is exact as a polygon, so there is no planar wrapper,
-    # and polar_body wraps nothing but a 3D zonotope
+    # a planar polar is exact as a vertex ring, so there is no planar
+    # wrapper, and polar_body wraps nothing but a 3D zonotope.  The
+    # "facets" id names the diamond, as the zonotope on its half edges
     with pytest.raises(InputError, match="polar_polygon"):
         PolarWrapper(body)
+
+
+def _polar_of_polar(seed):
+    """A planar polar as a body: the ring of polar_polygon is centrally
+    symmetric, so it is the zonotope on the halves of its first k edges."""
+    P = polar_polygon(Zonotope(np.random.default_rng(seed).normal(size=(5, 2))))
+    return Zonotope(0.5 * np.diff(P, axis=0)[:len(P) // 2])
 
 
 _SECTION_BODIES = {
@@ -536,48 +600,56 @@ _SECTION_BODIES = {
     "ball3": lambda seed: Ball(0.5 + np.random.default_rng(seed).uniform(), dim=3),
     "zonotope2": lambda seed: Zonotope(np.random.default_rng(seed).normal(size=(5, 2))),
     "zonotope3": lambda seed: _random_zonotope_3d(seed),
-    "facet_polytope": random_centered_body,
-    # a planar polar by polar_polygon; the key keeps its test ids
-    "polar_wrapper": lambda seed: polar_polygon(random_centered_body(seed)),
+    # the zonotope on a random convex polygon's edges; the key keeps its
+    # test ids
+    "facet_polytope": lambda seed: projection_body(PolygonSet(random_centered_body(seed))),
+    # a planar polar by polar_polygon, as a body; the key keeps its test ids
+    "polar_wrapper": _polar_of_polar,
     # supports with flat pieces, some above 1
     "flat_zonotope2": lambda seed: Zonotope(seed * np.array([[1.0, 1.0], [1.0, -1.0],
                                                              [0.5, 0.0]])),
     "flat_zonotope3": lambda seed: Zonotope(seed * np.array([[1.0, 0.0, 1.0],
                                                              [1.0, 0.0, -1.0],
                                                              [0.0, 1.0, 0.0]])),
-    "flat_polytope": lambda seed: FacetPolytope(seed * np.array([[2.5, 0.0], [0.0, 2.0],
-                                                                 [-2.5, 0.0], [0.0, -2.0]])),
+    # the rhombus with vertices (+-2.5 seed, 0) and (0, +-2 seed)
+    "flat_polytope": lambda seed: Zonotope(seed * np.array([[1.25, 1.0], [1.25, -1.0]])),
 }
 
 
 def _support(K, nodes):
     """Support of a body at each row of a node stack, from its own form:
-    r |z| for a ball, the kernel for a zonotope, vertices for a polytope."""
+    r |z| for a ball, the kernel for a zonotope."""
     if isinstance(K, Ball):
         return K.radius * np.linalg.norm(nodes, axis=1)
-    if isinstance(K, Zonotope):
-        return K.support_batch(nodes)
-    return vertex_support(K, nodes)
+    return K.support_batch(nodes)
+
+
+def _polar(K):
+    """The polar's exact form: polar_body's, or the vertex ring of
+    polar_polygon for a planar zonotope."""
+    if isinstance(K, Zonotope) and K.dim == 2:
+        return polar_polygon(K)
+    return polar_body(K)
 
 
 def _radial(P, nodes):
-    """Radial function of one of polar_body's exact forms at unit nodes:
+    """Radial function of one of the polar's exact forms at unit nodes:
     a ball's radius, a wrapper's reciprocal support of its zonotope, a
-    polygon's least offset / (u . normal)."""
+    ring's least offset / (u . normal)."""
     if isinstance(P, Ball):
         return np.full(len(nodes), P.radius)
     if isinstance(P, PolarWrapper):
         return 1.0 / P.body.support_batch(nodes)
-    return dense_radial(P.normals, P.offsets, nodes)
+    return ring_radial(P, nodes)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 @pytest.mark.parametrize("kind", list(_SECTION_BODIES))
 def test_polar_sections_are_exact(kind, seed):
-    # polar_body's exact form (ball, polygon or lazy wrapper) meets each
-    # line through the origin in a chord whose two ends lie on h_K = 1
+    # the polar's exact form (ball, ring or lazy wrapper) meets each line
+    # through the origin in a chord whose two ends lie on h_K = 1
     K = _SECTION_BODIES[kind](seed)
-    P = polar_body(K)
+    P = _polar(K)
     u = np.random.default_rng(seed).normal(size=(200, K.dim))
     w = u / np.linalg.norm(u, axis=1, keepdims=True)
     lo, hi = -_radial(P, -w), _radial(P, w)
@@ -590,14 +662,14 @@ def test_polar_sections_are_exact(kind, seed):
 @pytest.mark.parametrize("seed", [1, 2, 3, 4])
 def test_polar_sections_of_planar_zonotope_match_its_vertex_form(seed):
     # the section ends of the polar by lines through the origin: by support
-    # duality on the generator sum, and from the polar of the merged ring
+    # duality on the generator sum, and from the polar ring
     Z = Zonotope(np.random.default_rng(seed).normal(size=(6, 2)))
     P = polar_polygon(Z)
     u = np.random.default_rng(seed).normal(size=(200, 2))
     w = u / np.linalg.norm(u, axis=1, keepdims=True)
     for end in (w, -w):
         want = 1.0 / Z.support_batch(end)
-        assert np.all(np.abs(dense_radial(P.normals, P.offsets, end) - want) <= 1e-12 * want)
+        assert np.all(np.abs(ring_radial(P, end) - want) <= 1e-12 * want)
 
 
 # ------------------------------------------------------------- polar volumes
@@ -655,25 +727,24 @@ def test_polar_volume_rejects_bad_method_and_exterior_origin():
     with pytest.raises(InputError):
         polar_volume(Zonotope(np.eye(2)), method="guess")
     # polar volumes take a zonotope or a wrapper, and only a zonotope has a
-    # support kernel to integrate; a ball has no planar vertex form, so no
-    # convex symmetral
-    shifted = FacetPolytope([[1, 1], [2, 1], [2, 2], [1, 2]])
+    # support kernel to integrate
+    shifted = PolygonSet([[1, 1], [2, 1], [2, 2], [1, 2]])
     for call, message in [
-            (lambda: polar_volume(shifted), "^no auto route for FacetPolytope$"),
+            (lambda: polar_volume(shifted), "^no auto route for PolygonSet$"),
             (lambda: polar_volume(Ball(1.0)), "^no auto route for Ball$"),
-            (lambda: polar_volume(centered_square(), method="quadrature"),
-             "^no quadrature route for FacetPolytope$"),
+            (lambda: polar_volume(shifted, method="quadrature"),
+             "^no quadrature route for PolygonSet$"),
             (lambda: polar_volume(PolarWrapper(Zonotope(np.eye(3))), method="quadrature"),
              "^no quadrature route for PolarWrapper$"),
             (lambda: polar_volume(Ball(1.0), method="quadrature"),
              "^no quadrature route for Ball$"),
-            (lambda: steiner_symmetrize_convex(Ball(1.0), (0, 1)),
-             "^Ball has no planar vertex form$"),
             # a zonotope that is not full-dimensional has an unbounded polar
             (lambda: polar_volume(Zonotope([[1, 0, 0], [0, 1, 0]])),
              "^zonotope is degenerate \\(a box of zero half-width\\)$"),
             (lambda: polar_volume(Zonotope([[1, 0.2, 0], [0, 1, 0]])),
              "^zonotope is degenerate \\(generators of rank below 3\\)$"),
+            (lambda: polar_volume(Zonotope([[1, 0.5], [-2, -1]])),
+             "^zonotope is degenerate \\(all generators parallel\\)$"),
             (lambda: polar_volume(Zonotope([[1, 0]]), method="quadrature"),
              "^zonotope is degenerate \\(generators of rank below 2\\)$")]:
         with pytest.raises(InputError, match=message):
@@ -793,15 +864,25 @@ def test_blocked_support_on_the_default_grid_stays_under_one_mib():
 
 
 # --------------------------------------------------------- convex symmetrals
+#
+# geometry.steiner_ring, the section kernel behind polygon symmetrals and
+# the inclusion check's symmetrized polar, on convex vertex rings.
+
+def _convex(v):
+    """Every turn of the ring nonnegative, up to 1e-9 of the largest."""
+    e = np.roll(v, -1, axis=0) - v
+    turns = cross_2d(e, np.roll(e, -1, axis=0))
+    return bool(np.min(turns) >= -1e-9 * float(np.max(np.abs(turns))))
+
 
 def test_convex_steiner_examples():
-    sq = FacetPolytope([[0, 0], [1, 0], [1, 1], [0, 1]])
-    S = steiner_symmetrize_convex(sq, E2)
-    got = sorted(map(tuple, np.round(S.vertices, 12)))
+    sq = np.array([[0, 0], [1, 0], [1, 1], [0, 1]], dtype=float)
+    S = steiner_ring(sq, E2)
+    got = sorted(map(tuple, np.round(S, 12)))
     assert got == [(0.0, -0.5), (0.0, 0.5), (1.0, -0.5), (1.0, 0.5)]
-    tri = FacetPolytope([[0, 0], [2, 0], [0, 2]])
-    S = steiner_symmetrize_convex(tri, E2)
-    got = sorted(map(tuple, np.round(S.vertices, 12)))
+    tri = np.array([[0, 0], [2, 0], [0, 2]], dtype=float)
+    S = steiner_ring(tri, E2)
+    got = sorted(map(tuple, np.round(S, 12)))
     assert got == [(0.0, -1.0), (0.0, 1.0), (2.0, 0.0)]
 
 
@@ -812,8 +893,9 @@ def test_convex_steiner_preserves_area_and_reflects():
         angle = rng.uniform(0.0, 2.0 * math.pi)
         u = np.array([math.cos(angle), math.sin(angle)])
         u /= np.linalg.norm(u)
-        S = steiner_symmetrize_convex(K, u)
-        assert abs(S.volume() - K.volume()) <= 1e-9 * (1.0 + K.volume())
+        S = steiner_ring(K, u)
+        assert _convex(S)
+        assert abs(shoelace_area(S) - shoelace_area(K)) <= 1e-9 * (1.0 + shoelace_area(K))
         R = np.eye(2) - 2.0 * np.outer(u, u)
         z = circle_grid(256).nodes[::16]
         h = vertex_support(S, z)
@@ -824,9 +906,8 @@ def test_convex_steiner_rotation_equivariance():
     K = random_centered_body(12)
     u = np.array([0.6, 0.8])
     R = rotation_2d(0.9)
-    left = steiner_symmetrize_convex(FacetPolytope(K.vertices @ R.T), R @ u)
-    right_v = steiner_symmetrize_convex(K, u).vertices @ R.T
-    right = FacetPolytope.from_vertices(right_v)
+    left = steiner_ring(K @ R.T, R @ u)
+    right = steiner_ring(K, u) @ R.T
     z = circle_grid(512).nodes[::32]
     h = vertex_support(left, z)
     assert np.all(np.abs(h - vertex_support(right, z)) <= 1e-9 * (1.0 + np.abs(h)))

@@ -324,8 +324,8 @@ def test_slot_symmetral_is_built_once(rings_built):
 def test_campaign_polygon_operation_builds_each_body_once(measures_built, bodies_built,
                                                           rings_built):
     # the benchmark campaign's operation on one polygon.  P, its symmetral
-    # and its three images each get one ring; the inclusion check adds
-    # the ring of P's body, its polar and the polar's symmetral.  Only
+    # and its three images each get one ring; the inclusion check reads
+    # the polar's and its symmetral's vertices as arrays and adds none.  Only
     # P's regularity questions build a measure, and only the inclusion
     # check builds zonotopes, P's body for its ring and the symmetral's
     # for its support: products and the affine check read the edges.
@@ -342,7 +342,7 @@ def test_campaign_polygon_operation_builds_each_body_once(measures_built, bodies
         A = random_sl2(5, i)
         assert affine_image_check(P, A) <= 1e-9
         assert abs(petty_product(P.transform(A)).product - base) <= 1e-9
-    assert (len(bodies_built), len(measures_built), len(rings_built)) == (2, 1, 8)
+    assert (len(bodies_built), len(measures_built), len(rings_built)) == (2, 1, 5)
     assert measures_built == [P.surface_measure()]
     assert [len(Z.generators) for Z in bodies_built] == [len(P.edges), len(S.edges)]
 

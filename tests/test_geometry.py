@@ -14,20 +14,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pettybox.geometry
-from pettybox import (Ball, BoxUnion, DirectionPolicy, FacetPolytope,
-                      NumericalError, PolarWrapper, PolygonSet, Zonotope,
-                      hausdorff_distance, polar_polygon, run_symmetrization)
-from pettybox.convex import planar_polygon
+from pettybox import (Ball, BoxUnion, DirectionPolicy, NumericalError,
+                      PolarWrapper, PolygonSet, Zonotope, hausdorff_distance,
+                      polar_polygon, run_symmetrization)
 from pettybox.corpus import random_polygon
 from pettybox.errors import InputError
-from pettybox.geometry import (SphericalGrid, as_direction, as_directions,
-                               circle_grid, cross_2d, cyclic_next, default_grid,
+from pettybox.geometry import (SphericalGrid, VertexRing, as_direction,
+                               as_directions, circle_grid, default_grid,
                                integrate_sphere, rotation_2d, sphere_grid)
 
 from hull import convex_hull_2d
-from reference_forms import (distance_to_polygon_loop, points_in_polygon_loop,
-                             prune_collinear_loop, ring_boundary_points_loop,
-                             shoelace_area, shoelace_centroid)
+from reference_forms import (distance_to_polygon_loop, normals_offsets,
+                             points_in_polygon_loop, prune_collinear_loop,
+                             ring_boundary_points_loop, shoelace_area,
+                             shoelace_centroid, zonotope_hull)
 
 
 CENTERED_SQUARE = [[-1, -1], [1, -1], [1, 1], [-1, 1]]
@@ -43,8 +43,8 @@ def rectangle():
 
 
 def diamond(scale=1.0):
-    """The polar of [-scale, scale]^2: |x| + |y| <= 1 / scale.  The
-    "wrapper" test ids below name this polar form."""
+    """The vertex ring of the polar of [-scale, scale]^2, |x| + |y| <=
+    1 / scale.  The "wrapper" test ids below name this polar form."""
     return polar_polygon(Zonotope(scale * np.eye(2)))
 
 
@@ -321,32 +321,26 @@ def _star_ring(seed: int, m: int, scale: float) -> np.ndarray:
 @settings(max_examples=60, deadline=None)
 def test_ring_volume_and_centroid_are_the_shoelace_oracle(seed, m, scale):
     v = _star_ring(seed, m, scale)
-    for ring in (PolygonSet(v), FacetPolytope(convex_hull_2d(v))):
+    for ring in (PolygonSet(v), PolygonSet(convex_hull_2d(v))):
         assert ring.volume() == shoelace_area(ring.vertices)
         assert ring.centroid().tobytes() == shoelace_centroid(ring.vertices).tobytes()
 
 
 def test_ring_arrays_are_read_only_and_the_measure_shares_them():
     P = PolygonSet(_star_ring(3, 12, 1.0))
-    for ring in (P, FacetPolytope(CENTERED_SQUARE)):
+    for ring in (P, VertexRing(CENTERED_SQUARE, "ring")):
         for a in (ring.vertices, ring.edges, ring.lengths, ring.normals, ring.terms):
             assert not a.flags.writeable
             with pytest.raises(ValueError):
                 a[0] = 0.0
-    # a facet polytope keeps the turns of its convexity check, and a
-    # zonotope's ring is checked against the same array
-    for K in (FacetPolytope(CENTERED_SQUARE),
-              planar_polygon(Zonotope([[1.0, 0.2], [0.3, 1.0], [-0.7, 0.5]]))):
-        assert K.turns.tobytes() == cross_2d(K.edges, cyclic_next(K.edges)).tobytes()
-        assert not K.turns.flags.writeable
-        with pytest.raises(ValueError):
-            K.turns[0] = 0.0
     mu = P.surface_measure()
     assert np.shares_memory(mu.normals, P.normals)
     assert np.shares_memory(mu.masses, P.lengths)
 
 
-@pytest.mark.parametrize("make", [PolygonSet, FacetPolytope, Zonotope])
+@pytest.mark.parametrize("make", [PolygonSet,
+                                  pytest.param(lambda v: VertexRing(v, "ring"), id="VertexRing"),
+                                  Zonotope])
 def test_constructors_copy_the_callers_array(make):
     pts = np.array(CENTERED_SQUARE, dtype=float)
     K = make(pts)
@@ -364,8 +358,9 @@ BAD_RINGS = [
 ]
 
 
+# the "facets" ids name the base ring under a kind of its caller's
 @pytest.mark.parametrize("make,kind", [(PolygonSet, "polygon"),
-                                       (FacetPolytope, "facet polytope")],
+                                       (lambda v: VertexRing(v, "convex ring"), "convex ring")],
                          ids=["polygon", "facets"])
 @pytest.mark.parametrize("vertices,message", BAD_RINGS)
 def test_bad_rings_raise_naming_their_kind(make, kind, vertices, message):
@@ -395,7 +390,7 @@ def test_hausdorff_rejects_mixed_dimensions(hausdorff_routes):
     cube = BoxUnion([[0, 0, 0]], [[1, 1, 1]])
     for a, b in ((Ball(1.0, dim=3), square), (square, Ball(1.0, dim=3)),
                  (cube, square), (cube, Ball(1.0)), (cube, BoxUnion([[0, 0]], [[1, 1]])),
-                 (Zonotope(np.eye(3)), FacetPolytope(CENTERED_SQUARE)),
+                 (Zonotope(np.eye(3)), Zonotope(np.eye(2))),
                  (diamond(), Ball(1.0, dim=3))):
         with pytest.raises(InputError, match="^no Hausdorff route for "):
             hausdorff_distance(a, b)
@@ -430,29 +425,30 @@ def test_hausdorff_convex_vs_ball():
     K = PolygonSet(CENTERED_SQUARE)
     # farthest point of the square from the unit ball is a corner
     assert abs(hausdorff_distance(K, Ball(1.0)) - (math.sqrt(2) - 1)) <= 1e-12
-    wide = PolygonSet(planar_polygon(rectangle()).vertices)
+    wide = PolygonSet(zonotope_hull(rectangle().generators))
     assert abs(hausdorff_distance(wide, Ball(1.0)) - (math.sqrt(5) - 1)) <= 1e-12
     # the ball's point farthest from the diamond faces the middle of an edge
-    rhombus = PolygonSet(diamond().vertices)
+    rhombus = PolygonSet(diamond())
     assert abs(hausdorff_distance(rhombus, Ball(1.0)) - (1 - math.sqrt(0.5))) <= 1e-12
 
 
 @pytest.mark.parametrize("seed", range(40))
 def test_one_ball_rule_on_a_zonotope_and_its_ring(seed, hausdorff_routes):
-    # a random planar zonotope's ring as a polygon takes the ball rule: on
-    # a convex ring the radial deviation is max(max|v| - r, r - min
-    # offset), up to rounding in the norms, whose scale is the radius.
-    # The zonotope and its ring as facets have no route.
+    # a random planar zonotope's ring (the hull oracle) as a polygon takes
+    # the ball rule: on a convex ring the radial deviation is max(max|v| -
+    # r, r - min offset), up to rounding in the norms, whose scale is the
+    # radius.  The zonotope and its ring as a bare vertex ring have no
+    # route.
     rng = np.random.default_rng(seed)
     Z = Zonotope(rng.normal(size=(int(rng.integers(2, 12)), 2)) * rng.uniform(0.1, 3.0))
-    P = FacetPolytope(planar_polygon(Z).vertices)
-    Q = PolygonSet(P.vertices)
-    for r in (0.5 * float(np.min(P.offsets)), float(np.mean(P.offsets)), 1.5 * P.max_norm()):
-        want = max(P.max_norm() - r, r - float(np.min(P.offsets)))
+    Q = PolygonSet(zonotope_hull(Z.generators))
+    offsets = normals_offsets(Q.vertices)[1]
+    for r in (0.5 * float(np.min(offsets)), float(np.mean(offsets)), 1.5 * Q.max_norm()):
+        want = max(Q.max_norm() - r, r - float(np.min(offsets)))
         got = hausdorff_distance(Ball(r), Q)
         assert abs(got - want) <= 1e-15 * r
         assert hausdorff_distance(Q, Ball(r)) == got
-        for K in (Z, P):
+        for K in (Z, VertexRing(Q.vertices, "zonotope ring")):
             with pytest.raises(InputError, match="^no Hausdorff route for "):
                 hausdorff_distance(Ball(r), K)
     assert hausdorff_routes == ["star_bound"] * 6
@@ -481,25 +477,28 @@ def test_ball_rule_bounds_a_notched_star_polygon_from_above():
     [[-1, 0], [1, 0], [1, 2], [-1, 2]],
     [[1, 1], [3, 1], [3, 3], [1, 3]],
 ], ids=["origin-vertex", "origin-on-edge", "origin-outside"])
-@pytest.mark.parametrize("make", [FacetPolytope, PolygonSet], ids=["facets", "polygon"])
+@pytest.mark.parametrize("make", [lambda ring: VertexRing(ring, "convex ring"), PolygonSet],
+                         ids=["facets", "polygon"])
 def test_ball_rule_needs_the_origin_interior(hausdorff_routes, ring, make):
     # a convex ring whose origin is on or outside its boundary is not
-    # star-shaped about it: as a polygon it takes the sampled route, as
-    # facets it has no route and is rejected before any sampling
+    # star-shaped about it: as a polygon it takes the sampled route, as a
+    # bare vertex ring (the "facets" ids) it has no route and is rejected
+    # before any sampling
     K = make(ring)
     assert not K.is_star_shaped()
     if make is PolygonSet:
         hausdorff_distance(Ball(1.0), K)
         assert hausdorff_routes == ["sampled"]
     else:
-        with pytest.raises(InputError, match="^no Hausdorff route for Ball vs FacetPolytope$"):
+        with pytest.raises(InputError, match="^no Hausdorff route for Ball vs VertexRing$"):
             hausdorff_distance(Ball(1.0), K)
         assert hausdorff_routes == []
 
 
 # Pairs of planar handle kinds and their distance, None where the pair has
 # no route; the sampled route is good to one boundary step of its scene,
-# the ball rule to rounding
+# the ball rule to rounding.  The "facets" ids name the centered square as
+# a zonotope
 STEP = 2.0 * math.sqrt(2.0) / 2048
 EXACT = 1e-12
 ROUTES = [
@@ -508,15 +507,13 @@ ROUTES = [
     # the unit square's corner at the ball's centre: the farthest ball
     # points from it, (-1, 0) to (0, -1), lie at distance 1
     pytest.param(Ball(1.0), unit_square(), 1.0, STEP, id="ball-polygon-sampled"),
-    pytest.param(FacetPolytope(CENTERED_SQUARE), FacetPolytope(2 * np.array(CENTERED_SQUARE)),
-                 None, None, id="facets-facets"),
-    pytest.param(FacetPolytope(CENTERED_SQUARE), rectangle(), None, None, id="facets-zonotope"),
-    pytest.param(FacetPolytope(CENTERED_SQUARE), diamond(), None, None, id="facets-wrapper"),
+    pytest.param(Zonotope(np.eye(2)), Zonotope(2.0 * np.eye(2)), None, None, id="facets-facets"),
+    pytest.param(Zonotope(np.eye(2)), rectangle(), None, None, id="facets-zonotope"),
+    pytest.param(Zonotope(np.eye(2)), diamond(), None, None, id="facets-wrapper"),
     pytest.param(rectangle(), Zonotope(np.eye(2)), None, None, id="zonotope-zonotope"),
     pytest.param(rectangle(), diamond(), None, None, id="zonotope-wrapper"),
     pytest.param(diamond(), diamond(2.0), None, None, id="wrapper-wrapper"),
-    pytest.param(FacetPolytope(CENTERED_SQUARE), unit_square(), None, None,
-                 id="facets-polygon"),
+    pytest.param(Zonotope(np.eye(2)), unit_square(), None, None, id="facets-polygon"),
     pytest.param(rectangle(), PolygonSet(CENTERED_SQUARE), None, None, id="zonotope-polygon"),
     pytest.param(diamond(), PolygonSet(CENTERED_SQUARE), None, None, id="wrapper-polygon"),
     pytest.param(PolygonSet(CENTERED_SQUARE), unit_square(), None, None, id="polygon-polygon"),
