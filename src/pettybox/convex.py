@@ -1,11 +1,10 @@
 """Convex bodies and polarity.
 
-Three body kinds cover what the toolkit builds: origin-symmetric
-zonotopes in dimension 2 or 3, origin-centered balls, which the driver
-measures its iterates against, and a lazy polar wrapper for a
-three-dimensional zonotope, whose polar has no materialized form.  The
-zonotope is the one body with a support kernel: one blocked sum of
-|u . g| over its generators in either dimension (Zonotope.support_batch).
+Two body kinds cover what the toolkit builds: origin-symmetric
+zonotopes in dimension 2 or 3, and origin-centered disks (Ball), which
+the driver measures its iterates against.  The zonotope is the one body
+with a support kernel: one blocked sum of |u . g| over its generators in
+either dimension (Zonotope.support_batch).
 
 A planar zonotope's polar has one kernel over its generators sorted over
 a half turn: the supports H_j of its ring's edges (_edge_supports), then
@@ -34,16 +33,13 @@ from .geometry import (BLOCK_PAIRS, SphericalGrid, cross_2d, cyclic_next,
 
 @dataclass(frozen=True)
 class Ball:
-    """Origin-centered Euclidean ball."""
+    """Origin-centered disk, the ball the driver measures iterates against."""
 
     radius: float
-    dim: int = 2
 
     def __post_init__(self):
         if not (np.isfinite(self.radius) and self.radius > 0.0):
             raise InputError(f"ball radius must be positive, got {self.radius!r}")
-        if self.dim not in (2, 3):
-            raise InputError("balls live in dimension 2 or 3")
 
 
 class Zonotope:
@@ -107,9 +103,10 @@ class Zonotope:
         """Planar: 4 times the sum of cross(g_1 + ... + g_(j-1), g_j) over
         the generators sorted over a half turn, each cross product the
         nonnegative area spanned by two of them.  3D: 8 times the sum of
-        |det| over the generator triples."""
+        |det| over the generator triples.  Only polar_volume's wrapper
+        route reads it, and it stays with PolarWrapper."""
         if self.dim == 2:
-            g = self._half_turn[0]
+            g = self._half_turn
             passed = np.zeros_like(g)
             np.cumsum(g[:-1], axis=0, out=passed[1:])
             return 4.0 * float(np.sum(cross_2d(passed, g)))
@@ -120,15 +117,13 @@ class Zonotope:
         return 8.0 * total
 
 
-def _sort_half_turn(generators: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _sort_half_turn(generators: np.ndarray) -> np.ndarray:
     """Planar generators turned into the upper half-plane (g and -g span
-    the same segment) and sorted by angle, with their angles in [0, pi]."""
+    the same segment) and sorted by their angles in [0, pi]."""
     x, y = generators[:, 0], generators[:, 1]
     flip = (y < 0.0) | ((y == 0.0) & (x < 0.0))
     g = np.where(flip[:, None], -generators, generators)
-    angles = np.arctan2(g[:, 1], g[:, 0])
-    order = np.argsort(angles, kind="stable")
-    return g[order], angles[order]
+    return g[np.argsort(np.arctan2(g[:, 1], g[:, 0]), kind="stable")]
 
 
 def _spanning_half_turn(K: Zonotope) -> np.ndarray:
@@ -136,7 +131,7 @@ def _spanning_half_turn(K: Zonotope) -> np.ndarray:
     exactly parallel (every cross product with the first zero), they span
     a segment, whose polar is unbounded, and raise InputError: rounding
     in the prefix sums can leave the edge supports positive."""
-    g = K._half_turn[0]
+    g = K._half_turn
     if not np.any(cross_2d(g, g[0])):
         raise InputError("zonotope is degenerate (all generators parallel)")
     return g
@@ -176,10 +171,9 @@ def _sorted_polar_area(g: np.ndarray) -> float:
 
 
 class PolarWrapper:
-    """Lazy polar of a 3D zonotope.  The polar of a planar zonotope is
-    materialized exactly by polar_polygon instead."""
-
-    dim = 3
+    """Lazy polar of a 3D zonotope, whose polar volume is the zonotope's
+    volume.  No package code builds one; it stays because the benchmark's
+    tracer reads it.  A planar zonotope's polar is polar_polygon's ring."""
 
     def __init__(self, body):
         if not (isinstance(body, Zonotope) and body.dim == 3):
@@ -189,9 +183,6 @@ class PolarWrapper:
 
     def __repr__(self):
         return f"PolarWrapper({self.body!r})"
-
-
-ConvexBody = Ball | Zonotope | PolarWrapper
 
 
 def polar_polygon(K: Zonotope) -> np.ndarray:
@@ -210,20 +201,6 @@ def polar_polygon(K: Zonotope) -> np.ndarray:
     return np.vstack([half, -half])
 
 
-def polar_body(K: ConvexBody) -> ConvexBody:
-    """The polar of K where it is a body: balls invert, 3D zonotopes wrap
-    lazily, wrappers unwrap.  A planar zonotope's polar is exact as the
-    vertex ring of polar_polygon, and anything else raises InputError."""
-    if isinstance(K, PolarWrapper):
-        return K.body
-    if isinstance(K, Ball):
-        return Ball(1.0 / K.radius, dim=K.dim)
-    if isinstance(K, Zonotope) and K.dim == 3:
-        return PolarWrapper(K)
-    raise InputError(f"no polar body for {K!r}; a planar zonotope's polar is "
-                     "exact as polar_polygon")
-
-
 @dataclass(frozen=True)
 class PolarVolume:
     """Volume of the polar body together with a quadrature error
@@ -233,7 +210,7 @@ class PolarVolume:
     error: float
 
 
-def polar_volume(K: ConvexBody, grid: SphericalGrid | None = None,
+def polar_volume(K: Zonotope | PolarWrapper, grid: SphericalGrid | None = None,
                  method: str = "auto") -> PolarVolume:
     """Volume of the polar of a zonotope K, or of the polar of a wrapper
     (the wrapped zonotope itself).
@@ -258,7 +235,8 @@ def polar_volume(K: ConvexBody, grid: SphericalGrid | None = None,
     if method not in ("auto", "quadrature"):
         raise InputError(f"unknown polar volume method {method!r}")
     if method == "auto" and isinstance(K, PolarWrapper):
-        # polar of the polar: the body itself
+        # polar of the polar: the body itself; no package code takes this
+        # route, which stays while the benchmark's tracer reads PolarWrapper
         return PolarVolume(K.body.volume(), 0.0)
     if not isinstance(K, Zonotope):
         raise InputError(f"no {method} route for {type(K).__name__}")

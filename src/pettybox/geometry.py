@@ -1,7 +1,9 @@
-"""Low-level Euclidean plumbing: directions, quadrature grids,
-the section-length kernel behind planar Steiner symmetrals, polygon
-membership and distance, and the Hausdorff distance from a polygon to
-its centered ball, the one metric the symmetrization driver reads.
+"""Array kernels of Euclidean plumbing: directions, quadrature grids,
+the section-length kernel behind planar Steiner symmetrals, and polygon
+membership and distance on vertex arrays; and the Hausdorff dispatch
+from a polygon to its centered disk, the one metric the symmetrization
+driver reads.  The polygon itself, with what its ring determines, is
+sets.PolygonSet.
 """
 
 from __future__ import annotations
@@ -219,7 +221,8 @@ def sphere_grid(theta_count: int = 128, phi_count: int = 256) -> SphericalGrid:
 def default_grid(dim: int) -> SphericalGrid:
     """The default quadrature grid: the 4096-node circle grid or the
     128 x 256 sphere grid, each built on first use and shared with
-    read-only arrays."""
+    read-only arrays.  The benchmark's tracer reads the size of both, so
+    a change to either grid changes its node counts."""
     if dim == 2:
         return _read_only(circle_grid())
     if dim == 3:
@@ -262,7 +265,8 @@ def section_incidence(w: np.ndarray):
     running in +x), so that the section length is sum(s_e * height).
     Heights are interpolated from the edge's own endpoints and are exact
     there, so a near-vertical edge carries no error of size slope * x.
-    Raises NumericalError when a cell meets an odd number of edges.
+    Every cell meets an even number of edges, since a row's closed rank
+    sequence crosses each level c + 1/2 an even number of times.
     """
     w = np.asarray(w, dtype=float)
     if w.ndim == 2:
@@ -291,10 +295,6 @@ def _incidence_block(w: np.ndarray, first: int):
     lo = (np.minimum(rank, ahead) + starts[:-1, None]).ravel()
     span = np.abs(ahead - rank).ravel()
     cells = np.arange(int(span.sum())) + np.repeat(lo - np.cumsum(span) + span, span)
-    odd = np.flatnonzero(np.bincount(cells, minlength=len(breaks)) % 2)
-    if len(odd):
-        j = int(odd[0])
-        raise NumericalError(f"odd section parity in cell ({breaks[j]}, {breaks[j + 1]})")
     edge = np.repeat(np.arange(len(span)), span)
     # both endpoints of every entry's edge, (x, y) of the vertex and of its
     # successor, in one gather
@@ -433,7 +433,8 @@ def symmetral_radii(vertices: np.ndarray, directions) -> tuple[np.ndarray, np.nd
 def prune_collinear(vertices: np.ndarray) -> np.ndarray:
     """Drop duplicate points and vertices within 1e-12 of the chord
     joining their neighbours.  Exact up to that tolerance; never merges
-    non-adjacent structure.
+    non-adjacent structure.  No package code calls it; it stays because
+    the benchmark's tracer binds it as a layer.
 
     A point is a duplicate when it lies within 1e-12 (max norm) of the
     last point kept before it, and the last point kept also when it lies
@@ -528,96 +529,15 @@ def distance_to_polygon(points: np.ndarray, vertices: np.ndarray) -> np.ndarray:
     return best
 
 
-class VertexRing:
-    """What a closed planar ring of CCW vertices alone determines: the
-    base of PolygonSet, which adds the simplicity and orientation checks.
-
-    The constructor copies the vertices and checks, once, that they form
-    an (m, 2) array with m >= 3 of finite values, with no zero-length
-    edge and no overflow; its messages name the subclass's ``kind``.  It
-    computes, once, the edge vectors v_(j+1) - v_j, their lengths, the
-    unit outer normals and the shoelace terms cross(v_j, v_(j+1)), seals
-    all five arrays read-only, and keeps their sums, the perimeter and
-    the area.  The centroid, the star-shape test and the boundary norm
-    read the arrays.  Subclasses add their own checks."""
-
-    dim = 2
-
-    def __init__(self, vertices, kind: str):
-        v = np.array(vertices, dtype=float)
-        if v.ndim != 2 or v.shape[1] != 2 or v.shape[0] < 3:
-            raise InputError(f"{kind} needs an (m,2) vertex array with m>=3, got {v.shape}")
-        if not np.all(np.isfinite(v)):
-            raise InputError(f"{kind} vertices must be finite")
-        ahead = cyclic_next(v)
-        # finite coordinates can overflow their edges, products and sums
-        with np.errstate(over="ignore", invalid="ignore"):
-            edges = ahead - v
-            lengths = np.linalg.norm(edges, axis=1)
-            terms = cross_2d(v, ahead)
-            self._perimeter = float(lengths.sum())
-            self._area = 0.5 * float(terms.sum())
-        if np.min(lengths) <= 0.0:
-            raise InputError(f"{kind} has a zero-length edge")
-        if not (math.isfinite(self._perimeter) and math.isfinite(self._area)):
-            raise InputError(f"{kind} is too large: its edge lengths or shoelace terms overflow")
-        self.vertices = v
-        self.edges = edges
-        self.lengths = lengths
-        self.normals = np.column_stack([edges[:, 1], -edges[:, 0]]) / lengths[:, None]
-        self.terms = terms
-        for a in (v, edges, lengths, self.normals, self.terms):
-            a.setflags(write=False)
-
-    def volume(self) -> float:
-        """Half the sum of the shoelace terms: the signed area, positive
-        on a CCW ring."""
-        return self._area
-
-    def centroid(self) -> np.ndarray:
-        """The area centroid.  Its moment terms can overflow on a ring
-        whose area is finite, and then it raises rather than return a
-        point at infinity."""
-        v = self.vertices
-        with np.errstate(over="ignore", invalid="ignore"):
-            c = (v + cyclic_next(v)) * self.terms[:, None]
-            centroid = np.sum(c, axis=0) / (6.0 * self.volume())
-        if not np.all(np.isfinite(centroid)):
-            raise InputError("polygon is too large: its centroid overflows")
-        return centroid
-
-    def perimeter(self) -> float:
-        return self._perimeter
-
-    def is_star_shaped(self) -> bool:
-        """True when every shoelace term is positive: the vertex angles
-        wind strictly monotonically about the origin, a sufficient
-        condition for star-shapedness with the origin interior."""
-        return bool(np.all(self.terms > 0.0))
-
-    def min_boundary_norm(self) -> float:
-        """Least |x| over the boundary: the edge distance of
-        distance_to_polygon from the origin, over all edges at once, with
-        the dot products through stacked matmul as there."""
-        a = self.vertices
-        d = self.edges
-        t = np.clip(((-a)[:, None, :] @ d[:, :, None]) / (d[:, None, :] @ d[:, :, None]),
-                    0.0, 1.0)[:, 0, 0]
-        return float(np.min(np.linalg.norm(a + t[:, None] * d, axis=1)))
-
-    def max_norm(self) -> float:
-        return float(np.max(np.linalg.norm(self.vertices, axis=1)))
-
-
 # ---------------------------------------------------------------------------
 # Hausdorff distance
 
 
 def hausdorff_distance(a, b) -> float:
     """Hausdorff distance between a PolygonSet and an origin-centered
-    planar Ball of radius r, given in either order.
+    Ball, a disk of radius r, given in either order.
 
-    A polygon star-shaped about the origin (VertexRing.is_star_shaped)
+    A polygon star-shaped about the origin (PolygonSet.is_star_shaped)
     gives the radial deviation max(max |v| - r, r - min |x| over the
     boundary, 0).  It is exact when the polygon is convex, since the
     boundary point of a convex body nearest an interior origin is the
@@ -635,7 +555,7 @@ def hausdorff_distance(a, b) -> float:
     from .convex import Ball
     from .sets import PolygonSet
     ball, P = (b, a) if isinstance(b, Ball) else (a, b)
-    if not (isinstance(ball, Ball) and ball.dim == 2 and isinstance(P, PolygonSet)):
+    if not (isinstance(ball, Ball) and isinstance(P, PolygonSet)):
         raise InputError(f"no Hausdorff route for {type(a).__name__} vs {type(b).__name__}")
     r = ball.radius
     if P.is_star_shaped():

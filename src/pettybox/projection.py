@@ -22,7 +22,7 @@ import numpy as np
 
 from .convex import (Zonotope, _sort_half_turn, _sorted_polar_area,
                      polar_polygon, polar_volume)
-from .errors import ConditionViolationError, InputError
+from .errors import ConditionViolationError, InputError, NumericalError
 from .geometry import as_direction, as_plane_map, steiner_ring
 from .sets import (BoxUnion, PolygonSet, steiner_symmetrize, surface_measure,
                    vertical_boundary_measure, volume)
@@ -89,17 +89,24 @@ def petty_product(E) -> PettyReport:
     area runs too, with no surface measure and no zonotope built.  A box
     union's product goes through polar_volume of its projection body, an
     axis-aligned box, which takes the cross-polytope closed form.  The
-    error estimate is zero: both routes are exact."""
+    error estimate is zero: both routes are exact.  A product that is not
+    positive and finite, on a set too large or too small for floats,
+    raises NumericalError."""
     vol = volume(E)
-    if isinstance(E, PolygonSet):
-        g = _sort_half_turn(_polygon_generators(E))[0]
-        polar, error = _sorted_polar_area(g), 0.0
-    else:
-        pv = polar_volume(projection_body(E))
-        polar, error = pv.value, pv.error
     n = E.dim
-    power = vol ** (n - 1)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        if isinstance(E, PolygonSet):
+            polar, error = _sorted_polar_area(_sort_half_turn(_polygon_generators(E))), 0.0
+        else:
+            pv = polar_volume(projection_body(E))
+            polar, error = pv.value, pv.error
+        # numpy's power overflows to inf where a float's raises OverflowError
+        power = float(np.float64(vol) ** (n - 1))
     product = power * polar
+    # a true product is positive and finite; inf, nan or an underflow to 0 shows here
+    if not 0.0 < product < math.inf:
+        raise NumericalError(f"product {product!r} is out of float range: volume power "
+                             f"{power!r} times polar volume {polar!r}")
     bound = PRODUCT_BOUND[n]
     return PettyReport(
         volume=vol,

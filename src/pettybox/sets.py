@@ -13,6 +13,7 @@ length and is exact on these families.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Sequence
@@ -20,10 +21,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import InputError, NonGenericPointError, UnsupportedDirectionError
-from .geometry import (BLOCK_PAIRS, VertexRing, _gauss_legendre,
-                       as_direction, as_directions, as_plane_map, cross_2d,
-                       cyclic_next, lerp, section_incidence, steiner_ring,
-                       symmetral_radii)
+from .geometry import (BLOCK_PAIRS, _gauss_legendre, as_direction,
+                       as_directions, as_plane_map, cross_2d, cyclic_next,
+                       lerp, section_incidence, steiner_ring, symmetral_radii)
 
 CLOSEDNESS_TOL = 1e-9
 GENERIC_POINT_TOL = 1e-12
@@ -203,8 +203,15 @@ def _box_columns(los: np.ndarray, his: np.ndarray, axis: int):
 # polygons
 
 
-class PolygonSet(VertexRing):
+class PolygonSet:
     """A simple planar polygon with positively oriented (CCW) boundary.
+
+    Construction checks once (_set_ring) that a copy of the vertices is
+    an (m, 2) array, m >= 3, of finite values with no zero-length edge,
+    no overflow and positive signed area, then that the ring is simple.
+    The edges, their lengths, the unit outer normals and the shoelace
+    terms cross(v_j, v_(j+1)) are computed once, read-only; their sums
+    give the perimeter and the area.
 
     One slot keeps the last Steiner symmetral computed from the polygon:
     the exact bytes of its direction and the symmetral set, with
@@ -215,6 +222,7 @@ class PolygonSet(VertexRing):
     not its predecessors, and the driver rebinds its iterate every step,
     so no chain of iterates stays alive."""
 
+    dim = 2
     # a class default, so a polygon that is never mapped carries no
     # image attribute of its own
     _image: tuple[bytes, "PolygonSet"] | None = None
@@ -232,11 +240,71 @@ class PolygonSet(VertexRing):
         return E
 
     def _set_ring(self, vertices) -> None:
-        super().__init__(vertices, "polygon")
-        area = self.volume()
+        v = np.array(vertices, dtype=float)
+        if v.ndim != 2 or v.shape[1] != 2 or v.shape[0] < 3:
+            raise InputError(f"polygon needs an (m,2) vertex array with m>=3, got {v.shape}")
+        if not np.all(np.isfinite(v)):
+            raise InputError("polygon vertices must be finite")
+        ahead = cyclic_next(v)
+        # finite coordinates can overflow their edges, products and sums
+        with np.errstate(over="ignore", invalid="ignore"):
+            edges = ahead - v
+            lengths = np.linalg.norm(edges, axis=1)
+            terms = cross_2d(v, ahead)
+            self._perimeter = float(lengths.sum())
+            self._area = area = 0.5 * float(terms.sum())
+        if np.min(lengths) <= 0.0:
+            raise InputError("polygon has a zero-length edge")
+        if not (math.isfinite(self._perimeter) and math.isfinite(area)):
+            raise InputError("polygon is too large: its edge lengths or shoelace terms overflow")
         if area <= 0.0:
             raise InputError(f"polygon must be CCW with positive area, got signed area {area:g}")
+        self.vertices = v
+        self.edges = edges
+        self.lengths = lengths
+        self.normals = np.column_stack([edges[:, 1], -edges[:, 0]]) / lengths[:, None]
+        self.terms = terms
+        for a in (v, edges, lengths, self.normals, self.terms):
+            a.setflags(write=False)
         self._symmetral: tuple[bytes, PolygonSet] | None = None
+
+    def volume(self) -> float:
+        """Half the sum of the shoelace terms: the signed area, positive
+        on a CCW ring."""
+        return self._area
+
+    def centroid(self) -> np.ndarray:
+        """The area centroid.  Its moment terms can overflow on a ring
+        whose area is finite, and then it raises rather than return a
+        point at infinity."""
+        v = self.vertices
+        with np.errstate(over="ignore", invalid="ignore"):
+            c = (v + cyclic_next(v)) * self.terms[:, None]
+            centroid = np.sum(c, axis=0) / (6.0 * self.volume())
+        if not np.all(np.isfinite(centroid)):
+            raise InputError("polygon is too large: its centroid overflows")
+        return centroid
+
+    def perimeter(self) -> float:
+        return self._perimeter
+
+    def is_star_shaped(self) -> bool:
+        """True when every shoelace term is positive: the vertex angles
+        wind strictly monotonically about the origin, a sufficient
+        condition for star-shapedness with the origin interior."""
+        return bool(np.all(self.terms > 0.0))
+
+    def min_boundary_norm(self) -> float:
+        """Least |x| over the boundary: the edge distance of
+        geometry.distance_to_polygon from the origin, over all edges at
+        once, with the dot products through stacked matmul as there."""
+        a, d = self.vertices, self.edges
+        t = np.clip(((-a)[:, None, :] @ d[:, :, None]) / (d[:, None, :] @ d[:, :, None]),
+                    0.0, 1.0)[:, 0, 0]
+        return float(np.min(np.linalg.norm(a + t[:, None] * d, axis=1)))
+
+    def max_norm(self) -> float:
+        return float(np.max(np.linalg.norm(self.vertices, axis=1)))
 
     def __repr__(self):
         return f"PolygonSet({len(self.vertices)} vertices, area={self.volume():.6g})"
@@ -388,6 +456,7 @@ class BoxUnion:
 
     @property
     def box_count(self) -> int:
+        # read by __repr__ and the benchmark's tracer only
         return self.los.shape[0]
 
     def __repr__(self):

@@ -20,8 +20,7 @@ import pettybox.driver as _driver
 import pettybox.geometry as _geometry
 import pettybox.projection as _projection
 import pettybox.sets as _sets
-from pettybox.geometry import VertexRing
-from pettybox.sets import perimeter, volume
+from pettybox.sets import PolygonSet, perimeter, volume
 
 VOLUME_REL_TOL = 1e-12
 PERIMETER_TOL = 1e-9
@@ -83,7 +82,7 @@ def hausdorff_routes(monkeypatch):
     boundary norm, "sampled" when it measures circle samples against the
     polygon (geometry.distance_to_polygon)."""
     taken = []
-    norm = VertexRing.min_boundary_norm
+    norm = PolygonSet.min_boundary_norm
     distance = _geometry.distance_to_polygon
 
     def read_norm(self):
@@ -94,6 +93,6 @@ def hausdorff_routes(monkeypatch):
         taken.append("sampled")
         return distance(points, vertices)
 
-    monkeypatch.setattr(VertexRing, "min_boundary_norm", read_norm)
+    monkeypatch.setattr(PolygonSet, "min_boundary_norm", read_norm)
     monkeypatch.setattr(_geometry, "distance_to_polygon", read_samples)
     return taken

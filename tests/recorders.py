@@ -1,13 +1,12 @@
 """Recorders of what a test builds: pytest fixtures that list every
-surface measure, zonotope or vertex ring constructed while the test
+surface measure, zonotope or polygon ring constructed while the test
 runs.  Import the fixtures into a test module to use them."""
 
 from __future__ import annotations
 
 import pytest
 
-from pettybox import Zonotope
-from pettybox.geometry import VertexRing
+from pettybox import PolygonSet, Zonotope
 from pettybox.sets import SurfaceMeasure
 
 
@@ -39,6 +38,6 @@ def bodies_built(monkeypatch):
 
 @pytest.fixture
 def rings_built(monkeypatch):
-    """Every VertexRing built from here on: every PolygonSet, checked or
-    derived, since the package builds no other vertex ring."""
-    return _record(monkeypatch, VertexRing, "__init__")
+    """Every PolygonSet ring set from here on, checked or derived: both
+    constructor paths run PolygonSet._set_ring once."""
+    return _record(monkeypatch, PolygonSet, "_set_ring")

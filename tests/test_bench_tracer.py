@@ -119,9 +119,7 @@ HANDLES = {
 @pytest.mark.parametrize("first,second", itertools.product(HANDLES, repeat=2))
 def test_tracer_counts_the_hausdorff_route_the_package_takes(first, second, hausdorff_routes):
     # the classifier names the route the call takes, and None exactly for
-    # a pair the call rejects.  The pairs are planar: the classifier does
-    # not read a ball's dimension, and the tracer counts only calls that
-    # return, so a rejected 3D pair is never counted
+    # a pair the call rejects
     a, b = HANDLES[first], HANDLES[second]
     counted = _tracer()._hausdorff_route(pettybox, a, b)
     try:

@@ -134,6 +134,23 @@ def test_unusable_set_file_exits_2(sets_dir, capsys, command, name, options, mes
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("doc", [
+    pytest.param({"boxes": [{"lo": [0, 0, 0], "hi": [1e60, 1e60, 1e60]}]}, id="cube-1e60"),
+    pytest.param({"polygon": [[0, 0], [1e-160, 0], [1e-160, 1e-160], [0, 1e-160]]},
+                 id="square-1e-160"),
+])
+def test_petty_product_out_of_float_range_exits_3(tmp_path, capsys, doc):
+    # a product that overflows is a numerical failure: one error line,
+    # never a traceback or a report with Infinity in it
+    path = tmp_path / "set.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "petty", "--input", str(path))
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: product ") and "out of float range" in err
+    assert err.count("\n") == 1
+
+
 # a tolerance that is nan, infinite or negative, a campaign of no sets or
 # trials, a negative seed, or a monotonicity option that the chosen mode
 # never reads, is invalid input: exit 2 before any work, never a vacuous

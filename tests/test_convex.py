@@ -21,8 +21,8 @@ import pettybox.geometry
 import pettybox.projection
 from pettybox import (Ball, BoxUnion, InputError, NumericalError,
                       PolarWrapper, PolygonSet, Zonotope, petty_product,
-                      polar_body, polar_polygon, polar_steiner_inclusion_check,
-                      polar_volume, projection_body, steiner_symmetrize)
+                      polar_polygon, polar_steiner_inclusion_check, polar_volume,
+                      projection_body, steiner_symmetrize)
 from pettybox.corpus import random_box_union, random_polygon, regular_polygon
 from pettybox.geometry import (BLOCK_PAIRS, circle_grid, cross_2d, default_grid,
                                rotation_2d, sphere_grid, steiner_ring)
@@ -67,8 +67,6 @@ def test_ball_validation():
         Ball(0.0)
     with pytest.raises(InputError):
         Ball(-1.0)
-    with pytest.raises(InputError):
-        Ball(1.0, dim=4)
 
 
 # ------------------------------------------------ radial and planar support
@@ -366,7 +364,7 @@ def test_planar_axis_box_polar_area_is_exact():
     # polar_volume takes the cross-polytope closed form of an axis box,
     # and the sorted kernel over the same generators gives the same bits
     def kernel(Z):
-        return pettybox.convex._sorted_polar_area(Z._half_turn[0])
+        return pettybox.convex._sorted_polar_area(Z._half_turn)
 
     for a, b in [(1.0, 1.0), (0.3, 7.0), (1.0 / 3.0, 0.1), (1.0, 1e-15)]:
         Z = Zonotope([[0.0, b], [a, 0.0]])
@@ -512,7 +510,7 @@ def test_polar_polygon_errors():
     with pytest.raises(InputError, match="^zonotope is degenerate"):
         polar_polygon(Zonotope([[1.0, 1.0], [2.0, 2.0]]))
     Z = Zonotope([[1.0, 0.0], [0.0, 1.0]])
-    Z._half_turn = (np.array([[1.0, 0.0], [np.nan, 1.0]]), None)
+    Z._half_turn = np.array([[1.0, 0.0], [np.nan, 1.0]])
     with pytest.raises(NumericalError, match="nonpositive support"):
         polar_polygon(Z)
 
@@ -560,29 +558,13 @@ def test_polar_polygon_rows_lie_on_the_hull_oracle_polar():
         assert np.max(gap) <= 16.0 * EPS * radius * length.sum() / length.min(), name
 
 
-def test_polar_body_forms():
-    b = polar_body(Ball(2.0))
-    assert isinstance(b, Ball) and b.radius == 0.5
-    Z = Zonotope(np.eye(3))
-    W = polar_body(Z)
-    assert isinstance(W, PolarWrapper)
-    assert polar_body(W) is Z
-    with pytest.raises(InputError):
-        PolarWrapper(W)
-    # a planar zonotope's polar is exact as a vertex ring, not a body
-    for body in ("x", BoxUnion([[0, 0, 0]], [[1, 1, 1]]), Zonotope([[1, 0], [0, 1]])):
-        with pytest.raises(InputError, match="^no polar body for .*; a planar zonotope's "
-                                             "polar is exact as polar_polygon$"):
-            polar_body(body)
-
-
 @pytest.mark.parametrize("body", [Zonotope([[0.5, 0.5], [-0.5, 0.5]]),
                                   Zonotope([[1.0, 0.5], [0.0, 1.0]]),
-                                  Ball(1.0), Ball(1.0, dim=3), "x"],
-                         ids=["facets", "zonotope", "ball", "ball3", "string"])
+                                  Ball(1.0), "x"],
+                         ids=["facets", "zonotope", "ball", "string"])
 def test_polar_wrapper_rejects_planar_bodies(body):
     # a planar polar is exact as a vertex ring, so there is no planar
-    # wrapper, and polar_body wraps nothing but a 3D zonotope.  The
+    # wrapper, and a wrapper holds nothing but a 3D zonotope.  The
     # "facets" id names the diamond, as the zonotope on its half edges
     with pytest.raises(InputError, match="polar_polygon"):
         PolarWrapper(body)
@@ -597,7 +579,6 @@ def _polar_of_polar(seed):
 
 _SECTION_BODIES = {
     "ball": lambda seed: Ball(0.5 + np.random.default_rng(seed).uniform()),
-    "ball3": lambda seed: Ball(0.5 + np.random.default_rng(seed).uniform(), dim=3),
     "zonotope2": lambda seed: Zonotope(np.random.default_rng(seed).normal(size=(5, 2))),
     "zonotope3": lambda seed: _random_zonotope_3d(seed),
     # the zonotope on a random convex polygon's edges; the key keeps its
@@ -625,11 +606,14 @@ def _support(K, nodes):
 
 
 def _polar(K):
-    """The polar's exact form: polar_body's, or the vertex ring of
-    polar_polygon for a planar zonotope."""
-    if isinstance(K, Zonotope) and K.dim == 2:
+    """The polar's exact form: the disk of the reciprocal radius, the
+    vertex ring of polar_polygon for a planar zonotope, or the lazy
+    wrapper of a 3D zonotope."""
+    if isinstance(K, Ball):
+        return Ball(1.0 / K.radius)
+    if K.dim == 2:
         return polar_polygon(K)
-    return polar_body(K)
+    return PolarWrapper(K)
 
 
 def _radial(P, nodes):
@@ -650,7 +634,7 @@ def test_polar_sections_are_exact(kind, seed):
     # through the origin in a chord whose two ends lie on h_K = 1
     K = _SECTION_BODIES[kind](seed)
     P = _polar(K)
-    u = np.random.default_rng(seed).normal(size=(200, K.dim))
+    u = np.random.default_rng(seed).normal(size=(200, 2 if isinstance(K, Ball) else K.dim))
     w = u / np.linalg.norm(u, axis=1, keepdims=True)
     lo, hi = -_radial(P, -w), _radial(P, w)
     assert np.all(np.isfinite(lo) & np.isfinite(hi) & (lo < 0.0) & (0.0 < hi))

@@ -19,9 +19,9 @@ from pettybox import (Ball, BoxUnion, DirectionPolicy, NumericalError,
                       polar_polygon, run_symmetrization)
 from pettybox.corpus import random_polygon
 from pettybox.errors import InputError
-from pettybox.geometry import (SphericalGrid, VertexRing, as_direction,
-                               as_directions, circle_grid, default_grid,
-                               integrate_sphere, rotation_2d, sphere_grid)
+from pettybox.geometry import (SphericalGrid, as_direction, as_directions,
+                               circle_grid, default_grid, integrate_sphere,
+                               rotation_2d, sphere_grid)
 
 from hull import convex_hull_2d
 from reference_forms import (distance_to_polygon_loop, normals_offsets,
@@ -328,7 +328,7 @@ def test_ring_volume_and_centroid_are_the_shoelace_oracle(seed, m, scale):
 
 def test_ring_arrays_are_read_only_and_the_measure_shares_them():
     P = PolygonSet(_star_ring(3, 12, 1.0))
-    for ring in (P, VertexRing(CENTERED_SQUARE, "ring")):
+    for ring in (P, PolygonSet._derived(CENTERED_SQUARE)):
         for a in (ring.vertices, ring.edges, ring.lengths, ring.normals, ring.terms):
             assert not a.flags.writeable
             with pytest.raises(ValueError):
@@ -339,7 +339,7 @@ def test_ring_arrays_are_read_only_and_the_measure_shares_them():
 
 
 @pytest.mark.parametrize("make", [PolygonSet,
-                                  pytest.param(lambda v: VertexRing(v, "ring"), id="VertexRing"),
+                                  pytest.param(PolygonSet._derived, id="derived"),
                                   Zonotope])
 def test_constructors_copy_the_callers_array(make):
     pts = np.array(CENTERED_SQUARE, dtype=float)
@@ -358,13 +358,13 @@ BAD_RINGS = [
 ]
 
 
-# the "facets" ids name the base ring under a kind of its caller's
-@pytest.mark.parametrize("make,kind", [(PolygonSet, "polygon"),
-                                       (lambda v: VertexRing(v, "convex ring"), "convex ring")],
-                         ids=["polygon", "facets"])
+# a translate, image or symmetral (PolygonSet._derived) runs the same
+# ring checks as a checked polygon
+@pytest.mark.parametrize("make", [PolygonSet, PolygonSet._derived],
+                         ids=["polygon", "derived"])
 @pytest.mark.parametrize("vertices,message", BAD_RINGS)
-def test_bad_rings_raise_naming_their_kind(make, kind, vertices, message):
-    with pytest.raises(InputError, match="^" + re.escape(f"{kind} {message}")):
+def test_bad_rings_raise_naming_their_kind(make, vertices, message):
+    with pytest.raises(InputError, match="^" + re.escape(f"polygon {message}")):
         make(vertices)
 
 
@@ -388,10 +388,8 @@ def c_shape():
 def test_hausdorff_rejects_mixed_dimensions(hausdorff_routes):
     square = PolygonSet([[0, 0], [2, 0], [2, 2], [0, 2]])
     cube = BoxUnion([[0, 0, 0]], [[1, 1, 1]])
-    for a, b in ((Ball(1.0, dim=3), square), (square, Ball(1.0, dim=3)),
-                 (cube, square), (cube, Ball(1.0)), (cube, BoxUnion([[0, 0]], [[1, 1]])),
-                 (Zonotope(np.eye(3)), Zonotope(np.eye(2))),
-                 (diamond(), Ball(1.0, dim=3))):
+    for a, b in ((cube, square), (cube, Ball(1.0)), (cube, BoxUnion([[0, 0]], [[1, 1]])),
+                 (Zonotope(np.eye(3)), Zonotope(np.eye(2)))):
         with pytest.raises(InputError, match="^no Hausdorff route for "):
             hausdorff_distance(a, b)
     assert hausdorff_routes == []
@@ -437,8 +435,7 @@ def test_one_ball_rule_on_a_zonotope_and_its_ring(seed, hausdorff_routes):
     # a random planar zonotope's ring (the hull oracle) as a polygon takes
     # the ball rule: on a convex ring the radial deviation is max(max|v| -
     # r, r - min offset), up to rounding in the norms, whose scale is the
-    # radius.  The zonotope and its ring as a bare vertex ring have no
-    # route.
+    # radius.  The zonotope itself has no route.
     rng = np.random.default_rng(seed)
     Z = Zonotope(rng.normal(size=(int(rng.integers(2, 12)), 2)) * rng.uniform(0.1, 3.0))
     Q = PolygonSet(zonotope_hull(Z.generators))
@@ -448,9 +445,8 @@ def test_one_ball_rule_on_a_zonotope_and_its_ring(seed, hausdorff_routes):
         got = hausdorff_distance(Ball(r), Q)
         assert abs(got - want) <= 1e-15 * r
         assert hausdorff_distance(Q, Ball(r)) == got
-        for K in (Z, VertexRing(Q.vertices, "zonotope ring")):
-            with pytest.raises(InputError, match="^no Hausdorff route for "):
-                hausdorff_distance(Ball(r), K)
+        with pytest.raises(InputError, match="^no Hausdorff route for "):
+            hausdorff_distance(Ball(r), Z)
     assert hausdorff_routes == ["star_bound"] * 6
 
 
@@ -477,22 +473,15 @@ def test_ball_rule_bounds_a_notched_star_polygon_from_above():
     [[-1, 0], [1, 0], [1, 2], [-1, 2]],
     [[1, 1], [3, 1], [3, 3], [1, 3]],
 ], ids=["origin-vertex", "origin-on-edge", "origin-outside"])
-@pytest.mark.parametrize("make", [lambda ring: VertexRing(ring, "convex ring"), PolygonSet],
-                         ids=["facets", "polygon"])
+# one kind now; the parameter keeps the test ids
+@pytest.mark.parametrize("make", [PolygonSet], ids=["polygon"])
 def test_ball_rule_needs_the_origin_interior(hausdorff_routes, ring, make):
     # a convex ring whose origin is on or outside its boundary is not
-    # star-shaped about it: as a polygon it takes the sampled route, as a
-    # bare vertex ring (the "facets" ids) it has no route and is rejected
-    # before any sampling
+    # star-shaped about it, and takes the sampled route
     K = make(ring)
     assert not K.is_star_shaped()
-    if make is PolygonSet:
-        hausdorff_distance(Ball(1.0), K)
-        assert hausdorff_routes == ["sampled"]
-    else:
-        with pytest.raises(InputError, match="^no Hausdorff route for Ball vs VertexRing$"):
-            hausdorff_distance(Ball(1.0), K)
-        assert hausdorff_routes == []
+    hausdorff_distance(Ball(1.0), K)
+    assert hausdorff_routes == ["sampled"]
 
 
 # Pairs of planar handle kinds and their distance, None where the pair has
@@ -538,7 +527,7 @@ def test_hausdorff_routes(a, b, expected, tol):
     pytest.param(Ball(1.0), object(), "^no Hausdorff route for Ball vs object$",
                  id="ball-object"),
     # a 3D wrapper has no support function and no boundary sampling
-    pytest.param(PolarWrapper(Zonotope(np.eye(3))), Ball(1.0, dim=3),
+    pytest.param(PolarWrapper(Zonotope(np.eye(3))), Ball(1.0),
                  "^no Hausdorff route for PolarWrapper vs Ball$", id="wrapper3d-ball"),
     pytest.param(Zonotope(np.eye(3)), PolarWrapper(Zonotope(np.eye(3))),
                  "^no Hausdorff route for Zonotope vs PolarWrapper$", id="zonotope3d-wrapper"),
@@ -546,15 +535,8 @@ def test_hausdorff_routes(a, b, expected, tol):
                  "^no Hausdorff route for Zonotope vs BoxUnion$", id="zonotope3d-boxes"),
     pytest.param(Ball(1.0), BoxUnion([[-1, -1]], [[1, 1]]),
                  "^no Hausdorff route for Ball vs BoxUnion$", id="ball-boxes"),
-    pytest.param(Ball(1.0, dim=3), BoxUnion([[0, 0, 0]], [[1, 1, 1]]),
-                 "^no Hausdorff route for Ball vs BoxUnion$", id="ball3d-boxes"),
     pytest.param(Zonotope(np.eye(3)), Zonotope(2.0 * np.eye(3)),
                  "^no Hausdorff route for Zonotope vs Zonotope$", id="zonotope3d-zonotope3d"),
-    # a polygon goes with a planar ball only
-    pytest.param(PolygonSet(CENTERED_SQUARE), Ball(1.0, dim=3),
-                 "^no Hausdorff route for PolygonSet vs Ball$", id="polygon-ball3d"),
-    pytest.param(Ball(1.5, dim=3), Ball(1.5, dim=3),
-                 "^no Hausdorff route for Ball vs Ball$", id="ball3d-ball3d"),
     pytest.param(Zonotope(np.eye(2)), Ball(1.0),
                  "^no Hausdorff route for Zonotope vs Ball$", id="zonotope-ball"),
 ])

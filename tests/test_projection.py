@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 from pettybox import (BoxUnion, ConditionViolationError, InputError,
-                      NumericalError, PolygonSet, Zonotope, affine_image_check,
-                      petty_product, polar_body, polar_polygon,
+                      NumericalError, PolarWrapper, PolygonSet, Zonotope,
+                      affine_image_check, petty_product, polar_polygon,
                       polar_steiner_inclusion_check, polar_volume,
                       projection_body, steiner_symmetrize, surface_measure)
 from pettybox.convex import _sorted_polar_area
@@ -120,7 +120,7 @@ def test_polygon_body_product_and_affine_check_read_one_formula():
             e = E.edges
             Z = projection_body(E)
             assert np.array_equal(Z.generators, np.column_stack([0.5 * e[:, 1], -0.5 * e[:, 0]]))
-            assert petty_product(E).polar_projection_volume == _sorted_polar_area(Z._half_turn[0])
+            assert petty_product(E).polar_projection_volume == _sorted_polar_area(Z._half_turn)
             assert affine_image_check(E, identity) == 0.0
 
 
@@ -144,8 +144,7 @@ def test_polar_projection_body_forms():
     assert ring.shape == (8, 2)
     assert np.array_equal(ring[::2], ring[1::2])
     assert abs(shoelace_area(ring) - 2.0) <= 1e-15
-    body3 = polar_body(projection_body(unit_cube()))
-    assert body3.dim == 3
+    body3 = PolarWrapper(projection_body(unit_cube()))
     # the wrapper's radial is the reciprocal support of the body it holds
     assert 1.0 / body3.body.support_batch(np.array([[1.0, 0.0, 0.0]]))[0] == 1.0
 
@@ -226,6 +225,17 @@ def test_thin_rectangle_has_one_product_as_polygon_and_as_box_union():
     B = BoxUnion([[0, 0]], [[1, 1e-15]])
     assert petty_product(B) == petty_product(P)
     assert petty_product(P).product == 2.0
+
+
+def test_product_out_of_float_range_raises():
+    # the 1e60 cube's volume is finite but its square overflows, the
+    # 1e-160 square's area is subnormal and its polar area overflows, and
+    # the 2e51 cube's polar volume underflows to 0
+    for E in (BoxUnion([[0, 0, 0]], [[1e60, 1e60, 1e60]]),
+              PolygonSet([[0, 0], [1e-160, 0], [1e-160, 1e-160], [0, 1e-160]]),
+              BoxUnion([[0, 0, 0]], [[2e51, 2e51, 2e51]])):
+        with pytest.raises(NumericalError, match="is out of float range: volume power "):
+            petty_product(E)
 
 
 def test_petty_report_json_fields():
