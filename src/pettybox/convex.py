@@ -52,7 +52,7 @@ class Zonotope:
             raise InputError(f"zonotope needs (m,2) or (m,3) generators, got {g.shape}")
         if not np.all(np.isfinite(g)):
             raise InputError("zonotope generators must be finite")
-        if np.min(np.linalg.norm(g, axis=1)) <= 0.0:
+        if not np.all(np.any(g != 0.0, axis=1)):  # a tiny norm would underflow
             raise InputError("zonotope generators must be nonzero")
         self.generators = g
         self.generators.setflags(write=False)
@@ -190,14 +190,17 @@ def polar_polygon(K: Zonotope) -> np.ndarray:
     array for k generators: J g_j / H_j over the sorted generators, J the
     quarter turn (x, y) -> (y, -x), then the negatives of those rows.  Row
     j is the pole of the ring edge 2 g_j, its outer normal over its
-    support.  Parallel generators repeat a vertex up to rounding; nothing
-    merges them.  Raises InputError for any other body and as
-    _spanning_half_turn does, NumericalError as _edge_supports does."""
+    support.  Parallel generators repeat a vertex up to rounding, unmerged.
+    Raises InputError for any other body and as _spanning_half_turn does,
+    NumericalError as _edge_supports does and on a subnormal H_j."""
     if not (isinstance(K, Zonotope) and K.dim == 2):
         raise InputError(f"no planar polar ring for {K!r}; polar_polygon takes "
                          "a planar zonotope")
     g = _spanning_half_turn(K)
-    half = np.column_stack([g[:, 1], -g[:, 0]]) / _edge_supports(g)[:, None]
+    support = _edge_supports(g)
+    if np.min(support) < np.finfo(float).tiny:
+        raise NumericalError("zonotope edge supports are subnormal, out of float range")
+    half = np.column_stack([g[:, 1], -g[:, 0]]) / support[:, None]
     return np.vstack([half, -half])
 
 
@@ -230,7 +233,7 @@ def polar_volume(K: Zonotope | PolarWrapper, grid: SphericalGrid | None = None,
     its closed form, planar generators that are all exactly parallel
     before theirs (_spanning_half_turn), and generators of rank below the
     dimension before quadrature.  Any other body or route raises
-    InputError.
+    InputError; a box whose half-widths' product underflows, NumericalError.
     """
     if method not in ("auto", "quadrature"):
         raise InputError(f"unknown polar volume method {method!r}")
@@ -246,6 +249,8 @@ def polar_volume(K: Zonotope | PolarWrapper, grid: SphericalGrid | None = None,
         if half is not None:
             if not np.min(half) > 0.0:
                 raise InputError("zonotope is degenerate (a box of zero half-width)")
+            if not np.prod(half) > 0.0:
+                raise NumericalError("box half-widths are out of float range: product 0")
             # the cross-polytope with half-diagonals 1/a, 1/b (, 1/c)
             return PolarVolume(2.0 ** n / (math.factorial(n) * float(np.prod(half))), 0.0)
         if n == 2:

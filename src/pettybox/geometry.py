@@ -307,10 +307,10 @@ def _incidence_block(w: np.ndarray, first: int):
             np.where(xb < xa, 1.0, -1.0))
 
 
-def _symmetral_chains(vertices: np.ndarray, directions):
+def _symmetral_chains(vertices: np.ndarray, U: np.ndarray):
     """Lower chains of the Steiner symmetrals of a simple CCW polygon
-    along a stack of K planar unit directions, each in the frame that
-    takes its direction to the vertical.
+    along a (K, 2) stack U, each in the frame that takes its direction to
+    the vertical; takes a validated unit direction in each row.
 
     In that frame the section length L(x) is piecewise affine with breaks
     at the vertex abscissae, and the lower chain runs through
@@ -324,9 +324,6 @@ def _symmetral_chains(vertices: np.ndarray, directions):
     direction in the block, its abscissa, L/2 there, and whether the point
     has a mirror.
     """
-    U = as_directions(directions)
-    if U.shape[1] != 2:
-        raise InputError("planar Steiner symmetrals need a planar direction")
     # the proper rotations with rows (perp, u), which take each u to the
     # vertical axis
     frames = np.stack([np.column_stack([U[:, 1], -U[:, 0]]), U], axis=1)
@@ -383,20 +380,19 @@ def _chain_ring(frame: np.ndarray, xs: np.ndarray, half: np.ndarray,
     return ring @ frame
 
 
-def steiner_ring(vertices: np.ndarray, u) -> np.ndarray:
+def steiner_ring(vertices: np.ndarray, u: np.ndarray) -> np.ndarray:
     """CCW vertex ring, in the input frame, of the Steiner symmetral of a
-    simple CCW polygon along the unit direction u: the one-direction case
-    of the batched section-length kernel (see _symmetral_chains)."""
-    u = as_direction(u)
+    simple CCW polygon; takes a validated unit direction u, the
+    one-direction case of the batched kernel (see _symmetral_chains)."""
     (_, frames, _, xs, half, mirrored), = _symmetral_chains(vertices, u[None])
     return _chain_ring(frames[0], xs, half, mirrored)
 
 
 def symmetral_radii(vertices: np.ndarray, directions) -> tuple[np.ndarray, np.ndarray]:
     """Circumradius max |v| of the Steiner symmetral of a simple CCW
-    polygon along each of a (K, 2) stack of unit directions, one kernel
-    call per block of directions and no set built, and the vertex ring of
-    the lowest-index direction of least radius.
+    polygon along each of a validated (K, 2) stack of unit directions, one
+    kernel call per block of directions and no set built, and the vertex
+    ring of the lowest-index direction of least radius.
 
     A rotation keeps norms, so each radius is read in the direction's own
     frame, from its chain: max sqrt(x^2 + (L/2)^2) over the chain points,

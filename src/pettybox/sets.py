@@ -20,12 +20,11 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import InputError, NonGenericPointError, UnsupportedDirectionError
+from .errors import InputError, NonGenericPointError, NumericalError, UnsupportedDirectionError
 from .geometry import (BLOCK_PAIRS, _gauss_legendre, as_direction,
                        as_directions, as_plane_map, cross_2d, cyclic_next,
                        lerp, section_incidence, steiner_ring, symmetral_radii)
 
-CLOSEDNESS_TOL = 1e-9
 GENERIC_POINT_TOL = 1e-12
 AXIS_ALIGNMENT_TOL = 1e-12
 
@@ -36,37 +35,22 @@ AXIS_ALIGNMENT_TOL = 1e-12
 
 @dataclass(frozen=True, eq=False)
 class SurfaceMeasure:
-    """Finite atomic surface measure: unit outer normals with positive
-    masses.  Closed boundaries balance: the mass-weighted normal sum
-    vanishes.  It answers the regularity questions (orthogonal_atoms,
-    vertical_boundary_measure, the driver's direction draws)."""
+    """Finite atomic surface measure, a plain record: PolygonSet and
+    BoxUnion._surface_measure build it on read-only arrays that their
+    constructors checked, so its outer normals are unit, its masses
+    positive and finite, and it is closed.  It answers the regularity
+    questions (orthogonal_atoms, vertical_boundary_measure)."""
 
     normals: np.ndarray
     masses: np.ndarray
 
-    def __post_init__(self):
-        normals = np.atleast_2d(np.asarray(self.normals, dtype=float))
-        masses = np.asarray(self.masses, dtype=float).ravel()
-        if normals.shape[0] != masses.shape[0] or normals.shape[0] == 0:
-            raise InputError("surface measure needs matching, nonempty atom arrays")
-        if normals.shape[1] not in (2, 3):
-            raise InputError("surface measure normals must live in dimension 2 or 3")
-        # each check is written so that nan fails it
-        if not np.max(np.abs(np.linalg.norm(normals, axis=1) - 1.0)) <= 1e-12:
-            raise InputError("surface measure normals must be unit vectors")
-        if not (0.0 < masses.min() and masses.max() < np.inf):
-            raise InputError("surface measure masses must be positive and finite")
-        resultant = np.linalg.norm(normals.T @ masses)
-        if not resultant <= CLOSEDNESS_TOL * (1.0 + float(np.sum(masses))):
-            raise InputError(
-                f"surface measure is not closed: |sum(mass*normal)| = {resultant:g}")
-        object.__setattr__(self, "normals", normals)
-        object.__setattr__(self, "masses", masses)
-
     def orthogonal_atoms(self, directions) -> np.ndarray:
         """(atoms, K) mask: whether each atom's normal is orthogonal within
         AXIS_ALIGNMENT_TOL to each of a (K, dim) stack of unit directions."""
-        return np.abs(self.normals @ as_directions(directions).T) <= AXIS_ALIGNMENT_TOL
+        U = as_directions(directions)
+        if U.shape[1] != self.normals.shape[1]:
+            raise InputError("direction dimension does not match the set")
+        return np.abs(self.normals @ U.T) <= AXIS_ALIGNMENT_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -429,7 +413,8 @@ class BoxUnion:
     """A finite union of axis-aligned boxes with pairwise disjoint
     interiors, kept in canonical form: no two boxes share a whole facet
     (along which they could be merged into one), and the decomposition
-    depends only on the set of input boxes, not on their order."""
+    depends only on the set of input boxes, not on their order.  Only the
+    constructor checks; it and _derived (a symmetral) run _set_boxes."""
 
     def __init__(self, los, his):
         los = np.atleast_2d(np.asarray(los, dtype=float))
@@ -444,9 +429,17 @@ class BoxUnion:
             if not np.isfinite(np.sum(np.prod(his - los, axis=1))):
                 raise InputError("box union is too large: its box extents or volume overflow")
         _check_disjoint(los, his)
-        los, his = _canonical_merge(los, his)
-        self.los = los
-        self.his = his
+        self._set_boxes(los, his)
+
+    @classmethod
+    def _derived(cls, los, his) -> "BoxUnion":
+        """A symmetral (_steiner_boxes): disjoint columns on checked corners."""
+        B = cls.__new__(cls)
+        B._set_boxes(los, his)
+        return B
+
+    def _set_boxes(self, los, his) -> None:
+        self.los, self.his = _canonical_merge(los, his)
         self.los.setflags(write=False)
         self.his.setflags(write=False)
 
@@ -581,10 +574,9 @@ def is_regular_direction(E: SetHandle, u):
 def vertical_boundary_measure(E: SetHandle, u: Sequence[float]) -> float:
     """Boundary mass orthogonal to the unit direction u: the mass of the
     boundary that runs parallel to u, read from one orthogonal_atoms
-    column."""
-    u = as_direction(u)
+    column, which validates u and its dimension."""
     mu = E.surface_measure()
-    return float(np.sum(mu.masses[mu.orthogonal_atoms(u[None])[:, 0]]))
+    return float(np.sum(mu.masses[mu.orthogonal_atoms([u])[:, 0]]))
 
 
 def section_length_gradient(E: SetHandle, xprime) -> np.ndarray:
@@ -643,22 +635,22 @@ def cap_cover_greedy_step(E: PolygonSet, candidates) -> np.ndarray:
     circumradius, the lowest index on a tie; candidates must all be
     regular.  The cap-cover-greedy policy's step in the driver.
 
-    One pass of the batched section-length kernel scores the whole
-    (K, 2) stack (geometry.symmetral_radii): each score is the
-    symmetral's circumradius, max sqrt(x^2 + (L/2)^2) over its chain in
-    the candidate's own frame, and no symmetral set is built but the
-    winner's.  The candidates within rounding of the least score are
-    scored again in the same pass by max |v| over their vertex rings,
-    rotated back to the input frame as steiner_ring rotates them, so ties
-    are broken on the same values as by steiner_ring.  The winner's set,
-    on its ring, fills E's slot, so the steiner_symmetrize(E, winner)
-    that follows returns it as the next iterate without running the
-    kernel again."""
+    The candidates are validated once, as planar unit directions, and one
+    pass of the batched section-length kernel scores the whole (K, 2)
+    stack (geometry.symmetral_radii): each score is the symmetral's
+    circumradius, max sqrt(x^2 + (L/2)^2) over its chain in the
+    candidate's own frame, and no symmetral set is built but the winner's.
+    The candidates within rounding of the least score are scored again in
+    the same pass by max |v| over their vertex rings, rotated back to the
+    input frame as steiner_ring rotates them, so ties are broken on the
+    same values as by steiner_ring.  The winner's set, on its ring, fills
+    E's slot, so the steiner_symmetrize(E, winner) that follows returns it
+    as the next iterate without running the kernel again."""
     if not isinstance(E, PolygonSet):
         raise InputError("symmetrals are scored on polygons")
-    U = np.asarray(candidates, dtype=float)
-    if U.size == 0:
-        raise InputError("greedy step needs at least one candidate direction")
+    U = as_directions(candidates)
+    if U.shape[1] != 2:
+        raise InputError("planar Steiner symmetrals need a planar direction")
     radii, ring = symmetral_radii(E.vertices, U)
     u = U[int(np.argmin(radii))].copy()
     _keep_symmetral(E, u, ring)
@@ -666,14 +658,20 @@ def cap_cover_greedy_step(E: PolygonSet, candidates) -> np.ndarray:
 
 
 def _steiner_boxes(E: BoxUnion, u: np.ndarray) -> BoxUnion:
+    """One box per filled base cell, centered on u's axis (BoxUnion._derived);
+    a half-length past float range or rounded to 0 raises NumericalError."""
     axis = np.flatnonzero(np.abs(u) > AXIS_ALIGNMENT_TOL)
     if len(axis) != 1 or abs(abs(u[axis[0]]) - 1.0) > AXIS_ALIGNMENT_TOL:
         raise UnsupportedDirectionError(
             "box unions symmetrize along signed coordinate axes only")
     cs = E.column_structure(int(axis[0]))
     lo, hi = cs.cell_bounds
-    half = 0.5 * np.bincount(cs.row_cells, cs.y0[:, 1] - cs.y0[:, 0], len(lo))
-    return BoxUnion(np.insert(lo, axis[0], -half, axis=1), np.insert(hi, axis[0], half, axis=1))
+    with np.errstate(over="ignore"):
+        half = 0.5 * np.bincount(cs.row_cells, cs.y0[:, 1] - cs.y0[:, 0], len(lo))
+    if not (np.min(half) > 0.0 and np.max(half) < np.inf):
+        raise NumericalError("box union symmetral has a half-length out of float range")
+    return BoxUnion._derived(np.insert(lo, axis[0], -half, axis=1),
+                             np.insert(hi, axis[0], half, axis=1))
 
 
 def _segment_gauss(g: Callable[[np.ndarray], np.ndarray], xa: np.ndarray, ya: np.ndarray,

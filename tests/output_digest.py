@@ -14,7 +14,7 @@ It prints one line per case and a total per part.
   by its final vertices' bytes; the total chains the same bytes of every
   case, then min_boundary_norm() of random_polygon(17, i), i < 200, as
   float64 bytes.
-- cli: 68 pettybox commands, run in process from a temporary directory
+- cli: 74 pettybox commands, run in process from a temporary directory
   that holds the set files under fixed relative names, since a report's
   config embeds the input path.  A case's line gives the argv, the exit
   code (or the type of an exception that escapes main), and the sha256
@@ -104,7 +104,12 @@ SCALE_PROBES = {
     "cube_1e-110": _cube(1e-110),
     "square_1e-100": _square(1e-100),
     "square_1e150": _square(1e150),
+    "cube_1e-55": _cube(1e-55),
+    "boxsquare_1e-162": {"boxes": [{"lo": [0.0, 0.0], "hi": [1e-162, 1e-162]}]},
 }
+# disjoint boxes whose column along x sums past float range
+COLUMN_OVERFLOW = {"boxes": [{"lo": [-1e308, 0, 0], "hi": [-1e307, 1e-100, 1e-100]},
+                             {"lo": [1e307, 0, 0], "hi": [1e308, 1e-100, 1e-100]}]}
 CHECK = ["polar-symmetral-check", "--direction", "0.6,0.8"]
 
 
@@ -125,6 +130,8 @@ def cli_commands() -> list[list[str]]:
     for name in SCALE_PROBES:
         commands += [["petty", "--input", f"{name}.json"],
                      [*CHECK, "--input", f"{name}.json"]]
+    f = ["--input", "column_overflow.json"]
+    commands += [["petty", *f], ["monotonicity", *f, "--direction", "1,0,0", "--exploratory"]]
     return commands
 
 
@@ -148,7 +155,7 @@ def cli_digest() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
         try:
-            for name, doc in {**SETS, **SCALE_PROBES}.items():
+            for name, doc in {**SETS, **SCALE_PROBES, "column_overflow": COLUMN_OVERFLOW}.items():
                 Path(f"{name}.json").write_text(json.dumps(doc))
             for argv in cli_commands():
                 status, data = _run(argv)

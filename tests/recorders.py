@@ -27,7 +27,7 @@ def _record(monkeypatch, cls, method: str) -> list:
 @pytest.fixture
 def measures_built(monkeypatch):
     """Every SurfaceMeasure built from here on."""
-    return _record(monkeypatch, SurfaceMeasure, "__post_init__")
+    return _record(monkeypatch, SurfaceMeasure, "__init__")
 
 
 @pytest.fixture

@@ -151,6 +151,42 @@ def test_petty_product_out_of_float_range_exits_3(tmp_path, capsys, doc):
     assert err.count("\n") == 1
 
 
+COLUMN_OVERFLOW = {"boxes": [{"lo": [-1e308, 0, 0], "hi": [-1e307, 1e-100, 1e-100]},
+                             {"lo": [1e307, 0, 0], "hi": [1e308, 1e-100, 1e-100]}]}
+
+
+@pytest.mark.parametrize("doc,options,message", [
+    pytest.param({"boxes": [{"lo": [0, 0, 0], "hi": [1e-55, 1e-55, 1e-55]}]}, ["petty"],
+                 "box half-widths are out of float range", id="petty-cube-1e-55"),
+    pytest.param({"boxes": [{"lo": [0, 0, 0], "hi": [1e-110, 1e-110, 1e-110]}]}, ["petty"],
+                 "box half-widths are out of float range", id="petty-cube-1e-110"),
+    pytest.param({"boxes": [{"lo": [0, 0], "hi": [1e-162, 1e-162]}]}, ["petty"],
+                 "box half-widths are out of float range", id="petty-square-1e-162"),
+    pytest.param({"polygon": [[0, 0], [1e-160, 0], [1e-160, 1e-160], [0, 1e-160]]},
+                 ["polar-symmetral-check", "--direction", "0.6,0.8"],
+                 "edge supports are subnormal", id="check-square-1e-160"),
+    pytest.param(COLUMN_OVERFLOW, ["monotonicity", "--direction", "1,0,0", "--exploratory"],
+                 "half-length out of float range", id="monotonicity-column-overflow"),
+])
+def test_out_of_float_range_exits_3(tmp_path, capsys, doc, options, message):
+    path = tmp_path / "set.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, *options, "--input", str(path))
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ") and message in err
+    assert err.count("\n") == 1
+
+
+def test_petty_on_a_column_past_float_range(tmp_path, capsys):
+    # the union itself is in range; only its symmetral along x is not
+    path = tmp_path / "set.json"
+    path.write_text(json.dumps(COLUMN_OVERFLOW))
+    code, out, _ = run(capsys, "petty", "--input", str(path))
+    assert code == 0
+    assert abs(json.loads(out)["product"] - 2.0 / 3.0) <= 1e-15
+
+
 # a tolerance that is nan, infinite or negative, a campaign of no sets or
 # trials, a negative seed, or a monotonicity option that the chosen mode
 # never reads, is invalid input: exit 2 before any work, never a vacuous

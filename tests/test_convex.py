@@ -192,6 +192,10 @@ def test_zonotope_validation():
         Zonotope([[0.0, 0.0]])
     with pytest.raises(InputError):
         Zonotope([[1.0, float("inf")]])
+    # the squared norm of 5e-221 underflows to 0; its components do not
+    g = 5e-221 * np.eye(3)
+    assert np.array_equal(Zonotope(g).generators, g)
+    assert np.array_equal(Zonotope(g[:2, :2]).generators, g[:2, :2])
 
 
 @settings(max_examples=30, deadline=None)
@@ -513,6 +517,11 @@ def test_polar_polygon_errors():
     Z._half_turn = np.array([[1.0, 0.0], [np.nan, 1.0]])
     with pytest.raises(NumericalError, match="nonpositive support"):
         polar_polygon(Z)
+    # a subnormal edge support has lost its digits: the square of side
+    # 1e-160 has H_j of about 5e-321
+    tiny = 1e-160 * np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    with pytest.raises(NumericalError, match="^zonotope edge supports are subnormal"):
+        polar_polygon(projection_body(PolygonSet(tiny)))
 
 
 # The polar ring's rows against the hull oracle: every row lies on the
@@ -733,6 +742,16 @@ def test_polar_volume_rejects_bad_method_and_exterior_origin():
              "^zonotope is degenerate \\(generators of rank below 2\\)$")]:
         with pytest.raises(InputError, match=message):
             call()
+
+
+@pytest.mark.parametrize("side,dim", [(1e-55, 3), (1e-81, 3), (1e-110, 3), (1e-162, 2)])
+def test_box_polar_volume_raises_when_the_half_widths_underflow(side, dim):
+    # a box's projection body has half-widths of its facet areas, and their
+    # product underflows to 0 on these cubes and this square
+    Z = projection_body(BoxUnion([np.zeros(dim)], [np.full(dim, side)]))
+    assert np.all(Z.axis_box_halfwidths() > 0.0)
+    with pytest.raises(NumericalError, match="^box half-widths are out of float range"):
+        polar_volume(Z)
 
 
 def _random_zonotope_3d(seed, count=6):

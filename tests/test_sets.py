@@ -3,6 +3,7 @@ symmetrization, the boundary-slicing identity, and the JSON set format."""
 
 from __future__ import annotations
 
+import json
 import math
 from fractions import Fraction
 from unittest import mock
@@ -13,12 +14,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pettybox import (BoxUnion, InputError, NonGenericPointError,
-                      PolygonSet, UnsupportedDirectionError, coarea_check,
+                      NumericalError, PolygonSet, UnsupportedDirectionError, coarea_check,
                       column_structure, is_regular_direction, perimeter,
                       projection_body, section_length_gradient, set_from_json,
                       set_to_json, steiner_symmetrize, surface_measure,
                       vertical_boundary_measure, volume)
-from pettybox.corpus import random_box_union, random_polygon, random_sl2
+from pettybox.corpus import (random_box_union, random_polygon, random_sl2,
+                             regular_polygon)
 from pettybox.geometry import rotation_2d
 from pettybox.sets import _check_simple, load_set_file
 
@@ -334,23 +336,87 @@ def test_surface_measure_total_mass_equals_perimeter():
             <= 1e-10 * (1.0 + perimeter(E))
 
 
-def test_surface_measure_validation():
-    from pettybox.sets import SurfaceMeasure
-    with pytest.raises(InputError):
-        SurfaceMeasure(np.array([[1.0, 0.0]]), np.array([1.0]))  # not closed
-    with pytest.raises(InputError):
-        SurfaceMeasure(np.array([[2.0, 0.0], [-2.0, 0.0]]),
-                       np.array([1.0, 1.0]))  # non-unit normals
-    with pytest.raises(InputError):
-        SurfaceMeasure(np.array([[1.0, 0.0], [-1.0, 0.0]]),
-                       np.array([1.0, -1.0]))  # negative mass
-    # nan fails every check, where a check of the form bad > tol passed it
-    with pytest.raises(InputError, match="unit vectors"):
-        SurfaceMeasure(np.array([[np.nan, np.nan], [1.0, 0.0]]), np.array([1.0, 1.0]))
-    with pytest.raises(InputError, match="positive and finite"):
-        SurfaceMeasure(np.array([[1.0, 0.0], [-1.0, 0.0]]), np.array([np.nan, 1.0]))
-    with pytest.raises(InputError, match="positive and finite"):
-        SurfaceMeasure(np.array([[1.0, 0.0], [-1.0, 0.0]]), np.array([np.inf, np.inf]))
+def _measure_corpus():
+    """Sets and what the package derives from them: translates, linear
+    images and symmetrals of polygons, and symmetrals of box unions along
+    every signed axis."""
+    polygons = [unit_square(), right_triangle(), c_shape(), regular_polygon(64),
+                *(random_polygon(seed) for seed in range(10))]
+    boxes = [staircase(), l_tromino(), *(random_box_union(seed, dim=dim)
+                                         for seed in range(5) for dim in (2, 3))]
+    for P in polygons:
+        yield P
+        yield P.translate([0.3, -1.7])
+        yield P.transform(random_sl2(3))
+        for angle in (0.1, 1.0, 2.3):
+            yield steiner_symmetrize(P, [math.cos(angle), math.sin(angle)])
+    for B in boxes:
+        yield B
+        for u in (*np.eye(B.dim), *-np.eye(B.dim)):
+            yield steiner_symmetrize(B, u)
+
+
+def test_derived_measures_have_unit_normals_positive_masses_and_close():
+    # SurfaceMeasure is a plain record: what its constructor used to check
+    # holds on every measure the package builds
+    for E in _measure_corpus():
+        mu = E.surface_measure()
+        assert np.max(np.abs(np.linalg.norm(mu.normals, axis=1) - 1.0)) <= 1e-12
+        assert np.all(mu.masses > 0.0) and np.all(np.isfinite(mu.masses))
+        total = float(np.sum(mu.masses))
+        assert np.linalg.norm(mu.normals.T @ mu.masses) <= 1e-9 * (1.0 + total)
+        assert not (mu.normals.flags.writeable or mu.masses.flags.writeable)
+
+
+@pytest.mark.parametrize("B", [
+    pytest.param(staircase(), id="staircase"),
+    pytest.param(l_tromino(), id="l-tromino"),
+    pytest.param(random_box_union(5, 2, dim=3), id="random3d"),
+    *(pytest.param(BoxUnion(lo, lo + 1.0), id=f"voxels{dim}d-{seed}")
+      for dim, count, seed in [(2, 150, 1), (3, 105, 3)]
+      for lo in [voxel_walk(seed, dim, count)]),
+])
+def test_box_symmetrals_pass_the_public_constructor(B):
+    # a symmetral skips the public checks (BoxUnion._derived); each one
+    # passes them and keeps its canonical form bit for bit
+    for u in (*np.eye(B.dim), *-np.eye(B.dim)):
+        S = steiner_symmetrize(B, u)
+        T = BoxUnion(S.los, S.his)
+        assert T.los.tobytes() == S.los.tobytes()
+        assert T.his.tobytes() == S.his.tobytes()
+        assert not (S.los.flags.writeable or S.his.flags.writeable)
+
+
+def test_box_symmetral_half_lengths_stay_in_float_range():
+    # disjoint boxes whose column along x sums past float range
+    B = BoxUnion([[-1e308, 0, 0], [1e307, 0, 0]],
+                 [[-1e307, 1e-100, 1e-100], [1e308, 1e-100, 1e-100]])
+    with pytest.raises(NumericalError, match="half-length out of float range"):
+        steiner_symmetrize(B, [1.0, 0.0, 0.0])
+    # abutting boxes join into one section whose length overflows
+    B = BoxUnion([[-1e308, 0], [0, 0]], [[0, 1e-100], [1e308, 2e-100]])
+    with pytest.raises(NumericalError, match="half-length out of float range"):
+        steiner_symmetrize(B, [1.0, 0.0])
+    # half of the least subnormal length rounds to 0
+    B = BoxUnion([[0, 0]], [[1, 5e-324]])
+    with pytest.raises(NumericalError, match="half-length out of float range"):
+        steiner_symmetrize(B, [0.0, 1.0])
+
+
+def test_set_files_reach_no_derived_constructor(tmp_path, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a set file reached a derived constructor")
+
+    monkeypatch.setattr(PolygonSet, "_derived", refuse)
+    monkeypatch.setattr(BoxUnion, "_derived", refuse)
+    for name, E in [("polygon", random_polygon(5)), ("boxes", random_box_union(7, dim=3))]:
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(set_to_json(E)))
+        F = load_set_file(str(path))
+        assert F.volume() == E.volume()
+    # the patch is live: a symmetral goes through it
+    with pytest.raises(AssertionError, match="derived constructor"):
+        steiner_symmetrize(F, [1.0, 0.0, 0.0])
 
 
 # ------------------------------------------------------------- derived slots
@@ -590,6 +656,15 @@ def test_vertical_boundary_measure():
     rot = PolygonSet(unit_square().vertices @ rotation_2d(math.pi / 4).T)
     assert vertical_boundary_measure(rot, E2) == 0.0
     assert vertical_boundary_measure(staircase(), E2) == 6.0
+
+
+def test_directions_of_the_wrong_dimension_raise_input_error():
+    cube = BoxUnion([[0, 0, 0]], [[1, 1, 1]])
+    for call in (lambda: is_regular_direction(unit_square(), [1.0, 0.0, 0.0]),
+                 lambda: vertical_boundary_measure(cube, E1),
+                 lambda: cube.surface_measure().orthogonal_atoms([E1, E2])):
+        with pytest.raises(InputError, match="^direction dimension does not match the set$"):
+            call()
 
 
 # ------------------------------------------------------------------- Steiner
