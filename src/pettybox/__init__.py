@@ -15,7 +15,7 @@ from .errors import (BudgetError, ConditionViolationError, InputError,
                      PathologicalInputError, ToolkitError,
                      UnsupportedDirectionError)
 from .geometry import (SphericalGrid, circle_grid, default_grid,
-                       hausdorff_distance, integrate_sphere, sphere_grid)
+                       hausdorff_distance, integrate_sphere, octant_grid)
 from .projection import (PettyReport, affine_image_check, petty_product,
                          polar_steiner_inclusion_check, projection_body)
 from .sets import (BoxUnion, ColumnStructure, PolygonSet, SurfaceMeasure,
@@ -32,7 +32,7 @@ __all__ = [
     "NonGenericPointError", "NumericalError", "PathologicalInputError",
     "ToolkitError", "UnsupportedDirectionError",
     "SphericalGrid", "circle_grid", "default_grid",
-    "hausdorff_distance", "integrate_sphere", "sphere_grid",
+    "hausdorff_distance", "integrate_sphere", "octant_grid",
     "PettyReport", "affine_image_check", "petty_product",
     "polar_steiner_inclusion_check", "projection_body",
     "DirectionPolicy", "SymmetrizationTrace", "TraceStep",

@@ -151,25 +151,8 @@ class SphericalGrid:
         object.__setattr__(self, "weights", weights)
 
     @property
-    def dim(self) -> int:
-        return self.nodes.shape[1]
-
-    @property
     def size(self) -> int:
         return self.nodes.shape[0]
-
-    @functools.cached_property
-    def error_levels(self) -> tuple[SphericalGrid, SphericalGrid]:
-        """The half- and quarter-resolution grids of the telescoped
-        quadrature error estimate, built once per grid, read-only."""
-        if self.dim == 3:
-            rows = max(2, int(round(math.sqrt(self.size / 2))))
-            levels = (sphere_grid(max(2, rows // 2), 2 * max(2, rows // 2)),
-                      sphere_grid(max(2, rows // 4), 2 * max(2, rows // 4)))
-        else:
-            levels = (circle_grid(max(8, self.size // 2)),
-                      circle_grid(max(8, self.size // 4)))
-        return tuple(_read_only(level) for level in levels)
 
 
 def _read_only(grid: SphericalGrid) -> SphericalGrid:
@@ -198,35 +181,31 @@ def _gauss_legendre(count: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def sphere_grid(theta_count: int = 128, phi_count: int = 256) -> SphericalGrid:
-    """Product grid on the unit sphere: Gauss-Legendre in the polar cosine
-    crossed with equally weighted midpoints in azimuth."""
-    if theta_count < 2 or phi_count < 4:
-        raise InputError("sphere grid needs at least 2 polar and 4 azimuthal nodes")
-    t, wt = _gauss_legendre(theta_count)
-    sin_theta = np.sqrt(np.maximum(0.0, 1.0 - t * t))
-    phi = (np.arange(phi_count) + 0.5) * (2.0 * math.pi / phi_count)
-    cp, sp = np.cos(phi), np.sin(phi)
-    nodes = np.empty((theta_count * phi_count, 3))
-    nodes[:, 0] = np.outer(sin_theta, cp).ravel()
-    nodes[:, 1] = np.outer(sin_theta, sp).ravel()
-    nodes[:, 2] = np.repeat(t, phi_count)
-    # renormalize against roundoff in the trig products
-    nodes /= np.linalg.norm(nodes, axis=1)[:, None]
-    weights = np.repeat(wt * (2.0 * math.pi / phi_count), phi_count)
-    return SphericalGrid(nodes, weights)
+@functools.cache
+def octant_grid(order: int) -> SphericalGrid:
+    """The order x order Gauss-Legendre product rule in (theta, phi) on
+    the positive octant [0, pi/2]^2, area element sin(theta), weights
+    times 8: it integrates over the sphere a function even in each
+    coordinate, as an axis box's reciprocal support.  Built once per
+    order, read-only."""
+    t, w = _gauss_legendre(order)
+    angle, weight = (t + 1.0) * (math.pi / 4.0), w * (math.pi / 4.0)
+    sin, cos = np.sin(angle), np.cos(angle)
+    nodes = np.column_stack([np.outer(sin, cos).ravel(), np.outer(sin, sin).ravel(),
+                             np.repeat(cos, order)])
+    weights = 8.0 * np.outer(weight * sin, weight).ravel()
+    return _read_only(SphericalGrid(nodes, weights))
 
 
 @functools.cache
 def default_grid(dim: int) -> SphericalGrid:
-    """The default quadrature grid: the 4096-node circle grid or the
-    128 x 256 sphere grid, each built on first use and shared with
-    read-only arrays.  The benchmark's tracer reads the size of both, so
-    a change to either grid changes its node counts."""
+    """The 4096-node circle grid, built on first use and shared with
+    read-only arrays, or octant_grid(24), the box quadrature's rule at
+    aspect up to 2.5.  The benchmark's tracer reads the size of both."""
     if dim == 2:
         return _read_only(circle_grid())
     if dim == 3:
-        return _read_only(sphere_grid())
+        return octant_grid(24)
     raise InputError(f"unsupported dimension {dim}")
 
 

@@ -426,8 +426,12 @@ class BoxUnion:
         if not np.all(his > los):
             raise InputError("each box needs hi > lo in every axis")
         with np.errstate(over="ignore"):
-            if not np.isfinite(np.sum(np.prod(his - los, axis=1))):
-                raise InputError("box union is too large: its box extents or volume overflow")
+            # sorted, so that no axis order matters; the two largest span the largest facet
+            extents = np.sort(his - los, axis=1)
+            volume = np.sum(np.prod(extents, axis=1))
+            if not max(volume, np.max(extents[:, -1] * extents[:, -2])) < np.inf:
+                raise InputError("box union is too large: its extents, facet areas "
+                                 "or volume overflow")
         _check_disjoint(los, his)
         self._set_boxes(los, his)
 

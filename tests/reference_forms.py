@@ -7,7 +7,8 @@ frame, which the package's forms must match bit for bit.  Also the small derived
 differences), the projection body on a surface measure's half-weighted
 normals, a planar zonotope's ring and its polar's ring from a convex
 hull, the grid-sampled inclusion margin the exact vertex margin must
-dominate, the ring route of the planar polar area, the exact
+dominate, the ring route of the planar polar area and its midpoint
+quadrature over the circle, the exact
 rational product of a float polygon, the shoelace area and centroid of
 a vertex ring, and the per-policy direction draw loops."""
 
@@ -19,12 +20,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from pettybox.convex import Zonotope
+from pettybox.convex import PolarVolume, Zonotope
 from pettybox.driver import AXIS_PERTURBATION
 from pettybox.errors import InputError, NumericalError
 from pettybox.geometry import (_chain_ring, _symmetral_chains, as_direction,
-                               circle_grid, cross_2d, lerp, rotation_2d,
-                               steiner_ring)
+                               circle_grid, cross_2d, integrate_sphere, lerp,
+                               rotation_2d, steiner_ring)
 from pettybox.sets import (BoxUnion, ColumnStructure, _on_segment,
                            cap_cover_greedy_step, is_regular_direction,
                            steiner_symmetrize, surface_measure)
@@ -124,6 +125,23 @@ def ring_polar_area(Z) -> float:
     """Area of the polar of a planar zonotope through the vertex ring of
     the zonotope: the shoelace area of polar_hull(Z)."""
     return shoelace_area(polar_hull(Z))
+
+
+def quadrature_polar_area(Z, count: int = 4096) -> PolarVolume:
+    """Area of the polar of the planar zonotope Z by the midpoint rule:
+    the integral of h_Z^-2 / 2 over circle_grid(count), with the
+    differences against the half- and quarter-count grids, telescoped,
+    as the error estimate, since convergence under refinement is not
+    sign-monotone for a kinked support."""
+    def reciprocal(nodes: np.ndarray) -> np.ndarray:
+        vals = Z.support_batch(nodes)
+        if np.min(vals) <= 0.0:
+            raise InputError("support is nonpositive on the grid; origin not interior")
+        return vals ** -2.0
+
+    value, half, quarter = (integrate_sphere(circle_grid(max(8, n)), reciprocal) / 2.0
+                            for n in (count, count // 2, count // 4))
+    return PolarVolume(value, abs(value - half) + abs(half - quarter))
 
 
 def exact_polar_product(vertices) -> Fraction:

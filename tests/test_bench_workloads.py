@@ -42,3 +42,17 @@ def test_one_round_passes_every_check(bench, workload):
         out = workloads.run(pettybox, workload, item)
         failures += workloads.check(pettybox, workload, item, out)
     assert failures == []
+
+
+def test_box_quadrature_error_holds_on_the_voxels_bodies(bench):
+    # the 3D unions whose projection bodies the voxels cross-check
+    # integrates, seed 5 rounds 0-3: the octant rule meets the closed form
+    # within its estimate, and both within 1e-12 of each other
+    bodies = [pettybox.projection_body(pettybox.BoxUnion(item["los"], item["his"]))
+              for r in range(4) for item in bench["inputs"].make_round("voxels", 5, r)
+              if len(item["los"][0]) == 3]
+    assert len(bodies) == 24
+    for Z in bodies:
+        exact = pettybox.polar_volume(Z).value
+        q = pettybox.polar_volume(Z, method="quadrature")
+        assert abs(q.value - exact) <= q.error <= 1e-12 * exact

@@ -165,6 +165,11 @@ COLUMN_OVERFLOW = {"boxes": [{"lo": [-1e308, 0, 0], "hi": [-1e307, 1e-100, 1e-10
     pytest.param({"polygon": [[0, 0], [1e-160, 0], [1e-160, 1e-160], [0, 1e-160]]},
                  ["polar-symmetral-check", "--direction", "0.6,0.8"],
                  "edge supports are subnormal", id="check-square-1e-160"),
+    # a square whose generators' cross products underflow is no segment:
+    # its edge supports underflow instead
+    pytest.param({"boxes": [{"lo": [0, 0], "hi": [1e-162, 1e-162]}]},
+                 ["polar-symmetral-check", "--direction", "0.6,0.8"],
+                 "edge of nonpositive support", id="check-box-square-1e-162"),
     pytest.param(COLUMN_OVERFLOW, ["monotonicity", "--direction", "1,0,0", "--exploratory"],
                  "half-length out of float range", id="monotonicity-column-overflow"),
 ])

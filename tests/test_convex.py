@@ -25,13 +25,13 @@ from pettybox import (Ball, BoxUnion, InputError, NumericalError,
                       projection_body, steiner_symmetrize)
 from pettybox.corpus import random_box_union, random_polygon, regular_polygon
 from pettybox.geometry import (BLOCK_PAIRS, circle_grid, cross_2d, default_grid,
-                               rotation_2d, sphere_grid, steiner_ring)
+                               integrate_sphere, octant_grid, rotation_2d, steiner_ring)
 
 from hull import convex_hull_2d
 from recorders import bodies_built, measures_built  # noqa: F401
 from reference_forms import (dense_radial, dense_support, normals_offsets,
-                             polar_hull, ring_polar_area, shoelace_area,
-                             zonotope_hull)
+                             polar_hull, quadrature_polar_area, ring_polar_area,
+                             shoelace_area, zonotope_hull)
 
 E1 = np.array([1.0, 0.0])
 EPS = float(np.finfo(float).eps)
@@ -248,7 +248,7 @@ ROUNDING_LINKS = {
 def test_rounding_links_keep_real_turns(generators):
     Z = Zonotope(generators)
     assert abs(shoelace_area(zonotope_hull(generators)) - Z.volume()) <= 1e-13 * Z.volume()
-    q = polar_volume(Z, grid=circle_grid(1 << 16), method="quadrature")
+    q = quadrature_polar_area(Z, 1 << 16)
     assert abs(polar_volume(Z).value - q.value) <= q.error
 
 
@@ -263,7 +263,7 @@ def test_polar_of_nearly_parallel_facets_keeps_its_area():
     edge = v[28] - v[27]
     u = rotation_2d(7.843033188476106e-12) @ (edge / np.linalg.norm(edge))
     Z = projection_body(steiner_symmetrize(E, u))
-    q = polar_volume(Z, grid=circle_grid(1 << 16), method="quadrature")
+    q = quadrature_polar_area(Z, 1 << 16)
     assert abs(polar_volume(Z).value - q.value) <= q.error
     assert abs(shoelace_area(polar_polygon(Z)) - q.value) <= q.error
 
@@ -289,7 +289,7 @@ def test_zonotope_seam_merge_threshold(delta, count):
     turns = _turns(P)
     assert np.all(np.abs(turns[[2, 5]] - delta) <= 4.0 * EPS)
     assert np.count_nonzero(turns > 1.5e-12) == count
-    q = polar_volume(Z, method="quadrature")
+    q = quadrature_polar_area(Z)
     assert abs(shoelace_area(P) - q.value) <= q.error
     assert abs(polar_volume(Z).value - q.value) <= q.error
 
@@ -311,7 +311,7 @@ def test_zonotope_ring_merges_turns_below_rounding():
         assert len(hull) < len(P)
         area = shoelace_area(hull)
         assert abs(shoelace_area(P) - area) <= 16.0 * EPS * area
-        q = polar_volume(Z, grid=circle_grid(1 << 16), method="quadrature")
+        q = quadrature_polar_area(Z, 1 << 16)
         assert abs(polar_volume(Z).value - q.value) <= q.error
         assert abs(shoelace_area(P) - q.value) <= q.error
 
@@ -413,6 +413,17 @@ def test_degenerate_zonotope_keeps_its_error(generators, parallel):
     want = ring_polar_area(Z)
     assert abs(polar_volume(Z).value - want) <= 4.0 * EPS * size ** 2 / Z.volume() * want
     assert abs(shoelace_area(polar_polygon(Z)) - want) <= 4.0 * EPS * size ** 2 / Z.volume() * want
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-162, 1.0, 1e160, 1e300])
+def test_parallel_generators_are_told_apart_at_every_scale(scale):
+    # the parallel test reads the generators scaled by a power of two: a
+    # square's cross products at 5e-163 no longer underflow to a segment
+    square = Zonotope(scale * np.array([[0.5, 0.0], [0.0, 0.5]]))
+    assert pettybox.convex._spanning_half_turn(square) is square._half_turn
+    segment = Zonotope(scale * np.array([[0.5, 0.25], [-1.0, -0.5], [2.0, 1.0]]))
+    with pytest.raises(InputError, match="all generators parallel"):
+        pettybox.convex._spanning_half_turn(segment)
 
 
 @pytest.mark.parametrize("generators", [
@@ -680,34 +691,35 @@ def test_polar_volume_exact_routes():
 
 
 def test_polar_volume_quadrature_matches_exact_3d():
-    # the reciprocal-support integrand of a cube has |.| kinks, so the
-    # product grid converges at second order; a dense grid reaches 1e-6
-    cube = Zonotope(np.eye(3))
-    pv = polar_volume(cube, grid=sphere_grid(2304, 4608), method="quadrature")
-    assert abs(pv.value - 4.0 / 3.0) <= 1e-6
-    assert abs(pv.value - 4.0 / 3.0) <= pv.error + 1e-12
-    # a rotated cube has no closed form and goes through quadrature
-    R, _ = np.linalg.qr(np.random.default_rng(4).normal(size=(3, 3)))
-    if np.linalg.det(R) < 0:
-        R[:, 0] *= -1.0
-    pv_rot = polar_volume(Zonotope(np.eye(3) @ R.T))
-    assert abs(pv_rot.value - 4.0 / 3.0) <= pv_rot.error + 1e-12
-    assert abs(pv_rot.value - 4.0 / 3.0) <= 1e-3
+    # the octant rule converges spectrally on a box: on the cube and on a
+    # flat box it meets the closed form to a few ulp, inside its estimate
+    for half in ([1.0, 1.0, 1.0], [1.5, 1.25, 1.0]):
+        Z = Zonotope(np.diag(half))
+        exact = polar_volume(Z).value
+        q = polar_volume(Z, method="quadrature")
+        assert abs(q.value - exact) <= 8.0 * EPS * exact
+        assert abs(q.value - exact) <= q.error
+        assert q.error <= 1e-12 * exact
 
 
 def test_polar_volume_quadrature_error_estimate_2d():
+    # the planar midpoint oracle, the reference of the closed form's
+    # rounding tests above, holds its own estimate
     for seed in (2, 7):
         K = Zonotope(np.random.default_rng(seed).normal(size=(6, 2)))
         exact = polar_volume(K).value
-        q = polar_volume(K, method="quadrature")
+        q = quadrature_polar_area(K)
         assert abs(q.value - exact) <= q.error + 1e-12
 
 
 def test_polar_volume_denser_grid_tightens():
-    cube = Zonotope(np.eye(3))
-    coarse = polar_volume(cube, grid=sphere_grid(32, 64), method="quadrature")
-    fine = polar_volume(cube, grid=sphere_grid(128, 256), method="quadrature")
-    assert abs(fine.value - 4.0 / 3.0) <= abs(coarse.value - 4.0 / 3.0) + 1e-12
+    # a denser octant rule tightens on a box whose order-16 error shows
+    half = np.array([1.0, 1.5, 2.5])
+    Z = Zonotope(np.diag(half))
+    exact = polar_volume(Z).value
+    errors = [abs(integrate_sphere(octant_grid(order), lambda u: Z.support_batch(u) ** -3.0) / 3.0
+                  - exact) for order in (8, 16, 24)]
+    assert errors[2] <= 1e-2 * errors[1] and errors[1] <= 1e-5 * errors[0]
 
 
 def test_polar_volume_reverses_containment():
@@ -731,15 +743,21 @@ def test_polar_volume_rejects_bad_method_and_exterior_origin():
              "^no quadrature route for PolarWrapper$"),
             (lambda: polar_volume(Ball(1.0), method="quadrature"),
              "^no quadrature route for Ball$"),
+            # the quadrature takes 3D axis boxes only, and a 3D zonotope
+            # must be a box on either route
+            (lambda: polar_volume(Zonotope(np.eye(2)), method="quadrature"),
+             "^no quadrature route for Zonotope\\(2 generators, dim=2\\)$"),
+            (lambda: polar_volume(_random_zonotope_3d(4), method="quadrature"),
+             "^no quadrature route for Zonotope\\(6 generators, dim=3\\)$"),
+            (lambda: polar_volume(Zonotope([[1, 0.2, 0], [0, 1, 0], [0, 0, 1]])),
+             "^no auto route for Zonotope\\(3 generators, dim=3\\)$"),
             # a zonotope that is not full-dimensional has an unbounded polar
             (lambda: polar_volume(Zonotope([[1, 0, 0], [0, 1, 0]])),
              "^zonotope is degenerate \\(a box of zero half-width\\)$"),
-            (lambda: polar_volume(Zonotope([[1, 0.2, 0], [0, 1, 0]])),
-             "^zonotope is degenerate \\(generators of rank below 3\\)$"),
+            (lambda: polar_volume(Zonotope([[1, 0, 0], [0, 1, 0]]), method="quadrature"),
+             "^zonotope is degenerate \\(a box of zero half-width\\)$"),
             (lambda: polar_volume(Zonotope([[1, 0.5], [-2, -1]])),
-             "^zonotope is degenerate \\(all generators parallel\\)$"),
-            (lambda: polar_volume(Zonotope([[1, 0]]), method="quadrature"),
-             "^zonotope is degenerate \\(generators of rank below 2\\)$")]:
+             "^zonotope is degenerate \\(all generators parallel\\)$")]:
         with pytest.raises(InputError, match=message):
             call()
 
@@ -764,28 +782,100 @@ def _box_union_projection_body():
     return projection_body(stairs)
 
 
-@pytest.mark.parametrize("make", [lambda: _random_zonotope_3d(21),
+@pytest.mark.parametrize("make", [lambda: Zonotope(np.diag([0.7, 1.1, 1.3])),
                                   _box_union_projection_body],
                          ids=["zonotope", "box_union"])
-def test_polar_volume_shared_grid_matches_a_fresh_build(make):
-    # the shared default grid and its cached error levels give exactly
-    # the value and error of a freshly built 128 x 256 grid
+def test_polar_volume_shared_grid_matches_a_fresh_build(make, monkeypatch):
+    # the shared octant rules give exactly the value and error of rules
+    # built afresh for the call
     K = make()
     shared = polar_volume(K, method="quadrature")
-    fresh = polar_volume(K, grid=sphere_grid(128, 256), method="quadrature")
-    assert (shared.value, shared.error) == (fresh.value, fresh.error)
+    monkeypatch.setattr(pettybox.convex, "octant_grid", octant_grid.__wrapped__)
     assert polar_volume(K, method="quadrature") == shared
 
 
 def test_quadrature_does_not_rebuild_the_default_grid(monkeypatch):
-    polar_volume(_random_zonotope_3d(24), method="quadrature")
+    polar_volume(Zonotope(np.diag([1.0, 1.5, 2.0])), method="quadrature")
 
     def refuse(count):
         raise AssertionError(f"Gauss-Legendre rule of {count} nodes solved again")
 
     monkeypatch.setattr(np.polynomial.legendre, "leggauss", refuse)
-    pv = polar_volume(_random_zonotope_3d(25), method="quadrature")
-    assert pv.value > 0.0 and pv.error >= 0.0
+    pv = polar_volume(Zonotope(np.diag([2.0, 1.0, 1.5])), method="quadrature")
+    assert pv.value > 0.0 and pv.error > 0.0
+
+
+# ------------------------------------------------------- the box quadrature
+
+def _aspect_boxes(count, seed, top=100.0):
+    """Half-widths of `count` boxes with aspect max h / min h up to top:
+    one axis 1, one at the aspect drawn log-uniformly, and the third
+    between them, in a random axis order and at a random scale."""
+    rng = np.random.default_rng(seed)
+    aspect = np.exp(rng.uniform(0.0, math.log(top), count))
+    half = np.column_stack([np.ones(count), aspect ** rng.uniform(0.0, 1.0, count), aspect])
+    return rng.permuted(half, axis=1) * np.exp(rng.uniform(-5.0, 5.0, (count, 1)))
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_box_quadrature_error_holds_up_to_the_validated_aspect(seed):
+    # every octant rule meets the closed form inside its estimate, up to
+    # the largest validated aspect; each aspect band of OCTANT_RULES is hit
+    largest = pettybox.convex.OCTANT_RULES[-1][2]
+    boxes = _aspect_boxes(300, seed, largest)
+    bands = set()
+    for half in boxes:
+        Z = Zonotope(np.diag(half))
+        exact = polar_volume(Z).value
+        q = polar_volume(Z, method="quadrature")
+        assert abs(q.value - exact) <= q.error
+        aspect = max(half) / min(half)
+        bands.add(next(r for r in pettybox.convex.OCTANT_RULES if aspect <= r[2]))
+    assert len(bands) == len(pettybox.convex.OCTANT_RULES)
+
+
+@pytest.mark.parametrize("half", [[2.93, 100.0, 1.0], [1.0, 1.0, 100.0], [100.0, 1.0, 100.0],
+                                  [2.5, 1.0, 1.0], [1.0, 2.51, 1.0], [10.0, 1.0, 3.0]],
+                         ids=["fixed-pair-miss", "needle", "slab", "top-24", "low-48", "top-48"])
+def test_box_quadrature_error_holds_on_the_hard_boxes(half):
+    # the fixed 24/16 pair's own error misses its difference on the first
+    # box by a factor 6; the rules' bands end at these aspects
+    Z = Zonotope(np.diag(half))
+    exact = polar_volume(Z).value
+    q = polar_volume(Z, method="quadrature")
+    assert abs(q.value - exact) <= q.error
+
+
+@pytest.mark.parametrize("half", [[1.0, 1.0, 100.5], [1e-3, 1.0, 1.0], [1.0, 1e300, 1e-300]])
+def test_box_quadrature_raises_above_the_validated_aspect(half):
+    aspect = max(half) / min(half)
+    with pytest.raises(NumericalError, match=f"^box aspect {aspect:.6g} is above 100, "):
+        polar_volume(Zonotope(np.diag(half)), method="quadrature")
+    # the closed form takes every aspect
+    assert polar_volume(Zonotope(np.diag(half))).error == 0.0
+
+
+@pytest.mark.parametrize("side", [5e-324, 1e-108])
+def test_box_quadrature_raises_on_a_reciprocal_support_past_float_range(side):
+    # the least subnormal box has a positive support at every node, as every
+    # node has a coordinate above 1/2; its reciprocal cubed overflows
+    with pytest.raises(NumericalError, match="^integrand returned non-finite values"):
+        polar_volume(Zonotope(np.diag([side] * 3)), method="quadrature")
+
+
+def test_box_quadrature_error_keeps_its_rounding_floor(monkeypatch):
+    # with both orders on one grid, the two sums agree bit for bit and the
+    # error is the rounding floor alone: gamma_N of the value for the
+    # N = 576 terms of the dot product, and the integrand's rounding
+    Z = Zonotope(np.diag([1.0, 1.25, 1.5]))
+    honest = polar_volume(Z, method="quadrature")
+    monkeypatch.setattr(pettybox.convex, "octant_grid", lambda order: octant_grid(24))
+    q = polar_volume(Z, method="quadrature")
+    assert q.value == honest.value
+    u = EPS / 2.0
+    floor = (576 * u / (1.0 - 576 * u) + 25 * u) * q.value
+    assert q.error == floor > 0.0
+    assert honest.error >= floor
 
 
 # Zonotope.support_batch runs generator-major over blocks of
@@ -825,7 +915,7 @@ def test_blocked_support_matches_the_dense_form(k):
     eps = np.finfo(float).eps
     stacks = _block_nodes(k)
     if k > BLOCK_PAIRS:
-        # a block is one node, and the dense form on the grid would take 4 GiB
+        # a block is one node, and the dense form on the grid would take 150 MiB
         stacks = stacks[:-1]
     for nodes in stacks:
         got, want = Zonotope(g).support_batch(nodes), dense_support(g, nodes)
@@ -834,27 +924,20 @@ def test_blocked_support_matches_the_dense_form(k):
 
 
 def test_blocked_support_gives_the_dense_quadrature(monkeypatch):
-    boxes = _box_zonotopes()
-    tilted = _random_zonotope_3d(41, count=9)
-
     def results():
-        return [polar_volume(Z, method="quadrature") for Z in boxes + [tilted]]
+        return [polar_volume(Z, method="quadrature") for Z in _box_zonotopes()]
 
     blocked = results()
     monkeypatch.setattr(Zonotope, "support_batch",
                         lambda self, nodes: dense_support(self.generators, nodes))
-    dense = results()
-    assert blocked[:-1] == dense[:-1]
-    pv, dense_pv = blocked[-1], dense[-1]
-    assert abs(pv.value - dense_pv.value) <= 1e-13 * dense_pv.value
-    assert abs(pv.error - dense_pv.error) <= 1e-13 * dense_pv.value
+    assert blocked == results()
 
 
 def test_blocked_support_on_the_default_grid_stays_under_one_mib():
-    # the dense form's two (32768, 6) temporaries peak at 3 MiB on the
-    # sphere, and its two (4096, 40) ones at 2.5 MiB for a campaign-sized
-    # planar zonotope on the circle
-    cases = [(_box_zonotopes()[1], default_grid(3).nodes),
+    # the dense form's two (32768, 6) temporaries peak at 3 MiB on a
+    # stack of 32768 directions, and its two (4096, 40) ones at 2.5 MiB
+    # for a campaign-sized planar zonotope on the circle
+    cases = [(_box_zonotopes()[1], np.random.default_rng(43).normal(size=(1 << 15, 3))),
              (Zonotope(np.random.default_rng(42).normal(size=(40, 2))), default_grid(2).nodes)]
     for Z, nodes in cases:
         tracemalloc.start()

@@ -21,7 +21,7 @@ from pettybox.corpus import random_polygon
 from pettybox.errors import InputError
 from pettybox.geometry import (SphericalGrid, as_direction, as_directions,
                                circle_grid, default_grid, integrate_sphere,
-                               rotation_2d, sphere_grid)
+                               octant_grid, rotation_2d)
 
 from hull import convex_hull_2d
 from reference_forms import (distance_to_polygon_loop, normals_offsets,
@@ -81,7 +81,7 @@ def test_as_direction_rejects_non_unit_and_bad_shape():
 @pytest.mark.parametrize(
     "make,total",
     [(lambda: circle_grid(4096), 2 * math.pi),
-     (lambda: sphere_grid(128, 256), 4 * math.pi)],
+     (lambda: octant_grid(24), 4 * math.pi)],
     ids=["circle", "sphere"],
 )
 def test_grid_weights_positive_and_measure_exact(make, total):
@@ -116,22 +116,24 @@ def test_default_circle_grid_is_built_once_and_read_only():
         grid.nodes[0, 0] = 0.0
     with pytest.raises(ValueError):
         grid.weights[0] = 0.0
-    # the 3D grid is likewise built once, shared read-only and equal to a
-    # fresh build
+    # the 3D grid is the order-24 octant rule, likewise built once, shared
+    # read-only and equal to a fresh build
     sphere = default_grid(3)
-    assert default_grid(3) is sphere
+    assert default_grid(3) is sphere is octant_grid(24)
+    assert sphere.size == 576
     with pytest.raises(ValueError):
         sphere.nodes[0, 0] = 0.0
     with pytest.raises(ValueError):
         sphere.weights[0] = 0.0
-    fresh = sphere_grid(128, 256)
+    fresh = octant_grid.__wrapped__(24)
+    assert fresh is not sphere
     assert np.array_equal(sphere.nodes, fresh.nodes)
     assert np.array_equal(sphere.weights, fresh.weights)
 
 
 @pytest.mark.parametrize(
     "make",
-    [lambda: sphere_grid(4, 8),
+    [lambda: circle_grid(8),
      lambda: unit_square().surface_measure(),
      lambda: unit_square().column_structure(1),
      lambda: run_symmetrization(unit_square(), DirectionPolicy("uniform-random"),
@@ -158,15 +160,21 @@ def test_circle_grid_second_moment_random_directions():
         assert abs(val - math.pi) <= 1e-6
 
 
-def test_sphere_grid_second_moment_random_directions():
-    # quadrature of (u.v)^2 over the sphere equals 4*pi/3 for every unit v
-    grid = sphere_grid(128, 256)
+def test_octant_grid_even_moments_random_directions():
+    # the octant rule integrates functions even in each coordinate: the
+    # even part sum v_i^2 u_i^2 of (u.v)^2 over the sphere is 4*pi/3 for
+    # every unit v, and |u_1 u_2 u_3| integrates to 1 (8 octants of
+    # 1/4 * 1/2 in (theta, phi))
+    grid = octant_grid(24)
+    assert np.all(grid.nodes > 0.0)
     rng = np.random.default_rng(13)
     for _ in range(100):
         v = rng.normal(size=3)
         v /= np.linalg.norm(v)
-        val = float(grid.weights @ (grid.nodes @ v) ** 2)
-        assert abs(val - 4 * math.pi / 3) <= 1e-6
+        val = float(grid.weights @ (grid.nodes ** 2 @ v ** 2))
+        assert abs(val - 4 * math.pi / 3) <= 1e-13
+    val = integrate_sphere(grid, lambda u: np.abs(np.prod(u, axis=1)))
+    assert abs(val - 1.0) <= 1e-13
 
 
 def test_circle_grid_odd_moment_vanishes():

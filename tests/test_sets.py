@@ -3,6 +3,7 @@ symmetrization, the boundary-slicing identity, and the JSON set format."""
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from fractions import Fraction
@@ -209,6 +210,14 @@ def test_box_union_validation_and_canonical_merge():
         BoxUnion([[-1e308, -1e308]], [[1e308, 1e308]])
     with pytest.raises(InputError, match="box union is too large"):
         BoxUnion([[-1e200, -1e200]], [[1e200, 1e200]])
+    # one verdict in every axis order: the facet areas overflow, though
+    # the volume does not, and the volume's product runs over sorted
+    # extents
+    for hi in itertools.permutations([1e200, 1e200, 1e-300]):
+        with pytest.raises(InputError, match="box union is too large"):
+            BoxUnion([[0, 0, 0]], [hi])
+    for hi in itertools.permutations([1e300, 1e-300, 1e-10]):
+        assert BoxUnion([[0, 0, 0]], [hi]).box_count == 1
     # abutting boxes with identical cross-sections collapse to one box
     merged = BoxUnion([[0, 0], [1, 0]], [[1, 1], [2, 1]])
     assert merged.box_count == 1
