@@ -414,7 +414,9 @@ class BoxUnion:
     interiors, kept in canonical form: no two boxes share a whole facet
     (along which they could be merged into one), and the decomposition
     depends only on the set of input boxes, not on their order.  Only the
-    constructor checks; it and _derived (a symmetral) run _set_boxes."""
+    constructor checks; it and _derived (a symmetral) run _set_boxes.  A
+    checked union counts its contacts for its surface masses; a symmetral
+    carries the masses read off the column lattice it was built on."""
 
     def __init__(self, los, his):
         los = np.atleast_2d(np.asarray(los, dtype=float))
@@ -436,14 +438,17 @@ class BoxUnion:
         self._set_boxes(los, his)
 
     @classmethod
-    def _derived(cls, los, his) -> "BoxUnion":
-        """A symmetral (_steiner_boxes): disjoint columns on checked corners."""
+    def _derived(cls, los, his, axis: int, masses: np.ndarray) -> "BoxUnion":
+        """A symmetral (_steiner_boxes): disjoint columns on checked corners,
+        centred on the given axis, with the class masses read off their
+        lattice (_lattice_masses) in place of the contact count."""
         B = cls.__new__(cls)
-        B._set_boxes(los, his)
+        B._set_boxes(los, his, axis)
+        B._class_masses = masses
         return B
 
-    def _set_boxes(self, los, his) -> None:
-        self.los, self.his = _canonical_merge(los, his)
+    def _set_boxes(self, los, his, centred: int | None = None) -> None:
+        self.los, self.his = _canonical_merge(los, his, centred)
         self.los.setflags(write=False)
         self.his.setflags(write=False)
 
@@ -460,14 +465,19 @@ class BoxUnion:
         return f"BoxUnion({self.box_count} boxes, dim={self.dim}, volume={self.volume():.6g})"
 
     def volume(self) -> float:
-        return float(np.sum(np.prod(self.his - self.los, axis=1)))
+        # the extents' mantissas multiply without under- or overflow and
+        # their exponents add exactly, so no partial product of a box in
+        # float range goes subnormal and no axis order changes a bit
+        m, e = np.frexp(self.his - self.los)
+        return float(np.sum(np.ldexp(np.prod(m, axis=1), np.sum(e, axis=1))))
 
     @cached_property
     def _class_masses(self) -> np.ndarray:
         """Exposed surface area of each outer-normal sign class, one entry
         per axis: the facet areas less the contact areas.  Each contact
         hides one upper and one lower facet, so both signs of an axis
-        carry this same mass."""
+        carry this same mass.  This pairwise count runs on checked unions
+        only; a symmetral arrives with its masses set (_derived)."""
         masses = np.empty(self.dim)
         for axis in range(self.dim):
             others = [k for k in range(self.dim) if k != axis]
@@ -488,6 +498,9 @@ class BoxUnion:
 
     @cached_property
     def _surface_measure(self) -> SurfaceMeasure:
+        if not np.min(self._class_masses) > 0.0:
+            raise NumericalError(f"box union surface masses are out of float range: "
+                                 f"{self._class_masses.tolist()!r}")
         on_axis = np.repeat(np.eye(self.dim, dtype=bool), 2, axis=0)
         normals = np.where(on_axis, np.tile([-1.0, 1.0], self.dim)[:, None], 0.0)
         masses = np.repeat(self._class_masses, 2)
@@ -527,19 +540,32 @@ def _check_disjoint(los: np.ndarray, his: np.ndarray) -> None:
         raise InputError(f"boxes {i[clash[0]]} and {j[clash[0]]} have overlapping interiors")
 
 
-def _canonical_merge(los: np.ndarray, his: np.ndarray):
+def _canonical_merge(los: np.ndarray, his: np.ndarray, centred: int | None = None):
     """Join boxes that share a whole facet, along each axis in turn, until
     the count stops falling.  Every join pass sorts its rows, so the result
-    depends only on the set of input boxes."""
+    depends only on the set of input boxes.
+
+    A symmetral's boxes are centred on one axis, lo < 0 < hi there, so no
+    upper facet on that axis lies in another box's lower facet plane and a
+    pass along it only sorts.  Those passes are skipped; only when that axis
+    is the last does one run at the end, since the last pass sets the order."""
     count = 0
     while count != len(los):
         count = len(los)
         for axis in range(los.shape[1]):
-            others = [k for k in range(los.shape[1]) if k != axis]
-            first, end = _join_runs(np.column_stack([los[:, others], his[:, others]]),
-                                    los[:, axis], his[:, axis])
-            los, his = los[first], his[first]
-            his[:, axis] = end
+            if axis != centred:
+                los, his = _join_pass(los, his, axis)
+    if centred == los.shape[1] - 1:
+        los, his = _join_pass(los, his, centred)
+    return los, his
+
+
+def _join_pass(los: np.ndarray, his: np.ndarray, axis: int):
+    others = [k for k in range(los.shape[1]) if k != axis]
+    first, end = _join_runs(np.column_stack([los[:, others], his[:, others]]),
+                            los[:, axis], his[:, axis])
+    los, his = los[first], his[first]
+    his[:, axis] = end
     return los, his
 
 
@@ -668,14 +694,39 @@ def _steiner_boxes(E: BoxUnion, u: np.ndarray) -> BoxUnion:
     if len(axis) != 1 or abs(abs(u[axis[0]]) - 1.0) > AXIS_ALIGNMENT_TOL:
         raise UnsupportedDirectionError(
             "box unions symmetrize along signed coordinate axes only")
-    cs = E.column_structure(int(axis[0]))
+    a = int(axis[0])
+    cs = E.column_structure(a)
     lo, hi = cs.cell_bounds
     with np.errstate(over="ignore"):
         half = 0.5 * np.bincount(cs.row_cells, cs.y0[:, 1] - cs.y0[:, 0], len(lo))
     if not (np.min(half) > 0.0 and np.max(half) < np.inf):
         raise NumericalError("box union symmetral has a half-length out of float range")
-    return BoxUnion._derived(np.insert(lo, axis[0], -half, axis=1),
-                             np.insert(hi, axis[0], half, axis=1))
+    return BoxUnion._derived(np.insert(lo, a, -half, axis=1), np.insert(hi, a, half, axis=1),
+                             a, _lattice_masses(cs, half))
+
+
+def _lattice_masses(cs: ColumnStructure, half: np.ndarray) -> np.ndarray:
+    """Class masses of the symmetral that centres a box of half-length
+    half[c] over each filled cell c of cs.  On cs's axis the mass is the
+    filled base area.  On a base axis k the lower facet of cell c's box is
+    exposed where the box below it, c - e_k, is shorter, so the mass sums
+    2 (H_c - min(H_c, H_{c - e_k})) times the cell's width on the other
+    base axis, H 0 on empty cells and off the lattice."""
+    widths = [np.diff(b) for b in cs.base_breaks]
+    H = np.zeros(cs.cell_index.shape)
+    H[cs.cell_index >= 0] = half
+    H = H.reshape([len(w) for w in widths])
+    masses = np.empty(cs.dim)
+    lo, hi = cs.cell_bounds
+    masses[cs.axis] = np.sum(np.prod(hi - lo, axis=1))
+    others = [k for k in range(cs.dim) if k != cs.axis]
+    for j, k in enumerate(others):
+        # H_c - min(H_c, H_{c - e_k}) is the positive part of the step
+        exposed = 2.0 * np.maximum(np.diff(H, axis=j, prepend=0.0), 0.0)
+        if len(widths) == 2:
+            exposed *= np.expand_dims(widths[1 - j], j)
+        masses[k] = np.sum(exposed)
+    return masses
 
 
 def _segment_gauss(g: Callable[[np.ndarray], np.ndarray], xa: np.ndarray, ya: np.ndarray,

@@ -14,12 +14,14 @@ It prints one line per case and a total per part.
   by its final vertices' bytes; the total chains the same bytes of every
   case, then min_boundary_norm() of random_polygon(17, i), i < 200, as
   float64 bytes.
-- cli: 74 pettybox commands, run in process from a temporary directory
+- cli: 79 pettybox commands, run in process from a temporary directory
   that holds the set files under fixed relative names, since a report's
   config embeds the input path.  A case's line gives the argv, the exit
   code (or the type of an exception that escapes main), and the sha256
   of stdout followed by stderr.  Warnings are recorded per command and
-  appended to stderr as "Category: message" lines.
+  appended to stderr as "Category: message" lines.  The last five are
+  monotonicity --exploratory along each axis on two voxel walks with
+  non-dyadic corners, where surface masses round.
 
 Run it in the two checkouts and compare the lines.
 """
@@ -107,6 +109,13 @@ SCALE_PROBES = {
     "cube_1e-55": _cube(1e-55),
     "boxsquare_1e-162": {"boxes": [{"lo": [0.0, 0.0], "hi": [1e-162, 1e-162]}]},
 }
+# voxel walks with corners scaled by 0.37 and shifted by 0.011, so that
+# their symmetrals' widths, half-lengths and surface masses round
+NON_DYADIC = {
+    f"voxels{dim}d_{count}": set_to_json(BoxUnion(lo * 0.37 + 0.011, hi * 0.37 + 0.011))
+    for dim, count in ((3, 40), (2, 60))
+    for lo, hi in [inputs.voxel_walk(np.random.default_rng(3400), dim, count)]
+}
 # disjoint boxes whose column along x sums past float range
 COLUMN_OVERFLOW = {"boxes": [{"lo": [-1e308, 0, 0], "hi": [-1e307, 1e-100, 1e-100]},
                              {"lo": [1e307, 0, 0], "hi": [1e308, 1e-100, 1e-100]}]}
@@ -132,6 +141,10 @@ def cli_commands() -> list[list[str]]:
                      [*CHECK, "--input", f"{name}.json"]]
     f = ["--input", "column_overflow.json"]
     commands += [["petty", *f], ["monotonicity", *f, "--direction", "1,0,0", "--exploratory"]]
+    for name, doc in NON_DYADIC.items():
+        for axis in np.eye(len(doc["boxes"][0]["lo"]), dtype=int):
+            commands.append(["monotonicity", "--input", f"{name}.json", "--direction",
+                             ",".join(map(str, axis)), "--exploratory"])
     return commands
 
 
@@ -155,7 +168,8 @@ def cli_digest() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
         try:
-            for name, doc in {**SETS, **SCALE_PROBES, "column_overflow": COLUMN_OVERFLOW}.items():
+            for name, doc in {**SETS, **SCALE_PROBES, "column_overflow": COLUMN_OVERFLOW,
+                              **NON_DYADIC}.items():
                 Path(f"{name}.json").write_text(json.dumps(doc))
             for argv in cli_commands():
                 status, data = _run(argv)

@@ -2,8 +2,9 @@
 oracles: the vectorised and blocked kernels in the package must agree
 with them.  Also the section-incidence block with its successors taken by
 np.roll and the greedy scorer that rotates every chain back to the input
-frame, which the package's forms must match bit for bit.  Also the small derived quantities only tests read
-(column multiplicities and volumes, box-union axis masses and symmetric
+frame, which the package's forms must match bit for bit.  Also the small
+derived quantities only tests read (column multiplicities and volumes,
+box-union axis masses, their exact rational form, and symmetric
 differences), the projection body on a surface measure's half-weighted
 normals, a planar zonotope's ring and its polar's ring from a convex
 hull, the grid-sampled inclusion margin the exact vertex margin must
@@ -394,6 +395,23 @@ def column_total_volume(cs: ColumnStructure) -> float:
     lo, hi = cs.cell_bounds
     mean = 0.5 * ((cs.y0[:, 1] - cs.y0[:, 0]) + (cs.y1[:, 1] - cs.y1[:, 0]))
     return float(np.sum(mean * np.prod(hi - lo, axis=1)[cs.row_cells]))
+
+
+def exact_class_masses(los: np.ndarray, his: np.ndarray) -> list[Fraction]:
+    """Exposed area of one sign class per axis, exact over the float
+    corners of boxes with disjoint interiors: the facet areas less the
+    part of each upper facet that lies on another box's lower facet."""
+    lo = [[Fraction(x) for x in row] for row in los.tolist()]
+    hi = [[Fraction(x) for x in row] for row in his.tolist()]
+    masses = []
+    for axis in range(los.shape[1]):
+        others = [k for k in range(los.shape[1]) if k != axis]
+        total = sum(math.prod(b[k] - a[k] for k in others) for a, b in zip(lo, hi))
+        for i, j in zip(*np.nonzero(his[:, None, axis] == los[None, :, axis])):
+            total -= math.prod(max(min(hi[i][k], hi[j][k]) - max(lo[i][k], lo[j][k]), 0)
+                               for k in others)
+        masses.append(total)
+    return masses
 
 
 def axis_class_masses(B: BoxUnion) -> np.ndarray:

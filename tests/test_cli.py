@@ -162,6 +162,9 @@ COLUMN_OVERFLOW = {"boxes": [{"lo": [-1e308, 0, 0], "hi": [-1e307, 1e-100, 1e-10
                  "box half-widths are out of float range", id="petty-cube-1e-110"),
     pytest.param({"boxes": [{"lo": [0, 0], "hi": [1e-162, 1e-162]}]}, ["petty"],
                  "box half-widths are out of float range", id="petty-square-1e-162"),
+    # facet areas of 1e-324 underflow to 0, so the surface masses do
+    pytest.param({"boxes": [{"lo": [0, 0, 0], "hi": [1e-162, 1e-162, 1e-162]}]}, ["petty"],
+                 "surface masses are out of float range", id="cube-1e-162"),
     pytest.param({"polygon": [[0, 0], [1e-160, 0], [1e-160, 1e-160], [0, 1e-160]]},
                  ["polar-symmetral-check", "--direction", "0.6,0.8"],
                  "edge supports are subnormal", id="check-square-1e-160"),

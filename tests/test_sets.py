@@ -23,10 +23,11 @@ from pettybox import (BoxUnion, InputError, NonGenericPointError,
 from pettybox.corpus import (random_box_union, random_polygon, random_sl2,
                              regular_polygon)
 from pettybox.geometry import rotation_2d
-from pettybox.sets import _check_simple, load_set_file
+from pettybox import sets
+from pettybox.sets import _canonical_merge, _check_simple, load_set_file
 
 from reference_forms import (axis_class_masses, box_symmetric_difference, check_simple_loop,
-                             column_total_volume, section_multiplicity)
+                             column_total_volume, exact_class_masses, section_multiplicity)
 
 
 def unit_square():
@@ -217,7 +218,10 @@ def test_box_union_validation_and_canonical_merge():
         with pytest.raises(InputError, match="box union is too large"):
             BoxUnion([[0, 0, 0]], [hi])
     for hi in itertools.permutations([1e300, 1e-300, 1e-10]):
-        assert BoxUnion([[0, 0, 0]], [hi]).box_count == 1
+        # a partial product that would go subnormal in some axis orders
+        # moves no bit of the volume
+        B = BoxUnion([[0, 0, 0]], [hi])
+        assert B.box_count == 1 and B.volume() == 1e-10
     # abutting boxes with identical cross-sections collapse to one box
     merged = BoxUnion([[0, 0], [1, 0]], [[1, 1], [2, 1]])
     assert merged.box_count == 1
@@ -377,11 +381,29 @@ def test_derived_measures_have_unit_normals_positive_masses_and_close():
         assert not (mu.normals.flags.writeable or mu.masses.flags.writeable)
 
 
+EPS = float(np.finfo(float).eps)
+
+
+def lattice_mass_bound(B, axis):
+    """Relative error allowed a symmetral's lattice masses: one rounding
+    per filled base cell of the sum, and a few per term."""
+    return (len(B.column_structure(axis).starts) - 1 + 4) * EPS
+
+
+def non_dyadic(B):
+    """B with every corner scaled by 0.37 and shifted by 0.011, so that
+    its widths, half-lengths and areas round."""
+    return BoxUnion(B.los * 0.37 + 0.011, B.his * 0.37 + 0.011)
+
+
 @pytest.mark.parametrize("B", [
     pytest.param(staircase(), id="staircase"),
     pytest.param(l_tromino(), id="l-tromino"),
     pytest.param(random_box_union(5, 2, dim=3), id="random3d"),
     *(pytest.param(BoxUnion(lo, lo + 1.0), id=f"voxels{dim}d-{seed}")
+      for dim, count, seed in [(2, 150, 1), (3, 105, 3)]
+      for lo in [voxel_walk(seed, dim, count)]),
+    *(pytest.param(non_dyadic(BoxUnion(lo, lo + 1.0)), id=f"voxels{dim}d-{seed}-non-dyadic")
       for dim, count, seed in [(2, 150, 1), (3, 105, 3)]
       for lo in [voxel_walk(seed, dim, count)]),
 ])
@@ -394,6 +416,56 @@ def test_box_symmetrals_pass_the_public_constructor(B):
         assert T.los.tobytes() == S.los.tobytes()
         assert T.his.tobytes() == S.his.tobytes()
         assert not (S.los.flags.writeable or S.his.flags.writeable)
+        # the symmetral's lattice masses against the checked union's contacts
+        bound = lattice_mass_bound(B, np.flatnonzero(u)[0])
+        assert np.all(np.abs(T._class_masses - S._class_masses) <= bound * S._class_masses)
+
+
+LATTICE_CASES = [
+    *(pytest.param(BoxUnion(lo, lo + 1.0), id=f"voxels{dim}d-{count}")
+      for dim, count, seed in [(2, 150, 21), (3, 105, 22)]
+      for lo in [voxel_walk(seed, dim, count)]),
+    *(pytest.param(random_box_union(seed, 3, dim=dim), id=f"random{dim}d-{seed}")
+      for seed in range(4) for dim in (2, 3)),
+]
+
+
+@pytest.mark.parametrize("B", LATTICE_CASES)
+def test_symmetral_lattice_masses_match_the_exact_masses(B):
+    # on non-dyadic corners the masses round; each stays within the bound
+    # of the exact rational masses of the symmetral's float boxes
+    B = non_dyadic(B)
+    for axis in range(B.dim):
+        S = steiner_symmetrize(B, np.eye(B.dim)[axis])
+        bound = lattice_mass_bound(B, axis)
+        for got, want in zip(S._class_masses, exact_class_masses(S.los, S.his)):
+            assert abs(Fraction(float(got)) - want) <= Fraction(bound) * want
+
+
+@pytest.mark.parametrize("B", LATTICE_CASES)
+def test_symmetral_lattice_masses_equal_the_contact_masses_on_integer_corners(B):
+    for axis in range(B.dim):
+        S = steiner_symmetrize(B, np.eye(B.dim)[axis])
+        T = BoxUnion(S.los, S.his)
+        assert S._class_masses.tobytes() == T._class_masses.tobytes()
+
+
+@pytest.mark.parametrize("B", LATTICE_CASES)
+def test_symmetral_merge_skips_only_passes_that_join_nothing(B, monkeypatch):
+    # the merge along the base axes alone gives the bytes, in order, of a
+    # merge along every axis of the same centred columns
+    columns = []
+
+    def record(los, his, centred=None):
+        columns.append((los, his))
+        return _canonical_merge(los, his, centred)
+
+    monkeypatch.setattr(sets, "_canonical_merge", record)
+    for C in (B, non_dyadic(B)):
+        for axis in range(B.dim):
+            S = steiner_symmetrize(C, np.eye(B.dim)[axis])
+            los, his = _canonical_merge(*columns[-1])
+            assert los.tobytes() == S.los.tobytes() and his.tobytes() == S.his.tobytes()
 
 
 def test_box_symmetral_half_lengths_stay_in_float_range():
