@@ -10,6 +10,7 @@ rejected and redrawn; the rejection count is part of the trace.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,7 +52,16 @@ class DirectionPolicy:
         if self.kind not in POLICY_KINDS:
             raise InputError(f"unknown policy kind {self.kind!r}; "
                              f"expected one of {', '.join(POLICY_KINDS)}")
-        if self.candidates < 1:
+        # a count of 2.5 would spin a fan of 3 directions 0.4 pi apart, which
+        # wraps past a half turn; a bool passes operator.index as 0 or 1, so
+        # it is turned away by type
+        try:
+            count = operator.index(self.candidates)
+        except TypeError:
+            count = None
+        if count is None or isinstance(self.candidates, bool):
+            raise InputError(f"candidate count must be an integer, got {self.candidates!r}")
+        if count < 1:
             raise InputError("candidate count must be at least 1")
 
 

@@ -26,7 +26,9 @@ PRUNE_TOL = 1e-12
 # polygons; a stack of directions is cut into blocks of consecutive
 # directions of about this size.  A block's temporaries take about 200
 # bytes per entry, so this keeps them under 1 MiB, and a greedy run's peak
-# RSS no higher than with one direction at a time
+# RSS no higher than with one direction at a time.  Measured on converge
+# (2 vCPU): blocks of 2^14 took peak RSS from 40.1 to 42.6 MiB (+6%) and
+# did not lower its run time
 BLOCK_ROWS = 1 << 12
 # point-edge pairs per block of the vectorised polygon membership and
 # distance tests: a block's temporaries take about 100 bytes per pair, so
@@ -262,11 +264,14 @@ def _incidence_block(w: np.ndarray, first: int):
     K, m = w.shape[:2]
     x = w[..., 0]
     order = np.argsort(x, axis=1)
-    sx = np.take_along_axis(x, order, axis=1)
+    # gather and scatter through one row index: take_along_axis and
+    # put_along_axis build the same index anew, at a fixed cost per call
+    row = np.arange(K)[:, None]
+    sx = x[row, order]
     distinct = np.ones((K, m), dtype=bool)
     distinct[:, 1:] = sx[:, 1:] != sx[:, :-1]
     rank = np.empty((K, m), dtype=np.intp)
-    np.put_along_axis(rank, order, np.cumsum(distinct, axis=1) - 1, axis=1)
+    rank[row, order] = np.cumsum(distinct, axis=1) - 1
     # each vertex's successor's rank, the first column moved to the end
     ahead = np.concatenate([rank[:, 1:], rank[:, :1]], axis=1)
     breaks = sx[distinct]
@@ -298,10 +303,17 @@ def _symmetral_chains(vertices: np.ndarray, U: np.ndarray):
     one-sided limits differ by more than PRUNE_TOL * scale gives two
     points; an end where L vanishes gives one point, which has no mirror;
     a breakpoint where L is continuous with the same slope on both sides
-    gives none.  Yields, per block of section_incidence, the slice of
-    directions, their frames, and for every chain point the index of its
-    direction in the block, its abscissa, L/2 there, and whether the point
-    has a mirror.
+    gives none.  Raises NumericalError when a chain and its mirror have
+    fewer than 3 points between them.
+
+    Yields, per block of section_incidence, the slice of directions,
+    their frames, the breaks row after row, the index of each row's
+    first break (closed by the break count), and per break its two chain
+    slots: an (n, 2) array of half-lengths, L/2 from the left (or the
+    continuous value) then from the right, an (n, 2) mask of the slots
+    that are chain points, and whether the break's point is shared with
+    its mirror.  Nothing is compacted here: _row_chain gathers the chain
+    of the one row that a ring is built for.
     """
     # the proper rotations with rows (perp, u), which take each u to the
     # vertical axis
@@ -311,7 +323,6 @@ def _symmetral_chains(vertices: np.ndarray, U: np.ndarray):
     for rows, breaks, starts, _, cells, y0, y1, slope, sign in section_incidence(w):
         n = len(breaks)
         first_break, last_break = starts[:-1], starts[1:] - 1
-        owner = np.repeat(np.arange(len(first_break)), np.diff(starts))
         # section length at the left and right end of every cell, and its
         # slope; a row's last break starts no cell, so all three are zero
         # there
@@ -322,10 +333,10 @@ def _symmetral_chains(vertices: np.ndarray, U: np.ndarray):
         # projection, so before[] starts every row at zero
         before = np.concatenate([[0.0], right[:-1]])
         after = left
-        jump = np.abs(before - after) > PRUNE_TOL * scale[rows][owner]
+        jump = np.abs(before - after) > PRUNE_TOL * np.repeat(scale[rows], np.diff(starts))
         shared = np.zeros(n, dtype=bool)
-        shared[first_break] = ~jump[first_break]
-        shared[last_break] = ~jump[last_break]
+        shared[first_break] = open_first = ~jump[first_break]
+        shared[last_break] = open_last = ~jump[last_break]
         # two slots per breakpoint: the limit from the left (or the
         # continuous value), then the limit from the right at a jump; the
         # zero outside the projection is never emitted
@@ -338,22 +349,34 @@ def _symmetral_chains(vertices: np.ndarray, U: np.ndarray):
         keep_first |= shared
         keep_second = jump.copy()
         keep_second[last_break] = False
-        keep = np.column_stack([keep_first, keep_second]).ravel()
-        who = np.repeat(owner, 2)[keep]
-        mirrored = ~np.repeat(shared, 2)[keep]
-        if np.any(np.bincount(who, minlength=len(first_break))
-                  + np.bincount(who, mirrored, len(first_break)) < 3):
+        keep = np.column_stack([keep_first, keep_second])
+        # a kept slot is a ring vertex, and so is its mirror unless the
+        # point is shared, which only a row's two ends can be
+        kept = np.add.reduceat(keep.ravel(), 2 * first_break, dtype=np.intp)
+        if np.any(2 * kept - open_first - open_last < 3):
             raise NumericalError("symmetral degenerated to fewer than 3 vertices")
-        yield (rows, frames[rows], who, np.repeat(breaks, 2)[keep],
-               0.5 * np.column_stack([level, after]).ravel()[keep], mirrored)
+        yield (rows, frames[rows], breaks, starts,
+               0.5 * np.column_stack([level, after]), keep, shared)
+
+
+def _row_chain(block, j: int):
+    """The lower chain of row j of a _symmetral_chains block, as
+    _chain_ring takes it: the direction's frame, then for every chain
+    point left to right its abscissa, L/2 there, and whether the point
+    has a mirror."""
+    _, frames, breaks, starts, halves, keep, shared = block
+    row = slice(starts[j], starts[j + 1])
+    kept = keep[row].ravel()
+    return (frames[j], np.repeat(breaks[row], 2)[kept], halves[row].ravel()[kept],
+            ~np.repeat(shared[row], 2)[kept])
 
 
 def _chain_ring(frame: np.ndarray, xs: np.ndarray, half: np.ndarray,
                 mirrored: np.ndarray) -> np.ndarray:
     """A symmetral's CCW vertex ring in the input frame, from one lower
-    chain of _symmetral_chains: the chain points (x, -L/2) left to right,
-    then the mirror images (x, +L/2) of those that have one, right to
-    left, rotated back by the direction's frame."""
+    chain (_row_chain): the chain points (x, -L/2) left to right, then
+    the mirror images (x, +L/2) of those that have one, right to left,
+    rotated back by the direction's frame."""
     ring = np.vstack([np.column_stack([xs, -half]),
                       np.column_stack([xs, half])[mirrored][::-1]])
     return ring @ frame
@@ -363,8 +386,8 @@ def steiner_ring(vertices: np.ndarray, u: np.ndarray) -> np.ndarray:
     """CCW vertex ring, in the input frame, of the Steiner symmetral of a
     simple CCW polygon; takes a validated unit direction u, the
     one-direction case of the batched kernel (see _symmetral_chains)."""
-    (_, frames, _, xs, half, mirrored), = _symmetral_chains(vertices, u[None])
-    return _chain_ring(frames[0], xs, half, mirrored)
+    block, = _symmetral_chains(vertices, u[None])
+    return _chain_ring(*_row_chain(block, 0))
 
 
 def symmetral_radii(vertices: np.ndarray, directions) -> tuple[np.ndarray, np.ndarray]:
@@ -374,34 +397,42 @@ def symmetral_radii(vertices: np.ndarray, directions) -> tuple[np.ndarray, np.nd
     ring of the lowest-index direction of least radius.
 
     A rotation keeps norms, so each radius is read in the direction's own
-    frame, from its chain: max sqrt(x^2 + (L/2)^2) over the chain points,
-    times |u|, the factor by which the rotation back to the input frame
-    scales a direction that is unit only within DIRECTION_TOL.  Rounding
-    can split or join exact ties there, so the directions whose squared
-    radius is within NEAR_TIE of the block's least are scored again in
-    the same pass: each gets the max norm over its ring, built from its
-    chain and rotated back as steiner_ring builds it (_chain_ring).  Every
-    other radius exceeds the least by more than the few eps between the
-    two readings, so the winner, the lowest index among the least of the
-    radii returned, is the one that the rotated rings of all directions
-    would give.  The chain of a direction does not depend on the other
-    directions of its block, so the winner's ring equals
-    steiner_ring(vertices, winner) bit for bit."""
+    frame, off the kernel's per-break limits: the max of x^2 + (L/2)^2
+    over the slots that are chain points, taken per row by one reduceat,
+    times |u|^2, the factor by which the rotation back to the input frame
+    scales a direction that is unit only within DIRECTION_TOL.  Only the
+    chains of directions within NEAR_TIE of the least squared radius so
+    far are compacted and kept (_row_chain).  Rounding in the frame can
+    split or join exact ties, so after the last block the directions
+    within NEAR_TIE of the least of all are scored again, once: each gets
+    the max norm over its ring, built from its chain and rotated back as
+    steiner_ring builds it (_chain_ring).  Every other radius exceeds the
+    least by more than the few eps between the two readings, so the
+    winner, the lowest index among the least of the radii returned, is
+    the one that the rotated rings of all directions would give.  The
+    chain of a direction does not depend on the other directions of its
+    block, so the winner's ring equals steiner_ring(vertices, winner) bit
+    for bit."""
     radii = np.empty(len(directions))
-    best = None  # the least radius so far and its ring
-    for rows, frames, who, xs, half, mirrored in _symmetral_chains(vertices, directions):
-        count = np.bincount(who)
-        first = np.cumsum(count) - count
-        square = (np.maximum.reduceat(xs * xs + half * half, first)
+    least = np.inf
+    near = []  # (squared radius, index, chain) within NEAR_TIE of least
+    for block in _symmetral_chains(vertices, directions):
+        rows, frames, breaks, starts, halves, keep, _ = block
+        square = np.where(keep, (breaks * breaks)[:, None] + halves * halves, 0.0)
+        square = (np.maximum.reduceat(square.ravel(), 2 * starts[:-1])
                   * np.sum(frames[:, 1] * frames[:, 1], axis=1))
-        block = np.sqrt(square)
-        for j in np.flatnonzero(square <= square.min() * (1.0 + NEAR_TIE)):
-            chain = slice(first[j], first[j] + count[j])
-            ring = _chain_ring(frames[j], xs[chain], half[chain], mirrored[chain])
-            block[j] = np.max(np.linalg.norm(ring, axis=1))
-            if best is None or block[j] < best[0]:
-                best = (block[j], ring)
-        radii[rows] = block
+        radii[rows] = np.sqrt(square)
+        least = min(least, square.min())
+        window = least * (1.0 + NEAR_TIE)
+        near = [entry for entry in near if entry[0] <= window]
+        near += [(square[j], rows.start + j, _row_chain(block, j))
+                 for j in np.flatnonzero(square <= window)]
+    best = None  # the least ring radius and its ring
+    for _, i, chain in near:
+        ring = _chain_ring(*chain)
+        radii[i] = np.max(np.linalg.norm(ring, axis=1))
+        if best is None or radii[i] < best[0]:
+            best = (radii[i], ring)
     return radii, best[1]
 
 

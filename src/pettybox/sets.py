@@ -668,14 +668,16 @@ def cap_cover_greedy_step(E: PolygonSet, candidates) -> np.ndarray:
     The candidates are validated once, as planar unit directions, and one
     pass of the batched section-length kernel scores the whole (K, 2)
     stack (geometry.symmetral_radii): each score is the symmetral's
-    circumradius, max sqrt(x^2 + (L/2)^2) over its chain in the
-    candidate's own frame, and no symmetral set is built but the winner's.
-    The candidates within rounding of the least score are scored again in
-    the same pass by max |v| over their vertex rings, rotated back to the
-    input frame as steiner_ring rotates them, so ties are broken on the
-    same values as by steiner_ring.  The winner's set, on its ring, fills
-    E's slot, so the steiner_symmetrize(E, winner) that follows returns it
-    as the next iterate without running the kernel again."""
+    circumradius, max sqrt(x^2 + (L/2)^2) over its chain points in the
+    candidate's own frame, read off the kernel's per-break limits, and
+    no chain is compacted and no set built but for the rings rotated.
+    After the last block the candidates within rounding of the least
+    score of all are scored again, once, by max |v| over their vertex
+    rings, rotated back to the input frame as steiner_ring rotates them,
+    so ties are broken on the same values as by steiner_ring.  The
+    winner's set, on its ring, fills E's slot, so the
+    steiner_symmetrize(E, winner) that follows returns it as the next
+    iterate without running the kernel again."""
     if not isinstance(E, PolygonSet):
         raise InputError("symmetrals are scored on polygons")
     U = as_directions(candidates)

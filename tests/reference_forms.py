@@ -24,9 +24,9 @@ import numpy as np
 from pettybox.convex import PolarVolume, Zonotope
 from pettybox.driver import AXIS_PERTURBATION
 from pettybox.errors import InputError, NumericalError
-from pettybox.geometry import (_chain_ring, _symmetral_chains, as_direction,
-                               circle_grid, cross_2d, integrate_sphere, lerp,
-                               rotation_2d, steiner_ring)
+from pettybox.geometry import (_chain_ring, _row_chain, _symmetral_chains,
+                               as_direction, circle_grid, cross_2d, integrate_sphere,
+                               lerp, rotation_2d, steiner_ring)
 from pettybox.sets import (BoxUnion, ColumnStructure, _on_segment,
                            cap_cover_greedy_step, is_regular_direction,
                            steiner_symmetrize, surface_measure)
@@ -262,27 +262,30 @@ def roll_incidence_block(w: np.ndarray, first: int):
 
 def rotated_symmetral_radii(vertices: np.ndarray, directions):
     """geometry.symmetral_radii with every radius read in the input frame:
-    each direction's chain and its mirror image, padded with zeros, are
-    rotated back in one stacked product, and each radius is the max norm
-    over that ring; the winner is the lowest index of least radius, its
-    ring built by _chain_ring."""
+    each direction's chain points (the kept slots of its breaks) and
+    their mirror images, padded with zeros, are rotated back in one
+    stacked product, and each radius is the max norm over that ring; the
+    winner is the lowest index of least radius, its ring built by
+    _chain_ring from _row_chain."""
     radii = np.empty(len(directions))
     best = None
-    for rows, frames, who, xs, half, mirrored in _symmetral_chains(vertices, directions):
+    for block in _symmetral_chains(vertices, directions):
+        rows, frames, breaks, starts, halves, keep, _ = block
+        kept = keep.ravel()
+        who = np.repeat(np.repeat(np.arange(len(frames)), np.diff(starts)), 2)[kept]
+        xs, half = np.repeat(breaks, 2)[kept], halves.ravel()[kept]
         count = np.bincount(who)
-        first = np.cumsum(count) - count
-        at = np.arange(len(who)) - np.repeat(first, count)
+        at = np.arange(len(who)) - np.repeat(np.cumsum(count) - count, count)
         pts = np.zeros((len(count), 2, int(count.max()), 2))
         pts[who, 0, at] = np.column_stack([xs, -half])
         pts[who, 1, at] = np.column_stack([xs, half])
         ring = np.matmul(pts.reshape(len(count), -1, 2), frames)
-        block = np.max(np.linalg.norm(ring, axis=2), axis=1)
-        radii[rows] = block
-        j = int(np.argmin(block))
-        if best is None or block[j] < best[0]:
-            chain = slice(first[j], first[j] + count[j])
-            best = (block[j], frames[j], xs[chain], half[chain], mirrored[chain])
-    return radii, _chain_ring(*best[1:])
+        block_radii = np.max(np.linalg.norm(ring, axis=2), axis=1)
+        radii[rows] = block_radii
+        j = int(np.argmin(block_radii))
+        if best is None or block_radii[j] < best[0]:
+            best = (block_radii[j], _row_chain(block, j))
+    return radii, _chain_ring(*best[1])
 
 
 def ring_boundary_points_loop(vertices: np.ndarray, step: float) -> np.ndarray:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import pettybox.geometry
-from pettybox import (BoxUnion, DirectionPolicy, InputError,
+from pettybox import (BoxUnion, DirectionPolicy, InputError, NumericalError,
                       PathologicalInputError, PolygonSet, affine_image_check,
                       cap_cover_greedy_step, is_regular_direction,
                       petty_product, polar_steiner_inclusion_check,
@@ -21,8 +21,8 @@ from pettybox.corpus import (random_box_union, random_polygon, random_sl2,
                              regular_polygon)
 from pettybox.driver import (POLICY_KINDS, RESAMPLE_BUDGET, ResampleBudget,
                              draw_direction)
-from pettybox.geometry import (rotation_2d, section_incidence, steiner_ring,
-                               symmetral_radii)
+from pettybox.geometry import (NEAR_TIE, rotation_2d, section_incidence,
+                               steiner_ring, symmetral_radii)
 from pettybox.sets import SurfaceMeasure
 
 from recorders import bodies_built, measures_built, rings_built  # noqa: F401
@@ -51,6 +51,20 @@ def test_policy_validation():
         DirectionPolicy(kind="cap-cover-greedy", candidates=0)
     p = DirectionPolicy(kind="uniform-random", seed=4)
     assert p.seed == 4
+
+
+def test_policy_candidate_count_is_an_integer():
+    # np.arange(2.5) has 3 elements, so a float count would run a fan of
+    # 3 directions 0.4 pi apart; a bool is an int to operator.index
+    for count in (2.5, 32.0, np.float64(8.0), "8", None, True, False, np.True_):
+        with pytest.raises(InputError, match="candidate count must be an integer"):
+            DirectionPolicy(kind="cap-cover-greedy", candidates=count)
+    for count in (np.int64(8), np.int32(1)):
+        policy = DirectionPolicy(kind="cap-cover-greedy", seed=3, candidates=count)
+        trace = run_symmetrization(unit_square(), policy, max_steps=2, stop_tol=1e-9)
+        assert len(trace.steps) == 3
+    with pytest.raises(InputError, match="at least 1"):
+        DirectionPolicy(kind="cap-cover-greedy", candidates=np.int64(0))
 
 
 def test_run_input_validation():
@@ -110,7 +124,18 @@ def _frame_stack(E, fan) -> np.ndarray:
 
 
 def _blocks(E, fan) -> int:
-    return len(list(section_incidence(_frame_stack(E, fan))))
+    return len(_block_rows(E, fan))
+
+
+def _block_rows(E, fan) -> list[slice]:
+    return [block[0] for block in section_incidence(_frame_stack(E, fan))]
+
+
+def _blocks_outside_the_window(E, fan, radii) -> int:
+    """The blocks of the batched kernel whose least radius lies outside
+    the near-tie window of the least radius of the whole fan."""
+    return sum(radii[rows].min() > radii.min() * (1.0 + NEAR_TIE)
+               for rows in _block_rows(E, fan))
 
 
 def _ring_radii(E, fan) -> np.ndarray:
@@ -120,16 +145,22 @@ def _ring_radii(E, fan) -> np.ndarray:
 
 
 def test_batched_scores_match_each_ring():
-    blocked = 0
+    # the ~900-vertex fans are cut into several blocks, and on some of
+    # them even a block's least radius lies outside the near-tie window of
+    # the least of all: the scorer keeps none of their chains, and their
+    # radii stay readings in the candidate's own frame
+    blocked = apart = 0
     for E, fan in _scored_fans():
         blocked += _blocks(E, fan) > 1
         want = _ring_radii(E, fan)
+        apart += _blocks_outside_the_window(E, fan, want)
         got, ring = symmetral_radii(E.vertices, fan)
         assert np.all(np.abs(got - want) <= 1e-15 * want)
         assert int(np.argmin(got)) == int(np.argmin(want))
         assert ring.tobytes() == steiner_ring(E.vertices, fan[np.argmin(want)]).tobytes()
         assert np.array_equal(cap_cover_greedy_step(E, fan), fan[np.argmin(want)])
     assert blocked >= 1
+    assert apart >= 1
 
 
 @pytest.fixture
@@ -210,6 +241,15 @@ def test_greedy_step_runs_the_section_kernel_once(kernel_passes, symmetrization_
     assert symmetrization_log.count - before == 3
 
 
+def test_greedy_step_on_a_sliver_raises_at_the_kernel_check():
+    # 1e-20 of its length wide: no candidate's symmetral is resolved by the
+    # section kernel, and scoring stops at its check instead of reading a
+    # radius off a chain of fewer than 3 vertices
+    T = PolygonSet([[0.0, 0.0], [1e10, 0.0], [1e10, 1e-10]])
+    with pytest.raises(NumericalError, match="^symmetral degenerated to fewer than 3 vertices$"):
+        cap_cover_greedy_step(T, _fan(32, 0.5))
+
+
 def test_greedy_step_ties_go_to_the_lowest_index():
     # the centered square is symmetric under quarter turns, and on this
     # fan candidates 3 and 7 give symmetrals of exactly equal circumradius
@@ -224,24 +264,35 @@ def test_greedy_step_ties_go_to_the_lowest_index():
 
 def _oracle_cases():
     """_scored_fans, the centred regular 3- to 12-gons on fans of 8, 12
-    and 32 directions at four offsets (many with exact ties), and a fan
-    whose directions are unit only to within 5e-13."""
+    and 32 directions at four offsets (many with exact ties), a fan
+    whose directions are unit only to within 5e-13, and a kite with a
+    1e-12 step at its widest section.  Along the vertical, which does not
+    win, that step is below the kernel's jump tolerance, so the chain
+    point there is the mean of the two one-sided limits, 2.5e-13 below
+    the limit from the right that the scorer must not read."""
     cases = _scored_fans()
     cases += [(regular_polygon(m), _fan(count, offset)) for m in range(3, 13)
               for count in (8, 12, 32) for offset in (0.0, 0.25, 0.5, 0.75)]
     rng = np.random.default_rng(5)
     cases.append((random_polygon(2), _fan(32, 0.3) * rng.uniform(1 - 5e-13, 1 + 5e-13, (32, 1))))
+    kite = PolygonSet([[-0.5, 0.0], [0.0, -1.0], [0.0, -1.0 - 1e-12], [0.5, 0.0], [0.0, 1.0]])
+    fan = _fan(8, 0.0)
+    fan[4] = [0.0, 1.0]
+    cases.append((kite, fan))
     return cases
 
 
 def test_greedy_winner_follows_the_rotated_oracle():
-    # the scorer reads radii in each candidate's frame and scores near
-    # ties again by the ring rotated back; its winner, the least radius
-    # and the ring must be those of the scorer that rotates every chain
-    tied = 0
+    # the scorer reads radii in each candidate's frame and, after the last
+    # block, scores the near ties of the least of all again by the ring
+    # rotated back; its winner, the least radius and the ring must be
+    # those of the scorer that rotates every chain, also where a block's
+    # own least lies outside that window
+    tied = apart = 0
     for E, fan in _oracle_cases():
         want, want_ring = rotated_symmetral_radii(E.vertices, fan)
         tied += np.count_nonzero(want == want.min()) >= 2
+        apart += _blocks_outside_the_window(E, fan, want)
         winner = fan[np.argmin(want)]
         got, ring = symmetral_radii(E.vertices, fan)
         assert np.all(np.abs(got - want) <= 1e-15 * want)
@@ -249,6 +300,7 @@ def test_greedy_winner_follows_the_rotated_oracle():
         assert ring.tobytes() == want_ring.tobytes() == steiner_ring(E.vertices, winner).tobytes()
         assert np.array_equal(cap_cover_greedy_step(E, fan), winner)
     assert tied >= 20
+    assert apart >= 1
 
 
 def test_section_incidence_matches_the_roll_form():
