@@ -53,16 +53,19 @@ class DirectionPolicy:
             raise InputError(f"unknown policy kind {self.kind!r}; "
                              f"expected one of {', '.join(POLICY_KINDS)}")
         # a count of 2.5 would spin a fan of 3 directions 0.4 pi apart, which
-        # wraps past a half turn; a bool passes operator.index as 0 or 1, so
-        # it is turned away by type
-        try:
-            count = operator.index(self.candidates)
-        except TypeError:
-            count = None
-        if count is None or isinstance(self.candidates, bool):
-            raise InputError(f"candidate count must be an integer, got {self.candidates!r}")
-        if count < 1:
-            raise InputError("candidate count must be at least 1")
+        # wraps past a half turn, and numpy seeds its generators from
+        # nonnegative integers only; a bool passes operator.index as 0 or
+        # 1, so it is turned away by type
+        for name, value, least in (("seed", self.seed, 0),
+                                   ("candidate count", self.candidates, 1)):
+            try:
+                count = operator.index(value)
+            except TypeError:
+                count = None
+            if count is None or isinstance(value, bool):
+                raise InputError(f"{name} must be an integer, got {value!r}")
+            if count < least:
+                raise InputError(f"{name} must be at least {least}, got {value!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -159,12 +162,11 @@ def draw_direction(E: PolygonSet, policy: DirectionPolicy,
 
 
 def run_symmetrization(E0: PolygonSet, policy: DirectionPolicy,
-                       max_steps: int = 500, stop_tol: float = 0.05,
-                       resample_budget: int = RESAMPLE_BUDGET,
-                       ) -> SymmetrizationTrace:
+                       max_steps: int = 500, stop_tol: float = 0.05) -> SymmetrizationTrace:
     """Symmetrize E0 until it is within stop_tol (relative to the ball
     radius) of the equal-volume centered ball in Hausdorff distance, or
-    max_steps is exhausted.
+    max_steps is exhausted.  Rejected direction draws are charged to one
+    ResampleBudget of RESAMPLE_BUDGET for the whole run.
 
     The input is translated once so its centroid sits at the origin;
     after that every iterate stays inside the initial circumball, which
@@ -184,7 +186,7 @@ def run_symmetrization(E0: PolygonSet, policy: DirectionPolicy,
     r_star = math.sqrt(E.volume() / math.pi)
     ball = Ball(r_star)
     rng = np.random.default_rng(policy.seed)
-    budget = ResampleBudget(resample_budget)
+    budget = ResampleBudget(RESAMPLE_BUDGET)
     trace = SymmetrizationTrace(ball_radius=r_star)
     step = 0
     direction = None

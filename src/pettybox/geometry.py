@@ -291,6 +291,15 @@ def _incidence_block(w: np.ndarray, first: int):
             np.where(xb < xa, 1.0, -1.0))
 
 
+def section_lengths(block) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The section length of a section_incidence block at the left and
+    right end of every cell, and its slope, one entry per break: the
+    signed heights and slopes of the cell's edges, summed in entry order.
+    A row's last break starts no cell, so all three are zero there."""
+    _, breaks, _, _, cells, y0, y1, slope, sign = block
+    return tuple(np.bincount(cells, sign * h, len(breaks)) for h in (y0, y1, slope))
+
+
 def _symmetral_chains(vertices: np.ndarray, U: np.ndarray):
     """Lower chains of the Steiner symmetrals of a simple CCW polygon
     along a (K, 2) stack U, each in the frame that takes its direction to
@@ -320,15 +329,11 @@ def _symmetral_chains(vertices: np.ndarray, U: np.ndarray):
     frames = np.stack([np.column_stack([U[:, 1], -U[:, 0]]), U], axis=1)
     w = np.matmul(np.asarray(vertices, dtype=float)[None], frames.transpose(0, 2, 1))
     scale = 1.0 + np.max(np.abs(w), axis=(1, 2))
-    for rows, breaks, starts, _, cells, y0, y1, slope, sign in section_incidence(w):
+    for block in section_incidence(w):
+        rows, breaks, starts = block[:3]
         n = len(breaks)
         first_break, last_break = starts[:-1], starts[1:] - 1
-        # section length at the left and right end of every cell, and its
-        # slope; a row's last break starts no cell, so all three are zero
-        # there
-        left = np.bincount(cells, sign * y0, n)
-        right = np.bincount(cells, sign * y1, n)
-        tilt = np.bincount(cells, sign * slope, n)
+        left, right, tilt = section_lengths(block)
         # one-sided limits at every breakpoint; L vanishes outside the
         # projection, so before[] starts every row at zero
         before = np.concatenate([[0.0], right[:-1]])

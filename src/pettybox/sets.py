@@ -3,11 +3,13 @@ finite unions of axis-aligned boxes in dimension 2 or 3.
 
 Both kinds expose volume, perimeter, an atomic surface measure (finitely
 many unit outer normals with positive masses), and a column structure:
-the decomposition of the set into line sections parallel to a coordinate
-axis, organized over base cells on which the section endpoints vary
-affinely (polygons) or stay constant (box-unions).  Steiner
-symmetrization replaces each section by a centered interval of the same
-length and is exact on these families.
+the section-length function along a coordinate axis, the total length
+of the set's line section above each base point.  It is held at both
+ends of every filled cell of the base lattice, keyed by the cell's flat
+lattice index, and over a cell it is affine (polygons) or constant
+(box unions).  Steiner symmetrization replaces each section by a
+centered interval of the same length, so it reads a set through its
+section lengths alone, and is exact on these families.
 """
 
 from __future__ import annotations
@@ -23,7 +25,8 @@ import numpy as np
 from .errors import InputError, NonGenericPointError, NumericalError, UnsupportedDirectionError
 from .geometry import (BLOCK_PAIRS, _gauss_legendre, as_direction,
                        as_directions, as_plane_map, cross_2d, cyclic_next,
-                       lerp, section_incidence, steiner_ring, symmetral_radii)
+                       lerp, section_incidence, section_lengths, steiner_ring,
+                       symmetral_radii)
 
 GENERIC_POINT_TOL = 1e-12
 AXIS_ALIGNMENT_TOL = 1e-12
@@ -59,48 +62,38 @@ class SurfaceMeasure:
 
 @dataclass(frozen=True, eq=False)
 class ColumnStructure:
-    """Sections of a set along one coordinate axis, organized over the
-    cells of the base lattice cut at ``base_breaks``.
+    """The section-length function of a set along one coordinate axis,
+    over the cells of the base lattice cut at ``base_breaks``.
 
-    ``cell_index`` maps each flat (row-major) lattice index to its filled
-    cell's number, or -1 where the column is empty; filled cells are
-    numbered in lattice order.  The section intervals of filled cell c
-    are the rows starts[c] .. starts[c + 1] - 1, bottom to top, and
-    ``y0`` / ``y1`` hold each row's (bottom, top) at the left and right
-    end of its cell along the first base axis.  Over a cell the
-    endpoints are affine (polygons) or constant (box unions, y0 == y1),
-    and are interpolated from the nearer end, so a near-vertical polygon
-    edge carries no error of size slope * x.
+    ``cells`` holds the sorted flat (row-major) lattice keys of the
+    filled cells, those whose sections have positive length, and
+    ``ends`` each filled cell's section length at the left and right end
+    of the cell along the first base axis, (cells, 2).  Over a cell the
+    length is affine (polygons) or constant (box unions, whose two ends
+    are equal), so it is interpolated from the nearer end and its
+    gradient is the difference of the ends over the cell's width.
     """
 
     axis: int
     dim: int
     base_breaks: tuple
-    cell_index: np.ndarray
-    starts: np.ndarray
-    y0: np.ndarray
-    y1: np.ndarray
+    cells: np.ndarray
+    ends: np.ndarray
 
     @cached_property
     def cell_bounds(self) -> tuple[np.ndarray, np.ndarray]:
         """Lower and upper base corners of the filled cells, (cells, dim - 1)
         each."""
-        shape = tuple(len(b) - 1 for b in self.base_breaks)
-        lattice = np.unravel_index(np.flatnonzero(self.cell_index >= 0), shape)
+        lattice = np.unravel_index(self.cells, tuple(len(b) - 1 for b in self.base_breaks))
         return (np.column_stack([b[j] for b, j in zip(self.base_breaks, lattice)]),
                 np.column_stack([b[j + 1] for b, j in zip(self.base_breaks, lattice)]))
-
-    @cached_property
-    def row_cells(self) -> np.ndarray:
-        """The filled cell of every interval row."""
-        return np.repeat(np.arange(len(self.starts) - 1), np.diff(self.starts))
 
     def locate(self, xprime) -> int:
         """The number of the filled cell above a generic base point."""
         x = np.atleast_1d(np.asarray(xprime, dtype=float))
         if x.shape != (self.dim - 1,):
             raise InputError(f"base point must have {self.dim - 1} coordinates")
-        idx = []
+        key = 0
         for k, breaks in enumerate(self.base_breaks):
             tol = GENERIC_POINT_TOL * (1.0 + abs(float(x[k])))
             if np.min(np.abs(breaks - x[k])) <= tol:
@@ -109,37 +102,31 @@ class ColumnStructure:
             j = int(np.searchsorted(breaks, x[k])) - 1
             if j < 0 or j >= len(breaks) - 1:
                 raise InputError(f"base point {x!r} is outside the projection")
-            idx.append(j)
-        flat = idx[0] if len(idx) == 1 else idx[0] * (len(self.base_breaks[1]) - 1) + idx[1]
-        c = int(self.cell_index[flat])
-        if c < 0:
+            key = key * (len(breaks) - 1) + j
+        c = int(np.searchsorted(self.cells, key))
+        if c == len(self.cells) or self.cells[c] != key:
             raise InputError(f"base point {x!r} is outside the essential projection")
         return c
 
-    def section_intervals(self, xprime) -> np.ndarray:
+    def section_length(self, xprime) -> float:
         c = self.locate(xprime)
-        rows = slice(self.starts[c], self.starts[c + 1])
+        a, b = self.ends[c]
         lo, hi = self.cell_bounds[0][c, 0], self.cell_bounds[1][c, 0]
         s = (float(np.atleast_1d(np.asarray(xprime, dtype=float))[0]) - lo) / (hi - lo)
-        return lerp(s, self.y0[rows], self.y1[rows])
-
-    def section_length(self, xprime) -> float:
-        b = self.section_intervals(xprime)
-        return float(np.sum(b[:, 1] - b[:, 0]))
+        # equal ends give that length, also where it is inf on an
+        # overflowed column, whose interpolation would read nan
+        return float(a if a == b else lerp(s, a, b))
 
 
 def _polygon_columns(vertices: np.ndarray):
-    """Pair the incidence kernel's edge heights at both ends of every base
-    cell between consecutive vertex abscissae into the polygon's sorted
-    section intervals."""
-    (_, breaks, _, _, cell, y0, y1, _, _), = section_incidence(vertices)
-    order = np.lexsort((y0 + y1, cell))
-    counts = np.bincount(cell, minlength=len(breaks) - 1) // 2
-    filled = np.flatnonzero(counts)
-    index = np.full(len(breaks) - 1, -1, dtype=int)
-    index[filled] = np.arange(len(filled))
-    starts = np.concatenate([[0], np.cumsum(counts[filled])])
-    return (breaks,), index, starts, y0[order].reshape(-1, 2), y1[order].reshape(-1, 2)
+    """The section lengths at both ends of every base cell between
+    consecutive vertex abscissae, off the kernel the symmetrals use; a
+    simple polygon's projection is an interval, so every cell is
+    filled."""
+    block, = section_incidence(vertices)
+    left, right, _ = section_lengths(block)
+    breaks = block[1]
+    return (breaks,), np.arange(len(breaks) - 1), np.column_stack([left[:-1], right[:-1]])
 
 
 def _join_runs(keys: np.ndarray, lo: np.ndarray, hi: np.ndarray):
@@ -155,9 +142,9 @@ def _join_runs(keys: np.ndarray, lo: np.ndarray, hi: np.ndarray):
 
 
 def _box_columns(los: np.ndarray, his: np.ndarray, axis: int):
-    """Expand each box into one row per base-lattice cell it covers and
-    join the rows of each cell into its sorted, maximal section
-    intervals."""
+    """Expand each box into one row per base-lattice cell it covers, join
+    the rows of each cell into its maximal section intervals, and sum
+    their lengths per filled cell."""
     others = [k for k in range(los.shape[1]) if k != axis]
     break_lists = [np.unique(np.concatenate([los[:, k], his[:, k]])) for k in others]
     shape = tuple(len(b) - 1 for b in break_lists)
@@ -175,12 +162,11 @@ def _box_columns(los: np.ndarray, his: np.ndarray, axis: int):
         sub[:, k] = first[box, k] + step
     flat = np.ravel_multi_index(tuple(sub.T), shape)
     row, end = _join_runs(flat[:, None], los[box, axis], his[box, axis])
-    intervals = np.column_stack([los[box[row], axis], end])
-    filled, cuts = np.unique(flat[row], return_index=True)
-    index = np.full(int(np.prod(shape)), -1, dtype=int)
-    index[filled] = np.arange(len(filled))
-    starts = np.append(cuts, len(row))
-    return tuple(break_lists), index, starts, intervals, intervals
+    cells, cell = np.unique(flat[row], return_inverse=True)
+    # one subtraction per maximal interval, summed per cell in row order
+    with np.errstate(over="ignore"):
+        length = np.bincount(cell, end - los[box[row], axis], len(cells))
+    return tuple(break_lists), cells, np.column_stack([length, length])
 
 
 # ---------------------------------------------------------------------------
@@ -612,17 +598,15 @@ def vertical_boundary_measure(E: SetHandle, u: Sequence[float]) -> float:
 def section_length_gradient(E: SetHandle, xprime) -> np.ndarray:
     """Gradient of the section-length function x' -> total length of the
     section of E above x', for sections parallel to the last coordinate
-    axis.  Evaluated at generic base points as the summed slope of the
-    top endpoints minus that of the bottom endpoints in the located cell,
-    from their heights at the cell's two ends; equals the analytic
-    derivative there, and vanishes on box unions, whose sections are
-    constant over each cell."""
+    axis.  Evaluated at generic base points as the difference of the
+    section lengths at the located cell's two ends over its width; equals
+    the analytic derivative there, and vanishes on box unions, whose two
+    ends are equal."""
     cs = column_structure(E)
     c = cs.locate(xprime)
-    rows = slice(cs.starts[c], cs.starts[c + 1])
-    rise = np.sum(cs.y1[rows] - cs.y0[rows], axis=0)
+    a, b = cs.ends[c]
     grad = np.zeros(E.dim - 1)
-    grad[0] = (rise[1] - rise[0]) / (cs.cell_bounds[1][c, 0] - cs.cell_bounds[0][c, 0])
+    grad[0] = 0.0 if a == b else (b - a) / (cs.cell_bounds[1][c, 0] - cs.cell_bounds[0][c, 0])
     return grad
 
 
@@ -699,8 +683,7 @@ def _steiner_boxes(E: BoxUnion, u: np.ndarray) -> BoxUnion:
     a = int(axis[0])
     cs = E.column_structure(a)
     lo, hi = cs.cell_bounds
-    with np.errstate(over="ignore"):
-        half = 0.5 * np.bincount(cs.row_cells, cs.y0[:, 1] - cs.y0[:, 0], len(lo))
+    half = 0.5 * cs.ends[:, 0]
     if not (np.min(half) > 0.0 and np.max(half) < np.inf):
         raise NumericalError("box union symmetral has a half-length out of float range")
     return BoxUnion._derived(np.insert(lo, a, -half, axis=1), np.insert(hi, a, half, axis=1),
@@ -715,9 +698,8 @@ def _lattice_masses(cs: ColumnStructure, half: np.ndarray) -> np.ndarray:
     2 (H_c - min(H_c, H_{c - e_k})) times the cell's width on the other
     base axis, H 0 on empty cells and off the lattice."""
     widths = [np.diff(b) for b in cs.base_breaks]
-    H = np.zeros(cs.cell_index.shape)
-    H[cs.cell_index >= 0] = half
-    H = H.reshape([len(w) for w in widths])
+    H = np.zeros([len(w) for w in widths])
+    H.flat[cs.cells] = half
     masses = np.empty(cs.dim)
     lo, hi = cs.cell_bounds
     masses[cs.axis] = np.sum(np.prod(hi - lo, axis=1))

@@ -22,6 +22,11 @@ It prints one line per case and a total per part.
   appended to stderr as "Category: message" lines.  The last five are
   monotonicity --exploratory along each axis on two voxel walks with
   non-dyadic corners, where surface masses round.
+- columns: the column structure along each axis of those two voxel walks
+  and of random_box_union(i, dim=d), i < 40, d in (2, 3).  A case's
+  digest is the sha256 of the bytes of its cell_bounds and of its
+  section_length at every filled cell's centre.  Polygons stay out:
+  their section lengths may move by rounding.
 
 Run it in the two checkouts and compare the lines.
 """
@@ -48,10 +53,10 @@ sys.path.insert(0, str(ROOT / "pettybench"))
 import inputs  # noqa: E402  (pettybench/inputs.py)
 
 from pettybox import (BoxUnion, DirectionPolicy, PolygonSet,  # noqa: E402
-                      random_box_union, random_polygon, regular_polygon,
-                      run_symmetrization)
+                      column_structure, random_box_union, random_polygon,
+                      regular_polygon, run_symmetrization)
 from pettybox.cli import main  # noqa: E402
-from pettybox.sets import set_to_json  # noqa: E402
+from pettybox.sets import set_from_json, set_to_json  # noqa: E402
 
 
 def _trace_bytes(P: PolygonSet, kind: str, seed: int, steps: int) -> tuple[int, bytes]:
@@ -182,6 +187,26 @@ def cli_digest() -> None:
     print(f"cli total: {sum(statuses.values())} commands ({counts}), sha256={total.hexdigest()}")
 
 
+def columns_digest() -> None:
+    total = hashlib.sha256()
+    cells = 0
+    unions = [(name, set_from_json(doc)) for name, doc in NON_DYADIC.items()]
+    unions += [(f"random_box_union({i}, dim={dim})", random_box_union(i, dim=dim))
+               for dim in (2, 3) for i in range(40)]
+    for name, B in unions:
+        for axis in range(B.dim):
+            cs = column_structure(B, axis)
+            lo, hi = cs.cell_bounds
+            lengths = np.array([cs.section_length(0.5 * (a + b)) for a, b in zip(lo, hi)])
+            data = lo.tobytes() + hi.tobytes() + lengths.tobytes()
+            cells += len(lengths)
+            total.update(data)
+            print(f"columns {name} axis {axis}: cells={len(lengths)} "
+                  f"sha256={hashlib.sha256(data).hexdigest()}")
+    print(f"columns total: {cells} cells, sha256={total.hexdigest()}")
+
+
 if __name__ == "__main__":
     converge_digest()
     cli_digest()
+    columns_digest()

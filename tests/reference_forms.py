@@ -386,18 +386,11 @@ def box_symmetric_difference(E: BoxUnion, F: BoxUnion) -> float:
             + float(np.sum(np.prod(F.his - F.los, axis=1))) - 2.0 * overlap)
 
 
-def section_multiplicity(cs: ColumnStructure, xprime) -> int:
-    """Number of section intervals above a generic base point."""
-    c = cs.locate(xprime)
-    return int(cs.starts[c + 1] - cs.starts[c])
-
-
 def column_total_volume(cs: ColumnStructure) -> float:
     """Integral of the section length over the base: on each cell the
     length is affine, so its exact integral is the trapezoid value."""
     lo, hi = cs.cell_bounds
-    mean = 0.5 * ((cs.y0[:, 1] - cs.y0[:, 0]) + (cs.y1[:, 1] - cs.y1[:, 0]))
-    return float(np.sum(mean * np.prod(hi - lo, axis=1)[cs.row_cells]))
+    return float(np.sum(0.5 * (cs.ends[:, 0] + cs.ends[:, 1]) * np.prod(hi - lo, axis=1)))
 
 
 def exact_class_masses(los: np.ndarray, his: np.ndarray) -> list[Fraction]:

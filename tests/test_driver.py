@@ -9,6 +9,7 @@ import math
 import numpy as np
 import pytest
 
+import pettybox.driver
 import pettybox.geometry
 from pettybox import (BoxUnion, DirectionPolicy, InputError, NumericalError,
                       PathologicalInputError, PolygonSet, affine_image_check,
@@ -65,6 +66,21 @@ def test_policy_candidate_count_is_an_integer():
         assert len(trace.steps) == 3
     with pytest.raises(InputError, match="at least 1"):
         DirectionPolicy(kind="cap-cover-greedy", candidates=np.int64(0))
+
+
+def test_policy_seed_is_a_nonnegative_integer():
+    # numpy seeds its generators from nonnegative integers only, so a bad
+    # seed is refused here rather than by numpy at the first draw
+    for seed in (2.5, 3.0, np.float64(1.0), "3", None, True, False, np.True_):
+        with pytest.raises(InputError, match="seed must be an integer"):
+            DirectionPolicy(kind="uniform-random", seed=seed)
+    for seed in (-1, np.int64(-5)):
+        with pytest.raises(InputError, match="seed must be at least 0"):
+            DirectionPolicy(kind="uniform-random", seed=seed)
+    runs = [run_symmetrization(unit_square(), DirectionPolicy(kind="uniform-random", seed=seed),
+                               max_steps=2, stop_tol=1e-9).to_csv()
+            for seed in (3, np.int64(3), np.uint32(3))]
+    assert runs[0] == runs[1] == runs[2]
 
 
 def test_run_input_validation():
@@ -473,11 +489,13 @@ def test_zero_step_budget_reports_not_converged():
     assert len(trace.steps) == 1
 
 
-def test_resample_budget_exhaustion_is_pathological():
+def test_resample_budget_exhaustion_is_pathological(monkeypatch):
+    # both axes carry the square's boundary mass, so the first draw
+    # rejects one direction and overruns an empty budget
+    monkeypatch.setattr(pettybox.driver, "RESAMPLE_BUDGET", 0)
     with pytest.raises(PathologicalInputError):
         run_symmetrization(
-            unit_square(), DirectionPolicy(kind="coordinate-cycle", seed=0),
-            max_steps=6, resample_budget=0)
+            unit_square(), DirectionPolicy(kind="coordinate-cycle", seed=0), max_steps=6)
 
 
 # draw_direction offers each policy's fan to one orthogonal_atoms pass;

@@ -22,12 +22,12 @@ from pettybox import (BoxUnion, InputError, NonGenericPointError,
                       vertical_boundary_measure, volume)
 from pettybox.corpus import (random_box_union, random_polygon, random_sl2,
                              regular_polygon)
-from pettybox.geometry import rotation_2d
-from pettybox import sets
+from pettybox import geometry, sets
+from pettybox.geometry import rotation_2d, steiner_ring
 from pettybox.sets import _canonical_merge, _check_simple, load_set_file
 
 from reference_forms import (axis_class_masses, box_symmetric_difference, check_simple_loop,
-                             column_total_volume, exact_class_masses, section_multiplicity)
+                             column_total_volume, exact_class_masses)
 
 
 def unit_square():
@@ -387,7 +387,7 @@ EPS = float(np.finfo(float).eps)
 def lattice_mass_bound(B, axis):
     """Relative error allowed a symmetral's lattice masses: one rounding
     per filled base cell of the sum, and a few per term."""
-    return (len(B.column_structure(axis).starts) - 1 + 4) * EPS
+    return (len(B.column_structure(axis).cells) + 4) * EPS
 
 
 def non_dyadic(B):
@@ -569,9 +569,8 @@ def test_no_derived_object_is_shared_across_handles():
 def test_square_columns_both_axes():
     # sections along the horizontal axis live over a vertical base
     cs = column_structure(unit_square(), axis=0)
-    assert np.array_equal(cs.cell_index, [0])
-    assert section_multiplicity(cs, [0.5]) == 1
-    assert np.allclose(cs.section_intervals([0.5]), [[0.0, 1.0]])
+    assert np.array_equal(cs.cells, [0])
+    assert cs.section_length([0.5]) == 1.0
     # default axis: sections along the last coordinate
     cs = column_structure(unit_square())
     assert cs.axis == 1
@@ -582,18 +581,15 @@ def test_l_tromino_columns():
     cs = column_structure(l_tromino(), axis=1)
     assert cs.cell_bounds[0][:, 0].tolist() == [0.0, 1.0]
     # left column: the two stacked boxes fuse into one interval of length 2
-    assert section_multiplicity(cs, [0.5]) == 1
-    assert np.allclose(cs.section_intervals([0.5]), [[0.0, 2.0]])
-    assert np.allclose(cs.section_intervals([1.5]), [[0.0, 1.0]])
+    assert cs.section_length([0.5]) == 2.0
+    assert cs.section_length([1.5]) == 1.0
 
 
 def test_c_shape_columns_multiplicity_two():
+    # two intervals, [0, 1] and [2, 3], lie above x = 2
     cs = column_structure(c_shape(), axis=1)
-    assert section_multiplicity(cs, [2.0]) == 2
-    ivals = cs.section_intervals([2.0])
-    assert np.allclose(ivals, [[0.0, 1.0], [2.0, 3.0]])
     assert abs(cs.section_length([2.0]) - 2.0) <= 1e-12
-    assert section_multiplicity(cs, [0.5]) == 1
+    assert abs(cs.section_length([0.5]) - 3.0) <= 1e-12
 
 
 def test_column_locate_errors():
@@ -606,6 +602,21 @@ def test_column_locate_errors():
         cs.locate([2.5])  # outside the projection
     with pytest.raises(InputError):
         cs.locate([0.5, 0.5])  # wrong base dimension
+
+
+def test_column_locate_rejects_empty_lattice_cells():
+    # an empty cell between filled ones: two squares with a gap in x
+    cs = column_structure(BoxUnion([[0, 0], [2, 0]], [[1, 1], [3, 1]]), axis=1)
+    assert cs.cells.tolist() == [0, 2]
+    assert cs.locate([2.5]) == 1
+    with pytest.raises(InputError, match="outside the essential projection"):
+        cs.locate([1.5])
+    # an empty last cell: an L whose base misses the lattice's far corner
+    cs = column_structure(BoxUnion([[0, 0, 0], [1, 0, 0]], [[1, 2, 1], [2, 1, 1]]), axis=2)
+    assert cs.cells.tolist() == [0, 1, 2]
+    assert cs.locate([1.5, 0.5]) == 2
+    with pytest.raises(InputError, match="outside the essential projection"):
+        cs.locate([1.5, 1.5])
 
 
 def test_total_volume_matches_volume():
@@ -643,25 +654,104 @@ def test_section_length_exact_near_vertical_edges():
         cs = column_structure(P)
         exact = np.vectorize(Fraction, otypes=[object])(P.vertices)
         b = cs.base_breaks[0]
-        filled = np.flatnonzero(cs.cell_index >= 0)
-        for x in 0.5 * (b[filled] + b[filled + 1]):
+        for x in 0.5 * (b[cs.cells] + b[cs.cells + 1]):
             gap = Fraction(cs.section_length([x])) - _section_length_reference(exact, Fraction(x))
             assert abs(gap) <= 1e-14
 
 
 def test_box_columns_keep_one_height_per_row():
-    # box-union sections are constant over each cell: both ends share one
-    # array, and interpolation returns it bit for bit anywhere in the cell
+    # box-union sections are constant over each cell: both ends are equal,
+    # and the length anywhere in the cell is that value bit for bit
     B = random_box_union(11, dim=3)
     cs = column_structure(B, axis=2)
-    assert cs.y0 is cs.y1
+    assert np.array_equal(cs.ends[:, 0], cs.ends[:, 1])
     lo, hi = cs.cell_bounds
     for c, (a, b) in enumerate(zip(lo, hi)):
-        rows = cs.y0[cs.starts[c]:cs.starts[c + 1]]
         for t in (0.1, 0.5, 0.9):
             x = a + t * (b - a)
             assert cs.locate(x) == c
-            assert np.array_equal(cs.section_intervals(x), rows)
+            assert cs.section_length(x) == cs.ends[c, 0]
+
+
+def test_polygon_column_ends_are_the_symmetral_kernels_lengths(monkeypatch):
+    # u = (0, 1) has the identity frame, so the symmetral kernel sees the
+    # polygon's own vertices and its section lengths are the columns' ends
+    kernel, seen = geometry.section_lengths, []
+
+    def record(block):
+        seen.append(kernel(block))
+        return seen[-1]
+
+    monkeypatch.setattr(geometry, "section_lengths", record)
+    for P in (unit_square(), c_shape(), *(random_polygon(seed) for seed in range(20))):
+        seen.clear()
+        steiner_ring(P.vertices, np.array([0.0, 1.0]))
+        (left, right, _), = seen
+        ends = column_structure(P, axis=1).ends
+        assert ends.tobytes() == np.column_stack([left[:-1], right[:-1]]).tobytes()
+
+
+def _box_column_lengths_loop(B, axis):
+    """Each filled base cell's key and section length: the intervals of the
+    boxes above the cell's centre, joined where one ends exactly where
+    the next starts, in ascending order, and their lengths summed in
+    that order."""
+    others = [k for k in range(B.dim) if k != axis]
+    breaks = [np.unique(np.concatenate([B.los[:, k], B.his[:, k]])) for k in others]
+    keys, lengths = [], []
+    for key, cell in enumerate(itertools.product(*(range(len(b) - 1) for b in breaks))):
+        mid = [0.5 * (b[j] + b[j + 1]) for b, j in zip(breaks, cell)]
+        rows = sorted((lo[axis], hi[axis]) for lo, hi in zip(B.los.tolist(), B.his.tolist())
+                      if all(lo[k] < x < hi[k] for k, x in zip(others, mid)))
+        if not rows:
+            continue
+        joined = [list(rows[0])]
+        for a, b in rows[1:]:
+            if a == joined[-1][1]:
+                joined[-1][1] = b
+            else:
+                joined.append([a, b])
+        total = 0.0
+        for a, b in joined:
+            total += b - a
+        keys.append(key)
+        lengths.append(total)
+    return keys, lengths
+
+
+def test_box_column_ends_match_the_joined_interval_loop():
+    unions = [staircase(), l_tromino()]
+    unions += [make(random_box_union(seed, dim=dim)) for seed in range(12) for dim in (2, 3)
+              for make in (lambda B: B, non_dyadic)]
+    for B in unions:
+        for axis in range(B.dim):
+            cs = column_structure(B, axis=axis)
+            keys, lengths = _box_column_lengths_loop(B, axis)
+            assert cs.cells.tolist() == keys
+            assert cs.ends.tobytes() == np.column_stack([lengths, lengths]).tobytes()
+
+
+def test_polygon_section_lengths_match_the_exact_reference():
+    worst = 0.0
+    for i in range(60):
+        P = random_polygon(9, i)
+        cs = column_structure(P)
+        exact = np.vectorize(Fraction, otypes=[object])(P.vertices)
+        lo, hi = cs.cell_bounds[0][:, 0], cs.cell_bounds[1][:, 0]
+        for t in (0.25, 0.5, 0.75):
+            for x in lo + t * (hi - lo):
+                want = _section_length_reference(exact, Fraction(x))
+                worst = max(worst, abs(float(Fraction(cs.section_length([x])) - want)))
+    assert worst <= 1e-15
+
+
+def test_overflowed_box_column_reads_inf_and_a_flat_gradient():
+    # two 9e307-long boxes over one 1e-6 square: the column's length
+    # overflows, and its two equal ends still give a constant length
+    B = BoxUnion([[0, 0, -1e308], [0, 0, 1e307]], [[1e-6, 1e-6, -1e307], [1e-6, 1e-6, 1e308]])
+    cs = column_structure(B)
+    assert cs.section_length([5e-7, 5e-7]) == math.inf
+    assert section_length_gradient(B, [5e-7, 5e-7]).tolist() == [0.0, 0.0]
 
 
 # ------------------------------------------------------------------- gradient
