@@ -9,11 +9,11 @@ either dimension (Zonotope.support_batch).
 A planar zonotope's polar has one kernel over its generators sorted over
 a half turn: the supports H_j of its ring's edges (_edge_supports), then
 the polar's vertex ring (polar_polygon) or its area (_sorted_polar_area),
-which a polygon's product also reads off the polygon's edges.  No ring of
-the zonotope itself is built.  On a body of width h the relative error
-of both grows like eps * scale / h, with no bound.  Axis-aligned boxes
-take the cross-polytope closed form in either dimension, which an octant
-quadrature of a 3D box's reciprocal support cross-checks.
+which a polygon's product reads off the polygon's edges.  No ring of the
+zonotope itself is built.  On a body of width h the relative error of
+both grows like eps * scale / h, with no bound.  Axis-aligned boxes take
+the cross-polytope closed form in either dimension (polar_volume), which
+an octant quadrature of a 3D box's reciprocal support cross-checks.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -92,11 +91,6 @@ class Zonotope:
             np.abs(g @ nodes[s:s + rows].T).sum(axis=0, out=out[s:s + rows])
         return out
 
-    @cached_property
-    def _half_turn(self):
-        """The planar generators sorted over a half turn (_sort_half_turn)."""
-        return _sort_half_turn(self.generators)
-
     def axis_box_halfwidths(self) -> np.ndarray | None:
         """Half-widths when every generator is axis-aligned, else None."""
         g = self.generators
@@ -106,16 +100,13 @@ class Zonotope:
         return np.abs(g).sum(axis=0)
 
     def volume(self) -> float:
-        """Planar: 4 times the sum of cross(g_1 + ... + g_(j-1), g_j) over
-        the generators sorted over a half turn, each cross product the
-        nonnegative area spanned by two of them.  3D: 8 times the sum of
-        |det| over the generator triples.  Only polar_volume's wrapper
-        route reads it, and it stays with PolarWrapper."""
-        if self.dim == 2:
-            g = self._half_turn
-            passed = np.zeros_like(g)
-            np.cumsum(g[:-1], axis=0, out=passed[1:])
-            return 4.0 * float(np.sum(cross_2d(passed, g)))
+        """Volume of a 3D zonotope: 8 times the sum of |det| over the
+        generator triples.  Only polar_volume's wrapper route reads it,
+        and it stays with PolarWrapper; a planar zonotope raises
+        InputError (its polar's area is the shoelace area of
+        polar_polygon)."""
+        if self.dim != 3:
+            raise InputError(f"no volume route for {self!r}")
         g = self.generators
         total = 0.0
         for comb in itertools.combinations(range(len(g)), 3):
@@ -130,22 +121,6 @@ def _sort_half_turn(generators: np.ndarray) -> np.ndarray:
     flip = (y < 0.0) | ((y == 0.0) & (x < 0.0))
     g = np.where(flip[:, None], -generators, generators)
     return g[np.argsort(np.arctan2(g[:, 1], g[:, 0]), kind="stable")]
-
-
-def _spanning_half_turn(K: Zonotope) -> np.ndarray:
-    """The planar zonotope K's generators sorted over a half turn.  All
-    exactly parallel (every cross product with the longest zero), they span
-    a segment, whose polar is unbounded, and raise InputError: rounding
-    in the prefix sums can leave the edge supports positive.  All scaled
-    by one power of two to a largest entry in [0.5, 1), no scale makes
-    the products underflow or overflow."""
-    g = K._half_turn
-    size = np.max(np.abs(g), axis=1)
-    longest = np.argmax(size)
-    scaled = np.ldexp(g, -np.frexp(size[longest])[1])
-    if not np.any(cross_2d(scaled, scaled[longest])):
-        raise InputError("zonotope is degenerate (all generators parallel)")
-    return g
 
 
 def _edge_supports(g: np.ndarray) -> np.ndarray:
@@ -202,12 +177,22 @@ def polar_polygon(K: Zonotope) -> np.ndarray:
     quarter turn (x, y) -> (y, -x), then the negatives of those rows.  Row
     j is the pole of the ring edge 2 g_j, its outer normal over its
     support.  Parallel generators repeat a vertex up to rounding, unmerged.
-    Raises InputError for any other body and as _spanning_half_turn does,
-    NumericalError as _edge_supports does and on a subnormal H_j."""
+    Raises InputError for any other body, and for generators that are all
+    exactly parallel: they span a segment, whose polar is unbounded, and
+    rounding in the prefix sums can leave the edge supports positive.
+    Raises NumericalError as _edge_supports does and on a subnormal H_j."""
     if not (isinstance(K, Zonotope) and K.dim == 2):
         raise InputError(f"no planar polar ring for {K!r}; polar_polygon takes "
                          "a planar zonotope")
-    g = _spanning_half_turn(K)
+    g = _sort_half_turn(K.generators)
+    # exactly parallel when every cross product with the longest is zero;
+    # scaled by one power of two to a largest entry in [0.5, 1), no scale
+    # makes the products underflow or overflow
+    size = np.max(np.abs(g), axis=1)
+    longest = np.argmax(size)
+    scaled = np.ldexp(g, -np.frexp(size[longest])[1])
+    if not np.any(cross_2d(scaled, scaled[longest])):
+        raise InputError("zonotope is degenerate (all generators parallel)")
     support = _edge_supports(g)
     if np.min(support) < np.finfo(float).tiny:
         raise NumericalError("zonotope edge supports are subnormal, out of float range")
@@ -225,21 +210,17 @@ class PolarVolume:
 
 
 def polar_volume(K: Zonotope | PolarWrapper, method: str = "auto") -> PolarVolume:
-    """Volume of the polar of a zonotope K, or of the polar of a wrapper
-    (the wrapped zonotope itself).
+    """Volume of the polar of an axis-box zonotope K, or of the polar of
+    a wrapper (the wrapped zonotope itself).
 
     Axis-aligned boxes in either dimension take the cross-polytope
-    closed form 2^n / (n! * prod of half-widths); other planar zonotopes
-    take the closed form over their sorted generators (_sorted_polar_area,
-    whose NumericalError passes on), with a relative error that grows
-    like eps * scale / h on a body of width h and has no bound.
-    method='quadrature' takes a 3D axis box only (_box_quadrature).  A
-    zonotope that is not full-dimensional has an unbounded polar and
-    raises InputError ("degenerate"): a box with a zero half-width, or
-    planar generators that are all exactly parallel (_spanning_half_turn).
-    Any other body or route raises InputError, a 3D zonotope that is not
-    a box included; a box whose half-widths' product underflows,
-    NumericalError.
+    closed form 2^n / (n! * prod of half-widths); method='quadrature'
+    takes a 3D axis box only (_box_quadrature).  A box with a zero
+    half-width is not full-dimensional, has an unbounded polar and raises
+    InputError ("degenerate").  Any other body or route raises
+    InputError, a zonotope that is not a box included: a planar one's
+    polar area is the shoelace area of polar_polygon(K).  A box whose
+    half-widths' product underflows raises NumericalError.
     """
     if method not in ("auto", "quadrature"):
         raise InputError(f"unknown polar volume method {method!r}")
@@ -251,8 +232,6 @@ def polar_volume(K: Zonotope | PolarWrapper, method: str = "auto") -> PolarVolum
         raise InputError(f"no {method} route for {type(K).__name__}")
     n = K.dim
     half = K.axis_box_halfwidths()
-    if half is None and n == 2 and method == "auto":
-        return PolarVolume(_sorted_polar_area(_spanning_half_turn(K)), 0.0)
     if half is None or (method == "quadrature" and n != 3):
         raise InputError(f"no {method} route for {K!r}")
     if not np.min(half) > 0.0:

@@ -10,14 +10,13 @@ rejected and redrawn; the rejection count is part of the trace.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .convex import Ball
 from .errors import InputError, PathologicalInputError
-from .geometry import hausdorff_distance, rotation_2d
+from .geometry import as_integer, hausdorff_distance, rotation_2d
 from .projection import petty_product
 from .sets import PolygonSet, cap_cover_greedy_step, steiner_symmetrize
 
@@ -54,18 +53,9 @@ class DirectionPolicy:
                              f"expected one of {', '.join(POLICY_KINDS)}")
         # a count of 2.5 would spin a fan of 3 directions 0.4 pi apart, which
         # wraps past a half turn, and numpy seeds its generators from
-        # nonnegative integers only; a bool passes operator.index as 0 or
-        # 1, so it is turned away by type
-        for name, value, least in (("seed", self.seed, 0),
-                                   ("candidate count", self.candidates, 1)):
-            try:
-                count = operator.index(value)
-            except TypeError:
-                count = None
-            if count is None or isinstance(value, bool):
-                raise InputError(f"{name} must be an integer, got {value!r}")
-            if count < least:
-                raise InputError(f"{name} must be at least {least}, got {value!r}")
+        # nonnegative integers only
+        as_integer("seed", self.seed, 0)
+        as_integer("candidate count", self.candidates, 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,8 +155,9 @@ def run_symmetrization(E0: PolygonSet, policy: DirectionPolicy,
                        max_steps: int = 500, stop_tol: float = 0.05) -> SymmetrizationTrace:
     """Symmetrize E0 until it is within stop_tol (relative to the ball
     radius) of the equal-volume centered ball in Hausdorff distance, or
-    max_steps is exhausted.  Rejected direction draws are charged to one
-    ResampleBudget of RESAMPLE_BUDGET for the whole run.
+    max_steps, a nonnegative integer, is exhausted.  Rejected direction
+    draws are charged to one ResampleBudget of RESAMPLE_BUDGET for the
+    whole run.
 
     The input is translated once so its centroid sits at the origin;
     after that every iterate stays inside the initial circumball, which
@@ -180,8 +171,8 @@ def run_symmetrization(E0: PolygonSet, policy: DirectionPolicy,
     # round; an infinite one would stop every run at step 0
     if not 0.0 < stop_tol < math.inf:
         raise InputError("stop tolerance must be positive")
-    if max_steps < 0:
-        raise InputError("step budget must be nonnegative")
+    # a nan budget would never stop the run, and 2.5 would run 3 steps
+    max_steps = as_integer("step budget", max_steps, 0)
     E = E0.translate(-E0.centroid())
     r_star = math.sqrt(E.volume() / math.pi)
     ball = Ball(r_star)

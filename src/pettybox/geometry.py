@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable
 
@@ -53,13 +54,32 @@ _SPHERE_MEASURE = {2: 2.0 * math.pi, 3: 4.0 * math.pi}
 # directions
 
 
+def as_integer(name: str, value, least: int) -> int:
+    """value as an int no less than least, else InputError.  Python and
+    numpy integers pass operator.index; a bool passes it as 0 or 1, so it
+    is turned away by type."""
+    try:
+        count = operator.index(value)
+    except TypeError:
+        count = None
+    if count is None or isinstance(value, bool):
+        raise InputError(f"{name} must be an integer, got {value!r}")
+    if count < least:
+        raise InputError(f"{name} must be at least {least}, got {value!r}")
+    return count
+
+
 def unit_vector(v) -> np.ndarray:
-    """Normalize v to unit length."""
+    """Normalize v to unit length.  v is first divided by the power of
+    two that brings its largest |component| into [0.5, 1), so no finite
+    nonzero vector's squared norm leaves float range; the scaling is
+    exact, and a vector in normal range keeps its bits."""
     v = np.asarray(v, dtype=float)
-    n = float(np.linalg.norm(v))
-    if not np.isfinite(n) or n <= 0.0:
+    big = float(np.max(np.abs(v), initial=0.0))
+    if not (np.isfinite(big) and big > 0.0):
         raise InputError("cannot normalize a zero or non-finite vector")
-    return v / n
+    v = np.ldexp(v, -np.frexp(big)[1])
+    return v / float(np.linalg.norm(v))
 
 def as_direction(v) -> np.ndarray:
     """Validate that v is a unit vector in dimension 2 or 3."""

@@ -171,12 +171,16 @@ def polar_steiner_inclusion_check(E, direction=(0.0, 1.0),
 
     Requires zero boundary mass orthogonal to the symmetrization
     direction, the same regularity hypothesis product monotonicity
-    needs; violations raise with the offending mass attached.
+    needs; violations raise with the offending mass attached.  A
+    factor_tol that is not finite and nonnegative raises InputError.
     Returns (holds, margin).
     """
     u = as_direction(direction)
     if E.dim != 2 or u.shape != (2,):
         raise InputError("the inclusion check is a planar computation")
+    # a nan tolerance would fail every verdict, and an infinite one pass it
+    if not (np.isfinite(factor_tol) and factor_tol >= 0.0):
+        raise InputError(f"factor tolerance must be finite and nonnegative, got {factor_tol!r}")
     mass = vertical_boundary_measure(E, u)
     if mass > 0.0:
         raise ConditionViolationError(

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import InputError, NonGenericPointError, NumericalError, UnsupportedDirectionError
 from .geometry import (BLOCK_PAIRS, _gauss_legendre, as_direction,
-                       as_directions, as_plane_map, cross_2d, cyclic_next,
+                       as_directions, as_integer, as_plane_map, cross_2d, cyclic_next,
                        lerp, section_incidence, section_lengths, steiner_ring,
                        symmetral_radii)
 
@@ -308,7 +308,8 @@ class PolygonSet:
         return self._image[1]
 
     def column_structure(self, axis: int = 1) -> ColumnStructure:
-        if axis not in (0, 1):
+        axis = as_integer("polygon column axis", axis, 0)
+        if axis > 1:
             raise InputError(f"polygon column axis must be 0 or 1, got {axis}")
         verts = self.vertices if axis == 1 else self.vertices[::-1, ::-1]
         return ColumnStructure(axis, 2, *_polygon_columns(verts))
@@ -495,7 +496,8 @@ class BoxUnion:
         return SurfaceMeasure(normals, masses)
 
     def column_structure(self, axis: int) -> ColumnStructure:
-        if not 0 <= axis < self.dim:
+        axis = as_integer("column axis", axis, 0)
+        if axis >= self.dim:
             raise InputError(f"column axis must be in 0..{self.dim - 1}, got {axis}")
         return ColumnStructure(axis, self.dim, *_box_columns(self.los, self.his, axis))
 

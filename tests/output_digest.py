@@ -14,14 +14,16 @@ It prints one line per case and a total per part.
   by its final vertices' bytes; the total chains the same bytes of every
   case, then min_boundary_norm() of random_polygon(17, i), i < 200, as
   float64 bytes.
-- cli: 79 pettybox commands, run in process from a temporary directory
+- cli: 85 pettybox commands, run in process from a temporary directory
   that holds the set files under fixed relative names, since a report's
   config embeds the input path.  A case's line gives the argv, the exit
   code (or the type of an exception that escapes main), and the sha256
   of stdout followed by stderr.  Warnings are recorded per command and
-  appended to stderr as "Category: message" lines.  The last five are
+  appended to stderr as "Category: message" lines.  Commands 75-79 are
   monotonicity --exploratory along each axis on two voxel walks with
-  non-dyadic corners, where surface masses round.
+  non-dyadic corners, where surface masses round.  The last six take the
+  unit square along diagonal directions whose squared norms overflow or
+  underflow, through monotonicity and polar-symmetral-check.
 - columns: the column structure along each axis of those two voxel walks
   and of random_box_union(i, dim=d), i < 40, d in (2, 3).  A case's
   digest is the sha256 of the bytes of its cell_bounds and of its
@@ -150,6 +152,9 @@ def cli_commands() -> list[list[str]]:
         for axis in np.eye(len(doc["boxes"][0]["lo"]), dtype=int):
             commands.append(["monotonicity", "--input", f"{name}.json", "--direction",
                              ",".join(map(str, axis)), "--exploratory"])
+    for command in ("monotonicity", "polar-symmetral-check"):
+        for direction in ("1e200,1e200", "1e-170,1e-170", "1e-200,1e-200"):
+            commands.append([command, "--input", "square.json", "--direction", direction])
     return commands
 
 

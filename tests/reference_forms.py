@@ -3,15 +3,15 @@ oracles: the vectorised and blocked kernels in the package must agree
 with them.  Also the section-incidence block with its successors taken by
 np.roll and the greedy scorer that rotates every chain back to the input
 frame, which the package's forms must match bit for bit.  Also the small
-derived quantities only tests read (column multiplicities and volumes,
-box-union axis masses, their exact rational form, and symmetric
-differences), the projection body on a surface measure's half-weighted
-normals, a planar zonotope's ring and its polar's ring from a convex
-hull, the grid-sampled inclusion margin the exact vertex margin must
-dominate, the ring route of the planar polar area and its midpoint
-quadrature over the circle, the exact
-rational product of a float polygon, the shoelace area and centroid of
-a vertex ring, and the per-policy direction draw loops."""
+derived quantities only tests read (column volumes, box-union axis
+masses, their exact rational form, and symmetric differences), the
+projection body on a surface measure's half-weighted normals, a planar
+zonotope's area by its pair sum, its ring and its polar's ring from a
+convex hull, the grid-sampled inclusion margin the exact vertex margin
+must dominate, the ring route of the planar polar area and its midpoint
+quadrature over the circle, the exact rational product of a float
+polygon, the shoelace area and centroid of a vertex ring, and the
+per-policy direction draw loops."""
 
 from __future__ import annotations
 
@@ -89,6 +89,21 @@ def zonotope_hull(generators) -> np.ndarray:
     g = g[np.argsort(np.arctan2(g[:, 1], g[:, 0]))]
     chain = np.cumsum(np.vstack([-np.sum(g, axis=0), 2.0 * g[:-1]]), axis=0)
     return convex_hull_2d(np.vstack([chain, -chain]))
+
+
+def zonogon_area(generators) -> float:
+    """Area of the planar zonotope on the given generators: 4 times the
+    sum of cross(g_1 + ... + g_(j-1), g_j) over the generators turned
+    into the upper half-plane and sorted by angle, as zonotope_hull
+    sorts them.  Each cross product is the nonnegative area that g_j
+    spans with each earlier generator, so this is the pair sum
+    4 * sum over i < j of |cross(g_i, g_j)| in k terms."""
+    g = np.array(generators, dtype=float)
+    g[(g[:, 1] < 0.0) | ((g[:, 1] == 0.0) & (g[:, 0] < 0.0))] *= -1.0
+    g = g[np.argsort(np.arctan2(g[:, 1], g[:, 0]))]
+    passed = np.zeros_like(g)
+    np.cumsum(g[:-1], axis=0, out=passed[1:])
+    return 4.0 * float(np.sum(cross_2d(passed, g)))
 
 
 def normals_offsets(ring: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -81,7 +81,7 @@ def test_exported_names_resolve_on_the_package():
 
 def test_readme_names_resolve_on_the_package():
     # a backticked dotted name that starts at a pettybox module or export
-    # (`geometry.steiner_ring`, `Zonotope._half_turn`), and a backticked
+    # (`geometry.steiner_ring`, `Zonotope.support_batch`), and a backticked
     # call of a bare name (`hausdorff_distance(A, B)`), must resolve
     roots = {m.name: importlib.import_module(f"pettybox.{m.name}")
              for m in pkgutil.iter_modules(pettybox.__path__)}

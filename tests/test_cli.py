@@ -389,7 +389,7 @@ def test_polar_symmetral_check_holds(sets_dir, capsys):
     assert doc["direction"] == [0.0, 1.0]
 
 
-@pytest.mark.parametrize("direction", ["0,0", "nan,1", "inf,1", "1", "a,b"])
+@pytest.mark.parametrize("direction", ["0,0", "nan,1", "inf,1", "1e308,-inf", "1", "a,b"])
 @pytest.mark.parametrize("command", ["polar-symmetral-check", "monotonicity"])
 def test_invalid_direction_is_an_input_error(sets_dir, capsys, command, direction):
     # zero and non-finite vectors are refused by the one normaliser
@@ -399,6 +399,22 @@ def test_invalid_direction_is_an_input_error(sets_dir, capsys, command, directio
     assert out == ""
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("direction", ["1e200,1e200", "1e-170,1e-170", "1e-200,1e-200"])
+@pytest.mark.parametrize("command", ["polar-symmetral-check", "monotonicity"])
+def test_direction_whose_squared_norm_leaves_float_range(sets_dir, capsys, command, direction):
+    # finite nonzero directions normalise although their squared norms
+    # overflow or underflow: the diagonal, on a square with no boundary
+    # mass orthogonal to it
+    code, out, err = run(capsys, command, "--input", str(sets_dir / "square.json"),
+                         f"--direction={direction}")
+    assert (code, err) == (0, "")
+    if command == "polar-symmetral-check":
+        u = json.loads(out)["direction"]
+    else:
+        u = [float(x) for x in out.splitlines()[-1].split(",")[1:3]]
+    assert np.allclose(u, [math.sqrt(0.5)] * 2, rtol=0.0, atol=1e-15)
 
 
 def test_polar_symmetral_check_rejects_axis_mass(sets_dir, capsys):

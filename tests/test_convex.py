@@ -31,7 +31,7 @@ from hull import convex_hull_2d
 from recorders import bodies_built, measures_built  # noqa: F401
 from reference_forms import (dense_radial, dense_support, normals_offsets,
                              polar_hull, quadrature_polar_area, ring_polar_area,
-                             shoelace_area, zonotope_hull)
+                             shoelace_area, zonogon_area, zonotope_hull)
 
 E1 = np.array([1.0, 0.0])
 EPS = float(np.finfo(float).eps)
@@ -58,6 +58,13 @@ def ring_radial(vertices, nodes):
     off the normals and offsets of its convex hull, which drops the
     vertices parallel generators repeat."""
     return dense_radial(*normals_offsets(convex_hull_2d(vertices)), nodes)
+
+
+def kernel_polar_area(Z):
+    """Area of the polar of the planar zonotope Z by the package's kernel
+    over its generators sorted over a half turn, the one petty_product
+    reads off a polygon's edges."""
+    return pettybox.convex._sorted_polar_area(pettybox.convex._sort_half_turn(Z.generators))
 
 
 # --------------------------------------------------------------------- balls
@@ -179,7 +186,7 @@ def test_zonotope_support_and_box_detection():
 
 
 def test_zonotope_volume():
-    assert Zonotope([[1, 0], [0, 1]]).volume() == 4.0
+    assert zonogon_area([[1, 0], [0, 1]]) == 4.0
     assert Zonotope([[1, 0, 0], [0, 1, 0], [0, 0, 1]]).volume() == 8.0
     g = np.random.default_rng(3).normal(size=(3, 3))
     assert abs(Zonotope(g).volume() - 8.0 * abs(np.linalg.det(g))) <= 1e-12
@@ -201,7 +208,7 @@ def test_zonotope_validation():
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 10**6))
 def test_zonogon_materialization_matches_support(seed):
-    # the support kernel and the pair-sum volume against the zonotope's
+    # the support kernel and the pair-sum area against the zonotope's
     # ring from the hull oracle
     rng = np.random.default_rng(seed)
     gens = rng.normal(size=(int(rng.integers(2, 8)), 2))
@@ -210,7 +217,7 @@ def test_zonogon_materialization_matches_support(seed):
     scale = 1.0 + float(np.abs(gens).sum())
     z = rng.normal(size=(20, 2))
     assert np.all(np.abs(Z.support_batch(z) - vertex_support(ring, z)) <= 1e-9 * scale)
-    assert abs(Z.volume() - shoelace_area(ring)) <= 1e-9 * scale ** 2
+    assert abs(zonogon_area(gens) - shoelace_area(ring)) <= 1e-9 * scale ** 2
 
 
 # an axis box of half-widths 1 and 1e-15, thinner than its ring resolves
@@ -247,9 +254,10 @@ ROUNDING_LINKS = {
 @pytest.mark.parametrize("generators", list(ROUNDING_LINKS.values()), ids=list(ROUNDING_LINKS))
 def test_rounding_links_keep_real_turns(generators):
     Z = Zonotope(generators)
-    assert abs(shoelace_area(zonotope_hull(generators)) - Z.volume()) <= 1e-13 * Z.volume()
+    area = zonogon_area(generators)
+    assert abs(shoelace_area(zonotope_hull(generators)) - area) <= 1e-13 * area
     q = quadrature_polar_area(Z, 1 << 16)
-    assert abs(polar_volume(Z).value - q.value) <= q.error
+    assert abs(kernel_polar_area(Z) - q.value) <= q.error
 
 
 def test_polar_of_nearly_parallel_facets_keeps_its_area():
@@ -264,7 +272,7 @@ def test_polar_of_nearly_parallel_facets_keeps_its_area():
     u = rotation_2d(7.843033188476106e-12) @ (edge / np.linalg.norm(edge))
     Z = projection_body(steiner_symmetrize(E, u))
     q = quadrature_polar_area(Z, 1 << 16)
-    assert abs(polar_volume(Z).value - q.value) <= q.error
+    assert abs(kernel_polar_area(Z) - q.value) <= q.error
     assert abs(shoelace_area(polar_polygon(Z)) - q.value) <= q.error
 
 
@@ -291,7 +299,7 @@ def test_zonotope_seam_merge_threshold(delta, count):
     assert np.count_nonzero(turns > 1.5e-12) == count
     q = quadrature_polar_area(Z)
     assert abs(shoelace_area(P) - q.value) <= q.error
-    assert abs(polar_volume(Z).value - q.value) <= q.error
+    assert abs(kernel_polar_area(Z) - q.value) <= q.error
 
 
 def test_zonotope_ring_merges_turns_below_rounding():
@@ -312,7 +320,7 @@ def test_zonotope_ring_merges_turns_below_rounding():
         area = shoelace_area(hull)
         assert abs(shoelace_area(P) - area) <= 16.0 * EPS * area
         q = quadrature_polar_area(Z, 1 << 16)
-        assert abs(polar_volume(Z).value - q.value) <= q.error
+        assert abs(kernel_polar_area(Z) - q.value) <= q.error
         assert abs(shoelace_area(P) - q.value) <= q.error
 
 
@@ -330,11 +338,12 @@ def test_planar_polar_projection_body_never_prunes(monkeypatch):
 
 # -------------------------------------------------------- planar polar area
 #
-# polar_volume of a planar zonotope is the closed form over its generators
-# sorted over a half turn, with no ring; the ring route of the hull oracle
-# (reference_forms.ring_polar_area) must agree with it within 1e-13.  A
-# zonotope whose generators are all exactly parallel raises InputError,
-# and a thin one has a closed form good to about eps * scale / width.
+# The polar area of a planar zonotope is the kernel's closed form over its
+# generators sorted over a half turn, with no ring; the ring route of the
+# hull oracle (reference_forms.ring_polar_area) must agree with it within
+# 1e-13.  A zonotope whose generators are all exactly parallel raises
+# InputError in polar_polygon, and a thin one has a closed form good to
+# about eps * scale / width.  polar_volume takes axis boxes only.
 
 def _campaign_bodies():
     """Projection bodies of campaign-style polygons and of their
@@ -361,24 +370,22 @@ def _closed_form_cases():
 def test_planar_polar_area_matches_the_ring_route():
     for Z in _closed_form_cases():
         want = ring_polar_area(Z)
-        assert abs(polar_volume(Z).value - want) <= 1e-13 * want
+        assert abs(kernel_polar_area(Z) - want) <= 1e-13 * want
 
 
 def test_planar_axis_box_polar_area_is_exact():
     # polar_volume takes the cross-polytope closed form of an axis box,
     # and the sorted kernel over the same generators gives the same bits
-    def kernel(Z):
-        return pettybox.convex._sorted_polar_area(Z._half_turn)
-
     for a, b in [(1.0, 1.0), (0.3, 7.0), (1.0 / 3.0, 0.1), (1.0, 1e-15)]:
         Z = Zonotope([[0.0, b], [a, 0.0]])
-        assert polar_volume(Z).value == kernel(Z) == 2.0 / (a * b)
+        assert polar_volume(Z).value == kernel_polar_area(Z) == 2.0 / (a * b)
     for seed in range(100):
         B = random_box_union(seed, dim=2)
         for E in (B, steiner_symmetrize(B, E1), steiner_symmetrize(B, E2)):
             Z = projection_body(E)
             a, b = Z.axis_box_halfwidths()
-            assert petty_product(E).polar_projection_volume == kernel(Z) == 2.0 / (a * b)
+            assert (petty_product(E).polar_projection_volume == kernel_polar_area(Z)
+                    == 2.0 / (a * b))
 
 
 @pytest.mark.parametrize("generators, parallel", [
@@ -395,15 +402,18 @@ def test_planar_axis_box_polar_area_is_exact():
 def test_degenerate_zonotope_keeps_its_error(generators, parallel):
     Z = Zonotope(generators)
     if parallel:
-        # a segment has an unbounded polar: both routes say so before the
-        # kernel, whose edge supports rounding can leave positive
-        for route in (polar_volume, polar_polygon):
-            with pytest.raises(InputError, match="degenerate"):
-                route(Z)
+        # a segment has an unbounded polar: the ring says so before the
+        # kernel, whose edge supports rounding can leave positive, and
+        # polar_volume takes no segment that is not an axis box
+        with pytest.raises(InputError, match="degenerate"):
+            polar_polygon(Z)
+        with pytest.raises(InputError, match="degenerate|no auto route"):
+            polar_volume(Z)
         return
     if generators is THIN_BOX:
-        # a thin axis box takes its cross-polytope closed form 2 / (ab)
-        assert polar_volume(Z).value == 2.0 / 1e-15
+        # a thin axis box takes its cross-polytope closed form 2 / (ab),
+        # which the kernel meets
+        assert polar_volume(Z).value == kernel_polar_area(Z) == 2.0 / 1e-15
         return
     # generators 1e-13 rad apart span a full-dimensional sliver, 1e-13 of
     # its length wide: the closed form and the hull oracle's ring route
@@ -411,19 +421,24 @@ def test_degenerate_zonotope_keeps_its_error(generators, parallel):
     g = Z.generators
     size = float(np.sum(np.hypot(g[:, 0], g[:, 1])))
     want = ring_polar_area(Z)
-    assert abs(polar_volume(Z).value - want) <= 4.0 * EPS * size ** 2 / Z.volume() * want
-    assert abs(shoelace_area(polar_polygon(Z)) - want) <= 4.0 * EPS * size ** 2 / Z.volume() * want
+    floor = 4.0 * EPS * size ** 2 / zonogon_area(g) * want
+    assert abs(kernel_polar_area(Z) - want) <= floor
+    assert abs(shoelace_area(polar_polygon(Z)) - want) <= floor
 
 
 @pytest.mark.parametrize("scale", [1e-300, 1e-162, 1.0, 1e160, 1e300])
-def test_parallel_generators_are_told_apart_at_every_scale(scale):
-    # the parallel test reads the generators scaled by a power of two: a
-    # square's cross products at 5e-163 no longer underflow to a segment
+def test_parallel_generators_are_told_apart_at_every_scale(scale, monkeypatch):
+    # polar_polygon's parallel test reads the generators scaled by a power
+    # of two: a square's cross products at 5e-163 no longer underflow to a
+    # segment.  Unit edge supports stand in for the kernel's, which leave
+    # float range at the extreme scales, so the square's ring is J g
+    monkeypatch.setattr(pettybox.convex, "_edge_supports", lambda g: np.ones(len(g)))
     square = Zonotope(scale * np.array([[0.5, 0.0], [0.0, 0.5]]))
-    assert pettybox.convex._spanning_half_turn(square) is square._half_turn
+    g = pettybox.convex._sort_half_turn(square.generators)
+    assert np.array_equal(polar_polygon(square)[:2], np.column_stack([g[:, 1], -g[:, 0]]))
     segment = Zonotope(scale * np.array([[0.5, 0.25], [-1.0, -0.5], [2.0, 1.0]]))
     with pytest.raises(InputError, match="all generators parallel"):
-        pettybox.convex._spanning_half_turn(segment)
+        polar_polygon(segment)
 
 
 @pytest.mark.parametrize("generators", [
@@ -466,7 +481,7 @@ def test_planar_zonotope_volume_is_the_pair_sum(generators):
     want = 4.0 * sum(abs(float(np.linalg.det(g[[i, j]])))
                      for i, j in itertools.combinations(range(len(g)), 2))
     size = float(np.sum(lengths))
-    assert abs(Zonotope(g).volume() - want) <= 1e-13 * (want + size ** 2)
+    assert abs(zonogon_area(g) - want) <= 1e-13 * (want + size ** 2)
 
 
 # ------------------------------------------------------------------- polars
@@ -516,23 +531,24 @@ def test_polar_involution():
         assert np.allclose(a, b, atol=1e-9)
 
 
-def test_polar_polygon_errors():
+def test_polar_polygon_errors(monkeypatch):
     for body in (Ball(1.0), Zonotope(np.eye(3)), PolarWrapper(Zonotope(np.eye(3))), "x"):
         with pytest.raises(InputError, match="^no planar polar ring for .*; polar_polygon takes"):
             polar_polygon(body)
-    # parallel generators span a segment, and a nan generator leaves no
-    # edge a positive support
+    # parallel generators span a segment
     with pytest.raises(InputError, match="^zonotope is degenerate"):
         polar_polygon(Zonotope([[1.0, 1.0], [2.0, 2.0]]))
-    Z = Zonotope([[1.0, 0.0], [0.0, 1.0]])
-    Z._half_turn = np.array([[1.0, 0.0], [np.nan, 1.0]])
-    with pytest.raises(NumericalError, match="nonpositive support"):
-        polar_polygon(Z)
     # a subnormal edge support has lost its digits: the square of side
     # 1e-160 has H_j of about 5e-321
     tiny = 1e-160 * np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
     with pytest.raises(NumericalError, match="^zonotope edge supports are subnormal"):
         polar_polygon(projection_body(PolygonSet(tiny)))
+    # a nan generator, in place of the sorted square's, passes the parallel
+    # test and leaves no edge a positive support
+    monkeypatch.setattr(pettybox.convex, "_sort_half_turn",
+                        lambda g: np.array([[1.0, 0.0], [np.nan, 1.0]]))
+    with pytest.raises(NumericalError, match="nonpositive support"):
+        polar_polygon(Zonotope([[1.0, 0.0], [0.0, 1.0]]))
 
 
 # The polar ring's rows against the hull oracle: every row lies on the
@@ -571,7 +587,7 @@ def test_polar_polygon_rows_lie_on_the_hull_oracle_polar():
         want = polar_hull(Z)
         assert P.shape == (2 * len(Z.generators), 2), name
         length = np.hypot(Z.generators[:, 0], Z.generators[:, 1])
-        floor = 16.0 * EPS * (length.sum() ** 2 / Z.volume() + len(length))
+        floor = 16.0 * EPS * (length.sum() ** 2 / zonogon_area(Z.generators) + len(length))
         assert np.all(np.abs(Z.support_batch(P) - 1.0) <= floor), name
         radius = float(np.max(np.linalg.norm(want, axis=1)))
         gap = np.min(np.linalg.norm(want[:, None, :] - P[None, :, :], axis=2), axis=1)
@@ -681,9 +697,7 @@ def test_polar_sections_of_planar_zonotope_match_its_vertex_form(seed):
 def test_polar_volume_exact_routes():
     # a parallelogram of area 4 is a unimodular image of the square
     # [-1, 1]^2, so its polar has the cross-polytope's area 2
-    pv = polar_volume(Zonotope([[1.0, 0.0], [0.3, 1.0]]))
-    assert pv.error == 0.0
-    assert abs(pv.value - 2.0) <= 1e-12
+    assert abs(kernel_polar_area(Zonotope([[1.0, 0.0], [0.3, 1.0]])) - 2.0) <= 1e-12
     cube = Zonotope(np.eye(3))
     pv3 = polar_volume(cube)
     assert pv3.error == 0.0
@@ -707,7 +721,7 @@ def test_polar_volume_quadrature_error_estimate_2d():
     # rounding tests above, holds its own estimate
     for seed in (2, 7):
         K = Zonotope(np.random.default_rng(seed).normal(size=(6, 2)))
-        exact = polar_volume(K).value
+        exact = kernel_polar_area(K)
         q = quadrature_polar_area(K)
         assert abs(q.value - exact) <= q.error + 1e-12
 
@@ -725,7 +739,7 @@ def test_polar_volume_denser_grid_tightens():
 def test_polar_volume_reverses_containment():
     K = Zonotope([[1.0, 0.0], [0.3, 1.0]])
     L = Zonotope(1.5 * K.generators)
-    assert polar_volume(K).value >= polar_volume(L).value
+    assert kernel_polar_area(K) >= kernel_polar_area(L)
 
 
 def test_polar_volume_rejects_bad_method_and_exterior_origin():
@@ -756,8 +770,16 @@ def test_polar_volume_rejects_bad_method_and_exterior_origin():
              "^zonotope is degenerate \\(a box of zero half-width\\)$"),
             (lambda: polar_volume(Zonotope([[1, 0, 0], [0, 1, 0]]), method="quadrature"),
              "^zonotope is degenerate \\(a box of zero half-width\\)$"),
+            # a planar zonotope that is not a box has no polar volume route
+            # and no volume: its polar area is polar_polygon's ring's
+            (lambda: polar_volume(Zonotope([[1.0, 0.0], [0.3, 1.0]])),
+             "^no auto route for Zonotope\\(2 generators, dim=2\\)$"),
             (lambda: polar_volume(Zonotope([[1, 0.5], [-2, -1]])),
-             "^zonotope is degenerate \\(all generators parallel\\)$")]:
+             "^no auto route for Zonotope\\(2 generators, dim=2\\)$"),
+            (lambda: Zonotope([[1.0, 0.0], [0.3, 1.0]]).volume(),
+             "^no volume route for Zonotope\\(2 generators, dim=2\\)$"),
+            (lambda: Zonotope(np.eye(2)).volume(),
+             "^no volume route for Zonotope\\(2 generators, dim=2\\)$")]:
         with pytest.raises(InputError, match=message):
             call()
 

@@ -83,6 +83,23 @@ def test_policy_seed_is_a_nonnegative_integer():
     assert runs[0] == runs[1] == runs[2]
 
 
+def test_step_budget_is_a_nonnegative_integer():
+    # a nan budget never stops the loop (step >= nan is false), 2.5 would
+    # run 3 steps and True 1: each is refused before the first step, by
+    # the same test the policy runs on its seed and candidate count
+    policy = DirectionPolicy(kind="coordinate-cycle", seed=1)
+    for steps in (2.5, 3.0, np.float64(2.0), "3", None, True, False, np.True_, math.nan):
+        with pytest.raises(InputError, match="step budget must be an integer"):
+            run_symmetrization(unit_square(), policy, max_steps=steps)
+    for steps in (-1, np.int64(-2)):
+        with pytest.raises(InputError, match="step budget must be at least 0"):
+            run_symmetrization(unit_square(), policy, max_steps=steps)
+    runs = [run_symmetrization(unit_square(), policy, max_steps=steps, stop_tol=1e-9).to_csv()
+            for steps in (2, np.int64(2), np.uint8(2))]
+    assert runs[0] == runs[1] == runs[2]
+    assert len(run_symmetrization(unit_square(), policy, max_steps=0).steps) == 1
+
+
 def test_run_input_validation():
     sq = unit_square()
     policy = DirectionPolicy(kind="uniform-random")

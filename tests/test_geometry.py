@@ -21,7 +21,7 @@ from pettybox.corpus import random_polygon
 from pettybox.errors import InputError
 from pettybox.geometry import (SphericalGrid, as_direction, as_directions,
                                circle_grid, default_grid, integrate_sphere,
-                               octant_grid, rotation_2d)
+                               octant_grid, rotation_2d, unit_vector)
 
 from hull import convex_hull_2d
 from reference_forms import (distance_to_polygon_loop, normals_offsets,
@@ -54,6 +54,23 @@ def test_as_direction_accepts_unit_vectors():
     u = as_direction([0.6, 0.8])
     assert u.shape == (2,)
     assert math.isclose(float(np.linalg.norm(u)), 1.0, abs_tol=1e-12)
+
+
+@pytest.mark.parametrize("v", [[3.0, 4.0], [1.0, 1.0], [0.3, -0.2, 0.9]])
+def test_unit_vector_keeps_its_bits_at_every_power_of_two(v):
+    # the vector is scaled by a power of two before its norm is taken, so
+    # its squares neither overflow nor underflow: 2^k v normalises to the
+    # bits of v for every k that keeps its components in normal range, and
+    # v times 1e200 or 1e-170, whose squared norm leaves float range,
+    # normalises to a unit vector
+    eps = float(np.finfo(float).eps)
+    want = unit_vector(v)
+    assert abs(float(np.linalg.norm(want)) - 1.0) <= 2.0 * eps
+    for k in (-1000, -570, -30, 30, 570, 1000):
+        assert np.array_equal(unit_vector(np.ldexp(v, k)), want)
+    for scale in (1e200, 1e-170, 1e-200, 1e307, 5e-324):
+        u = unit_vector(np.multiply(scale, v))
+        assert abs(float(np.linalg.norm(u)) - 1.0) <= 2.0 * eps
 
 
 def test_as_directions_checks_every_row():

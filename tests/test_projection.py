@@ -15,7 +15,7 @@ from pettybox import (BoxUnion, ConditionViolationError, InputError,
                       affine_image_check, petty_product, polar_polygon,
                       polar_steiner_inclusion_check, polar_volume,
                       projection_body, steiner_symmetrize, surface_measure)
-from pettybox.convex import _sorted_polar_area
+from pettybox.convex import _sort_half_turn, _sorted_polar_area
 from pettybox.corpus import (random_box_union, random_polygon, random_sl2,
                              regular_polygon)
 from pettybox.geometry import circle_grid, rotation_2d, steiner_ring
@@ -120,7 +120,8 @@ def test_polygon_body_product_and_affine_check_read_one_formula():
             e = E.edges
             Z = projection_body(E)
             assert np.array_equal(Z.generators, np.column_stack([0.5 * e[:, 1], -0.5 * e[:, 0]]))
-            assert petty_product(E).polar_projection_volume == _sorted_polar_area(Z._half_turn)
+            assert (petty_product(E).polar_projection_volume
+                    == _sorted_polar_area(_sort_half_turn(Z.generators)))
             assert affine_image_check(E, identity) == 0.0
 
 
@@ -392,6 +393,17 @@ def test_polar_steiner_inclusion_rejects_3d():
         polar_steiner_inclusion_check(unit_cube(), [0.0, 0.0, 1.0])
 
 
+def test_polar_steiner_inclusion_rejects_a_bad_factor_tolerance():
+    # a nan tolerance would read every inclusion as failed and an infinite
+    # one every inclusion as holding: the rule the CLI applies to --tol
+    T = PolygonSet([[0, 0], [2, 0], [0, 2]]).transform(rotation_2d(0.3))
+    for tol in (math.nan, math.inf, -math.inf, -1e-12):
+        with pytest.raises(InputError, match="factor tolerance must be finite and nonnegative"):
+            polar_steiner_inclusion_check(T, E2, factor_tol=tol)
+    margin = polar_steiner_inclusion_check(T, E2)[1]
+    assert polar_steiner_inclusion_check(T, E2, factor_tol=0.0) == (margin <= 1.0, margin)
+
+
 def test_polar_steiner_inclusion_margin_on_thin_sets_is_at_the_rounding_floor():
     # sets 1e-13 and 3e-14 of their length wide.  Merging near-parallel
     # generators in a ring before the polar moved the polar by far more
@@ -406,11 +418,11 @@ def test_polar_steiner_inclusion_margin_on_thin_sets_is_at_the_rounding_floor():
 
 
 def test_thin_triangle_has_one_polar_area_and_no_symmetral():
-    # 1e-20 of its length wide: the zonotope's polar area is the
-    # product's, bit for bit, and the symmetral of its polar ring is
-    # below what the section kernel resolves
+    # 1e-20 of its length wide: the kernel's polar area of the zonotope
+    # is the product's, bit for bit, and the symmetral of its polar ring
+    # is below what the section kernel resolves
     T = PolygonSet([[0.0, 0.0], [1e10, 0.0], [1e10, 1e-10]])
-    pv = polar_volume(projection_body(T))
-    assert pv.value == petty_product(T).polar_projection_volume == 3.0
+    area = _sorted_polar_area(_sort_half_turn(projection_body(T).generators))
+    assert area == petty_product(T).polar_projection_volume == 3.0
     with pytest.raises(NumericalError, match="symmetral degenerated"):
         polar_steiner_inclusion_check(T, np.array([0.6, 0.8]))

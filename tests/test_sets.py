@@ -604,6 +604,26 @@ def test_column_locate_errors():
         cs.locate([0.5, 0.5])  # wrong base dimension
 
 
+def test_column_axis_is_an_integer():
+    # the axis indexes the corner arrays, where 0.5 raised numpy's bare
+    # IndexError, and a bool was taken as axis 0 or 1
+    square, staircase2d = unit_square(), staircase()
+    for E in (square, staircase2d, BoxUnion([[0, 0, 0]], [[1, 1, 1]])):
+        for axis in (0.5, 1.0, np.float64(0.0), "1", True, False, np.True_):
+            with pytest.raises(InputError, match="column axis must be an integer"):
+                column_structure(E, axis)
+        with pytest.raises(InputError, match="column axis must be at least 0"):
+            column_structure(E, np.int64(-1))
+        for axis in range(E.dim):
+            want, got = column_structure(E, axis), column_structure(E, np.int64(axis))
+            assert type(got.axis) is int and got.axis == axis
+            assert np.array_equal(got.cells, want.cells) and np.array_equal(got.ends, want.ends)
+    with pytest.raises(InputError, match="polygon column axis must be 0 or 1"):
+        column_structure(square, 2)
+    with pytest.raises(InputError, match="column axis must be in 0..1"):
+        column_structure(staircase2d, 2)
+
+
 def test_column_locate_rejects_empty_lattice_cells():
     # an empty cell between filled ones: two squares with a gap in x
     cs = column_structure(BoxUnion([[0, 0], [2, 0]], [[1, 1], [3, 1]]), axis=1)
